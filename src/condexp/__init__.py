@@ -17,10 +17,8 @@ from .measure_space import (
     level_set,
     support,
     weighted_inner,
-    weighted_norm,
 )
 from .operator_algebra import (
-    EigenSystem,
     PolarParts,
     SolverError,
     WeightedOperator,
@@ -78,7 +76,6 @@ from .spectral_analysis import (
     hausdorff_distance,
     iterated_aluthge,
     joint_point_spectrum,
-    point_spectrum_closed_form,
     sigma_p_equals_sigma_jp_check,
     spectral_radius_closed_form,
     spectrum_closed_form,

@@ -44,12 +44,17 @@ def _complex_out(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
 
+def _real_in(value) -> float:
+    # bool is an int subclass; a JSON true is not a number
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _complex_in(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ValueError(f"expected a number or an [re, im] pair, got {value!r}")
+        return complex(_real_in(value[0]), _real_in(value[1]))
+    return complex(_real_in(value))
 
 
 def _function_out(f: MeasurableFunction) -> list:
@@ -67,7 +72,7 @@ def instance_to_json(instance: Instance) -> dict:
 
 def instance_from_json(data: dict) -> Instance:
     try:
-        weights = data["weights"]
+        weights = [_real_in(x) for x in data["weights"]]
         blocks = data["blocks"]
         u = [_complex_in(v) for v in data["u"]]
         w = [_complex_in(v) for v in data["w"]]
@@ -229,7 +234,6 @@ def cmd_spectrum(args) -> int:
     W = as_wce(instance, support_tol=args.tol_support)
     spec = sa.spectrum_report(W, args.tol_spec)
     T = wce.to_matrix(W)
-    jp = sa.sigma_p_equals_sigma_jp_check(W)
     report = {
         "instance": _instance_summary(instance),
         "spectrum": {
@@ -241,10 +245,7 @@ def cmd_spectrum(args) -> int:
             "max_set_distance": spec.max_set_distance,
             "supports_cover_all": spec.supports_cover_all,
         },
-        "point_spectrum_closed_form": [
-            _complex_out(z) for z in sa.point_spectrum_closed_form(W, args.tol_spec)
-        ],
-        "joint_point_spectrum": [_complex_out(z) for z in jp.joint_point_spectrum],
+        "joint_point_spectrum": [_complex_out(z) for z in sa.joint_point_spectrum(T)],
         "spectral_radius_closed_form": sa.spectral_radius_closed_form(W),
         "operator_norm": operator_norm(T),
     }
@@ -252,23 +253,28 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _verify_instances(args) -> list:
+    """(label, instance) pairs: ``--count`` consecutive seeds of ``--random``
+    or ``--proportional``, or the one instance any other source names."""
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
+    if args.count == 1:
+        return [("instance", _load_instance(args))]
+    if args.path is not None or args.example or not (args.random or args.proportional):
+        raise ValueError("--count above 1 needs --random or --proportional")
+    kind = "proportional" if args.proportional else "random"
+    seeds = range(args.seed, args.seed + args.count)
+    return [
+        (f"{kind} seed={s}", _load_instance(argparse.Namespace(**{**vars(args), "seed": s})))
+        for s in seeds
+    ]
+
+
 def cmd_verify(args) -> int:
     tols = _tolerances(args)
-    instances = []
-    if args.path is None and args.random and args.count > 1:
-        for k in range(args.count):
-            instances.append(
-                (
-                    f"random seed={args.seed + k}",
-                    random_instance(args.seed + k, args.points, args.blocks, not args.real),
-                )
-            )
-    else:
-        instances.append(("instance", _load_instance(args)))
-
     all_checks = []
     results = []
-    for label, instance in instances:
+    for label, instance in _verify_instances(args):
         log.info("verifying %s", label)
         checks = verify_instance(instance, tols)
         all_checks.extend(checks)
@@ -314,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pretty", action="store_true", help="human-readable tables")
         if name == "verify":
             p.add_argument(
-                "--count", type=int, default=1, help="number of seeded random instances"
+                "--count", type=int, default=1,
+                help="consecutive seeds to verify from --seed (--random, --proportional)",
             )
         if name == "gen":
             p.add_argument("-o", "--output", help="write to a file instead of stdout")

@@ -73,13 +73,13 @@ class SubSigmaAlgebra:
         n = int(self.point_count)
         if n < 1:
             raise ValueError("point_count must be >= 1")
-        blocks = tuple(
-            _frozen_array(np.sort(np.asarray(b, dtype=int)), int) for b in self.blocks
-        )
+        blocks = tuple(np.asarray(b) for b in self.blocks)
         labels = np.full(n, -1, dtype=int)
         for k, b in enumerate(blocks):
             if b.size == 0:
                 raise ValueError("blocks must be nonempty")
+            if b.dtype.kind not in "iu":
+                raise ValueError(f"block {k} contains non-integer indices")
             if b.min() < 0 or b.max() >= n:
                 raise ValueError(f"block {k} contains out-of-range indices")
             if np.unique(b).size != b.size or np.any(labels[b] != -1):
@@ -87,6 +87,7 @@ class SubSigmaAlgebra:
             labels[b] = k
         if np.any(labels == -1):
             raise ValueError("blocks must cover every point")
+        blocks = tuple(_frozen_array(np.sort(b), int) for b in blocks)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "point_count", n)
         object.__setattr__(self, "labels", _frozen_array(labels, int))
@@ -126,9 +127,6 @@ class MeasurableFunction:
 
     def abs(self) -> "MeasurableFunction":
         return MeasurableFunction(np.abs(self.values), self.space)
-
-    def real_values(self) -> np.ndarray:
-        return self.values.real.copy()
 
     def __mul__(self, other):
         if isinstance(other, MeasurableFunction):
@@ -228,10 +226,6 @@ def weighted_inner(f: MeasurableFunction, g: MeasurableFunction) -> complex:
     """The L2(mu) inner product sum_i f_i conj(g_i) mu_i."""
     _check_same_space(f, g)
     return complex(np.sum(f.values * np.conj(g.values) * f.space.weights))
-
-
-def weighted_norm(f: MeasurableFunction) -> float:
-    return float(np.sqrt(max(weighted_inner(f, f).real, 0.0)))
 
 
 def support(f: MeasurableFunction, tol: float = DEFAULT_SUPPORT_TOL) -> IndexSet:

@@ -9,8 +9,7 @@ dense LAPACK routines apply unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,15 +63,6 @@ class PolarParts:
 
     isometry_part: WeightedOperator
     modulus_part: WeightedOperator
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues (always) and, for self-adjoint inputs, weighted-orthonormal
-    eigenvectors as columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: Optional[np.ndarray] = None
 
 
 def multiplication_operator(
@@ -134,18 +124,9 @@ def compose(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
     return WeightedOperator(A.entries @ B.entries, A.space)
 
 
-def add(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
-    _check_space(A, B)
-    return WeightedOperator(A.entries + B.entries, A.space)
-
-
 def subtract(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
     _check_space(A, B)
     return WeightedOperator(A.entries - B.entries, A.space)
-
-
-def scale(c: complex, T: WeightedOperator) -> WeightedOperator:
-    return WeightedOperator(c * T.entries, T.space)
 
 
 def eigenvalues(T: WeightedOperator) -> np.ndarray:
@@ -194,17 +175,6 @@ def loewner_geq(
     evals = np.linalg.eigvalsh(_hermitian_part(diff))
     norm = np.abs(evals).max(initial=0.0)
     return bool(evals.min(initial=0.0) >= -tol * (1.0 + norm))
-
-
-def eigensystem_hermitian(T: WeightedOperator) -> EigenSystem:
-    """Eigendecomposition of a (weighted-)self-adjoint operator; eigenvectors
-    are orthonormal for the weighted inner product."""
-    try:
-        evals, evecs = np.linalg.eigh(_hermitian_part(T))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SolverError(f"eigh did not converge: {exc}") from exc
-    d = _sqrt_weights(T.space)
-    return EigenSystem(evals, evecs / d[:, None])
 
 
 def fractional_power(

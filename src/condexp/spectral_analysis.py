@@ -3,27 +3,25 @@
 Closed forms come from the cached conditional moments (the spectrum of
 T = M_w E M_u off zero is the attained-value set of E(uw), the spectral
 radius its sup norm); the numeric side is the dense eigenvalue oracle.
-Zero membership is decided by rank, the finite-dimensional reading of
-invertibility.
+On a finite space the point spectrum is the spectrum, and 0 belongs to it
+iff T is rank deficient; T has one rank-one block per atom in S and G, so
+its rank is the number of those atoms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .measure_space import cluster_values, ess_range, ess_sup_norm, level_set
+from .measure_space import cluster_values, ess_range, level_set
 from .operator_algebra import (
-    DEFAULT_RANK_TOL,
     WeightedOperator,
     _to_standard,
     aluthge_numeric,
     eigenvalues,
-    is_normal,
     operator_norm,
-    singular_values,
 )
 from .operator_classes import is_quasi_star_a_definitional
 from .wce_operator import (
@@ -39,7 +37,6 @@ __all__ = [
     "JointSpectrumRangeReport",
     "spectrum_closed_form",
     "spectrum_report",
-    "point_spectrum_closed_form",
     "em_u_point_spectrum",
     "joint_point_spectrum",
     "spectral_radius_closed_form",
@@ -99,7 +96,6 @@ class JointSpectrumRangeReport:
     hypothesis_holds: bool
     joint_point_spectrum: tuple
     essential_range_nonzero: tuple
-    level_values_nonzero: tuple
     nonzero_sets_equal: Optional[bool]
     supports_cover_all: bool
     full_sets_equal: Optional[bool]  # only when S and G cover every point
@@ -119,24 +115,21 @@ def hausdorff_distance(a, b) -> float:
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 
-def _rank(T: WeightedOperator, tol: float = DEFAULT_RANK_TOL) -> int:
-    s = singular_values(T)
-    return int(np.sum(s > tol * s.max(initial=0.0)))
-
-
 def _nonzero_cluster(values, tol: float) -> list:
     return [v for v in cluster_values(values, tol) if abs(v) > tol]
 
 
 def spectrum_closed_form(W: WCEOperator, tol: float = DEFAULT_SPECTRUM_TOL):
-    """Nonzero spectrum = ess range(E(uw)) minus 0; zero membership by rank.
+    """Nonzero spectrum = ess range(E(uw)) minus 0; 0 is in the spectrum iff
+    rank T, the number of atoms in S and G, is below the point count.
 
     Returns (nonzero values, zero_flag, supports_cover_all).
     """
     nonzero = [v for v in ess_range(W.e_uw, tol) if abs(v) > tol]
-    zero_flag = _rank(to_matrix(W)) < W.space.point_count
-    covers = W.support_u2.intersection(W.support_w2).covers(W.space.point_count)
-    return nonzero, zero_flag, covers
+    s_and_g = W.support_u2.intersection(W.support_w2)
+    rank = np.unique(W.algebra.labels[list(s_and_g)]).size
+    zero_flag = rank < W.space.point_count
+    return nonzero, zero_flag, s_and_g.covers(W.space.point_count)
 
 
 def spectrum_report(W: WCEOperator, tol: float = DEFAULT_SPECTRUM_TOL) -> SpectrumReport:
@@ -159,17 +152,6 @@ def spectrum_report(W: WCEOperator, tol: float = DEFAULT_SPECTRUM_TOL) -> Spectr
         max_set_distance=dist,
         supports_cover_all=covers,
     )
-
-
-def point_spectrum_closed_form(
-    W: WCEOperator, tol: float = DEFAULT_SPECTRUM_TOL
-) -> list:
-    """Eigenvalue set from the level sets of E(uw); every attained nonzero
-    value is an eigenvalue, and 0 joins iff the matrix has nontrivial kernel."""
-    values = [v for v in ess_range(W.e_uw, tol) if abs(v) > tol]
-    if _rank(to_matrix(W)) < W.space.point_count:
-        values.append(0.0 + 0.0j)
-    return values
 
 
 def em_u_point_spectrum(
@@ -307,7 +289,6 @@ def joint_spectrum_range_check(W: WCEOperator, tol: float = 1e-8) -> JointSpectr
         hypothesis_holds=hypothesis,
         joint_point_spectrum=tuple(sigma_jp),
         essential_range_nonzero=tuple(range_nonzero),
-        level_values_nonzero=tuple(range_nonzero),
         nonzero_sets_equal=nonzero_equal,
         supports_cover_all=covers,
         full_sets_equal=full_equal,

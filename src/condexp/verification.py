@@ -8,7 +8,7 @@ test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from . import operator_classes as oc
 from . import spectral_analysis as sa
 from . import wce_operator as wce
 from .instance_factory import Instance, as_wce
-from .measure_space import MeasurableFunction
 from .operator_algebra import WeightedOperator
 
 POWERS = (0.5, 1.0, 2.0, 3.5)

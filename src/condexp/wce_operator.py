@@ -1,12 +1,14 @@
 """Weighted conditional expectation operators T = M_w E M_u and their
 closed forms.
 
-All quantities (operator norm, powers of T*T and TT*, polar factors, Aluthge
-transform, adjoint parts) are expressed directly in the cached conditional
-moments E(u), E(w), E(uw), E(|u|^2), E(|w|^2). The moments are computed once
-at build time and never recomputed, so every closed form shares one
-tolerance story. Quotients carry support indicators: a factor whose
-denominator vanishes (below the support tolerance) is 0 by convention.
+The T-side quantities (operator norm, powers of T*T, polar factors, Aluthge
+transform) are expressed directly in the cached conditional moments E(u),
+E(w), E(uw), E(|u|^2), E(|w|^2). The family is closed under adjoints,
+T* = M_conj(u) E M_conj(w), so the adjoint-side forms (powers of TT*, the
+adjoint parts) are the T-side forms of ``adjoint_wce(W)``. The moments are
+computed once at build time and never recomputed, so every closed form
+shares one tolerance story. Quotients carry support indicators: a factor
+whose denominator vanishes (below the support tolerance) is 0 by convention.
 """
 
 from __future__ import annotations
@@ -135,37 +137,23 @@ def tstar_t_power(W: WCEOperator, p: float) -> WeightedOperator:
 
 
 def t_tstar_power(W: WCEOperator, p: float) -> WeightedOperator:
-    """(TT*)^p = M_{w (E|w|^2)^(p-1) chi_G (E|u|^2)^p} E M_conj(w)."""
-    if p <= 0:
-        raise ValueError("power must be positive")
-    chi_g = _chi(W, W.support_w2)
-    eu2 = W.e_abs_u2.values.real
-    ew2 = W.e_abs_w2.values.real
-    factor = np.zeros(W.space.point_count, dtype=complex)
-    on = chi_g > 0.5
-    factor[on] = ew2[on] ** (p - 1.0) * np.clip(eu2[on], 0.0, None) ** p
-    return _sandwich(W, W.w.values * factor, np.conj(W.w.values))
+    """(TT*)^p, the T*T power of the adjoint:
+
+    (TT*)^p = M_{w (E|w|^2)^(p-1) chi_G (E|u|^2)^p} E M_conj(w).
+    """
+    return tstar_t_power(adjoint_wce(W), p)
 
 
 def polar_closed_form(W: WCEOperator) -> PolarParts:
-    """Closed-form polar factors:
+    """Closed-form polar factors: |T| = (T*T)^(1/2), and
 
-    |T| f = (E|w|^2 / E|u|^2)^(1/2) chi_S conj(u) E(u f)
-    U  f = (chi_{S and G} / (E|w|^2 E|u|^2))^(1/2) w E(u f)
+    U f = (chi_{S and G} / (E|w|^2 E|u|^2))^(1/2) w E(u f)
     """
-    chi_s = _chi(W, W.support_u2)
     chi_sg = _chi(W, W.support_u2.intersection(W.support_w2))
-    eu2 = W.e_abs_u2.values.real
-    ew2 = W.e_abs_w2.values.real
-    mod_factor = np.sqrt(
-        np.clip(_guarded_ratio(ew2.astype(complex), eu2, chi_s).real, 0.0, None)
-    )
-    iso_factor = np.sqrt(
-        np.clip(_guarded_ratio(chi_sg.astype(complex), ew2 * eu2, chi_sg).real, 0.0, None)
-    )
-    mod = _sandwich(W, mod_factor * np.conj(W.u.values), W.u.values)
+    ew2_eu2 = W.e_abs_w2.values.real * W.e_abs_u2.values.real
+    iso_factor = np.sqrt(_guarded_ratio(chi_sg, ew2_eu2, chi_sg).real)
     iso = _sandwich(W, iso_factor * W.w.values, W.u.values)
-    return PolarParts(isometry_part=iso, modulus_part=mod)
+    return PolarParts(isometry_part=iso, modulus_part=tstar_t_power(W, 0.5))
 
 
 def aluthge_closed_form(W: WCEOperator) -> WeightedOperator:
@@ -181,31 +169,19 @@ def adjoint_wce(W: WCEOperator) -> WCEOperator:
 
 
 def adjoint_parts_closed_form(W: WCEOperator) -> AdjointParts:
-    """Polar factors and Aluthge transform of T*, in the original moments:
+    """Polar factors and Aluthge transform of T*, the T-side closed forms of
+    ``adjoint_wce(W)``; in the original moments:
 
     |T*| f = (E|u|^2 / E|w|^2)^(1/2) chi_G w E(conj(w) f)
     U*  f = (chi_{S and G} / (E|u|^2 E|w|^2))^(1/2) conj(u) E(conj(w) f)
     Aluthge(T*) f = (chi_G E(conj(uw)) / E|w|^2) w E(conj(w) f)
-
-    The outer factor of |T*| is w, as the 1/2-power case of the TT* power
-    formula requires (and the oracle confirms).
     """
-    chi_g = _chi(W, W.support_w2)
-    chi_sg = _chi(W, W.support_u2.intersection(W.support_w2))
-    eu2 = W.e_abs_u2.values.real
-    ew2 = W.e_abs_w2.values.real
-    wbar = np.conj(W.w.values)
-    mod_factor = np.sqrt(
-        np.clip(_guarded_ratio(eu2.astype(complex), ew2, chi_g).real, 0.0, None)
-    )
-    iso_factor = np.sqrt(
-        np.clip(_guarded_ratio(chi_sg.astype(complex), eu2 * ew2, chi_sg).real, 0.0, None)
-    )
-    alu_factor = _guarded_ratio(np.conj(W.e_uw.values), ew2, chi_g)
+    V = adjoint_wce(W)
+    polar = polar_closed_form(V)
     return AdjointParts(
-        modulus_part=_sandwich(W, mod_factor * W.w.values, wbar),
-        isometry_part=_sandwich(W, iso_factor * np.conj(W.u.values), wbar),
-        aluthge=_sandwich(W, alu_factor * W.w.values, wbar),
+        modulus_part=polar.modulus_part,
+        isometry_part=polar.isometry_part,
+        aluthge=aluthge_closed_form(V),
     )
 
 

@@ -1,0 +1,19 @@
+"""The benchmark's self-test runs against the library as it stands, so an API
+change that would break the benchmark fails here first."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bench_selftest_passes():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "selftest.py")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

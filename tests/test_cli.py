@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from condexp import random_instance, symmetric_interval_example
+from condexp import (
+    as_wce,
+    proportional_instance,
+    random_instance,
+    sigma_p_equals_sigma_jp_check,
+    symmetric_interval_example,
+)
 from condexp.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
@@ -96,6 +102,37 @@ class TestVerify:
         report = json.loads(out)
         assert len(report["results"]) == 3
 
+    def test_count_runs_every_proportional_seed(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            [
+                "verify", "--proportional", "--seed", "1", "--points", "8",
+                "--blocks", "3", "--count", "3",
+            ],
+        )
+        assert code == EXIT_OK
+        labels = [r["instance"] for r in json.loads(out)["results"]]
+        assert labels == [f"proportional seed={s}" for s in (1, 2, 3)]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--random", "--count", "0"],
+            ["--proportional", "--count", "-1"],
+            ["--example", "symmetric", "--n", "4", "--count", "2"],
+        ],
+    )
+    def test_bad_count_is_rejected(self, capsys, argv):
+        code, _, err = run_cli(capsys, ["verify", *argv])
+        assert code == EXIT_BAD_INPUT
+        assert "--count" in err
+
+    def test_count_with_file_is_rejected(self, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        run_cli(capsys, ["gen", "--random", "--points", "6", "--blocks", "2", "-o", str(path)])
+        code, _, _ = run_cli(capsys, ["verify", str(path), "--count", "2"])
+        assert code == EXIT_BAD_INPUT
+
     def test_file_input(self, capsys, tmp_path):
         out_path = tmp_path / "inst.json"
         run_cli(
@@ -120,6 +157,31 @@ class TestBadInput:
         code, _, err = run_cli(capsys, ["inspect", str(bad)])
         assert code == EXIT_BAD_INPUT
         assert "error" in err
+
+    def test_non_integer_block_index(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "weights": [1.0, 1.0],
+            "blocks": [[0, 1.7]],
+            "u": [1, 1],
+            "w": [1, 1],
+        }))
+        code, _, err = run_cli(capsys, ["inspect", str(bad)])
+        assert code == EXIT_BAD_INPUT
+        assert "non-integer" in err
+
+    @pytest.mark.parametrize(
+        "key, values",
+        [("weights", [True, 1.0]), ("u", [True, 1]), ("w", [1, [1, True]])],
+    )
+    def test_boolean_value(self, capsys, tmp_path, key, values):
+        data = {"weights": [1.0, 1.0], "blocks": [[0, 1]], "u": [1, 1], "w": [1, 1]}
+        data[key] = values
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, ["inspect", str(bad)])
+        assert code == EXIT_BAD_INPUT
+        assert "True" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["inspect", str(tmp_path / "nope.json")])
@@ -207,3 +269,14 @@ class TestSpectrum:
         report = json.loads(out)
         assert report["spectrum"]["match"]
         assert len(report["spectrum"]["numeric_eigenvalues"]) == 12
+
+    def test_joint_point_spectrum_is_the_check_set(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["spectrum", "--proportional", "--seed", "2", "--points", "10", "--blocks", "3"]
+        )
+        assert code == EXIT_OK
+        report = json.loads(out)
+        W = as_wce(proportional_instance(2, 10, 3))
+        expected = sigma_p_equals_sigma_jp_check(W).joint_point_spectrum
+        assert report["joint_point_spectrum"] == [[z.real, z.imag] for z in expected]
+        assert "point_spectrum_closed_form" not in report

@@ -69,6 +69,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             SubSigmaAlgebra(([0, 1], []), 2)
 
+    def test_rejects_non_integer_index(self):
+        with pytest.raises(ValueError):
+            SubSigmaAlgebra(([0, 1.7],), 2)
+
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ValueError):
             SubSigmaAlgebra(([0, 5],), 2)

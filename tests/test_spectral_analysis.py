@@ -14,17 +14,18 @@ from condexp import (
     iterated_aluthge,
     joint_point_spectrum,
     operator_norm,
-    point_spectrum_closed_form,
+    product_space_example,
     proportional_instance,
     random_instance,
     sigma_p_equals_sigma_jp_check,
+    singular_values,
     spectral_radius_closed_form,
     spectrum_closed_form,
     spectrum_report,
     symmetric_interval_example,
     to_matrix,
 )
-from condexp.operator_algebra import WeightedOperator
+from condexp.operator_algebra import DEFAULT_RANK_TOL, WeightedOperator
 
 from conftest import make_function
 
@@ -88,26 +89,61 @@ class TestSpectrumClosedForm:
         assert zero_flag
         assert covers
 
+    def test_zero_flag_matches_dense_rank(self):
+        """0 in sigma(T) by counting the atoms in S and G agrees with the
+        dense decision rank T < n from the singular values."""
+        instances = [
+            make(seed, points, blocks)
+            for make in (
+                random_instance,
+                lambda *a: random_instance(*a, complex_valued=False),
+                proportional_instance,
+            )
+            for points, blocks in ((10, 3), (7, 7))  # (7, 7): singleton atoms
+            for seed in range(8)
+        ]
+        instances += [product_space_example(4, 20), symmetric_interval_example(10)]
+        Ws = [as_wce(inst) for inst in instances]
+        for inst in (random_instance(0, 10, 3), random_instance(0, 7, 7)):
+            u = inst.u.values.copy()
+            u[inst.algebra.blocks[0]] = 0.0  # u vanishes on one atom
+            Ws.append(
+                build_wce(inst.space, inst.algebra, MeasurableFunction(u, inst.space), inst.w)
+            )
+        flags = []
+        for W in Ws:
+            s = singular_values(to_matrix(W))
+            dense_rank = int(np.sum(s > DEFAULT_RANK_TOL * s.max(initial=0.0)))
+            flags.append(spectrum_closed_form(W)[1])
+            assert flags[-1] == (dense_rank < W.space.point_count)
+        assert any(flags) and not all(flags)
+
     def test_report_matches_numeric(self):
         for seed in range(15):
             report = spectrum_report(as_wce(random_instance(seed, 10, 3)))
             assert report.match, (seed, report.max_set_distance)
 
 
+def point_spectrum(W):
+    """sigma_p = sigma on a finite space: the closed-form spectrum as one list."""
+    nonzero, zero_flag, _ = spectrum_closed_form(W)
+    return nonzero + [0j] if zero_flag else nonzero
+
+
 class TestPointSpectrum:
     def test_block_values(self):
         W = em_u_wce([3, 3, 3, 3, 7, 7], ([0, 1], [2, 3], [4, 5]))
-        values = point_spectrum_closed_form(W)
+        values = point_spectrum(W)
         nonzero = sorted(round(z.real, 9) for z in values if abs(z) > 1e-9)
         assert nonzero == [3, 7]
 
     def test_zero_function(self):
         W = em_u_wce([0, 0], ([0, 1],))
-        values = point_spectrum_closed_form(W)
+        values = point_spectrum(W)
         assert all(abs(z) <= 1e-9 for z in values)
 
     def test_rank_one_includes_zero_via_kernel(self):
-        values = point_spectrum_closed_form(rank_one_wce())
+        values = point_spectrum(rank_one_wce())
         assert any(abs(z - 1) < 1e-9 for z in values)
         assert any(abs(z) < 1e-9 for z in values)
 
