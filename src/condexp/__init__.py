@@ -2,7 +2,8 @@
 
 Closed-form norm, polar decomposition, Aluthge transform, operator-class
 membership and spectra of T = M_w E M_u, each cross-validated against a
-dense numerical linear algebra oracle on the weighted L2 space.
+numerical linear algebra oracle on the weighted L2 space that factors every
+operator on the atom blocks of the partition.
 """
 
 from .measure_space import (
@@ -33,6 +34,7 @@ from .operator_algebra import (
     is_normal,
     is_partial_isometry,
     kernel,
+    kernel_projection,
     loewner_geq,
     modulus,
     multiplication_operator,

@@ -51,6 +51,13 @@ def _real_in(value) -> float:
     return float(value)
 
 
+def _index_in(value):
+    # numpy reads [0, true] as the integers [0, 1]
+    if isinstance(value, bool):
+        raise ValueError(f"expected a block index, got {value!r}")
+    return value
+
+
 def _complex_in(value) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_real_in(value[0]), _real_in(value[1]))
@@ -73,7 +80,7 @@ def instance_to_json(instance: Instance) -> dict:
 def instance_from_json(data: dict) -> Instance:
     try:
         weights = [_real_in(x) for x in data["weights"]]
-        blocks = data["blocks"]
+        blocks = [[_index_in(i) for i in b] for b in data["blocks"]]
         u = [_complex_in(v) for v in data["u"]]
         w = [_complex_in(v) for v in data["w"]]
     except (KeyError, TypeError) as exc:

@@ -8,6 +8,7 @@ block averaging.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -159,7 +160,9 @@ class IndexSet:
         self.members: tuple = tuple(sorted(set(int(i) for i in members)))
 
     def __contains__(self, i) -> bool:
-        return int(i) in set(self.members)
+        i = int(i)
+        k = bisect.bisect_left(self.members, i)
+        return k < len(self.members) and self.members[k] == i
 
     def __iter__(self):
         return iter(self.members)

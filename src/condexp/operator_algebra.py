@@ -5,11 +5,25 @@ structure is the weighted inner product, so the adjoint is the diagonal
 similarity D^-1 A^H D with D = diag(mu). All spectral computations conjugate
 by D^(1/2), which turns the weighted space into standard C^n and lets the
 dense LAPACK routines apply unchanged.
+
+The oracle factors per atom. An operator carries the blocks (index arrays)
+it is block-diagonal over, and every eigenvalue, SVD and eigh call, and
+every product, runs on the diagonal blocks, so it costs sum |B|^3 over the
+blocks instead of n^3. Operators built from T = M_w E M_u carry the atoms of
+the partition, which is the definition of E; the oracle never reads the
+conditional moments, so it stays independent of the closed forms it checks.
+Every decision over the whole operator (the rank cutoff, the PSD scale, the
+Loewner norm) uses the values of all blocks, so results match a one-block
+factorization to rounding. An operator given without blocks is one block:
+the dense oracle, which the tests use as the reference.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -27,17 +41,40 @@ EIGEN_ZERO_TOL = 1e-12
 #: default tolerance for boolean operator predicates
 DEFAULT_OP_TOL = 1e-9
 
+log = logging.getLogger("condexp")
+
 
 class SolverError(RuntimeError):
     """Raised when a dense eigenvalue/SVD routine fails to converge."""
 
 
+def _as_blocks(blocks, n: int) -> tuple:
+    """Read-only index arrays that partition range(n); None is one block."""
+    if blocks is None:
+        return (_frozen_array(np.arange(n), int),)
+    blocks = tuple(blocks)
+    arrays = [np.asarray(b) for b in blocks]
+    if any(a.ndim != 1 or a.size == 0 or a.dtype.kind not in "iu" for a in arrays):
+        raise ValueError("blocks must be nonempty 1-d integer index arrays")
+    if not np.array_equal(np.sort(np.concatenate(arrays)), np.arange(n)):
+        raise ValueError("blocks must partition the points")
+    if all(isinstance(b, np.ndarray) and not b.flags.writeable for b in blocks):
+        return blocks  # already frozen (an algebra's atoms): keep the same tuple
+    return tuple(_frozen_array(a, int) for a in arrays)
+
+
 @dataclass(frozen=True)
 class WeightedOperator:
-    """A linear operator on L2(mu), stored as its matrix on value vectors."""
+    """A linear operator on L2(mu), stored as its matrix on value vectors.
+
+    ``blocks`` partitions the points into index arrays; the matrix must
+    vanish outside the diagonal blocks they define. Without it the whole
+    space is one block.
+    """
 
     entries: np.ndarray
     space: FiniteMeasureSpace
+    blocks: Optional[tuple] = None
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
@@ -46,7 +83,15 @@ class WeightedOperator:
             raise ValueError(f"entries must be a {n}x{n} matrix")
         if not np.all(np.isfinite(m)):
             raise ValueError("operator entries must be finite")
+        blocks = _as_blocks(self.blocks, n)
+        if len(blocks) > 1:
+            labels = np.empty(n, dtype=int)
+            for k, b in enumerate(blocks):
+                labels[b] = k
+            if np.any((labels[:, None] != labels[None, :]) & (m != 0)):
+                raise ValueError("operator entries must vanish outside the blocks")
         object.__setattr__(self, "entries", _frozen_array(m, complex))
+        object.__setattr__(self, "blocks", blocks)
 
     @staticmethod
     def identity(space: FiniteMeasureSpace) -> "WeightedOperator":
@@ -75,14 +120,15 @@ def multiplication_operator(
 def expectation_operator(
     space: FiniteMeasureSpace, algebra: SubSigmaAlgebra
 ) -> WeightedOperator:
-    """The matrix of the conditional expectation (block-averaging) projection."""
+    """The matrix of the conditional expectation (block-averaging) projection,
+    block-diagonal over the atoms of ``algebra``."""
     n = space.point_count
     mu = space.weights
     mat = np.zeros((n, n), dtype=complex)
     for b in algebra.blocks:
         mass = mu[b].sum()
         mat[np.ix_(b, b)] = mu[b][None, :] / mass
-    return WeightedOperator(mat, space)
+    return WeightedOperator(mat, space, algebra.blocks)
 
 
 def _check_space(a: WeightedOperator, b) -> None:
@@ -92,20 +138,67 @@ def _check_space(a: WeightedOperator, b) -> None:
         raise ValueError("operands live on different spaces")
 
 
+def _same_blocks(A: WeightedOperator, B: WeightedOperator) -> bool:
+    return A.blocks is B.blocks or (
+        len(A.blocks) == len(B.blocks)
+        and all(np.array_equal(a, b) for a, b in zip(A.blocks, B.blocks))
+    )
+
+
 def _sqrt_weights(space: FiniteMeasureSpace) -> np.ndarray:
     return np.sqrt(space.weights)
 
 
-def _to_standard(T: WeightedOperator) -> np.ndarray:
-    """Conjugate by D^(1/2): the returned matrix acts on standard C^n and is
-    unitarily equivalent to T."""
+def _std_blocks(T: WeightedOperator):
+    """(indices, diagonal block of the standard-coordinate matrix) per block.
+
+    Conjugating by D^(1/2) gives a matrix on standard C^n unitarily
+    equivalent to T, so the dense LAPACK routines apply to its blocks."""
     d = _sqrt_weights(T.space)
-    return (d[:, None] * T.entries) / d[None, :]
+    for b in T.blocks:
+        db = d[b]
+        yield b, (db[:, None] * T.entries[np.ix_(b, b)]) / db[None, :]
 
 
-def _from_standard(mat: np.ndarray, space: FiniteMeasureSpace) -> WeightedOperator:
-    d = _sqrt_weights(space)
-    return WeightedOperator((mat / d[:, None]) * d[None, :], space)
+def _from_std_blocks(pieces, T: WeightedOperator) -> WeightedOperator:
+    """The operator with T's blocks whose standard-coordinate diagonal blocks
+    are ``pieces`` (pairs of indices and matrices)."""
+    d = _sqrt_weights(T.space)
+    n = T.space.point_count
+    out = np.zeros((n, n), dtype=complex)
+    for b, mat in pieces:
+        db = d[b]
+        out[np.ix_(b, b)] = (mat / db[:, None]) * db[None, :]
+    return WeightedOperator(out, T.space, T.blocks)
+
+
+def _solve(routine: str, mat: np.ndarray, **kwargs):
+    """``numpy.linalg.<routine>`` on one block matrix.
+
+    The routine is looked up at call time, so a wrapper installed on
+    numpy.linalg (a profiler, a test probe) sees every call. A LAPACK failure
+    becomes SolverError; each call is logged at DEBUG with its shape and time.
+    """
+    start = time.perf_counter()
+    try:
+        out = getattr(np.linalg, routine)(mat, **kwargs)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise SolverError(f"{routine} did not converge: {exc}") from exc
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "%s %dx%d %.6f s", routine, *mat.shape[-2:], time.perf_counter() - start
+        )
+    return out
+
+
+def _svds(T: WeightedOperator) -> list:
+    """(indices, u, s, vh) of each standard-coordinate block."""
+    return [(b, *_solve("svd", m)) for b, m in _std_blocks(T)]
+
+
+def _rank_cutoff(svds: list, tol: float) -> float:
+    """tol times the largest singular value over all blocks."""
+    return tol * max(s.max(initial=0.0) for _, _, s, _ in svds)
 
 
 def apply(T: WeightedOperator, f: MeasurableFunction) -> MeasurableFunction:
@@ -116,52 +209,55 @@ def apply(T: WeightedOperator, f: MeasurableFunction) -> MeasurableFunction:
 def adjoint(T: WeightedOperator) -> WeightedOperator:
     """The unique T* with <Tf, g> = <f, T*g> for the weighted inner product."""
     mu = T.space.weights
-    return WeightedOperator((T.entries.conj().T * mu[None, :]) / mu[:, None], T.space)
+    return WeightedOperator(
+        (T.entries.conj().T * mu[None, :]) / mu[:, None], T.space, T.blocks
+    )
 
 
 def compose(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
+    """A B, block by block when both have the same blocks; otherwise one
+    dense product whose result is one block."""
     _check_space(A, B)
-    return WeightedOperator(A.entries @ B.entries, A.space)
+    if not _same_blocks(A, B):
+        return WeightedOperator(A.entries @ B.entries, A.space)
+    out = np.zeros_like(A.entries)
+    for b in A.blocks:
+        ix = np.ix_(b, b)
+        out[ix] = A.entries[ix] @ B.entries[ix]
+    return WeightedOperator(out, A.space, A.blocks)
 
 
 def subtract(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
     _check_space(A, B)
-    return WeightedOperator(A.entries - B.entries, A.space)
+    blocks = A.blocks if _same_blocks(A, B) else None
+    return WeightedOperator(A.entries - B.entries, A.space, blocks)
 
 
 def eigenvalues(T: WeightedOperator) -> np.ndarray:
     """All n eigenvalues with multiplicity (unordered multiset)."""
-    try:
-        return np.linalg.eigvals(_to_standard(T))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SolverError(f"eigenvalue iteration did not converge: {exc}") from exc
-
-
-def _svd(T: WeightedOperator):
-    try:
-        return np.linalg.svd(_to_standard(T))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SolverError(f"SVD did not converge: {exc}") from exc
+    return np.concatenate([_solve("eigvals", m) for _, m in _std_blocks(T)])
 
 
 def singular_values(T: WeightedOperator) -> np.ndarray:
     """Descending singular values; the largest is the operator norm on L2(mu)."""
-    return _svd(T)[1]
+    s = [_solve("svd", m, compute_uv=False) for _, m in _std_blocks(T)]
+    return np.sort(np.concatenate(s))[::-1]
 
 
 def operator_norm(T: WeightedOperator) -> float:
     return float(singular_values(T)[0])
 
 
-def _hermitian_part(T: WeightedOperator) -> np.ndarray:
-    s = _to_standard(T)
-    return 0.5 * (s + s.conj().T)
+def _hermitian_blocks(T: WeightedOperator):
+    for b, m in _std_blocks(T):
+        yield b, 0.5 * (m + m.conj().T)
 
 
 def is_hermitian(T: WeightedOperator, tol: float = DEFAULT_OP_TOL) -> bool:
-    s = _to_standard(T)
-    scale_ = 1.0 + np.abs(s).max(initial=0.0)
-    return bool(np.abs(s - s.conj().T).max(initial=0.0) <= tol * scale_)
+    blocks = [m for _, m in _std_blocks(T)]
+    scale_ = 1.0 + max(np.abs(m).max(initial=0.0) for m in blocks)
+    asymmetry = max(np.abs(m - m.conj().T).max(initial=0.0) for m in blocks)
+    return bool(asymmetry <= tol * scale_)
 
 
 def loewner_geq(
@@ -172,7 +268,7 @@ def loewner_geq(
     diff = subtract(A, B)
     if not is_hermitian(diff, tol):
         return False
-    evals = np.linalg.eigvalsh(_hermitian_part(diff))
+    evals = np.concatenate([_solve("eigvalsh", h) for _, h in _hermitian_blocks(diff)])
     norm = np.abs(evals).max(initial=0.0)
     return bool(evals.min(initial=0.0) >= -tol * (1.0 + norm))
 
@@ -189,25 +285,23 @@ def fractional_power(
         raise ValueError("power must be positive")
     if not is_hermitian(A, tol):
         raise ValueError("operator is not self-adjoint to tolerance")
-    s = _hermitian_part(A)
-    try:
-        evals, evecs = np.linalg.eigh(s)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SolverError(f"eigh did not converge: {exc}") from exc
+    eigs = [(b, *_solve("eigh", h)) for b, h in _hermitian_blocks(A)]
+    evals = np.concatenate([e for _, e, _ in eigs])
     scale_ = 1.0 + np.abs(evals).max(initial=0.0)
     if evals.min(initial=0.0) < -tol * scale_:
         raise ValueError("operator is not positive semidefinite to tolerance")
-    # eigenvalues at rounding-noise level are exact zeros; powers p < 1 would
-    # otherwise amplify them (eps -> eps^p)
-    clamped = np.where(evals > EIGEN_ZERO_TOL * scale_, evals, 0.0)
-    powered = (evecs * clamped**p) @ evecs.conj().T
-    return _from_standard(powered, A.space)
+    pieces = []
+    for b, e, v in eigs:
+        # eigenvalues at rounding-noise level are exact zeros; powers p < 1
+        # would otherwise amplify them (eps -> eps^p)
+        clamped = np.where(e > EIGEN_ZERO_TOL * scale_, e, 0.0)
+        pieces.append((b, (v * clamped**p) @ v.conj().T))
+    return _from_std_blocks(pieces, A)
 
 
 def modulus(T: WeightedOperator) -> WeightedOperator:
     """|T| = (T* T)^(1/2), computed from the SVD for stability."""
-    _, s, vh = _svd(T)
-    return _from_standard((vh.conj().T * s) @ vh, T.space)
+    return _from_std_blocks([(b, (vh.conj().T * s) @ vh) for b, _, s, vh in _svds(T)], T)
 
 
 def polar_decompose_numeric(
@@ -215,14 +309,16 @@ def polar_decompose_numeric(
 ) -> PolarParts:
     """Polar factors with the kernel condition: U is T|T|^-1 on range(|T|)
     and 0 on kernel(|T|), so N(U) = N(|T|)."""
-    u, s, vh = _svd(T)
-    cutoff = tol * s.max(initial=0.0)
-    rank = int(np.sum(s > cutoff))
-    mod_std = (vh.conj().T * s) @ vh
-    iso_std = u[:, :rank] @ vh[:rank, :]
+    svds = _svds(T)
+    cutoff = _rank_cutoff(svds, tol)
+    mod, iso = [], []
+    for b, u, s, vh in svds:
+        rank = int(np.sum(s > cutoff))
+        mod.append((b, (vh.conj().T * s) @ vh))
+        iso.append((b, u[:, :rank] @ vh[:rank, :]))
     return PolarParts(
-        isometry_part=_from_standard(iso_std, T.space),
-        modulus_part=_from_standard(mod_std, T.space),
+        isometry_part=_from_std_blocks(iso, T),
+        modulus_part=_from_std_blocks(mod, T),
     )
 
 
@@ -234,25 +330,47 @@ def is_partial_isometry(U: WeightedOperator, tol: float = DEFAULT_OP_TOL) -> boo
 
 def aluthge_numeric(T: WeightedOperator, tol: float = DEFAULT_RANK_TOL) -> WeightedOperator:
     """|T|^(1/2) U |T|^(1/2) from the numeric polar decomposition."""
-    u, s, vh = _svd(T)
-    cutoff = tol * s.max(initial=0.0)
-    rank = int(np.sum(s > cutoff))
-    # sqrt amplifies sub-cutoff noise (eps -> sqrt(eps)); treat it as zero
-    s_clean = np.where(s > cutoff, s, 0.0)
-    half = (vh.conj().T * np.sqrt(s_clean)) @ vh
-    iso = u[:, :rank] @ vh[:rank, :]
-    return _from_standard(half @ iso @ half, T.space)
+    svds = _svds(T)
+    cutoff = _rank_cutoff(svds, tol)
+    pieces = []
+    for b, u, s, vh in svds:
+        rank = int(np.sum(s > cutoff))
+        # sqrt amplifies sub-cutoff noise (eps -> sqrt(eps)); treat it as zero
+        s_clean = np.where(s > cutoff, s, 0.0)
+        half = (vh.conj().T * np.sqrt(s_clean)) @ vh
+        iso = u[:, :rank] @ vh[:rank, :]
+        pieces.append((b, half @ iso @ half))
+    return _from_std_blocks(pieces, T)
+
+
+def _null_blocks(T: WeightedOperator, tol: float) -> list:
+    """(indices, orthonormal null-space basis) of each standard-coordinate
+    block, under the rank cutoff over all blocks."""
+    svds = _svds(T)
+    cutoff = _rank_cutoff(svds, tol)
+    return [(b, vh[int(np.sum(s > cutoff)):, :].conj().T) for b, _, s, vh in svds]
 
 
 def kernel(T: WeightedOperator, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Columns form a weighted-orthonormal basis of the numeric null space;
-    shape (n, k) with k = 0 when T is injective."""
-    _, s, vh = _svd(T)
-    cutoff = tol * s.max(initial=0.0)
-    rank = int(np.sum(s > cutoff))
-    null_std = vh[rank:, :].conj().T
+    shape (n, k) with k = 0 when T is injective. Each block's null vectors
+    sit on that block's rows."""
     d = _sqrt_weights(T.space)
-    return null_std / d[:, None]
+    n = T.space.point_count
+    columns = []
+    for b, null_std in _null_blocks(T, tol):
+        cols = np.zeros((n, null_std.shape[1]), dtype=complex)
+        cols[b] = null_std / d[b][:, None]
+        columns.append(cols)
+    return np.concatenate(columns, axis=1)
+
+
+def kernel_projection(T: WeightedOperator, tol: float = DEFAULT_RANK_TOL) -> WeightedOperator:
+    """The weighted-orthogonal projection onto the numeric null space of T,
+    block-diagonal like T."""
+    return _from_std_blocks(
+        [(b, null_std @ null_std.conj().T) for b, null_std in _null_blocks(T, tol)], T
+    )
 
 
 def is_normal(T: WeightedOperator, tol: float = DEFAULT_OP_TOL) -> bool:

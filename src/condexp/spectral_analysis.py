@@ -2,7 +2,7 @@
 
 Closed forms come from the cached conditional moments (the spectrum of
 T = M_w E M_u off zero is the attained-value set of E(uw), the spectral
-radius its sup norm); the numeric side is the dense eigenvalue oracle.
+radius its sup norm); the numeric side is the per-atom eigenvalue oracle.
 On a finite space the point spectrum is the spectrum, and 0 belongs to it
 iff T is rank deficient; T has one rank-one block per atom in S and G, so
 its rank is the number of those atoms.
@@ -18,7 +18,8 @@ import numpy as np
 from .measure_space import cluster_values, ess_range, level_set
 from .operator_algebra import (
     WeightedOperator,
-    _to_standard,
+    _solve,
+    _std_blocks,
     aluthge_numeric,
     eigenvalues,
     operator_norm,
@@ -195,26 +196,29 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = 1e-8) -> list:
     For each clustered eigenvalue the numeric null spaces of T - lambda I and
     T* - conj(lambda) I are intersected; the intersection is nontrivial iff
     the smallest principal angle between them is below the module threshold.
+    Both null spaces are block-diagonal like T, so they are intersected block
+    by block: the largest cosine over all blocks gives the smallest angle.
     """
-    b = _to_standard(T)
-    n = b.shape[0]
-    scale = 1.0 + float(np.linalg.norm(b, 2))
-    cutoff = tol * scale
+    blocks = [m for _, m in _std_blocks(T)]
+    cutoff = tol * (1.0 + operator_norm(T))
     result = []
-    for lam in cluster_values(np.linalg.eigvals(b), tol * scale):
-        k1 = _null_space_std(b - lam * np.eye(n), cutoff)
-        k2 = _null_space_std(b.conj().T - np.conj(lam) * np.eye(n), cutoff)
-        if k1.shape[1] == 0 or k2.shape[1] == 0:
-            continue
-        cosines = np.linalg.svd(k1.conj().T @ k2, compute_uv=False)
-        angle = float(np.arccos(np.clip(cosines.max(initial=0.0), -1.0, 1.0)))
+    for lam in cluster_values(eigenvalues(T), cutoff):
+        cosine = 0.0
+        for b in blocks:
+            eye = np.eye(b.shape[0])
+            k1 = _null_space_std(b - lam * eye, cutoff)
+            k2 = _null_space_std(b.conj().T - np.conj(lam) * eye, cutoff)
+            if k1.shape[1] and k2.shape[1]:
+                cosines = _solve("svd", k1.conj().T @ k2, compute_uv=False)
+                cosine = max(cosine, float(cosines.max(initial=0.0)))
+        angle = float(np.arccos(np.clip(cosine, -1.0, 1.0)))
         if angle < PRINCIPAL_ANGLE_TOL:
             result.append(lam)
     return result
 
 
 def _null_space_std(mat: np.ndarray, cutoff: float) -> np.ndarray:
-    _, s, vh = np.linalg.svd(mat)
+    _, s, vh = _solve("svd", mat)
     rank = int(np.sum(s > cutoff))
     return vh[rank:, :].conj().T
 

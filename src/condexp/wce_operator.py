@@ -107,9 +107,10 @@ def _guarded_ratio(numer: np.ndarray, denom: np.ndarray, chi: np.ndarray) -> np.
 def _sandwich(
     W: WCEOperator, left: np.ndarray, right: np.ndarray
 ) -> WeightedOperator:
-    """The operator f -> left * E(right * f) as a matrix."""
-    e_mat = expectation_operator(W.space, W.algebra).entries
-    return WeightedOperator(left[:, None] * e_mat * right[None, :], W.space)
+    """The operator f -> left * E(right * f) as a matrix, block-diagonal over
+    the atoms."""
+    e = expectation_operator(W.space, W.algebra)
+    return WeightedOperator(left[:, None] * e.entries * right[None, :], W.space, e.blocks)
 
 
 def to_matrix(W: WCEOperator) -> WeightedOperator:

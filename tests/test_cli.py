@@ -183,6 +183,19 @@ class TestBadInput:
         assert code == EXIT_BAD_INPUT
         assert "True" in err
 
+    @pytest.mark.parametrize("block", [[0, True], [True, 0]])
+    def test_boolean_block_index(self, capsys, tmp_path, block):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "weights": [1.0, 1.0],
+            "blocks": [block],
+            "u": [1, 1],
+            "w": [1, 1],
+        }))
+        code, _, err = run_cli(capsys, ["inspect", str(bad)])
+        assert code == EXIT_BAD_INPUT
+        assert "True" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["inspect", str(tmp_path / "nope.json")])
         assert code == EXIT_BAD_INPUT

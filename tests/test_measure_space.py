@@ -222,6 +222,13 @@ class TestSupport:
         f = make_function(space, [1e-15, 1])
         assert support(f, 1e-12) == {1}
 
+    def test_membership(self):
+        space = FiniteMeasureSpace([1] * 6)
+        s = support(make_function(space, [0, 3, 0, 1, 0, 2]), 0.0)
+        assert 1 in s and np.int64(5) in s
+        assert 2 not in s and np.int64(0) not in s
+        assert 6 not in s and -1 not in s and 10**6 not in s
+
 
 class TestEssSupNorm:
     def test_real_values(self):

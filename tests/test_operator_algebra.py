@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from condexp import (
     adjoint,
     aluthge_numeric,
     apply,
+    as_wce,
     compose,
     eigenvalues,
     expectation_operator,
@@ -21,7 +24,9 @@ from condexp import (
     multiplication_operator,
     operator_norm,
     polar_decompose_numeric,
+    random_instance,
     singular_values,
+    to_matrix,
     weighted_inner,
 )
 from condexp.measure_space import MeasurableFunction
@@ -381,3 +386,22 @@ class TestNormal:
         algebra = SubSigmaAlgebra.trivial(2)
         assert is_hermitian(expectation_operator(space, algebra))
         assert not is_hermitian(WeightedOperator([[0, 1], [0, 0]], space))
+
+
+class TestSolverLog:
+    def test_one_debug_record_per_block(self, caplog):
+        T = to_matrix(as_wce(random_instance(0, 10, 3)))
+        caplog.set_level(logging.DEBUG, logger="condexp")
+        eigenvalues(T)
+        messages = [r.getMessage() for r in caplog.records if r.name == "condexp"]
+        assert len(messages) == len(T.blocks) == 3
+        shapes = sorted(m.split()[1] for m in messages)
+        assert shapes == sorted(f"{b.size}x{b.size}" for b in T.blocks)
+        for m in messages:
+            routine, _, seconds, unit = m.split()
+            assert routine == "eigvals" and float(seconds) >= 0.0 and unit == "s"
+
+    def test_silent_above_debug(self, caplog):
+        caplog.set_level(logging.INFO, logger="condexp")
+        operator_norm(to_matrix(as_wce(random_instance(0, 10, 3))))
+        assert not [r for r in caplog.records if r.name == "condexp"]

@@ -1,0 +1,204 @@
+"""The per-atom oracle against the dense one.
+
+An operator built from T = M_w E M_u carries the atoms of its partition, and
+every factorization runs on the atom blocks. The same entries given without
+blocks form one block, which is the dense whole-matrix oracle; each routine
+must agree with it to rounding.
+"""
+
+import numpy as np
+import pytest
+
+from condexp import (
+    MeasurableFunction,
+    WeightedOperator,
+    adjoint,
+    aluthge_numeric,
+    as_wce,
+    build_wce,
+    compose,
+    eigenvalues,
+    fractional_power,
+    hausdorff_distance,
+    is_normal,
+    joint_point_spectrum,
+    kernel,
+    kernel_projection,
+    loewner_geq,
+    modulus,
+    operator_norm,
+    polar_decompose_numeric,
+    product_space_example,
+    proportional_instance,
+    random_instance,
+    singular_values,
+    symmetric_interval_example,
+    to_matrix,
+)
+from condexp.verification import POWERS, summarize, verify_instance
+
+from conftest import multiset_close
+
+
+def _u_vanishes_on_an_atom(seed):
+    inst = random_instance(seed, 24, 4)
+    u = inst.u.values.copy()
+    u[inst.algebra.blocks[0]] = 0.0
+    return build_wce(inst.space, inst.algebra, MeasurableFunction(u, inst.space), inst.w)
+
+
+def _instances():
+    cases = []
+    for seed in range(3):
+        cases += [
+            (f"random-{seed}", as_wce(random_instance(seed, 40, 5))),
+            (f"real-{seed}", as_wce(random_instance(seed, 40, 5, complex_valued=False))),
+            (f"proportional-{seed}", as_wce(proportional_instance(seed, 40, 5))),
+            (f"singletons-{seed}", as_wce(random_instance(seed, 9, 9))),
+            (f"one-atom-{seed}", as_wce(random_instance(seed, 12, 1))),
+            (f"u-vanishes-{seed}", _u_vanishes_on_an_atom(seed)),
+        ]
+    cases += [
+        ("product", as_wce(product_space_example(4, 20))),
+        ("symmetric", as_wce(symmetric_interval_example(12))),
+    ]
+    return cases
+
+
+CASES = _instances()
+
+
+def _pair(W):
+    """The per-atom operator of W and the same entries as one block."""
+    T = to_matrix(W)
+    return T, WeightedOperator(T.entries, T.space)
+
+
+def _close(A, B, scale):
+    return np.abs(A.entries - B.entries).max() <= 1e-10 * (1.0 + scale)
+
+
+def _weighted_projection(basis, space):
+    """f -> sum_j <f, k_j> k_j for weighted-orthonormal columns k_j."""
+    return (basis @ basis.conj().T) * space.weights[None, :]
+
+
+@pytest.mark.parametrize("name, W", CASES, ids=[c[0] for c in CASES])
+class TestAgreesWithDense:
+    def test_blocks_are_the_atoms(self, name, W):
+        T, D = _pair(W)
+        assert len(T.blocks) == W.algebra.block_count
+        assert len(D.blocks) == 1
+
+    def test_eigenvalues(self, name, W):
+        T, D = _pair(W)
+        tol = 1e-7 * (1.0 + operator_norm(D))
+        assert multiset_close(eigenvalues(T), eigenvalues(D), tol)
+
+    def test_singular_values(self, name, W):
+        T, D = _pair(W)
+        s_dense = singular_values(D)
+        np.testing.assert_allclose(
+            singular_values(T), s_dense, rtol=0, atol=1e-12 * (1.0 + s_dense[0])
+        )
+
+    def test_fractional_powers(self, name, W):
+        T, D = _pair(W)
+        norm = operator_norm(D)
+        for p in POWERS:
+            for X, Y in ((T, D), (adjoint(T), adjoint(D))):
+                per_atom = fractional_power(compose(adjoint(X), X), p)
+                dense = fractional_power(compose(adjoint(Y), Y), p)
+                assert len(per_atom.blocks) == len(T.blocks)
+                assert _close(per_atom, dense, norm ** (2 * p)), p
+
+    def test_modulus_polar_aluthge(self, name, W):
+        T, D = _pair(W)
+        norm = operator_norm(D)
+        for X, Y in ((T, D), (adjoint(T), adjoint(D))):
+            assert _close(modulus(X), modulus(Y), norm)
+            parts, dense_parts = polar_decompose_numeric(X), polar_decompose_numeric(Y)
+            assert _close(parts.modulus_part, dense_parts.modulus_part, norm)
+            assert _close(parts.isometry_part, dense_parts.isometry_part, 1.0)
+            assert _close(aluthge_numeric(X), aluthge_numeric(Y), norm)
+
+    def test_kernel_projections(self, name, W):
+        T, _ = _pair(W)
+        for X in (T, polar_decompose_numeric(T).isometry_part):
+            Y = WeightedOperator(X.entries, X.space)
+            dense = kernel_projection(Y)
+            assert _close(kernel_projection(X), dense, 1.0)
+            basis = kernel(X)
+            assert basis.shape == kernel(Y).shape
+            projection = _weighted_projection(basis, X.space)
+            assert np.abs(projection - dense.entries).max() <= 1e-10
+
+    def test_loewner_and_normality(self, name, W):
+        T, D = _pair(W)
+        for X in (T, D):
+            assert is_normal(X) == is_normal(D)
+        for X, Y in ((T, D), (adjoint(T), adjoint(D))):
+            mod_x, mod_y = modulus(X), modulus(Y)
+            mod_sq_x, mod_sq_y = modulus(compose(X, X)), modulus(compose(Y, Y))
+            assert loewner_geq(mod_sq_x, compose(mod_x, mod_x)) == loewner_geq(
+                mod_sq_y, compose(mod_y, mod_y)
+            )
+            assert loewner_geq(compose(mod_x, mod_x), mod_sq_x) == loewner_geq(
+                compose(mod_y, mod_y), mod_sq_y
+            )
+
+    def test_joint_point_spectrum(self, name, W):
+        T, D = _pair(W)
+        per_atom, dense = joint_point_spectrum(T), joint_point_spectrum(D)
+        assert len(per_atom) == len(dense)
+        assert hausdorff_distance(per_atom, dense) <= 1e-7 * (1.0 + operator_norm(D))
+
+
+class TestBlocks:
+    def test_entries_outside_the_blocks_are_rejected(self):
+        T = to_matrix(as_wce(random_instance(0, 10, 3)))
+        entries = T.entries.copy()
+        a, b = T.blocks[0][0], T.blocks[1][0]
+        entries[a, b] = 1e-3
+        with pytest.raises(ValueError, match="outside the blocks"):
+            WeightedOperator(entries, T.space, T.blocks)
+        WeightedOperator(entries, T.space)  # one block: any matrix
+
+    @pytest.mark.parametrize(
+        "blocks", [([0, 1], [1, 2]), ([0, 1],), ([0, 1], [2, 5]), ([0, 1], []), ([0, 1.0], [2])]
+    )
+    def test_blocks_must_partition_the_points(self, blocks):
+        T = WeightedOperator.identity(random_instance(0, 3, 1).space)
+        with pytest.raises(ValueError):
+            WeightedOperator(T.entries, T.space, blocks)
+
+    def test_products_keep_shared_blocks_only(self):
+        T = to_matrix(as_wce(random_instance(1, 12, 3)))
+        assert compose(T, adjoint(T)).blocks is T.blocks
+        D = WeightedOperator(T.entries, T.space)
+        mixed = compose(T, D)
+        assert len(mixed.blocks) == 1
+        np.testing.assert_allclose(mixed.entries, T.entries @ T.entries)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [random_instance(5, 64, 4), product_space_example(4, 20)],
+    ids=["random", "product"],
+)
+def test_no_factorization_larger_than_an_atom(monkeypatch, instance):
+    """Every numpy.linalg factorization during verify runs on one atom block."""
+    largest = max(b.size for b in instance.algebra.blocks)
+    orders = []
+    for name in ("svd", "eigvals", "eigh", "eigvalsh", "norm"):
+
+        def probe(a, *args, _original=getattr(np.linalg, name), **kwargs):
+            a = np.asarray(a)
+            if a.ndim >= 2:
+                orders.append(max(a.shape[-2:]))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, probe)
+    assert summarize(verify_instance(instance))["all_passed"]
+    assert orders
+    assert max(orders) <= largest < instance.space.point_count
