@@ -1,28 +1,37 @@
-"""Dense operators on the weighted L2 space and the numerical oracle.
+"""Operators on the weighted L2 space, stored atom by atom, and the
+numerical oracle.
 
-An operator is stored as the matrix acting on value vectors. The Hilbert
-structure is the weighted inner product, so the adjoint is the diagonal
-similarity D^-1 A^H D with D = diag(mu). All spectral computations conjugate
-by D^(1/2), which turns the weighted space into standard C^n and lets the
-dense LAPACK routines apply unchanged.
+An operator is stored as its diagonal blocks: ``blocks`` partitions the
+points into index arrays, and ``parts`` holds, for each block B, the matrix
+the operator acts by on value vectors over B (the entries
+``entries[np.ix_(B, B)]`` of the full matrix, which vanishes outside the
+blocks). Memory and every elementwise step cost sum |B|^2 over the blocks
+instead of n^2; the full n x n matrix ``entries`` is assembled only when it
+is read. The Hilbert structure is the weighted inner product, so the
+adjoint is the diagonal similarity D^-1 A^H D with D = diag(mu), block by
+block. All spectral computations conjugate by D^(1/2), which turns the
+weighted space into standard C^n and lets the dense LAPACK routines apply
+unchanged to each block.
 
-The oracle factors per atom. An operator carries the blocks (index arrays)
-it is block-diagonal over, and every eigenvalue, SVD and eigh call, and
-every product, runs on the diagonal blocks, so it costs sum |B|^3 over the
-blocks instead of n^3. Operators built from T = M_w E M_u carry the atoms of
-the partition, which is the definition of E; the oracle never reads the
+The oracle factors per atom. Every eigenvalue, SVD and eigh call, and every
+product, runs on the diagonal blocks, so it costs sum |B|^3 over the blocks
+instead of n^3. Operators built from T = M_w E M_u carry the atoms of the
+partition, which is the definition of E; the oracle never reads the
 conditional moments, so it stays independent of the closed forms it checks.
 Every decision over the whole operator (the rank cutoff, the PSD scale, the
 Loewner norm) uses the values of all blocks, so results match a one-block
 factorization to rounding. An operator given without blocks is one block:
-the dense oracle, which the tests use as the reference.
+the dense oracle, which the tests use as the reference. An operator is
+immutable, so its factorizations and its adjoint are computed once and
+shared by every caller.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -63,35 +72,69 @@ def _as_blocks(blocks, n: int) -> tuple:
     return tuple(_frozen_array(a, int) for a in arrays)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class WeightedOperator:
-    """A linear operator on L2(mu), stored as its matrix on value vectors.
+    """A linear operator on L2(mu), stored as its diagonal blocks.
 
-    ``blocks`` partitions the points into index arrays; the matrix must
-    vanish outside the diagonal blocks they define. Without it the whole
-    space is one block.
+    ``WeightedOperator(entries, space, blocks)`` takes the n x n matrix on
+    value vectors. ``blocks`` partitions the points into index arrays, and
+    the matrix must vanish outside the diagonal blocks they define; without
+    it the whole space is one block. ``parts[k]`` is the block over
+    ``blocks[k]``, and ``entries`` assembles the full matrix on each read.
     """
 
-    entries: np.ndarray
     space: FiniteMeasureSpace
-    blocks: Optional[tuple] = None
+    blocks: tuple
+    parts: tuple
+    _memo: dict = field(repr=False)
 
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        n = self.space.point_count
+    def __init__(self, entries, space: FiniteMeasureSpace, blocks=None):
+        m = np.asarray(entries, dtype=complex)
+        n = space.point_count
         if m.shape != (n, n):
             raise ValueError(f"entries must be a {n}x{n} matrix")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("operator entries must be finite")
-        blocks = _as_blocks(self.blocks, n)
-        if len(blocks) > 1:
-            labels = np.empty(n, dtype=int)
-            for k, b in enumerate(blocks):
-                labels[b] = k
-            if np.any((labels[:, None] != labels[None, :]) & (m != 0)):
-                raise ValueError("operator entries must vanish outside the blocks")
-        object.__setattr__(self, "entries", _frozen_array(m, complex))
-        object.__setattr__(self, "blocks", blocks)
+        blocks = _as_blocks(blocks, n)
+        parts = tuple(m[np.ix_(b, b)] for b in blocks)  # fancy indexing copies
+        if len(blocks) > 1 and np.count_nonzero(m) != sum(map(np.count_nonzero, parts)):
+            raise ValueError("operator entries must vanish outside the blocks")
+        self._assign(parts, space, blocks)
+
+    @classmethod
+    def _of_blocks(cls, parts, space: FiniteMeasureSpace, blocks: tuple):
+        """The operator with these diagonal blocks over ``blocks`` (already a
+        partition). The arrays are new ones the caller hands over: they are
+        frozen in place, not copied."""
+        op = cls.__new__(cls)
+        op._assign(tuple(parts), space, blocks)
+        return op
+
+    def _assign(self, parts: tuple, space: FiniteMeasureSpace, blocks: tuple) -> None:
+        fields = (("space", space), ("blocks", blocks), ("parts", parts), ("_memo", {}))
+        for name, value in fields:
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Every construction ends here: each block must be a finite square
+        matrix over its indices; it is stored complex and read-only."""
+        parts = tuple(np.asarray(p, dtype=complex) for p in self.parts)
+        for b, p in zip(self.blocks, parts, strict=True):
+            if p.shape != (b.size, b.size):
+                raise ValueError("each block must be square over its indices")
+            if not np.all(np.isfinite(p)):
+                raise ValueError("operator entries must be finite")
+            p.setflags(write=False)
+        object.__setattr__(self, "parts", parts)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The n x n matrix on value vectors, assembled on each read."""
+        n = self.space.point_count
+        out = np.zeros((n, n), dtype=complex)
+        for b, p in zip(self.blocks, self.parts):
+            out[np.ix_(b, b)] = p
+        out.setflags(write=False)
+        return out
 
     @staticmethod
     def identity(space: FiniteMeasureSpace) -> "WeightedOperator":
@@ -118,17 +161,24 @@ def multiplication_operator(
 
 
 def expectation_operator(
-    space: FiniteMeasureSpace, algebra: SubSigmaAlgebra
+    space: FiniteMeasureSpace,
+    algebra: SubSigmaAlgebra,
+    left: Optional[np.ndarray] = None,
+    right: Optional[np.ndarray] = None,
 ) -> WeightedOperator:
-    """The matrix of the conditional expectation (block-averaging) projection,
-    block-diagonal over the atoms of ``algebra``."""
+    """The operator f -> left * E(right * f), block-diagonal over the atoms
+    of ``algebra``; the conditional expectation E itself when both are
+    omitted. On an atom B it is the rank-one block left_B (mu_B right_B)^T
+    / mu(B)."""
     n = space.point_count
+    left = np.ones(n) if left is None else left
+    right = np.ones(n) if right is None else right
     mu = space.weights
-    mat = np.zeros((n, n), dtype=complex)
+    parts = []
     for b in algebra.blocks:
-        mass = mu[b].sum()
-        mat[np.ix_(b, b)] = mu[b][None, :] / mass
-    return WeightedOperator(mat, space, algebra.blocks)
+        mu_b = mu[b]
+        parts.append(np.outer(left[b], mu_b * right[b] / mu_b.sum()))
+    return WeightedOperator._of_blocks(parts, space, algebra.blocks)
 
 
 def _check_space(a: WeightedOperator, b) -> None:
@@ -155,21 +205,33 @@ def _std_blocks(T: WeightedOperator):
     Conjugating by D^(1/2) gives a matrix on standard C^n unitarily
     equivalent to T, so the dense LAPACK routines apply to its blocks."""
     d = _sqrt_weights(T.space)
-    for b in T.blocks:
+    for b, p in zip(T.blocks, T.parts):
         db = d[b]
-        yield b, (db[:, None] * T.entries[np.ix_(b, b)]) / db[None, :]
+        yield b, (db[:, None] * p) / db[None, :]
 
 
 def _from_std_blocks(pieces, T: WeightedOperator) -> WeightedOperator:
     """The operator with T's blocks whose standard-coordinate diagonal blocks
-    are ``pieces`` (pairs of indices and matrices)."""
+    are ``pieces`` (pairs of indices and matrices, in T's block order)."""
     d = _sqrt_weights(T.space)
-    n = T.space.point_count
-    out = np.zeros((n, n), dtype=complex)
-    for b, mat in pieces:
-        db = d[b]
-        out[np.ix_(b, b)] = (mat / db[:, None]) * db[None, :]
-    return WeightedOperator(out, T.space, T.blocks)
+    parts = [(mat / d[b][:, None]) * d[b][None, :] for b, mat in pieces]
+    return WeightedOperator._of_blocks(parts, T.space, T.blocks)
+
+
+def _once_per_operator(fn):
+    """fn(T) computed once per operator: T is immutable, so every caller can
+    share the result (an array result is made read-only)."""
+
+    @functools.wraps(fn)
+    def memoized(T: WeightedOperator):
+        if fn.__name__ not in T._memo:
+            value = fn(T)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            T._memo[fn.__name__] = value
+        return T._memo[fn.__name__]
+
+    return memoized
 
 
 def _solve(routine: str, mat: np.ndarray, **kwargs):
@@ -191,6 +253,7 @@ def _solve(routine: str, mat: np.ndarray, **kwargs):
     return out
 
 
+@_once_per_operator
 def _svds(T: WeightedOperator) -> list:
     """(indices, u, s, vh) of each standard-coordinate block."""
     return [(b, *_solve("svd", m)) for b, m in _std_blocks(T)]
@@ -203,15 +266,21 @@ def _rank_cutoff(svds: list, tol: float) -> float:
 
 def apply(T: WeightedOperator, f: MeasurableFunction) -> MeasurableFunction:
     _check_space(T, f)
-    return MeasurableFunction(T.entries @ f.values, T.space)
+    out = np.empty(T.space.point_count, dtype=complex)
+    for b, p in zip(T.blocks, T.parts):
+        out[b] = p @ f.values[b]
+    return MeasurableFunction(out, T.space)
 
 
+@_once_per_operator
 def adjoint(T: WeightedOperator) -> WeightedOperator:
-    """The unique T* with <Tf, g> = <f, T*g> for the weighted inner product."""
+    """The unique T* with <Tf, g> = <f, T*g> for the weighted inner product;
+    built once per operator, so the factorizations of T* are shared too."""
     mu = T.space.weights
-    return WeightedOperator(
-        (T.entries.conj().T * mu[None, :]) / mu[:, None], T.space, T.blocks
-    )
+    parts = [
+        (p.conj().T * mu[b][None, :]) / mu[b][:, None] for b, p in zip(T.blocks, T.parts)
+    ]
+    return WeightedOperator._of_blocks(parts, T.space, T.blocks)
 
 
 def compose(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
@@ -220,26 +289,32 @@ def compose(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
     _check_space(A, B)
     if not _same_blocks(A, B):
         return WeightedOperator(A.entries @ B.entries, A.space)
-    out = np.zeros_like(A.entries)
-    for b in A.blocks:
-        ix = np.ix_(b, b)
-        out[ix] = A.entries[ix] @ B.entries[ix]
-    return WeightedOperator(out, A.space, A.blocks)
+    return WeightedOperator._of_blocks(
+        [a @ b for a, b in zip(A.parts, B.parts)], A.space, A.blocks
+    )
 
 
 def subtract(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
+    """A - B, block by block when both have the same blocks; otherwise one
+    block."""
     _check_space(A, B)
-    blocks = A.blocks if _same_blocks(A, B) else None
-    return WeightedOperator(A.entries - B.entries, A.space, blocks)
+    if not _same_blocks(A, B):
+        return WeightedOperator(A.entries - B.entries, A.space)
+    return WeightedOperator._of_blocks(
+        [a - b for a, b in zip(A.parts, B.parts)], A.space, A.blocks
+    )
 
 
+@_once_per_operator
 def eigenvalues(T: WeightedOperator) -> np.ndarray:
-    """All n eigenvalues with multiplicity (unordered multiset)."""
+    """All n eigenvalues with multiplicity (unordered multiset, read-only)."""
     return np.concatenate([_solve("eigvals", m) for _, m in _std_blocks(T)])
 
 
+@_once_per_operator
 def singular_values(T: WeightedOperator) -> np.ndarray:
-    """Descending singular values; the largest is the operator norm on L2(mu)."""
+    """Descending singular values (read-only); the largest is the operator
+    norm on L2(mu)."""
     s = [_solve("svd", m, compute_uv=False) for _, m in _std_blocks(T)]
     return np.sort(np.concatenate(s))[::-1]
 
@@ -251,6 +326,12 @@ def operator_norm(T: WeightedOperator) -> float:
 def _hermitian_blocks(T: WeightedOperator):
     for b, m in _std_blocks(T):
         yield b, 0.5 * (m + m.conj().T)
+
+
+@_once_per_operator
+def _eighs(A: WeightedOperator) -> list:
+    """(indices, eigenvalues, eigenvectors) of each block's Hermitian part."""
+    return [(b, *_solve("eigh", h)) for b, h in _hermitian_blocks(A)]
 
 
 def is_hermitian(T: WeightedOperator, tol: float = DEFAULT_OP_TOL) -> bool:
@@ -285,7 +366,7 @@ def fractional_power(
         raise ValueError("power must be positive")
     if not is_hermitian(A, tol):
         raise ValueError("operator is not self-adjoint to tolerance")
-    eigs = [(b, *_solve("eigh", h)) for b, h in _hermitian_blocks(A)]
+    eigs = _eighs(A)
     evals = np.concatenate([e for _, e, _ in eigs])
     scale_ = 1.0 + np.abs(evals).max(initial=0.0)
     if evals.min(initial=0.0) < -tol * scale_:

@@ -48,7 +48,8 @@ class Check:
 
 
 def _max_diff(A: WeightedOperator, B: WeightedOperator) -> float:
-    return float(np.abs(A.entries - B.entries).max(initial=0.0))
+    """The largest entry of A - B in modulus, over its blocks."""
+    return float(max(np.abs(p).max(initial=0.0) for p in oa.subtract(A, B).parts))
 
 
 def _kernel_agreement(A: WeightedOperator, B: WeightedOperator) -> float:

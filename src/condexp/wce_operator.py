@@ -14,6 +14,7 @@ whose denominator vanishes (below the support tolerance) is 0 by convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,8 @@ from .operator_algebra import PolarParts, WeightedOperator, expectation_operator
 
 @dataclass(frozen=True)
 class WCEOperator:
-    """The symbolic quadruple (space, algebra, u, w) plus cached moments."""
+    """The symbolic quadruple (space, algebra, u, w) plus cached moments; the
+    operator T itself is built on first use (``to_matrix``)."""
 
     space: FiniteMeasureSpace
     algebra: SubSigmaAlgebra
@@ -47,6 +49,14 @@ class WCEOperator:
     support_w2: IndexSet  # G  = S(E(|w|^2))
     support_eu: IndexSet  # S' = S(E(u))
     support_tol: float
+
+    @cached_property
+    def _matrix(self) -> WeightedOperator:
+        # built once: W is immutable, so every caller shares T and the
+        # factorizations the oracle memoizes on it
+        return expectation_operator(
+            self.space, self.algebra, self.w.values, self.u.values
+        )
 
 
 @dataclass(frozen=True)
@@ -104,18 +114,10 @@ def _guarded_ratio(numer: np.ndarray, denom: np.ndarray, chi: np.ndarray) -> np.
     return out
 
 
-def _sandwich(
-    W: WCEOperator, left: np.ndarray, right: np.ndarray
-) -> WeightedOperator:
-    """The operator f -> left * E(right * f) as a matrix, block-diagonal over
-    the atoms."""
-    e = expectation_operator(W.space, W.algebra)
-    return WeightedOperator(left[:, None] * e.entries * right[None, :], W.space, e.blocks)
-
-
 def to_matrix(W: WCEOperator) -> WeightedOperator:
-    """The matrix of f -> w * E(u * f); rank is at most the atom count."""
-    return _sandwich(W, W.w.values, W.u.values)
+    """The operator f -> w * E(u * f), built once per W; rank is at most the
+    atom count."""
+    return W._matrix
 
 
 def norm_closed_form(W: WCEOperator) -> float:
@@ -134,7 +136,9 @@ def tstar_t_power(W: WCEOperator, p: float) -> WeightedOperator:
     factor = np.zeros(W.space.point_count, dtype=complex)
     on = chi_s > 0.5
     factor[on] = eu2[on] ** (p - 1.0) * np.clip(ew2[on], 0.0, None) ** p
-    return _sandwich(W, np.conj(W.u.values) * factor, W.u.values)
+    return expectation_operator(
+        W.space, W.algebra, np.conj(W.u.values) * factor, W.u.values
+    )
 
 
 def t_tstar_power(W: WCEOperator, p: float) -> WeightedOperator:
@@ -153,7 +157,7 @@ def polar_closed_form(W: WCEOperator) -> PolarParts:
     chi_sg = _chi(W, W.support_u2.intersection(W.support_w2))
     ew2_eu2 = W.e_abs_w2.values.real * W.e_abs_u2.values.real
     iso_factor = np.sqrt(_guarded_ratio(chi_sg, ew2_eu2, chi_sg).real)
-    iso = _sandwich(W, iso_factor * W.w.values, W.u.values)
+    iso = expectation_operator(W.space, W.algebra, iso_factor * W.w.values, W.u.values)
     return PolarParts(isometry_part=iso, modulus_part=tstar_t_power(W, 0.5))
 
 
@@ -161,7 +165,9 @@ def aluthge_closed_form(W: WCEOperator) -> WeightedOperator:
     """Aluthge transform: f -> (chi_S E(uw) / E|u|^2) conj(u) E(u f)."""
     chi_s = _chi(W, W.support_u2)
     factor = _guarded_ratio(W.e_uw.values, W.e_abs_u2.values.real, chi_s)
-    return _sandwich(W, factor * np.conj(W.u.values), W.u.values)
+    return expectation_operator(
+        W.space, W.algebra, factor * np.conj(W.u.values), W.u.values
+    )
 
 
 def adjoint_wce(W: WCEOperator) -> WCEOperator:

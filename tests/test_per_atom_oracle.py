@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from condexp import (
+    Instance,
     MeasurableFunction,
+    WCEOperator,
     WeightedOperator,
     adjoint,
     aluthge_numeric,
@@ -18,6 +20,7 @@ from condexp import (
     build_wce,
     compose,
     eigenvalues,
+    expectation_operator,
     fractional_power,
     hausdorff_distance,
     is_normal,
@@ -181,11 +184,14 @@ class TestBlocks:
         np.testing.assert_allclose(mixed.entries, T.entries @ T.entries)
 
 
-@pytest.mark.parametrize(
+FOUR_ATOMS = pytest.mark.parametrize(
     "instance",
     [random_instance(5, 64, 4), product_space_example(4, 20)],
     ids=["random", "product"],
 )
+
+
+@FOUR_ATOMS
 def test_no_factorization_larger_than_an_atom(monkeypatch, instance):
     """Every numpy.linalg factorization during verify runs on one atom block."""
     largest = max(b.size for b in instance.algebra.blocks)
@@ -202,3 +208,58 @@ def test_no_factorization_larger_than_an_atom(monkeypatch, instance):
     assert summarize(verify_instance(instance))["all_passed"]
     assert orders
     assert max(orders) <= largest < instance.space.point_count
+
+
+@FOUR_ATOMS
+def test_no_matrix_larger_than_an_atom(monkeypatch, instance):
+    """During verify no operator holds an array larger than the largest atom
+    squared, and no n x n matrix is assembled."""
+    largest = max(b.size for b in instance.algebra.blocks)
+    sizes = []
+
+    def recorded(op, _original=WeightedOperator.__post_init__):
+        _original(op)
+        sizes.append(max(p.size for p in op.parts))
+
+    def no_entries(op):
+        raise AssertionError("the n x n matrix was assembled")
+
+    monkeypatch.setattr(WeightedOperator, "__post_init__", recorded)
+    monkeypatch.setattr(WeightedOperator, "entries", property(no_entries))
+    assert summarize(verify_instance(instance))["all_passed"]
+    assert sizes
+    assert max(sizes) <= largest**2 < instance.space.point_count ** 2
+
+
+@FOUR_ATOMS
+def test_eigenvalues_computed_once_per_atom(monkeypatch, instance):
+    """verify factors T once: one numpy.linalg.eigvals call per atom."""
+    calls = []
+
+    def probe(a, *args, _original=np.linalg.eigvals, **kwargs):
+        calls.append(np.shape(a))
+        return _original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", probe)
+    verify_instance(instance)
+    assert len(calls) == instance.algebra.block_count
+
+
+def _one_block_matrix(W):
+    T = expectation_operator(W.space, W.algebra, W.w.values, W.u.values)
+    return WeightedOperator(T.entries, T.space)
+
+
+@pytest.mark.parametrize("name, W", CASES, ids=[c[0] for c in CASES])
+def test_verify_agrees_with_t_as_one_block(monkeypatch, name, W):
+    """All of verify with T forced into one dense block gives the per-atom
+    verdicts, with margins within 1e-12."""
+    instance = Instance(W.space, W.algebra, W.u, W.w)
+    per_atom = verify_instance(instance)
+    monkeypatch.setattr(WCEOperator, "_matrix", property(_one_block_matrix))
+    assert len(to_matrix(W).blocks) == 1
+    dense = verify_instance(instance)
+    assert [(c.name, c.passed) for c in dense] == [(c.name, c.passed) for c in per_atom]
+    np.testing.assert_allclose(
+        [c.margin for c in dense], [c.margin for c in per_atom], rtol=0, atol=1e-12
+    )
