@@ -23,7 +23,10 @@ Loewner norm) uses the values of all blocks, so results match a one-block
 factorization to rounding. An operator given without blocks is one block:
 the dense oracle, which the tests use as the reference. An operator is
 immutable, so its factorizations and its adjoint are computed once and
-shared by every caller.
+shared by every caller. An operator and its adjoint share one SVD: the
+adjoint's standard-coordinate blocks are the conjugate transposes, so its
+SVD is read off the operator's, through a weak reference that keeps no
+operator alive.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import functools
 import logging
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -218,6 +222,10 @@ def _from_std_blocks(pieces, T: WeightedOperator) -> WeightedOperator:
     return WeightedOperator._of_blocks(parts, T.space, T.blocks)
 
 
+#: memo key of an adjoint: a weak reference to the operator it is the adjoint of
+_ADJOINT_OF = "adjoint_of"
+
+
 def _once_per_operator(fn):
     """fn(T) computed once per operator: T is immutable, so every caller can
     share the result (an array result is made read-only)."""
@@ -255,7 +263,15 @@ def _solve(routine: str, mat: np.ndarray, **kwargs):
 
 @_once_per_operator
 def _svds(T: WeightedOperator) -> list:
-    """(indices, u, s, vh) of each standard-coordinate block."""
+    """(indices, u, s, vh) of each standard-coordinate block.
+
+    The adjoint of a live operator A reuses A's SVD: its standard-coordinate
+    block is A's conjugate transpose, so (u, s, vh) becomes (vh^H, s, u^H)
+    with no new factorization."""
+    ref = T._memo.get(_ADJOINT_OF)
+    source = ref() if ref is not None else None
+    if source is not None:
+        return [(b, vh.conj().T, s, u.conj().T) for b, u, s, vh in _svds(source)]
     return [(b, *_solve("svd", m)) for b, m in _std_blocks(T)]
 
 
@@ -280,7 +296,10 @@ def adjoint(T: WeightedOperator) -> WeightedOperator:
     parts = [
         (p.conj().T * mu[b][None, :]) / mu[b][:, None] for b, p in zip(T.blocks, T.parts)
     ]
-    return WeightedOperator._of_blocks(parts, T.space, T.blocks)
+    adj = WeightedOperator._of_blocks(parts, T.space, T.blocks)
+    # weak: T's memo holds T*, so a strong reference back would be a cycle
+    adj._memo[_ADJOINT_OF] = weakref.ref(T)
+    return adj
 
 
 def compose(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:

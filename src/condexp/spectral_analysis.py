@@ -198,6 +198,9 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = 1e-8) -> list:
     the smallest principal angle between them is below the module threshold.
     Both null spaces are block-diagonal like T, so they are intersected block
     by block: the largest cosine over all blocks gives the smallest angle.
+    One SVD per block and shift gives both: with B - lambda I = U S V^H, the
+    right singular vectors past the rank span null(B - lambda I) and the
+    left ones null(B^H - conj(lambda) I).
     """
     blocks = [m for _, m in _std_blocks(T)]
     cutoff = tol * (1.0 + operator_norm(T))
@@ -205,22 +208,17 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = 1e-8) -> list:
     for lam in cluster_values(eigenvalues(T), cutoff):
         cosine = 0.0
         for b in blocks:
-            eye = np.eye(b.shape[0])
-            k1 = _null_space_std(b - lam * eye, cutoff)
-            k2 = _null_space_std(b.conj().T - np.conj(lam) * eye, cutoff)
-            if k1.shape[1] and k2.shape[1]:
+            u, s, vh = _solve("svd", b - lam * np.eye(b.shape[0]))
+            rank = int(np.sum(s > cutoff))
+            if rank < s.size:
+                k1 = vh[rank:, :].conj().T  # null(B - lambda I)
+                k2 = u[:, rank:]  # null(B^H - conj(lambda) I)
                 cosines = _solve("svd", k1.conj().T @ k2, compute_uv=False)
                 cosine = max(cosine, float(cosines.max(initial=0.0)))
         angle = float(np.arccos(np.clip(cosine, -1.0, 1.0)))
         if angle < PRINCIPAL_ANGLE_TOL:
             result.append(lam)
     return result
-
-
-def _null_space_std(mat: np.ndarray, cutoff: float) -> np.ndarray:
-    _, s, vh = _solve("svd", mat)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:, :].conj().T
 
 
 def iterated_aluthge(T: WeightedOperator, n: int) -> WeightedOperator:

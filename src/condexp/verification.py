@@ -18,6 +18,7 @@ from . import spectral_analysis as sa
 from . import wce_operator as wce
 from .instance_factory import Instance, as_wce
 from .operator_algebra import WeightedOperator
+from .wce_operator import WCEOperator
 
 POWERS = (0.5, 1.0, 2.0, 3.5)
 
@@ -58,165 +59,206 @@ def _kernel_agreement(A: WeightedOperator, B: WeightedOperator) -> float:
     return oa.operator_norm(oa.subtract(oa.kernel_projection(A), oa.kernel_projection(B)))
 
 
+def _check(name: str, margin: float, tolerance: float) -> Check:
+    return Check(name, margin <= tolerance, margin, tolerance)
+
+
 def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list:
-    """Run the full closed-form vs oracle suite on one instance."""
+    """Run the full closed-form vs oracle suite on one instance.
+
+    Each section is its own function, so the operators it builds and their
+    memoized factorizations are freed when it returns; only W, T and the
+    factorizations memoized on T live throughout."""
     W = as_wce(instance, support_tol=tols.support)
     T = wce.to_matrix(W)
     norm_t = oa.operator_norm(T)
-    checks: list = []
-
-    def record(name, margin, tolerance):
-        checks.append(Check(name, margin <= tolerance, margin, tolerance))
 
     # operator norm (closed form vs largest singular value)
-    record(
-        "norm_formula",
-        abs(wce.norm_closed_form(W) - norm_t),
-        tols.match * (1.0 + norm_t),
-    )
+    checks = [
+        _check(
+            "norm_formula",
+            abs(wce.norm_closed_form(W) - norm_t),
+            tols.match * (1.0 + norm_t),
+        )
+    ]
+    checks += _power_checks(W, T, tols)
+    polar_checks, isometry_adjoint = _polar_checks(W, T, tols)
+    checks += polar_checks
+    checks += _aluthge_checks(W, T, tols)
+    checks += _adjoint_part_checks(W, T, isometry_adjoint, tols)
+    set_tol = tols.spectrum * (1.0 + norm_t)
+    checks += _spectrum_checks(W, set_tol, tols)
+    checks += _class_checks(W, tols)
+    if np.abs(instance.w.values - 1.0).max() <= tols.psd:
+        checks += _w_one_checks(W, set_tol, tols)
+    return checks
 
-    # powers of T*T and TT*
+
+def _power_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> list:
+    """Powers of T*T and TT*."""
     tstar_t = oa.compose(oa.adjoint(T), T)
     t_tstar = oa.compose(T, oa.adjoint(T))
+    checks = []
     for p in POWERS:
-        record(
-            f"tstar_t_power_{p}",
-            _max_diff(wce.tstar_t_power(W, p), oa.fractional_power(tstar_t, p)),
-            tols.match,
-        )
-        record(
-            f"t_tstar_power_{p}",
-            _max_diff(wce.t_tstar_power(W, p), oa.fractional_power(t_tstar, p)),
-            tols.match,
-        )
+        checks += [
+            _check(
+                f"tstar_t_power_{p}",
+                _max_diff(wce.tstar_t_power(W, p), oa.fractional_power(tstar_t, p)),
+                tols.match,
+            ),
+            _check(
+                f"t_tstar_power_{p}",
+                _max_diff(wce.t_tstar_power(W, p), oa.fractional_power(t_tstar, p)),
+                tols.match,
+            ),
+        ]
+    return checks
 
-    # polar decomposition
+
+def _polar_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances):
+    """The polar decomposition; also returns the adjoint of the closed-form
+    partial isometry, which the adjoint-parts checks compare with."""
     parts = wce.polar_closed_form(W)
     oracle = oa.polar_decompose_numeric(T)
-    record(
-        "polar_reconstruction",
-        oa.operator_norm(
-            oa.subtract(oa.compose(parts.isometry_part, parts.modulus_part), T)
-        ),
-        tols.match,
-    )
-    record(
-        "polar_modulus_matches_oracle",
-        _max_diff(parts.modulus_part, oracle.modulus_part),
-        tols.match,
-    )
     u_part = parts.isometry_part
-    record(
-        "polar_partial_isometry",
-        oa.operator_norm(
-            oa.subtract(oa.compose(oa.compose(u_part, oa.adjoint(u_part)), u_part), u_part)
+    checks = [
+        _check(
+            "polar_reconstruction",
+            oa.operator_norm(oa.subtract(oa.compose(u_part, parts.modulus_part), T)),
+            tols.match,
         ),
-        tols.match * (1.0 + oa.operator_norm(u_part)),
-    )
-    record(
-        "polar_kernel_condition",
-        _kernel_agreement(u_part, parts.modulus_part),
-        tols.match,
-    )
+        _check(
+            "polar_modulus_matches_oracle",
+            _max_diff(parts.modulus_part, oracle.modulus_part),
+            tols.match,
+        ),
+        _check(
+            "polar_partial_isometry",
+            oa.operator_norm(
+                oa.subtract(
+                    oa.compose(oa.compose(u_part, oa.adjoint(u_part)), u_part), u_part
+                )
+            ),
+            tols.match * (1.0 + oa.operator_norm(u_part)),
+        ),
+        _check(
+            "polar_kernel_condition",
+            _kernel_agreement(u_part, parts.modulus_part),
+            tols.match,
+        ),
+    ]
+    return checks, oa.adjoint(u_part)
 
-    # Aluthge transform and its fixed-point property
-    alu_closed = wce.aluthge_closed_form(W)
+
+def _aluthge_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> list:
+    """The Aluthge transform and its fixed-point property."""
     alu_numeric = oa.aluthge_numeric(T)
-    record("aluthge_matches_oracle", _max_diff(alu_closed, alu_numeric), tols.match)
-    record(
-        "aluthge_idempotent",
-        _max_diff(oa.aluthge_numeric(alu_numeric), alu_numeric),
-        tols.match,
-    )
+    return [
+        _check(
+            "aluthge_matches_oracle",
+            _max_diff(wce.aluthge_closed_form(W), alu_numeric),
+            tols.match,
+        ),
+        _check(
+            "aluthge_idempotent",
+            _max_diff(oa.aluthge_numeric(alu_numeric), alu_numeric),
+            tols.match,
+        ),
+    ]
 
-    # adjoint parts
+
+def _adjoint_part_checks(
+    W: WCEOperator,
+    T: WeightedOperator,
+    isometry_adjoint: WeightedOperator,
+    tols: Tolerances,
+) -> list:
+    """Modulus, partial isometry and Aluthge transform of T*."""
     adj_parts = wce.adjoint_parts_closed_form(W)
-    adj_oracle = oa.polar_decompose_numeric(oa.adjoint(T))
-    record(
-        "adjoint_modulus_matches_oracle",
-        _max_diff(adj_parts.modulus_part, adj_oracle.modulus_part),
-        tols.match,
-    )
-    record(
-        "adjoint_isometry_is_adjoint_of_isometry",
-        _max_diff(adj_parts.isometry_part, oa.adjoint(parts.isometry_part)),
-        tols.match,
-    )
-    record(
-        "adjoint_aluthge_matches_oracle",
-        _max_diff(adj_parts.aluthge, oa.aluthge_numeric(oa.adjoint(T))),
-        tols.match,
-    )
+    t_star = oa.adjoint(T)
+    adj_oracle = oa.polar_decompose_numeric(t_star)
+    return [
+        _check(
+            "adjoint_modulus_matches_oracle",
+            _max_diff(adj_parts.modulus_part, adj_oracle.modulus_part),
+            tols.match,
+        ),
+        _check(
+            "adjoint_isometry_is_adjoint_of_isometry",
+            _max_diff(adj_parts.isometry_part, isometry_adjoint),
+            tols.match,
+        ),
+        _check(
+            "adjoint_aluthge_matches_oracle",
+            _max_diff(adj_parts.aluthge, oa.aluthge_numeric(t_star)),
+            tols.match,
+        ),
+    ]
 
-    # spectrum and spectral radius
-    set_tol = tols.spectrum * (1.0 + norm_t)
+
+def _spectrum_checks(W: WCEOperator, set_tol: float, tols: Tolerances) -> list:
+    """The spectrum and the spectral radius."""
     report = sa.spectrum_report(W, tols.spectrum)
-    record("spectrum_sets_match", report.max_set_distance, set_tol)
     radius_numeric = float(np.abs(report.numeric_eigenvalues).max(initial=0.0))
-    record(
-        "spectral_radius_formula",
-        abs(sa.spectral_radius_closed_form(W) - radius_numeric),
-        set_tol,
-    )
+    return [
+        _check("spectrum_sets_match", report.max_set_distance, set_tol),
+        _check(
+            "spectral_radius_formula",
+            abs(sa.spectral_radius_closed_form(W) - radius_numeric),
+            set_tol,
+        ),
+    ]
 
-    # operator classes: sufficient criterion implies the definitional test,
-    # definitional implies the necessary criterion
+
+def _class_checks(W: WCEOperator, tols: Tolerances) -> list:
+    """Operator classes (a sufficient criterion implies the definitional
+    test, the definitional test implies the necessary criterion), the
+    Cauchy-Schwarz floor, and sigma_p = sigma_jp under quasi-*-A."""
     a_verdict = oc.a_class_criterion(W, tols.psd)
-    checks.append(
+    q_verdict = oc.quasi_star_a_criteria(W, tols.psd)
+    gap_min = float(oc.cauchy_schwarz_gap(W).values.real.min())
+    jp_report = sa.sigma_p_equals_sigma_jp_check(W, tols.match)
+    return [
         Check(
             "a_class_sufficient_implies_definitional",
             (not a_verdict.sufficient_criterion) or a_verdict.definitional,
             0.0,
             tols.psd,
-        )
-    )
-    checks.append(
+        ),
         Check(
             "a_class_definitional_implies_necessary",
             (not a_verdict.definitional) or bool(a_verdict.necessary_criterion),
             0.0,
             tols.psd,
-        )
-    )
-    q_verdict = oc.quasi_star_a_criteria(W, tols.psd)
-    checks.append(
+        ),
         Check(
             "quasi_star_a_sufficient_implies_definitional",
             (not q_verdict.sufficient_criterion) or q_verdict.definitional,
             0.0,
             tols.psd,
-        )
-    )
-
-    # Cauchy-Schwarz floor
-    gap_min = float(oc.cauchy_schwarz_gap(W).values.real.min())
-    record("cauchy_schwarz_gap_nonnegative", max(0.0, -gap_min), tols.gap)
-
-    # point vs joint point spectrum under the quasi-*-A hypothesis
-    jp_report = sa.sigma_p_equals_sigma_jp_check(W, tols.match)
-    checks.append(
+        ),
+        _check("cauchy_schwarz_gap_nonnegative", max(0.0, -gap_min), tols.gap),
         Check(
             "quasi_star_a_implies_sigma_p_equals_sigma_jp",
             (not jp_report.quasi_star_a) or bool(jp_report.equal),
             0.0,
             tols.match,
-        )
-    )
+        ),
+    ]
 
-    # w identically 1: the three normality conditions agree, and the level
-    # sets of E(u) describe the point spectrum
-    if np.abs(instance.w.values - 1.0).max() <= tols.psd:
-        normality = oc.normality_equivalence(W, tols.psd)
-        checks.append(
-            Check("normality_equivalence_consistent", normality.consistent, 0.0, tols.psd)
-        )
-        em_report = sa.em_u_point_spectrum(W, tols.spectrum)
-        ok = em_report.equality_off_zero and em_report.containment
-        if em_report.zero_case_equality is not None:
-            ok = ok and em_report.zero_case_equality
-        checks.append(Check("em_u_point_spectrum_claims", ok, 0.0, set_tol))
 
-    return checks
+def _w_one_checks(W: WCEOperator, set_tol: float, tols: Tolerances) -> list:
+    """For w identically 1: the three normality conditions agree, and the
+    level sets of E(u) describe the point spectrum."""
+    normality = oc.normality_equivalence(W, tols.psd)
+    em_report = sa.em_u_point_spectrum(W, tols.spectrum)
+    ok = em_report.equality_off_zero and em_report.containment
+    if em_report.zero_case_equality is not None:
+        ok = ok and em_report.zero_case_equality
+    return [
+        Check("normality_equivalence_consistent", normality.consistent, 0.0, tols.psd),
+        Check("em_u_point_spectrum_claims", ok, 0.0, set_tol),
+    ]
 
 
 def summarize(checks: list) -> dict:

@@ -58,6 +58,13 @@ class WCEOperator:
             self.space, self.algebra, self.w.values, self.u.values
         )
 
+    @cached_property
+    def _adjoint(self) -> "WCEOperator":
+        # built once: the TT* powers and the adjoint parts share its moments
+        return build_wce(
+            self.space, self.algebra, self.w.conj(), self.u.conj(), self.support_tol
+        )
+
 
 @dataclass(frozen=True)
 class AdjointParts:
@@ -171,8 +178,9 @@ def aluthge_closed_form(W: WCEOperator) -> WeightedOperator:
 
 
 def adjoint_wce(W: WCEOperator) -> WCEOperator:
-    """T* = M_conj(u) E M_conj(w): the quadruple with u' = conj(w), w' = conj(u)."""
-    return build_wce(W.space, W.algebra, W.w.conj(), W.u.conj(), W.support_tol)
+    """T* = M_conj(u) E M_conj(w): the quadruple with u' = conj(w), w' = conj(u),
+    built once per W."""
+    return W._adjoint
 
 
 def adjoint_parts_closed_form(W: WCEOperator) -> AdjointParts:

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from condexp import FiniteMeasureSpace, MeasurableFunction, SubSigmaAlgebra
+from condexp import (
+    FiniteMeasureSpace,
+    MeasurableFunction,
+    SubSigmaAlgebra,
+    eigenvalues,
+    operator_norm,
+)
+from condexp.measure_space import cluster_values
+from condexp.operator_algebra import _std_blocks
+from condexp.spectral_analysis import PRINCIPAL_ANGLE_TOL
 
 
 @pytest.fixture
@@ -31,3 +40,29 @@ def multiset_close(a, b, tol):
             return False
         b.pop(j)
     return True
+
+
+def two_svd_joint_point_spectrum(T, tol=1e-8):
+    """The reference for ``joint_point_spectrum``: the same principal-angle
+    test, with one SVD for null(B - lambda I) and another for
+    null(B^H - conj(lambda) I) on every block B."""
+
+    def null_space(mat, cutoff):
+        _, s, vh = np.linalg.svd(mat)
+        return vh[int(np.sum(s > cutoff)):, :].conj().T
+
+    blocks = [m for _, m in _std_blocks(T)]
+    cutoff = tol * (1.0 + operator_norm(T))
+    result = []
+    for lam in cluster_values(eigenvalues(T), cutoff):
+        cosine = 0.0
+        for b in blocks:
+            eye = np.eye(b.shape[0])
+            k1 = null_space(b - lam * eye, cutoff)
+            k2 = null_space(b.conj().T - np.conj(lam) * eye, cutoff)
+            if k1.shape[1] and k2.shape[1]:
+                cosines = np.linalg.svd(k1.conj().T @ k2, compute_uv=False)
+                cosine = max(cosine, float(cosines.max(initial=0.0)))
+        if np.arccos(np.clip(cosine, -1.0, 1.0)) < PRINCIPAL_ANGLE_TOL:
+            result.append(lam)
+    return result

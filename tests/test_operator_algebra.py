@@ -1,4 +1,6 @@
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from condexp import (
     weighted_inner,
 )
 from condexp.measure_space import MeasurableFunction
+from condexp.operator_algebra import _std_blocks, _svds
 
 from conftest import make_function, multiset_close
 
@@ -405,3 +408,59 @@ class TestSolverLog:
         caplog.set_level(logging.INFO, logger="condexp")
         operator_norm(to_matrix(as_wce(random_instance(0, 10, 3))))
         assert not [r for r in caplog.records if r.name == "condexp"]
+
+
+def _atom_operator(seed):
+    """T = M_w E M_u over 3 atoms, held by nothing but the caller."""
+    inst = random_instance(seed, 18, 3)
+    return expectation_operator(inst.space, inst.algebra, inst.w.values, inst.u.values)
+
+
+def _reconstruction_error(A):
+    return max(
+        np.abs((u * s) @ vh - m).max()
+        for (_, u, s, vh), (_, m) in zip(_svds(A), _std_blocks(A))
+    )
+
+
+class TestAdjointSharesSVD:
+    LINALG = ("svd", "eig", "eigvals", "eigh", "eigvalsh")
+
+    def test_adjoint_reads_the_operator_svd(self, monkeypatch):
+        T = _atom_operator(1)
+        _svds(T)
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("numpy.linalg was called")
+
+        for name in self.LINALG:
+            monkeypatch.setattr(np.linalg, name, no_call)
+        assert _reconstruction_error(adjoint(T)) <= 1e-12
+
+    def test_adjoint_of_a_freed_operator_factors_itself(self, monkeypatch):
+        T = _atom_operator(2)
+        A = adjoint(T)
+        del T
+        gc.collect()
+        calls = []
+
+        def probe(a, *args, _original=np.linalg.svd, **kwargs):
+            calls.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", probe)
+        assert _reconstruction_error(A) <= 1e-12
+        assert len(calls) == len(A.blocks)
+
+    def test_adjoint_does_not_keep_the_operator_alive(self):
+        gc.disable()
+        try:
+            T = _atom_operator(3)
+            A = adjoint(T)
+            _svds(A)
+            ref = weakref.ref(T)
+            del T
+            assert ref() is None
+            assert _reconstruction_error(A) <= 1e-12
+        finally:
+            gc.enable()

@@ -11,6 +11,7 @@ from condexp import (
     eigenvalues,
     em_u_point_spectrum,
     hausdorff_distance,
+    is_normal,
     iterated_aluthge,
     joint_point_spectrum,
     operator_norm,
@@ -27,7 +28,7 @@ from condexp import (
 )
 from condexp.operator_algebra import DEFAULT_RANK_TOL, WeightedOperator
 
-from conftest import make_function
+from conftest import make_function, two_svd_joint_point_spectrum
 
 
 def rank_one_wce():
@@ -177,6 +178,34 @@ class TestEMuPointSpectrum:
             )
 
 
+WEIGHTS = np.array([0.5, 1.0, 2.0, 1.5])
+JORDAN = np.eye(4, k=1)  # nilpotent: null spaces span e_1 and e_4
+# x y^H with y^H x = 0: nilpotent, null spaces y-perp and x-perp meet in 2 dims
+ORTHOGONAL_RANK_ONE = np.outer([1, 1j, 0, 2], np.conj([1j, 1, 3, 0]))
+
+
+def _mixed_blocks():
+    """J_3 + 2I, x y^H + (1+i)I and a 1x1 block, each on its own atom: only
+    1+i and 0.5 carry a common eigenvector of T and T*."""
+    entries = np.zeros((8, 8), dtype=complex)
+    entries[:3, :3] = np.eye(3, k=1) + 2 * np.eye(3)
+    entries[3:7, 3:7] = ORTHOGONAL_RANK_ONE + (1 + 1j) * np.eye(4)
+    entries[7, 7] = 0.5
+    space = FiniteMeasureSpace(np.linspace(0.5, 2.0, 8))
+    blocks = (np.arange(3), np.arange(3, 7), np.array([7]))
+    return WeightedOperator(entries, space, blocks), [1 + 1j, 0.5]
+
+
+NON_NORMAL = {
+    "jordan": lambda: (WeightedOperator(JORDAN, FiniteMeasureSpace(WEIGHTS)), []),
+    "orthogonal-rank-one": lambda: (
+        WeightedOperator(ORTHOGONAL_RANK_ONE, FiniteMeasureSpace(WEIGHTS)),
+        [0.0],
+    ),
+    "mixed-blocks": _mixed_blocks,
+}
+
+
 class TestJointPointSpectrum:
     def test_normal_operator_equals_point_spectrum(self):
         space = FiniteMeasureSpace(np.ones(3))
@@ -195,6 +224,16 @@ class TestJointPointSpectrum:
         sigma_p = [complex(z) for z in np.unique(np.round(eigenvalues(T), 9))]
         jp = joint_point_spectrum(T)
         assert hausdorff_distance(jp, sigma_p) <= 1e-7
+
+    @pytest.mark.parametrize("case", sorted(NON_NORMAL))
+    def test_non_normal_blocks_match_two_svd_reference(self, case):
+        """Blocks where null(B - lambda I) and null(B^H - conj(lambda) I)
+        differ: one SVD per shift must give the two-SVD verdicts."""
+        T, expected = NON_NORMAL[case]()
+        assert not is_normal(T)
+        jp = joint_point_spectrum(T)
+        assert jp == two_svd_joint_point_spectrum(T)
+        assert hausdorff_distance(jp, expected) <= 1e-7
 
     def test_subset_of_point_spectrum(self):
         for seed in range(10):

@@ -30,6 +30,8 @@ from condexp import (
     tstar_t_power,
 )
 
+from condexp import wce_operator as wce_module
+
 from conftest import make_function
 
 POWERS = (0.5, 1.0, 2.0, 3.5)
@@ -302,6 +304,25 @@ class TestAdjointWCE:
         back = adjoint_wce(adjoint_wce(W))
         np.testing.assert_allclose(back.e_uw.values, W.e_uw.values, atol=1e-14)
         np.testing.assert_allclose(back.e_abs_u2.values, W.e_abs_u2.values, atol=1e-14)
+
+    def test_built_once_per_operator(self, monkeypatch):
+        W = as_wce(random_instance(13, 12, 3))
+        rebuilt = build_wce(W.space, W.algebra, W.w.conj(), W.u.conj(), W.support_tol)
+        calls = []
+
+        def probe(*args, _original=wce_module.conditional_expectation, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(wce_module, "conditional_expectation", probe)
+        assert adjoint_wce(W) is adjoint_wce(W)
+        for p in POWERS:
+            for cached, fresh in zip(
+                t_tstar_power(W, p).parts, tstar_t_power(rebuilt, p).parts
+            ):
+                np.testing.assert_array_equal(cached, fresh)
+        adjoint_parts_closed_form(W)
+        assert len(calls) == 5  # one build: the five conditional moments
 
     def test_matrix_identity(self):
         for seed in range(5):
