@@ -256,23 +256,36 @@ def ess_range(f: MeasurableFunction, tol: float = DEFAULT_TOL) -> list:
 
 
 def cluster_values(values: Sequence[complex], tol: float) -> list:
-    """Greedy tolerance clustering of complex scalars; returns centroids."""
+    """Greedy tolerance clustering of complex scalars; returns centroids.
+
+    The values are swept in lexicographic order (real part, then imaginary);
+    each joins the first cluster, in creation order, whose running centroid
+    is within tol, or starts a new one. A centroid whose real part is more
+    than tol behind the sweep can take no later value (their real parts only
+    grow, and a centroid moves only when a value joins it), so it leaves the
+    scan: each value is compared only with the centroids near its real part.
+    """
     vals = np.asarray(values, dtype=complex)
     order = np.lexsort((vals.imag, vals.real))
     reps: list = []
     counts: list = []
+    live: list = []  # indices of the centroids still in the scan, in creation order
     for v in vals[order]:
-        placed = False
-        for j, r in enumerate(reps):
+        behind = False
+        for j in live:
+            r = reps[j]
             if abs(v - r) <= tol:
                 # running centroid keeps the representative inside the cluster
                 counts[j] += 1
                 reps[j] = r + (v - r) / counts[j]
-                placed = True
                 break
-        if not placed:
+            behind = behind or v.real - r.real > tol
+        else:
+            live.append(len(reps))
             reps.append(complex(v))
             counts.append(1)
+        if behind:
+            live = [j for j in live if v.real - reps[j].real <= tol]
     return reps
 
 

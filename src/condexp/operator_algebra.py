@@ -36,7 +36,7 @@ import logging
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -353,24 +353,54 @@ def _eighs(A: WeightedOperator) -> list:
     return [(b, *_solve("eigh", h)) for b, h in _hermitian_blocks(A)]
 
 
-def is_hermitian(T: WeightedOperator, tol: float = DEFAULT_OP_TOL) -> bool:
-    blocks = [m for _, m in _std_blocks(T)]
+def _asymmetry(blocks: list) -> tuple:
+    """(the largest entry of M - M^H, 1 + the largest entry of M) over the
+    standard-coordinate blocks M: the self-adjointness test compares them."""
     scale_ = 1.0 + max(np.abs(m).max(initial=0.0) for m in blocks)
     asymmetry = max(np.abs(m - m.conj().T).max(initial=0.0) for m in blocks)
+    return asymmetry, scale_
+
+
+def is_hermitian(T: WeightedOperator, tol: float = DEFAULT_OP_TOL) -> bool:
+    asymmetry, scale_ = _asymmetry([m for _, m in _std_blocks(T)])
     return bool(asymmetry <= tol * scale_)
+
+
+class LoewnerMargins(NamedTuple):
+    """The four numbers the Loewner test A >= B decides on, all of A - B."""
+
+    asymmetry: float  # largest entry of D - D^H, D its standard-coordinate matrix
+    scale: float  # 1 + the largest entry of D
+    smallest: float  # smallest eigenvalue of the self-adjoint part of D
+    norm: float  # largest eigenvalue modulus of the self-adjoint part of D
+
+
+def loewner_margins(A: WeightedOperator, B: WeightedOperator) -> LoewnerMargins:
+    """The margins of A >= B; they do not depend on a tolerance, so one set
+    serves every tolerance (``loewner_holds``)."""
+    _check_space(A, B)
+    blocks = [m for _, m in _std_blocks(subtract(A, B))]
+    asymmetry, scale_ = _asymmetry(blocks)
+    evals = np.concatenate([_solve("eigvalsh", 0.5 * (m + m.conj().T)) for m in blocks])
+    return LoewnerMargins(
+        asymmetry, scale_, evals.min(initial=0.0), np.abs(evals).max(initial=0.0)
+    )
+
+
+def loewner_holds(margins: LoewnerMargins, tol: float = DEFAULT_OP_TOL) -> bool:
+    """The Loewner test on its margins: the difference is self-adjoint and
+    PSD to tolerance."""
+    return bool(
+        margins.asymmetry <= tol * margins.scale
+        and margins.smallest >= -tol * (1.0 + margins.norm)
+    )
 
 
 def loewner_geq(
     A: WeightedOperator, B: WeightedOperator, tol: float = DEFAULT_OP_TOL
 ) -> bool:
     """A >= B in the Loewner order: A - B self-adjoint and PSD (to tolerance)."""
-    _check_space(A, B)
-    diff = subtract(A, B)
-    if not is_hermitian(diff, tol):
-        return False
-    evals = np.concatenate([_solve("eigvalsh", h) for _, h in _hermitian_blocks(diff)])
-    norm = np.abs(evals).max(initial=0.0)
-    return bool(evals.min(initial=0.0) >= -tol * (1.0 + norm))
+    return loewner_holds(loewner_margins(A, B), tol)
 
 
 def fractional_power(

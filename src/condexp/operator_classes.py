@@ -20,10 +20,12 @@ from .measure_space import (
 )
 from .operator_algebra import (
     WeightedOperator,
+    _once_per_operator,
     adjoint,
     compose,
     is_normal,
-    loewner_geq,
+    loewner_holds,
+    loewner_margins,
     modulus,
 )
 from .wce_operator import WCEOperator, to_matrix
@@ -69,27 +71,45 @@ class NormalityReport:
         return self.is_normal == self.is_quasi_star_a == self.u_is_algebra_measurable
 
 
+def _modulus_squared(T: WeightedOperator) -> WeightedOperator:
+    mod = modulus(T)
+    return compose(mod, mod)
+
+
+@_once_per_operator
+def _class_margins(T: WeightedOperator) -> dict:
+    """The Loewner margins of the three definitional tests, keyed by class.
+
+    T^2 is built and its modulus factored once, |T*|^2 serves *-A and
+    quasi-*-A, and every operator built here is dropped on return: T keeps
+    only the floats, and each test applies its own tolerance to them."""
+    t_star = adjoint(T)
+    mod_t2 = modulus(compose(T, T))
+    adj_sq = _modulus_squared(t_star)
+    return {
+        A_CLASS: loewner_margins(mod_t2, _modulus_squared(T)),
+        STAR_A_CLASS: loewner_margins(mod_t2, adj_sq),
+        QUASI_STAR_A_CLASS: loewner_margins(
+            compose(compose(t_star, mod_t2), T), compose(compose(t_star, adj_sq), T)
+        ),
+    }
+
+
 def is_a_class_definitional(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:
     """A-class: |T|^2 <= |T^2| in the Loewner order."""
-    mod_t = modulus(T)
-    return loewner_geq(modulus(compose(T, T)), compose(mod_t, mod_t), tol)
+    return loewner_holds(_class_margins(T)[A_CLASS], tol)
 
 
 def is_star_a_definitional(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:
     """*-A-class: |T^2| >= |T*|^2."""
-    mod_adj = modulus(adjoint(T))
-    return loewner_geq(modulus(compose(T, T)), compose(mod_adj, mod_adj), tol)
+    return loewner_holds(_class_margins(T)[STAR_A_CLASS], tol)
 
 
 def is_quasi_star_a_definitional(
     T: WeightedOperator, tol: float = DEFAULT_TOL
 ) -> bool:
     """quasi-*-A-class: T* |T^2| T >= T* |T*|^2 T."""
-    t_star = adjoint(T)
-    mod_adj = modulus(t_star)
-    lhs = compose(compose(t_star, modulus(compose(T, T))), T)
-    rhs = compose(compose(t_star, compose(mod_adj, mod_adj)), T)
-    return loewner_geq(lhs, rhs, tol)
+    return loewner_holds(_class_margins(T)[QUASI_STAR_A_CLASS], tol)
 
 
 def _pointwise_holds(lhs: np.ndarray, rhs: np.ndarray, mask: np.ndarray, tol: float):

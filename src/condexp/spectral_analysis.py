@@ -10,8 +10,9 @@ its rank is the number of those atoms.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .operator_algebra import (
     WeightedOperator,
     _solve,
     _std_blocks,
+    _svds,
     aluthge_numeric,
     eigenvalues,
     operator_norm,
@@ -47,8 +49,12 @@ __all__ = [
     "hausdorff_distance",
 ]
 
+log = logging.getLogger("condexp")
+
 #: default tolerance for eigenvalue clustering and set comparisons
 DEFAULT_SPECTRUM_TOL = 1e-7
+#: entries of the distance table ``hausdorff_distance`` holds at a time
+DISTANCE_CHUNK = 1 << 16
 #: two subspaces intersect nontrivially iff their smallest principal angle
 #: is below this (radians)
 PRINCIPAL_ANGLE_TOL = 1e-6
@@ -103,7 +109,10 @@ class JointSpectrumRangeReport:
 
 
 def hausdorff_distance(a, b) -> float:
-    """Hausdorff distance between two finite sets of complex scalars."""
+    """Hausdorff distance between two finite sets of complex scalars.
+
+    The distances are taken a bounded number of rows of the |a| x |b| table
+    at a time, so memory is O(|a| + |b|)."""
     a = list(a)
     b = list(b)
     if not a and not b:
@@ -112,8 +121,14 @@ def hausdorff_distance(a, b) -> float:
         return float("inf")
     av = np.asarray(a, dtype=complex)
     bv = np.asarray(b, dtype=complex)
-    dist = np.abs(av[:, None] - bv[None, :])
-    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+    rows = max(1, DISTANCE_CHUNK // bv.size)
+    a_to_b = np.empty(av.size)  # distance from each point of a to b
+    b_to_a = np.full(bv.size, np.inf)
+    for start in range(0, av.size, rows):
+        dist = np.abs(av[start : start + rows, None] - bv[None, :])
+        a_to_b[start : start + rows] = dist.min(axis=1)
+        np.minimum(b_to_a, dist.min(axis=0), out=b_to_a)
+    return float(max(a_to_b.max(), b_to_a.max()))
 
 
 def _nonzero_cluster(values, tol: float) -> list:
@@ -190,6 +205,48 @@ def em_u_point_spectrum(
     )
 
 
+class _LowRank(NamedTuple):
+    """A block B = U diag(s) V^H split at a cutoff into X Y^H + E, with
+    X = U_r diag(s_r) and Y = V_r over the r singular values above it."""
+
+    rank: int  # r
+    dropped: float  # tau = s[r] = ||E||, the largest singular value cut off
+    top: float  # s_1 = ||X||
+    core: np.ndarray  # C = Y^H X, r x r: its eigenvalues are X Y^H's nonzero ones
+
+
+def _low_rank(u: np.ndarray, s: np.ndarray, vh: np.ndarray, cutoff: float) -> _LowRank:
+    rank = int(np.sum(s > cutoff))
+    return _LowRank(
+        rank,
+        float(s[rank]) if rank < s.size else 0.0,
+        float(s[0]) if rank else 0.0,
+        vh[:rank] @ (u[:, :rank] * s[:rank]),
+    )
+
+
+def _shift_bound(split: _LowRank, lam: complex) -> float:
+    """A lower bound on sigma_min(X Y^H - lam I); 0.0 when there is none.
+
+    For lam != 0, Woodbury gives (X Y^H - lam I)^-1 =
+    -lam^-1 (I + X (lam I - C)^-1 Y^H), whose norm is at most
+    (1 + s_1 / sigma_min(lam I - C)) / |lam|. So sigma_min(B - lam I) is at
+    least this bound minus tau. An r x r core needs one singular-value call;
+    r <= 1 needs none."""
+    if lam == 0:
+        return 0.0
+    if split.rank == 0:
+        gap = np.inf
+    elif split.rank == 1:
+        gap = abs(lam - split.core[0, 0])
+    else:
+        shifted = lam * np.eye(split.rank) - split.core
+        gap = float(_solve("svd", shifted, compute_uv=False).min())
+    if gap == 0:
+        return 0.0
+    return abs(lam) / (1.0 + split.top / gap)
+
+
 def joint_point_spectrum(T: WeightedOperator, tol: float = 1e-8) -> list:
     """Eigenvalues that carry a common eigenvector of T and T* (conjugated).
 
@@ -201,13 +258,31 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = 1e-8) -> list:
     One SVD per block and shift gives both: with B - lambda I = U S V^H, the
     right singular vectors past the rank span null(B - lambda I) and the
     left ones null(B^H - conj(lambda) I).
+
+    A block is not factored for a shift when a bound from its own SVD (the
+    memoized ``_svds(T)``) proves that B - lambda I has no singular value
+    within twice the cutoff, so no null vector: ``_shift_bound`` minus the
+    dropped singular value. The bound needs lambda != 0 and a rank-deficient
+    block; at lambda = 0, on a full-rank block, or at an eigenvalue of the
+    block's core C, the block is factored.
     """
-    blocks = [m for _, m in _std_blocks(T)]
     cutoff = tol * (1.0 + operator_norm(T))
+    blocks = [
+        (std, _low_rank(u, s, vh, cutoff))
+        for (_, std), (_, u, s, vh) in zip(_std_blocks(T), _svds(T))
+    ]
+    clusters = cluster_values(eigenvalues(T), cutoff)
     result = []
-    for lam in cluster_values(eigenvalues(T), cutoff):
+    factored = skipped = 0
+    for lam in clusters:
         cosine = 0.0
-        for b in blocks:
+        for b, split in blocks:
+            if split.rank < b.shape[0] and (
+                _shift_bound(split, lam) - split.dropped > 2.0 * cutoff
+            ):
+                skipped += 1
+                continue
+            factored += 1
             u, s, vh = _solve("svd", b - lam * np.eye(b.shape[0]))
             rank = int(np.sum(s > cutoff))
             if rank < s.size:
@@ -218,6 +293,14 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = 1e-8) -> list:
         angle = float(np.arccos(np.clip(cosine, -1.0, 1.0)))
         if angle < PRINCIPAL_ANGLE_TOL:
             result.append(lam)
+    log.debug(
+        "joint_point_spectrum: %d clusters, %d blocks, %d shifted-block SVDs, "
+        "%d (shift, block) pairs skipped",
+        len(clusters),
+        len(blocks),
+        factored,
+        skipped,
+    )
     return result
 
 

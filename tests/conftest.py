@@ -66,3 +66,32 @@ def two_svd_joint_point_spectrum(T, tol=1e-8):
         if np.arccos(np.clip(cosine, -1.0, 1.0)) < PRINCIPAL_ANGLE_TOL:
             result.append(lam)
     return result
+
+
+def greedy_cluster_values(values, tol):
+    """The reference for ``cluster_values``: every value is compared with
+    every centroid made so far, in creation order."""
+    vals = np.asarray(values, dtype=complex)
+    order = np.lexsort((vals.imag, vals.real))
+    reps: list = []
+    counts: list = []
+    for v in vals[order]:
+        placed = False
+        for j, r in enumerate(reps):
+            if abs(v - r) <= tol:
+                counts[j] += 1
+                reps[j] = r + (v - r) / counts[j]
+                placed = True
+                break
+        if not placed:
+            reps.append(complex(v))
+            counts.append(1)
+    return reps
+
+
+def dense_hausdorff_distance(a, b):
+    """The reference for ``hausdorff_distance``: the whole distance table."""
+    av = np.asarray(list(a), dtype=complex)
+    bv = np.asarray(list(b), dtype=complex)
+    dist = np.abs(av[:, None] - bv[None, :])
+    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))

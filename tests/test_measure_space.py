@@ -15,8 +15,13 @@ from condexp import (
     support,
     weighted_inner,
 )
+from condexp.measure_space import cluster_values
 
-from conftest import make_function
+from conftest import greedy_cluster_values, make_function
+
+#: grid step of the clustering tests; a power of two, so grid values one
+#: tolerance apart are exactly one tolerance apart in floating point
+GRID = 0.125
 
 
 @st.composite
@@ -261,6 +266,50 @@ class TestEssRange:
         assert len(values) == 2
         assert min(abs(v - 1.0) for v in values) < 1e-9
         assert min(abs(v - 7.0) for v in values) == 0
+
+
+@st.composite
+def grid_values(draw):
+    """Values on a coarse grid (ties, and pairs exactly a tolerance apart),
+    some of them nudged off it."""
+    cells = draw(
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=40)
+    )
+    nudges = st.sampled_from([0.0, 0.0, 0.0, 1e-3, -0.07, 0.05 + 0.02j])
+    return [complex(i * GRID, j * GRID) + draw(nudges) for i, j in cells]
+
+
+class TestClusterValues:
+    """The sweep that drops centroids behind it against the greedy loop that
+    scans every centroid: the same centroids, in the same order, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_values(), st.sampled_from([0.0, GRID, 2 * GRID, 3 * GRID, 0.3]))
+    def test_matches_greedy_reference(self, values, tol):
+        assert cluster_values(values, tol) == greedy_cluster_values(values, tol)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_greedy_reference_on_tight_clusters(self, seed):
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-1, 1, 60) + 1j * rng.uniform(-1, 1, 60)
+        noise = 1e-9 * (rng.standard_normal(1200) + 1j * rng.standard_normal(1200))
+        values = np.repeat(centers, 20) + noise
+        values[::7] = values[::5][: values[::7].size]  # exact ties
+        rng.shuffle(values)
+        for tol in (1e-8, 1e-3, 0.2):
+            assert cluster_values(values, tol) == greedy_cluster_values(values, tol)
+
+    def test_chain_exactly_one_tolerance_apart(self):
+        """0, tol, 2 tol, ...: each value is exactly tol from the previous one,
+        on the real line and on a vertical line."""
+        chain = GRID * np.arange(30)
+        for values in (chain, 1j * chain, np.concatenate([chain, chain + 1j * GRID])):
+            got = cluster_values(values, GRID)
+            assert got == greedy_cluster_values(values, GRID)
+        assert cluster_values(chain, GRID)[:2] == [GRID / 2, 2.5 * GRID]
+
+    def test_empty(self):
+        assert cluster_values([], 1e-9) == []
 
 
 class TestLevelSet:

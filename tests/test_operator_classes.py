@@ -190,6 +190,26 @@ class TestTheoremConsistency:
         assert failures == 10
 
 
+class TestStarANecessaryCriterionDefect:
+    """The *-A necessary inequality as transcribed,
+    |E(u)|^2 |E(uw)| (E|w|^2 / E|u|^2)^(1/2) chi_S >= (E|u|^2)^(1/2) |E(w)|^2,
+    has degree 2 in u on the left and 1 on the right, so rescaling u changes
+    its answer. It fails on Cauchy-Schwarz-equal instances that the
+    definitional test puts in *-A. Pinned as computed; the README's honesty
+    note records it."""
+
+    def test_fails_on_every_proportional_instance(self):
+        for seed in range(100):
+            verdict = star_a_criteria(as_wce(proportional_instance(seed, 24, 6)))
+            assert verdict.definitional, seed
+            assert verdict.sufficient_criterion, seed
+            assert verdict.necessary_criterion is False, seed
+
+    def test_witness_of_seed_zero(self):
+        verdict = star_a_criteria(as_wce(proportional_instance(0, 24, 6)))
+        assert verdict.witness == "point 4: margin -0.14213"
+
+
 class TestNormality:
     def _em_u(self, u_values, blocks, weights=None):
         n = len(u_values)

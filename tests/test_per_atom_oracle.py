@@ -41,7 +41,7 @@ from condexp import (
     symmetric_interval_example,
     to_matrix,
 )
-from condexp.measure_space import cluster_values
+from condexp.operator_algebra import _std_blocks, _svds
 from condexp.verification import POWERS, summarize, verify_instance
 
 from conftest import multiset_close, two_svd_joint_point_spectrum
@@ -254,10 +254,12 @@ def test_eigenvalues_computed_once_per_atom(monkeypatch, instance):
 
 
 @FOUR_ATOMS
-def test_joint_point_spectrum_one_svd_per_cluster_and_atom(monkeypatch, instance):
-    """One full SVD per eigenvalue cluster and atom gives both null spaces."""
+def test_joint_point_spectrum_at_most_two_svds_per_atom(monkeypatch, instance):
+    """With T's SVD warm, the shift bound leaves only the shifts that can hit
+    a null vector of a rank-one atom: 0 and the atom's own eigenvalue, so at
+    most two full SVDs per atom."""
     T = to_matrix(as_wce(instance))
-    clusters = cluster_values(eigenvalues(T), 1e-8 * (1.0 + operator_norm(T)))
+    _svds(T)
     calls = []
 
     def probe(a, *args, _original=np.linalg.svd, **kwargs):
@@ -266,8 +268,27 @@ def test_joint_point_spectrum_one_svd_per_cluster_and_atom(monkeypatch, instance
         return _original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", probe)
-    joint_point_spectrum(T)
-    assert len(calls) == len(clusters) * len(T.blocks)
+    jp = joint_point_spectrum(T)
+    assert len(calls) <= 2 * len(T.blocks)
+    assert jp == two_svd_joint_point_spectrum(T)
+
+
+@FOUR_ATOMS
+def test_verify_factors_t_squared_once(monkeypatch, instance):
+    """The three definitional class tests share one |T^2|: a verify runs one
+    SVD on each atom block of T^2, at both class tolerances."""
+    T = to_matrix(as_wce(instance))
+    squares = [m for _, m in _std_blocks(compose(T, T))]
+    calls = []
+
+    def probe(a, *args, _original=np.linalg.svd, **kwargs):
+        if any(np.array_equal(a, m) for m in squares):
+            calls.append(np.shape(a))
+        return _original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", probe)
+    assert summarize(verify_instance(instance))["all_passed"]
+    assert len(calls) == len(T.blocks)
 
 
 #: bound on the tracemalloc peak of one verify, in units of 16 sum |B|^2 bytes

@@ -1,5 +1,11 @@
+import logging
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condexp import (
     FiniteMeasureSpace,
@@ -26,9 +32,15 @@ from condexp import (
     symmetric_interval_example,
     to_matrix,
 )
+from condexp import spectral_analysis
 from condexp.operator_algebra import DEFAULT_RANK_TOL, WeightedOperator
+from condexp.spectral_analysis import _low_rank, _shift_bound
 
-from conftest import make_function, two_svd_joint_point_spectrum
+from conftest import (
+    dense_hausdorff_distance,
+    make_function,
+    two_svd_joint_point_spectrum,
+)
 
 
 def rank_one_wce():
@@ -66,6 +78,32 @@ class TestHausdorff:
     def test_symmetric(self):
         a, b = [0, 1], [0.5]
         assert hausdorff_distance(a, b) == hausdorff_distance(b, a) == 0.5
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (3, 300), (300, 3), (300, 500)])
+    def test_chunks_give_the_dense_result_bit_for_bit(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        a, b = (rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in sizes)
+        assert hausdorff_distance(a, b) == dense_hausdorff_distance(a, b)
+
+    def test_many_small_chunks(self, monkeypatch):
+        monkeypatch.setattr(spectral_analysis, "DISTANCE_CHUNK", 7)
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        b = np.concatenate([a[:5], rng.standard_normal(9)])  # shared points
+        assert hausdorff_distance(a, b) == dense_hausdorff_distance(a, b)
+        assert hausdorff_distance(b, a) == dense_hausdorff_distance(b, a)
+
+    def test_memory_is_linear_in_the_set_sizes(self):
+        """5000 x 5000 distances would take 400 MB as one complex table."""
+        rng = np.random.default_rng(2)
+        a, b = (rng.standard_normal(5000) + 1j * rng.standard_normal(5000) for _ in "ab")
+        tracemalloc.start()
+        try:
+            hausdorff_distance(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestSpectrumClosedForm:
@@ -241,6 +279,144 @@ class TestJointPointSpectrum:
             evals = eigenvalues(T)
             for lam in joint_point_spectrum(T):
                 assert min(abs(evals - lam)) <= 1e-6 * (1 + operator_norm(T))
+
+
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _low_rank_block(rng, n, rank, noise):
+    """x y^H of the given rank plus entries of size ``noise``."""
+    return _complex(rng, n, rank) @ _complex(rng, rank, n) + noise * _complex(rng, n, n)
+
+
+def _test_block(kind, rng):
+    """(block, cutoff) of each kind the shift bound must hold on."""
+    n = int(rng.integers(4, 8))
+    if kind.startswith("rank-"):
+        block = _low_rank_block(rng, n, int(kind[-1]), 1e-11)
+        return block, 1e-8 * (1.0 + np.linalg.norm(block, 2))
+    if kind.startswith("full-rank"):  # non-normal: a large strictly upper part
+        block = np.triu(_complex(rng, n, n), 1) * 5 + np.diag(_complex(rng, n))
+        s = np.linalg.svd(block, compute_uv=False)
+        if kind == "full-rank":
+            return block, 1e-8 * s[0]  # below every singular value: r = n
+        return block, 0.5 * (s[n // 2] + s[n // 2 - 1])  # cuts the smaller half off
+    shift = 0.0 if kind == "jordan" else _complex(rng)
+    return np.eye(n, k=1) + shift * np.eye(n), 1e-8
+
+
+BOUND_KINDS = [
+    "rank-0",
+    "rank-1",
+    "rank-2",
+    "rank-3",
+    "full-rank",
+    "full-rank-cut",
+    "jordan",
+    "jordan-shifted",
+]
+
+
+class TestShiftBound:
+    """sigma_min(B - lambda I) >= _shift_bound - tau on any block, for shifts
+    far from, near and on the eigenvalues of B and of its core."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(BOUND_KINDS), st.integers(0, 2**32 - 1))
+    def test_bound_holds(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        block, cutoff = _test_block(kind, rng)
+        split = _low_rank(*np.linalg.svd(block), cutoff)
+        norm = np.linalg.norm(block, 2)
+        evals = np.concatenate([np.linalg.eigvals(block), np.linalg.eigvals(split.core)])
+        directions = np.exp(2j * np.pi * rng.uniform(size=3))
+        shifts = [0.0, *(10 * (1.0 + norm) * directions)]
+        for z in evals:
+            shifts += [z, *(z + d * directions[0] for d in (1e-9, 1e-6, 1e-3, 0.1))]
+        for lam in shifts:
+            shifted = block - lam * np.eye(len(block))
+            sigma_min = np.linalg.svd(shifted, compute_uv=False)[-1]
+            bound = _shift_bound(split, lam) - split.dropped
+            assert sigma_min >= bound - 1e-12 * (norm + abs(lam)), (kind, lam)
+
+    def test_rank_zero_bound_is_the_shift(self):
+        split = _low_rank(*np.linalg.svd(np.zeros((3, 3))), 1e-8)
+        assert split.rank == 0
+        assert _shift_bound(split, 3 - 4j) == 5.0
+
+    def test_no_bound_at_zero_or_on_a_core_eigenvalue(self):
+        rng = np.random.default_rng(0)
+        split = _low_rank(*np.linalg.svd(_low_rank_block(rng, 5, 2, 0.0)), 1e-8)
+        assert split.rank == 2
+        assert _shift_bound(split, 0.0) == 0.0
+        c = np.linalg.eigvals(split.core)[0]
+        assert _shift_bound(split, c) <= 1e-12 * abs(c)
+
+
+def _block_diagonal(parts, weights):
+    """The operator with these diagonal blocks, each on its own atom."""
+    sizes = [len(p) for p in parts]
+    n = sum(sizes)
+    entries = np.zeros((n, n), dtype=complex)
+    blocks = np.split(np.arange(n), np.cumsum(sizes)[:-1])
+    for b, p in zip(blocks, parts):
+        entries[np.ix_(b, b)] = p
+    return WeightedOperator(entries, FiniteMeasureSpace(weights), blocks)
+
+
+def _blocks_operator(seed):
+    """One operator whose atoms carry every path of the shift bound: a
+    rank-2 block (the r x r core), a nilpotent Jordan block (rank 3, core
+    nilpotent), a full-rank defective block and a full-rank non-normal one
+    (always factored), a normal rank-2 block whose eigenvalue 2 is shared with
+    the defective one, and a 1 x 1 block."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(_complex(rng, 4, 4))
+    parts = [
+        _low_rank_block(rng, 5, 2, 0.0),
+        np.eye(4, k=1),
+        np.eye(3, k=1) + 2 * np.eye(3),
+        np.triu(_complex(rng, 3, 3)) * 3,
+        (q * np.array([2, 1 + 1j, 0, 0])) @ q.conj().T,
+        np.array([[0.5]]),
+    ]
+    weights = rng.uniform(0.3, 2.0, 20)
+    weights[15:19] = 1.0  # D^(1/2) keeps the normal block (the fifth) normal
+    return _block_diagonal(parts, weights)
+
+
+class TestJointPointSpectrumSkip:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_two_svd_reference(self, seed):
+        T = _blocks_operator(seed)
+        jp = joint_point_spectrum(T)
+        assert jp == two_svd_joint_point_spectrum(T)
+        # the normal block's eigenvalues, and 0.5, carry common eigenvectors
+        assert hausdorff_distance(jp, [0, 2, 1 + 1j, 0.5]) <= 1e-7
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_two_svd_reference_on_random_low_rank_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes_ranks = [(4, 1), (5, 2), (3, 3), (6, 2)]
+        parts = [_low_rank_block(rng, k, r, 0.0) for k, r in sizes_ranks]
+        T = _block_diagonal(parts, rng.uniform(0.3, 2.0, 18))
+        assert joint_point_spectrum(T) == two_svd_joint_point_spectrum(T)
+
+    def test_one_debug_line_with_the_counts(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="condexp")
+        T = _blocks_operator(0)
+        joint_point_spectrum(T)
+        lines = [
+            r.getMessage()
+            for r in caplog.records
+            if r.getMessage().startswith("joint_point_spectrum:")
+        ]
+        assert len(lines) == 1
+        clusters, blocks, svds, skipped = map(int, re.findall(r"\d+", lines[0]))
+        assert blocks == len(T.blocks)
+        assert svds + skipped == clusters * blocks
+        assert skipped > 0
 
 
 class TestSpectralRadius:
