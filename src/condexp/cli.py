@@ -10,6 +10,7 @@ stderr. Exit codes: 0 success, 1 verification failures, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -305,7 +306,10 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="condexp",
         description=__doc__,

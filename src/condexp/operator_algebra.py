@@ -15,9 +15,12 @@ unchanged to each block.
 
 The oracle factors per atom. Every eigenvalue, SVD and eigh call, and every
 product, runs on the diagonal blocks, so it costs sum |B|^3 over the blocks
-instead of n^3. Operators built from T = M_w E M_u carry the atoms of the
-partition, which is the definition of E; the oracle never reads the
-conditional moments, so it stays independent of the closed forms it checks.
+instead of n^3. One SVD per block, memoized on the operator, serves the
+norm, the eigenvalues (a rank-deficient block's come from its r x r core),
+every power of T*T and TT*, |T| and |T*|. Operators built from
+T = M_w E M_u carry the atoms of the partition, which is the definition of
+E; the oracle never reads the conditional moments, so it stays independent
+of the closed forms it checks.
 Every decision over the whole operator (the rank cutoff, the PSD scale, the
 Loewner norm) uses the values of all blocks, so results match a one-block
 factorization to rounding. An operator given without blocks is one block:
@@ -280,6 +283,13 @@ def _rank_cutoff(svds: list, tol: float) -> float:
     return tol * max(s.max(initial=0.0) for _, _, s, _ in svds)
 
 
+def _core(u: np.ndarray, s: np.ndarray, vh: np.ndarray, rank: int) -> np.ndarray:
+    """The r x r core V_r^H U_r S_r of a block U S V^H cut to rank r: the
+    block's part U_r S_r V_r^H = X Y^H above the cutoff has the core's
+    eigenvalues, plus zeros (X Y^H and Y^H X share their nonzero ones)."""
+    return vh[:rank] @ (u[:, :rank] * s[:rank])
+
+
 def apply(T: WeightedOperator, f: MeasurableFunction) -> MeasurableFunction:
     _check_space(T, f)
     out = np.empty(T.space.point_count, dtype=complex)
@@ -326,20 +336,43 @@ def subtract(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
 
 @_once_per_operator
 def eigenvalues(T: WeightedOperator) -> np.ndarray:
-    """All n eigenvalues with multiplicity (unordered multiset, read-only)."""
-    return np.concatenate([_solve("eigvals", m) for _, m in _std_blocks(T)])
+    """All n eigenvalues with multiplicity (unordered multiset, read-only).
+
+    A block of rank r below its size (under the rank cutoff over all
+    blocks) has the eigenvalues of its r x r core from the memoized SVD and
+    exact zeros; a full-rank block is factored by eigvals."""
+    svds = _svds(T)
+    cutoff = _rank_cutoff(svds, DEFAULT_RANK_TOL)
+    evals = []
+    for (_, m), (_, u, s, vh) in zip(_std_blocks(T), svds):
+        rank = int(np.sum(s > cutoff))
+        if rank == s.size:
+            evals.append(_solve("eigvals", m))
+            continue
+        if rank:
+            evals.append(_solve("eigvals", _core(u, s, vh, rank)))
+        evals.append(np.zeros(s.size - rank, dtype=complex))
+    return np.concatenate(evals)
 
 
 @_once_per_operator
 def singular_values(T: WeightedOperator) -> np.ndarray:
-    """Descending singular values (read-only); the largest is the operator
-    norm on L2(mu)."""
-    s = [_solve("svd", m, compute_uv=False) for _, m in _std_blocks(T)]
-    return np.sort(np.concatenate(s))[::-1]
+    """Descending singular values (read-only), read off the memoized SVD;
+    the largest is the operator norm on L2(mu)."""
+    return np.sort(np.concatenate([s for _, _, s, _ in _svds(T)]))[::-1]
 
 
 def operator_norm(T: WeightedOperator) -> float:
     return float(singular_values(T)[0])
+
+
+def norm_distance(A: WeightedOperator, B: WeightedOperator) -> float:
+    """||A - B||. The difference is only measured, so its blocks get
+    values-only SVDs and nothing is memoized."""
+    return max(
+        float(_solve("svd", m, compute_uv=False).max(initial=0.0))
+        for _, m in _std_blocks(subtract(A, B))
+    )
 
 
 def _hermitian_blocks(T: WeightedOperator):
@@ -429,9 +462,26 @@ def fractional_power(
     return _from_std_blocks(pieces, A)
 
 
+def gram_power(T: WeightedOperator, p: float, outer: bool = False) -> WeightedOperator:
+    """(T* T)^p, or (T T*)^p when ``outer``, read off the memoized SVD.
+
+    A standard-coordinate block B = U S V^H gives (B^H B)^p = V S^(2p) V^H
+    and (B B^H)^p = U S^(2p) U^H; p = 1/2 is |T| or |T*|. Only T's own SVD
+    is read, so the outer side builds no factorization of T*. For p >= 1/2
+    a zero singular value's rounding noise e stays at most e; below 1/2 it
+    grows to e^(2p)."""
+    if p <= 0:
+        raise ValueError("power must be positive")
+    pieces = []
+    for b, u, s, vh in _svds(T):
+        left = u if outer else vh.conj().T
+        pieces.append((b, (left * s ** (2 * p)) @ left.conj().T))
+    return _from_std_blocks(pieces, T)
+
+
 def modulus(T: WeightedOperator) -> WeightedOperator:
     """|T| = (T* T)^(1/2), computed from the SVD for stability."""
-    return _from_std_blocks([(b, (vh.conj().T * s) @ vh) for b, _, s, vh in _svds(T)], T)
+    return gram_power(T, 0.5)
 
 
 def polar_decompose_numeric(
@@ -454,8 +504,8 @@ def polar_decompose_numeric(
 
 def is_partial_isometry(U: WeightedOperator, tol: float = DEFAULT_OP_TOL) -> bool:
     """True iff U U* U = U up to tol (operator-norm residual)."""
-    resid = subtract(compose(compose(U, adjoint(U)), U), U)
-    return operator_norm(resid) <= tol * (1.0 + operator_norm(U))
+    resid = norm_distance(compose(compose(U, adjoint(U)), U), U)
+    return resid <= tol * (1.0 + operator_norm(U))
 
 
 def aluthge_numeric(T: WeightedOperator, tol: float = DEFAULT_RANK_TOL) -> WeightedOperator:
@@ -504,6 +554,5 @@ def kernel_projection(T: WeightedOperator, tol: float = DEFAULT_RANK_TOL) -> Wei
 
 
 def is_normal(T: WeightedOperator, tol: float = DEFAULT_OP_TOL) -> bool:
-    comm = subtract(compose(T, adjoint(T)), compose(adjoint(T), T))
-    norm_t = operator_norm(T)
-    return operator_norm(comm) <= tol * (1.0 + norm_t**2)
+    comm = norm_distance(compose(T, adjoint(T)), compose(adjoint(T), T))
+    return comm <= tol * (1.0 + operator_norm(T) ** 2)

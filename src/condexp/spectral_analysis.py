@@ -19,6 +19,7 @@ import numpy as np
 from .measure_space import cluster_values, ess_range, level_set
 from .operator_algebra import (
     WeightedOperator,
+    _core,
     _solve,
     _std_blocks,
     _svds,
@@ -221,7 +222,7 @@ def _low_rank(u: np.ndarray, s: np.ndarray, vh: np.ndarray, cutoff: float) -> _L
         rank,
         float(s[rank]) if rank < s.size else 0.0,
         float(s[0]) if rank else 0.0,
-        vh[:rank] @ (u[:, :rank] * s[:rank]),
+        _core(u, s, vh, rank),
     )
 
 
@@ -231,10 +232,8 @@ def _shift_bound(split: _LowRank, lam: complex) -> float:
     For lam != 0, Woodbury gives (X Y^H - lam I)^-1 =
     -lam^-1 (I + X (lam I - C)^-1 Y^H), whose norm is at most
     (1 + s_1 / sigma_min(lam I - C)) / |lam|. So sigma_min(B - lam I) is at
-    least this bound minus tau. An r x r core needs one singular-value call;
-    r <= 1 needs none."""
-    if lam == 0:
-        return 0.0
+    least this bound minus tau; at lam = 0 the bound is 0. An r x r core
+    needs one singular-value call; r <= 1 needs none."""
     if split.rank == 0:
         gap = np.inf
     elif split.rank == 1:
@@ -259,31 +258,36 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = 1e-8) -> list:
     right singular vectors past the rank span null(B - lambda I) and the
     left ones null(B^H - conj(lambda) I).
 
-    A block is not factored for a shift when a bound from its own SVD (the
-    memoized ``_svds(T)``) proves that B - lambda I has no singular value
-    within twice the cutoff, so no null vector: ``_shift_bound`` minus the
-    dropped singular value. The bound needs lambda != 0 and a rank-deficient
-    block; at lambda = 0, on a full-rank block, or at an eigenvalue of the
+    At lambda = 0 the shifted block is B itself, so its SVD is the memoized
+    ``_svds(T)`` and nothing is factored. For lambda != 0 a block is not
+    factored when a bound from its own SVD proves that B - lambda I has no
+    singular value within twice the cutoff, so no null vector:
+    ``_shift_bound`` minus the dropped singular value. The bound needs a
+    rank-deficient block; on a full-rank block, or at an eigenvalue of the
     block's core C, the block is factored.
     """
     cutoff = tol * (1.0 + operator_norm(T))
     blocks = [
-        (std, _low_rank(u, s, vh, cutoff))
+        (std, (u, s, vh), _low_rank(u, s, vh, cutoff))
         for (_, std), (_, u, s, vh) in zip(_std_blocks(T), _svds(T))
     ]
     clusters = cluster_values(eigenvalues(T), cutoff)
     result = []
-    factored = skipped = 0
+    factored = reused = skipped = 0
     for lam in clusters:
         cosine = 0.0
-        for b, split in blocks:
-            if split.rank < b.shape[0] and (
+        for b, svd, split in blocks:
+            if lam == 0:
+                reused += 1
+                u, s, vh = svd
+            elif split.rank < b.shape[0] and (
                 _shift_bound(split, lam) - split.dropped > 2.0 * cutoff
             ):
                 skipped += 1
                 continue
-            factored += 1
-            u, s, vh = _solve("svd", b - lam * np.eye(b.shape[0]))
+            else:
+                factored += 1
+                u, s, vh = _solve("svd", b - lam * np.eye(b.shape[0]))
             rank = int(np.sum(s > cutoff))
             if rank < s.size:
                 k1 = vh[rank:, :].conj().T  # null(B - lambda I)
@@ -294,11 +298,12 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = 1e-8) -> list:
         if angle < PRINCIPAL_ANGLE_TOL:
             result.append(lam)
     log.debug(
-        "joint_point_spectrum: %d clusters, %d blocks, %d shifted-block SVDs, "
-        "%d (shift, block) pairs skipped",
+        "joint_point_spectrum: %d clusters, %d blocks, %d shifted-block SVDs "
+        "factored, %d zero-shift SVDs reused, %d (shift, block) pairs skipped",
         len(clusters),
         len(blocks),
         factored,
+        reused,
         skipped,
     )
     return result

@@ -13,6 +13,7 @@ from condexp import (
     aluthge_numeric,
     apply,
     as_wce,
+    build_wce,
     compose,
     eigenvalues,
     expectation_operator,
@@ -32,7 +33,7 @@ from condexp import (
     weighted_inner,
 )
 from condexp.measure_space import MeasurableFunction
-from condexp.operator_algebra import _std_blocks, _svds
+from condexp.operator_algebra import _std_blocks, _svds, norm_distance
 
 from conftest import make_function, multiset_close
 
@@ -146,6 +147,62 @@ class TestEigenvalues:
     def test_nilpotent(self):
         evals = eigenvalues(WeightedOperator([[0, 1], [0, 0]], flat_space(2)))
         assert np.abs(evals).max() < 1e-7
+
+    def test_nilpotent_rank_one_atom_gives_exact_zeros(self):
+        """E(uw) = 0 on the first atom with u, w != 0, so its rank-one block
+        is nilpotent. Dense eigvals spreads its zeros to about
+        sqrt(eps) ||B||; the SVD core gives |B| - 1 exact zeros and one
+        eigenvalue of rounding size."""
+        space = flat_space(6)
+        algebra = SubSigmaAlgebra(([0, 1, 2, 3], [4, 5]), 6)
+        u = make_function(space, [1, 1, 1, 1, 2, 1j])
+        w = make_function(space, [1, -1, 2, -2, 1, 3])
+        T = to_matrix(build_wce(space, algebra, u, w))
+        norm = operator_norm(T)
+        evals = eigenvalues(T)
+        assert np.count_nonzero(evals[:4]) <= 1
+        assert np.abs(evals[:4]).max() <= 1e-15 * norm
+        assert multiset_close(evals[4:], [1 + 1.5j, 0], 1e-14)
+        dense = np.linalg.eigvals(next(_std_blocks(T))[1])
+        assert np.abs(dense).max() > 1e-12 * norm
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            np.diag([1.0, 2.0, 3.0]),
+            np.eye(3, k=1) + 2 * np.eye(3),
+            np.triu(np.arange(1, 10).reshape(3, 3) * (1 - 0.5j)),
+        ],
+        ids=["diagonal", "defective", "non-normal"],
+    )
+    def test_full_rank_keeps_dense_eigvals(self, entries):
+        T = WeightedOperator(entries, FiniteMeasureSpace([0.5, 1.0, 2.0]))
+        dense = np.linalg.eigvals(next(_std_blocks(T))[1])
+        np.testing.assert_array_equal(eigenvalues(T), dense)
+
+
+class TestNormDistance:
+    def test_is_the_norm_of_the_difference(self):
+        for seed in range(3):
+            T = to_matrix(as_wce(random_instance(seed, 18, 3)))
+            A = compose(T, adjoint(T))
+            d = norm_distance(A, T)
+            diff = WeightedOperator(A.entries - T.entries, T.space)
+            assert d == pytest.approx(operator_norm(diff), rel=1e-12)
+
+    def test_values_only_and_nothing_memoized(self, monkeypatch):
+        T = to_matrix(as_wce(random_instance(0, 18, 3)))
+        A = compose(T, T)
+        calls = []
+
+        def probe(a, *args, _original=np.linalg.svd, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", probe)
+        norm_distance(A, T)
+        assert calls == [False] * len(T.blocks)
+        assert not A._memo and not T._memo
 
 
 class TestSingularValues:
@@ -392,17 +449,22 @@ class TestNormal:
 
 
 class TestSolverLog:
-    def test_one_debug_record_per_block(self, caplog):
+    def test_one_debug_record_per_solver_call(self, caplog):
+        """eigenvalues of a rank-one-per-atom T: an SVD record per block and
+        an eigvals record per 1 x 1 core, each with its shape and seconds."""
         T = to_matrix(as_wce(random_instance(0, 10, 3)))
         caplog.set_level(logging.DEBUG, logger="condexp")
         eigenvalues(T)
         messages = [r.getMessage() for r in caplog.records if r.name == "condexp"]
-        assert len(messages) == len(T.blocks) == 3
-        shapes = sorted(m.split()[1] for m in messages)
-        assert shapes == sorted(f"{b.size}x{b.size}" for b in T.blocks)
-        for m in messages:
-            routine, _, seconds, unit = m.split()
-            assert routine == "eigvals" and float(seconds) >= 0.0 and unit == "s"
+        assert len(messages) == 2 * len(T.blocks) == 6
+        records = [m.split() for m in messages]
+        for _, _, seconds, unit in records:
+            assert float(seconds) >= 0.0 and unit == "s"
+        shapes = {"svd": [], "eigvals": []}
+        for routine, shape, _, _ in records:
+            shapes[routine].append(shape)
+        assert sorted(shapes["svd"]) == sorted(f"{b.size}x{b.size}" for b in T.blocks)
+        assert shapes["eigvals"] == ["1x1"] * len(T.blocks)
 
     def test_silent_above_debug(self, caplog):
         caplog.set_level(logging.INFO, logger="condexp")

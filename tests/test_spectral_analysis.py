@@ -33,12 +33,13 @@ from condexp import (
     to_matrix,
 )
 from condexp import spectral_analysis
-from condexp.operator_algebra import DEFAULT_RANK_TOL, WeightedOperator
+from condexp.operator_algebra import DEFAULT_RANK_TOL, WeightedOperator, _std_blocks
 from condexp.spectral_analysis import _low_rank, _shift_bound
 
 from conftest import (
     dense_hausdorff_distance,
     make_function,
+    multiset_close,
     two_svd_joint_point_spectrum,
 )
 
@@ -403,6 +404,24 @@ class TestJointPointSpectrumSkip:
         T = _block_diagonal(parts, rng.uniform(0.3, 2.0, 18))
         assert joint_point_spectrum(T) == two_svd_joint_point_spectrum(T)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eigenvalues_from_the_svd_core(self, seed):
+        """Full-rank blocks keep their dense eigvals bit for bit; the
+        rank-deficient ones match them as a multiset, with exact zeros."""
+        T = _blocks_operator(seed)
+        evals = eigenvalues(T)
+        cutoff = DEFAULT_RANK_TOL * operator_norm(T)
+        start = 0
+        for _, m in _std_blocks(T):
+            got, dense = evals[start : start + len(m)], np.linalg.eigvals(m)
+            start += len(m)
+            rank = int(np.sum(np.linalg.svd(m, compute_uv=False) > cutoff))
+            if rank == len(m):
+                np.testing.assert_array_equal(got, dense)
+            else:
+                assert np.count_nonzero(got) <= rank
+                assert multiset_close(got, dense, 1e-7)
+
     def test_one_debug_line_with_the_counts(self, caplog):
         caplog.set_level(logging.DEBUG, logger="condexp")
         T = _blocks_operator(0)
@@ -413,10 +432,11 @@ class TestJointPointSpectrumSkip:
             if r.getMessage().startswith("joint_point_spectrum:")
         ]
         assert len(lines) == 1
-        clusters, blocks, svds, skipped = map(int, re.findall(r"\d+", lines[0]))
+        clusters, blocks, svds, reused, skipped = map(int, re.findall(r"\d+", lines[0]))
         assert blocks == len(T.blocks)
-        assert svds + skipped == clusters * blocks
+        assert svds + reused + skipped == clusters * blocks
         assert skipped > 0
+        assert reused == blocks  # the zero cluster is exactly 0
 
 
 class TestSpectralRadius:
