@@ -140,6 +140,7 @@ def _load_instance(args) -> Instance:
 
 
 def _tolerances(args) -> Tolerances:
+    """The tolerance flags, validated (finite and >= 0) by ``Tolerances``."""
     return Tolerances(psd=args.tol_psd, spectrum=args.tol_spec, support=args.tol_support)
 
 
@@ -190,8 +191,9 @@ def _instance_summary(instance: Instance) -> dict:
 
 
 def cmd_inspect(args) -> int:
+    tols = _tolerances(args)
     instance = _load_instance(args)
-    W = as_wce(instance, support_tol=args.tol_support)
+    W = as_wce(instance, support_tol=tols.support)
     report = {
         "instance": _instance_summary(instance),
         "moments": {
@@ -213,20 +215,21 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    tols = _tolerances(args)
     instance = _load_instance(args)
-    W = as_wce(instance, support_tol=args.tol_support)
+    W = as_wce(instance, support_tol=tols.support)
     gap = oc.cauchy_schwarz_gap(W).values.real
     report = {
         "instance": _instance_summary(instance),
         "verdicts": [
-            _verdict_dict(oc.a_class_criterion(W, args.tol_psd)),
-            _verdict_dict(oc.star_a_criteria(W, args.tol_psd)),
-            _verdict_dict(oc.quasi_star_a_criteria(W, args.tol_psd)),
+            _verdict_dict(oc.a_class_criterion(W, tols.psd)),
+            _verdict_dict(oc.star_a_criteria(W, tols.psd)),
+            _verdict_dict(oc.quasi_star_a_criteria(W, tols.psd)),
         ],
         "cauchy_schwarz_gap": {"min": float(gap.min()), "max": float(gap.max())},
     }
-    if np.abs(instance.w.values - 1.0).max() <= args.tol_psd:
-        normality = oc.normality_equivalence(W, args.tol_psd)
+    if np.abs(instance.w.values - 1.0).max() <= tols.psd:
+        normality = oc.normality_equivalence(W, tols.psd)
         report["normality_equivalence"] = {
             "is_normal": normality.is_normal,
             "is_quasi_star_a": normality.is_quasi_star_a,
@@ -238,9 +241,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    tols = _tolerances(args)
     instance = _load_instance(args)
-    W = as_wce(instance, support_tol=args.tol_support)
-    spec = sa.spectrum_report(W, args.tol_spec)
+    W = as_wce(instance, support_tol=tols.support)
+    spec = sa.spectrum_report(W, tols.spectrum)
     T = wce.to_matrix(W)
     report = {
         "instance": _instance_summary(instance),

@@ -16,8 +16,12 @@ unchanged to each block.
 The oracle factors per atom. Every eigenvalue, SVD and eigh call, and every
 product, runs on the diagonal blocks, so it costs sum |B|^3 over the blocks
 instead of n^3. One SVD per block, memoized on the operator, serves the
-norm, the eigenvalues (a rank-deficient block's come from its r x r core),
-every power of T*T and TT*, |T| and |T*|. Operators built from
+norm. Cut at the one rank cutoff it gives each block's rank-r factors
+X diag(s) Y^H, which serve the eigenvalues (a rank-deficient block's come
+from its r x r core), every power of T*T and TT*, |T|, |T*|, the polar
+factors and the Aluthge transform. An operator the oracle builds as
+L K R^H from a small core K keeps the core, so its own factors cost one
+r x r SVD. Operators built from
 T = M_w E M_u carry the atoms of the partition, which is the definition of
 E; the oracle never reads the conditional moments, so it stays independent
 of the closed forms it checks.
@@ -28,8 +32,8 @@ the dense oracle, which the tests use as the reference. An operator is
 immutable, so its factorizations and its adjoint are computed once and
 shared by every caller. An operator and its adjoint share one SVD: the
 adjoint's standard-coordinate blocks are the conjugate transposes, so its
-SVD is read off the operator's, through a weak reference that keeps no
-operator alive.
+SVD is read off the operator's, and its factors are the operator's swapped
+(Y diag(s) X^H), through a weak reference that keeps no operator alive.
 """
 
 from __future__ import annotations
@@ -283,11 +287,63 @@ def _rank_cutoff(svds: list, tol: float) -> float:
     return tol * max(s.max(initial=0.0) for _, _, s, _ in svds)
 
 
-def _core(u: np.ndarray, s: np.ndarray, vh: np.ndarray, rank: int) -> np.ndarray:
-    """The r x r core V_r^H U_r S_r of a block U S V^H cut to rank r: the
-    block's part U_r S_r V_r^H = X Y^H above the cutoff has the core's
-    eigenvalues, plus zeros (X Y^H and Y^H X share their nonzero ones)."""
-    return vh[:rank] @ (u[:, :rank] * s[:rank])
+def _cut(svds: list, tol: float) -> list:
+    """(indices, X, s, Y) of each block U diag(s) V^H cut at the rank cutoff:
+    the block's part above it is X diag(s) Y^H, with X = U_r and Y = V_r
+    (|B| x r, orthonormal columns)."""
+    cutoff = _rank_cutoff(svds, tol)
+    out = []
+    for b, u, s, vh in svds:
+        rank = int(np.sum(s > cutoff))
+        out.append((b, u[:, :rank], s[:rank], vh[:rank].conj().T))
+    return out
+
+
+#: memo key of an operator the oracle built from cores: its list of
+#: (indices, L, K, R), each standard-coordinate block being L K R^H
+_CORES = "cores"
+
+
+@_once_per_operator
+def _factors(T: WeightedOperator) -> list:
+    """(indices, X, s, Y) of each standard-coordinate block X diag(s) Y^H,
+    cut at the oracle's one rank cutoff (``_cut`` at DEFAULT_RANK_TOL).
+
+    The adjoint of a live A has A's factors swapped, the same arrays. An
+    operator built from cores L K R^H with orthonormal L and R factors each
+    r x r core, K = P diag(s) Q^H, so X = L P and Y = R Q. Any other
+    operator cuts its memoized SVD."""
+    ref = T._memo.get(_ADJOINT_OF)
+    source = ref() if ref is not None else None
+    if source is not None:
+        return [(b, y, s, x) for b, x, s, y in _factors(source)]
+    cores = T._memo.get(_CORES)
+    if cores is None:
+        return _cut(_svds(T), DEFAULT_RANK_TOL)
+    cut = _cut([(b, *_solve("svd", k)) for b, _, k, _ in cores], DEFAULT_RANK_TOL)
+    return [(b, left @ p, s, right @ q) for (b, p, s, q), (_, left, _, right) in zip(cut, cores)]
+
+
+def _factors_at(T: WeightedOperator, tol: float) -> list:
+    """T's factors cut at ``tol``: the memoized ones at the default."""
+    return _factors(T) if tol == DEFAULT_RANK_TOL else _cut(_svds(T), tol)
+
+
+def _core(x: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The r x r core Y^H X diag(s) of a block X diag(s) Y^H: the block has
+    the core's eigenvalues, plus zeros (X (S Y^H) and (S Y^H) X share their
+    nonzero ones)."""
+    return y.conj().T @ (x * s)
+
+
+def _from_cores(cores: list, T: WeightedOperator) -> WeightedOperator:
+    """The operator with T's blocks whose standard-coordinate blocks are
+    L K R^H for each (indices, L, K, R) in ``cores`` (L and R with
+    orthonormal columns); it keeps the cores, so its factors cost one r x r
+    SVD per block."""
+    op = _from_std_blocks([(b, (left @ k) @ right.conj().T) for b, left, k, right in cores], T)
+    op._memo[_CORES] = cores
+    return op
 
 
 def apply(T: WeightedOperator, f: MeasurableFunction) -> MeasurableFunction:
@@ -339,19 +395,16 @@ def eigenvalues(T: WeightedOperator) -> np.ndarray:
     """All n eigenvalues with multiplicity (unordered multiset, read-only).
 
     A block of rank r below its size (under the rank cutoff over all
-    blocks) has the eigenvalues of its r x r core from the memoized SVD and
-    exact zeros; a full-rank block is factored by eigvals."""
-    svds = _svds(T)
-    cutoff = _rank_cutoff(svds, DEFAULT_RANK_TOL)
+    blocks) has the eigenvalues of the r x r core of its factors and exact
+    zeros; a full-rank block is factored by eigvals."""
     evals = []
-    for (_, m), (_, u, s, vh) in zip(_std_blocks(T), svds):
-        rank = int(np.sum(s > cutoff))
-        if rank == s.size:
+    for (_, m), (_, x, s, y) in zip(_std_blocks(T), _factors(T)):
+        if s.size == len(m):
             evals.append(_solve("eigvals", m))
             continue
-        if rank:
-            evals.append(_solve("eigvals", _core(u, s, vh, rank)))
-        evals.append(np.zeros(s.size - rank, dtype=complex))
+        if s.size:
+            evals.append(_solve("eigvals", _core(x, s, y)))
+        evals.append(np.zeros(len(m) - s.size, dtype=complex))
     return np.concatenate(evals)
 
 
@@ -413,8 +466,16 @@ def loewner_margins(A: WeightedOperator, B: WeightedOperator) -> LoewnerMargins:
     serves every tolerance (``loewner_holds``)."""
     _check_space(A, B)
     blocks = [m for _, m in _std_blocks(subtract(A, B))]
+    return _margins(blocks, blocks)
+
+
+def _margins(blocks: list, cores: list) -> LoewnerMargins:
+    """The Loewner margins of the standard-coordinate ``blocks`` D = Z K Z^H,
+    each given with its core K (Z with orthonormal columns; K = D for
+    Z = I): the asymmetry and scale are read off D, the eigenvalues of its
+    self-adjoint part off K's, the rest being exact zeros."""
     asymmetry, scale_ = _asymmetry(blocks)
-    evals = np.concatenate([_solve("eigvalsh", 0.5 * (m + m.conj().T)) for m in blocks])
+    evals = np.concatenate([_solve("eigvalsh", 0.5 * (k + k.conj().T)) for k in cores])
     return LoewnerMargins(
         asymmetry, scale_, evals.min(initial=0.0), np.abs(evals).max(initial=0.0)
     )
@@ -463,20 +524,19 @@ def fractional_power(
 
 
 def gram_power(T: WeightedOperator, p: float, outer: bool = False) -> WeightedOperator:
-    """(T* T)^p, or (T T*)^p when ``outer``, read off the memoized SVD.
+    """(T* T)^p, or (T T*)^p when ``outer``, read off the memoized factors.
 
-    A standard-coordinate block B = U S V^H gives (B^H B)^p = V S^(2p) V^H
-    and (B B^H)^p = U S^(2p) U^H; p = 1/2 is |T| or |T*|. Only T's own SVD
-    is read, so the outer side builds no factorization of T*. For p >= 1/2
-    a zero singular value's rounding noise e stays at most e; below 1/2 it
-    grows to e^(2p)."""
+    A standard-coordinate block B = X S Y^H gives (B^H B)^p = Y S^(2p) Y^H
+    and (B B^H)^p = X S^(2p) X^H; p = 1/2 is |T| or |T*|. Only T's own
+    factors are read, so the outer side builds no factorization of T*, and
+    the singular values under the rank cutoff are exact zeros."""
     if p <= 0:
         raise ValueError("power must be positive")
-    pieces = []
-    for b, u, s, vh in _svds(T):
-        left = u if outer else vh.conj().T
-        pieces.append((b, (left * s ** (2 * p)) @ left.conj().T))
-    return _from_std_blocks(pieces, T)
+    cores = []
+    for b, x, s, y in _factors(T):
+        side = x if outer else y
+        cores.append((b, side, np.diag(s ** (2 * p)), side))
+    return _from_cores(cores, T)
 
 
 def modulus(T: WeightedOperator) -> WeightedOperator:
@@ -488,17 +548,12 @@ def polar_decompose_numeric(
     T: WeightedOperator, tol: float = DEFAULT_RANK_TOL
 ) -> PolarParts:
     """Polar factors with the kernel condition: U is T|T|^-1 on range(|T|)
-    and 0 on kernel(|T|), so N(U) = N(|T|)."""
-    svds = _svds(T)
-    cutoff = _rank_cutoff(svds, tol)
-    mod, iso = [], []
-    for b, u, s, vh in svds:
-        rank = int(np.sum(s > cutoff))
-        mod.append((b, (vh.conj().T * s) @ vh))
-        iso.append((b, u[:, :rank] @ vh[:rank, :]))
+    and 0 on kernel(|T|), so N(U) = N(|T|). A block X S Y^H gives
+    U = X Y^H and |T| = Y S Y^H."""
+    factors = _factors_at(T, tol)
     return PolarParts(
-        isometry_part=_from_std_blocks(iso, T),
-        modulus_part=_from_std_blocks(mod, T),
+        isometry_part=_from_cores([(b, x, np.eye(s.size), y) for b, x, s, y in factors], T),
+        modulus_part=_from_cores([(b, y, np.diag(s), y) for b, _, s, y in factors], T),
     )
 
 
@@ -509,18 +564,17 @@ def is_partial_isometry(U: WeightedOperator, tol: float = DEFAULT_OP_TOL) -> boo
 
 
 def aluthge_numeric(T: WeightedOperator, tol: float = DEFAULT_RANK_TOL) -> WeightedOperator:
-    """|T|^(1/2) U |T|^(1/2) from the numeric polar decomposition."""
-    svds = _svds(T)
-    cutoff = _rank_cutoff(svds, tol)
-    pieces = []
-    for b, u, s, vh in svds:
-        rank = int(np.sum(s > cutoff))
-        # sqrt amplifies sub-cutoff noise (eps -> sqrt(eps)); treat it as zero
-        s_clean = np.where(s > cutoff, s, 0.0)
-        half = (vh.conj().T * np.sqrt(s_clean)) @ vh
-        iso = u[:, :rank] @ vh[:rank, :]
-        pieces.append((b, half @ iso @ half))
-    return _from_std_blocks(pieces, T)
+    """|T|^(1/2) U |T|^(1/2) from the numeric polar decomposition.
+
+    A block X S Y^H has |T|^(1/2) = Y S^(1/2) Y^H and U = X Y^H, so the
+    transform is Y (S^(1/2) C S^(1/2)) Y^H with the r x r core C = Y^H X,
+    which the result keeps. The singular values under the cutoff are exact
+    zeros: the square root would amplify their noise (eps -> sqrt(eps))."""
+    cores = []
+    for b, x, s, y in _factors_at(T, tol):
+        root = np.sqrt(s)
+        cores.append((b, y, root[:, None] * (y.conj().T @ x) * root[None, :], y))
+    return _from_cores(cores, T)
 
 
 def _null_blocks(T: WeightedOperator, tol: float) -> list:

@@ -20,13 +20,12 @@ from .measure_space import (
 )
 from .operator_algebra import (
     WeightedOperator,
+    _factors,
+    _margins,
     _once_per_operator,
-    adjoint,
-    compose,
+    _solve,
     is_normal,
     loewner_holds,
-    loewner_margins,
-    modulus,
 )
 from .wce_operator import WCEOperator, to_matrix
 
@@ -71,27 +70,33 @@ class NormalityReport:
         return self.is_normal == self.is_quasi_star_a == self.u_is_algebra_measurable
 
 
-def _modulus_squared(T: WeightedOperator) -> WeightedOperator:
-    mod = modulus(T)
-    return compose(mod, mod)
-
-
 @_once_per_operator
 def _class_margins(T: WeightedOperator) -> dict:
     """The Loewner margins of the three definitional tests, keyed by class.
 
-    T^2 is built and its modulus factored once, |T*|^2 serves *-A and
-    quasi-*-A, and every operator built here is dropped on return: T keeps
-    only the floats, and each test applies its own tolerance to them."""
-    t_star = adjoint(T)
-    mod_t2 = modulus(compose(T, T))
-    adj_sq = _modulus_squared(t_star)
+    They are read off T's factors: on a standard-coordinate block
+    B = X S Y^H with C = Y^H X, T^2 is X M Y^H with M = S C S, so
+    |T^2| = Y |M| Y^H, |T|^2 = Y S^2 Y^H and |T*|^2 = X S^2 X^H. The A and
+    quasi-*-A differences are Y K Y^H with the r x r cores |M| - S^2 and
+    S (C^H |M| C - S^2) S; the *-A one is Q K Q^H on an orthonormal basis Q
+    of [Y X], with a core of at most 2r x 2r. Only r x r factorizations
+    run, and T keeps only the floats; each test applies its own tolerance."""
+    diffs = {A_CLASS: [], STAR_A_CLASS: [], QUASI_STAR_A_CLASS: []}
+    for _, x, s, y in _factors(T):
+        c = y.conj().T @ x
+        _, sigma, qh = _solve("svd", s[:, None] * c * s[None, :])
+        abs_m = (qh.conj().T * sigma) @ qh
+        sq = np.diag(s**2)
+        q, r = _solve("qr", np.hstack([y, x]))
+        ry, rx = r[:, : s.size], r[:, s.size :]
+        diffs[A_CLASS].append((y, abs_m - sq))
+        diffs[STAR_A_CLASS].append((q, ry @ abs_m @ ry.conj().T - rx @ sq @ rx.conj().T))
+        diffs[QUASI_STAR_A_CLASS].append(
+            (y, s[:, None] * (c.conj().T @ abs_m @ c - sq) * s[None, :])
+        )
     return {
-        A_CLASS: loewner_margins(mod_t2, _modulus_squared(T)),
-        STAR_A_CLASS: loewner_margins(mod_t2, adj_sq),
-        QUASI_STAR_A_CLASS: loewner_margins(
-            compose(compose(t_star, mod_t2), T), compose(compose(t_star, adj_sq), T)
-        ),
+        name: _margins([(z @ k) @ z.conj().T for z, k in pairs], [k for _, k in pairs])
+        for name, pairs in diffs.items()
     }
 
 

@@ -222,7 +222,7 @@ def _low_rank(u: np.ndarray, s: np.ndarray, vh: np.ndarray, cutoff: float) -> _L
         rank,
         float(s[rank]) if rank < s.size else 0.0,
         float(s[0]) if rank else 0.0,
-        _core(u, s, vh, rank),
+        _core(u[:, :rank], s[:rank], vh[:rank].conj().T),
     )
 
 
@@ -264,7 +264,9 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = 1e-8) -> list:
     singular value within twice the cutoff, so no null vector:
     ``_shift_bound`` minus the dropped singular value. The bound needs a
     rank-deficient block; on a full-rank block, or at an eigenvalue of the
-    block's core C, the block is factored.
+    block's core C, the block is factored. When the two null spaces of a
+    block have dimensions that sum past its size they intersect, so the
+    cosine is 1 with no SVD of the principal angles.
     """
     cutoff = tol * (1.0 + operator_norm(T))
     blocks = [
@@ -289,7 +291,10 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = 1e-8) -> list:
                 factored += 1
                 u, s, vh = _solve("svd", b - lam * np.eye(b.shape[0]))
             rank = int(np.sum(s > cutoff))
-            if rank < s.size:
+            if 2 * rank < s.size:
+                # two null spaces of dimension |B| - r > |B| / 2 intersect
+                cosine = 1.0
+            elif rank < s.size:
                 k1 = vh[rank:, :].conj().T  # null(B - lambda I)
                 k2 = u[:, rank:]  # null(B^H - conj(lambda) I)
                 cosines = _solve("svd", k1.conj().T @ k2, compute_uv=False)

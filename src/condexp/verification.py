@@ -8,7 +8,8 @@ subcommand and the acceptance test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +31,14 @@ class Tolerances:
     spectrum: float = 1e-7  # eigenvalue set comparisons (relative)
     support: float = 1e-12  # conditional-moment support decisions
     gap: float = 1e-9  # Cauchy-Schwarz floor
+
+    def __post_init__(self):
+        """Every tolerance must be finite and >= 0: a negative one fails
+        every check, an infinite or NaN one passes or fails them vacuously."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"tolerance {f.name!r} must be finite and >= 0, got {value}")
 
 
 @dataclass

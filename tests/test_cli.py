@@ -18,6 +18,7 @@ from condexp.cli import (
     instance_to_json,
     main,
 )
+from condexp.verification import Tolerances
 
 
 def run_cli(capsys, argv):
@@ -210,6 +211,29 @@ class TestBadInput:
         code, _, err = run_cli(capsys, ["inspect"])
         assert code == EXIT_BAD_INPUT
         assert "instance source" in err
+
+    @pytest.mark.parametrize("command", ["verify", "classify", "spectrum"])
+    @pytest.mark.parametrize("flag", ["--tol-psd", "--tol-spec", "--tol-support"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_invalid_tolerance_is_rejected(self, capsys, command, flag, value):
+        """A negative tolerance fails every check and an infinite or NaN one
+        decides them vacuously: each is invalid input."""
+        argv = [command, "--random", "--points", "12", "--blocks", "3", flag, value]
+        code, out, err = run_cli(capsys, argv)
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert "finite and >= 0" in err
+
+    @pytest.mark.parametrize("field", ["psd", "match", "spectrum", "support", "gap"])
+    @pytest.mark.parametrize("value", [-1e-9, float("nan"), float("inf")])
+    def test_tolerances_reject_invalid_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Tolerances(**{field: value})
+
+    @pytest.mark.parametrize("flag", ["--tol-psd", "--tol-spec", "--tol-support"])
+    def test_zero_tolerance_is_accepted(self, capsys, flag):
+        code, _, _ = run_cli(capsys, ["classify", "--random", "--points", "12", flag, "0"])
+        assert code == EXIT_OK
 
 
 class TestInspect:

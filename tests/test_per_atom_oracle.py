@@ -43,12 +43,21 @@ from condexp import (
 )
 from condexp.operator_algebra import (
     DEFAULT_RANK_TOL,
+    _factors,
     _rank_cutoff,
     _std_blocks,
     _svds,
     gram_power,
+    loewner_holds,
+    loewner_margins,
 )
-from condexp.verification import POWERS, summarize, verify_instance
+from condexp.operator_classes import (
+    A_CLASS,
+    QUASI_STAR_A_CLASS,
+    STAR_A_CLASS,
+    _class_margins,
+)
+from condexp.verification import POWERS, Tolerances, summarize, verify_instance
 
 from conftest import multiset_close, two_svd_joint_point_spectrum
 
@@ -317,22 +326,111 @@ def test_joint_point_spectrum_at_most_one_svd_per_atom(monkeypatch, instance):
     assert jp == two_svd_joint_point_spectrum(T)
 
 
+#: full-size (|B| x |B|) factorizations one verify may make per atom: T's
+#: SVD, the SVDs of the closed-form polar factors' two kernels, the three
+#: values-only residual SVDs, and the joint point spectrum's SVD at the
+#: atom's own eigenvalue
+FULL_SIZE_FACTORIZATIONS_PER_ATOM = 7
+
+
 @FOUR_ATOMS
-def test_verify_factors_t_squared_once(monkeypatch, instance):
-    """The three definitional class tests share one |T^2|: a verify runs one
-    SVD on each atom block of T^2, at both class tolerances."""
+def test_verify_factors_neither_t_squared_nor_its_aluthge(monkeypatch, instance):
+    """The class margins read T^2 and the second Aluthge transform reads
+    Delta(T) off T's factors: no SVD runs on a block of T^2 or of Delta(T),
+    and verify makes at most 7 full-size factorizations per atom."""
     T = to_matrix(as_wce(instance))
-    squares = [m for _, m in _std_blocks(compose(T, T))]
+    derived = [m for X in (compose(T, T), aluthge_numeric(T)) for _, m in _std_blocks(X)]
+    sizes = {b.size for b in T.blocks}
+    derived_svds, full_size = [], []
+    for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "qr"):
+
+        def probe(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            a = np.asarray(a)
+            if _name == "svd" and any(np.array_equal(a, m) for m in derived):
+                derived_svds.append(a.shape)
+            if a.ndim == 2 and a.shape[0] == a.shape[1] and a.shape[0] in sizes:
+                full_size.append((_name, a.shape))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, probe)
+    assert summarize(verify_instance(instance))["all_passed"]
+    assert derived_svds == []
+    assert len(full_size) <= FULL_SIZE_FACTORIZATIONS_PER_ATOM * len(T.blocks)
+
+
+def _memo_arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _memo_arrays(item)
+
+
+@FOUR_ATOMS
+def test_adjoint_aluthge_keeps_no_copies_of_t_svd(instance):
+    """T*'s factors are T's swapped, the same arrays: the Aluthge transform
+    of T* memoizes no |B| x |B| array on T*, only |B| x r ones."""
+    T = to_matrix(as_wce(instance))
+    t_star = adjoint(T)
+    aluthge_numeric(t_star)
+    arrays = list(_memo_arrays(list(t_star._memo.values())))
+    assert arrays
+    assert max(a.size for a in arrays) <= max(b.size for b in T.blocks)
+    for (_, x, s, y), (_, x_adj, s_adj, y_adj) in zip(_factors(T), _factors(t_star)):
+        assert x_adj is y and s_adj is s and y_adj is x
+
+
+@FOUR_ATOMS
+def test_joint_point_spectrum_skips_angles_of_intersecting_null_spaces(
+    monkeypatch, instance
+):
+    """At lambda = 0 the two null spaces of a rank-one atom have dimension
+    |B| - 1 each, which sum past |B|, so they intersect and no principal-angle
+    SVD runs: the only ones left are 1 x 1, at each atom's own eigenvalue."""
+    T = to_matrix(as_wce(instance))
+    _svds(T)
     calls = []
 
     def probe(a, *args, _original=np.linalg.svd, **kwargs):
-        if any(np.array_equal(a, m) for m in squares):
+        if not kwargs.get("compute_uv", True):
             calls.append(np.shape(a))
         return _original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", probe)
-    assert summarize(verify_instance(instance))["all_passed"]
-    assert len(calls) == len(T.blocks)
+    jp = joint_point_spectrum(T)
+    assert calls == [(1, 1)] * len(T.blocks)
+    assert 0.0 in jp
+    assert jp == two_svd_joint_point_spectrum(T)
+
+
+@pytest.mark.parametrize("name, W", CASES, ids=[c[0] for c in CASES])
+def test_class_margins_match_the_composed_operators(name, W):
+    """The class margins read off T's factors give the verdicts of the
+    generic route, loewner_margins on the composed |T^2|, |T|^2, |T*|^2 and
+    T*(.)T, at both class tolerances, and the same eigenvalue margins."""
+    T = to_matrix(W)
+    t_star = adjoint(T)
+    mod_t2 = modulus(compose(T, T))
+    mod_sq = compose(modulus(T), modulus(T))
+    adj_sq = compose(modulus(t_star), modulus(t_star))
+    generic = {
+        A_CLASS: loewner_margins(mod_t2, mod_sq),
+        STAR_A_CLASS: loewner_margins(mod_t2, adj_sq),
+        QUASI_STAR_A_CLASS: loewner_margins(
+            compose(compose(t_star, mod_t2), T), compose(compose(t_star, adj_sq), T)
+        ),
+    }
+    margins = _class_margins(T)
+    scale = (1.0 + operator_norm(T)) ** 4
+    for cls, reference in generic.items():
+        for tol in (Tolerances().psd, Tolerances().match):
+            assert loewner_holds(margins[cls], tol) == loewner_holds(reference, tol), cls
+        np.testing.assert_allclose(
+            [margins[cls].smallest, margins[cls].norm],
+            [reference.smallest, reference.norm],
+            rtol=0,
+            atol=1e-12 * scale,
+        )
 
 
 #: bound on the tracemalloc peak of one verify, in units of 16 sum |B|^2 bytes
