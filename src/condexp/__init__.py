@@ -32,12 +32,9 @@ from .operator_algebra import (
     fractional_power,
     is_hermitian,
     is_normal,
-    is_partial_isometry,
-    kernel,
     kernel_projection,
     loewner_geq,
     modulus,
-    multiplication_operator,
     operator_norm,
     polar_decompose_numeric,
     singular_values,
@@ -76,7 +73,6 @@ from .spectral_analysis import (
     joint_spectrum_range_check,
     em_u_point_spectrum,
     hausdorff_distance,
-    iterated_aluthge,
     joint_point_spectrum,
     sigma_p_equals_sigma_jp_check,
     spectral_radius_closed_form,

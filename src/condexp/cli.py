@@ -119,9 +119,13 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_tol_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-psd", type=float, default=1e-9, help="Loewner-order tolerance")
-    parser.add_argument("--tol-spec", type=float, default=1e-7, help="spectrum set tolerance")
-    parser.add_argument("--tol-support", type=float, default=1e-12, help="support tolerance")
+    defaults = Tolerances()
+    for flag, default, help_text in (
+        ("--tol-psd", defaults.psd, "Loewner-order tolerance"),
+        ("--tol-spec", defaults.spectrum, "spectrum set tolerance"),
+        ("--tol-support", defaults.support, "support tolerance"),
+    ):
+        parser.add_argument(flag, type=float, default=default, help=help_text)
 
 
 def _load_instance(args) -> Instance:
@@ -228,7 +232,7 @@ def cmd_classify(args) -> int:
         ],
         "cauchy_schwarz_gap": {"min": float(gap.min()), "max": float(gap.max())},
     }
-    if np.abs(instance.w.values - 1.0).max() <= tols.psd:
+    if W.w_is_one(tols.psd):
         normality = oc.normality_equivalence(W, tols.psd)
         report["normality_equivalence"] = {
             "is_normal": normality.is_normal,

@@ -13,7 +13,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measure_space import FiniteMeasureSpace, MeasurableFunction, SubSigmaAlgebra
+from .measure_space import (
+    DEFAULT_SUPPORT_TOL,
+    FiniteMeasureSpace,
+    MeasurableFunction,
+    SubSigmaAlgebra,
+)
 from .wce_operator import WCEOperator, build_wce
 
 
@@ -24,7 +29,7 @@ class Instance(NamedTuple):
     w: MeasurableFunction
 
 
-def as_wce(instance: Instance, support_tol: float = 1e-12) -> WCEOperator:
+def as_wce(instance: Instance, support_tol: float = DEFAULT_SUPPORT_TOL) -> WCEOperator:
     return build_wce(*instance, support_tol=support_tol)
 
 

@@ -19,12 +19,12 @@ instead of n^3. One SVD per block, memoized on the operator, serves the
 norm. Cut at the one rank cutoff it gives each block's rank-r factors
 X diag(s) Y^H, which serve the eigenvalues (a rank-deficient block's come
 from its r x r core), every power of T*T and TT*, |T|, |T*|, the polar
-factors and the Aluthge transform. An operator the oracle builds as
-L K R^H from a small core K keeps the core, so its own factors cost one
-r x r SVD. Operators built from
-T = M_w E M_u carry the atoms of the partition, which is the definition of
-E; the oracle never reads the conditional moments, so it stays independent
-of the closed forms it checks.
+factors, the Aluthge transform and the kernel projection. An operator
+the oracle builds as L K R^H from a small core K keeps the core, so its
+own factors cost one r x r SVD. Operators built from T = M_w E M_u carry
+the atoms of the partition, which is the definition of E; the oracle never
+reads the conditional moments, so it stays independent of the closed forms
+it checks.
 Every decision over the whole operator (the rank cutoff, the PSD scale, the
 Loewner norm) uses the values of all blocks, so results match a one-block
 factorization to rounding. An operator given without blocks is one block:
@@ -48,6 +48,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .measure_space import (
+    DEFAULT_TOL,
     FiniteMeasureSpace,
     MeasurableFunction,
     SubSigmaAlgebra,
@@ -58,8 +59,6 @@ from .measure_space import (
 DEFAULT_RANK_TOL = 1e-10
 #: relative floor under which an eigenvalue of a PSD operator is an exact zero
 EIGEN_ZERO_TOL = 1e-12
-#: default tolerance for boolean operator predicates
-DEFAULT_OP_TOL = 1e-9
 
 log = logging.getLogger("condexp")
 
@@ -162,13 +161,6 @@ class PolarParts:
 
     isometry_part: WeightedOperator
     modulus_part: WeightedOperator
-
-
-def multiplication_operator(
-    space: FiniteMeasureSpace, symbol: MeasurableFunction
-) -> WeightedOperator:
-    """The diagonal operator f -> symbol * f."""
-    return WeightedOperator(np.diag(symbol.values), space)
 
 
 def expectation_operator(
@@ -282,16 +274,11 @@ def _svds(T: WeightedOperator) -> list:
     return [(b, *_solve("svd", m)) for b, m in _std_blocks(T)]
 
 
-def _rank_cutoff(svds: list, tol: float) -> float:
-    """tol times the largest singular value over all blocks."""
-    return tol * max(s.max(initial=0.0) for _, _, s, _ in svds)
-
-
-def _cut(svds: list, tol: float) -> list:
-    """(indices, X, s, Y) of each block U diag(s) V^H cut at the rank cutoff:
-    the block's part above it is X diag(s) Y^H, with X = U_r and Y = V_r
-    (|B| x r, orthonormal columns)."""
-    cutoff = _rank_cutoff(svds, tol)
+def _cut(svds: list) -> list:
+    """(indices, X, s, Y) of each block U diag(s) V^H above the oracle's one
+    rank cutoff, DEFAULT_RANK_TOL times the largest singular value: the part
+    X diag(s) Y^H, with X = U_r and Y = V_r (|B| x r, orthonormal columns)."""
+    cutoff = DEFAULT_RANK_TOL * max(s.max(initial=0.0) for _, _, s, _ in svds)
     out = []
     for b, u, s, vh in svds:
         rank = int(np.sum(s > cutoff))
@@ -307,7 +294,8 @@ _CORES = "cores"
 @_once_per_operator
 def _factors(T: WeightedOperator) -> list:
     """(indices, X, s, Y) of each standard-coordinate block X diag(s) Y^H,
-    cut at the oracle's one rank cutoff (``_cut`` at DEFAULT_RANK_TOL).
+    cut at the oracle's one rank cutoff (``_cut``); every rank decision of
+    the oracle reads them.
 
     The adjoint of a live A has A's factors swapped, the same arrays. An
     operator built from cores L K R^H with orthonormal L and R factors each
@@ -319,14 +307,9 @@ def _factors(T: WeightedOperator) -> list:
         return [(b, y, s, x) for b, x, s, y in _factors(source)]
     cores = T._memo.get(_CORES)
     if cores is None:
-        return _cut(_svds(T), DEFAULT_RANK_TOL)
-    cut = _cut([(b, *_solve("svd", k)) for b, _, k, _ in cores], DEFAULT_RANK_TOL)
+        return _cut(_svds(T))
+    cut = _cut([(b, *_solve("svd", k)) for b, _, k, _ in cores])
     return [(b, left @ p, s, right @ q) for (b, p, s, q), (_, left, _, right) in zip(cut, cores)]
-
-
-def _factors_at(T: WeightedOperator, tol: float) -> list:
-    """T's factors cut at ``tol``: the memoized ones at the default."""
-    return _factors(T) if tol == DEFAULT_RANK_TOL else _cut(_svds(T), tol)
 
 
 def _core(x: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -428,17 +411,6 @@ def norm_distance(A: WeightedOperator, B: WeightedOperator) -> float:
     )
 
 
-def _hermitian_blocks(T: WeightedOperator):
-    for b, m in _std_blocks(T):
-        yield b, 0.5 * (m + m.conj().T)
-
-
-@_once_per_operator
-def _eighs(A: WeightedOperator) -> list:
-    """(indices, eigenvalues, eigenvectors) of each block's Hermitian part."""
-    return [(b, *_solve("eigh", h)) for b, h in _hermitian_blocks(A)]
-
-
 def _asymmetry(blocks: list) -> tuple:
     """(the largest entry of M - M^H, 1 + the largest entry of M) over the
     standard-coordinate blocks M: the self-adjointness test compares them."""
@@ -447,7 +419,7 @@ def _asymmetry(blocks: list) -> tuple:
     return asymmetry, scale_
 
 
-def is_hermitian(T: WeightedOperator, tol: float = DEFAULT_OP_TOL) -> bool:
+def is_hermitian(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:
     asymmetry, scale_ = _asymmetry([m for _, m in _std_blocks(T)])
     return bool(asymmetry <= tol * scale_)
 
@@ -481,7 +453,7 @@ def _margins(blocks: list, cores: list) -> LoewnerMargins:
     )
 
 
-def loewner_holds(margins: LoewnerMargins, tol: float = DEFAULT_OP_TOL) -> bool:
+def loewner_holds(margins: LoewnerMargins, tol: float = DEFAULT_TOL) -> bool:
     """The Loewner test on its margins: the difference is self-adjoint and
     PSD to tolerance."""
     return bool(
@@ -491,14 +463,14 @@ def loewner_holds(margins: LoewnerMargins, tol: float = DEFAULT_OP_TOL) -> bool:
 
 
 def loewner_geq(
-    A: WeightedOperator, B: WeightedOperator, tol: float = DEFAULT_OP_TOL
+    A: WeightedOperator, B: WeightedOperator, tol: float = DEFAULT_TOL
 ) -> bool:
     """A >= B in the Loewner order: A - B self-adjoint and PSD (to tolerance)."""
     return loewner_holds(loewner_margins(A, B), tol)
 
 
 def fractional_power(
-    A: WeightedOperator, p: float, tol: float = DEFAULT_OP_TOL
+    A: WeightedOperator, p: float, tol: float = DEFAULT_TOL
 ) -> WeightedOperator:
     """Spectral calculus A^p for self-adjoint PSD A (weighted inner product).
 
@@ -509,7 +481,7 @@ def fractional_power(
         raise ValueError("power must be positive")
     if not is_hermitian(A, tol):
         raise ValueError("operator is not self-adjoint to tolerance")
-    eigs = _eighs(A)
+    eigs = [(b, *_solve("eigh", 0.5 * (m + m.conj().T))) for b, m in _std_blocks(A)]
     evals = np.concatenate([e for _, e, _ in eigs])
     scale_ = 1.0 + np.abs(evals).max(initial=0.0)
     if evals.min(initial=0.0) < -tol * scale_:
@@ -544,26 +516,17 @@ def modulus(T: WeightedOperator) -> WeightedOperator:
     return gram_power(T, 0.5)
 
 
-def polar_decompose_numeric(
-    T: WeightedOperator, tol: float = DEFAULT_RANK_TOL
-) -> PolarParts:
+def polar_decompose_numeric(T: WeightedOperator) -> PolarParts:
     """Polar factors with the kernel condition: U is T|T|^-1 on range(|T|)
     and 0 on kernel(|T|), so N(U) = N(|T|). A block X S Y^H gives
     U = X Y^H and |T| = Y S Y^H."""
-    factors = _factors_at(T, tol)
     return PolarParts(
-        isometry_part=_from_cores([(b, x, np.eye(s.size), y) for b, x, s, y in factors], T),
-        modulus_part=_from_cores([(b, y, np.diag(s), y) for b, _, s, y in factors], T),
+        isometry_part=_from_cores([(b, x, np.eye(s.size), y) for b, x, s, y in _factors(T)], T),
+        modulus_part=_from_cores([(b, y, np.diag(s), y) for b, _, s, y in _factors(T)], T),
     )
 
 
-def is_partial_isometry(U: WeightedOperator, tol: float = DEFAULT_OP_TOL) -> bool:
-    """True iff U U* U = U up to tol (operator-norm residual)."""
-    resid = norm_distance(compose(compose(U, adjoint(U)), U), U)
-    return resid <= tol * (1.0 + operator_norm(U))
-
-
-def aluthge_numeric(T: WeightedOperator, tol: float = DEFAULT_RANK_TOL) -> WeightedOperator:
+def aluthge_numeric(T: WeightedOperator) -> WeightedOperator:
     """|T|^(1/2) U |T|^(1/2) from the numeric polar decomposition.
 
     A block X S Y^H has |T|^(1/2) = Y S^(1/2) Y^H and U = X Y^H, so the
@@ -571,42 +534,21 @@ def aluthge_numeric(T: WeightedOperator, tol: float = DEFAULT_RANK_TOL) -> Weigh
     which the result keeps. The singular values under the cutoff are exact
     zeros: the square root would amplify their noise (eps -> sqrt(eps))."""
     cores = []
-    for b, x, s, y in _factors_at(T, tol):
+    for b, x, s, y in _factors(T):
         root = np.sqrt(s)
         cores.append((b, y, root[:, None] * (y.conj().T @ x) * root[None, :], y))
     return _from_cores(cores, T)
 
 
-def _null_blocks(T: WeightedOperator, tol: float) -> list:
-    """(indices, orthonormal null-space basis) of each standard-coordinate
-    block, under the rank cutoff over all blocks."""
-    svds = _svds(T)
-    cutoff = _rank_cutoff(svds, tol)
-    return [(b, vh[int(np.sum(s > cutoff)):, :].conj().T) for b, _, s, vh in svds]
-
-
-def kernel(T: WeightedOperator, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Columns form a weighted-orthonormal basis of the numeric null space;
-    shape (n, k) with k = 0 when T is injective. Each block's null vectors
-    sit on that block's rows."""
-    d = _sqrt_weights(T.space)
-    n = T.space.point_count
-    columns = []
-    for b, null_std in _null_blocks(T, tol):
-        cols = np.zeros((n, null_std.shape[1]), dtype=complex)
-        cols[b] = null_std / d[b][:, None]
-        columns.append(cols)
-    return np.concatenate(columns, axis=1)
-
-
-def kernel_projection(T: WeightedOperator, tol: float = DEFAULT_RANK_TOL) -> WeightedOperator:
+def kernel_projection(T: WeightedOperator) -> WeightedOperator:
     """The weighted-orthogonal projection onto the numeric null space of T,
-    block-diagonal like T."""
+    block-diagonal like T: I - Y Y^H on each block X diag(s) Y^H of T's
+    factors, so an operator built from cores factors only its r x r cores."""
     return _from_std_blocks(
-        [(b, null_std @ null_std.conj().T) for b, null_std in _null_blocks(T, tol)], T
+        [(b, np.eye(b.size) - y @ y.conj().T) for b, _, _, y in _factors(T)], T
     )
 
 
-def is_normal(T: WeightedOperator, tol: float = DEFAULT_OP_TOL) -> bool:
+def is_normal(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:
     comm = norm_distance(compose(T, adjoint(T)), compose(adjoint(T), T))
     return comm <= tol * (1.0 + operator_norm(T) ** 2)

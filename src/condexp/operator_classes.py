@@ -238,7 +238,7 @@ def quasi_star_a_criteria(W: WCEOperator, tol: float = DEFAULT_TOL) -> ClassVerd
 def normality_equivalence(W: WCEOperator, tol: float = DEFAULT_TOL) -> NormalityReport:
     """For T = E M_u the conditions 'T normal', 'T quasi-*-A' and
     'u algebra-measurable' are equivalent; all three are reported."""
-    if np.abs(W.w.values - 1.0).max() > tol:
+    if not W.w_is_one(tol):
         raise ValueError("normality equivalence requires w identically 1")
     T = to_matrix(W)
     return NormalityReport(

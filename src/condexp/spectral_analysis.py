@@ -23,7 +23,6 @@ from .operator_algebra import (
     _solve,
     _std_blocks,
     _svds,
-    aluthge_numeric,
     eigenvalues,
     operator_norm,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "em_u_point_spectrum",
     "joint_point_spectrum",
     "spectral_radius_closed_form",
-    "iterated_aluthge",
     "sigma_p_equals_sigma_jp_check",
     "joint_spectrum_range_check",
     "hausdorff_distance",
@@ -54,6 +52,8 @@ log = logging.getLogger("condexp")
 
 #: default tolerance for eigenvalue clustering and set comparisons
 DEFAULT_SPECTRUM_TOL = 1e-7
+#: default relative tolerance of the joint point spectrum and its identities
+DEFAULT_JOINT_TOL = 1e-8
 #: entries of the distance table ``hausdorff_distance`` holds at a time
 DISTANCE_CHUNK = 1 << 16
 #: two subspaces intersect nontrivially iff their smallest principal angle
@@ -176,7 +176,7 @@ def em_u_point_spectrum(
 ) -> EMuPointSpectrumReport:
     """Point spectrum of T = E M_u via the level sets of E(u), checked
     against the eigenvalue oracle in all three containment forms."""
-    if np.abs(W.w.values - 1.0).max() > tol:
+    if not W.w_is_one(tol):
         raise ValueError("this analysis requires w identically 1")
     T = to_matrix(W)
     set_tol = tol * (1.0 + operator_norm(T))
@@ -246,7 +246,7 @@ def _shift_bound(split: _LowRank, lam: complex) -> float:
     return abs(lam) / (1.0 + split.top / gap)
 
 
-def joint_point_spectrum(T: WeightedOperator, tol: float = 1e-8) -> list:
+def joint_point_spectrum(T: WeightedOperator, tol: float = DEFAULT_JOINT_TOL) -> list:
     """Eigenvalues that carry a common eigenvector of T and T* (conjugated).
 
     For each clustered eigenvalue the numeric null spaces of T - lambda I and
@@ -314,18 +314,8 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = 1e-8) -> list:
     return result
 
 
-def iterated_aluthge(T: WeightedOperator, n: int) -> WeightedOperator:
-    """The n-fold Aluthge transform."""
-    if n < 1:
-        raise ValueError("iteration count must be >= 1")
-    out = T
-    for _ in range(n):
-        out = aluthge_numeric(out)
-    return out
-
-
 def sigma_p_equals_sigma_jp_check(
-    W: WCEOperator, tol: float = 1e-8
+    W: WCEOperator, tol: float = DEFAULT_JOINT_TOL
 ) -> JointSpectrumReport:
     """Under the quasi-*-A hypothesis the point and joint point spectra
     coincide; outside it both sets are reported without assertion."""
@@ -353,7 +343,9 @@ def sigma_p_equals_sigma_jp_check(
     )
 
 
-def joint_spectrum_range_check(W: WCEOperator, tol: float = 1e-8) -> JointSpectrumRangeReport:
+def joint_spectrum_range_check(
+    W: WCEOperator, tol: float = DEFAULT_JOINT_TOL
+) -> JointSpectrumRangeReport:
     """When |E(uw)|^2 >= E(|u|^2) E(|w|^2) pointwise, the joint point
     spectrum off zero equals the attained-value set of E(uw) off zero; when
     the supports of E(|u|^2) and E(|w|^2) cover every point the identity

@@ -18,6 +18,7 @@ from . import operator_classes as oc
 from . import spectral_analysis as sa
 from . import wce_operator as wce
 from .instance_factory import Instance, as_wce
+from .measure_space import DEFAULT_SUPPORT_TOL, DEFAULT_TOL
 from .operator_algebra import WeightedOperator
 from .wce_operator import WCEOperator
 
@@ -26,10 +27,10 @@ POWERS = (0.5, 1.0, 2.0, 3.5)
 
 @dataclass(frozen=True)
 class Tolerances:
-    psd: float = 1e-9  # Loewner / definitional class tests
+    psd: float = DEFAULT_TOL  # Loewner / definitional class tests
     match: float = 1e-8  # closed form vs oracle matrix comparisons
-    spectrum: float = 1e-7  # eigenvalue set comparisons (relative)
-    support: float = 1e-12  # conditional-moment support decisions
+    spectrum: float = sa.DEFAULT_SPECTRUM_TOL  # eigenvalue set comparisons (relative)
+    support: float = DEFAULT_SUPPORT_TOL  # conditional-moment support decisions
     gap: float = 1e-9  # Cauchy-Schwarz floor
 
     def __post_init__(self):
@@ -98,7 +99,8 @@ def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list
     set_tol = tols.spectrum * (1.0 + norm_t)
     checks += _spectrum_checks(W, set_tol, tols)
     checks += _class_checks(W, tols)
-    if np.abs(instance.w.values - 1.0).max() <= tols.psd:
+    # each w = 1 analysis tests w at its own tolerance: run them if neither rejects W
+    if W.w_is_one(min(tols.psd, tols.spectrum)):
         checks += _w_one_checks(W, set_tol, tols)
     return checks
 

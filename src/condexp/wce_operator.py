@@ -58,6 +58,10 @@ class WCEOperator:
             self.space, self.algebra, self.w.values, self.u.values
         )
 
+    def w_is_one(self, tol: float) -> bool:
+        """w identically 1 to ``tol``: the hypothesis of the T = E M_u results."""
+        return bool(np.abs(self.w.values - 1.0).max() <= tol)
+
     @cached_property
     def _adjoint(self) -> "WCEOperator":
         # built once: the TT* powers and the adjoint parts share its moments

@@ -1,0 +1,48 @@
+"""Every public function of the oracle modules is called by the library or
+the benchmark, or is a named reference the tests compare against."""
+
+import ast
+from pathlib import Path
+
+from condexp import operator_algebra, spectral_analysis
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: the public functions nothing in ``src`` or ``bench`` calls: the dense
+#: references the tests check the oracle with, and the paper's sigma_jp
+#: identity, which the tests check on its own
+NOT_ON_A_CALL_PATH = {
+    "apply",
+    "fractional_power",
+    "polar_decompose_numeric",
+    "loewner_geq",
+    "joint_spectrum_range_check",
+}
+
+
+def _called_names() -> set:
+    """Names called anywhere in src and bench, outside the package's
+    ``__init__`` (which only re-exports)."""
+    names = set()
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                names.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return names
+
+
+def _public_functions(module) -> set:
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+
+
+def test_every_public_oracle_function_is_called_or_a_named_reference():
+    public = _public_functions(operator_algebra) | _public_functions(spectral_analysis)
+    assert public - _called_names() == NOT_ON_A_CALL_PATH

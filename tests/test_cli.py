@@ -14,6 +14,7 @@ from condexp.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
     EXIT_OK,
+    build_parser,
     instance_from_json,
     instance_to_json,
     main,
@@ -145,6 +146,19 @@ class TestVerify:
         assert code == EXIT_OK
         assert json.loads(out)["summary"]["all_passed"]
 
+    @pytest.mark.parametrize("command", ["verify", "classify"])
+    def test_w_near_one_under_a_loose_psd_tolerance_is_valid(self, capsys, tmp_path, command):
+        """w = 1 + 1e-5 counts as w = 1 at --tol-psd 1e-3 but not at the
+        spectrum tolerance: verify must skip the w = 1 analyses, not reject
+        the instance."""
+        data = instance_to_json(symmetric_interval_example(4))
+        data["w"] = [[1.0 + 1e-5, 0.0]] * len(data["w"])
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, [command, str(path), "--tol-psd", "1e-3"])
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED), err
+        json.loads(out)
+
 
 class TestBadInput:
     def test_zero_weight_file(self, capsys, tmp_path):
@@ -229,6 +243,16 @@ class TestBadInput:
     def test_tolerances_reject_invalid_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             Tolerances(**{field: value})
+
+    @pytest.mark.parametrize("command", ["inspect", "classify", "spectrum", "verify", "gen"])
+    def test_tolerance_flags_default_to_tolerances(self, command):
+        args = build_parser().parse_args([command])
+        defaults = Tolerances()
+        assert (args.tol_psd, args.tol_spec, args.tol_support) == (
+            defaults.psd,
+            defaults.spectrum,
+            defaults.support,
+        )
 
     @pytest.mark.parametrize("flag", ["--tol-psd", "--tol-spec", "--tol-support"])
     def test_zero_tolerance_is_accepted(self, capsys, flag):

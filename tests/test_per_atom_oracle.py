@@ -28,7 +28,6 @@ from condexp import (
     hausdorff_distance,
     is_normal,
     joint_point_spectrum,
-    kernel,
     kernel_projection,
     loewner_geq,
     modulus,
@@ -42,9 +41,7 @@ from condexp import (
     to_matrix,
 )
 from condexp.operator_algebra import (
-    DEFAULT_RANK_TOL,
     _factors,
-    _rank_cutoff,
     _std_blocks,
     _svds,
     gram_power,
@@ -98,11 +95,6 @@ def _pair(W):
 
 def _close(A, B, scale):
     return np.abs(A.entries - B.entries).max() <= 1e-10 * (1.0 + scale)
-
-
-def _weighted_projection(basis, space):
-    """f -> sum_j <f, k_j> k_j for weighted-orthonormal columns k_j."""
-    return (basis @ basis.conj().T) * space.weights[None, :]
 
 
 @pytest.mark.parametrize("name, W", CASES, ids=[c[0] for c in CASES])
@@ -164,11 +156,11 @@ class TestAgreesWithDense:
         for X in (T, polar_decompose_numeric(T).isometry_part):
             Y = WeightedOperator(X.entries, X.space)
             dense = kernel_projection(Y)
-            assert _close(kernel_projection(X), dense, 1.0)
-            basis = kernel(X)
-            assert basis.shape == kernel(Y).shape
-            projection = _weighted_projection(basis, X.space)
-            assert np.abs(projection - dense.entries).max() <= 1e-10
+            projection = kernel_projection(X)
+            assert _close(projection, dense, 1.0)
+            # the trace of a projection is the dimension of its range
+            nullity = [round(np.trace(P.entries).real) for P in (projection, dense)]
+            assert nullity[0] == nullity[1]
 
     def test_loewner_and_normality(self, name, W):
         T, D = _pair(W)
@@ -309,9 +301,7 @@ def test_joint_point_spectrum_at_most_one_svd_per_atom(monkeypatch, instance):
     only the shift that can hit a null vector of a rank-one atom besides 0,
     the atom's own eigenvalue: at most one new full SVD per rank-one atom."""
     T = to_matrix(as_wce(instance))
-    svds = _svds(T)
-    cutoff = _rank_cutoff(svds, DEFAULT_RANK_TOL)
-    rank_one = sum(int(np.sum(s > cutoff)) == 1 for _, _, s, _ in svds)
+    rank_one = sum(s.size == 1 for _, _, s, _ in _factors(T))
     assert rank_one == len(T.blocks)
     calls = []
 
@@ -324,6 +314,28 @@ def test_joint_point_spectrum_at_most_one_svd_per_atom(monkeypatch, instance):
     jp = joint_point_spectrum(T)
     assert len(calls) <= rank_one
     assert jp == two_svd_joint_point_spectrum(T)
+
+
+def test_kernel_projection_of_an_oracle_built_operator_factors_only_its_cores(monkeypatch):
+    """The polar isometry and the Aluthge transform keep their r x r cores,
+    so their kernel projections factor those and no |B| x |B| block; they
+    match the one-block projections of the same entries."""
+    T = to_matrix(as_wce(product_space_example(4, 80)))
+    built = [polar_decompose_numeric(T).isometry_part, aluthge_numeric(T)]
+    orders = []
+    for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "qr"):
+
+        def probe(a, *args, _original=getattr(np.linalg, name), **kwargs):
+            orders.append(max(np.shape(a)[-2:]))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, probe)
+    projections = [kernel_projection(X) for X in built]
+    monkeypatch.undo()
+    assert orders == [1] * (len(built) * len(T.blocks))
+    for X, projection in zip(built, projections):
+        dense = kernel_projection(WeightedOperator(X.entries, X.space))
+        assert _close(projection, dense, 1.0)
 
 
 #: full-size (|B| x |B|) factorizations one verify may make per atom: T's
