@@ -15,25 +15,28 @@ unchanged to each block.
 
 The oracle factors per atom. Every eigenvalue, SVD and eigh call, and every
 product, runs on the diagonal blocks, so it costs sum |B|^3 over the blocks
-instead of n^3. One SVD per block, memoized on the operator, serves the
-norm. Cut at the one rank cutoff it gives each block's rank-r factors
-X diag(s) Y^H, which serve the eigenvalues (a rank-deficient block's come
-from its r x r core), every power of T*T and TT*, |T|, |T*|, the polar
-factors, the Aluthge transform and the kernel projection. An operator
-the oracle builds as L K R^H from a small core K keeps the core, so its
-own factors cost one r x r SVD. Operators built from T = M_w E M_u carry
-the atoms of the partition, which is the definition of E; the oracle never
-reads the conditional moments, so it stays independent of the closed forms
-it checks.
+instead of n^3. One SVD per block, cut at the one rank cutoff, gives each
+block's rank-r factors X diag(s) Y^H; only these |B| x r factors are
+memoized. They serve the norm and the singular values, the eigenvalues (a
+rank-deficient block's come from its r x r core), every power of T*T and
+TT*, |T|, |T*|, the polar factors, the Aluthge transform and the kernel
+projection. One QR of [Y X] per block adds an orthonormal basis Q of the
+ranges of the block and its adjoint, so the block is Q K Q^H with a core K
+of at most 2r x 2r; the class margins and the joint point spectrum read it.
+An operator the oracle builds as L K R^H from a small core K keeps the
+core, so its own factors cost one r x r SVD. Operators built from
+T = M_w E M_u carry the atoms of the partition, which is the definition of
+E; the oracle never reads the conditional moments, so it stays independent
+of the closed forms it checks.
 Every decision over the whole operator (the rank cutoff, the PSD scale, the
 Loewner norm) uses the values of all blocks, so results match a one-block
 factorization to rounding. An operator given without blocks is one block:
 the dense oracle, which the tests use as the reference. An operator is
 immutable, so its factorizations and its adjoint are computed once and
-shared by every caller. An operator and its adjoint share one SVD: the
-adjoint's standard-coordinate blocks are the conjugate transposes, so its
-SVD is read off the operator's, and its factors are the operator's swapped
-(Y diag(s) X^H), through a weak reference that keeps no operator alive.
+shared by every caller. An operator and its adjoint share one
+factorization: the adjoint's standard-coordinate blocks are the conjugate
+transposes, so its factors are the operator's swapped (Y diag(s) X^H),
+read through a weak reference that keeps no operator alive.
 """
 
 from __future__ import annotations
@@ -242,11 +245,12 @@ def _once_per_operator(fn):
 
 
 def _solve(routine: str, mat: np.ndarray, **kwargs):
-    """``numpy.linalg.<routine>`` on one block matrix.
+    """``numpy.linalg.<routine>`` on one block matrix, or on a stack of them.
 
     The routine is looked up at call time, so a wrapper installed on
     numpy.linalg (a profiler, a test probe) sees every call. A LAPACK failure
-    becomes SolverError; each call is logged at DEBUG with its shape and time.
+    becomes SolverError; each call is logged at DEBUG with its whole shape
+    (``svd 9x2x2`` for a stack of nine 2 x 2 matrices) and its time.
     """
     start = time.perf_counter()
     try:
@@ -254,35 +258,21 @@ def _solve(routine: str, mat: np.ndarray, **kwargs):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"{routine} did not converge: {exc}") from exc
     if log.isEnabledFor(logging.DEBUG):
-        log.debug(
-            "%s %dx%d %.6f s", routine, *mat.shape[-2:], time.perf_counter() - start
-        )
+        shape = "x".join(map(str, mat.shape))
+        log.debug("%s %s %.6f s", routine, shape, time.perf_counter() - start)
     return out
-
-
-@_once_per_operator
-def _svds(T: WeightedOperator) -> list:
-    """(indices, u, s, vh) of each standard-coordinate block.
-
-    The adjoint of a live operator A reuses A's SVD: its standard-coordinate
-    block is A's conjugate transpose, so (u, s, vh) becomes (vh^H, s, u^H)
-    with no new factorization."""
-    ref = T._memo.get(_ADJOINT_OF)
-    source = ref() if ref is not None else None
-    if source is not None:
-        return [(b, vh.conj().T, s, u.conj().T) for b, u, s, vh in _svds(source)]
-    return [(b, *_solve("svd", m)) for b, m in _std_blocks(T)]
 
 
 def _cut(svds: list) -> list:
     """(indices, X, s, Y) of each block U diag(s) V^H above the oracle's one
     rank cutoff, DEFAULT_RANK_TOL times the largest singular value: the part
-    X diag(s) Y^H, with X = U_r and Y = V_r (|B| x r, orthonormal columns)."""
+    X diag(s) Y^H, with X = U_r and Y = V_r (|B| x r, orthonormal columns).
+    They are copies, so U and V^H are not kept alive."""
     cutoff = DEFAULT_RANK_TOL * max(s.max(initial=0.0) for _, _, s, _ in svds)
     out = []
     for b, u, s, vh in svds:
         rank = int(np.sum(s > cutoff))
-        out.append((b, u[:, :rank], s[:rank], vh[:rank].conj().T))
+        out.append((b, u[:, :rank].copy(), s[:rank].copy(), vh[:rank].conj().T))
     return out
 
 
@@ -300,16 +290,29 @@ def _factors(T: WeightedOperator) -> list:
     The adjoint of a live A has A's factors swapped, the same arrays. An
     operator built from cores L K R^H with orthonormal L and R factors each
     r x r core, K = P diag(s) Q^H, so X = L P and Y = R Q. Any other
-    operator cuts its memoized SVD."""
+    operator cuts one SVD of each of its blocks."""
     ref = T._memo.get(_ADJOINT_OF)
     source = ref() if ref is not None else None
     if source is not None:
         return [(b, y, s, x) for b, x, s, y in _factors(source)]
     cores = T._memo.get(_CORES)
     if cores is None:
-        return _cut(_svds(T))
+        return _cut([(b, *_solve("svd", m)) for b, m in _std_blocks(T)])
     cut = _cut([(b, *_solve("svd", k)) for b, _, k, _ in cores])
     return [(b, left @ p, s, right @ q) for (b, p, s, q), (_, left, _, right) in zip(cut, cores)]
+
+
+@_once_per_operator
+def _joint_bases(T: WeightedOperator) -> list:
+    """(Q, R_y, R_x) of each block X diag(s) Y^H of T's factors, from one QR
+    [Y X] = Q [R_y R_x]. Q has orthonormal columns (at most 2r) spanning the
+    ranges of the block and of its adjoint, so the block is Q K Q^H with the
+    core K = R_x diag(s) R_y^H, and both vanish on Q's complement."""
+    out = []
+    for _, x, s, y in _factors(T):
+        q, r = _solve("qr", np.hstack([y, x]))
+        out.append((q, r[:, : s.size], r[:, s.size :]))
+    return out
 
 
 def _core(x: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -393,9 +396,11 @@ def eigenvalues(T: WeightedOperator) -> np.ndarray:
 
 @_once_per_operator
 def singular_values(T: WeightedOperator) -> np.ndarray:
-    """Descending singular values (read-only), read off the memoized SVD;
-    the largest is the operator norm on L2(mu)."""
-    return np.sort(np.concatenate([s for _, _, s, _ in _svds(T)]))[::-1]
+    """Descending singular values (read-only), read off the factors, so the
+    ones under the rank cutoff are exact zeros; the largest is the operator
+    norm on L2(mu)."""
+    s = np.concatenate([s for _, _, s, _ in _factors(T)])
+    return np.concatenate([np.sort(s)[::-1], np.zeros(T.space.point_count - s.size)])
 
 
 def operator_norm(T: WeightedOperator) -> float:

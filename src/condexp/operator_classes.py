@@ -21,6 +21,7 @@ from .measure_space import (
 from .operator_algebra import (
     WeightedOperator,
     _factors,
+    _joint_bases,
     _margins,
     _once_per_operator,
     _solve,
@@ -78,17 +79,16 @@ def _class_margins(T: WeightedOperator) -> dict:
     B = X S Y^H with C = Y^H X, T^2 is X M Y^H with M = S C S, so
     |T^2| = Y |M| Y^H, |T|^2 = Y S^2 Y^H and |T*|^2 = X S^2 X^H. The A and
     quasi-*-A differences are Y K Y^H with the r x r cores |M| - S^2 and
-    S (C^H |M| C - S^2) S; the *-A one is Q K Q^H on an orthonormal basis Q
-    of [Y X], with a core of at most 2r x 2r. Only r x r factorizations
-    run, and T keeps only the floats; each test applies its own tolerance."""
+    S (C^H |M| C - S^2) S; the *-A one is Q K Q^H on T's joint basis Q of
+    [Y X] (``_joint_bases``), with a core of at most 2r x 2r. Only r x r
+    factorizations run, and the margins are floats; each test applies its
+    own tolerance."""
     diffs = {A_CLASS: [], STAR_A_CLASS: [], QUASI_STAR_A_CLASS: []}
-    for _, x, s, y in _factors(T):
+    for (_, x, s, y), (q, ry, rx) in zip(_factors(T), _joint_bases(T)):
         c = y.conj().T @ x
         _, sigma, qh = _solve("svd", s[:, None] * c * s[None, :])
         abs_m = (qh.conj().T * sigma) @ qh
         sq = np.diag(s**2)
-        q, r = _solve("qr", np.hstack([y, x]))
-        ry, rx = r[:, : s.size], r[:, s.size :]
         diffs[A_CLASS].append((y, abs_m - sq))
         diffs[STAR_A_CLASS].append((q, ry @ abs_m @ ry.conj().T - rx @ sq @ rx.conj().T))
         diffs[QUASI_STAR_A_CLASS].append(

@@ -5,24 +5,23 @@ T = M_w E M_u off zero is the attained-value set of E(uw), the spectral
 radius its sup norm); the numeric side is the per-atom eigenvalue oracle.
 On a finite space the point spectrum is the spectrum, and 0 belongs to it
 iff T is rank deficient; T has one rank-one block per atom in S and G, so
-its rank is the number of those atoms.
+its rank is the number of those atoms. The joint point spectrum is read off
+T's factors too: each atom's at most 2r x 2r core on its joint basis.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .measure_space import cluster_values, ess_range, level_set
 from .operator_algebra import (
     WeightedOperator,
-    _core,
+    _factors,
+    _joint_bases,
     _solve,
-    _std_blocks,
-    _svds,
     eigenvalues,
     operator_norm,
 )
@@ -48,13 +47,12 @@ __all__ = [
     "hausdorff_distance",
 ]
 
-log = logging.getLogger("condexp")
-
 #: default tolerance for eigenvalue clustering and set comparisons
 DEFAULT_SPECTRUM_TOL = 1e-7
 #: default relative tolerance of the joint point spectrum and its identities
 DEFAULT_JOINT_TOL = 1e-8
-#: entries of the distance table ``hausdorff_distance`` holds at a time
+#: entries of the work arrays ``hausdorff_distance`` and
+#: ``joint_point_spectrum`` hold at a time
 DISTANCE_CHUNK = 1 << 16
 #: two subspaces intersect nontrivially iff their smallest principal angle
 #: is below this (radians)
@@ -206,46 +204,6 @@ def em_u_point_spectrum(
     )
 
 
-class _LowRank(NamedTuple):
-    """A block B = U diag(s) V^H split at a cutoff into X Y^H + E, with
-    X = U_r diag(s_r) and Y = V_r over the r singular values above it."""
-
-    rank: int  # r
-    dropped: float  # tau = s[r] = ||E||, the largest singular value cut off
-    top: float  # s_1 = ||X||
-    core: np.ndarray  # C = Y^H X, r x r: its eigenvalues are X Y^H's nonzero ones
-
-
-def _low_rank(u: np.ndarray, s: np.ndarray, vh: np.ndarray, cutoff: float) -> _LowRank:
-    rank = int(np.sum(s > cutoff))
-    return _LowRank(
-        rank,
-        float(s[rank]) if rank < s.size else 0.0,
-        float(s[0]) if rank else 0.0,
-        _core(u[:, :rank], s[:rank], vh[:rank].conj().T),
-    )
-
-
-def _shift_bound(split: _LowRank, lam: complex) -> float:
-    """A lower bound on sigma_min(X Y^H - lam I); 0.0 when there is none.
-
-    For lam != 0, Woodbury gives (X Y^H - lam I)^-1 =
-    -lam^-1 (I + X (lam I - C)^-1 Y^H), whose norm is at most
-    (1 + s_1 / sigma_min(lam I - C)) / |lam|. So sigma_min(B - lam I) is at
-    least this bound minus tau; at lam = 0 the bound is 0. An r x r core
-    needs one singular-value call; r <= 1 needs none."""
-    if split.rank == 0:
-        gap = np.inf
-    elif split.rank == 1:
-        gap = abs(lam - split.core[0, 0])
-    else:
-        shifted = lam * np.eye(split.rank) - split.core
-        gap = float(_solve("svd", shifted, compute_uv=False).min())
-    if gap == 0:
-        return 0.0
-    return abs(lam) / (1.0 + split.top / gap)
-
-
 def joint_point_spectrum(T: WeightedOperator, tol: float = DEFAULT_JOINT_TOL) -> list:
     """Eigenvalues that carry a common eigenvector of T and T* (conjugated).
 
@@ -254,64 +212,40 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = DEFAULT_JOINT_TOL) ->
     the smallest principal angle between them is below the module threshold.
     Both null spaces are block-diagonal like T, so they are intersected block
     by block: the largest cosine over all blocks gives the smallest angle.
-    One SVD per block and shift gives both: with B - lambda I = U S V^H, the
-    right singular vectors past the rank span null(B - lambda I) and the
-    left ones null(B^H - conj(lambda) I).
 
-    At lambda = 0 the shifted block is B itself, so its SVD is the memoized
-    ``_svds(T)`` and nothing is factored. For lambda != 0 a block is not
-    factored when a bound from its own SVD proves that B - lambda I has no
-    singular value within twice the cutoff, so no null vector:
-    ``_shift_bound`` minus the dropped singular value. The bound needs a
-    rank-deficient block; on a full-rank block, or at an eigenvalue of the
-    block's core C, the block is factored. When the two null spaces of a
-    block have dimensions that sum past its size they intersect, so the
-    cosine is 1 with no SVD of the principal angles.
+    Each block is Q K Q^H on its joint basis Q (``_joint_bases``), and it
+    and its adjoint vanish on Q's complement. So both null spaces are Q's
+    image of the core's, plus Q's complement when |lambda| is within the
+    cutoff, which makes the cosine 1 there. One SVD of K - lambda I per block,
+    stacked over the shifts, gives the core's two: with K - lambda I =
+    U S V^H, the right singular vectors past the rank span null(K - lambda I)
+    and the left ones null(K^H - conj(lambda) I). The factors drop only
+    singular values under ``DEFAULT_RANK_TOL`` ||T||, which is below the cutoff
+    for any tol >= DEFAULT_RANK_TOL.
     """
     cutoff = tol * (1.0 + operator_norm(T))
-    blocks = [
-        (std, (u, s, vh), _low_rank(u, s, vh, cutoff))
-        for (_, std), (_, u, s, vh) in zip(_std_blocks(T), _svds(T))
-    ]
     clusters = cluster_values(eigenvalues(T), cutoff)
-    result = []
-    factored = reused = skipped = 0
-    for lam in clusters:
-        cosine = 0.0
-        for b, svd, split in blocks:
-            if lam == 0:
-                reused += 1
-                u, s, vh = svd
-            elif split.rank < b.shape[0] and (
-                _shift_bound(split, lam) - split.dropped > 2.0 * cutoff
-            ):
-                skipped += 1
-                continue
-            else:
-                factored += 1
-                u, s, vh = _solve("svd", b - lam * np.eye(b.shape[0]))
-            rank = int(np.sum(s > cutoff))
-            if 2 * rank < s.size:
-                # two null spaces of dimension |B| - r > |B| / 2 intersect
-                cosine = 1.0
-            elif rank < s.size:
-                k1 = vh[rank:, :].conj().T  # null(B - lambda I)
-                k2 = u[:, rank:]  # null(B^H - conj(lambda) I)
-                cosines = _solve("svd", k1.conj().T @ k2, compute_uv=False)
-                cosine = max(cosine, float(cosines.max(initial=0.0)))
-        angle = float(np.arccos(np.clip(cosine, -1.0, 1.0)))
-        if angle < PRINCIPAL_ANGLE_TOL:
-            result.append(lam)
-    log.debug(
-        "joint_point_spectrum: %d clusters, %d blocks, %d shifted-block SVDs "
-        "factored, %d zero-shift SVDs reused, %d (shift, block) pairs skipped",
-        len(clusters),
-        len(blocks),
-        factored,
-        reused,
-        skipped,
-    )
-    return result
+    shifts = np.asarray(clusters, dtype=complex)
+    cosine = np.zeros(shifts.size)
+    for (q, ry, rx), (_, _, s, _) in zip(_joint_bases(T), _factors(T)):
+        if q.shape[1] < q.shape[0]:
+            cosine[np.abs(shifts) <= cutoff] = 1.0
+        core = (rx * s) @ ry.conj().T
+        rows = max(1, DISTANCE_CHUNK // max(1, core.size))
+        for start in range(0, shifts.size, rows):
+            lam = shifts[start : start + rows, None, None]
+            u, sv, vh = _solve("svd", core - lam * np.eye(len(core)))
+            null = sv <= cutoff
+            hit = null.any(axis=-1)  # the shifts with a null vector on this block
+            u, vh, null = u[hit], vh[hit], null[hit]
+            # k1^H k2 with k1 = null(K - lambda I), k2 = null(K^H - conj(lambda) I),
+            # padded with zero rows and columns
+            gram = (vh * null[:, :, None]) @ (u * null[:, None, :])
+            cosines = _solve("svd", gram, compute_uv=False).max(axis=-1, initial=0.0)
+            part = cosine[start : start + rows]
+            part[hit] = np.maximum(part[hit], cosines)
+    angles = np.arccos(np.clip(cosine, -1.0, 1.0))
+    return [lam for lam, angle in zip(clusters, angles) if angle < PRINCIPAL_ANGLE_TOL]
 
 
 def sigma_p_equals_sigma_jp_check(

@@ -1,5 +1,6 @@
 """Every public function of the oracle modules is called by the library or
-the benchmark, or is a named reference the tests compare against."""
+the benchmark, or is a named reference the tests compare against; every
+private function and class of the package is used by the package itself."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,37 @@ def _public_functions(module) -> set:
 def test_every_public_oracle_function_is_called_or_a_named_reference():
     public = _public_functions(operator_algebra) | _public_functions(spectral_analysis)
     assert public - _called_names() == NOT_ON_A_CALL_PATH
+
+
+def _top_level_reads() -> list:
+    """(module file, top-level node, the names it reads) for every statement
+    at module level in ``src/condexp``; a name counts when it is loaded as a
+    name or an attribute, so an import alone does not count."""
+    out = []
+    for path in (ROOT / "src" / "condexp").glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)
+            }
+            out.append((path.name, top, names))
+    return out
+
+
+def test_every_private_function_and_class_is_used_in_src():
+    """A private module-level function or class that only tests use is dead
+    code: references from ``tests`` do not count, and neither does the
+    definition's own body."""
+    reads = _top_level_reads()
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = [
+        f"{module}:{top.name}"
+        for module, top, _ in reads
+        if isinstance(top, definitions)
+        and top.name.startswith("_")
+        and not top.name.startswith("__")
+        and not any(top.name in names for _, other, names in reads if other is not top)
+    ]
+    assert unused == []

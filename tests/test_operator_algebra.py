@@ -1,5 +1,6 @@
 import gc
 import logging
+import re
 import weakref
 
 import numpy as np
@@ -20,6 +21,7 @@ from condexp import (
     fractional_power,
     is_hermitian,
     is_normal,
+    joint_point_spectrum,
     kernel_projection,
     loewner_geq,
     modulus,
@@ -30,8 +32,8 @@ from condexp import (
     to_matrix,
     weighted_inner,
 )
-from condexp.measure_space import MeasurableFunction
-from condexp.operator_algebra import _std_blocks, _svds, norm_distance
+from condexp.measure_space import cluster_values
+from condexp.operator_algebra import _factors, _std_blocks, norm_distance
 
 from conftest import make_function, multiset_close
 
@@ -446,6 +448,21 @@ class TestSolverLog:
         assert sorted(shapes["svd"]) == sorted(f"{b.size}x{b.size}" for b in T.blocks)
         assert shapes["eigvals"] == ["1x1"] * len(T.blocks)
 
+    def test_a_stacked_call_logs_its_whole_shape(self, caplog):
+        """The joint point spectrum factors each rank-one atom's 2 x 2 core
+        at every shift in one stacked SVD, and takes the principal angles at
+        the shifts with a null vector in another: each record gives the
+        stack's whole shape."""
+        T = to_matrix(as_wce(random_instance(0, 10, 3)))
+        assert all(b.size >= 2 for b in T.blocks)
+        shifts = len(cluster_values(eigenvalues(T), 1e-8 * (1.0 + operator_norm(T))))
+        caplog.set_level(logging.DEBUG, logger="condexp")
+        joint_point_spectrum(T, 1e-8)
+        shapes = [m.split()[1] for m in caplog.messages if m.startswith("svd ")]
+        assert shifts > 1
+        assert shapes[::2] == [f"{shifts}x2x2"] * len(T.blocks)
+        assert all(re.fullmatch(r"\d+x2x2", shape) for shape in shapes[1::2])
+
     def test_silent_above_debug(self, caplog):
         caplog.set_level(logging.INFO, logger="condexp")
         operator_norm(to_matrix(as_wce(random_instance(0, 10, 3))))
@@ -460,8 +477,8 @@ def _atom_operator(seed):
 
 def _reconstruction_error(A):
     return max(
-        np.abs((u * s) @ vh - m).max()
-        for (_, u, s, vh), (_, m) in zip(_svds(A), _std_blocks(A))
+        np.abs((x * s) @ y.conj().T - m).max()
+        for (_, x, s, y), (_, m) in zip(_factors(A), _std_blocks(A))
     )
 
 
@@ -470,7 +487,7 @@ class TestAdjointSharesSVD:
 
     def test_adjoint_reads_the_operator_svd(self, monkeypatch):
         T = _atom_operator(1)
-        _svds(T)
+        _factors(T)
 
         def no_call(*args, **kwargs):
             raise AssertionError("numpy.linalg was called")
@@ -499,7 +516,7 @@ class TestAdjointSharesSVD:
         try:
             T = _atom_operator(3)
             A = adjoint(T)
-            _svds(A)
+            _factors(A)
             ref = weakref.ref(T)
             del T
             assert ref() is None

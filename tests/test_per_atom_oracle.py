@@ -43,7 +43,6 @@ from condexp import (
 from condexp.operator_algebra import (
     _factors,
     _std_blocks,
-    _svds,
     gram_power,
     loewner_holds,
     loewner_margins,
@@ -296,23 +295,27 @@ def test_verify_reads_t_through_its_svd(monkeypatch, instance):
 
 
 @FOUR_ATOMS
-def test_joint_point_spectrum_at_most_one_svd_per_atom(monkeypatch, instance):
-    """With T's SVD warm, the zero shift reuses it and the shift bound leaves
-    only the shift that can hit a null vector of a rank-one atom besides 0,
-    the atom's own eigenvalue: at most one new full SVD per rank-one atom."""
+def test_joint_point_spectrum_factors_only_the_cores(monkeypatch, instance):
+    """With T's factors warm, the joint point spectrum runs one qr per atom
+    (its joint basis) and SVDs of the at most 2 x 2 cores of the rank-one
+    atoms, stacked over the shifts, and no |B| x |B| SVD; it gives the
+    two-SVD verdicts."""
     T = to_matrix(as_wce(instance))
-    rank_one = sum(s.size == 1 for _, _, s, _ in _factors(T))
-    assert rank_one == len(T.blocks)
-    calls = []
+    _factors(T)
+    calls = {"svd": [], "qr": []}
+    for name in calls:
 
-    def probe(a, *args, _original=np.linalg.svd, **kwargs):
-        if kwargs.get("compute_uv", True):
-            calls.append(np.shape(a))
-        return _original(a, *args, **kwargs)
+        def probe(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name].append(np.shape(a))
+            return _original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", probe)
+        monkeypatch.setattr(np.linalg, name, probe)
     jp = joint_point_spectrum(T)
-    assert len(calls) <= rank_one
+    monkeypatch.undo()
+    assert len(calls["qr"]) == len(T.blocks)
+    assert calls["svd"]
+    assert max(max(shape[-2:]) for shape in calls["svd"]) <= 2
+    assert 0.0 in jp
     assert jp == two_svd_joint_point_spectrum(T)
 
 
@@ -339,17 +342,16 @@ def test_kernel_projection_of_an_oracle_built_operator_factors_only_its_cores(mo
 
 
 #: full-size (|B| x |B|) factorizations one verify may make per atom: T's
-#: SVD, the SVDs of the closed-form polar factors' two kernels, the three
-#: values-only residual SVDs, and the joint point spectrum's SVD at the
-#: atom's own eigenvalue
-FULL_SIZE_FACTORIZATIONS_PER_ATOM = 7
+#: SVD, the SVDs of the closed-form polar factors' two kernels and the three
+#: values-only residual SVDs
+FULL_SIZE_FACTORIZATIONS_PER_ATOM = 6
 
 
 @FOUR_ATOMS
 def test_verify_factors_neither_t_squared_nor_its_aluthge(monkeypatch, instance):
     """The class margins read T^2 and the second Aluthge transform reads
     Delta(T) off T's factors: no SVD runs on a block of T^2 or of Delta(T),
-    and verify makes at most 7 full-size factorizations per atom."""
+    and verify makes at most 6 full-size factorizations per atom."""
     T = to_matrix(as_wce(instance))
     derived = [m for X in (compose(T, T), aluthge_numeric(T)) for _, m in _std_blocks(X)]
     sizes = {b.size for b in T.blocks}
@@ -393,26 +395,20 @@ def test_adjoint_aluthge_keeps_no_copies_of_t_svd(instance):
 
 
 @FOUR_ATOMS
-def test_joint_point_spectrum_skips_angles_of_intersecting_null_spaces(
-    monkeypatch, instance
-):
-    """At lambda = 0 the two null spaces of a rank-one atom have dimension
-    |B| - 1 each, which sum past |B|, so they intersect and no principal-angle
-    SVD runs: the only ones left are 1 x 1, at each atom's own eigenvalue."""
+def test_t_memoizes_no_full_size_factor(instance):
+    """After the norm, the eigenvalues, the class margins and the joint point
+    spectrum, T keeps only |B| x r factors and |B| x 2r joint bases of its
+    rank-one atoms: no 2-D array memoized on T, nor the array it views, has
+    more than 2 max |B| entries, so no |B| x |B| U or V^H stays alive."""
     T = to_matrix(as_wce(instance))
-    _svds(T)
-    calls = []
-
-    def probe(a, *args, _original=np.linalg.svd, **kwargs):
-        if not kwargs.get("compute_uv", True):
-            calls.append(np.shape(a))
-        return _original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", probe)
-    jp = joint_point_spectrum(T)
-    assert calls == [(1, 1)] * len(T.blocks)
-    assert 0.0 in jp
-    assert jp == two_svd_joint_point_spectrum(T)
+    operator_norm(T)
+    eigenvalues(T)
+    _class_margins(T)
+    joint_point_spectrum(T)
+    arrays = [a for a in _memo_arrays(list(T._memo.values())) if a.ndim == 2]
+    assert arrays
+    owned = [a if a.base is None else a.base for a in arrays]
+    assert max(a.size for a in owned) <= 2 * max(b.size for b in T.blocks)
 
 
 @pytest.mark.parametrize("name, W", CASES, ids=[c[0] for c in CASES])
@@ -446,9 +442,9 @@ def test_class_margins_match_the_composed_operators(name, W):
 
 
 #: bound on the tracemalloc peak of one verify, in units of 16 sum |B|^2 bytes
-#: (the complex blocks of T): measured 17.0 (random) and 15.9 (product), so
+#: (the complex blocks of T): measured 11.4 (random) and 10.5 (product), so
 #: the bound leaves 30% headroom
-VERIFY_PEAK_PER_BLOCK_BYTE = 22
+VERIFY_PEAK_PER_BLOCK_BYTE = 15
 
 
 @FOUR_ATOMS

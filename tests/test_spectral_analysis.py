@@ -1,5 +1,3 @@
-import logging
-import re
 import tracemalloc
 
 import numpy as np
@@ -34,7 +32,6 @@ from condexp import (
 )
 from condexp import spectral_analysis
 from condexp.operator_algebra import DEFAULT_RANK_TOL, WeightedOperator, _std_blocks
-from condexp.spectral_analysis import _low_rank, _shift_bound
 
 from conftest import (
     dense_hausdorff_distance,
@@ -292,7 +289,9 @@ def _low_rank_block(rng, n, rank, noise):
 
 
 def _test_block(kind, rng):
-    """(block, cutoff) of each kind the shift bound must hold on."""
+    """(block, cutoff) of each kind of block the joint point spectrum is
+    checked on: low rank with noise under the cutoff, full rank with the
+    cutoff below every singular value or between two of them, and Jordan."""
     n = int(rng.integers(4, 8))
     if kind.startswith("rank-"):
         block = _low_rank_block(rng, n, int(kind[-1]), 1e-11)
@@ -307,7 +306,7 @@ def _test_block(kind, rng):
     return np.eye(n, k=1) + shift * np.eye(n), 1e-8
 
 
-BOUND_KINDS = [
+BLOCK_KINDS = [
     "rank-0",
     "rank-1",
     "rank-2",
@@ -319,40 +318,16 @@ BOUND_KINDS = [
 ]
 
 
-class TestShiftBound:
-    """sigma_min(B - lambda I) >= _shift_bound - tau on any block, for shifts
-    far from, near and on the eigenvalues of B and of its core."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(BOUND_KINDS), st.integers(0, 2**32 - 1))
-    def test_bound_holds(self, kind, seed):
-        rng = np.random.default_rng(seed)
-        block, cutoff = _test_block(kind, rng)
-        split = _low_rank(*np.linalg.svd(block), cutoff)
-        norm = np.linalg.norm(block, 2)
-        evals = np.concatenate([np.linalg.eigvals(block), np.linalg.eigvals(split.core)])
-        directions = np.exp(2j * np.pi * rng.uniform(size=3))
-        shifts = [0.0, *(10 * (1.0 + norm) * directions)]
-        for z in evals:
-            shifts += [z, *(z + d * directions[0] for d in (1e-9, 1e-6, 1e-3, 0.1))]
-        for lam in shifts:
-            shifted = block - lam * np.eye(len(block))
-            sigma_min = np.linalg.svd(shifted, compute_uv=False)[-1]
-            bound = _shift_bound(split, lam) - split.dropped
-            assert sigma_min >= bound - 1e-12 * (norm + abs(lam)), (kind, lam)
-
-    def test_rank_zero_bound_is_the_shift(self):
-        split = _low_rank(*np.linalg.svd(np.zeros((3, 3))), 1e-8)
-        assert split.rank == 0
-        assert _shift_bound(split, 3 - 4j) == 5.0
-
-    def test_no_bound_at_zero_or_on_a_core_eigenvalue(self):
-        rng = np.random.default_rng(0)
-        split = _low_rank(*np.linalg.svd(_low_rank_block(rng, 5, 2, 0.0)), 1e-8)
-        assert split.rank == 2
-        assert _shift_bound(split, 0.0) == 0.0
-        c = np.linalg.eigvals(split.core)[0]
-        assert _shift_bound(split, c) <= 1e-12 * abs(c)
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BLOCK_KINDS), st.integers(0, 2**32 - 1))
+def test_one_block_of_each_kind_matches_two_svd_reference(kind, seed):
+    """T as one block of each kind, at the kind's own cutoff: the core test
+    on the joint basis gives the two-SVD verdicts."""
+    rng = np.random.default_rng(seed)
+    block, cutoff = _test_block(kind, rng)
+    T = WeightedOperator(block, FiniteMeasureSpace(np.ones(len(block))))
+    tol = cutoff / (1.0 + operator_norm(T))
+    assert joint_point_spectrum(T, tol) == two_svd_joint_point_spectrum(T, tol)
 
 
 def _block_diagonal(parts, weights):
@@ -367,11 +342,12 @@ def _block_diagonal(parts, weights):
 
 
 def _blocks_operator(seed):
-    """One operator whose atoms carry every path of the shift bound: a
-    rank-2 block (the r x r core), a nilpotent Jordan block (rank 3, core
-    nilpotent), a full-rank defective block and a full-rank non-normal one
-    (always factored), a normal rank-2 block whose eigenvalue 2 is shared with
-    the defective one, and a 1 x 1 block."""
+    """One operator whose atoms carry every path of the core test: a rank-2
+    block (a 4 x 4 core on a joint basis of 4 of its 5 dimensions), a
+    nilpotent Jordan block (rank 3, the joint basis spans the block), a
+    full-rank defective block and a full-rank non-normal one (the core is the
+    whole block), a normal rank-2 block whose eigenvalue 2 is shared with the
+    defective one (X and Y span the same plane), and a 1 x 1 block."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(_complex(rng, 4, 4))
     parts = [
@@ -387,7 +363,10 @@ def _blocks_operator(seed):
     return _block_diagonal(parts, weights)
 
 
-class TestJointPointSpectrumSkip:
+class TestJointPointSpectrumOnCores:
+    """The joint point spectrum read off each block's core on its joint
+    basis gives the two-SVD reference's list."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_two_svd_reference(self, seed):
         T = _blocks_operator(seed)
@@ -402,6 +381,13 @@ class TestJointPointSpectrumSkip:
         sizes_ranks = [(4, 1), (5, 2), (3, 3), (6, 2)]
         parts = [_low_rank_block(rng, k, r, 0.0) for k, r in sizes_ranks]
         T = _block_diagonal(parts, rng.uniform(0.3, 2.0, 18))
+        assert joint_point_spectrum(T) == two_svd_joint_point_spectrum(T)
+
+    def test_shifts_a_few_at_a_time_give_the_same_list(self, monkeypatch):
+        """A core of |B| x |B| takes the shifts in chunks of a bounded number
+        of entries; chunks of one shift give the same list."""
+        T = _blocks_operator(1)
+        monkeypatch.setattr(spectral_analysis, "DISTANCE_CHUNK", 1)
         assert joint_point_spectrum(T) == two_svd_joint_point_spectrum(T)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -421,22 +407,6 @@ class TestJointPointSpectrumSkip:
             else:
                 assert np.count_nonzero(got) <= rank
                 assert multiset_close(got, dense, 1e-7)
-
-    def test_one_debug_line_with_the_counts(self, caplog):
-        caplog.set_level(logging.DEBUG, logger="condexp")
-        T = _blocks_operator(0)
-        joint_point_spectrum(T)
-        lines = [
-            r.getMessage()
-            for r in caplog.records
-            if r.getMessage().startswith("joint_point_spectrum:")
-        ]
-        assert len(lines) == 1
-        clusters, blocks, svds, reused, skipped = map(int, re.findall(r"\d+", lines[0]))
-        assert blocks == len(T.blocks)
-        assert svds + reused + skipped == clusters * blocks
-        assert skipped > 0
-        assert reused == blocks  # the zero cluster is exactly 0
 
 
 class TestSpectralRadius:
