@@ -34,21 +34,17 @@ from .operator_algebra import (
     is_normal,
     kernel_projection,
     loewner_geq,
-    modulus,
     operator_norm,
     polar_decompose_numeric,
     singular_values,
 )
 from .wce_operator import (
-    AdjointParts,
     WCEOperator,
-    adjoint_parts_closed_form,
     adjoint_wce,
     aluthge_closed_form,
     build_wce,
     norm_closed_form,
     polar_closed_form,
-    t_tstar_power,
     to_matrix,
     tstar_t_power,
 )

@@ -9,6 +9,7 @@ block averaging.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -126,9 +127,6 @@ class MeasurableFunction:
     def conj(self) -> "MeasurableFunction":
         return MeasurableFunction(np.conj(self.values), self.space)
 
-    def abs(self) -> "MeasurableFunction":
-        return MeasurableFunction(np.abs(self.values), self.space)
-
     def __mul__(self, other):
         if isinstance(other, MeasurableFunction):
             _check_same_space(self, other)
@@ -195,6 +193,13 @@ class IndexSet:
         return len(self.members) == point_count
 
 
+def _check_tol(tol: float) -> None:
+    """A tolerance must be finite and >= 0: a negative one rejects every
+    point, a NaN or infinite one decides every comparison vacuously."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def _check_same_space(f: MeasurableFunction, g: MeasurableFunction) -> None:
     if f.space.point_count != g.space.point_count or not np.array_equal(
         f.space.weights, g.space.weights
@@ -233,8 +238,7 @@ def weighted_inner(f: MeasurableFunction, g: MeasurableFunction) -> complex:
 
 def support(f: MeasurableFunction, tol: float = DEFAULT_SUPPORT_TOL) -> IndexSet:
     """Indices where |f| exceeds ``tol``."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _check_tol(tol)
     return IndexSet(np.nonzero(np.abs(f.values) > tol)[0])
 
 
@@ -250,8 +254,7 @@ def ess_range(f: MeasurableFunction, tol: float = DEFAULT_TOL) -> list:
     Each cluster is represented by its centroid. On a finite space with
     positive masses the essential range is exactly the attained-value set.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _check_tol(tol)
     return cluster_values(f.values, tol)
 
 
@@ -294,8 +297,7 @@ def level_set(
 ) -> IndexSet:
     """Indices where f is within ``tol`` of ``lam``; nonempty iff the level
     set has positive measure."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _check_tol(tol)
     return IndexSet(np.nonzero(np.abs(f.values - lam) <= tol)[0])
 
 
@@ -310,8 +312,7 @@ def is_algebra_measurable(
     and exactly 0 on a constant atom, where a computed mean can be off by
     rounding.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _check_tol(tol)
     first = np.array([b[0] for b in algebra.blocks])
     reference = f.values[first][algebra.labels]
     return bool(np.abs(f.values - reference).max() <= tol)

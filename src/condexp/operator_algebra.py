@@ -500,34 +500,25 @@ def fractional_power(
     return _from_std_blocks(pieces, A)
 
 
-def gram_power(T: WeightedOperator, p: float, outer: bool = False) -> WeightedOperator:
-    """(T* T)^p, or (T T*)^p when ``outer``, read off the memoized factors.
-
-    A standard-coordinate block B = X S Y^H gives (B^H B)^p = Y S^(2p) Y^H
-    and (B B^H)^p = X S^(2p) X^H; p = 1/2 is |T| or |T*|. Only T's own
-    factors are read, so the outer side builds no factorization of T*, and
-    the singular values under the rank cutoff are exact zeros."""
+def gram_power(T: WeightedOperator, p: float) -> WeightedOperator:
+    """(T* T)^p, read off the memoized factors: a standard-coordinate block
+    B = X S Y^H gives (B^H B)^p = Y S^(2p) Y^H, and p = 1/2 is |T|. The
+    singular values under the rank cutoff are exact zeros. (T T*)^p is
+    ``gram_power(adjoint(T), p)``: T*'s factors are T's swapped, so it
+    factors nothing new."""
     if p <= 0:
         raise ValueError("power must be positive")
-    cores = []
-    for b, x, s, y in _factors(T):
-        side = x if outer else y
-        cores.append((b, side, np.diag(s ** (2 * p)), side))
+    cores = [(b, y, np.diag(s ** (2 * p)), y) for b, _, s, y in _factors(T)]
     return _from_cores(cores, T)
-
-
-def modulus(T: WeightedOperator) -> WeightedOperator:
-    """|T| = (T* T)^(1/2), computed from the SVD for stability."""
-    return gram_power(T, 0.5)
 
 
 def polar_decompose_numeric(T: WeightedOperator) -> PolarParts:
     """Polar factors with the kernel condition: U is T|T|^-1 on range(|T|)
     and 0 on kernel(|T|), so N(U) = N(|T|). A block X S Y^H gives
-    U = X Y^H and |T| = Y S Y^H."""
+    U = X Y^H and |T| = Y S Y^H (``gram_power(T, 0.5)``)."""
     return PolarParts(
         isometry_part=_from_cores([(b, x, np.eye(s.size), y) for b, x, s, y in _factors(T)], T),
-        modulus_part=_from_cores([(b, y, np.diag(s), y) for b, _, s, y in _factors(T)], T),
+        modulus_part=gram_power(T, 0.5),
     )
 
 

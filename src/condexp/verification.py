@@ -63,12 +63,6 @@ def _max_diff(A: WeightedOperator, B: WeightedOperator) -> float:
     return float(max(np.abs(p).max(initial=0.0) for p in oa.subtract(A, B).parts))
 
 
-def _kernel_agreement(A: WeightedOperator, B: WeightedOperator) -> float:
-    """Operator-norm distance between the orthogonal projections onto the
-    two numeric kernels."""
-    return oa.norm_distance(oa.kernel_projection(A), oa.kernel_projection(B))
-
-
 def _check(name: str, margin: float, tolerance: float) -> Check:
     return Check(name, margin <= tolerance, margin, tolerance)
 
@@ -78,7 +72,11 @@ def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list
 
     Each section is its own function, so the operators it builds and their
     memoized factorizations are freed when it returns; only W, T and the
-    factorizations memoized on T live throughout."""
+    factorizations memoized on T live throughout. T* is checked as T's side
+    of the adjoint: the T-side sections rerun on ``adjoint_wce(W)`` against
+    the oracle on ``adjoint(T)``. Those run after the polar and Aluthge
+    sections: ``adjoint(T)`` is memoized on T, so building it earlier would
+    keep T*'s blocks alive through the polar section, where the peak is."""
     W = as_wce(instance, support_tol=tols.support)
     T = wce.to_matrix(W)
     norm_t = oa.operator_norm(T)
@@ -91,11 +89,11 @@ def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list
             tols.match * (1.0 + norm_t),
         )
     ]
-    checks += _power_checks(W, T, tols)
-    polar_checks, isometry_adjoint = _polar_checks(W, T, tols)
-    checks += polar_checks
+    checks += _power_checks(W, T, "tstar_t_power", tols)
+    checks += _polar_checks(W, T, tols)
     checks += _aluthge_checks(W, T, tols)
-    checks += _adjoint_part_checks(W, T, isometry_adjoint, tols)
+    checks += _power_checks(wce.adjoint_wce(W), oa.adjoint(T), "t_tstar_power", tols)
+    checks += _adjoint_checks(W, T, tols)
     set_tol = tols.spectrum * (1.0 + norm_t)
     checks += _spectrum_checks(W, set_tol, tols)
     checks += _class_checks(W, tols)
@@ -105,31 +103,23 @@ def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list
     return checks
 
 
-def _power_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> list:
-    """Powers of T*T and TT*, both read off T's SVD."""
-    checks = []
-    for p in POWERS:
-        checks += [
-            _check(
-                f"tstar_t_power_{p}",
-                _max_diff(wce.tstar_t_power(W, p), oa.gram_power(T, p)),
-                tols.match,
-            ),
-            _check(
-                f"t_tstar_power_{p}",
-                _max_diff(wce.t_tstar_power(W, p), oa.gram_power(T, p, outer=True)),
-                tols.match,
-            ),
-        ]
-    return checks
+def _power_checks(W: WCEOperator, T: WeightedOperator, name: str, tols: Tolerances) -> list:
+    """Powers of T*T, read off T's factors; on T* they are the powers of TT*."""
+    return [
+        _check(
+            f"{name}_{p}",
+            _max_diff(wce.tstar_t_power(W, p), oa.gram_power(T, p)),
+            tols.match,
+        )
+        for p in POWERS
+    ]
 
 
-def _polar_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances):
-    """The polar decomposition; also returns the adjoint of the closed-form
-    partial isometry, which the adjoint-parts checks compare with."""
+def _polar_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> list:
+    """The polar decomposition."""
     parts = wce.polar_closed_form(W)
     u_part = parts.isometry_part
-    checks = [
+    return [
         _check(
             "polar_reconstruction",
             oa.norm_distance(oa.compose(u_part, parts.modulus_part), T),
@@ -137,7 +127,7 @@ def _polar_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances):
         ),
         _check(
             "polar_modulus_matches_oracle",
-            _max_diff(parts.modulus_part, oa.modulus(T)),
+            _max_diff(parts.modulus_part, oa.gram_power(T, 0.5)),
             tols.match,
         ),
         _check(
@@ -149,11 +139,12 @@ def _polar_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances):
         ),
         _check(
             "polar_kernel_condition",
-            _kernel_agreement(u_part, parts.modulus_part),
+            oa.norm_distance(
+                oa.kernel_projection(u_part), oa.kernel_projection(parts.modulus_part)
+            ),
             tols.match,
         ),
     ]
-    return checks, oa.adjoint(u_part)
 
 
 def _aluthge_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> list:
@@ -173,28 +164,28 @@ def _aluthge_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> li
     ]
 
 
-def _adjoint_part_checks(
-    W: WCEOperator,
-    T: WeightedOperator,
-    isometry_adjoint: WeightedOperator,
-    tols: Tolerances,
-) -> list:
-    """Modulus, partial isometry and Aluthge transform of T*."""
-    adj_parts = wce.adjoint_parts_closed_form(W)
+def _adjoint_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> list:
+    """Modulus, partial isometry and Aluthge transform of T*: the T-side
+    closed forms of V = adjoint_wce(W) against the oracle on adjoint(T); the
+    isometry is also the adjoint of T's closed-form one."""
+    V, t_star = wce.adjoint_wce(W), oa.adjoint(T)
+    parts = wce.polar_closed_form(V)
     return [
         _check(
             "adjoint_modulus_matches_oracle",
-            _max_diff(adj_parts.modulus_part, oa.gram_power(T, 0.5, outer=True)),
+            _max_diff(parts.modulus_part, oa.gram_power(t_star, 0.5)),
             tols.match,
         ),
         _check(
             "adjoint_isometry_is_adjoint_of_isometry",
-            _max_diff(adj_parts.isometry_part, isometry_adjoint),
+            _max_diff(
+                parts.isometry_part, oa.adjoint(wce.polar_closed_form(W).isometry_part)
+            ),
             tols.match,
         ),
         _check(
             "adjoint_aluthge_matches_oracle",
-            _max_diff(adj_parts.aluthge, oa.aluthge_numeric(oa.adjoint(T))),
+            _max_diff(wce.aluthge_closed_form(V), oa.aluthge_numeric(t_star)),
             tols.match,
         ),
     ]

@@ -4,11 +4,13 @@ closed forms.
 The T-side quantities (operator norm, powers of T*T, polar factors, Aluthge
 transform) are expressed directly in the cached conditional moments E(u),
 E(w), E(uw), E(|u|^2), E(|w|^2). The family is closed under adjoints,
-T* = M_conj(u) E M_conj(w), so the adjoint-side forms (powers of TT*, the
-adjoint parts) are the T-side forms of ``adjoint_wce(W)``. The moments are
-computed once at build time and never recomputed, so every closed form
-shares one tolerance story. Quotients carry support indicators: a factor
-whose denominator vanishes (below the support tolerance) is 0 by convention.
+T* = M_conj(u) E M_conj(w), so this module states no adjoint-side form:
+the powers of TT* and the polar factors and Aluthge transform of T* are the
+T-side forms applied to ``adjoint_wce(W)``, whose docstring writes them out
+in W's moments. The moments are computed once at build time and never
+recomputed, so every closed form shares one tolerance story. Quotients
+carry support indicators: a factor whose denominator vanishes (below the
+support tolerance) is 0 by convention.
 """
 
 from __future__ import annotations
@@ -64,19 +66,10 @@ class WCEOperator:
 
     @cached_property
     def _adjoint(self) -> "WCEOperator":
-        # built once: the TT* powers and the adjoint parts share its moments
+        # built once: every adjoint-side closed form shares its moments
         return build_wce(
             self.space, self.algebra, self.w.conj(), self.u.conj(), self.support_tol
         )
-
-
-@dataclass(frozen=True)
-class AdjointParts:
-    """Modulus, partial isometry and Aluthge transform of the adjoint T*."""
-
-    modulus_part: WeightedOperator
-    isometry_part: WeightedOperator
-    aluthge: WeightedOperator
 
 
 def build_wce(
@@ -152,14 +145,6 @@ def tstar_t_power(W: WCEOperator, p: float) -> WeightedOperator:
     )
 
 
-def t_tstar_power(W: WCEOperator, p: float) -> WeightedOperator:
-    """(TT*)^p, the T*T power of the adjoint:
-
-    (TT*)^p = M_{w (E|w|^2)^(p-1) chi_G (E|u|^2)^p} E M_conj(w).
-    """
-    return tstar_t_power(adjoint_wce(W), p)
-
-
 def polar_closed_form(W: WCEOperator) -> PolarParts:
     """Closed-form polar factors: |T| = (T*T)^(1/2), and
 
@@ -183,25 +168,15 @@ def aluthge_closed_form(W: WCEOperator) -> WeightedOperator:
 
 def adjoint_wce(W: WCEOperator) -> WCEOperator:
     """T* = M_conj(u) E M_conj(w): the quadruple with u' = conj(w), w' = conj(u),
-    built once per W."""
-    return W._adjoint
+    built once per W. Every T-side closed form of it is the adjoint-side
+    form of W; in the original moments:
 
-
-def adjoint_parts_closed_form(W: WCEOperator) -> AdjointParts:
-    """Polar factors and Aluthge transform of T*, the T-side closed forms of
-    ``adjoint_wce(W)``; in the original moments:
-
+    (TT*)^p = M_{w (E|w|^2)^(p-1) chi_G (E|u|^2)^p} E M_conj(w)
     |T*| f = (E|u|^2 / E|w|^2)^(1/2) chi_G w E(conj(w) f)
     U*  f = (chi_{S and G} / (E|u|^2 E|w|^2))^(1/2) conj(u) E(conj(w) f)
     Aluthge(T*) f = (chi_G E(conj(uw)) / E|w|^2) w E(conj(w) f)
     """
-    V = adjoint_wce(W)
-    polar = polar_closed_form(V)
-    return AdjointParts(
-        modulus_part=polar.modulus_part,
-        isometry_part=polar.isometry_part,
-        aluthge=aluthge_closed_form(V),
-    )
+    return W._adjoint
 
 
 def spectral_radius_closed_form(W: WCEOperator) -> float:

@@ -347,3 +347,35 @@ class TestAlgebraMeasurable:
         algebra = SubSigmaAlgebra.discrete(3)
         f = make_function(space, [1, 5, -2j])
         assert is_algebra_measurable(f, algebra)
+
+
+class TestToleranceValidation:
+    """A tolerance must be finite and >= 0, the rule ``Tolerances`` applies:
+    a NaN used to pass the ``tol < 0`` test and decide every comparison
+    false (empty supports and level sets)."""
+
+    @staticmethod
+    def _calls():
+        space = FiniteMeasureSpace([1, 1, 1])
+        algebra = SubSigmaAlgebra.trivial(3)
+        f = make_function(space, [1, 1, 2])
+        return {
+            "support": lambda tol: support(f, tol),
+            "ess_range": lambda tol: ess_range(f, tol),
+            "level_set": lambda tol: level_set(f, 1, tol),
+            "is_algebra_measurable": lambda tol: is_algebra_measurable(f, algebra, tol),
+        }
+
+    @pytest.mark.parametrize(
+        "function", ["support", "ess_range", "level_set", "is_algebra_measurable"]
+    )
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-9])
+    def test_rejects_invalid(self, function, tol):
+        with pytest.raises(ValueError, match="finite"):
+            self._calls()[function](tol)
+
+    @pytest.mark.parametrize(
+        "function", ["support", "ess_range", "level_set", "is_algebra_measurable"]
+    )
+    def test_accepts_zero(self, function):
+        self._calls()[function](0.0)

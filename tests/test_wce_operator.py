@@ -6,7 +6,6 @@ from condexp import (
     MeasurableFunction,
     SubSigmaAlgebra,
     adjoint,
-    adjoint_parts_closed_form,
     adjoint_wce,
     aluthge_closed_form,
     aluthge_numeric,
@@ -16,7 +15,6 @@ from condexp import (
     expectation_operator,
     fractional_power,
     kernel_projection,
-    modulus,
     norm_closed_form,
     operator_norm,
     polar_closed_form,
@@ -24,13 +22,12 @@ from condexp import (
     random_instance,
     singular_values,
     symmetric_interval_example,
-    t_tstar_power,
     to_matrix,
     tstar_t_power,
 )
 
 from condexp import wce_operator as wce_module
-from condexp.operator_algebra import norm_distance
+from condexp.operator_algebra import gram_power, norm_distance
 
 from conftest import make_function
 
@@ -91,6 +88,12 @@ class TestBuild:
         np.testing.assert_allclose(W.e_uw.values, 1.0)
         np.testing.assert_allclose(W.e_abs_u2.values, 2.0)
         np.testing.assert_allclose(W.e_abs_w2.values, 1.0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_rejects_invalid_support_tolerance(self, tol):
+        # a NaN tolerance used to give empty supports and a zero polar isometry
+        with pytest.raises(ValueError, match="finite"):
+            build_wce(*random_instance(0, 8, 2), support_tol=tol)
 
     def test_dimension_mismatch(self):
         space = FiniteMeasureSpace([1.0, 1.0])
@@ -153,14 +156,16 @@ class TestPowers:
             W = as_wce(random_instance(seed, 8, 3))
             T = to_matrix(W)
             assert max_diff(tstar_t_power(W, 1), compose(adjoint(T), T)) <= 1e-9
-            assert max_diff(t_tstar_power(W, 1), compose(T, adjoint(T))) <= 1e-9
+            tts = tstar_t_power(adjoint_wce(W), 1)
+            assert max_diff(tts, compose(T, adjoint(T))) <= 1e-9
 
     def test_p_half_matches_modulus(self):
         for seed in range(5):
             W = as_wce(random_instance(seed + 30, 8, 3))
             T = to_matrix(W)
-            assert max_diff(tstar_t_power(W, 0.5), modulus(T)) <= 1e-8
-            assert max_diff(t_tstar_power(W, 0.5), modulus(adjoint(T))) <= 1e-8
+            assert max_diff(tstar_t_power(W, 0.5), gram_power(T, 0.5)) <= 1e-8
+            tts_half = tstar_t_power(adjoint_wce(W), 0.5)
+            assert max_diff(tts_half, gram_power(adjoint(T), 0.5)) <= 1e-8
 
     def test_singleton_blocks_p2_diagonal(self):
         space = FiniteMeasureSpace([1.0, 1.0])
@@ -180,7 +185,8 @@ class TestPowers:
             tts = compose(T, adjoint(T))
             for p in POWERS:
                 assert max_diff(tstar_t_power(W, p), fractional_power(tst, p)) <= 1e-8
-                assert max_diff(t_tstar_power(W, p), fractional_power(tts, p)) <= 1e-8
+                tts_p = tstar_t_power(adjoint_wce(W), p)
+                assert max_diff(tts_p, fractional_power(tts, p)) <= 1e-8
 
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
@@ -264,27 +270,32 @@ class TestAluthge:
 
 
 class TestAdjointParts:
+    """The polar factors and Aluthge transform of T*: the T-side closed forms
+    of adjoint_wce(W)."""
+
     def test_projection_case(self):
         W = ones_instance()
         e = expectation_operator(W.space, W.algebra)
-        parts = adjoint_parts_closed_form(W)
-        for part in (parts.modulus_part, parts.isometry_part, parts.aluthge):
+        V = adjoint_wce(W)
+        parts = polar_closed_form(V)
+        for part in (parts.modulus_part, parts.isometry_part, aluthge_closed_form(V)):
             np.testing.assert_allclose(part.entries, e.entries, atol=1e-12)
 
     def test_isometry_is_adjoint_of_isometry(self):
         for seed in range(5):
             W = as_wce(random_instance(seed + 400, 9, 3))
-            adj_parts = adjoint_parts_closed_form(W)
+            adj_isometry = polar_closed_form(adjoint_wce(W)).isometry_part
             parts = polar_closed_form(W)
-            assert max_diff(adj_parts.isometry_part, adjoint(parts.isometry_part)) <= 1e-10
+            assert max_diff(adj_isometry, adjoint(parts.isometry_part)) <= 1e-10
 
     def test_modulus_matches_oracle(self):
         for seed in range(5):
             W = as_wce(random_instance(seed + 500, 9, 3))
             T = to_matrix(W)
-            adj_parts = adjoint_parts_closed_form(W)
-            assert max_diff(adj_parts.modulus_part, modulus(adjoint(T))) <= 1e-8
-            assert max_diff(adj_parts.aluthge, aluthge_numeric(adjoint(T))) <= 1e-8
+            V = adjoint_wce(W)
+            modulus_part = polar_closed_form(V).modulus_part
+            assert max_diff(modulus_part, gram_power(adjoint(T), 0.5)) <= 1e-8
+            assert max_diff(aluthge_closed_form(V), aluthge_numeric(adjoint(T))) <= 1e-8
 
 
 class TestAdjointWCE:
@@ -317,10 +328,11 @@ class TestAdjointWCE:
         assert adjoint_wce(W) is adjoint_wce(W)
         for p in POWERS:
             for cached, fresh in zip(
-                t_tstar_power(W, p).parts, tstar_t_power(rebuilt, p).parts
+                tstar_t_power(adjoint_wce(W), p).parts, tstar_t_power(rebuilt, p).parts
             ):
                 np.testing.assert_array_equal(cached, fresh)
-        adjoint_parts_closed_form(W)
+        polar_closed_form(adjoint_wce(W))
+        aluthge_closed_form(adjoint_wce(W))
         assert len(calls) == 5  # one build: the five conditional moments
 
     def test_matrix_identity(self):
