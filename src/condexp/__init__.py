@@ -8,7 +8,6 @@ operator on the atom blocks of the partition.
 
 from .measure_space import (
     FiniteMeasureSpace,
-    IndexSet,
     MeasurableFunction,
     SubSigmaAlgebra,
     conditional_expectation,
@@ -20,7 +19,6 @@ from .measure_space import (
     weighted_inner,
 )
 from .operator_algebra import (
-    PolarParts,
     SolverError,
     WeightedOperator,
     adjoint,
@@ -35,7 +33,7 @@ from .operator_algebra import (
     kernel_projection,
     loewner_geq,
     operator_norm,
-    polar_decompose_numeric,
+    polar_isometry_numeric,
     singular_values,
 )
 from .wce_operator import (
@@ -44,7 +42,7 @@ from .wce_operator import (
     aluthge_closed_form,
     build_wce,
     norm_closed_form,
-    polar_closed_form,
+    polar_isometry_closed_form,
     to_matrix,
     tstar_t_power,
 )

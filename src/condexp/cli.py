@@ -208,9 +208,9 @@ def cmd_inspect(args) -> int:
             "E_abs_w2": [float(x) for x in W.e_abs_w2.values.real],
         },
         "supports": {
-            "S": list(W.support_u2),
-            "G": list(W.support_w2),
-            "S_prime": list(W.support_eu),
+            "S": np.flatnonzero(W.support_u2).tolist(),
+            "G": np.flatnonzero(W.support_w2).tolist(),
+            "S_prime": np.flatnonzero(W.support_eu).tolist(),
         },
         "norm_closed_form": wce.norm_closed_form(W),
     }

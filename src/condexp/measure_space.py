@@ -8,10 +8,9 @@ block averaging.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -78,6 +77,8 @@ class SubSigmaAlgebra:
         blocks = tuple(np.asarray(b) for b in self.blocks)
         labels = np.full(n, -1, dtype=int)
         for k, b in enumerate(blocks):
+            if b.ndim != 1:
+                raise ValueError(f"block {k} must be a flat list of point indices")
             if b.size == 0:
                 raise ValueError("blocks must be nonempty")
             if b.dtype.kind not in "iu":
@@ -148,51 +149,6 @@ class MeasurableFunction:
         return MeasurableFunction(np.full(space.point_count, value, dtype=complex), space)
 
 
-class IndexSet:
-    """A sorted, immutable set of point indices (supports of functions,
-    level sets, etc.)."""
-
-    __slots__ = ("members",)
-
-    def __init__(self, members: Iterable[int]):
-        self.members: tuple = tuple(sorted(set(int(i) for i in members)))
-
-    def __contains__(self, i) -> bool:
-        i = int(i)
-        k = bisect.bisect_left(self.members, i)
-        return k < len(self.members) and self.members[k] == i
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __eq__(self, other):
-        if isinstance(other, IndexSet):
-            return self.members == other.members
-        if isinstance(other, (set, frozenset, tuple, list)):
-            return set(self.members) == set(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.members)
-
-    def __repr__(self):
-        return f"IndexSet({list(self.members)})"
-
-    def intersection(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(set(self.members) & set(other.members))
-
-    def indicator(self, point_count: int) -> np.ndarray:
-        chi = np.zeros(point_count)
-        chi[list(self.members)] = 1.0
-        return chi
-
-    def covers(self, point_count: int) -> bool:
-        return len(self.members) == point_count
-
-
 def _check_tol(tol: float) -> None:
     """A tolerance must be finite and >= 0: a negative one rejects every
     point, a NaN or infinite one decides every comparison vacuously."""
@@ -236,10 +192,10 @@ def weighted_inner(f: MeasurableFunction, g: MeasurableFunction) -> complex:
     return complex(np.sum(f.values * np.conj(g.values) * f.space.weights))
 
 
-def support(f: MeasurableFunction, tol: float = DEFAULT_SUPPORT_TOL) -> IndexSet:
-    """Indices where |f| exceeds ``tol``."""
+def support(f: MeasurableFunction, tol: float = DEFAULT_SUPPORT_TOL) -> np.ndarray:
+    """The read-only boolean mask of the points where |f| exceeds ``tol``."""
     _check_tol(tol)
-    return IndexSet(np.nonzero(np.abs(f.values) > tol)[0])
+    return _frozen_array(np.abs(f.values) > tol, bool)
 
 
 def ess_sup_norm(f: MeasurableFunction) -> float:
@@ -294,11 +250,11 @@ def cluster_values(values: Sequence[complex], tol: float) -> list:
 
 def level_set(
     f: MeasurableFunction, lam: complex, tol: float = DEFAULT_TOL
-) -> IndexSet:
-    """Indices where f is within ``tol`` of ``lam``; nonempty iff the level
-    set has positive measure."""
+) -> np.ndarray:
+    """The read-only boolean mask of the points where f is within ``tol`` of
+    ``lam``; some point is in it iff the level set has positive measure."""
     _check_tol(tol)
-    return IndexSet(np.nonzero(np.abs(f.values - lam) <= tol)[0])
+    return _frozen_array(np.abs(f.values - lam) <= tol, bool)
 
 
 def is_algebra_measurable(

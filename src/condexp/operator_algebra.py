@@ -19,7 +19,7 @@ instead of n^3. One SVD per block, cut at the one rank cutoff, gives each
 block's rank-r factors X diag(s) Y^H; only these |B| x r factors are
 memoized. They serve the norm and the singular values, the eigenvalues (a
 rank-deficient block's come from its r x r core), every power of T*T and
-TT*, |T|, |T*|, the polar factors, the Aluthge transform and the kernel
+TT*, |T|, |T*|, the polar isometry, the Aluthge transform and the kernel
 projection. One QR of [Y X] per block adds an orthonormal basis Q of the
 ranges of the block and its adjoint, so the block is Q K Q^H with a core K
 of at most 2r x 2r; the class margins and the joint point spectrum read it.
@@ -156,14 +156,6 @@ class WeightedOperator:
     @staticmethod
     def zero(space: FiniteMeasureSpace) -> "WeightedOperator":
         return WeightedOperator(np.zeros((space.point_count,) * 2), space)
-
-
-@dataclass(frozen=True)
-class PolarParts:
-    """The polar factors T = U |T| with the kernel condition N(U) = N(|T|)."""
-
-    isometry_part: WeightedOperator
-    modulus_part: WeightedOperator
 
 
 def expectation_operator(
@@ -512,14 +504,12 @@ def gram_power(T: WeightedOperator, p: float) -> WeightedOperator:
     return _from_cores(cores, T)
 
 
-def polar_decompose_numeric(T: WeightedOperator) -> PolarParts:
-    """Polar factors with the kernel condition: U is T|T|^-1 on range(|T|)
-    and 0 on kernel(|T|), so N(U) = N(|T|). A block X S Y^H gives
-    U = X Y^H and |T| = Y S Y^H (``gram_power(T, 0.5)``)."""
-    return PolarParts(
-        isometry_part=_from_cores([(b, x, np.eye(s.size), y) for b, x, s, y in _factors(T)], T),
-        modulus_part=gram_power(T, 0.5),
-    )
+def polar_isometry_numeric(T: WeightedOperator) -> WeightedOperator:
+    """The partial isometry U of the polar decomposition T = U |T|, whose
+    modulus |T| is ``gram_power(T, 0.5)``, with the kernel condition: U is
+    T|T|^-1 on range(|T|) and 0 on kernel(|T|), so N(U) = N(|T|). A block
+    X S Y^H gives U = X Y^H and |T| = Y S Y^H."""
+    return _from_cores([(b, x, np.eye(s.size), y) for b, x, s, y in _factors(T)], T)
 
 
 def aluthge_numeric(T: WeightedOperator) -> WeightedOperator:

@@ -144,13 +144,10 @@ def a_class_pointwise(W: WCEOperator, tol: float = DEFAULT_TOL):
     Returns (sufficient, necessary, witness): the sufficient inequality
     |E(uw)|^2 >= E(|u|^2) E(|w|^2) on S, and the necessary one on S'.
     """
-    n = W.space.point_count
     lhs = np.abs(W.e_uw.values) ** 2
     rhs = W.e_abs_u2.values.real * W.e_abs_w2.values.real
-    on_s = W.support_u2.indicator(n) > 0.5
-    on_sp = W.support_eu.indicator(n) > 0.5
-    sufficient, witness = _pointwise_holds(lhs, rhs, on_s, tol)
-    necessary, nec_witness = _pointwise_holds(lhs, rhs, on_sp, tol)
+    sufficient, witness = _pointwise_holds(lhs, rhs, W.support_u2, tol)
+    necessary, nec_witness = _pointwise_holds(lhs, rhs, W.support_eu, tol)
     return sufficient, necessary, witness or nec_witness
 
 
@@ -169,7 +166,7 @@ def a_class_criterion(W: WCEOperator, tol: float = DEFAULT_TOL) -> ClassVerdict:
         sufficient_criterion=sufficient,
         necessary_criterion=necessary,
         witness=witness,
-        supports_equal=W.support_u2 == W.support_eu,
+        supports_equal=bool(np.array_equal(W.support_u2, W.support_eu)),
     )
 
 
@@ -182,20 +179,19 @@ def star_a_criteria(W: WCEOperator, tol: float = DEFAULT_TOL) -> ClassVerdict:
     (recorded in the verdict). The necessary inequality is real-valued.
     """
     n = W.space.point_count
-    chi_s = W.support_u2.indicator(n)
-    on_s = chi_s > 0.5
+    on_s = W.support_u2
     eu2 = W.e_abs_u2.values.real
     ew2 = W.e_abs_w2.values.real
     ratio = np.zeros(n)
     ratio[on_s] = ew2[on_s] / eu2[on_s]
 
-    suff_lhs = np.abs(W.u.values) * np.sqrt(np.abs(W.e_uw.values)) * ratio**0.25 * chi_s
+    suff_lhs = np.abs(W.u.values) * np.sqrt(np.abs(W.e_uw.values)) * ratio**0.25 * on_s
     suff_rhs = np.abs(W.w.values) * np.sqrt(np.clip(eu2, 0.0, None))
     sufficient, witness = _pointwise_holds(
         suff_lhs, suff_rhs, np.ones(n, dtype=bool), tol
     )
 
-    nec_lhs = np.abs(W.e_u.values) ** 2 * np.abs(W.e_uw.values) * np.sqrt(ratio) * chi_s
+    nec_lhs = np.abs(W.e_u.values) ** 2 * np.abs(W.e_uw.values) * np.sqrt(ratio) * on_s
     nec_rhs = np.sqrt(np.clip(eu2, 0.0, None)) * np.abs(W.e_w.values) ** 2
     necessary, nec_witness = _pointwise_holds(
         nec_lhs, nec_rhs, np.ones(n, dtype=bool), tol

@@ -141,10 +141,10 @@ def spectrum_closed_form(W: WCEOperator, tol: float = DEFAULT_SPECTRUM_TOL):
     Returns (nonzero values, zero_flag, supports_cover_all).
     """
     nonzero = [v for v in ess_range(W.e_uw, tol) if abs(v) > tol]
-    s_and_g = W.support_u2.intersection(W.support_w2)
-    rank = np.unique(W.algebra.labels[list(s_and_g)]).size
+    s_and_g = W.support_u2 & W.support_w2
+    rank = np.unique(W.algebra.labels[s_and_g]).size
     zero_flag = rank < W.space.point_count
-    return nonzero, zero_flag, s_and_g.covers(W.space.point_count)
+    return nonzero, zero_flag, bool(s_and_g.all())
 
 
 def spectrum_report(W: WCEOperator, tol: float = DEFAULT_SPECTRUM_TOL) -> SpectrumReport:
@@ -190,7 +190,7 @@ def em_u_point_spectrum(
         min((abs(v - m) for m in numeric), default=np.inf) <= set_tol
         for v in level_values
     )
-    zero_attained = len(level_set(W.e_u, 0.0, set_tol)) > 0
+    zero_attained = bool(level_set(W.e_u, 0.0, set_tol).any())
     zero_case = None
     if zero_attained:
         zero_case = hausdorff_distance(level_values, numeric) <= set_tol
@@ -295,7 +295,7 @@ def joint_spectrum_range_check(
     sigma_jp = joint_point_spectrum(T, tol)
     range_nonzero = [v for v in ess_range(W.e_uw, set_tol) if abs(v) > set_tol]
     jp_nonzero = [v for v in sigma_jp if abs(v) > set_tol]
-    covers = W.support_u2.intersection(W.support_w2).covers(W.space.point_count)
+    covers = bool((W.support_u2 & W.support_w2).all())
 
     nonzero_equal = None
     full_equal = None
@@ -303,7 +303,7 @@ def joint_spectrum_range_check(
         nonzero_equal = hausdorff_distance(jp_nonzero, range_nonzero) <= set_tol
         if covers:
             full_range = list(range_nonzero)
-            if len(level_set(W.e_uw, 0.0, set_tol)) > 0:
+            if level_set(W.e_uw, 0.0, set_tol).any():
                 full_range.append(0.0 + 0.0j)
             full_equal = hausdorff_distance(sigma_jp, full_range) <= set_tol
     return JointSpectrumRangeReport(

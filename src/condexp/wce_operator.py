@@ -1,16 +1,18 @@
 """Weighted conditional expectation operators T = M_w E M_u and their
 closed forms.
 
-The T-side quantities (operator norm, powers of T*T, polar factors, Aluthge
-transform) are expressed directly in the cached conditional moments E(u),
-E(w), E(uw), E(|u|^2), E(|w|^2). The family is closed under adjoints,
-T* = M_conj(u) E M_conj(w), so this module states no adjoint-side form:
-the powers of TT* and the polar factors and Aluthge transform of T* are the
-T-side forms applied to ``adjoint_wce(W)``, whose docstring writes them out
-in W's moments. The moments are computed once at build time and never
-recomputed, so every closed form shares one tolerance story. Quotients
-carry support indicators: a factor whose denominator vanishes (below the
-support tolerance) is 0 by convention.
+The T-side quantities (operator norm, powers of T*T, the partial isometry
+U of the polar decomposition, Aluthge transform) are expressed directly in
+the cached conditional moments E(u), E(w), E(uw), E(|u|^2), E(|w|^2); the
+modulus |T| of T = U |T| is ``tstar_t_power(W, 0.5)``. The family is closed
+under adjoints, T* = M_conj(u) E M_conj(w), so this module states no
+adjoint-side form: the powers of TT* and the polar isometry and Aluthge
+transform of T* are the T-side forms applied to ``adjoint_wce(W)``, whose
+docstring writes them out in W's moments. The moments are computed once at build time and never
+recomputed, so every closed form shares one tolerance story. The supports
+S, G and S' are read-only boolean masks on the points, and quotients are
+cut to them: a factor whose denominator vanishes (below the support
+tolerance) is 0 by convention.
 """
 
 from __future__ import annotations
@@ -23,14 +25,13 @@ import numpy as np
 from .measure_space import (
     DEFAULT_SUPPORT_TOL,
     FiniteMeasureSpace,
-    IndexSet,
     MeasurableFunction,
     SubSigmaAlgebra,
     conditional_expectation,
     ess_sup_norm,
     support,
 )
-from .operator_algebra import PolarParts, WeightedOperator, expectation_operator
+from .operator_algebra import WeightedOperator, expectation_operator
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,9 @@ class WCEOperator:
     e_uw: MeasurableFunction
     e_abs_u2: MeasurableFunction
     e_abs_w2: MeasurableFunction
-    support_u2: IndexSet  # S  = S(E(|u|^2))
-    support_w2: IndexSet  # G  = S(E(|w|^2))
-    support_eu: IndexSet  # S' = S(E(u))
+    support_u2: np.ndarray  # S  = S(E(|u|^2)), a boolean mask
+    support_w2: np.ndarray  # G  = S(E(|w|^2)), a boolean mask
+    support_eu: np.ndarray  # S' = S(E(u)), a boolean mask
     support_tol: float
 
     @cached_property
@@ -106,14 +107,9 @@ def build_wce(
     )
 
 
-def _chi(W: WCEOperator, index_set: IndexSet) -> np.ndarray:
-    return index_set.indicator(W.space.point_count)
-
-
-def _guarded_ratio(numer: np.ndarray, denom: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """numer/denom where the support indicator is 1, else 0."""
+def _guarded_ratio(numer: np.ndarray, denom: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """numer/denom on the support mask ``on``, else 0."""
     out = np.zeros_like(numer, dtype=complex)
-    on = chi > 0.5
     out[on] = numer[on] / denom[on]
     return out
 
@@ -134,33 +130,31 @@ def tstar_t_power(W: WCEOperator, p: float) -> WeightedOperator:
     """(T*T)^p = M_{conj(u) (E|u|^2)^(p-1) chi_S (E|w|^2)^p} E M_u."""
     if p <= 0:
         raise ValueError("power must be positive")
-    chi_s = _chi(W, W.support_u2)
     eu2 = W.e_abs_u2.values.real
     ew2 = W.e_abs_w2.values.real
     factor = np.zeros(W.space.point_count, dtype=complex)
-    on = chi_s > 0.5
+    on = W.support_u2
     factor[on] = eu2[on] ** (p - 1.0) * np.clip(ew2[on], 0.0, None) ** p
     return expectation_operator(
         W.space, W.algebra, np.conj(W.u.values) * factor, W.u.values
     )
 
 
-def polar_closed_form(W: WCEOperator) -> PolarParts:
-    """Closed-form polar factors: |T| = (T*T)^(1/2), and
+def polar_isometry_closed_form(W: WCEOperator) -> WeightedOperator:
+    """The partial isometry U of the polar decomposition T = U |T|, whose
+    modulus |T| = (T*T)^(1/2) is ``tstar_t_power(W, 0.5)``:
 
     U f = (chi_{S and G} / (E|w|^2 E|u|^2))^(1/2) w E(u f)
     """
-    chi_sg = _chi(W, W.support_u2.intersection(W.support_w2))
+    s_and_g = W.support_u2 & W.support_w2
     ew2_eu2 = W.e_abs_w2.values.real * W.e_abs_u2.values.real
-    iso_factor = np.sqrt(_guarded_ratio(chi_sg, ew2_eu2, chi_sg).real)
-    iso = expectation_operator(W.space, W.algebra, iso_factor * W.w.values, W.u.values)
-    return PolarParts(isometry_part=iso, modulus_part=tstar_t_power(W, 0.5))
+    iso_factor = np.sqrt(_guarded_ratio(np.ones_like(ew2_eu2), ew2_eu2, s_and_g).real)
+    return expectation_operator(W.space, W.algebra, iso_factor * W.w.values, W.u.values)
 
 
 def aluthge_closed_form(W: WCEOperator) -> WeightedOperator:
     """Aluthge transform: f -> (chi_S E(uw) / E|u|^2) conj(u) E(u f)."""
-    chi_s = _chi(W, W.support_u2)
-    factor = _guarded_ratio(W.e_uw.values, W.e_abs_u2.values.real, chi_s)
+    factor = _guarded_ratio(W.e_uw.values, W.e_abs_u2.values.real, W.support_u2)
     return expectation_operator(
         W.space, W.algebra, factor * np.conj(W.u.values), W.u.values
     )

@@ -113,8 +113,7 @@ def test_criterion_3_polar_decomposition():
     for instance in instances:
         W = _track(as_wce(instance))
         T = wce.to_matrix(W)
-        parts = wce.polar_closed_form(W)
-        U, M = parts.isometry_part, parts.modulus_part
+        U, M = wce.polar_isometry_closed_form(W), wce.tstar_t_power(W, 0.5)
         worst_recon = max(
             worst_recon, oa.operator_norm(oa.subtract(oa.compose(U, M), T))
         )

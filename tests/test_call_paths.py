@@ -1,6 +1,8 @@
 """Every public function of the library modules is called by the library or
 the benchmark, or is a named reference the tests compare against; every
-private function and class of the package is used by the package itself."""
+public class of the library modules is read by the library or the
+benchmark; every private function and class of the package is used by the
+package itself."""
 
 import ast
 from pathlib import Path
@@ -23,7 +25,7 @@ LIBRARY_MODULES = sorted(
 NOT_ON_A_CALL_PATH = {
     "apply",
     "fractional_power",
-    "polar_decompose_numeric",
+    "polar_isometry_numeric",
     "loewner_geq",
     "weighted_inner",
     "joint_spectrum_range_check",
@@ -59,12 +61,12 @@ def test_every_public_oracle_function_is_called_or_a_named_reference():
     assert public - _called_names() == NOT_ON_A_CALL_PATH
 
 
-def _top_level_reads() -> list:
-    """(module file, top-level node, the names it reads) for every statement
-    at module level in ``src/condexp``; a name counts when it is loaded as a
-    name or an attribute, so an import alone does not count."""
+def _top_level_reads(paths) -> list:
+    """(file, top-level node, the names it reads) for every statement at
+    module level in ``paths``; a name counts when it is loaded as a name or
+    an attribute, so an import alone does not count."""
     out = []
-    for path in (ROOT / "src" / "condexp").glob("*.py"):
+    for path in paths:
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             names = {
                 node.id if isinstance(node, ast.Name) else node.attr
@@ -72,22 +74,44 @@ def _top_level_reads() -> list:
                 if isinstance(node, (ast.Name, ast.Attribute))
                 and isinstance(node.ctx, ast.Load)
             }
-            out.append((path.name, top, names))
+            out.append((path, top, names))
     return out
+
+
+def _is_unread(top, reads) -> bool:
+    """No statement of ``reads`` but ``top`` itself reads ``top``'s name."""
+    return not any(top.name in names for _, other, names in reads if other is not top)
+
+
+def test_every_public_class_is_read_in_src_or_bench():
+    """A public class of the library modules must be read outside its own
+    definition and the re-exporting ``__init__``: one that only tests read
+    is a holder type whose readers are gone."""
+    paths = [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    reads = _top_level_reads([p for p in paths if p.name != "__init__.py"])
+    classes = [
+        top
+        for path, top, _ in reads
+        if path in LIBRARY_MODULES
+        and isinstance(top, ast.ClassDef)
+        and not top.name.startswith("_")
+    ]
+    assert classes
+    assert [top.name for top in classes if _is_unread(top, reads)] == []
 
 
 def test_every_private_function_and_class_is_used_in_src():
     """A private module-level function or class that only tests use is dead
     code: references from ``tests`` do not count, and neither does the
     definition's own body."""
-    reads = _top_level_reads()
+    reads = _top_level_reads((ROOT / "src" / "condexp").glob("*.py"))
     definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unused = [
-        f"{module}:{top.name}"
-        for module, top, _ in reads
+        f"{path.name}:{top.name}"
+        for path, top, _ in reads
         if isinstance(top, definitions)
         and top.name.startswith("_")
         and not top.name.startswith("__")
-        and not any(top.name in names for _, other, names in reads if other is not top)
+        and _is_unread(top, reads)
     ]
     assert unused == []

@@ -211,6 +211,21 @@ class TestBadInput:
         assert code == EXIT_BAD_INPUT
         assert "True" in err
 
+    @pytest.mark.parametrize("command", ["inspect", "classify", "spectrum", "verify", "gen"])
+    def test_nested_block(self, capsys, tmp_path, command):
+        """A block given as a list of lists is not an atom of the partition."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "weights": [1, 2, 1, 1],
+            "blocks": [[[0, 1], [2, 3]]],
+            "u": [1, 2, 3, 1],
+            "w": [1, 1, 2, 1],
+        }))
+        code, out, err = run_cli(capsys, [command, str(bad)])
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert "block 0" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["inspect", str(tmp_path / "nope.json")])
         assert code == EXIT_BAD_INPUT
@@ -281,6 +296,40 @@ class TestInspect:
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
         assert "norm_closed_form" in out
+
+
+class TestSupports:
+    """S = S(E|u|^2), G = S(E|w|^2) and S' = S(E(u)) as the reports give
+    them, on an instance where the three differ: E|u|^2 = (1, 1, 0, 2.5, 2.5),
+    E|w|^2 = (2.5, 2.5, 9, 0, 0) and E(u) = (0, 0, 0, 1.5, 1.5)."""
+
+    INSTANCE = {
+        "weights": [1, 1, 2, 1, 1],
+        "blocks": [[0, 1], [2], [3, 4]],
+        "u": [1, -1, 0, 2, 1],
+        "w": [1, 2, 3, 0, 0],
+    }
+
+    def _report(self, capsys, tmp_path, command):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(self.INSTANCE))
+        code, out, _ = run_cli(capsys, [command, str(path)])
+        assert code == EXIT_OK
+        return json.loads(out)
+
+    def test_inspect_lists_the_supports(self, capsys, tmp_path):
+        report = self._report(capsys, tmp_path, "inspect")
+        assert report["supports"] == {"S": [0, 1, 3, 4], "G": [0, 1, 2], "S_prime": [3, 4]}
+
+    def test_classify_reports_unequal_supports(self, capsys, tmp_path):
+        verdicts = self._report(capsys, tmp_path, "classify")["verdicts"]
+        a_verdict = next(v for v in verdicts if v["class"] == "A")
+        assert a_verdict["supports_equal"] is False
+
+    def test_spectrum_reports_uncovered_supports(self, capsys, tmp_path):
+        spectrum = self._report(capsys, tmp_path, "spectrum")["spectrum"]
+        assert spectrum["supports_cover_all"] is False
+        assert spectrum["zero_in_spectrum"] is True
 
 
 class TestClassify:

@@ -82,6 +82,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             SubSigmaAlgebra(([0, 5],), 2)
 
+    @pytest.mark.parametrize(
+        "blocks, n", [(([[0, 1], [2, 3]],), 4), ((0,), 1)], ids=["nested", "scalar"]
+    )
+    def test_rejects_a_block_that_is_not_1d(self, blocks, n):
+        """A nested list would otherwise be one atom with a 2 x 2 index array."""
+        with pytest.raises(ValueError, match="flat list"):
+            SubSigmaAlgebra(blocks, n)
+
     def test_rejects_wrong_length_function(self):
         space = FiniteMeasureSpace([1.0, 1.0])
         with pytest.raises(ValueError):
@@ -212,27 +220,38 @@ class TestWeightedInner:
             weighted_inner(f, g)
 
 
+def assert_mask(mask, expected):
+    """``mask`` is a read-only boolean mask over the points equal to ``expected``."""
+    assert mask.dtype == bool
+    assert mask.shape == (len(expected),)
+    assert not mask.flags.writeable
+    np.testing.assert_array_equal(mask, np.array(expected, dtype=bool))
+
+
 class TestSupport:
     def test_single_nonzero(self):
         space = FiniteMeasureSpace([1, 1, 1, 1])
         f = make_function(space, [0, 0, 2, 0])
-        assert support(f, 0.0) == {2}
+        assert_mask(support(f, 0.0), [False, False, True, False])
 
     def test_zero_function(self):
         space = FiniteMeasureSpace([1, 1])
-        assert support(make_function(space, [0, 0])) == set()
+        assert_mask(support(make_function(space, [0, 0])), [False, False])
 
     def test_tolerance_cut(self):
         space = FiniteMeasureSpace([1, 1])
         f = make_function(space, [1e-15, 1])
-        assert support(f, 1e-12) == {1}
+        assert_mask(support(f, 1e-12), [False, True])
 
     def test_membership(self):
         space = FiniteMeasureSpace([1] * 6)
         s = support(make_function(space, [0, 3, 0, 1, 0, 2]), 0.0)
-        assert 1 in s and np.int64(5) in s
-        assert 2 not in s and np.int64(0) not in s
-        assert 6 not in s and -1 not in s and 10**6 not in s
+        assert s.shape == (6,)
+        assert s[1] and s[np.int64(5)]
+        assert not s[2] and not s[np.int64(0)]
+        np.testing.assert_array_equal(np.flatnonzero(s), [1, 3, 5])
+        with pytest.raises(ValueError):
+            s[0] = True
 
 
 class TestEssSupNorm:
@@ -316,17 +335,17 @@ class TestLevelSet:
     def test_exact(self):
         space = FiniteMeasureSpace([1, 1, 1, 1])
         f = make_function(space, [1, 1, 2, 3])
-        assert level_set(f, 1, tol=0.0) == {0, 1}
+        assert_mask(level_set(f, 1, tol=0.0), [True, True, False, False])
 
     def test_missing_value(self):
         space = FiniteMeasureSpace([1, 1])
         f = make_function(space, [1, 2])
-        assert level_set(f, 9) == set()
+        assert_mask(level_set(f, 9), [False, False])
 
     def test_tolerance(self):
         space = FiniteMeasureSpace([1, 1])
         f = make_function(space, [1 + 1e-12, 5])
-        assert level_set(f, 1, tol=1e-9) == {0}
+        assert_mask(level_set(f, 1, tol=1e-9), [True, False])
 
 
 class TestAlgebraMeasurable:

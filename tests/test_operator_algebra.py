@@ -25,7 +25,7 @@ from condexp import (
     kernel_projection,
     loewner_geq,
     operator_norm,
-    polar_decompose_numeric,
+    polar_isometry_numeric,
     random_instance,
     singular_values,
     to_matrix,
@@ -334,38 +334,36 @@ class TestModulusPolar:
     def test_polar_of_positive_diagonal(self):
         space = flat_space(2)
         T = WeightedOperator(np.diag([2.0, 3.0]), space)
-        parts = polar_decompose_numeric(T)
-        np.testing.assert_allclose(parts.isometry_part.entries, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(parts.modulus_part.entries, T.entries, atol=1e-12)
+        np.testing.assert_allclose(polar_isometry_numeric(T).entries, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(gram_power(T, 0.5).entries, T.entries, atol=1e-12)
 
     def test_polar_of_rank_one(self):
         space = flat_space(2)
         T = WeightedOperator(RANK_ONE, space)
-        parts = polar_decompose_numeric(T)
         np.testing.assert_allclose(
-            parts.modulus_part.entries, np.diag([np.sqrt(2), 0.0]), atol=1e-12
+            gram_power(T, 0.5).entries, np.diag([np.sqrt(2), 0.0]), atol=1e-12
         )
         np.testing.assert_allclose(
-            parts.isometry_part.entries,
+            polar_isometry_numeric(T).entries,
             [[1 / np.sqrt(2), 0], [1 / np.sqrt(2), 0]],
             atol=1e-12,
         )
 
     def test_polar_of_zero(self):
         space = flat_space(3)
-        parts = polar_decompose_numeric(WeightedOperator.zero(space))
-        assert np.all(parts.isometry_part.entries == 0)
-        assert np.all(parts.modulus_part.entries == 0)
+        zero = WeightedOperator.zero(space)
+        assert np.all(polar_isometry_numeric(zero).entries == 0)
+        assert np.all(gram_power(zero, 0.5).entries == 0)
 
     def test_reconstruction_and_kernel_condition(self):
         for seed in range(8):
             T = random_operator(seed)
-            parts = polar_decompose_numeric(T)
-            recon = compose(parts.isometry_part, parts.modulus_part)
+            U, modulus = polar_isometry_numeric(T), gram_power(T, 0.5)
+            recon = compose(U, modulus)
             err = operator_norm(WeightedOperator(recon.entries - T.entries, T.space))
             assert err <= 1e-8 * (1 + operator_norm(T))
-            ku = kernel_projection(parts.isometry_part)
-            km = kernel_projection(parts.modulus_part)
+            ku = kernel_projection(U)
+            km = kernel_projection(modulus)
             assert norm_distance(ku, km) <= 1e-8
 
 

@@ -17,8 +17,8 @@ from condexp import (
     kernel_projection,
     norm_closed_form,
     operator_norm,
-    polar_closed_form,
-    polar_decompose_numeric,
+    polar_isometry_closed_form,
+    polar_isometry_numeric,
     random_instance,
     singular_values,
     symmetric_interval_example,
@@ -56,12 +56,13 @@ def max_diff(A, B):
     return np.abs(A.entries - B.entries).max()
 
 
-def assert_partial_isometry_with_kernel_condition(parts):
+def assert_partial_isometry_with_kernel_condition(W):
     """U U* U = U and N(U) = N(|T|), measured as verify measures them."""
-    U = parts.isometry_part
+    U = polar_isometry_closed_form(W)
     residual = norm_distance(compose(compose(U, adjoint(U)), U), U)
     assert residual <= 1e-8 * (1.0 + operator_norm(U))
-    assert norm_distance(kernel_projection(U), kernel_projection(parts.modulus_part)) <= 1e-8
+    modulus = tstar_t_power(W, 0.5)
+    assert norm_distance(kernel_projection(U), kernel_projection(modulus)) <= 1e-8
 
 
 class TestBuild:
@@ -70,9 +71,9 @@ class TestBuild:
         for moment in (W.e_uw, W.e_abs_u2, W.e_abs_w2):
             np.testing.assert_allclose(moment.values, 1.0)
         n = W.space.point_count
-        assert W.support_u2 == set(range(n))
-        assert W.support_w2 == set(range(n))
-        assert W.support_eu == set(range(n))
+        for mask in (W.support_u2, W.support_w2, W.support_eu):
+            assert mask.dtype == bool and mask.shape == (n,)
+            assert mask.all() and not mask.flags.writeable
 
     def test_singleton_blocks_pointwise_products(self):
         space = FiniteMeasureSpace([1.0, 2.0, 0.5])
@@ -197,33 +198,28 @@ class TestPolar:
     def test_projection_case(self):
         W = ones_instance()
         e = expectation_operator(W.space, W.algebra)
-        parts = polar_closed_form(W)
-        np.testing.assert_allclose(parts.isometry_part.entries, e.entries, atol=1e-12)
-        np.testing.assert_allclose(parts.modulus_part.entries, e.entries, atol=1e-12)
+        for part in (polar_isometry_closed_form(W), tstar_t_power(W, 0.5)):
+            np.testing.assert_allclose(part.entries, e.entries, atol=1e-12)
 
     def test_rank_one_case(self):
         W = rank_one_instance()
-        parts = polar_closed_form(W)
-        np.testing.assert_allclose(
-            parts.modulus_part.entries, [[np.sqrt(2), 0], [0, 0]], atol=1e-12
-        )
-        oracle = polar_decompose_numeric(to_matrix(W))
-        assert max_diff(parts.isometry_part, oracle.isometry_part) <= 1e-10
-        assert max_diff(parts.modulus_part, oracle.modulus_part) <= 1e-10
+        modulus = tstar_t_power(W, 0.5)
+        np.testing.assert_allclose(modulus.entries, [[np.sqrt(2), 0], [0, 0]], atol=1e-12)
+        T = to_matrix(W)
+        assert max_diff(polar_isometry_closed_form(W), polar_isometry_numeric(T)) <= 1e-10
+        assert max_diff(modulus, gram_power(T, 0.5)) <= 1e-10
 
     def test_random_instances_match_oracle(self):
         for seed in range(10):
             W = as_wce(random_instance(seed, 16, 4))
             T = to_matrix(W)
-            parts = polar_closed_form(W)
-            oracle = polar_decompose_numeric(T)
-            assert max_diff(parts.modulus_part, oracle.modulus_part) <= 1e-8
-            recon = compose(parts.isometry_part, parts.modulus_part)
-            assert operator_norm(
-                compose(parts.isometry_part, parts.modulus_part)
-            ) == pytest.approx(operator_norm(T), abs=1e-9)
+            U, modulus = polar_isometry_closed_form(W), tstar_t_power(W, 0.5)
+            assert max_diff(U, polar_isometry_numeric(T)) <= 1e-8
+            assert max_diff(modulus, gram_power(T, 0.5)) <= 1e-8
+            recon = compose(U, modulus)
+            assert operator_norm(recon) == pytest.approx(operator_norm(T), abs=1e-9)
             assert max_diff(recon, T) <= 1e-8
-            assert_partial_isometry_with_kernel_condition(parts)
+            assert_partial_isometry_with_kernel_condition(W)
 
     def test_vanishing_moment_blocks(self):
         # zero u on one block, zero w on another: U stays a partial isometry
@@ -240,9 +236,9 @@ class TestPolar:
             MeasurableFunction(w_vals, inst.space),
         )
         T = to_matrix(W)
-        parts = polar_closed_form(W)
-        assert max_diff(compose(parts.isometry_part, parts.modulus_part), T) <= 1e-8
-        assert_partial_isometry_with_kernel_condition(parts)
+        recon = compose(polar_isometry_closed_form(W), tstar_t_power(W, 0.5))
+        assert max_diff(recon, T) <= 1e-8
+        assert_partial_isometry_with_kernel_condition(W)
 
 
 class TestAluthge:
@@ -271,30 +267,30 @@ class TestAluthge:
 
 class TestAdjointParts:
     """The polar factors and Aluthge transform of T*: the T-side closed forms
-    of adjoint_wce(W)."""
+    of adjoint_wce(W), with |T*| = tstar_t_power(adjoint_wce(W), 0.5)."""
 
     def test_projection_case(self):
         W = ones_instance()
         e = expectation_operator(W.space, W.algebra)
         V = adjoint_wce(W)
-        parts = polar_closed_form(V)
-        for part in (parts.modulus_part, parts.isometry_part, aluthge_closed_form(V)):
+        parts = (tstar_t_power(V, 0.5), polar_isometry_closed_form(V), aluthge_closed_form(V))
+        for part in parts:
             np.testing.assert_allclose(part.entries, e.entries, atol=1e-12)
 
     def test_isometry_is_adjoint_of_isometry(self):
         for seed in range(5):
             W = as_wce(random_instance(seed + 400, 9, 3))
-            adj_isometry = polar_closed_form(adjoint_wce(W)).isometry_part
-            parts = polar_closed_form(W)
-            assert max_diff(adj_isometry, adjoint(parts.isometry_part)) <= 1e-10
+            adj_isometry = polar_isometry_closed_form(adjoint_wce(W))
+            assert max_diff(adj_isometry, adjoint(polar_isometry_closed_form(W))) <= 1e-10
 
     def test_modulus_matches_oracle(self):
         for seed in range(5):
             W = as_wce(random_instance(seed + 500, 9, 3))
             T = to_matrix(W)
             V = adjoint_wce(W)
-            modulus_part = polar_closed_form(V).modulus_part
-            assert max_diff(modulus_part, gram_power(adjoint(T), 0.5)) <= 1e-8
+            modulus = tstar_t_power(V, 0.5)
+            assert max_diff(modulus, gram_power(adjoint(T), 0.5)) <= 1e-8
+            assert max_diff(polar_isometry_closed_form(V), polar_isometry_numeric(adjoint(T))) <= 1e-8
             assert max_diff(aluthge_closed_form(V), aluthge_numeric(adjoint(T))) <= 1e-8
 
 
@@ -331,7 +327,7 @@ class TestAdjointWCE:
                 tstar_t_power(adjoint_wce(W), p).parts, tstar_t_power(rebuilt, p).parts
             ):
                 np.testing.assert_array_equal(cached, fresh)
-        polar_closed_form(adjoint_wce(W))
+        polar_isometry_closed_form(adjoint_wce(W))
         aluthge_closed_form(adjoint_wce(W))
         assert len(calls) == 5  # one build: the five conditional moments
 
