@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -269,21 +270,23 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _verify_instances(args) -> list:
+def _verify_instances(args) -> Iterator:
     """(label, instance) pairs: ``--count`` consecutive seeds of ``--random``
-    or ``--proportional``, or the one instance any other source names."""
+    or ``--proportional``, or the one instance any other source names. The
+    flags are checked at the call; each seed's instance is built only when
+    the iteration reaches it, so one is held at a time, not all of them."""
     if args.count < 1:
         raise ValueError("--count must be at least 1")
     if args.count == 1:
-        return [("instance", _load_instance(args))]
+        return iter([("instance", _load_instance(args))])
     if args.path is not None or args.example or not (args.random or args.proportional):
         raise ValueError("--count above 1 needs --random or --proportional")
     kind = "proportional" if args.proportional else "random"
     seeds = range(args.seed, args.seed + args.count)
-    return [
+    return (
         (f"{kind} seed={s}", _load_instance(argparse.Namespace(**{**vars(args), "seed": s})))
         for s in seeds
-    ]
+    )
 
 
 def cmd_verify(args) -> int:

@@ -176,14 +176,19 @@ def conditional_expectation(
     if algebra.point_count != space.point_count:
         raise ValueError("algebra does not partition the given space")
     mu = space.weights
-    labels = algebra.labels
-    k = algebra.block_count
-    block_mass = np.bincount(labels, weights=mu, minlength=k)
-    weighted = mu * f.values
-    block_sum = np.bincount(labels, weights=weighted.real, minlength=k).astype(complex)
-    block_sum += 1j * np.bincount(labels, weights=weighted.imag, minlength=k)
-    means = block_sum / block_mass
-    return MeasurableFunction(means[labels], space)
+    means = _atom_sums(algebra, mu * f.values) / _atom_sums(algebra, mu)
+    return MeasurableFunction(means[algebra.labels], space)
+
+
+def _atom_sums(algebra: SubSigmaAlgebra, values: np.ndarray) -> np.ndarray:
+    """The sum of ``values`` over each atom (one per atom, in block order):
+    one bincount for a real array, one per part for a complex one."""
+    labels, k = algebra.labels, algebra.block_count
+    if not np.iscomplexobj(values):
+        return np.bincount(labels, weights=values, minlength=k)
+    sums = np.bincount(labels, weights=values.real, minlength=k).astype(complex)
+    sums += 1j * np.bincount(labels, weights=values.imag, minlength=k)
+    return sums
 
 
 def weighted_inner(f: MeasurableFunction, g: MeasurableFunction) -> complex:

@@ -37,6 +37,12 @@ shared by every caller. An operator and its adjoint share one
 factorization: the adjoint's standard-coordinate blocks are the conjugate
 transposes, so its factors are the operator's swapped (Y diag(s) X^H),
 read through a weak reference that keeps no operator alive.
+
+The closed forms all have the shape M_a E M_b (``expectation_operator``),
+rank one on each atom, so they can also be handled as their pairs (a, b):
+the pair rules (adjoint, product, coimage projection, norm per atom) and
+``expectation_distance`` cost O(n) in segment sums over the atoms plus one
+stacked SVD of 2 x 2 cores, and build no block.
 """
 
 from __future__ import annotations
@@ -55,7 +61,9 @@ from .measure_space import (
     FiniteMeasureSpace,
     MeasurableFunction,
     SubSigmaAlgebra,
+    _atom_sums,
     _frozen_array,
+    conditional_expectation,
 )
 
 #: relative cutoff below which a singular value counts as zero (rank decisions)
@@ -177,6 +185,92 @@ def expectation_operator(
         mu_b = mu[b]
         parts.append(np.outer(left[b], mu_b * right[b] / mu_b.sum()))
     return WeightedOperator._of_blocks(parts, space, algebra.blocks)
+
+
+def expectation_adjoint(pair: tuple) -> tuple:
+    """The pair of the adjoint of M_a E M_b on L2(mu): (conj(b), conj(a))."""
+    a, b = pair
+    return np.conj(b), np.conj(a)
+
+
+def expectation_product(
+    space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, first: tuple, second: tuple
+) -> tuple:
+    """The pair of (M_a E M_b)(M_c E M_d) = M_{a E(bc)} E M_d, in O(n)."""
+    (a, b), (c, d) = first, second
+    return a * conditional_expectation(space, algebra, MeasurableFunction(b * c, space)).values, d
+
+
+def _rank_one_atoms(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple) -> tuple:
+    """(sigma, p, q) of M_a E M_b: on each atom B its standard-coordinate
+    block sqrt(mu) a (sqrt(mu) b)^T / mu(B) is sigma_B p q^H, with p and q
+    the unit vectors on B along sqrt(mu) a and conj(sqrt(mu) b), and
+    sigma_B = ||sqrt(mu) a||_B ||sqrt(mu) b||_B / mu(B) (one per atom). An
+    atom with sigma_B = 0 has p = q = 0 on it."""
+    d = _sqrt_weights(space)
+    lines = (d * pair[0], np.conj(d * pair[1]))
+    norms = [np.sqrt(_atom_sums(algebra, np.abs(v) ** 2)) for v in lines]
+    sigma = norms[0] * norms[1] / _atom_sums(algebra, space.weights)
+    on = sigma > 0
+    p, q = (
+        v * np.divide(1.0, norm, out=np.zeros_like(norm), where=on)[algebra.labels]
+        for v, norm in zip(lines, norms)
+    )
+    return sigma, p, q
+
+
+def expectation_norms(
+    space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple
+) -> np.ndarray:
+    """||M_a E M_b|| on each atom, in block order: the singular value of its
+    rank-one block; the largest is the operator norm."""
+    return _rank_one_atoms(space, algebra, pair)[0]
+
+
+def expectation_coimage(
+    space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple
+) -> tuple:
+    """The pair of the weighted-orthogonal projection onto the coimage of
+    M_a E M_b (the orthogonal complement of its kernel):
+    (chi conj(b) / E|b|^2, b), where chi marks the atoms whose norm passes
+    the oracle's rank rule, DEFAULT_RANK_TOL times the largest."""
+    _, b = pair
+    sigma = expectation_norms(space, algebra, pair)
+    mu = space.weights
+    e_b2 = _atom_sums(algebra, mu * np.abs(b) ** 2) / _atom_sums(algebra, mu)
+    keep = sigma > DEFAULT_RANK_TOL * sigma.max(initial=0.0)
+    factor = np.divide(1.0, e_b2, out=np.zeros_like(e_b2), where=keep)
+    return factor[algebra.labels] * np.conj(b), b
+
+
+def expectation_distance(
+    space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, first: tuple, second: tuple
+) -> float:
+    """||M_a E M_b - M_c E M_d|| on L2(mu) for the pairs first = (a, b) and
+    second = (c, d), with no |B| x |B| array: the largest over the atoms of
+    the norm of sigma_1 p_1 q_1^H - sigma_2 p_2 q_2^H (``_rank_one_atoms``).
+
+    On each atom the second pair's lines are split along the first's,
+    p_2 = c p_1 + rho e with rho = ||p_2 - c p_1|| (the Gram-Schmidt
+    residual: sqrt(1 - |c|^2) would lose the digits when the lines
+    nearly coincide, the case a passing check measures), and likewise
+    q_2 = d q_1 + tau f. The difference is then a 2 x 2 core in the
+    orthonormal bases (p_1, e) and (q_1, f), and one stacked values-only
+    SVD of the cores gives every atom's norm."""
+    s1, p1, q1 = _rank_one_atoms(space, algebra, first)
+    s2, p2, q2 = _rank_one_atoms(space, algebra, second)
+    splits = []
+    for x1, x2 in ((p1, p2), (q1, q2)):
+        along = _atom_sums(algebra, np.conj(x1) * x2)
+        residual = x2 - along[algebra.labels] * x1
+        splits.append((along, np.sqrt(_atom_sums(algebra, np.abs(residual) ** 2))))
+    (c, rho), (d, tau) = splits
+    cores = np.empty((algebra.block_count, 2, 2), dtype=complex)
+    cores[:, 0, 0] = s1 - s2 * c * np.conj(d)
+    cores[:, 0, 1] = -s2 * c * tau
+    cores[:, 1, 0] = -s2 * rho * np.conj(d)
+    cores[:, 1, 1] = -s2 * rho * tau
+    return float(_solve("svd", cores, compute_uv=False).max(initial=0.0))
 
 
 def _check_space(a: WeightedOperator, b) -> None:

@@ -1,8 +1,9 @@
 """Per-instance cross-validation of every closed form against the oracle.
 
 Each check compares a moment-based closed form with the corresponding
-computation of the per-atom numerical oracle and records a pass/fail with
-its margin and tolerance. This module backs both the ``verify`` CLI
+computation of the per-atom numerical oracle, or, for the polar
+decomposition, with T's own definition, and records a pass/fail with its
+margin and tolerance. This module backs both the ``verify`` CLI
 subcommand and the acceptance test suite.
 """
 
@@ -59,8 +60,12 @@ class Check:
 
 
 def _max_diff(A: WeightedOperator, B: WeightedOperator) -> float:
-    """The largest entry of A - B in modulus, over its blocks."""
-    return float(max(np.abs(p).max(initial=0.0) for p in oa.subtract(A, B).parts))
+    """The largest entry of A - B in modulus, block by block when both have
+    the same blocks and over the assembled entries otherwise; no operator is
+    built for the difference."""
+    oa._check_space(A, B)
+    pairs = zip(A.parts, B.parts) if oa._same_blocks(A, B) else [(A.entries, B.entries)]
+    return float(max(np.abs(a - b).max(initial=0.0) for a, b in pairs))
 
 
 def _check(name: str, margin: float, tolerance: float) -> Check:
@@ -74,11 +79,12 @@ def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list
     memoized factorizations are freed when it returns; only W, T and the
     factorizations memoized on T live throughout. T* is checked as T's side
     of the adjoint: the T-side sections rerun on ``adjoint_wce(W)`` against
-    the oracle on ``adjoint(T)``. Those run after the polar and Aluthge
-    sections: ``adjoint(T)`` is memoized on T, so building it earlier would
-    keep T*'s blocks alive through the polar section, where the peak is.
-    The polar sections check the partial isometry U; its modulus |T| is
-    ``tstar_t_power(W, 0.5)``, which the power section checks at p = 1/2."""
+    the oracle on ``adjoint(T)``, after the T-side sections: ``adjoint(T)``
+    is memoized on T, so its blocks live from then on.
+    The polar section checks the partial isometry U and the modulus
+    |T| = ``tstar_t_power(W, 0.5)`` (which the power section checks against
+    the oracle at p = 1/2) on their pairs (a, b) of M_a E M_b, in O(n) per
+    check and without T's factors: no |B| x |B| block is built for it."""
     W = as_wce(instance, support_tol=tols.support)
     T = wce.to_matrix(W)
     norm_t = oa.operator_norm(T)
@@ -92,7 +98,7 @@ def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list
         )
     ]
     checks += _power_checks(W, T, "tstar_t_power", tols)
-    checks += _polar_checks(W, T, tols)
+    checks += _polar_checks(W, tols)
     checks += _aluthge_checks(W, T, tols)
     checks += _power_checks(wce.adjoint_wce(W), oa.adjoint(T), "t_tstar_power", tols)
     checks += _adjoint_checks(W, T, tols)
@@ -117,28 +123,36 @@ def _power_checks(W: WCEOperator, T: WeightedOperator, name: str, tols: Toleranc
     ]
 
 
-def _polar_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> list:
-    """The polar decomposition T = U |T|, with |T| = ``tstar_t_power(W, 0.5)``."""
-    u_part = wce.polar_isometry_closed_form(W)
-    modulus = wce.tstar_t_power(W, 0.5)
+def _polar_checks(W: WCEOperator, tols: Tolerances) -> list:
+    """The polar decomposition T = U |T|, with |T| = ``tstar_t_power(W, 0.5)``,
+    measured on the pairs (a, b) of the operators M_a E M_b: T's own pair
+    (w, u) and those of the two closed forms, combined by the pair rules and
+    compared by ``expectation_distance``, so no |B| x |B| block is built.
+    The kernel condition N(U) = N(|T|) compares the coimage projections:
+    ||P_ker U - P_ker |T||| = ||P_coim |T| - P_coim U||."""
+    space, algebra = W.space, W.algebra
+    t_pair = (W.w.values, W.u.values)  # the vectors T's blocks are built from
+    u_part = wce._polar_isometry_pair(W)
+    modulus = wce._tstar_t_power_pair(W, 0.5)
+    u_modulus = oa.expectation_product(space, algebra, u_part, modulus)
+    u_u_star = oa.expectation_product(space, algebra, u_part, oa.expectation_adjoint(u_part))
+    u_u_star_u = oa.expectation_product(space, algebra, u_u_star, u_part)
+    u_norm = float(oa.expectation_norms(space, algebra, u_part).max(initial=0.0))
+    coimages = [oa.expectation_coimage(space, algebra, x) for x in (modulus, u_part)]
     return [
         _check(
             "polar_reconstruction",
-            oa.norm_distance(oa.compose(u_part, modulus), T),
+            oa.expectation_distance(space, algebra, u_modulus, t_pair),
             tols.match,
         ),
         _check(
             "polar_partial_isometry",
-            oa.norm_distance(
-                oa.compose(oa.compose(u_part, oa.adjoint(u_part)), u_part), u_part
-            ),
-            tols.match * (1.0 + oa.operator_norm(u_part)),
+            oa.expectation_distance(space, algebra, u_u_star_u, u_part),
+            tols.match * (1.0 + u_norm),
         ),
         _check(
             "polar_kernel_condition",
-            oa.norm_distance(
-                oa.kernel_projection(u_part), oa.kernel_projection(modulus)
-            ),
+            oa.expectation_distance(space, algebra, *coimages),
             tols.match,
         ),
     ]

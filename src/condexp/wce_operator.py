@@ -126,8 +126,8 @@ def norm_closed_form(W: WCEOperator) -> float:
     return float(np.sqrt(np.clip(prod, 0.0, None).max()))
 
 
-def tstar_t_power(W: WCEOperator, p: float) -> WeightedOperator:
-    """(T*T)^p = M_{conj(u) (E|u|^2)^(p-1) chi_S (E|w|^2)^p} E M_u."""
+def _tstar_t_power_pair(W: WCEOperator, p: float) -> tuple:
+    """The pair (a, b) of (T*T)^p = M_a E M_b (``tstar_t_power``)."""
     if p <= 0:
         raise ValueError("power must be positive")
     eu2 = W.e_abs_u2.values.real
@@ -135,9 +135,20 @@ def tstar_t_power(W: WCEOperator, p: float) -> WeightedOperator:
     factor = np.zeros(W.space.point_count, dtype=complex)
     on = W.support_u2
     factor[on] = eu2[on] ** (p - 1.0) * np.clip(ew2[on], 0.0, None) ** p
-    return expectation_operator(
-        W.space, W.algebra, np.conj(W.u.values) * factor, W.u.values
-    )
+    return np.conj(W.u.values) * factor, W.u.values
+
+
+def tstar_t_power(W: WCEOperator, p: float) -> WeightedOperator:
+    """(T*T)^p = M_{conj(u) (E|u|^2)^(p-1) chi_S (E|w|^2)^p} E M_u."""
+    return expectation_operator(W.space, W.algebra, *_tstar_t_power_pair(W, p))
+
+
+def _polar_isometry_pair(W: WCEOperator) -> tuple:
+    """The pair (a, b) of U = M_a E M_b (``polar_isometry_closed_form``)."""
+    s_and_g = W.support_u2 & W.support_w2
+    ew2_eu2 = W.e_abs_w2.values.real * W.e_abs_u2.values.real
+    iso_factor = np.sqrt(_guarded_ratio(np.ones_like(ew2_eu2), ew2_eu2, s_and_g).real)
+    return iso_factor * W.w.values, W.u.values
 
 
 def polar_isometry_closed_form(W: WCEOperator) -> WeightedOperator:
@@ -146,10 +157,7 @@ def polar_isometry_closed_form(W: WCEOperator) -> WeightedOperator:
 
     U f = (chi_{S and G} / (E|w|^2 E|u|^2))^(1/2) w E(u f)
     """
-    s_and_g = W.support_u2 & W.support_w2
-    ew2_eu2 = W.e_abs_w2.values.real * W.e_abs_u2.values.real
-    iso_factor = np.sqrt(_guarded_ratio(np.ones_like(ew2_eu2), ew2_eu2, s_and_g).real)
-    return expectation_operator(W.space, W.algebra, iso_factor * W.w.values, W.u.values)
+    return expectation_operator(W.space, W.algebra, *_polar_isometry_pair(W))
 
 
 def aluthge_closed_form(W: WCEOperator) -> WeightedOperator:

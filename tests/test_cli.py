@@ -10,6 +10,7 @@ from condexp import (
     sigma_p_equals_sigma_jp_check,
     symmetric_interval_example,
 )
+from condexp import cli
 from condexp.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
@@ -125,9 +126,41 @@ class TestVerify:
         ],
     )
     def test_bad_count_is_rejected(self, capsys, argv):
-        code, _, err = run_cli(capsys, ["verify", *argv])
+        code, out, err = run_cli(capsys, ["verify", *argv])
         assert code == EXIT_BAD_INPUT
         assert "--count" in err
+        assert out == ""
+
+    def test_bad_instance_in_a_count_run_writes_no_report(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["verify", "--random", "--count", "3", "--points", "2", "--blocks", "5"]
+        )
+        assert code == EXIT_BAD_INPUT
+        assert "n_blocks" in err
+        assert out == ""
+
+    def test_count_builds_each_instance_when_it_is_verified(self, capsys, monkeypatch):
+        """``--count`` builds one instance, verifies it, then builds the
+        next: at the k-th verify_instance call k instances were built."""
+        builds, built_at_verify = [], []
+
+        def counted(*args, _original=cli.random_instance, **kwargs):
+            builds.append(args[0])
+            return _original(*args, **kwargs)
+
+        def recorded(instance, tols, _original=cli.verify_instance):
+            built_at_verify.append(len(builds))
+            return _original(instance, tols)
+
+        monkeypatch.setattr(cli, "random_instance", counted)
+        monkeypatch.setattr(cli, "verify_instance", recorded)
+        code, _, _ = run_cli(
+            capsys,
+            ["verify", "--random", "--seed", "5", "--points", "8", "--blocks", "3", "--count", "3"],
+        )
+        assert code == EXIT_OK
+        assert builds == [5, 6, 7]
+        assert built_at_verify == [1, 2, 3]
 
     def test_count_with_file_is_rejected(self, capsys, tmp_path):
         path = tmp_path / "inst.json"

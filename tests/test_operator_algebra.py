@@ -32,7 +32,17 @@ from condexp import (
     weighted_inner,
 )
 from condexp.measure_space import cluster_values
-from condexp.operator_algebra import _factors, _std_blocks, gram_power, norm_distance
+from condexp.operator_algebra import (
+    _factors,
+    _std_blocks,
+    expectation_adjoint,
+    expectation_coimage,
+    expectation_distance,
+    expectation_norms,
+    expectation_product,
+    gram_power,
+    norm_distance,
+)
 
 from conftest import make_function, multiset_close
 
@@ -406,6 +416,124 @@ class TestKernel:
         # the kernel is span{(0, 1)}
         projection = kernel_projection(WeightedOperator(RANK_ONE, flat_space(2)))
         np.testing.assert_allclose(projection.entries, np.diag([0.0, 1.0]), atol=1e-12)
+
+
+#: three atoms of five points with random masses, for the pair tests
+PAIR_SPACE = FiniteMeasureSpace(np.random.default_rng(21).uniform(0.1, 2.0, 15))
+PAIR_ALGEBRA = SubSigmaAlgebra(tuple(range(k, k + 5) for k in (0, 5, 10)), 15)
+#: the angle of the near-coincident lines: sqrt(1 - |c|^2) has no digits left
+NEAR_ANGLE = 1e-9
+
+
+def _complex_vector(rng, n=15):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _turned(v, rng, angle):
+    """v turned by ``angle`` on each atom, in the weighted inner product: cos
+    v + sin r, with r orthogonal to v on the atom and of the same norm."""
+    mu, out = PAIR_SPACE.weights, np.empty_like(v)
+    for b in PAIR_ALGEBRA.blocks:
+        x = _complex_vector(rng, b.size)
+        x -= v[b] * np.sum(mu[b] * np.conj(v[b]) * x) / np.sum(mu[b] * np.abs(v[b]) ** 2)
+        x *= np.sqrt(np.sum(mu[b] * np.abs(v[b]) ** 2) / np.sum(mu[b] * np.abs(x) ** 2))
+        out[b] = np.cos(angle) * v[b] + np.sin(angle) * x
+    return out
+
+
+def _adversarial_pairs():
+    """(name, first, second) pairs of M_a E M_b: lines that coincide, point
+    opposite, differ by phases or nearly coincide, zero atoms and zero
+    operands, and two unrelated operators."""
+    rng = np.random.default_rng(5)
+    a, b, c, d = (_complex_vector(rng) for _ in range(4))
+    zero = np.zeros(15, dtype=complex)
+    a_gap, d_gap = a.copy(), d.copy()
+    a_gap[5:10] = 0.0
+    d_gap[10:] = 0.0
+    yield "parallel", (a, b), (2.5 * a, b)
+    yield "antiparallel", (a, b), (-a, b)
+    yield "phases", (a, b), (np.exp(0.7j) * a, np.exp(-0.3j) * b)
+    yield "real_signs", (a.real, b.real), (-0.5 * a.real, b.real)
+    yield "zero_atoms", (a_gap, b), (c, d_gap)
+    yield "zero_operand", (a, b), (zero, zero)
+    yield "zero_first", (zero, b), (a, b)
+    yield "near_left", (a, b), (_turned(a, rng, NEAR_ANGLE), b)
+    yield "near_both", (a, b), (1.5 * _turned(a, rng, NEAR_ANGLE), _turned(b, rng, NEAR_ANGLE))
+    yield "generic", (a, b), (c, d)
+
+
+def _pair_operator(pair):
+    return expectation_operator(PAIR_SPACE, PAIR_ALGEBRA, *pair)
+
+
+class TestExpectationPairs:
+    """The pair rules of M_a E M_b against the operators they stand for."""
+
+    @pytest.mark.parametrize("name, first, second", list(_adversarial_pairs()))
+    def test_distance_is_the_dense_norm_of_the_difference(self, name, first, second):
+        A, B = _pair_operator(first), _pair_operator(second)
+        scale = max(operator_norm(A), operator_norm(B))
+        got = expectation_distance(PAIR_SPACE, PAIR_ALGEBRA, first, second)
+        assert abs(got - norm_distance(A, B)) <= 1e-14 * scale
+        assert expectation_distance(PAIR_SPACE, PAIR_ALGEBRA, first, first) <= 1e-14 * scale
+
+    def test_near_coincident_lines_defeat_the_cosine_form(self):
+        """At the angle 1e-9, sqrt(1 - |c|^2) keeps no digit of the sine:
+        the near cases above need the Gram-Schmidt residual."""
+        rng = np.random.default_rng(0)
+        v = _complex_vector(rng)
+        turned = _turned(v, rng, NEAR_ANGLE)
+        mu, b = PAIR_SPACE.weights, PAIR_ALGEBRA.blocks[0]
+        unit = lambda x: np.sqrt(mu[b]) * x[b] / np.sqrt(np.sum(mu[b] * np.abs(x[b]) ** 2))
+        cosine = abs(np.vdot(unit(v), unit(turned)))
+        assert abs(np.sqrt(max(0.0, 1.0 - cosine**2)) - np.sin(NEAR_ANGLE)) > 0.5 * NEAR_ANGLE
+
+    @pytest.mark.parametrize("name, first, second", list(_adversarial_pairs()))
+    def test_product_adjoint_and_norms(self, name, first, second):
+        A, B = _pair_operator(first), _pair_operator(second)
+        product = _pair_operator(expectation_product(PAIR_SPACE, PAIR_ALGEBRA, first, second))
+        np.testing.assert_allclose(product.entries, compose(A, B).entries, atol=1e-12)
+        star = _pair_operator(expectation_adjoint(first))
+        np.testing.assert_allclose(star.entries, adjoint(A).entries, atol=1e-12)
+        norms = expectation_norms(PAIR_SPACE, PAIR_ALGEBRA, first)
+        assert norms.max() == pytest.approx(operator_norm(A), rel=1e-12)
+
+    @pytest.mark.parametrize("name, first, second", list(_adversarial_pairs()))
+    def test_coimage_is_the_complement_of_the_kernel_projection(self, name, first, second):
+        """The coimage pair is I - kernel_projection, rank cut included, so
+        the coimage distance is the distance of the kernel projections."""
+        coimages = [expectation_coimage(PAIR_SPACE, PAIR_ALGEBRA, x) for x in (first, second)]
+        kernels = [kernel_projection(_pair_operator(x)) for x in (first, second)]
+        for pair, kernel in zip(coimages, kernels):
+            complement = np.eye(15) - _pair_operator(pair).entries
+            np.testing.assert_allclose(complement, kernel.entries, atol=1e-12)
+        got = expectation_distance(PAIR_SPACE, PAIR_ALGEBRA, *coimages)
+        assert abs(got - norm_distance(*kernels)) <= 1e-12
+
+    def test_coimage_cuts_atoms_under_the_rank_rule(self):
+        """An atom whose norm is under DEFAULT_RANK_TOL times the largest is
+        in the kernel, as the oracle's rank cut decides."""
+        rng = np.random.default_rng(2)
+        a, b = _complex_vector(rng), _complex_vector(rng)
+        a[10:] *= 1e-12
+        pair = expectation_coimage(PAIR_SPACE, PAIR_ALGEBRA, (a, b))
+        kernel = kernel_projection(_pair_operator((a, b)))
+        np.testing.assert_allclose(pair[0][10:], 0.0)
+        complement = np.eye(15) - _pair_operator(pair).entries
+        np.testing.assert_allclose(complement, kernel.entries, atol=1e-12)
+
+    def test_distance_runs_one_stacked_svd_of_two_by_two_cores(self, monkeypatch):
+        shapes = []
+
+        def probe(a, *args, _original=np.linalg.svd, **kwargs):
+            shapes.append((np.shape(a), kwargs.get("compute_uv", True)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", probe)
+        _, first, second = next(_adversarial_pairs())
+        expectation_distance(PAIR_SPACE, PAIR_ALGEBRA, first, second)
+        assert shapes == [((3, 2, 2), False)]
 
 
 class TestNormal:

@@ -340,16 +340,15 @@ def test_kernel_projection_of_an_oracle_built_operator_factors_only_its_cores(mo
 
 
 #: full-size (|B| x |B|) factorizations one verify may make per atom: T's
-#: SVD, the SVDs of the closed-form polar factors' two kernels and the three
-#: values-only residual SVDs
-FULL_SIZE_FACTORIZATIONS_PER_ATOM = 6
+#: SVD (the polar residuals are measured on 2 x 2 cores)
+FULL_SIZE_FACTORIZATIONS_PER_ATOM = 1
 
 
 @FOUR_ATOMS
 def test_verify_factors_neither_t_squared_nor_its_aluthge(monkeypatch, instance):
     """The class margins read T^2 and the second Aluthge transform reads
     Delta(T) off T's factors: no SVD runs on a block of T^2 or of Delta(T),
-    and verify makes at most 6 full-size factorizations per atom."""
+    and verify makes at most one full-size factorization per atom."""
     T = to_matrix(as_wce(instance))
     derived = [m for X in (compose(T, T), aluthge_numeric(T)) for _, m in _std_blocks(X)]
     sizes = {b.size for b in T.blocks}
@@ -440,9 +439,9 @@ def test_class_margins_match_the_composed_operators(name, W):
 
 
 #: bound on the tracemalloc peak of one verify, in units of 16 sum |B|^2 bytes
-#: (the complex blocks of T): measured 10.6 (random) and 9.7 (product), so
+#: (the complex blocks of T): measured 7.7 (random) and 7.1 (product), so
 #: the bound leaves 40% headroom
-VERIFY_PEAK_PER_BLOCK_BYTE = 15
+VERIFY_PEAK_PER_BLOCK_BYTE = 11
 
 
 @FOUR_ATOMS
