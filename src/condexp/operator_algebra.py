@@ -38,9 +38,10 @@ factorization: the adjoint's standard-coordinate blocks are the conjugate
 transposes, so its factors are the operator's swapped (Y diag(s) X^H),
 read through a weak reference that keeps no operator alive.
 
-The closed forms all have the shape M_a E M_b (``expectation_operator``),
-rank one on each atom, so they can also be handled as their pairs (a, b):
-the pair rules (adjoint, product, coimage projection, norm per atom) and
+The closed forms all have the shape M_a E M_b, rank one on each atom, and
+are handled as their pairs (a, b). ``expectation_operator`` builds a pair's
+blocks (``_expectation_blocks`` yields them one atom at a time); the pair
+rules (adjoint, product, coimage projection, norm per atom) and
 ``expectation_distance`` cost O(n) in segment sums over the atoms plus one
 stacked SVD of 2 x 2 cores, and build no block.
 """
@@ -166,6 +167,16 @@ class WeightedOperator:
         return WeightedOperator(np.zeros((space.point_count,) * 2), space)
 
 
+def _expectation_blocks(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple):
+    """The blocks of M_a E M_b for the pair (a, b), one atom's at a time, in
+    block order: on an atom B the rank-one block a_B (mu_B b_B)^T / mu(B)."""
+    a, b = pair
+    mu = space.weights
+    for block in algebra.blocks:
+        mu_b = mu[block]
+        yield np.outer(a[block], mu_b * b[block] / mu_b.sum())
+
+
 def expectation_operator(
     space: FiniteMeasureSpace,
     algebra: SubSigmaAlgebra,
@@ -173,18 +184,13 @@ def expectation_operator(
     right: Optional[np.ndarray] = None,
 ) -> WeightedOperator:
     """The operator f -> left * E(right * f), block-diagonal over the atoms
-    of ``algebra``; the conditional expectation E itself when both are
-    omitted. On an atom B it is the rank-one block left_B (mu_B right_B)^T
-    / mu(B)."""
+    of ``algebra`` (``_expectation_blocks``); the conditional expectation E
+    itself when both are omitted."""
     n = space.point_count
-    left = np.ones(n) if left is None else left
-    right = np.ones(n) if right is None else right
-    mu = space.weights
-    parts = []
-    for b in algebra.blocks:
-        mu_b = mu[b]
-        parts.append(np.outer(left[b], mu_b * right[b] / mu_b.sum()))
-    return WeightedOperator._of_blocks(parts, space, algebra.blocks)
+    pair = (np.ones(n) if left is None else left, np.ones(n) if right is None else right)
+    return WeightedOperator._of_blocks(
+        _expectation_blocks(space, algebra, pair), space, algebra.blocks
+    )
 
 
 def expectation_adjoint(pair: tuple) -> tuple:

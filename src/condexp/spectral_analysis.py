@@ -32,26 +32,11 @@ from .wce_operator import (
     to_matrix,
 )
 
-__all__ = [
-    "SpectrumReport",
-    "EMuPointSpectrumReport",
-    "JointSpectrumReport",
-    "JointSpectrumRangeReport",
-    "spectrum_closed_form",
-    "spectrum_report",
-    "em_u_point_spectrum",
-    "joint_point_spectrum",
-    "spectral_radius_closed_form",
-    "sigma_p_equals_sigma_jp_check",
-    "joint_spectrum_range_check",
-    "hausdorff_distance",
-]
-
 #: default tolerance for eigenvalue clustering and set comparisons
 DEFAULT_SPECTRUM_TOL = 1e-7
 #: default relative tolerance of the joint point spectrum and its identities
 DEFAULT_JOINT_TOL = 1e-8
-#: entries of the work arrays ``hausdorff_distance`` and
+#: entries of the work arrays ``_set_distances`` and
 #: ``joint_point_spectrum`` hold at a time
 DISTANCE_CHUNK = 1 << 16
 #: two subspaces intersect nontrivially iff their smallest principal angle
@@ -107,31 +92,28 @@ class JointSpectrumRangeReport:
     full_sets_equal: Optional[bool]  # only when S and G cover every point
 
 
-def hausdorff_distance(a, b) -> float:
-    """Hausdorff distance between two finite sets of complex scalars.
-
-    The distances are taken a bounded number of rows of the |a| x |b| table
-    at a time, so memory is O(|a| + |b|)."""
-    a = list(a)
-    b = list(b)
-    if not a and not b:
-        return 0.0
-    if not a or not b:
-        return float("inf")
-    av = np.asarray(a, dtype=complex)
-    bv = np.asarray(b, dtype=complex)
-    rows = max(1, DISTANCE_CHUNK // bv.size)
-    a_to_b = np.empty(av.size)  # distance from each point of a to b
+def _set_distances(a, b) -> tuple:
+    """(the distance from each point of a to the set b, from each point of b
+    to a) for finite sets of complex scalars; a distance to an empty set is
+    inf. The |a| x |b| table is taken a bounded number of rows at a time, so
+    memory is O(|a| + |b|)."""
+    av = np.asarray(list(a), dtype=complex)
+    bv = np.asarray(list(b), dtype=complex)
+    a_to_b = np.full(av.size, np.inf)
     b_to_a = np.full(bv.size, np.inf)
+    rows = max(1, DISTANCE_CHUNK // max(1, bv.size))
     for start in range(0, av.size, rows):
         dist = np.abs(av[start : start + rows, None] - bv[None, :])
-        a_to_b[start : start + rows] = dist.min(axis=1)
-        np.minimum(b_to_a, dist.min(axis=0), out=b_to_a)
-    return float(max(a_to_b.max(), b_to_a.max()))
+        a_to_b[start : start + rows] = dist.min(axis=1, initial=np.inf)
+        np.minimum(b_to_a, dist.min(axis=0, initial=np.inf), out=b_to_a)
+    return a_to_b, b_to_a
 
 
-def _nonzero_cluster(values, tol: float) -> list:
-    return [v for v in cluster_values(values, tol) if abs(v) > tol]
+def hausdorff_distance(a, b) -> float:
+    """Hausdorff distance between two finite sets of complex scalars: 0
+    between two empty sets, inf between an empty and a nonempty one."""
+    a_to_b, b_to_a = _set_distances(a, b)
+    return float(max(a_to_b.max(initial=0.0), b_to_a.max(initial=0.0)))
 
 
 def spectrum_closed_form(W: WCEOperator, tol: float = DEFAULT_SPECTRUM_TOL):
@@ -154,7 +136,7 @@ def spectrum_report(W: WCEOperator, tol: float = DEFAULT_SPECTRUM_TOL) -> Spectr
     set_tol = tol * scale
     closed_nonzero, zero_flag, covers = spectrum_closed_form(W, set_tol)
     evals = eigenvalues(T)
-    numeric_nonzero = _nonzero_cluster(evals, set_tol)
+    numeric_nonzero = [v for v in cluster_values(evals, set_tol) if abs(v) > set_tol]
     dist = hausdorff_distance(closed_nonzero, numeric_nonzero)
     return SpectrumReport(
         closed_form_nonzero=tuple(closed_nonzero),
@@ -186,10 +168,7 @@ def em_u_point_spectrum(
     equality_off_zero = (
         hausdorff_distance(closed_nonzero, numeric_nonzero) <= set_tol
     )
-    containment = all(
-        min((abs(v - m) for m in numeric), default=np.inf) <= set_tol
-        for v in level_values
-    )
+    containment = bool(np.all(_set_distances(level_values, numeric)[0] <= set_tol))
     zero_attained = bool(level_set(W.e_u, 0.0, set_tol).any())
     zero_case = None
     if zero_attained:
@@ -263,11 +242,8 @@ def sigma_p_equals_sigma_jp_check(
     if quasi:
         equal = hausdorff_distance(sigma_p, sigma_jp) <= set_tol
         if not equal:
-            counterexamples = [
-                lam
-                for lam in sigma_p
-                if min((abs(lam - m) for m in sigma_jp), default=np.inf) > set_tol
-            ]
+            to_jp = _set_distances(sigma_p, sigma_jp)[0]
+            counterexamples = [lam for lam, d in zip(sigma_p, to_jp) if d > set_tol]
     return JointSpectrumReport(
         quasi_star_a=quasi,
         point_spectrum=tuple(sigma_p),

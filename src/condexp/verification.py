@@ -1,10 +1,12 @@
 """Per-instance cross-validation of every closed form against the oracle.
 
-Each check compares a moment-based closed form with the corresponding
-computation of the per-atom numerical oracle, or, for the polar
-decomposition, with T's own definition, and records a pass/fail with its
-margin and tolerance. This module backs both the ``verify`` CLI
-subcommand and the acceptance test suite.
+Each check compares a moment-based closed form, the pair (a, b) of an
+operator M_a E M_b, with the corresponding computation of the per-atom
+numerical oracle, or, for the polar decomposition, with T's own definition,
+and records a pass/fail with its margin and tolerance. The power and Aluthge
+checks measure the largest entry of the difference, the polar checks its
+operator norm. This module backs both the ``verify`` CLI subcommand and the
+acceptance test suite.
 """
 
 from __future__ import annotations
@@ -59,13 +61,23 @@ class Check:
         }
 
 
-def _max_diff(A: WeightedOperator, B: WeightedOperator) -> float:
-    """The largest entry of A - B in modulus, block by block when both have
-    the same blocks and over the assembled entries otherwise; no operator is
-    built for the difference."""
-    oa._check_space(A, B)
-    pairs = zip(A.parts, B.parts) if oa._same_blocks(A, B) else [(A.entries, B.entries)]
-    return float(max(np.abs(a - b).max(initial=0.0) for a, b in pairs))
+def _max_diff(W: WCEOperator, first, second) -> float:
+    """The largest entry in modulus of first - second, each an operator on
+    W's space or the pair (a, b) of M_a E M_b. Atom by atom when every
+    operator is blocked by W's atoms, a pair's block built only while it is
+    compared; over the assembled entries otherwise."""
+    operators = [x for x in (first, second) if isinstance(x, WeightedOperator)]
+    per_atom = all(x.blocks is W.algebra.blocks for x in operators)
+
+    def pieces(x):
+        if isinstance(x, WeightedOperator):
+            return x.parts if per_atom else [x.entries]
+        if per_atom:
+            return oa._expectation_blocks(W.space, W.algebra, x)
+        return [oa.expectation_operator(W.space, W.algebra, *x).entries]
+
+    diffs = zip(pieces(first), pieces(second), strict=True)
+    return float(max(np.abs(a - b).max(initial=0.0) for a, b in diffs))
 
 
 def _check(name: str, margin: float, tolerance: float) -> Check:
@@ -80,11 +92,10 @@ def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list
     factorizations memoized on T live throughout. T* is checked as T's side
     of the adjoint: the T-side sections rerun on ``adjoint_wce(W)`` against
     the oracle on ``adjoint(T)``, after the T-side sections: ``adjoint(T)``
-    is memoized on T, so its blocks live from then on.
-    The polar section checks the partial isometry U and the modulus
-    |T| = ``tstar_t_power(W, 0.5)`` (which the power section checks against
-    the oracle at p = 1/2) on their pairs (a, b) of M_a E M_b, in O(n) per
-    check and without T's factors: no |B| x |B| block is built for it."""
+    is memoized on T, so its blocks live from then on. No closed-form
+    operator is built: the power and Aluthge checks build one atom's block
+    of a closed form at a time (``_max_diff``), and the polar section works
+    on the pairs alone, in O(n) per check and without T's factors."""
     W = as_wce(instance, support_tol=tols.support)
     T = wce.to_matrix(W)
     norm_t = oa.operator_norm(T)
@@ -116,7 +127,7 @@ def _power_checks(W: WCEOperator, T: WeightedOperator, name: str, tols: Toleranc
     return [
         _check(
             f"{name}_{p}",
-            _max_diff(wce.tstar_t_power(W, p), oa.gram_power(T, p)),
+            _max_diff(W, wce.tstar_t_power(W, p), oa.gram_power(T, p)),
             tols.match,
         )
         for p in POWERS
@@ -132,8 +143,8 @@ def _polar_checks(W: WCEOperator, tols: Tolerances) -> list:
     ||P_ker U - P_ker |T||| = ||P_coim |T| - P_coim U||."""
     space, algebra = W.space, W.algebra
     t_pair = (W.w.values, W.u.values)  # the vectors T's blocks are built from
-    u_part = wce._polar_isometry_pair(W)
-    modulus = wce._tstar_t_power_pair(W, 0.5)
+    u_part = wce.polar_isometry_closed_form(W)
+    modulus = wce.tstar_t_power(W, 0.5)
     u_modulus = oa.expectation_product(space, algebra, u_part, modulus)
     u_u_star = oa.expectation_product(space, algebra, u_part, oa.expectation_adjoint(u_part))
     u_u_star_u = oa.expectation_product(space, algebra, u_u_star, u_part)
@@ -164,12 +175,12 @@ def _aluthge_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> li
     return [
         _check(
             "aluthge_matches_oracle",
-            _max_diff(wce.aluthge_closed_form(W), alu_numeric),
+            _max_diff(W, wce.aluthge_closed_form(W), alu_numeric),
             tols.match,
         ),
         _check(
             "aluthge_idempotent",
-            _max_diff(oa.aluthge_numeric(alu_numeric), alu_numeric),
+            _max_diff(W, oa.aluthge_numeric(alu_numeric), alu_numeric),
             tols.match,
         ),
     ]
@@ -177,7 +188,7 @@ def _aluthge_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> li
 
 def _adjoint_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> list:
     """Partial isometry and Aluthge transform of T*: the T-side closed forms
-    of V = adjoint_wce(W), the isometry against the adjoint of T's
+    of V = adjoint_wce(W), the isometry against the adjoint pair of T's
     closed-form one and the Aluthge transform against the oracle on
     adjoint(T)."""
     V = wce.adjoint_wce(W)
@@ -185,14 +196,15 @@ def _adjoint_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> li
         _check(
             "adjoint_isometry_is_adjoint_of_isometry",
             _max_diff(
+                W,
                 wce.polar_isometry_closed_form(V),
-                oa.adjoint(wce.polar_isometry_closed_form(W)),
+                oa.expectation_adjoint(wce.polar_isometry_closed_form(W)),
             ),
             tols.match,
         ),
         _check(
             "adjoint_aluthge_matches_oracle",
-            _max_diff(wce.aluthge_closed_form(V), oa.aluthge_numeric(oa.adjoint(T))),
+            _max_diff(W, wce.aluthge_closed_form(V), oa.aluthge_numeric(oa.adjoint(T))),
             tols.match,
         ),
     ]

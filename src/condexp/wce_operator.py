@@ -4,11 +4,15 @@ closed forms.
 The T-side quantities (operator norm, powers of T*T, the partial isometry
 U of the polar decomposition, Aluthge transform) are expressed directly in
 the cached conditional moments E(u), E(w), E(uw), E(|u|^2), E(|w|^2); the
-modulus |T| of T = U |T| is ``tstar_t_power(W, 0.5)``. The family is closed
-under adjoints, T* = M_conj(u) E M_conj(w), so this module states no
-adjoint-side form: the powers of TT* and the polar isometry and Aluthge
-transform of T* are the T-side forms applied to ``adjoint_wce(W)``, whose
-docstring writes them out in W's moments. The moments are computed once at build time and never
+modulus |T| of T = U |T| is ``tstar_t_power(W, 0.5)``. Each closed-form
+operator has the shape M_a E M_b, rank one on each atom, and is returned as
+its pair (a, b): ``expectation_operator(W.space, W.algebra, *pair)`` is the
+one way to build its blocks, and this module builds no operator but T
+(``to_matrix``). The family is closed under adjoints,
+T* = M_conj(u) E M_conj(w), so this module states no adjoint-side form: the
+powers of TT* and the polar isometry and Aluthge transform of T* are the
+T-side forms applied to ``adjoint_wce(W)``, whose docstring writes them out
+in W's moments. The moments are computed once at build time and never
 recomputed, so every closed form shares one tolerance story. The supports
 S, G and S' are read-only boolean masks on the points, and quotients are
 cut to them: a factor whose denominator vanishes (below the support
@@ -126,8 +130,8 @@ def norm_closed_form(W: WCEOperator) -> float:
     return float(np.sqrt(np.clip(prod, 0.0, None).max()))
 
 
-def _tstar_t_power_pair(W: WCEOperator, p: float) -> tuple:
-    """The pair (a, b) of (T*T)^p = M_a E M_b (``tstar_t_power``)."""
+def tstar_t_power(W: WCEOperator, p: float) -> tuple:
+    """The pair of (T*T)^p = M_{conj(u) (E|u|^2)^(p-1) chi_S (E|w|^2)^p} E M_u."""
     if p <= 0:
         raise ValueError("power must be positive")
     eu2 = W.e_abs_u2.values.real
@@ -138,34 +142,23 @@ def _tstar_t_power_pair(W: WCEOperator, p: float) -> tuple:
     return np.conj(W.u.values) * factor, W.u.values
 
 
-def tstar_t_power(W: WCEOperator, p: float) -> WeightedOperator:
-    """(T*T)^p = M_{conj(u) (E|u|^2)^(p-1) chi_S (E|w|^2)^p} E M_u."""
-    return expectation_operator(W.space, W.algebra, *_tstar_t_power_pair(W, p))
+def polar_isometry_closed_form(W: WCEOperator) -> tuple:
+    """The pair of the partial isometry U of the polar decomposition
+    T = U |T|, whose modulus |T| = (T*T)^(1/2) is ``tstar_t_power(W, 0.5)``:
 
-
-def _polar_isometry_pair(W: WCEOperator) -> tuple:
-    """The pair (a, b) of U = M_a E M_b (``polar_isometry_closed_form``)."""
+    U f = (chi_{S and G} / (E|w|^2 E|u|^2))^(1/2) w E(u f)
+    """
     s_and_g = W.support_u2 & W.support_w2
     ew2_eu2 = W.e_abs_w2.values.real * W.e_abs_u2.values.real
     iso_factor = np.sqrt(_guarded_ratio(np.ones_like(ew2_eu2), ew2_eu2, s_and_g).real)
     return iso_factor * W.w.values, W.u.values
 
 
-def polar_isometry_closed_form(W: WCEOperator) -> WeightedOperator:
-    """The partial isometry U of the polar decomposition T = U |T|, whose
-    modulus |T| = (T*T)^(1/2) is ``tstar_t_power(W, 0.5)``:
-
-    U f = (chi_{S and G} / (E|w|^2 E|u|^2))^(1/2) w E(u f)
-    """
-    return expectation_operator(W.space, W.algebra, *_polar_isometry_pair(W))
-
-
-def aluthge_closed_form(W: WCEOperator) -> WeightedOperator:
-    """Aluthge transform: f -> (chi_S E(uw) / E|u|^2) conj(u) E(u f)."""
+def aluthge_closed_form(W: WCEOperator) -> tuple:
+    """The pair of the Aluthge transform:
+    f -> (chi_S E(uw) / E|u|^2) conj(u) E(u f)."""
     factor = _guarded_ratio(W.e_uw.values, W.e_abs_u2.values.real, W.support_u2)
-    return expectation_operator(
-        W.space, W.algebra, factor * np.conj(W.u.values), W.u.values
-    )
+    return factor * np.conj(W.u.values), W.u.values
 
 
 def adjoint_wce(W: WCEOperator) -> WCEOperator:

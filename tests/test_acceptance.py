@@ -85,8 +85,8 @@ def test_criterion_2_power_formulas():
         for p in (0.5, 1.0, 2.0, 3.5):
             worst = max(
                 worst,
-                _max_diff(wce.tstar_t_power(W, p), oa.fractional_power(tstar_t, p)),
-                _max_diff(wce.tstar_t_power(V, p), oa.fractional_power(t_tstar, p)),
+                _max_diff(W, wce.tstar_t_power(W, p), oa.fractional_power(tstar_t, p)),
+                _max_diff(W, wce.tstar_t_power(V, p), oa.fractional_power(t_tstar, p)),
             )
     _report(
         2,
@@ -113,7 +113,10 @@ def test_criterion_3_polar_decomposition():
     for instance in instances:
         W = _track(as_wce(instance))
         T = wce.to_matrix(W)
-        U, M = wce.polar_isometry_closed_form(W), wce.tstar_t_power(W, 0.5)
+        U, M = (
+            oa.expectation_operator(W.space, W.algebra, *pair)
+            for pair in (wce.polar_isometry_closed_form(W), wce.tstar_t_power(W, 0.5))
+        )
         worst_recon = max(
             worst_recon, oa.operator_norm(oa.subtract(oa.compose(U, M), T))
         )
@@ -139,8 +142,8 @@ def test_criterion_4_aluthge_transform():
         W = _track(as_wce(_sized_random(seed, 14, 4)))
         T = wce.to_matrix(W)
         delta1 = oa.aluthge_numeric(T)
-        worst_match = max(worst_match, _max_diff(wce.aluthge_closed_form(W), delta1))
-        worst_fixed = max(worst_fixed, _max_diff(oa.aluthge_numeric(delta1), delta1))
+        worst_match = max(worst_match, _max_diff(W, wce.aluthge_closed_form(W), delta1))
+        worst_fixed = max(worst_fixed, _max_diff(W, oa.aluthge_numeric(delta1), delta1))
     _report(
         4,
         "Aluthge transform",

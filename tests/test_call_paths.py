@@ -9,7 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from condexp import product_space_example
+from condexp import WeightedOperator, product_space_example
+from condexp import operator_algebra as oa
+from condexp import wce_operator as wce
 from condexp.verification import summarize, verify_instance
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -183,3 +185,87 @@ def test_verify_runs_only_t_s_svds_at_full_size(monkeypatch):
     assert summarize(verify_instance(product_space_example(4, 80)))["all_passed"]
     large = [s for s in shapes if max(s[-2:]) > 2]
     assert large == [(80, 80)] * 4
+
+
+def _operator_algebra_calls(tree) -> list:
+    """(enclosing qualified name, called name) of each call in ``tree`` into
+    operator_algebra, by a name imported from it or through the module
+    itself; a call at module level has the scope None."""
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "operator_algebra":
+                names |= {alias.asname or alias.name for alias in node.names}
+            else:
+                modules |= {
+                    alias.asname or alias.name
+                    for alias in node.names
+                    if alias.name == "operator_algebra"
+                }
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Name) and func.id in names:
+                    calls.append((scope, func.id))
+                elif (
+                    isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in modules
+                ):
+                    calls.append((scope, func.attr))
+            visit(child, scope)
+
+    visit(tree, None)
+    return calls
+
+
+def test_closed_forms_never_call_the_oracle():
+    """A closed form must never call the oracle it is checked against: the
+    only call from ``wce_operator`` into ``operator_algebra`` builds T
+    itself, in ``WCEOperator._matrix`` (T's definition)."""
+    tree = ast.parse((ROOT / "src" / "condexp" / "wce_operator.py").read_text(encoding="utf-8"))
+    assert _operator_algebra_calls(tree) == [("WCEOperator._matrix", "expectation_operator")]
+    # the scan sees imported names and module attributes, in their scopes
+    probe = ast.parse(
+        "from .operator_algebra import adjoint\n"
+        "from . import operator_algebra as oa\n"
+        "class C:\n    def f(self, T):\n        return adjoint(T), oa.gram_power(T, 1)\n"
+    )
+    assert _operator_algebra_calls(probe) == [("C.f", "adjoint"), ("C.f", "gram_power")]
+
+
+def test_verify_constructs_thirteen_operators(monkeypatch):
+    """A verify of product_space_example(4, 80) constructs T, T* and the
+    oracle's eleven operators (``gram_power`` at four powers of T and of T*,
+    and the Aluthge transforms of T, of that transform and of T*), and no
+    closed-form operator."""
+    built = []
+
+    def counted(op, _original=WeightedOperator.__post_init__):
+        built.append(1)
+        _original(op)
+
+    monkeypatch.setattr(WeightedOperator, "__post_init__", counted)
+    assert summarize(verify_instance(product_space_example(4, 80)))["all_passed"]
+    assert len(built) == 13
+
+
+def test_verify_calls_expectation_operator_once(monkeypatch):
+    """A verify of product_space_example(4, 80) calls
+    ``expectation_operator`` once, to build T."""
+    calls = []
+
+    def counted(*args, _original=oa.expectation_operator, **kwargs):
+        calls.append(1)
+        return _original(*args, **kwargs)
+
+    for module in (oa, wce):
+        monkeypatch.setattr(module, "expectation_operator", counted)
+    assert summarize(verify_instance(product_space_example(4, 80)))["all_passed"]
+    assert len(calls) == 1

@@ -439,9 +439,9 @@ def test_class_margins_match_the_composed_operators(name, W):
 
 
 #: bound on the tracemalloc peak of one verify, in units of 16 sum |B|^2 bytes
-#: (the complex blocks of T): measured 7.7 (random) and 7.1 (product), so
+#: (the complex blocks of T): measured 6.7 (random) and 6.1 (product), so
 #: the bound leaves 40% headroom
-VERIFY_PEAK_PER_BLOCK_BYTE = 11
+VERIFY_PEAK_PER_BLOCK_BYTE = 9.5
 
 
 @FOUR_ATOMS

@@ -91,6 +91,25 @@ class TestHausdorff:
         assert hausdorff_distance(a, b) == dense_hausdorff_distance(a, b)
         assert hausdorff_distance(b, a) == dense_hausdorff_distance(b, a)
 
+    @pytest.mark.parametrize("sizes", [(0, 0), (0, 5), (5, 0), (1, 1), (40, 9), (9, 300)])
+    def test_set_distances_match_the_python_loops(self, monkeypatch, sizes):
+        """Each point's distance to the other set, inf toward an empty one,
+        as the Python loops ``min(abs(x - y) for y in other)`` give it (to
+        numpy's complex abs, one ulp), with duplicates and shared points;
+        thresholds keep the same points."""
+        monkeypatch.setattr(spectral_analysis, "DISTANCE_CHUNK", 64)
+        rng = np.random.default_rng(sum(sizes) + 3)
+        a, b = (list(rng.standard_normal(k) + 1j * rng.standard_normal(k)) for k in sizes)
+        a = a + a[:3] + b[:2] if a else a
+        b = b + b[:2]
+        for x, y, got in zip((a, b), (b, a), spectral_analysis._set_distances(a, b)):
+            loops = [min((abs(v - m) for m in y), default=np.inf) for v in x]
+            np.testing.assert_allclose(got, loops, rtol=1e-15, atol=0)
+            for tol in (0.05, 0.5):
+                far = [v for v, d in zip(x, loops) if d > tol]
+                assert [v for v, d in zip(x, got) if d > tol] == far
+                assert bool(np.all(got <= tol)) == (not far)
+
     def test_memory_is_linear_in_the_set_sizes(self):
         """5000 x 5000 distances would take 400 MB as one complex table."""
         rng = np.random.default_rng(2)

@@ -8,6 +8,7 @@ import pytest
 from condexp import (
     WeightedOperator,
     adjoint,
+    adjoint_wce,
     as_wce,
     compose,
     expectation_operator,
@@ -19,7 +20,7 @@ from condexp import (
     tstar_t_power,
 )
 from condexp import wce_operator as wce
-from condexp.operator_algebra import gram_power, norm_distance, subtract
+from condexp.operator_algebra import gram_power, norm_distance
 from condexp.verification import _max_diff, verify_instance
 
 #: the checks every instance gets
@@ -59,23 +60,37 @@ def test_w_one_adds_its_two_checks():
     assert len(CHECKS | W_ONE_CHECKS) == 25
 
 
-def _subtracted_max_diff(A, B) -> float:
-    """The reference for ``_max_diff``: the largest entry over the blocks of
-    the operator A - B."""
-    return float(max(np.abs(p).max(initial=0.0) for p in subtract(A, B).parts))
+def _assembled_max_diff(W, A, B) -> float:
+    """The reference for ``_max_diff``: the largest entry of the assembled
+    difference, a pair (a, b) taken as its operator M_a E M_b."""
+    A, B = (
+        x if isinstance(x, WeightedOperator) else expectation_operator(W.space, W.algebra, *x)
+        for x in (A, B)
+    )
+    return float(np.abs(A.entries - B.entries).max())
 
 
 def test_max_diff_is_the_largest_entry_of_the_difference_bit_for_bit():
-    """Same blocks are compared block by block, different ones over the
-    entries; both give the subtracted operator's largest entry exactly."""
+    """Pairs and operators blocked by the atoms are compared atom by atom, a
+    one-block operator over the entries; every combination gives the
+    largest entry of the assembled difference exactly."""
     W = as_wce(random_instance(4, 24, 4))
     T = to_matrix(W)
     closed = tstar_t_power(W, 0.5)
-    one_block = WeightedOperator(gram_power(T, 0.5).entries, W.space)
-    for A, B in ((closed, gram_power(T, 0.5)), (closed, one_block), (T, T)):
-        assert _max_diff(A, B) == _subtracted_max_diff(A, B)
-    assert _max_diff(closed, one_block) > 0.0
-    assert _max_diff(T, T) == 0.0
+    oracle = gram_power(T, 0.5)
+    one_block = WeightedOperator(oracle.entries, W.space)
+    cases = (
+        (closed, oracle),  # a pair against an operator blocked by the atoms
+        (closed, one_block),  # a pair against a one-block operator
+        (oracle, T),  # an operator against an operator
+        (one_block, T),  # the same, over the entries
+        (closed, tstar_t_power(adjoint_wce(W), 0.5)),  # a pair against a pair
+        (T, T),
+    )
+    for A, B in cases:
+        assert _max_diff(W, A, B) == _assembled_max_diff(W, A, B)
+    assert min(_max_diff(W, A, B) for A, B in cases[1:-1]) > 0.0
+    assert _max_diff(W, T, T) == 0.0
 
 
 def _polar(instance) -> dict:
@@ -88,17 +103,18 @@ def test_polar_checks_catch_an_isometry_without_its_square_root(monkeypatch):
     assembled operators' residual."""
     instance = random_instance(3, 24, 4)
     W = as_wce(instance)
-    original = wce._polar_isometry_pair
+    original = wce.polar_isometry_closed_form
 
     def rootless(V):
         a, b = original(V)
         return a / np.sqrt(V.e_abs_w2.values.real * V.e_abs_u2.values.real), b
 
-    monkeypatch.setattr(wce, "_polar_isometry_pair", rootless)
+    monkeypatch.setattr(wce, "polar_isometry_closed_form", rootless)
     checks = _polar(instance)
     U = expectation_operator(W.space, W.algebra, *rootless(W))
+    modulus = expectation_operator(W.space, W.algebra, *tstar_t_power(W, 0.5))
     residuals = {
-        "polar_reconstruction": norm_distance(compose(U, tstar_t_power(W, 0.5)), to_matrix(W)),
+        "polar_reconstruction": norm_distance(compose(U, modulus), to_matrix(W)),
         "polar_partial_isometry": norm_distance(compose(compose(U, adjoint(U)), U), U),
     }
     for name, dense in residuals.items():
@@ -114,13 +130,15 @@ def test_polar_checks_catch_a_wrong_modulus_power(monkeypatch):
     U (T*T)^0.4 - T; the kernels, and so the kernel condition, agree."""
     instance = random_instance(3, 24, 4)
     W = as_wce(instance)
-    original = wce._tstar_t_power_pair
-    monkeypatch.setattr(wce, "_tstar_t_power_pair", lambda V, p: original(V, 0.4))
+    original = wce.tstar_t_power
+    monkeypatch.setattr(wce, "tstar_t_power", lambda V, p: original(V, 0.4))
     checks = _polar(instance)
     monkeypatch.undo()
-    dense = norm_distance(
-        compose(polar_isometry_closed_form(W), tstar_t_power(W, 0.4)), to_matrix(W)
+    U, modulus = (
+        expectation_operator(W.space, W.algebra, *pair)
+        for pair in (polar_isometry_closed_form(W), tstar_t_power(W, 0.4))
     )
+    dense = norm_distance(compose(U, modulus), to_matrix(W))
     assert not checks["polar_reconstruction"].passed
     assert checks["polar_reconstruction"].margin == pytest.approx(dense, rel=1e-12)
     assert checks["polar_partial_isometry"].passed

@@ -52,16 +52,21 @@ def ones_instance(n=4, blocks=None):
     return build_wce(space, algebra, one, one)
 
 
+def as_operator(closed_form, W, *args):
+    """The operator M_a E M_b of the pair (a, b) the closed form returns."""
+    return expectation_operator(W.space, W.algebra, *closed_form(W, *args))
+
+
 def max_diff(A, B):
     return np.abs(A.entries - B.entries).max()
 
 
 def assert_partial_isometry_with_kernel_condition(W):
     """U U* U = U and N(U) = N(|T|), measured as verify measures them."""
-    U = polar_isometry_closed_form(W)
+    U = as_operator(polar_isometry_closed_form, W)
     residual = norm_distance(compose(compose(U, adjoint(U)), U), U)
     assert residual <= 1e-8 * (1.0 + operator_norm(U))
-    modulus = tstar_t_power(W, 0.5)
+    modulus = as_operator(tstar_t_power, W, 0.5)
     assert norm_distance(kernel_projection(U), kernel_projection(modulus)) <= 1e-8
 
 
@@ -156,16 +161,16 @@ class TestPowers:
         for seed in range(5):
             W = as_wce(random_instance(seed, 8, 3))
             T = to_matrix(W)
-            assert max_diff(tstar_t_power(W, 1), compose(adjoint(T), T)) <= 1e-9
-            tts = tstar_t_power(adjoint_wce(W), 1)
+            assert max_diff(as_operator(tstar_t_power, W, 1), compose(adjoint(T), T)) <= 1e-9
+            tts = as_operator(tstar_t_power, adjoint_wce(W), 1)
             assert max_diff(tts, compose(T, adjoint(T))) <= 1e-9
 
     def test_p_half_matches_modulus(self):
         for seed in range(5):
             W = as_wce(random_instance(seed + 30, 8, 3))
             T = to_matrix(W)
-            assert max_diff(tstar_t_power(W, 0.5), gram_power(T, 0.5)) <= 1e-8
-            tts_half = tstar_t_power(adjoint_wce(W), 0.5)
+            assert max_diff(as_operator(tstar_t_power, W, 0.5), gram_power(T, 0.5)) <= 1e-8
+            tts_half = as_operator(tstar_t_power, adjoint_wce(W), 0.5)
             assert max_diff(tts_half, gram_power(adjoint(T), 0.5)) <= 1e-8
 
     def test_singleton_blocks_p2_diagonal(self):
@@ -176,7 +181,8 @@ class TestPowers:
         W = build_wce(space, algebra, u, w)
         # E = I: (T*T)^2 = diag(|u w|^4)
         expected = np.diag(np.abs(u.values * w.values) ** 4)
-        np.testing.assert_allclose(tstar_t_power(W, 2).entries, expected, atol=1e-12)
+        square = as_operator(tstar_t_power, W, 2)
+        np.testing.assert_allclose(square.entries, expected, atol=1e-12)
 
     def test_all_powers_match_spectral_calculus(self):
         for seed in range(10):
@@ -185,8 +191,8 @@ class TestPowers:
             tst = compose(adjoint(T), T)
             tts = compose(T, adjoint(T))
             for p in POWERS:
-                assert max_diff(tstar_t_power(W, p), fractional_power(tst, p)) <= 1e-8
-                tts_p = tstar_t_power(adjoint_wce(W), p)
+                assert max_diff(as_operator(tstar_t_power, W, p), fractional_power(tst, p)) <= 1e-8
+                tts_p = as_operator(tstar_t_power, adjoint_wce(W), p)
                 assert max_diff(tts_p, fractional_power(tts, p)) <= 1e-8
 
     def test_rejects_nonpositive_power(self):
@@ -198,22 +204,25 @@ class TestPolar:
     def test_projection_case(self):
         W = ones_instance()
         e = expectation_operator(W.space, W.algebra)
-        for part in (polar_isometry_closed_form(W), tstar_t_power(W, 0.5)):
+        parts = (as_operator(polar_isometry_closed_form, W), as_operator(tstar_t_power, W, 0.5))
+        for part in parts:
             np.testing.assert_allclose(part.entries, e.entries, atol=1e-12)
 
     def test_rank_one_case(self):
         W = rank_one_instance()
-        modulus = tstar_t_power(W, 0.5)
+        modulus = as_operator(tstar_t_power, W, 0.5)
         np.testing.assert_allclose(modulus.entries, [[np.sqrt(2), 0], [0, 0]], atol=1e-12)
         T = to_matrix(W)
-        assert max_diff(polar_isometry_closed_form(W), polar_isometry_numeric(T)) <= 1e-10
+        U = as_operator(polar_isometry_closed_form, W)
+        assert max_diff(U, polar_isometry_numeric(T)) <= 1e-10
         assert max_diff(modulus, gram_power(T, 0.5)) <= 1e-10
 
     def test_random_instances_match_oracle(self):
         for seed in range(10):
             W = as_wce(random_instance(seed, 16, 4))
             T = to_matrix(W)
-            U, modulus = polar_isometry_closed_form(W), tstar_t_power(W, 0.5)
+            U = as_operator(polar_isometry_closed_form, W)
+            modulus = as_operator(tstar_t_power, W, 0.5)
             assert max_diff(U, polar_isometry_numeric(T)) <= 1e-8
             assert max_diff(modulus, gram_power(T, 0.5)) <= 1e-8
             recon = compose(U, modulus)
@@ -236,7 +245,8 @@ class TestPolar:
             MeasurableFunction(w_vals, inst.space),
         )
         T = to_matrix(W)
-        recon = compose(polar_isometry_closed_form(W), tstar_t_power(W, 0.5))
+        U = as_operator(polar_isometry_closed_form, W)
+        recon = compose(U, as_operator(tstar_t_power, W, 0.5))
         assert max_diff(recon, T) <= 1e-8
         assert_partial_isometry_with_kernel_condition(W)
 
@@ -245,23 +255,25 @@ class TestAluthge:
     def test_projection_is_fixed(self):
         W = ones_instance()
         e = expectation_operator(W.space, W.algebra)
-        np.testing.assert_allclose(aluthge_closed_form(W).entries, e.entries, atol=1e-12)
+        alu = as_operator(aluthge_closed_form, W)
+        np.testing.assert_allclose(alu.entries, e.entries, atol=1e-12)
 
     def test_symmetric_interval_collapse(self):
         # u = x^2 - 1 is algebra-measurable and w = 1, so the transform
         # reproduces T itself
         W = as_wce(symmetric_interval_example(16))
-        assert max_diff(aluthge_closed_form(W), to_matrix(W)) <= 1e-10
+        assert max_diff(as_operator(aluthge_closed_form, W), to_matrix(W)) <= 1e-10
 
     def test_matches_oracle(self):
         for seed in range(10):
             W = as_wce(random_instance(seed + 200, 10, 3))
-            assert max_diff(aluthge_closed_form(W), aluthge_numeric(to_matrix(W))) <= 1e-8
+            alu = as_operator(aluthge_closed_form, W)
+            assert max_diff(alu, aluthge_numeric(to_matrix(W))) <= 1e-8
 
     def test_closed_form_is_aluthge_fixed_point(self):
         for seed in range(5):
             W = as_wce(random_instance(seed + 300, 10, 3))
-            once = aluthge_closed_form(W)
+            once = as_operator(aluthge_closed_form, W)
             assert max_diff(aluthge_numeric(once), once) <= 1e-8
 
 
@@ -273,25 +285,32 @@ class TestAdjointParts:
         W = ones_instance()
         e = expectation_operator(W.space, W.algebra)
         V = adjoint_wce(W)
-        parts = (tstar_t_power(V, 0.5), polar_isometry_closed_form(V), aluthge_closed_form(V))
+        parts = (
+            as_operator(tstar_t_power, V, 0.5),
+            as_operator(polar_isometry_closed_form, V),
+            as_operator(aluthge_closed_form, V),
+        )
         for part in parts:
             np.testing.assert_allclose(part.entries, e.entries, atol=1e-12)
 
     def test_isometry_is_adjoint_of_isometry(self):
         for seed in range(5):
             W = as_wce(random_instance(seed + 400, 9, 3))
-            adj_isometry = polar_isometry_closed_form(adjoint_wce(W))
-            assert max_diff(adj_isometry, adjoint(polar_isometry_closed_form(W))) <= 1e-10
+            adj_isometry = as_operator(polar_isometry_closed_form, adjoint_wce(W))
+            isometry = as_operator(polar_isometry_closed_form, W)
+            assert max_diff(adj_isometry, adjoint(isometry)) <= 1e-10
 
     def test_modulus_matches_oracle(self):
         for seed in range(5):
             W = as_wce(random_instance(seed + 500, 9, 3))
             T = to_matrix(W)
             V = adjoint_wce(W)
-            modulus = tstar_t_power(V, 0.5)
+            modulus = as_operator(tstar_t_power, V, 0.5)
             assert max_diff(modulus, gram_power(adjoint(T), 0.5)) <= 1e-8
-            assert max_diff(polar_isometry_closed_form(V), polar_isometry_numeric(adjoint(T))) <= 1e-8
-            assert max_diff(aluthge_closed_form(V), aluthge_numeric(adjoint(T))) <= 1e-8
+            U = as_operator(polar_isometry_closed_form, V)
+            assert max_diff(U, polar_isometry_numeric(adjoint(T))) <= 1e-8
+            alu = as_operator(aluthge_closed_form, V)
+            assert max_diff(alu, aluthge_numeric(adjoint(T))) <= 1e-8
 
 
 class TestAdjointWCE:
@@ -324,7 +343,7 @@ class TestAdjointWCE:
         assert adjoint_wce(W) is adjoint_wce(W)
         for p in POWERS:
             for cached, fresh in zip(
-                tstar_t_power(adjoint_wce(W), p).parts, tstar_t_power(rebuilt, p).parts
+                tstar_t_power(adjoint_wce(W), p), tstar_t_power(rebuilt, p), strict=True
             ):
                 np.testing.assert_array_equal(cached, fresh)
         polar_isometry_closed_form(adjoint_wce(W))
