@@ -99,16 +99,6 @@ class SubSigmaAlgebra:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    @staticmethod
-    def discrete(point_count: int) -> "SubSigmaAlgebra":
-        """The full algebra: every point is its own atom (E = identity)."""
-        return SubSigmaAlgebra(tuple([i] for i in range(point_count)), point_count)
-
-    @staticmethod
-    def trivial(point_count: int) -> "SubSigmaAlgebra":
-        """The trivial algebra: a single atom (E = global weighted mean)."""
-        return SubSigmaAlgebra((list(range(point_count)),), point_count)
-
 
 @dataclass(frozen=True)
 class MeasurableFunction:
@@ -169,14 +159,17 @@ def conditional_expectation(
     """Weighted block average of ``f`` over the atoms of ``algebra``.
 
     The result is constant on each atom B and satisfies the averaging
-    identity sum_B (Ef) mu = sum_B f mu exactly.
+    identity sum_B (Ef) mu = sum_B f mu. Each point is weighted by its share
+    mu_i / mu(B) of the atom's mass, which is exactly 1 on a one-point atom,
+    so there E f = f even where mu_i f_i would underflow.
     """
     if f.space.point_count != space.point_count:
         raise ValueError("function does not live on the given space")
     if algebra.point_count != space.point_count:
         raise ValueError("algebra does not partition the given space")
     mu = space.weights
-    means = _atom_sums(algebra, mu * f.values) / _atom_sums(algebra, mu)
+    share = mu / _atom_sums(algebra, mu)[algebra.labels]
+    means = _atom_sums(algebra, share * f.values)
     return MeasurableFunction(means[algebra.labels], space)
 
 

@@ -20,14 +20,15 @@ block's rank-r factors X diag(s) Y^H; only these |B| x r factors are
 memoized. They serve the norm and the singular values, the eigenvalues (a
 rank-deficient block's come from its r x r core), every power of T*T and
 TT*, |T|, |T*|, the polar isometry, the Aluthge transform and the kernel
-projection. One QR of [Y X] per block adds an orthonormal basis Q of the
-ranges of the block and its adjoint, so the block is Q K Q^H with a core K
-of at most 2r x 2r; the class margins and the joint point spectrum read it.
-An operator the oracle builds as L K R^H from a small core K keeps the
-core, so its own factors cost one r x r SVD. Operators built from
-T = M_w E M_u carry the atoms of the partition, which is the definition of
-E; the oracle never reads the conditional moments, so it stays independent
-of the closed forms it checks.
+projection. The R of one QR of [Y X] per block gives the block's joint
+core: the block is Q K Q^H with K of at most 2r x 2r, Q an orthonormal
+basis of the ranges of the block and its adjoint that is never formed. The
+class margins, the normality check and the joint point spectrum read K, so
+none of them holds a |B| x |B| array. An operator the oracle builds as
+L K R^H from a small core K keeps the core, so its own factors cost one
+r x r SVD. Operators built from T = M_w E M_u carry the atoms of the
+partition, which is the definition of E; the oracle never reads the
+conditional moments, so it stays independent of the closed forms it checks.
 Every decision over the whole operator (the rank cutoff, the PSD scale, the
 Loewner norm) uses the values of all blocks, so results match a one-block
 factorization to rounding. An operator given without blocks is one block:
@@ -157,14 +158,6 @@ class WeightedOperator:
             out[np.ix_(b, b)] = p
         out.setflags(write=False)
         return out
-
-    @staticmethod
-    def identity(space: FiniteMeasureSpace) -> "WeightedOperator":
-        return WeightedOperator(np.eye(space.point_count), space)
-
-    @staticmethod
-    def zero(space: FiniteMeasureSpace) -> "WeightedOperator":
-        return WeightedOperator(np.zeros((space.point_count,) * 2), space)
 
 
 def _expectation_blocks(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple):
@@ -310,7 +303,8 @@ def _std_blocks(T: WeightedOperator):
 
 def _from_std_blocks(pieces, T: WeightedOperator) -> WeightedOperator:
     """The operator with T's blocks whose standard-coordinate diagonal blocks
-    are ``pieces`` (pairs of indices and matrices, in T's block order)."""
+    are ``pieces`` (pairs of indices and matrices, in T's block order; an
+    iterable, so a generator's matrix is freed once it is rescaled)."""
     d = _sqrt_weights(T.space)
     parts = [(mat / d[b][:, None]) * d[b][None, :] for b, mat in pieces]
     return WeightedOperator._of_blocks(parts, T.space, T.blocks)
@@ -395,15 +389,18 @@ def _factors(T: WeightedOperator) -> list:
 
 
 @_once_per_operator
-def _joint_bases(T: WeightedOperator) -> list:
-    """(Q, R_y, R_x) of each block X diag(s) Y^H of T's factors, from one QR
-    [Y X] = Q [R_y R_x]. Q has orthonormal columns (at most 2r) spanning the
-    ranges of the block and of its adjoint, so the block is Q K Q^H with the
-    core K = R_x diag(s) R_y^H, and both vanish on Q's complement."""
+def _joint_cores(T: WeightedOperator) -> list:
+    """(R_y, R_x, K) of each block X diag(s) Y^H of T's factors, from the R
+    of one QR [Y X] = Q [R_y R_x]. Q has orthonormal columns, min(|B|, 2r)
+    of them, spanning the ranges of the block and of its adjoint, so the
+    block is Q K Q^H with the core K = R_x diag(s) R_y^H, and both vanish on
+    Q's complement. Q itself is never formed: every question asked of it is
+    answered on the core."""
     out = []
     for _, x, s, y in _factors(T):
-        q, r = _solve("qr", np.hstack([y, x]))
-        out.append((q, r[:, : s.size], r[:, s.size :]))
+        r = _solve("qr", np.hstack([y, x]), mode="r")
+        ry, rx = r[:, : s.size], r[:, s.size :]
+        out.append((ry, rx, (rx * s) @ ry.conj().T))
     return out
 
 
@@ -419,7 +416,7 @@ def _from_cores(cores: list, T: WeightedOperator) -> WeightedOperator:
     L K R^H for each (indices, L, K, R) in ``cores`` (L and R with
     orthonormal columns); it keeps the cores, so its factors cost one r x r
     SVD per block."""
-    op = _from_std_blocks([(b, (left @ k) @ right.conj().T) for b, left, k, right in cores], T)
+    op = _from_std_blocks(((b, (left @ k) @ right.conj().T) for b, left, k, right in cores), T)
     op._memo[_CORES] = cores
     return op
 
@@ -499,18 +496,10 @@ def operator_norm(T: WeightedOperator) -> float:
     return float(singular_values(T)[0])
 
 
-def norm_distance(A: WeightedOperator, B: WeightedOperator) -> float:
-    """||A - B||. The difference is only measured, so its blocks get
-    values-only SVDs and nothing is memoized."""
-    return max(
-        float(_solve("svd", m, compute_uv=False).max(initial=0.0))
-        for _, m in _std_blocks(subtract(A, B))
-    )
-
-
 def _asymmetry(blocks: list) -> tuple:
     """(the largest entry of M - M^H, 1 + the largest entry of M) over the
-    standard-coordinate blocks M: the self-adjointness test compares them."""
+    matrices M (standard-coordinate blocks, or their cores): the
+    self-adjointness test compares them."""
     scale_ = 1.0 + max(np.abs(m).max(initial=0.0) for m in blocks)
     asymmetry = max(np.abs(m - m.conj().T).max(initial=0.0) for m in blocks)
     return asymmetry, scale_
@@ -522,10 +511,12 @@ def is_hermitian(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:
 
 
 class LoewnerMargins(NamedTuple):
-    """The four numbers the Loewner test A >= B decides on, all of A - B."""
+    """The four numbers the Loewner test A >= B decides on, all of
+    D = A - B in standard coordinates, read off the cores K of its blocks
+    (``_margins``)."""
 
-    asymmetry: float  # largest entry of D - D^H, D its standard-coordinate matrix
-    scale: float  # 1 + the largest entry of D
+    asymmetry: float  # largest entry of K - K^H, K the core of each block Z K Z^H of D
+    scale: float  # 1 + the largest entry of K
     smallest: float  # smallest eigenvalue of the self-adjoint part of D
     norm: float  # largest eigenvalue modulus of the self-adjoint part of D
 
@@ -534,16 +525,16 @@ def loewner_margins(A: WeightedOperator, B: WeightedOperator) -> LoewnerMargins:
     """The margins of A >= B; they do not depend on a tolerance, so one set
     serves every tolerance (``loewner_holds``)."""
     _check_space(A, B)
-    blocks = [m for _, m in _std_blocks(subtract(A, B))]
-    return _margins(blocks, blocks)
+    return _margins([m for _, m in _std_blocks(subtract(A, B))])
 
 
-def _margins(blocks: list, cores: list) -> LoewnerMargins:
-    """The Loewner margins of the standard-coordinate ``blocks`` D = Z K Z^H,
-    each given with its core K (Z with orthonormal columns; K = D for
-    Z = I): the asymmetry and scale are read off D, the eigenvalues of its
-    self-adjoint part off K's, the rest being exact zeros."""
-    asymmetry, scale_ = _asymmetry(blocks)
+def _margins(cores: list) -> LoewnerMargins:
+    """The Loewner margins of the standard-coordinate blocks Z K Z^H given by
+    their ``cores`` K (Z with orthonormal columns; a block is its own core
+    for Z = I): D - D^H = Z (K - K^H) Z^H vanishes iff K - K^H does, so the
+    asymmetry and the scale are read off K, and the eigenvalues of D's
+    self-adjoint part are K's, the rest being exact zeros."""
+    asymmetry, scale_ = _asymmetry(cores)
     evals = np.concatenate([_solve("eigvalsh", 0.5 * (k + k.conj().T)) for k in cores])
     return LoewnerMargins(
         asymmetry, scale_, evals.min(initial=0.0), np.abs(evals).max(initial=0.0)
@@ -636,5 +627,11 @@ def kernel_projection(T: WeightedOperator) -> WeightedOperator:
 
 
 def is_normal(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:
-    comm = norm_distance(compose(T, adjoint(T)), compose(adjoint(T), T))
-    return comm <= tol * (1.0 + operator_norm(T) ** 2)
+    """T T* = T* T to tolerance, read off T's joint cores: a block Q K Q^H
+    (``_joint_cores``) gives T T* - T* T = Q (K K^H - K^H K) Q^H, whose norm
+    is the largest eigenvalue modulus of that Hermitian core."""
+    comm = max(
+        np.abs(_solve("eigvalsh", k @ k.conj().T - k.conj().T @ k)).max(initial=0.0)
+        for _, _, k in _joint_cores(T)
+    )
+    return bool(comm <= tol * (1.0 + operator_norm(T) ** 2))

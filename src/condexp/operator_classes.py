@@ -21,7 +21,7 @@ from .measure_space import (
 from .operator_algebra import (
     WeightedOperator,
     _factors,
-    _joint_bases,
+    _joint_cores,
     _margins,
     _once_per_operator,
     _solve,
@@ -80,24 +80,21 @@ def _class_margins(T: WeightedOperator) -> dict:
     |T^2| = Y |M| Y^H, |T|^2 = Y S^2 Y^H and |T*|^2 = X S^2 X^H. The A and
     quasi-*-A differences are Y K Y^H with the r x r cores |M| - S^2 and
     S (C^H |M| C - S^2) S; the *-A one is Q K Q^H on T's joint basis Q of
-    [Y X] (``_joint_bases``), with a core of at most 2r x 2r. Only r x r
-    factorizations run, and the margins are floats; each test applies its
+    [Y X], with the core R_y |M| R_y^H - R_x S^2 R_x^H of at most 2r x 2r
+    (``_joint_cores``). Every margin is read off these cores
+    (``_margins``), so no |B| x |B| array is built and only r x r
+    factorizations run; the margins are floats, and each test applies its
     own tolerance."""
-    diffs = {A_CLASS: [], STAR_A_CLASS: [], QUASI_STAR_A_CLASS: []}
-    for (_, x, s, y), (q, ry, rx) in zip(_factors(T), _joint_bases(T)):
+    cores = {A_CLASS: [], STAR_A_CLASS: [], QUASI_STAR_A_CLASS: []}
+    for (_, x, s, y), (ry, rx, _) in zip(_factors(T), _joint_cores(T)):
         c = y.conj().T @ x
         _, sigma, qh = _solve("svd", s[:, None] * c * s[None, :])
         abs_m = (qh.conj().T * sigma) @ qh
         sq = np.diag(s**2)
-        diffs[A_CLASS].append((y, abs_m - sq))
-        diffs[STAR_A_CLASS].append((q, ry @ abs_m @ ry.conj().T - rx @ sq @ rx.conj().T))
-        diffs[QUASI_STAR_A_CLASS].append(
-            (y, s[:, None] * (c.conj().T @ abs_m @ c - sq) * s[None, :])
-        )
-    return {
-        name: _margins([(z @ k) @ z.conj().T for z, k in pairs], [k for _, k in pairs])
-        for name, pairs in diffs.items()
-    }
+        cores[A_CLASS].append(abs_m - sq)
+        cores[STAR_A_CLASS].append(ry @ abs_m @ ry.conj().T - rx @ sq @ rx.conj().T)
+        cores[QUASI_STAR_A_CLASS].append(s[:, None] * (c.conj().T @ abs_m @ c - sq) * s[None, :])
+    return {name: _margins(k) for name, k in cores.items()}
 
 
 def is_a_class_definitional(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:

@@ -6,7 +6,7 @@ radius its sup norm); the numeric side is the per-atom eigenvalue oracle.
 On a finite space the point spectrum is the spectrum, and 0 belongs to it
 iff T is rank deficient; T has one rank-one block per atom in S and G, so
 its rank is the number of those atoms. The joint point spectrum is read off
-T's factors too: each atom's at most 2r x 2r core on its joint basis.
+T's factors too: each atom's at most 2r x 2r joint core (``_joint_cores``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .measure_space import cluster_values, ess_range, level_set
 from .operator_algebra import (
     WeightedOperator,
     _factors,
-    _joint_bases,
+    _joint_cores,
     _solve,
     eigenvalues,
     operator_norm,
@@ -192,10 +192,11 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = DEFAULT_JOINT_TOL) ->
     Both null spaces are block-diagonal like T, so they are intersected block
     by block: the largest cosine over all blocks gives the smallest angle.
 
-    Each block is Q K Q^H on its joint basis Q (``_joint_bases``), and it
-    and its adjoint vanish on Q's complement. So both null spaces are Q's
-    image of the core's, plus Q's complement when |lambda| is within the
-    cutoff, which makes the cosine 1 there. One SVD of K - lambda I per block,
+    Each block B is Q K Q^H with the core K of ``_joint_cores``, and it and
+    its adjoint vanish on the complement of Q's min(|B|, 2r) columns. So
+    both null spaces are Q's image of the core's, plus that complement when
+    |lambda| is within the cutoff and 2r < |B|, which makes the cosine 1
+    there; Q itself is never needed. One SVD of K - lambda I per block,
     stacked over the shifts, gives the core's two: with K - lambda I =
     U S V^H, the right singular vectors past the rank span null(K - lambda I)
     and the left ones null(K^H - conj(lambda) I). The factors drop only
@@ -206,10 +207,9 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = DEFAULT_JOINT_TOL) ->
     clusters = cluster_values(eigenvalues(T), cutoff)
     shifts = np.asarray(clusters, dtype=complex)
     cosine = np.zeros(shifts.size)
-    for (q, ry, rx), (_, _, s, _) in zip(_joint_bases(T), _factors(T)):
-        if q.shape[1] < q.shape[0]:
+    for (b, _, s, _), (_, _, core) in zip(_factors(T), _joint_cores(T)):
+        if 2 * s.size < b.size:
             cosine[np.abs(shifts) <= cutoff] = 1.0
-        core = (rx * s) @ ry.conj().T
         rows = max(1, DISTANCE_CHUNK // max(1, core.size))
         for start in range(0, shifts.size, rows):
             lam = shifts[start : start + rows, None, None]

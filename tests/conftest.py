@@ -23,6 +23,16 @@ def one_block_algebra():
     return SubSigmaAlgebra(([0, 1],), 2)
 
 
+def discrete_algebra(n):
+    """The full algebra on n points: each point is an atom, so E = I."""
+    return SubSigmaAlgebra(tuple([i] for i in range(n)), n)
+
+
+def trivial_algebra(n):
+    """The trivial algebra on n points: one atom, so E is the weighted mean."""
+    return SubSigmaAlgebra((list(range(n)),), n)
+
+
 def make_function(space, values):
     return MeasurableFunction(np.asarray(values, dtype=complex), space)
 

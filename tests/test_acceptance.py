@@ -124,7 +124,9 @@ def test_criterion_3_polar_decomposition():
             worst_iso,
             oa.operator_norm(oa.subtract(oa.compose(oa.compose(U, oa.adjoint(U)), U), U)),
         )
-        kernel_gap = oa.norm_distance(oa.kernel_projection(U), oa.kernel_projection(M))
+        kernel_gap = oa.operator_norm(
+            oa.subtract(oa.kernel_projection(U), oa.kernel_projection(M))
+        )
         worst_kernel = max(worst_kernel, kernel_gap)
     _report(
         3,

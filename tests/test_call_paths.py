@@ -1,15 +1,16 @@
 """Every public function of the library modules is called by the library or
 the benchmark, or is a named reference the tests compare against; every
-public class of the library modules is read by the library or the
-benchmark; every private function and class of the package is used by the
-package itself; numpy.linalg is called only through ``_solve``."""
+public class of the library modules, and every public method, static
+method and property of one, is read by the library or the benchmark; every
+private function and class of the package is used by the package itself;
+numpy.linalg is called only through ``_solve``."""
 
 import ast
 from pathlib import Path
 
 import numpy as np
 
-from condexp import WeightedOperator, product_space_example
+from condexp import MeasurableFunction, WeightedOperator, product_space_example
 from condexp import operator_algebra as oa
 from condexp import wce_operator as wce
 from condexp.verification import summarize, verify_instance
@@ -28,10 +29,12 @@ LIBRARY_MODULES = sorted(
 #: the public functions nothing in ``src`` or ``bench`` calls: the dense
 #: references the tests check the oracle with (``kernel_projection`` is the
 #: one the coimage rule of the polar kernel check is compared with), the
-#: inner product the adjoint identities are checked against, and the paper's
+#: generic product the tests build T*T, T^2 and T*(.)T with, the inner
+#: product the adjoint identities are checked against, and the paper's
 #: sigma_jp identity, which the tests check on its own
 NOT_ON_A_CALL_PATH = {
     "apply",
+    "compose",
     "fractional_power",
     "kernel_projection",
     "polar_isometry_numeric",
@@ -109,6 +112,48 @@ def test_every_public_class_is_read_in_src_or_bench():
     assert [top.name for top in classes if _is_unread(top, reads)] == []
 
 
+def _public_members(trees) -> list:
+    """(class, member) for every public method, static method, class method
+    and property defined in a class body at the top level of ``trees``."""
+    return [
+        (top.name, member.name)
+        for tree in trees
+        for top in tree.body
+        if isinstance(top, ast.ClassDef)
+        for member in top.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not member.name.startswith("_")
+    ]
+
+
+def test_every_public_member_is_read_in_src_or_bench():
+    """A public method, static method or property of a library class must
+    be read, by attribute name, somewhere in ``src`` or ``bench`` outside
+    the re-exporting ``__init__``: one that only tests call is API nothing
+    uses. A name counts wherever it is read, so the scan errs toward
+    keeping a member."""
+    paths = [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    reads = {
+        node.attr
+        for path in paths
+        if path.name != "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+    }
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in LIBRARY_MODULES]
+    members = _public_members(trees)
+    assert ("WeightedOperator", "entries") in members
+    assert [m for m in members if m[1] not in reads] == []
+    # the scan sees static methods and properties, and skips private members
+    probe = ast.parse(
+        "class C:\n"
+        "    @staticmethod\n    def s():\n        pass\n"
+        "    @property\n    def p(self):\n        pass\n"
+        "    def _q(self):\n        pass\n"
+    )
+    assert _public_members([probe]) == [("C", "s"), ("C", "p")]
+
+
 def test_every_private_function_and_class_is_used_in_src():
     """A private module-level function or class that only tests use is dead
     code: references from ``tests`` do not count, and neither does the
@@ -171,10 +216,19 @@ def test_numpy_linalg_is_called_only_through_solve():
     assert _linalg_uses(probe) == [(1, None), (3, "f")]
 
 
+def _verify_inputs() -> list:
+    """The inputs of the structural verify tests: product_space_example(4, 80)
+    as it is, and with w replaced by the constant 1, so that verify runs the
+    normality check too."""
+    instance = product_space_example(4, 80)
+    return [instance, instance._replace(w=MeasurableFunction.constant(instance.space, 1.0))]
+
+
 def test_verify_runs_only_t_s_svds_at_full_size(monkeypatch):
-    """A verify of product_space_example(4, 80) runs exactly four 80 x 80
-    SVDs, T's own, and no other SVD of a matrix with a side above 2 (the
-    polar checks factor stacks of 2 x 2 cores)."""
+    """A verify of product_space_example(4, 80), with its own w or w = 1,
+    runs exactly four 80 x 80 SVDs, T's own, and no other SVD of a matrix
+    with a side above 2 (the polar checks factor stacks of 2 x 2 cores, and
+    the normality check reads T's joint cores)."""
     shapes = []
 
     def probe(a, *args, _original=np.linalg.svd, **kwargs):
@@ -182,9 +236,13 @@ def test_verify_runs_only_t_s_svds_at_full_size(monkeypatch):
         return _original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", probe)
-    assert summarize(verify_instance(product_space_example(4, 80)))["all_passed"]
-    large = [s for s in shapes if max(s[-2:]) > 2]
-    assert large == [(80, 80)] * 4
+    for w_one, instance in enumerate(_verify_inputs()):
+        shapes.clear()
+        checks = verify_instance(instance)
+        assert summarize(checks)["all_passed"]
+        assert ("normality_equivalence_consistent" in [c.name for c in checks]) == w_one
+        large = [s for s in shapes if max(s[-2:]) > 2]
+        assert large == [(80, 80)] * 4
 
 
 def _operator_algebra_calls(tree) -> list:
@@ -241,10 +299,11 @@ def test_closed_forms_never_call_the_oracle():
 
 
 def test_verify_constructs_thirteen_operators(monkeypatch):
-    """A verify of product_space_example(4, 80) constructs T, T* and the
-    oracle's eleven operators (``gram_power`` at four powers of T and of T*,
-    and the Aluthge transforms of T, of that transform and of T*), and no
-    closed-form operator."""
+    """A verify of product_space_example(4, 80), with its own w or w = 1,
+    constructs T, T* and the oracle's eleven operators (``gram_power`` at
+    four powers of T and of T*, and the Aluthge transforms of T, of that
+    transform and of T*), no closed-form operator, and none for the
+    normality check."""
     built = []
 
     def counted(op, _original=WeightedOperator.__post_init__):
@@ -252,8 +311,10 @@ def test_verify_constructs_thirteen_operators(monkeypatch):
         _original(op)
 
     monkeypatch.setattr(WeightedOperator, "__post_init__", counted)
-    assert summarize(verify_instance(product_space_example(4, 80)))["all_passed"]
-    assert len(built) == 13
+    for instance in _verify_inputs():
+        built.clear()
+        assert summarize(verify_instance(instance))["all_passed"]
+        assert len(built) == 13
 
 
 def test_verify_calls_expectation_operator_once(monkeypatch):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condexp import (
@@ -17,7 +17,7 @@ from condexp import (
 )
 from condexp.measure_space import cluster_values
 
-from conftest import greedy_cluster_values, make_function
+from conftest import discrete_algebra, greedy_cluster_values, make_function, trivial_algebra
 
 #: grid step of the clustering tests; a power of two, so grid values one
 #: tolerance apart are exactly one tolerance apart in floating point
@@ -47,6 +47,16 @@ def space_algebra_functions(draw, max_points=10, n_functions=2):
             MeasurableFunction(np.array(re) + 1j * np.array(im), space)
         )
     return space, algebra, funcs
+
+
+#: f = 5e-324 at a point of mass 0.5, on the discrete algebra: weighted by
+#: its mass before the division it underflows, and E f would read 0 there
+_TINY_SPACE = FiniteMeasureSpace([0.5, 1.0])
+TINY_VALUE_CASE = (
+    _TINY_SPACE,
+    discrete_algebra(2),
+    (MeasurableFunction(np.array([5e-324, 1.0], dtype=complex), _TINY_SPACE),) * 2,
+)
 
 
 class TestValidation:
@@ -111,7 +121,7 @@ class TestConditionalExpectation:
 
     def test_singleton_blocks_identity(self):
         space = FiniteMeasureSpace([2.0, 0.5, 1.0])
-        algebra = SubSigmaAlgebra.discrete(3)
+        algebra = discrete_algebra(3)
         f = make_function(space, [1 + 2j, -3, 0.25])
         ef = conditional_expectation(space, algebra, f)
         np.testing.assert_allclose(ef.values, f.values)
@@ -119,7 +129,7 @@ class TestConditionalExpectation:
     def test_weighted_block_mean(self):
         # (2*1 + 6*3) / (1 + 3) = 5
         space = FiniteMeasureSpace([1.0, 3.0])
-        algebra = SubSigmaAlgebra.trivial(2)
+        algebra = trivial_algebra(2)
         f = make_function(space, [2, 6])
         ef = conditional_expectation(space, algebra, f)
         np.testing.assert_allclose(ef.values, [5, 5])
@@ -127,7 +137,7 @@ class TestConditionalExpectation:
     def test_dimension_mismatch(self):
         space = FiniteMeasureSpace([1.0, 1.0])
         other = FiniteMeasureSpace([1.0, 1.0, 1.0])
-        algebra = SubSigmaAlgebra.trivial(2)
+        algebra = trivial_algebra(2)
         f = make_function(other, [1, 2, 3])
         with pytest.raises(ValueError):
             conditional_expectation(space, algebra, f)
@@ -183,9 +193,10 @@ class TestConditionalExpectation:
 
     @settings(max_examples=30, deadline=None)
     @given(space_algebra_functions())
+    @example(TINY_VALUE_CASE)
     def test_full_algebra_is_identity(self, saf):
         space, _, (f, _) = saf
-        full = SubSigmaAlgebra.discrete(space.point_count)
+        full = discrete_algebra(space.point_count)
         ef = conditional_expectation(space, full, f)
         np.testing.assert_allclose(ef.values, f.values)
 
@@ -357,13 +368,13 @@ class TestAlgebraMeasurable:
 
     def test_varies_inside_block(self):
         space = FiniteMeasureSpace([1, 1])
-        algebra = SubSigmaAlgebra.trivial(2)
+        algebra = trivial_algebra(2)
         f = make_function(space, [1, 2])
         assert not is_algebra_measurable(f, algebra, tol=0.0)
 
     def test_singleton_blocks_always(self):
         space = FiniteMeasureSpace([1, 1, 1])
-        algebra = SubSigmaAlgebra.discrete(3)
+        algebra = discrete_algebra(3)
         f = make_function(space, [1, 5, -2j])
         assert is_algebra_measurable(f, algebra)
 
@@ -376,7 +387,7 @@ class TestToleranceValidation:
     @staticmethod
     def _calls():
         space = FiniteMeasureSpace([1, 1, 1])
-        algebra = SubSigmaAlgebra.trivial(3)
+        algebra = trivial_algebra(3)
         f = make_function(space, [1, 1, 2])
         return {
             "support": lambda tol: support(f, tol),

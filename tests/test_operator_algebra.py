@@ -41,10 +41,10 @@ from condexp.operator_algebra import (
     expectation_norms,
     expectation_product,
     gram_power,
-    norm_distance,
+    subtract,
 )
 
-from conftest import make_function, multiset_close
+from conftest import discrete_algebra, make_function, multiset_close, trivial_algebra
 
 
 def flat_space(n):
@@ -74,13 +74,13 @@ class TestApplyCompose:
     def test_identity(self):
         space = flat_space(3)
         f = make_function(space, [1, 2j, -1])
-        out = apply(WeightedOperator.identity(space), f)
+        out = apply(WeightedOperator(np.eye(3), space), f)
         np.testing.assert_allclose(out.values, f.values)
 
     def test_zero(self):
         space = flat_space(2)
         f = make_function(space, [5, 7])
-        assert np.all(apply(WeightedOperator.zero(space), f).values == 0)
+        assert np.all(apply(WeightedOperator(np.zeros((2, 2)), space), f).values == 0)
 
     def test_row_evaluation(self):
         space = flat_space(2)
@@ -90,12 +90,12 @@ class TestApplyCompose:
 
     def test_compose_identity(self):
         T = random_operator(0)
-        out = compose(WeightedOperator.identity(T.space), T)
+        out = compose(WeightedOperator(np.eye(6), T.space), T)
         np.testing.assert_allclose(out.entries, T.entries)
 
     def test_compose_zero(self):
         T = random_operator(1)
-        out = compose(T, WeightedOperator.zero(T.space))
+        out = compose(T, WeightedOperator(np.zeros((6, 6)), T.space))
         assert np.all(out.entries == 0)
 
     def test_compose_idempotent(self):
@@ -104,8 +104,8 @@ class TestApplyCompose:
         np.testing.assert_allclose(compose(T, T).entries, RANK_ONE)
 
     def test_dimension_mismatch(self):
-        a = WeightedOperator.identity(flat_space(2))
-        b = WeightedOperator.identity(flat_space(3))
+        a = WeightedOperator(np.eye(2), flat_space(2))
+        b = WeightedOperator(np.eye(3), flat_space(3))
         with pytest.raises(ValueError):
             compose(a, b)
 
@@ -114,7 +114,7 @@ class TestAdjoint:
     def test_multiplication_operator(self):
         space = FiniteMeasureSpace([1.0, 3.0])
         w = make_function(space, [2 + 1j, -1j])
-        adj = adjoint(expectation_operator(space, SubSigmaAlgebra.discrete(2), w.values))
+        adj = adjoint(expectation_operator(space, discrete_algebra(2), w.values))
         np.testing.assert_allclose(adj.entries, np.diag(np.conj(w.values)))
 
     def test_expectation_is_self_adjoint(self):
@@ -190,33 +190,9 @@ class TestEigenvalues:
         np.testing.assert_array_equal(eigenvalues(T), dense)
 
 
-class TestNormDistance:
-    def test_is_the_norm_of_the_difference(self):
-        for seed in range(3):
-            T = to_matrix(as_wce(random_instance(seed, 18, 3)))
-            A = compose(T, adjoint(T))
-            d = norm_distance(A, T)
-            diff = WeightedOperator(A.entries - T.entries, T.space)
-            assert d == pytest.approx(operator_norm(diff), rel=1e-12)
-
-    def test_values_only_and_nothing_memoized(self, monkeypatch):
-        T = to_matrix(as_wce(random_instance(0, 18, 3)))
-        A = compose(T, T)
-        calls = []
-
-        def probe(a, *args, _original=np.linalg.svd, **kwargs):
-            calls.append(kwargs.get("compute_uv", True))
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", probe)
-        norm_distance(A, T)
-        assert calls == [False] * len(T.blocks)
-        assert not A._memo and not T._memo
-
-
 class TestSingularValues:
     def test_identity(self):
-        s = singular_values(WeightedOperator.identity(flat_space(4)))
+        s = singular_values(WeightedOperator(np.eye(4), flat_space(4)))
         np.testing.assert_allclose(s, np.ones(4))
 
     def test_rank_one(self):
@@ -224,7 +200,7 @@ class TestSingularValues:
         np.testing.assert_allclose(s, [np.sqrt(2), 0], atol=1e-14)
 
     def test_zero(self):
-        s = singular_values(WeightedOperator.zero(flat_space(3)))
+        s = singular_values(WeightedOperator(np.zeros((3, 3)), flat_space(3)))
         np.testing.assert_allclose(s, 0)
 
     def test_invariant_under_adjoint(self):
@@ -238,7 +214,8 @@ class TestSingularValues:
 class TestLoewner:
     def test_identity_geq_zero(self):
         space = flat_space(2)
-        assert loewner_geq(WeightedOperator.identity(space), WeightedOperator.zero(space))
+        zero = WeightedOperator(np.zeros((2, 2)), space)
+        assert loewner_geq(WeightedOperator(np.eye(2), space), zero)
 
     def test_indefinite_difference(self):
         space = flat_space(2)
@@ -278,7 +255,7 @@ class TestLoewner:
     def test_rejects_non_hermitian_difference(self):
         space = flat_space(2)
         a = WeightedOperator([[0, 1], [0, 0]], space)
-        assert not loewner_geq(a, WeightedOperator.zero(space))
+        assert not loewner_geq(a, WeightedOperator(np.zeros((2, 2)), space))
 
 
 class TestFractionalPower:
@@ -361,7 +338,7 @@ class TestModulusPolar:
 
     def test_polar_of_zero(self):
         space = flat_space(3)
-        zero = WeightedOperator.zero(space)
+        zero = WeightedOperator(np.zeros((3, 3)), space)
         assert np.all(polar_isometry_numeric(zero).entries == 0)
         assert np.all(gram_power(zero, 0.5).entries == 0)
 
@@ -374,7 +351,7 @@ class TestModulusPolar:
             assert err <= 1e-8 * (1 + operator_norm(T))
             ku = kernel_projection(U)
             km = kernel_projection(modulus)
-            assert norm_distance(ku, km) <= 1e-8
+            assert operator_norm(subtract(ku, km)) <= 1e-8
 
 
 class TestAluthge:
@@ -390,7 +367,7 @@ class TestAluthge:
 
     def test_zero(self):
         space = flat_space(2)
-        out = aluthge_numeric(WeightedOperator.zero(space))
+        out = aluthge_numeric(WeightedOperator(np.zeros((2, 2)), space))
         assert np.all(out.entries == 0)
 
     def test_preserves_eigenvalue_multiset(self):
@@ -405,11 +382,11 @@ class TestAluthge:
 
 class TestKernel:
     def test_identity_has_trivial_kernel(self):
-        projection = kernel_projection(WeightedOperator.identity(flat_space(3)))
+        projection = kernel_projection(WeightedOperator(np.eye(3), flat_space(3)))
         np.testing.assert_allclose(projection.entries, 0.0, atol=1e-12)
 
     def test_zero_has_full_kernel(self):
-        projection = kernel_projection(WeightedOperator.zero(flat_space(3)))
+        projection = kernel_projection(WeightedOperator(np.zeros((3, 3)), flat_space(3)))
         np.testing.assert_allclose(projection.entries, np.eye(3), atol=1e-12)
 
     def test_rank_one(self):
@@ -475,7 +452,7 @@ class TestExpectationPairs:
         A, B = _pair_operator(first), _pair_operator(second)
         scale = max(operator_norm(A), operator_norm(B))
         got = expectation_distance(PAIR_SPACE, PAIR_ALGEBRA, first, second)
-        assert abs(got - norm_distance(A, B)) <= 1e-14 * scale
+        assert abs(got - operator_norm(subtract(A, B))) <= 1e-14 * scale
         assert expectation_distance(PAIR_SPACE, PAIR_ALGEBRA, first, first) <= 1e-14 * scale
 
     def test_near_coincident_lines_defeat_the_cosine_form(self):
@@ -509,7 +486,7 @@ class TestExpectationPairs:
             complement = np.eye(15) - _pair_operator(pair).entries
             np.testing.assert_allclose(complement, kernel.entries, atol=1e-12)
         got = expectation_distance(PAIR_SPACE, PAIR_ALGEBRA, *coimages)
-        assert abs(got - norm_distance(*kernels)) <= 1e-12
+        assert abs(got - operator_norm(subtract(*kernels))) <= 1e-12
 
     def test_coimage_cuts_atoms_under_the_rank_rule(self):
         """An atom whose norm is under DEFAULT_RANK_TOL times the largest is
@@ -550,9 +527,52 @@ class TestNormal:
         U = WeightedOperator([[0, 1], [-1, 0]], space)
         assert is_normal(U)
 
+    def test_zero_is_normal(self):
+        """A zero operator has rank 0 on every atom: its joint cores are
+        0 x 0."""
+        assert is_normal(WeightedOperator(np.zeros((3, 3)), FiniteMeasureSpace([1.0, 2.0, 3.0])))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decides_on_the_dense_commutator_norm(self, seed):
+        """The tolerance at which is_normal turns is ||TT* - T*T|| / (1 + ||T||^2),
+        with the commutator taken densely in standard coordinates, for T
+        blocked by its atoms, T as one block and a full-rank operator."""
+        T = to_matrix(as_wce(random_instance(seed, 18, 3)))
+        for X in (T, WeightedOperator(T.entries, T.space), random_operator(seed)):
+            d = np.sqrt(X.space.weights)
+            m = d[:, None] * X.entries / d[None, :]
+            comm = np.linalg.norm(m @ m.conj().T - m.conj().T @ m, 2)
+            turn = comm / (1.0 + operator_norm(X) ** 2)
+            assert is_normal(X, turn * (1 + 1e-6)) is True
+            assert is_normal(X, turn * (1 - 1e-6)) is False
+
+    def test_reads_only_the_joint_cores(self, monkeypatch):
+        """With T's factors memoized, is_normal runs no SVD and only
+        eigvalsh of one at most 2r x 2r core per atom, and builds no
+        operator."""
+        T = to_matrix(as_wce(random_instance(0, 18, 3)))
+        rank = max(s.size for _, _, s, _ in _factors(T))
+        calls = []
+
+        def probe(routine):
+            def wrapped(a, *args, _original=getattr(np.linalg, routine), **kwargs):
+                calls.append((routine, np.shape(a)))
+                return _original(a, *args, **kwargs)
+
+            return wrapped
+
+        for routine in ("svd", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, routine, probe(routine))
+        built = []
+        monkeypatch.setattr(WeightedOperator, "__post_init__", lambda op: built.append(op))
+        assert not is_normal(T)
+        assert [r for r, _ in calls] == ["eigvalsh"] * len(T.blocks)
+        assert max(max(shape) for _, shape in calls) <= 2 * rank
+        assert built == []
+
     def test_hermitian_check(self):
         space = FiniteMeasureSpace([1.0, 3.0])
-        algebra = SubSigmaAlgebra.trivial(2)
+        algebra = trivial_algebra(2)
         assert is_hermitian(expectation_operator(space, algebra))
         assert not is_hermitian(WeightedOperator([[0, 1], [0, 0]], space))
 

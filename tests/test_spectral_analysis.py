@@ -35,15 +35,17 @@ from condexp.operator_algebra import DEFAULT_RANK_TOL, WeightedOperator, _std_bl
 
 from conftest import (
     dense_hausdorff_distance,
+    discrete_algebra,
     make_function,
     multiset_close,
+    trivial_algebra,
     two_svd_joint_point_spectrum,
 )
 
 
 def rank_one_wce():
     space = FiniteMeasureSpace([1.0, 1.0])
-    algebra = SubSigmaAlgebra.trivial(2)
+    algebra = trivial_algebra(2)
     return build_wce(
         space, algebra, make_function(space, [2, 0]), make_function(space, [1, 1])
     )
@@ -52,7 +54,7 @@ def rank_one_wce():
 def singleton_wce(u_values, w_values, weights=None):
     n = len(u_values)
     space = FiniteMeasureSpace(weights if weights is not None else np.ones(n))
-    algebra = SubSigmaAlgebra.discrete(n)
+    algebra = discrete_algebra(n)
     return build_wce(
         space, algebra, make_function(space, u_values), make_function(space, w_values)
     )
@@ -139,7 +141,7 @@ class TestSpectrumClosedForm:
     def test_projection_spectrum(self):
         space = FiniteMeasureSpace(np.ones(4))
         one = MeasurableFunction.constant(space, 1.0)
-        W = build_wce(space, SubSigmaAlgebra.trivial(4), one, one)
+        W = build_wce(space, trivial_algebra(4), one, one)
         nonzero, zero_flag, covers = spectrum_closed_form(W)
         assert [round(z.real, 9) for z in nonzero] == [1]
         assert zero_flag
@@ -442,7 +444,7 @@ class TestSpectralRadius:
     def test_projection(self):
         space = FiniteMeasureSpace(np.ones(3))
         one = MeasurableFunction.constant(space, 1.0)
-        W = build_wce(space, SubSigmaAlgebra.trivial(3), one, one)
+        W = build_wce(space, trivial_algebra(3), one, one)
         assert spectral_radius_closed_form(W) == pytest.approx(1.0)
 
     def test_matches_numeric_radius(self):
@@ -525,7 +527,7 @@ class TestJointSpectrumRangeIdentity:
     def test_constant_one(self):
         space = FiniteMeasureSpace(np.ones(3))
         one = MeasurableFunction.constant(space, 1.0)
-        W = build_wce(space, SubSigmaAlgebra.trivial(3), one, one)
+        W = build_wce(space, trivial_algebra(3), one, one)
         report = joint_spectrum_range_check(W)
         assert report.hypothesis_holds
         assert report.nonzero_sets_equal

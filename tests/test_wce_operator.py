@@ -27,9 +27,9 @@ from condexp import (
 )
 
 from condexp import wce_operator as wce_module
-from condexp.operator_algebra import gram_power, norm_distance
+from condexp.operator_algebra import gram_power, subtract
 
-from conftest import make_function
+from conftest import discrete_algebra, make_function, trivial_algebra
 
 POWERS = (0.5, 1.0, 2.0, 3.5)
 
@@ -37,7 +37,7 @@ POWERS = (0.5, 1.0, 2.0, 3.5)
 def rank_one_instance():
     """weights (1,1), one block, u=(2,0), w=(1,1): T = [[1,0],[1,0]]."""
     space = FiniteMeasureSpace([1.0, 1.0])
-    algebra = SubSigmaAlgebra.trivial(2)
+    algebra = trivial_algebra(2)
     u = make_function(space, [2, 0])
     w = make_function(space, [1, 1])
     return build_wce(space, algebra, u, w)
@@ -46,7 +46,7 @@ def rank_one_instance():
 def ones_instance(n=4, blocks=None):
     space = FiniteMeasureSpace(np.ones(n))
     algebra = (
-        SubSigmaAlgebra(blocks, n) if blocks else SubSigmaAlgebra.trivial(n)
+        SubSigmaAlgebra(blocks, n) if blocks else trivial_algebra(n)
     )
     one = MeasurableFunction.constant(space, 1.0)
     return build_wce(space, algebra, one, one)
@@ -64,10 +64,10 @@ def max_diff(A, B):
 def assert_partial_isometry_with_kernel_condition(W):
     """U U* U = U and N(U) = N(|T|), measured as verify measures them."""
     U = as_operator(polar_isometry_closed_form, W)
-    residual = norm_distance(compose(compose(U, adjoint(U)), U), U)
+    residual = operator_norm(subtract(compose(compose(U, adjoint(U)), U), U))
     assert residual <= 1e-8 * (1.0 + operator_norm(U))
     modulus = as_operator(tstar_t_power, W, 0.5)
-    assert norm_distance(kernel_projection(U), kernel_projection(modulus)) <= 1e-8
+    assert operator_norm(subtract(kernel_projection(U), kernel_projection(modulus))) <= 1e-8
 
 
 class TestBuild:
@@ -82,7 +82,7 @@ class TestBuild:
 
     def test_singleton_blocks_pointwise_products(self):
         space = FiniteMeasureSpace([1.0, 2.0, 0.5])
-        algebra = SubSigmaAlgebra.discrete(3)
+        algebra = discrete_algebra(3)
         u = make_function(space, [1 + 1j, 2, -1])
         w = make_function(space, [0.5, 1j, 3])
         W = build_wce(space, algebra, u, w)
@@ -104,7 +104,7 @@ class TestBuild:
     def test_dimension_mismatch(self):
         space = FiniteMeasureSpace([1.0, 1.0])
         other = FiniteMeasureSpace([1.0])
-        algebra = SubSigmaAlgebra.trivial(2)
+        algebra = trivial_algebra(2)
         with pytest.raises(ValueError):
             build_wce(space, algebra, make_function(other, [1]), make_function(other, [1]))
 
@@ -127,7 +127,7 @@ class TestToMatrix:
 
     def test_singleton_blocks_diagonal(self):
         space = FiniteMeasureSpace([1.0, 1.0])
-        algebra = SubSigmaAlgebra.discrete(2)
+        algebra = discrete_algebra(2)
         u = make_function(space, [2, 3])
         w = make_function(space, [5, -1])
         T = to_matrix(build_wce(space, algebra, u, w))
@@ -175,7 +175,7 @@ class TestPowers:
 
     def test_singleton_blocks_p2_diagonal(self):
         space = FiniteMeasureSpace([1.0, 1.0])
-        algebra = SubSigmaAlgebra.discrete(2)
+        algebra = discrete_algebra(2)
         u = make_function(space, [2, 1])
         w = make_function(space, [1, 3])
         W = build_wce(space, algebra, u, w)
