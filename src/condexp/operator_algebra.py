@@ -14,19 +14,26 @@ weighted space into standard C^n and lets the dense LAPACK routines apply
 unchanged to each block.
 
 The oracle factors per atom. Every eigenvalue, SVD and eigh call, and every
-product, runs on the diagonal blocks, so it costs sum |B|^3 over the blocks
-instead of n^3. One SVD per block, cut at the one rank cutoff, gives each
-block's rank-r factors X diag(s) Y^H; only these |B| x r factors are
-memoized. They serve the norm and the singular values, the eigenvalues (a
-rank-deficient block's come from its r x r core), every power of T*T and
-TT*, |T|, |T*|, the polar isometry, the Aluthge transform and the kernel
-projection. The R of one QR of [Y X] per block gives the block's joint
-core: the block is Q K Q^H with K of at most 2r x 2r, Q an orthonormal
-basis of the ranges of the block and its adjoint that is never formed. The
-class margins, the normality check and the joint point spectrum read K, so
-none of them holds a |B| x |B| array. An operator the oracle builds as
-L K R^H from a small core K keeps the core, so its own factors cost one
-r x r SVD. Operators built from T = M_w E M_u carry the atoms of the
+product, runs on the diagonal blocks, so it costs at most sum |B|^3 over
+the blocks instead of n^3. One factorization per block, cut at the one rank
+cutoff, gives each block's rank-r factors X diag(s) Y^H; only these |B| x r
+factors are memoized. On a block of 16 points or more it is a certified
+sketch: Q from the QR of B Omega, with a few seeded Gaussian columns Omega,
+and the SVD of the small Q^H B, accepted when the residual
+||B - Q Q^H B||_F is at most 1e-13 s_1, so a rank-r block costs |B|^2 r;
+the full SVD runs where no sketch of at most |B|/4 columns is certified,
+and where a sketched value lies within its residual of the cutoff, so the
+rank decisions are the full SVD's. The factors serve the norm and the
+singular values, the eigenvalues (a rank-deficient block's come from its
+r x r core), every power of T*T and TT*, |T|, |T*|, the polar isometry, the
+Aluthge transform and the kernel projection. The R of one QR of [Y X] per
+block gives the block's joint core: the block is Q K Q^H with K of at most
+2r x 2r, Q an orthonormal basis of the ranges of the block and its adjoint
+that is never formed. The class margins, the normality check and the joint
+point spectrum read K, so none of them holds a |B| x |B| array. An operator
+the oracle builds as L K R^H from a small core K keeps only the core, so
+its own factors cost one r x r SVD, and its blocks are built when they are
+read. Operators built from T = M_w E M_u carry the atoms of the
 partition, which is the definition of E; the oracle never reads the
 conditional moments, so it stays independent of the closed forms it checks.
 Every decision over the whole operator (the rank cutoff, the PSD scale, the
@@ -37,7 +44,9 @@ immutable, so its factorizations and its adjoint are computed once and
 shared by every caller. An operator and its adjoint share one
 factorization: the adjoint's standard-coordinate blocks are the conjugate
 transposes, so its factors are the operator's swapped (Y diag(s) X^H),
-read through a weak reference that keeps no operator alive.
+read through a weak reference that keeps no operator alive; the adjoint
+keeps what defines the operator's blocks and builds its own when they are
+read.
 
 The closed forms all have the shape M_a E M_b, rank one on each atom, and
 are handled as their pairs (a, b). ``expectation_operator`` builds a pair's
@@ -51,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -104,11 +114,14 @@ class WeightedOperator:
     the matrix must vanish outside the diagonal blocks they define; without
     it the whole space is one block. ``parts[k]`` is the block over
     ``blocks[k]``, and ``entries`` assembles the full matrix on each read.
+    An operator the oracle derives keeps only what defines it (its cores,
+    or the operator it is the adjoint of): its ``parts`` are assembled on
+    their first read.
     """
 
     space: FiniteMeasureSpace
     blocks: tuple
-    parts: tuple
+    _parts: object = field(repr=False)  # the blocks, or a callable yielding them
     _memo: dict = field(repr=False)
 
     def __init__(self, entries, space: FiniteMeasureSpace, blocks=None):
@@ -120,34 +133,44 @@ class WeightedOperator:
         parts = tuple(m[np.ix_(b, b)] for b in blocks)  # fancy indexing copies
         if len(blocks) > 1 and np.count_nonzero(m) != sum(map(np.count_nonzero, parts)):
             raise ValueError("operator entries must vanish outside the blocks")
-        self._assign(parts, space, blocks)
+        self._assign(parts, space, blocks, {})
 
     @classmethod
-    def _of_blocks(cls, parts, space: FiniteMeasureSpace, blocks: tuple):
+    def _of_blocks(cls, parts, space: FiniteMeasureSpace, blocks: tuple, memo=None):
         """The operator with these diagonal blocks over ``blocks`` (already a
-        partition). The arrays are new ones the caller hands over: they are
-        frozen in place, not copied."""
+        partition). ``parts`` is an iterable of new arrays the caller hands
+        over, frozen in place, not copied; or a callable yielding them one
+        block at a time, called when ``parts`` is read, with what defines
+        them in ``memo``."""
         op = cls.__new__(cls)
-        op._assign(tuple(parts), space, blocks)
+        op._assign(parts if callable(parts) else tuple(parts), space, blocks, dict(memo or {}))
         return op
 
-    def _assign(self, parts: tuple, space: FiniteMeasureSpace, blocks: tuple) -> None:
-        fields = (("space", space), ("blocks", blocks), ("parts", parts), ("_memo", {}))
+    def _assign(self, parts, space: FiniteMeasureSpace, blocks: tuple, memo: dict) -> None:
+        fields = (("space", space), ("blocks", blocks), ("_parts", parts), ("_memo", memo))
         for name, value in fields:
             object.__setattr__(self, name, value)
         self.__post_init__()
 
     def __post_init__(self):
         """Every construction ends here: each block must be a finite square
-        matrix over its indices; it is stored complex and read-only."""
-        parts = tuple(np.asarray(p, dtype=complex) for p in self.parts)
-        for b, p in zip(self.blocks, parts, strict=True):
-            if p.shape != (b.size, b.size):
-                raise ValueError("each block must be square over its indices")
-            if not np.all(np.isfinite(p)):
-                raise ValueError("operator entries must be finite")
-            p.setflags(write=False)
-        object.__setattr__(self, "parts", parts)
+        matrix over its indices; it is stored complex and read-only. An
+        operator held as its cores checks that they are finite instead."""
+        if not callable(self._parts):
+            object.__setattr__(self, "_parts", _checked_parts(self.blocks, self._parts))
+            return
+        cores = self._memo.get(_CORES)
+        arrays = [a.ravel() for core in cores or () for a in core[1:]]
+        if arrays and not np.isfinite(np.concatenate(arrays)).all():
+            raise ValueError("operator entries must be finite")
+
+    @property
+    def parts(self) -> tuple:
+        """The diagonal blocks in block order, assembled on the first read
+        where the operator keeps only what defines them."""
+        if callable(self._parts):
+            object.__setattr__(self, "_parts", _checked_parts(self.blocks, self._parts()))
+        return self._parts
 
     @property
     def entries(self) -> np.ndarray:
@@ -158,6 +181,26 @@ class WeightedOperator:
             out[np.ix_(b, b)] = p
         out.setflags(write=False)
         return out
+
+
+def _checked_parts(blocks: tuple, parts) -> tuple:
+    """``parts`` as complex read-only arrays, each a finite square matrix
+    over its indices."""
+    parts = tuple(np.asarray(p, dtype=complex) for p in parts)
+    for b, p in zip(blocks, parts, strict=True):
+        if p.shape != (b.size, b.size):
+            raise ValueError("each block must be square over its indices")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("operator entries must be finite")
+        p.setflags(write=False)
+    return parts
+
+
+def _block_parts(T: WeightedOperator):
+    """T's blocks one at a time, in block order. Where T keeps only what
+    defines them they are built as ``parts`` would build them, to the bit,
+    but none is kept."""
+    return T._parts() if callable(T._parts) else iter(T._parts)
 
 
 def _expectation_blocks(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple):
@@ -290,21 +333,25 @@ def _sqrt_weights(space: FiniteMeasureSpace) -> np.ndarray:
     return np.sqrt(space.weights)
 
 
+def _standard(db: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The standard-coordinate block of the block p, with db the square roots
+    of the weights over its indices."""
+    return (db[:, None] * p) / db[None, :]
+
+
 def _std_blocks(T: WeightedOperator):
     """(indices, diagonal block of the standard-coordinate matrix) per block.
 
     Conjugating by D^(1/2) gives a matrix on standard C^n unitarily
     equivalent to T, so the dense LAPACK routines apply to its blocks."""
     d = _sqrt_weights(T.space)
-    for b, p in zip(T.blocks, T.parts):
-        db = d[b]
-        yield b, (db[:, None] * p) / db[None, :]
+    for b, p in zip(T.blocks, _block_parts(T)):
+        yield b, _standard(d[b], p)
 
 
 def _from_std_blocks(pieces, T: WeightedOperator) -> WeightedOperator:
     """The operator with T's blocks whose standard-coordinate diagonal blocks
-    are ``pieces`` (pairs of indices and matrices, in T's block order; an
-    iterable, so a generator's matrix is freed once it is rescaled)."""
+    are ``pieces`` (pairs of indices and matrices, in T's block order)."""
     d = _sqrt_weights(T.space)
     parts = [(mat / d[b][:, None]) * d[b][None, :] for b, mat in pieces]
     return WeightedOperator._of_blocks(parts, T.space, T.blocks)
@@ -349,12 +396,18 @@ def _solve(routine: str, mat: np.ndarray, **kwargs):
     return out
 
 
+def _cutoff(svds: list) -> float:
+    """The oracle's one rank cutoff over the blocks U diag(s) V^H:
+    DEFAULT_RANK_TOL times the largest singular value of any of them."""
+    return DEFAULT_RANK_TOL * max(s.max(initial=0.0) for _, _, s, _ in svds)
+
+
 def _cut(svds: list) -> list:
     """(indices, X, s, Y) of each block U diag(s) V^H above the oracle's one
-    rank cutoff, DEFAULT_RANK_TOL times the largest singular value: the part
-    X diag(s) Y^H, with X = U_r and Y = V_r (|B| x r, orthonormal columns).
-    They are copies, so U and V^H are not kept alive."""
-    cutoff = DEFAULT_RANK_TOL * max(s.max(initial=0.0) for _, _, s, _ in svds)
+    rank cutoff (``_cutoff``): the part X diag(s) Y^H, with X = U_r and
+    Y = V_r (|B| x r, orthonormal columns). They are copies, so U and V^H
+    are not kept alive."""
+    cutoff = _cutoff(svds)
     out = []
     for b, u, s, vh in svds:
         rank = int(np.sum(s > cutoff))
@@ -366,6 +419,86 @@ def _cut(svds: list) -> list:
 #: (indices, L, K, R), each standard-coordinate block being L K R^H
 _CORES = "cores"
 
+#: Gaussian columns of a block's first sketch; a sketch is taken only while
+#: its width is at most a quarter of the block's size, where it is cheaper
+#: than the full SVD, so blocks of fewer than 16 points are factored in full
+_SKETCH_WIDTH = 4
+#: a sketch is accepted when its residual is at most this times its largest
+#: singular value; it lies below DEFAULT_RANK_TOL, so every singular value a
+#: sketch misses is under the rank cutoff
+_SKETCH_TOL = 1e-13
+#: seed of every sketch's Gaussian columns, so a block's factors depend on
+#: the block alone, not on the run or the blocks factored before it
+_SKETCH_SEED = 0
+
+
+def _sketch(m: np.ndarray):
+    """(U, s, V^H, residual) of the square standard-coordinate block m by
+    the range finder of Halko, Martinsson and Tropp ("Finding structure with
+    randomness", SIAM Review 53(2), 2011), or None where the full SVD is to
+    be run instead.
+
+    Q from the QR of m Omega, with Omega ``width`` Gaussian columns drawn
+    from _SKETCH_SEED, spans most of m's range; the SVD of the small
+    Q^H m = P diag(s) V^H gives U = Q P. Every singular value of m lies
+    within the residual ||m - Q Q^H m||_F of its sketched value (Weyl's
+    inequality), and those past the width under it. The sketch is accepted
+    when the residual is at most _SKETCH_TOL s_1; otherwise the width
+    doubles, up to a quarter of the block's size. The residual is formed
+    explicitly: ||m||^2 - ||Q^H m||^2 would cancel away the digits it is
+    read for."""
+    size = m.shape[0]
+    width = _SKETCH_WIDTH
+    while 4 * width <= size:
+        omega = np.random.default_rng(_SKETCH_SEED).standard_normal((size, width))
+        q = _solve("qr", m @ omega)[0]
+        c = q.conj().T @ m
+        p, s, vh = _solve("svd", c, full_matrices=False)
+        r = q @ c
+        r -= m
+        residual = math.sqrt(np.vdot(r, r).real)
+        accepted = residual <= _SKETCH_TOL * s[0]
+        ratio = residual / s[0] if s[0] > 0 else (math.inf if residual else 0.0)
+        log.debug(
+            "sketch %dx%d width %d residual/s1 %.3g %s",
+            size, size, width, ratio, "accepted" if accepted else "rejected",
+        )
+        if accepted:
+            return q @ p, s, vh, residual
+        width *= 2
+    if width > _SKETCH_WIDTH:
+        log.debug("sketch %dx%d fell back to the full SVD: no width certified", size, size)
+    return None
+
+
+def _block_svds(T: WeightedOperator) -> list:
+    """(indices, U, s, V^H) of each standard-coordinate block of T: its
+    certified sketch (``_sketch``), or its full SVD. A sketched block with a
+    singular value within its residual of the one rank cutoff is factored in
+    full too, so every rank decision is the full SVD's: the sketched values
+    of the other blocks lie on the same side of the cutoff as the true ones.
+    Only such a block is built a second time."""
+    svds, residuals = [], []
+    for b, m in _std_blocks(T):
+        *usv, residual = _sketch(m) or (*_solve("svd", m), None)
+        svds.append((b, *usv))
+        residuals.append(residual)
+    cutoff = _cutoff(svds)
+    undecided = [
+        k
+        for k, ((_, _, s, _), residual) in enumerate(zip(svds, residuals))
+        if residual is not None and np.any(np.abs(s - cutoff) <= residual)
+    ]
+    d = _sqrt_weights(T.space)
+    for k in undecided:
+        b = svds[k][0]
+        log.debug(
+            "sketch %dx%d fell back to the full SVD: a value within its residual"
+            " of the rank cutoff", b.size, b.size,
+        )
+        svds[k] = (b, *_solve("svd", _standard(d[b], T.parts[k])))
+    return svds
+
 
 @_once_per_operator
 def _factors(T: WeightedOperator) -> list:
@@ -376,14 +509,16 @@ def _factors(T: WeightedOperator) -> list:
     The adjoint of a live A has A's factors swapped, the same arrays. An
     operator built from cores L K R^H with orthonormal L and R factors each
     r x r core, K = P diag(s) Q^H, so X = L P and Y = R Q. Any other
-    operator cuts one SVD of each of its blocks."""
+    operator cuts one factorization of each of its blocks (``_block_svds``):
+    a certified sketch of at most a quarter of the block's size, which
+    costs |B|^2 times the width, or else the full SVD."""
     ref = T._memo.get(_ADJOINT_OF)
     source = ref() if ref is not None else None
     if source is not None:
         return [(b, y, s, x) for b, x, s, y in _factors(source)]
     cores = T._memo.get(_CORES)
     if cores is None:
-        return _cut([(b, *_solve("svd", m)) for b, m in _std_blocks(T)])
+        return _cut(_block_svds(T))
     cut = _cut([(b, *_solve("svd", k)) for b, _, k, _ in cores])
     return [(b, left @ p, s, right @ q) for (b, p, s, q), (_, left, _, right) in zip(cut, cores)]
 
@@ -414,11 +549,20 @@ def _core(x: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _from_cores(cores: list, T: WeightedOperator) -> WeightedOperator:
     """The operator with T's blocks whose standard-coordinate blocks are
     L K R^H for each (indices, L, K, R) in ``cores`` (L and R with
-    orthonormal columns); it keeps the cores, so its factors cost one r x r
-    SVD per block."""
-    op = _from_std_blocks(((b, (left @ k) @ right.conj().T) for b, left, k, right in cores), T)
-    op._memo[_CORES] = cores
-    return op
+    orthonormal columns). It keeps only the cores: its factors cost one
+    r x r SVD per block, and its blocks are built when they are read."""
+    build = functools.partial(_cored_parts, cores, T.space)
+    return WeightedOperator._of_blocks(build, T.space, T.blocks, {_CORES: cores})
+
+
+def _cored_parts(cores: list, space: FiniteMeasureSpace):
+    """The blocks on value vectors of the operator held as ``cores``, one at
+    a time (``_from_cores``): D^(-1/2) L K R^H D^(1/2) over each block, with
+    the weights applied to the |B| x r factors, so one product builds it."""
+    d = _sqrt_weights(space)
+    for b, left, k, right in cores:
+        db = d[b][:, None]
+        yield ((left / db) @ k) @ (right * db).conj().T
 
 
 def apply(T: WeightedOperator, f: MeasurableFunction) -> MeasurableFunction:
@@ -432,15 +576,21 @@ def apply(T: WeightedOperator, f: MeasurableFunction) -> MeasurableFunction:
 @_once_per_operator
 def adjoint(T: WeightedOperator) -> WeightedOperator:
     """The unique T* with <Tf, g> = <f, T*g> for the weighted inner product;
-    built once per operator, so the factorizations of T* are shared too."""
-    mu = T.space.weights
-    parts = [
-        (p.conj().T * mu[b][None, :]) / mu[b][:, None] for b, p in zip(T.blocks, T.parts)
-    ]
-    adj = WeightedOperator._of_blocks(parts, T.space, T.blocks)
+    built once per operator, so the factorizations of T* are shared too. It
+    keeps what defines T's blocks, not T, and builds its own when they are
+    read."""
+    build = functools.partial(_adjoint_parts, T._parts, T.blocks, T.space.weights)
+    adj = WeightedOperator._of_blocks(build, T.space, T.blocks)
     # weak: T's memo holds T*, so a strong reference back would be a cycle
     adj._memo[_ADJOINT_OF] = weakref.ref(T)
     return adj
+
+
+def _adjoint_parts(source, blocks: tuple, mu: np.ndarray):
+    """The blocks of the adjoint, D^-1 P^H D for each block P of ``source``
+    (the blocks, or a callable yielding them), one at a time."""
+    for b, p in zip(blocks, source() if callable(source) else source):
+        yield (p.conj().T * mu[b][None, :]) / mu[b][:, None]
 
 
 def compose(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
@@ -471,15 +621,17 @@ def eigenvalues(T: WeightedOperator) -> np.ndarray:
 
     A block of rank r below its size (under the rank cutoff over all
     blocks) has the eigenvalues of the r x r core of its factors and exact
-    zeros; a full-rank block is factored by eigvals."""
+    zeros; a full-rank block, the only one built here, is factored by
+    eigvals."""
+    d = _sqrt_weights(T.space)
     evals = []
-    for (_, m), (_, x, s, y) in zip(_std_blocks(T), _factors(T)):
-        if s.size == len(m):
-            evals.append(_solve("eigvals", m))
+    for k, (b, x, s, y) in enumerate(_factors(T)):
+        if s.size == b.size:
+            evals.append(_solve("eigvals", _standard(d[b], T.parts[k])))
             continue
         if s.size:
             evals.append(_solve("eigvals", _core(x, s, y)))
-        evals.append(np.zeros(len(m) - s.size, dtype=complex))
+        evals.append(np.zeros(b.size - s.size, dtype=complex))
     return np.concatenate(evals)
 
 

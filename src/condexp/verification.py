@@ -64,14 +64,16 @@ class Check:
 def _max_diff(W: WCEOperator, first, second) -> float:
     """The largest entry in modulus of first - second, each an operator on
     W's space or the pair (a, b) of M_a E M_b. Atom by atom when every
-    operator is blocked by W's atoms, a pair's block built only while it is
-    compared; over the assembled entries otherwise."""
+    operator is blocked by W's atoms: a pair's block, like the block of an
+    operator that keeps only its cores, is built only while it is compared,
+    by the arithmetic that would assemble it. Over the assembled entries
+    otherwise."""
     operators = [x for x in (first, second) if isinstance(x, WeightedOperator)]
     per_atom = all(x.blocks is W.algebra.blocks for x in operators)
 
     def pieces(x):
         if isinstance(x, WeightedOperator):
-            return x.parts if per_atom else [x.entries]
+            return oa._block_parts(x) if per_atom else [x.entries]
         if per_atom:
             return oa._expectation_blocks(W.space, W.algebra, x)
         return [oa.expectation_operator(W.space, W.algebra, *x).entries]
@@ -92,10 +94,13 @@ def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list
     factorizations memoized on T live throughout. T* is checked as T's side
     of the adjoint: the T-side sections rerun on ``adjoint_wce(W)`` against
     the oracle on ``adjoint(T)``, after the T-side sections: ``adjoint(T)``
-    is memoized on T, so its blocks live from then on. No closed-form
-    operator is built: the power and Aluthge checks build one atom's block
-    of a closed form at a time (``_max_diff``), and the polar section works
-    on the pairs alone, in O(n) per check and without T's factors."""
+    is memoized on T and keeps only what defines T's blocks. T's factors,
+    from one certified sketch or SVD per atom, are the only factorization
+    of a verify larger than the cores. No closed-form operator is built,
+    and no block of an operator derived from T is assembled: the power and
+    Aluthge checks build one atom's block of a closed form and of the
+    oracle's operator at a time (``_max_diff``), and the polar section
+    works on the pairs alone, in O(n) per check and without T's factors."""
     W = as_wce(instance, support_tol=tols.support)
     T = wce.to_matrix(W)
     norm_t = oa.operator_norm(T)

@@ -224,11 +224,12 @@ def _verify_inputs() -> list:
     return [instance, instance._replace(w=MeasurableFunction.constant(instance.space, 1.0))]
 
 
-def test_verify_runs_only_t_s_svds_at_full_size(monkeypatch):
+def test_verify_runs_no_svd_wider_than_the_sketch(monkeypatch):
     """A verify of product_space_example(4, 80), with its own w or w = 1,
-    runs exactly four 80 x 80 SVDs, T's own, and no other SVD of a matrix
-    with a side above 2 (the polar checks factor stacks of 2 x 2 cores, and
-    the normality check reads T's joint cores)."""
+    runs no SVD with both sides above the sketch width: T's four 80 x 80
+    blocks are factored by their 4 x 80 sketches, and no other SVD has a
+    side above 2 (the polar checks factor stacks of 2 x 2 cores, and the
+    normality check reads T's joint cores)."""
     shapes = []
 
     def probe(a, *args, _original=np.linalg.svd, **kwargs):
@@ -241,8 +242,9 @@ def test_verify_runs_only_t_s_svds_at_full_size(monkeypatch):
         checks = verify_instance(instance)
         assert summarize(checks)["all_passed"]
         assert ("normality_equivalence_consistent" in [c.name for c in checks]) == w_one
+        assert [s for s in shapes if min(s[-2:]) > oa._SKETCH_WIDTH] == []
         large = [s for s in shapes if max(s[-2:]) > 2]
-        assert large == [(80, 80)] * 4
+        assert large == [(oa._SKETCH_WIDTH, 80)] * 4
 
 
 def _operator_algebra_calls(tree) -> list:
@@ -315,6 +317,35 @@ def test_verify_constructs_thirteen_operators(monkeypatch):
         built.clear()
         assert summarize(verify_instance(instance))["all_passed"]
         assert len(built) == 13
+
+
+def test_verify_assembles_the_parts_of_t_alone(monkeypatch):
+    """A verify of product_space_example(4, 80), with its own w or w = 1,
+    assembles the blocks of no operator but T, the first it builds: T* and
+    the oracle's operators keep only what defines them, and ``_max_diff``
+    builds their blocks one at a time."""
+    built, read = [], []
+
+    def counted(op, _original=WeightedOperator.__post_init__):
+        built.append(op)
+        _original(op)
+
+    def parts(op, _original=WeightedOperator.parts):
+        read.append(op)
+        return _original.fget(op)
+
+    monkeypatch.setattr(WeightedOperator, "__post_init__", counted)
+    monkeypatch.setattr(WeightedOperator, "parts", property(parts))
+    for instance in _verify_inputs():
+        built.clear()
+        read.clear()
+        assert summarize(verify_instance(instance))["all_passed"]
+        assert len(built) == 13
+        assert all(op is built[0] for op in read)
+        assert all(callable(op._parts) for op in built[1:])
+    # the probe sees a read, and a read assembles the blocks
+    assert built[1].parts and read == [built[1]]
+    assert not callable(built[1]._parts)
 
 
 def test_verify_calls_expectation_operator_once(monkeypatch):
