@@ -18,22 +18,22 @@ product, runs on the diagonal blocks, so it costs at most sum |B|^3 over
 the blocks instead of n^3. One factorization per block, cut at the one rank
 cutoff, gives each block's rank-r factors X diag(s) Y^H; only these |B| x r
 factors are memoized. On a block of 16 points or more it is a certified
-sketch: Q from the QR of B Omega, with a few seeded Gaussian columns Omega,
+sketch: Q from the QR of B Omega, with four seeded Gaussian columns Omega,
 and the SVD of the small Q^H B, accepted when the residual
-||B - Q Q^H B||_F is at most 1e-13 s_1, so a rank-r block costs |B|^2 r;
-the full SVD runs where no sketch of at most |B|/4 columns is certified,
-and where a sketched value lies within its residual of the cutoff, so the
-rank decisions are the full SVD's. The factors serve the norm and the
-singular values, the eigenvalues (a rank-deficient block's come from its
-r x r core), every power of T*T and TT*, |T|, |T*|, the polar isometry, the
-Aluthge transform and the kernel projection. The R of one QR of [Y X] per
-block gives the block's joint core: the block is Q K Q^H with K of at most
-2r x 2r, Q an orthonormal basis of the ranges of the block and its adjoint
-that is never formed. The class margins, the normality check and the joint
-point spectrum read K, so none of them holds a |B| x |B| array. An operator
-the oracle builds as L K R^H from a small core K keeps only the core, so
-its own factors cost one r x r SVD, and its blocks are built when they are
-read. Operators built from T = M_w E M_u carry the atoms of the
+||B - Q Q^H B||_F is at most 1e-13 s_1, so a block of rank at most four
+costs |B|^2 times four; the full SVD runs where the sketch is not
+certified, and where a sketched value lies within its residual of the
+cutoff, so the rank decisions are the full SVD's. The factors serve the
+norm and the singular values, the eigenvalues (a rank-deficient block's
+come from its r x r core), every power of T*T and TT*, |T|, |T*|, the polar
+isometry, the Aluthge transform and the kernel projection. The R of one
+QR of [Y X] per block gives the block's joint core: the block is Q K Q^H
+with K of at most 2r x 2r, Q an orthonormal basis of the ranges of the
+block and its adjoint that is never formed. The class margins, the
+normality check and the joint point spectrum read K, so none of them holds
+a |B| x |B| array. An operator the oracle builds as L K R^H from a small
+core K keeps only the core, so its own factors cost one r x r SVD, and its
+blocks are built, and checked finite, when they are read. Operators built from T = M_w E M_u carry the atoms of the
 partition, which is the definition of E; the oracle never reads the
 conditional moments, so it stays independent of the closed forms it checks.
 Every decision over the whole operator (the rank cutoff, the PSD scale, the
@@ -155,9 +155,11 @@ class WeightedOperator:
     def __post_init__(self):
         """Every construction ends here: each block must be a finite square
         matrix over its indices; it is stored complex and read-only. An
-        operator held as its cores checks that they are finite instead."""
-        if not callable(self._parts):
-            object.__setattr__(self, "_parts", _checked_parts(self.blocks, self._parts))
+        operator held as its cores checks that they are finite instead, and
+        its blocks are checked when they are built (``_block_parts``)."""
+        parts = self._parts
+        if not callable(parts):
+            object.__setattr__(self, "_parts", _checked_parts(self.blocks, parts))
             return
         cores = self._memo.get(_CORES)
         arrays = [a.ravel() for core in cores or () for a in core[1:]]
@@ -167,10 +169,13 @@ class WeightedOperator:
     @property
     def parts(self) -> tuple:
         """The diagonal blocks in block order, assembled on the first read
-        where the operator keeps only what defines them."""
-        if callable(self._parts):
-            object.__setattr__(self, "_parts", _checked_parts(self.blocks, self._parts()))
-        return self._parts
+        where the operator keeps only what defines them. ``_parts`` is read
+        once, so two threads reading it first both assemble the same blocks."""
+        parts = self._parts
+        if callable(parts):
+            parts = _checked_parts(self.blocks, parts())
+            object.__setattr__(self, "_parts", parts)
+        return parts
 
     @property
     def entries(self) -> np.ndarray:
@@ -190,17 +195,30 @@ def _checked_parts(blocks: tuple, parts) -> tuple:
     for b, p in zip(blocks, parts, strict=True):
         if p.shape != (b.size, b.size):
             raise ValueError("each block must be square over its indices")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("operator entries must be finite")
-        p.setflags(write=False)
+        _finite(p).setflags(write=False)
     return parts
+
+
+def _finite(p: np.ndarray) -> np.ndarray:
+    """p, once every entry is checked finite."""
+    if not np.isfinite(p).all():
+        raise ValueError("operator entries must be finite")
+    return p
+
+
+def _iter_parts(parts):
+    """The blocks held as ``parts`` (a tuple, or a callable yielding them),
+    one at a time."""
+    return parts() if callable(parts) else iter(parts)
 
 
 def _block_parts(T: WeightedOperator):
     """T's blocks one at a time, in block order. Where T keeps only what
     defines them they are built as ``parts`` would build them, to the bit,
-    but none is kept."""
-    return T._parts() if callable(T._parts) else iter(T._parts)
+    and checked finite as ``parts`` would check them, but none is kept."""
+    parts = T._parts  # read once: another thread may assemble T's blocks
+    blocks = _iter_parts(parts)
+    return map(_finite, blocks) if callable(parts) else blocks
 
 
 def _expectation_blocks(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple):
@@ -419,9 +437,9 @@ def _cut(svds: list) -> list:
 #: (indices, L, K, R), each standard-coordinate block being L K R^H
 _CORES = "cores"
 
-#: Gaussian columns of a block's first sketch; a sketch is taken only while
-#: its width is at most a quarter of the block's size, where it is cheaper
-#: than the full SVD, so blocks of fewer than 16 points are factored in full
+#: Gaussian columns of a block's sketch; a sketch is taken only where its
+#: width is at most a quarter of the block's size, where it is cheaper than
+#: the full SVD, so blocks of fewer than 16 points are factored in full
 _SKETCH_WIDTH = 4
 #: a sketch is accepted when its residual is at most this times its largest
 #: singular value; it lies below DEFAULT_RANK_TOL, so every singular value a
@@ -438,37 +456,33 @@ def _sketch(m: np.ndarray):
     randomness", SIAM Review 53(2), 2011), or None where the full SVD is to
     be run instead.
 
-    Q from the QR of m Omega, with Omega ``width`` Gaussian columns drawn
-    from _SKETCH_SEED, spans most of m's range; the SVD of the small
+    Q from the QR of m Omega, with Omega _SKETCH_WIDTH Gaussian columns
+    drawn from _SKETCH_SEED, spans most of m's range; the SVD of the small
     Q^H m = P diag(s) V^H gives U = Q P. Every singular value of m lies
     within the residual ||m - Q Q^H m||_F of its sketched value (Weyl's
-    inequality), and those past the width under it. The sketch is accepted
-    when the residual is at most _SKETCH_TOL s_1; otherwise the width
-    doubles, up to a quarter of the block's size. The residual is formed
-    explicitly: ||m||^2 - ||Q^H m||^2 would cancel away the digits it is
-    read for."""
+    inequality), and those past the width under it. The sketch is taken
+    only where its width is at most a quarter of the block's size, and
+    accepted when the residual is at most _SKETCH_TOL s_1. The residual is
+    formed explicitly: ||m||^2 - ||Q^H m||^2 would cancel away the digits
+    it is read for."""
     size = m.shape[0]
-    width = _SKETCH_WIDTH
-    while 4 * width <= size:
-        omega = np.random.default_rng(_SKETCH_SEED).standard_normal((size, width))
-        q = _solve("qr", m @ omega)[0]
-        c = q.conj().T @ m
-        p, s, vh = _solve("svd", c, full_matrices=False)
-        r = q @ c
-        r -= m
-        residual = math.sqrt(np.vdot(r, r).real)
-        accepted = residual <= _SKETCH_TOL * s[0]
-        ratio = residual / s[0] if s[0] > 0 else (math.inf if residual else 0.0)
-        log.debug(
-            "sketch %dx%d width %d residual/s1 %.3g %s",
-            size, size, width, ratio, "accepted" if accepted else "rejected",
-        )
-        if accepted:
-            return q @ p, s, vh, residual
-        width *= 2
-    if width > _SKETCH_WIDTH:
-        log.debug("sketch %dx%d fell back to the full SVD: no width certified", size, size)
-    return None
+    if 4 * _SKETCH_WIDTH > size:
+        return None
+    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((size, _SKETCH_WIDTH))
+    q = _solve("qr", m @ omega)[0]
+    c = q.conj().T @ m
+    p, s, vh = _solve("svd", c, full_matrices=False)
+    r = q @ c
+    r -= m
+    residual = math.sqrt(np.vdot(r, r).real)
+    accepted = residual <= _SKETCH_TOL * s[0]
+    ratio = residual / s[0] if s[0] > 0 else (math.inf if residual else 0.0)
+    log.debug(
+        "sketch %dx%d width %d residual/s1 %.3g %s",
+        size, size, _SKETCH_WIDTH, ratio,
+        "accepted" if accepted else "rejected, fell back to the full SVD",
+    )
+    return (q @ p, s, vh, residual) if accepted else None
 
 
 def _block_svds(T: WeightedOperator) -> list:
@@ -510,8 +524,8 @@ def _factors(T: WeightedOperator) -> list:
     operator built from cores L K R^H with orthonormal L and R factors each
     r x r core, K = P diag(s) Q^H, so X = L P and Y = R Q. Any other
     operator cuts one factorization of each of its blocks (``_block_svds``):
-    a certified sketch of at most a quarter of the block's size, which
-    costs |B|^2 times the width, or else the full SVD."""
+    a certified sketch of _SKETCH_WIDTH columns, which costs |B|^2 times
+    the width, or else the full SVD."""
     ref = T._memo.get(_ADJOINT_OF)
     source = ref() if ref is not None else None
     if source is not None:
@@ -589,7 +603,7 @@ def adjoint(T: WeightedOperator) -> WeightedOperator:
 def _adjoint_parts(source, blocks: tuple, mu: np.ndarray):
     """The blocks of the adjoint, D^-1 P^H D for each block P of ``source``
     (the blocks, or a callable yielding them), one at a time."""
-    for b, p in zip(blocks, source() if callable(source) else source):
+    for b, p in zip(blocks, _iter_parts(source)):
         yield (p.conj().T * mu[b][None, :]) / mu[b][:, None]
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from condexp import (
+    FiniteMeasureSpace,
     Instance,
     MeasurableFunction,
     WCEOperator,
@@ -26,6 +27,7 @@ from condexp import (
     expectation_operator,
     fractional_power,
     hausdorff_distance,
+    is_hermitian,
     is_normal,
     joint_point_spectrum,
     kernel_projection,
@@ -210,6 +212,23 @@ class TestBlocks:
         mixed = compose(T, D)
         assert len(mixed.blocks) == 1
         np.testing.assert_allclose(mixed.entries, T.entries @ T.entries)
+
+    def test_blocks_built_from_finite_cores_are_checked_finite(self):
+        """An operator that keeps only what defines its blocks checks each
+        block as it is built, by every reader: on weights 1e-300 and 1e300
+        the value-coordinate blocks of T* and of T's derived operators scale
+        finite cores by sqrt(mu_j / mu_i) = 1e300 and overflow."""
+        space = FiniteMeasureSpace(np.array([1e-300, 1e300]))
+        d = np.sqrt(space.weights)
+        standard = np.array([[0.0, 0.0], [1e9, 1e9]])
+        T = WeightedOperator((standard / d[:, None]) * d[None, :], space, [np.arange(2)])
+        with np.errstate(all="ignore"):
+            for op in (adjoint(T), gram_power(T, 1), aluthge_numeric(T)):
+                for read in (lambda: list(oa._block_parts(op)), lambda: is_hermitian(op)):
+                    with pytest.raises(ValueError, match="must be finite"):
+                        read()
+                with pytest.raises(ValueError, match="must be finite"):
+                    op.parts
 
 
 FOUR_ATOMS = pytest.mark.parametrize(

@@ -1,9 +1,9 @@
 """T's factors by the range finder against the dense SVD of each block.
 
 ``_factors`` sketches each standard-coordinate block of at least 16 points
-and runs the full SVD where no sketch of at most a quarter of the block's
-size is certified, or where a sketched singular value lies within the
-block's residual of the one rank cutoff. The reference stays numpy's SVD of
+with four Gaussian columns and runs the full SVD where the sketch is not
+certified, or where a sketched singular value lies within the block's
+residual of the one rank cutoff. The reference stays numpy's SVD of
 each block, cut at DEFAULT_RANK_TOL times the largest singular value of any
 block: the ranks must match it exactly and the kept values to 1e-12 of the
 largest.
@@ -60,20 +60,21 @@ def _dense_reference(T) -> list:
     return [s[s > cutoff] for s in values]
 
 
-ACCEPTED = r"width {} residual/s1 \S+ accepted"
+ACCEPTED = r"width 4 residual/s1 \S+ accepted"
+REJECTED = r"width 4 residual/s1 \S+ rejected, fell back to the full SVD"
 #: (size, singular values) per block, and the path the first block's
 #: factorization takes, as logged
 CASES = {
-    "rank-0": ([(24, [1.0]), (20, [])], ACCEPTED.format(4)),
-    "rank-1": ([(32, [2.0])], ACCEPTED.format(4)),
-    "rank-2": ([(32, [1.0, 0.3]), (16, [0.7])], ACCEPTED.format(4)),
-    "full-rank": ([(20, np.linspace(1.0, 0.1, 20))], "no width certified"),
+    "rank-0": ([(24, [1.0]), (20, [])], ACCEPTED),
+    "rank-1": ([(32, [2.0])], ACCEPTED),
+    "rank-2": ([(32, [1.0, 0.3]), (16, [0.7])], ACCEPTED),
+    "rank-4": ([(64, [1.0, 0.5, 0.3, 0.2])], ACCEPTED),
+    "full-rank": ([(20, np.linspace(1.0, 0.1, 20))], REJECTED),
     "just-above-and-below-the-cut": (
         [(40, [1.0, 1.001e-10]), (40, [0.5, 0.999e-10])],
-        ACCEPTED.format(4),
+        ACCEPTED,
     ),
-    "doubling": ([(64, [1.0, 0.5, 0.3, 0.2, 0.1, 0.05])], ACCEPTED.format(8)),
-    "certificate-fallback": ([(40, np.linspace(1.0, 0.1, 40))], "no width certified"),
+    "certificate-fallback": ([(64, [1.0, 0.5, 0.3, 0.2, 0.1])], REJECTED),
     "rank-cut-fallback": ([(64, [1.0, 1e-10 + 3e-15] + [5e-15] * 10)], "rank cutoff"),
 }
 
@@ -96,23 +97,27 @@ def test_matches_the_dense_svd_of_each_block(caplog, spec, path):
         assert np.abs((x * s) @ y.conj().T - m).max() <= 2 * DEFAULT_RANK_TOL * largest
 
 
-def test_sketches_only_while_the_width_is_a_quarter_of_the_block():
-    """A block of 15 points gets the full SVD, one of 16 a sketch of 4
-    columns, and a sketch doubles its width no further than a quarter of
-    the block's size."""
+def test_sketches_only_where_the_width_is_a_quarter_of_the_block(caplog):
+    """A block of 15 points gets the full SVD with no sketch, one of 16 a
+    sketch of 4 columns, and a sketch that is not certified is not widened:
+    the full SVD runs in its place."""
     rng = np.random.default_rng(1)
+    caplog.set_level(logging.DEBUG, logger="condexp")
     assert oa._sketch(_block(rng, 15, [1.0])) is None
+    assert not caplog.messages
     u, s, vh, residual = oa._sketch(_block(rng, 16, [1.0]))
     assert u.shape == (16, oa._SKETCH_WIDTH) and vh.shape == (oa._SKETCH_WIDTH, 16)
     assert residual <= oa._SKETCH_TOL * s[0]
-    assert oa._sketch(_block(rng, 31, np.ones(31))) is None  # width 8 > 31 / 4
+    caplog.clear()
+    assert oa._sketch(_block(rng, 64, np.ones(5))) is None
+    assert [m.split()[3] for m in caplog.messages if m.startswith("sketch ")] == ["4"]
 
 
 def test_the_residual_certifies_the_values():
     """Every singular value of the block lies within the sketch's residual
     of the sketched one, and those past the width under the residual."""
     rng = np.random.default_rng(2)
-    m = _block(rng, 64, [1.0, 0.5, 0.3, 0.2, 0.1, 0.05])
+    m = _block(rng, 64, [1.0, 0.5, 0.3])
     u, s, vh, residual = oa._sketch(m)
     dense = np.linalg.svd(m, compute_uv=False)
     padded = np.concatenate([s, np.zeros(dense.size - s.size)])
@@ -127,7 +132,7 @@ def _factor_arrays(T) -> dict:
 def test_factors_depend_on_neither_the_run_nor_the_block_order():
     """The Gaussian columns come from a fixed seed, so factoring twice or in
     the reverse block order gives the same arrays to the bit."""
-    spec = [(24, [1.0]), (64, [1.0, 0.5, 0.3, 0.2, 0.1, 0.05]), (40, [0.5, 0.2])]
+    spec = [(24, [1.0]), (64, [1.0, 0.5, 0.3, 0.2]), (40, [0.5, 0.2])]
     runs = [_factor_arrays(_operator(spec)) for _ in range(2)]
     runs.append(_factor_arrays(_operator(spec, order=[2, 1, 0])))
     for run in runs[1:]:
@@ -138,22 +143,23 @@ def test_factors_depend_on_neither_the_run_nor_the_block_order():
 
 def test_a_forced_fallback_is_logged(caplog):
     """At DEBUG each sketch logs its width, its residual over its largest
-    singular value and whether it was accepted; a block no sketch certifies
-    and a block with a value at the cutoff log their fallback."""
+    singular value and whether it was accepted or fell back; a block with a
+    value at the cutoff logs its fallback too."""
     T = _operator(CASES["certificate-fallback"][0] + CASES["rank-cut-fallback"][0])
     caplog.set_level(logging.DEBUG, logger="condexp")
     _factors(T)
     sketches = [m for m in caplog.messages if m.startswith("sketch ")]
     assert sketches == [
-        "sketch 40x40 width 4 residual/s1 " + sketches[0].split()[-2] + " rejected",
-        "sketch 40x40 width 8 residual/s1 " + sketches[1].split()[-2] + " rejected",
-        "sketch 40x40 fell back to the full SVD: no width certified",
-        "sketch 64x64 width 4 residual/s1 " + sketches[3].split()[-2] + " accepted",
+        "sketch 64x64 width 4 residual/s1 "
+        + sketches[0].split()[5]
+        + " rejected, fell back to the full SVD",
+        "sketch 64x64 width 4 residual/s1 " + sketches[1].split()[5] + " accepted",
         "sketch 64x64 fell back to the full SVD: a value within its residual of the rank cutoff",
     ]
-    assert float(sketches[3].split()[-2]) <= oa._SKETCH_TOL
+    assert float(sketches[0].split()[5]) > oa._SKETCH_TOL
+    assert float(sketches[1].split()[5]) <= oa._SKETCH_TOL
     svds = [m.split()[1] for m in caplog.messages if m.startswith("svd ")]
-    assert svds.count("40x40") == svds.count("64x64") == 1
+    assert svds.count("64x64") == 2
 
 
 def test_eigenvalues_build_only_full_rank_blocks(monkeypatch):
