@@ -51,9 +51,12 @@ read.
 The closed forms all have the shape M_a E M_b, rank one on each atom, and
 are handled as their pairs (a, b). ``expectation_operator`` builds a pair's
 blocks (``_expectation_blocks`` yields them one atom at a time); the pair
-rules (adjoint, product, coimage projection, norm per atom) and
-``expectation_distance`` cost O(n) in segment sums over the atoms plus one
-stacked SVD of 2 x 2 cores, and build no block.
+rules (adjoint, product, coimage projection, norm per atom) cost O(n) in
+segment sums over the atoms and build no block. ``core_distance`` is the
+one comparison, the operator norm of a difference: each side a pair or an
+operator held as its cores, it costs O(n r^2) in segment sums over the
+blocks plus one stacked values-only SVD of cores of at most
+(r_1 + r_2) x (r_1 + r_2), and builds no block either.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import operator
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -206,18 +210,36 @@ def _finite(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _iter_parts(parts):
-    """The blocks held as ``parts`` (a tuple, or a callable yielding them),
-    one at a time."""
-    return parts() if callable(parts) else iter(parts)
+def _select(items, which):
+    """``items`` at the indices ``which``, in that order; all of them when
+    ``which`` is None."""
+    return items if which is None else [items[k] for k in which]
 
 
-def _block_parts(T: WeightedOperator):
-    """T's blocks one at a time, in block order. Where T keeps only what
-    defines them they are built as ``parts`` would build them, to the bit,
-    and checked finite as ``parts`` would check them, but none is kept."""
+def _holding_blocks(T: WeightedOperator) -> WeightedOperator:
+    """T where it holds its blocks; where it keeps only what defines them, a
+    copy of T holding them, so each is built once for several reads and T
+    keeps none."""
     parts = T._parts  # read once: another thread may assemble T's blocks
-    blocks = _iter_parts(parts)
+    if not callable(parts):
+        return T
+    return WeightedOperator._of_blocks(parts(), T.space, T.blocks)
+
+
+def _iter_parts(parts, which=None):
+    """The blocks held as ``parts`` (a tuple, or a callable yielding them),
+    one at a time: those at the indices ``which`` (``_select``); a callable
+    builds only those."""
+    return parts(which) if callable(parts) else iter(_select(parts, which))
+
+
+def _block_parts(T: WeightedOperator, which=None):
+    """T's blocks one at a time, in block order, or those at the indices
+    ``which``. Where T keeps only what defines them they are built as
+    ``parts`` would build them, to the bit, and checked finite as ``parts``
+    would check them, but none is kept and no other block is built."""
+    parts = T._parts  # read once: another thread may assemble T's blocks
+    blocks = _iter_parts(parts, which)
     return map(_finite, blocks) if callable(parts) else blocks
 
 
@@ -261,22 +283,33 @@ def expectation_product(
     return a * conditional_expectation(space, algebra, MeasurableFunction(b * c, space)).values, d
 
 
-def _rank_one_atoms(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple) -> tuple:
-    """(sigma, p, q) of M_a E M_b: on each atom B its standard-coordinate
+def _rank_one_scales(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple) -> tuple:
+    """(sigma, scales) of M_a E M_b: on each atom B its standard-coordinate
     block sqrt(mu) a (sqrt(mu) b)^T / mu(B) is sigma_B p q^H, with p and q
-    the unit vectors on B along sqrt(mu) a and conj(sqrt(mu) b), and
-    sigma_B = ||sqrt(mu) a||_B ||sqrt(mu) b||_B / mu(B) (one per atom). An
-    atom with sigma_B = 0 has p = q = 0 on it."""
-    d = _sqrt_weights(space)
-    lines = (d * pair[0], np.conj(d * pair[1]))
-    norms = [np.sqrt(_atom_sums(algebra, np.abs(v) ** 2)) for v in lines]
+    the unit vectors on B along the lines sqrt(mu) a and conj(sqrt(mu) b)
+    (``_unit_line``), and sigma_B = ||sqrt(mu) a||_B ||sqrt(mu) b||_B / mu(B).
+    scales[side] is 1 over that line's norm on each atom, 0 where sigma_B
+    is, so there p = q = 0. The lines are formed one at a time, not kept."""
+    norms = [np.sqrt(_atom_sums(algebra, np.abs(_line(space, pair, s)) ** 2)) for s in (0, 1)]
     sigma = norms[0] * norms[1] / _atom_sums(algebra, space.weights)
     on = sigma > 0
-    p, q = (
-        v * np.divide(1.0, norm, out=np.zeros_like(norm), where=on)[algebra.labels]
-        for v, norm in zip(lines, norms)
-    )
-    return sigma, p, q
+    return sigma, [np.divide(1.0, norm, out=np.zeros_like(norm), where=on) for norm in norms]
+
+
+def _line(space: FiniteMeasureSpace, pair: tuple, side: int) -> np.ndarray:
+    """sqrt(mu) a (side 0) or conj(sqrt(mu) b) (side 1) of the pair (a, b),
+    a new complex array."""
+    line = np.multiply(_sqrt_weights(space), pair[side], dtype=complex)
+    return np.conj(line, out=line) if side else line
+
+
+def _unit_line(
+    space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple, side: int, scales: list
+) -> np.ndarray:
+    """p (side 0) or q (side 1) of ``_rank_one_scales``, a new array."""
+    line = _line(space, pair, side)
+    line *= scales[side][algebra.labels]
+    return line
 
 
 def expectation_norms(
@@ -284,7 +317,7 @@ def expectation_norms(
 ) -> np.ndarray:
     """||M_a E M_b|| on each atom, in block order: the singular value of its
     rank-one block; the largest is the operator norm."""
-    return _rank_one_atoms(space, algebra, pair)[0]
+    return _rank_one_scales(space, algebra, pair)[0]
 
 
 def expectation_coimage(
@@ -303,47 +336,20 @@ def expectation_coimage(
     return factor[algebra.labels] * np.conj(b), b
 
 
-def expectation_distance(
-    space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, first: tuple, second: tuple
-) -> float:
-    """||M_a E M_b - M_c E M_d|| on L2(mu) for the pairs first = (a, b) and
-    second = (c, d), with no |B| x |B| array: the largest over the atoms of
-    the norm of sigma_1 p_1 q_1^H - sigma_2 p_2 q_2^H (``_rank_one_atoms``).
-
-    On each atom the second pair's lines are split along the first's,
-    p_2 = c p_1 + rho e with rho = ||p_2 - c p_1|| (the Gram-Schmidt
-    residual: sqrt(1 - |c|^2) would lose the digits when the lines
-    nearly coincide, the case a passing check measures), and likewise
-    q_2 = d q_1 + tau f. The difference is then a 2 x 2 core in the
-    orthonormal bases (p_1, e) and (q_1, f), and one stacked values-only
-    SVD of the cores gives every atom's norm."""
-    s1, p1, q1 = _rank_one_atoms(space, algebra, first)
-    s2, p2, q2 = _rank_one_atoms(space, algebra, second)
-    splits = []
-    for x1, x2 in ((p1, p2), (q1, q2)):
-        along = _atom_sums(algebra, np.conj(x1) * x2)
-        residual = x2 - along[algebra.labels] * x1
-        splits.append((along, np.sqrt(_atom_sums(algebra, np.abs(residual) ** 2))))
-    (c, rho), (d, tau) = splits
-    cores = np.empty((algebra.block_count, 2, 2), dtype=complex)
-    cores[:, 0, 0] = s1 - s2 * c * np.conj(d)
-    cores[:, 0, 1] = -s2 * c * tau
-    cores[:, 1, 0] = -s2 * rho * np.conj(d)
-    cores[:, 1, 1] = -s2 * rho * tau
-    return float(_solve("svd", cores, compute_uv=False).max(initial=0.0))
-
-
 def _check_space(a: WeightedOperator, b) -> None:
-    if a.space.point_count != getattr(b, "space").point_count or not np.array_equal(
-        a.space.weights, b.space.weights
+    """b, an operator or a function, or b itself a space, must be a's space."""
+    other = getattr(b, "space", b)
+    if a.space is not other and (
+        a.space.point_count != other.point_count
+        or not np.array_equal(a.space.weights, other.weights)
     ):
         raise ValueError("operands live on different spaces")
 
 
-def _same_blocks(A: WeightedOperator, B: WeightedOperator) -> bool:
-    return A.blocks is B.blocks or (
-        len(A.blocks) == len(B.blocks)
-        and all(np.array_equal(a, b) for a, b in zip(A.blocks, B.blocks))
+def _same_blocks(first: tuple, second: tuple) -> bool:
+    """The two tuples of index arrays are the same blocks in the same order."""
+    return first is second or (
+        len(first) == len(second) and all(map(np.array_equal, first, second))
     )
 
 
@@ -357,13 +363,14 @@ def _standard(db: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (db[:, None] * p) / db[None, :]
 
 
-def _std_blocks(T: WeightedOperator):
-    """(indices, diagonal block of the standard-coordinate matrix) per block.
+def _std_blocks(T: WeightedOperator, which=None):
+    """(indices, diagonal block of the standard-coordinate matrix) per block,
+    or for the blocks at the indices ``which`` alone (``_block_parts``).
 
     Conjugating by D^(1/2) gives a matrix on standard C^n unitarily
     equivalent to T, so the dense LAPACK routines apply to its blocks."""
     d = _sqrt_weights(T.space)
-    for b, p in zip(T.blocks, _block_parts(T)):
+    for b, p in zip(_select(T.blocks, which), _block_parts(T, which)):
         yield b, _standard(d[b], p)
 
 
@@ -491,7 +498,7 @@ def _block_svds(T: WeightedOperator) -> list:
     singular value within its residual of the one rank cutoff is factored in
     full too, so every rank decision is the full SVD's: the sketched values
     of the other blocks lie on the same side of the cutoff as the true ones.
-    Only such a block is built a second time."""
+    Only such a block is built a second time, alone."""
     svds, residuals = [], []
     for b, m in _std_blocks(T):
         *usv, residual = _sketch(m) or (*_solve("svd", m), None)
@@ -503,14 +510,12 @@ def _block_svds(T: WeightedOperator) -> list:
         for k, ((_, _, s, _), residual) in enumerate(zip(svds, residuals))
         if residual is not None and np.any(np.abs(s - cutoff) <= residual)
     ]
-    d = _sqrt_weights(T.space)
-    for k in undecided:
-        b = svds[k][0]
+    for k, (b, m) in zip(undecided, _std_blocks(T, undecided)):
         log.debug(
             "sketch %dx%d fell back to the full SVD: a value within its residual"
             " of the rank cutoff", b.size, b.size,
         )
-        svds[k] = (b, *_solve("svd", _standard(d[b], T.parts[k])))
+        svds[k] = (b, *_solve("svd", m))
     return svds
 
 
@@ -569,14 +574,264 @@ def _from_cores(cores: list, T: WeightedOperator) -> WeightedOperator:
     return WeightedOperator._of_blocks(build, T.space, T.blocks, {_CORES: cores})
 
 
-def _cored_parts(cores: list, space: FiniteMeasureSpace):
+def _cored_parts(cores: list, space: FiniteMeasureSpace, which=None):
     """The blocks on value vectors of the operator held as ``cores``, one at
-    a time (``_from_cores``): D^(-1/2) L K R^H D^(1/2) over each block, with
-    the weights applied to the |B| x r factors, so one product builds it."""
+    a time (``_from_cores``), or those at the indices ``which``:
+    D^(-1/2) L K R^H D^(1/2) over each block, with the weights applied to
+    the |B| x r factors, so one product builds it."""
     d = _sqrt_weights(space)
-    for b, left, k, right in cores:
+    for b, left, k, right in _select(cores, which):
         db = d[b][:, None]
         yield ((left / db) @ k) @ (right * db).conj().T
+
+
+def core_distance(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, first, second) -> float:
+    """||first - second|| on L2(mu), with no |B| x |B| array. Each side is
+    the pair (a, b) of M_a E M_b on the atoms of ``algebra``, or an operator
+    held as its cores (``_from_cores``: L K R^H on each block in standard
+    coordinates, L and R with orthonormal columns). NaN where a side is not
+    finite.
+
+    On each block the difference is [L_1 L_2] diag(K_1, -K_2) [R_1 R_2]^H,
+    with side 1 an operator held as its cores. Gram-Schmidt of each stack of
+    factors against side 1's orthonormal columns (``_gram_schmidt``) gives
+    its R factor, and R_L diag(K_1, -K_2) R_R^H, at most
+    (r_1 + r_2) x (r_1 + r_2), is a core with the difference's singular
+    values: one stacked values-only SVD of the cores gives every block's
+    norm, in O(n r^2) over all blocks. A pair's block on an atom B is
+    (sqrt(mu) a) (1 / mu(B)) (conj(sqrt(mu) b))^H. Sides blocked
+    differently, such as a pair and an operator of one block, are compared
+    as one block, whose factors take each block's as columns
+    (``_as_one_block``). Two pairs take the rank-one arithmetic of
+    ``_pair_distance``."""
+    if isinstance(first, tuple):
+        if isinstance(second, tuple):
+            return _pair_distance(space, algebra, first, second)
+        first, second = second, first
+    _check_space(first, space)
+    sides = [(first.blocks, _cored_lines(first))]
+    if isinstance(second, tuple):
+        # a pair on the same blocks takes the operator's block order
+        blocks = first.blocks if _same_blocks(first.blocks, algebra.blocks) else algebra.blocks
+        sides.append((blocks, _pair_lines(space, second, blocks)))
+    else:
+        _check_space(second, space)
+        sides.append((second.blocks, _cored_lines(second)))
+    if not _same_blocks(sides[0][0], sides[1][0]):
+        sides = [(None, _as_one_block(*side)) for side in sides]
+    return _lines_distance(sides[0][1], sides[1][1])
+
+
+def _pair_distance(
+    space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, first: tuple, second: tuple
+) -> float:
+    """||M_a E M_b - M_c E M_d|| for the pairs first = (a, b) and
+    second = (c, d): the largest over the atoms of the norm of
+    sigma_1 p_1 q_1^H - sigma_2 p_2 q_2^H (``_rank_one_scales``).
+
+    On each atom the second pair's lines are split along the first's,
+    p_2 = c p_1 + rho e with rho = ||p_2 - c p_1|| (the Gram-Schmidt
+    residual: sqrt(1 - |c|^2) would lose the digits when the lines
+    nearly coincide, the case a passing check measures), and likewise
+    q_2 = d q_1 + tau f. The difference is then a 2 x 2 core in the
+    orthonormal bases (p_1, e) and (q_1, f)."""
+    (s1, scales1), (s2, scales2) = (_rank_one_scales(space, algebra, x) for x in (first, second))
+    (c, rho), (d, tau) = (
+        _split(space, algebra, (first, scales1), (second, scales2), side) for side in (0, 1)
+    )
+    cores = np.empty((algebra.block_count, 2, 2), dtype=complex)
+    cores[:, 0, 0] = s1 - s2 * c * np.conj(d)
+    cores[:, 0, 1] = -s2 * c * tau
+    cores[:, 1, 0] = -s2 * rho * np.conj(d)
+    cores[:, 1, 1] = -s2 * rho * tau
+    return _largest_value(cores)
+
+
+def _split(
+    space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, first: tuple, second: tuple, side: int
+) -> tuple:
+    """(c, rho) of ``_pair_distance`` on one side (0 for p, 1 for q), each
+    of first and second a pair with its ``_rank_one_scales``: the second's
+    unit line is c times the first's plus a residual of norm rho, per atom.
+    Only this side's lines are formed."""
+    x1, x2 = (_unit_line(space, algebra, pair, side, scales) for pair, scales in (first, second))
+    inner = np.conj(x1)
+    inner *= x2
+    along = _atom_sums(algebra, inner)
+    del inner  # a line's memory, free before the residual takes its own
+    residual = along[algebra.labels]
+    residual *= x1
+    np.subtract(x2, residual, out=residual)
+    return along, np.sqrt(_atom_sums(algebra, np.abs(residual) ** 2))
+
+
+def _largest_value(cores: np.ndarray) -> float:
+    """The largest singular value over a stack of cores, by one values-only
+    SVD; NaN where a core is not finite, which LAPACK would reject."""
+    if not np.isfinite(cores).all():
+        return math.nan
+    return float(_solve("svd", cores, compute_uv=False).max(initial=0.0))
+
+
+class _Lines(NamedTuple):
+    """A block-diagonal operator whose standard-coordinate block is L K R^H
+    on each block, held flat over its blocks listed one after the other
+    (block k from row ``starts[k]``, in ``sizes[k]`` rows): ``lines``
+    stacks L and R (2 x n x r) with their rows in that order, and ``core``
+    the K (blocks x r x r). A block of lower rank has zero columns in L and
+    R and zero rows and columns in K. Each is built for one comparison,
+    which overwrites its lines (``_gram_schmidt``)."""
+
+    starts: np.ndarray
+    sizes: np.ndarray
+    lines: np.ndarray
+    core: np.ndarray
+
+
+def _segments(blocks: tuple) -> tuple:
+    """(starts, sizes) of ``blocks`` listed one after the other."""
+    sizes = np.fromiter(map(len, blocks), int, len(blocks))
+    return np.add.accumulate(sizes) - sizes, sizes
+
+
+def _pair_lines(space: FiniteMeasureSpace, pair: tuple, blocks: tuple) -> _Lines:
+    """The ``_Lines`` of M_a E M_b over the atoms, listed as ``blocks`` (the
+    atoms' index arrays, in their order): L = sqrt(mu) a, K = 1 / mu(B) and
+    R = conj(sqrt(mu) b) on each atom B."""
+    order, (starts, sizes) = np.concatenate(blocks), _segments(blocks)
+    lines = np.empty((2, order.size, 1), dtype=complex)
+    for side in (0, 1):  # "wrap" takes into out with no buffer; order never wraps
+        np.take(_line(space, pair, side), order, out=lines[side, :, 0], mode="wrap")
+    mass = np.add.reduceat(space.weights[order], starts).astype(complex)
+    return _Lines(starts, sizes, lines, (1.0 / mass)[:, None, None])
+
+
+def _cored_lines(T: WeightedOperator) -> _Lines:
+    """The ``_Lines`` of an operator held as its cores, gathered anew: each
+    block's L and R go under the previous block's, and its K into the
+    stack. Where every block has one rank that is one concatenation each;
+    otherwise each is zero-padded to the largest rank (``_padded``)."""
+    cores = T._memo.get(_CORES)
+    if cores is None:
+        raise ValueError("an operand must be a pair or an operator held as its cores")
+    starts, sizes = _segments(T.blocks)
+    _, lefts, ks, rights = zip(*cores)
+    try:
+        lines = np.concatenate(lefts + rights).astype(complex, copy=False)  # a new array
+        core = np.stack(ks).astype(complex, copy=False)
+        uniform = core.shape[1:] == lines.shape[1:] * 2
+        lines = lines.reshape(2, -1, lines.shape[1])
+    except ValueError:  # the blocks' ranks differ
+        uniform = False
+    if not uniform:
+        shapes = [_shapes(mats) for mats in (lefts, ks, rights)]
+        rank = max(shapes[0][:, 1].max(), shapes[2][:, 1].max())
+        lines = np.stack(
+            [_padded(lefts, shapes[0], sizes, rank), _padded(rights, shapes[2], sizes, rank)]
+        )
+        core = _padded(ks, shapes[1], np.full(len(ks), rank), rank).reshape(len(ks), rank, rank)
+    return _Lines(starts, sizes, lines, core)
+
+
+def _shapes(mats) -> np.ndarray:
+    """The shapes of the 2-d arrays ``mats``, one row each."""
+    return np.array(list(map(operator.attrgetter("shape"), mats))).reshape(-1, 2)
+
+
+def _padded(mats, shapes: np.ndarray, heights: np.ndarray, width: int) -> np.ndarray:
+    """The 2-d arrays ``mats`` of these ``shapes`` one under another, mats[k]
+    in the first rows of a slot of ``heights[k]`` rows, zero-padded on the
+    right to ``width``, by one scatter."""
+    out = np.zeros((heights.sum(), width), dtype=complex)
+    counts = shapes[:, 0] * shapes[:, 1]
+    cols = np.repeat(shapes[:, 1], counts)
+    local = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    rows = np.repeat(np.cumsum(heights) - heights, counts) + local // cols
+    out[rows, local % cols] = np.concatenate(mats, axis=None)
+    return out
+
+
+def _as_one_block(blocks: tuple, side: _Lines) -> _Lines:
+    """The operator held as ``side`` over ``blocks`` as one block over the
+    points in their own order: block k's columns of L and R become columns
+    k r to (k + 1) r of the one block's, and its K the k-th diagonal block
+    of the one K. Blocks are disjoint, so orthonormal columns stay
+    orthonormal."""
+    n, count, rank = side.lines.shape[1], side.sizes.size, side.core.shape[1]
+    columns = np.repeat(np.arange(count), side.sizes)[:, None] * rank + np.arange(rank)
+    lines = np.zeros((2, n, count * rank), dtype=complex)
+    lines[:, np.concatenate(blocks)[:, None], columns] = side.lines
+    at = np.arange(count)[:, None, None] * rank
+    core = np.zeros((1, count * rank, count * rank), dtype=complex)
+    core[0, at + np.arange(rank)[:, None], at + np.arange(rank)] = side.core
+    return _Lines(np.zeros(1, dtype=int), np.full(1, n), lines, core)
+
+
+def _lines_distance(first: _Lines, second: _Lines) -> float:
+    """||first - second|| for two operators held as ``_Lines`` over the same
+    blocks in the same order, first's L and R with orthonormal columns: per
+    block, the largest singular value of the core R_L diag(K_1, -K_2) R_R^H
+    (``core_distance``)."""
+    r1, r2 = first.core.shape[1], second.core.shape[1]
+    core = np.zeros((first.starts.size, r1 + r2, r1 + r2), dtype=complex)
+    core[:, :r1, :r1] = first.core
+    core[:, r1:, r1:] = -second.core
+    left, right = _gram_schmidt(first.lines, second.lines, first.starts, first.sizes)
+    return _largest_value(left @ core @ right.conj().transpose(0, 2, 1))
+
+
+def _segment_sums(x: np.ndarray, y: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The sums of x * y over each block of rows (axis 1, block k from row
+    ``starts[k]``), formed in x's memory: x is overwritten."""
+    return np.add.reduceat(np.multiply(x, y, out=x), starts, axis=1)
+
+
+def _combination(q: np.ndarray, c: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """On each block, q's columns combined with that block's coefficients c
+    (blocks x columns, along axis 1), for blocks of ``sizes`` rows."""
+    out = np.repeat(c, sizes, axis=1)
+    out *= q
+    return out[..., 0] if out.shape[-1] == 1 else out.sum(axis=-1)
+
+
+def _gram_schmidt(basis: np.ndarray, x: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
+    """The upper-triangular R of [basis x] = Q R on each block, for each of
+    the stacks of factors along the first axis (L's and R's). ``basis`` has
+    orthonormal (or zero) columns on each block, so R begins with the
+    identity and Q with ``basis``; Q's other columns are orthonormal or zero
+    and not kept. Rows are in block order, block k from row ``starts[k]``
+    in ``sizes[k]`` rows. x is overwritten with its residuals.
+
+    Classical Gram-Schmidt over x's columns, with every inner product a
+    segment sum over the rows, so it costs O(n m^2) for m columns and has
+    no loop over the blocks. The residual is formed explicitly, so a column
+    nearly in the span of those before it keeps its digits. A column is
+    projected twice ("twice is enough": Giraud, Langou and Rozloznik,
+    Comput. Math. Appl. 50, 2005), and dropped when its second projection
+    still loses over half its norm, as it then lies in that span to
+    rounding. The last column is projected once: nothing is projected onto
+    it, and it enters R only through its norm."""
+    stacks, rows, r = basis.shape
+    m = r + x.shape[2]
+    q = basis
+    if m - r > 1:
+        q = np.concatenate([basis, np.zeros((stacks, rows, m - r - 1), dtype=complex)], axis=2)
+    out = np.zeros((stacks, starts.size, m, m), dtype=complex)
+    out[..., range(r), range(r)] = 1.0
+    for j in range(r, m):
+        v, norms = x[..., j - r], []  # a view: the residual is formed in x
+        for _ in range(2 if j < m - 1 else 1):
+            c = _segment_sums(np.conj(q[..., :j]), v[..., None], starts)
+            v -= _combination(q[..., :j], c, sizes)
+            out[..., :j, j] += c
+            squares = np.abs(v)
+            norms.append(np.sqrt(_segment_sums(squares, squares, starts)))
+        norm = norms[-1] if len(norms) == 1 else np.where(norms[1] >= 0.5 * norms[0], norms[1], 0)
+        out[..., j, j] = norm
+        if j < m - 1:
+            scale = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0)
+            np.multiply(v, np.repeat(scale, sizes, axis=1), out=q[..., j])
+    return out
 
 
 def apply(T: WeightedOperator, f: MeasurableFunction) -> MeasurableFunction:
@@ -600,10 +855,11 @@ def adjoint(T: WeightedOperator) -> WeightedOperator:
     return adj
 
 
-def _adjoint_parts(source, blocks: tuple, mu: np.ndarray):
+def _adjoint_parts(source, blocks: tuple, mu: np.ndarray, which=None):
     """The blocks of the adjoint, D^-1 P^H D for each block P of ``source``
-    (the blocks, or a callable yielding them), one at a time."""
-    for b, p in zip(blocks, _iter_parts(source)):
+    (the blocks, or a callable yielding them), one at a time, or those at
+    the indices ``which``: only the matching blocks of ``source`` are read."""
+    for b, p in zip(_select(blocks, which), _iter_parts(source, which)):
         yield (p.conj().T * mu[b][None, :]) / mu[b][:, None]
 
 
@@ -611,7 +867,7 @@ def compose(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
     """A B, block by block when both have the same blocks; otherwise one
     dense product whose result is one block."""
     _check_space(A, B)
-    if not _same_blocks(A, B):
+    if not _same_blocks(A.blocks, B.blocks):
         return WeightedOperator(A.entries @ B.entries, A.space)
     return WeightedOperator._of_blocks(
         [a @ b for a, b in zip(A.parts, B.parts)], A.space, A.blocks
@@ -622,7 +878,7 @@ def subtract(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
     """A - B, block by block when both have the same blocks; otherwise one
     block."""
     _check_space(A, B)
-    if not _same_blocks(A, B):
+    if not _same_blocks(A.blocks, B.blocks):
         return WeightedOperator(A.entries - B.entries, A.space)
     return WeightedOperator._of_blocks(
         [a - b for a, b in zip(A.parts, B.parts)], A.space, A.blocks
@@ -637,11 +893,10 @@ def eigenvalues(T: WeightedOperator) -> np.ndarray:
     blocks) has the eigenvalues of the r x r core of its factors and exact
     zeros; a full-rank block, the only one built here, is factored by
     eigvals."""
-    d = _sqrt_weights(T.space)
     evals = []
     for k, (b, x, s, y) in enumerate(_factors(T)):
         if s.size == b.size:
-            evals.append(_solve("eigvals", _standard(d[b], T.parts[k])))
+            evals.append(_solve("eigvals", next(_std_blocks(T, [k]))[1]))
             continue
         if s.size:
             evals.append(_solve("eigvals", _core(x, s, y)))
@@ -733,6 +988,7 @@ def fractional_power(
     """
     if p <= 0:
         raise ValueError("power must be positive")
+    A = _holding_blocks(A)  # built once, for the test and for eigh
     if not is_hermitian(A, tol):
         raise ValueError("operator is not self-adjoint to tolerance")
     eigs = [(b, *_solve("eigh", 0.5 * (m + m.conj().T))) for b, m in _std_blocks(A)]

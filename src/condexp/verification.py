@@ -3,10 +3,11 @@
 Each check compares a moment-based closed form, the pair (a, b) of an
 operator M_a E M_b, with the corresponding computation of the per-atom
 numerical oracle, or, for the polar decomposition, with T's own definition,
-and records a pass/fail with its margin and tolerance. The power and Aluthge
-checks measure the largest entry of the difference, the polar checks its
-operator norm. This module backs both the ``verify`` CLI subcommand and the
-acceptance test suite.
+and records a pass/fail with its margin and tolerance. The fifteen operator
+checks (the powers, the polar decomposition, the Aluthge transforms and the
+adjoint isometry) share one metric, the operator norm of the difference on
+L2(mu), read off the cores of both sides (``core_distance``). This module
+backs both the ``verify`` CLI subcommand and the acceptance test suite.
 """
 
 from __future__ import annotations
@@ -61,27 +62,6 @@ class Check:
         }
 
 
-def _max_diff(W: WCEOperator, first, second) -> float:
-    """The largest entry in modulus of first - second, each an operator on
-    W's space or the pair (a, b) of M_a E M_b. Atom by atom when every
-    operator is blocked by W's atoms: a pair's block, like the block of an
-    operator that keeps only its cores, is built only while it is compared,
-    by the arithmetic that would assemble it. Over the assembled entries
-    otherwise."""
-    operators = [x for x in (first, second) if isinstance(x, WeightedOperator)]
-    per_atom = all(x.blocks is W.algebra.blocks for x in operators)
-
-    def pieces(x):
-        if isinstance(x, WeightedOperator):
-            return oa._block_parts(x) if per_atom else [x.entries]
-        if per_atom:
-            return oa._expectation_blocks(W.space, W.algebra, x)
-        return [oa.expectation_operator(W.space, W.algebra, *x).entries]
-
-    diffs = zip(pieces(first), pieces(second), strict=True)
-    return float(max(np.abs(a - b).max(initial=0.0) for a, b in diffs))
-
-
 def _check(name: str, margin: float, tolerance: float) -> Check:
     return Check(name, margin <= tolerance, margin, tolerance)
 
@@ -96,11 +76,10 @@ def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list
     the oracle on ``adjoint(T)``, after the T-side sections: ``adjoint(T)``
     is memoized on T and keeps only what defines T's blocks. T's factors,
     from one certified sketch or SVD per atom, are the only factorization
-    of a verify larger than the cores. No closed-form operator is built,
-    and no block of an operator derived from T is assembled: the power and
-    Aluthge checks build one atom's block of a closed form and of the
-    oracle's operator at a time (``_max_diff``), and the polar section
-    works on the pairs alone, in O(n) per check and without T's factors."""
+    of a verify larger than the cores, and T's are the only blocks it
+    builds: every operator check compares pairs and the oracle's cored
+    operators on their cores (``core_distance``), in O(n r^2) per check,
+    and the polar section works on the pairs alone, without T's factors."""
     W = as_wce(instance, support_tol=tols.support)
     T = wce.to_matrix(W)
     norm_t = oa.operator_norm(T)
@@ -132,7 +111,7 @@ def _power_checks(W: WCEOperator, T: WeightedOperator, name: str, tols: Toleranc
     return [
         _check(
             f"{name}_{p}",
-            _max_diff(W, wce.tstar_t_power(W, p), oa.gram_power(T, p)),
+            oa.core_distance(W.space, W.algebra, wce.tstar_t_power(W, p), oa.gram_power(T, p)),
             tols.match,
         )
         for p in POWERS
@@ -143,7 +122,8 @@ def _polar_checks(W: WCEOperator, tols: Tolerances) -> list:
     """The polar decomposition T = U |T|, with |T| = ``tstar_t_power(W, 0.5)``,
     measured on the pairs (a, b) of the operators M_a E M_b: T's own pair
     (w, u) and those of the two closed forms, combined by the pair rules and
-    compared by ``expectation_distance``, so no |B| x |B| block is built.
+    compared by their rank-one arithmetic (``core_distance`` on two pairs),
+    so no |B| x |B| block is built.
     The kernel condition N(U) = N(|T|) compares the coimage projections:
     ||P_ker U - P_ker |T||| = ||P_coim |T| - P_coim U||."""
     space, algebra = W.space, W.algebra
@@ -158,17 +138,17 @@ def _polar_checks(W: WCEOperator, tols: Tolerances) -> list:
     return [
         _check(
             "polar_reconstruction",
-            oa.expectation_distance(space, algebra, u_modulus, t_pair),
+            oa.core_distance(space, algebra, u_modulus, t_pair),
             tols.match,
         ),
         _check(
             "polar_partial_isometry",
-            oa.expectation_distance(space, algebra, u_u_star_u, u_part),
+            oa.core_distance(space, algebra, u_u_star_u, u_part),
             tols.match * (1.0 + u_norm),
         ),
         _check(
             "polar_kernel_condition",
-            oa.expectation_distance(space, algebra, *coimages),
+            oa.core_distance(space, algebra, *coimages),
             tols.match,
         ),
     ]
@@ -180,12 +160,12 @@ def _aluthge_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> li
     return [
         _check(
             "aluthge_matches_oracle",
-            _max_diff(W, wce.aluthge_closed_form(W), alu_numeric),
+            oa.core_distance(W.space, W.algebra, wce.aluthge_closed_form(W), alu_numeric),
             tols.match,
         ),
         _check(
             "aluthge_idempotent",
-            _max_diff(W, oa.aluthge_numeric(alu_numeric), alu_numeric),
+            oa.core_distance(W.space, W.algebra, oa.aluthge_numeric(alu_numeric), alu_numeric),
             tols.match,
         ),
     ]
@@ -200,8 +180,9 @@ def _adjoint_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> li
     return [
         _check(
             "adjoint_isometry_is_adjoint_of_isometry",
-            _max_diff(
-                W,
+            oa.core_distance(
+                W.space,
+                W.algebra,
                 wce.polar_isometry_closed_form(V),
                 oa.expectation_adjoint(wce.polar_isometry_closed_form(W)),
             ),
@@ -209,7 +190,9 @@ def _adjoint_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> li
         ),
         _check(
             "adjoint_aluthge_matches_oracle",
-            _max_diff(W, wce.aluthge_closed_form(V), oa.aluthge_numeric(oa.adjoint(T))),
+            oa.core_distance(
+                W.space, W.algebra, wce.aluthge_closed_form(V), oa.aluthge_numeric(oa.adjoint(T))
+            ),
             tols.match,
         ),
     ]

@@ -322,8 +322,8 @@ def test_verify_constructs_thirteen_operators(monkeypatch):
 def test_verify_assembles_the_parts_of_t_alone(monkeypatch):
     """A verify of product_space_example(4, 80), with its own w or w = 1,
     assembles the blocks of no operator but T, the first it builds: T* and
-    the oracle's operators keep only what defines them, and ``_max_diff``
-    builds their blocks one at a time."""
+    the oracle's operators keep only what defines them, and every operator
+    check compares them on their cores (``core_distance``)."""
     built, read = [], []
 
     def counted(op, _original=WeightedOperator.__post_init__):
@@ -346,6 +346,32 @@ def test_verify_assembles_the_parts_of_t_alone(monkeypatch):
     # the probe sees a read, and a read assembles the blocks
     assert built[1].parts and read == [built[1]]
     assert not callable(built[1]._parts)
+
+
+def test_verify_builds_the_blocks_of_t_alone(monkeypatch):
+    """A verify of product_space_example(4, 80), with its own w or w = 1,
+    iterates ``_expectation_blocks`` once, to build T, and never the
+    builders of a lazy operator's blocks (``_cored_parts`` for the oracle's
+    operators, ``_adjoint_parts`` for T*): no block but T's is built."""
+    iterated = []
+
+    def counted(name, original):
+        def generator(*args, **kwargs):
+            iterated.append(name)
+            yield from original(*args, **kwargs)
+
+        return generator
+
+    for name in ("_expectation_blocks", "_cored_parts", "_adjoint_parts"):
+        monkeypatch.setattr(oa, name, counted(name, getattr(oa, name)))
+    for instance in _verify_inputs():
+        iterated.clear()
+        assert summarize(verify_instance(instance))["all_passed"]
+        assert iterated == ["_expectation_blocks"]
+    # the probes see an iteration of each builder
+    T = oa.expectation_operator(instance.space, instance.algebra)
+    list(oa.adjoint(oa.gram_power(T, 1.0)).parts)
+    assert iterated[1:] == ["_expectation_blocks", "_adjoint_parts", "_cored_parts"]
 
 
 def test_verify_calls_expectation_operator_once(monkeypatch):

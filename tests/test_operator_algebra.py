@@ -34,10 +34,13 @@ from condexp import (
 from condexp.measure_space import cluster_values
 from condexp.operator_algebra import (
     _factors,
+    _from_cores,
+    _rank_one_scales,
+    _unit_line,
     _std_blocks,
+    core_distance,
     expectation_adjoint,
     expectation_coimage,
-    expectation_distance,
     expectation_norms,
     expectation_product,
     gram_power,
@@ -451,9 +454,9 @@ class TestExpectationPairs:
     def test_distance_is_the_dense_norm_of_the_difference(self, name, first, second):
         A, B = _pair_operator(first), _pair_operator(second)
         scale = max(operator_norm(A), operator_norm(B))
-        got = expectation_distance(PAIR_SPACE, PAIR_ALGEBRA, first, second)
+        got = core_distance(PAIR_SPACE, PAIR_ALGEBRA, first, second)
         assert abs(got - operator_norm(subtract(A, B))) <= 1e-14 * scale
-        assert expectation_distance(PAIR_SPACE, PAIR_ALGEBRA, first, first) <= 1e-14 * scale
+        assert core_distance(PAIR_SPACE, PAIR_ALGEBRA, first, first) <= 1e-14 * scale
 
     def test_near_coincident_lines_defeat_the_cosine_form(self):
         """At the angle 1e-9, sqrt(1 - |c|^2) keeps no digit of the sine:
@@ -485,7 +488,7 @@ class TestExpectationPairs:
         for pair, kernel in zip(coimages, kernels):
             complement = np.eye(15) - _pair_operator(pair).entries
             np.testing.assert_allclose(complement, kernel.entries, atol=1e-12)
-        got = expectation_distance(PAIR_SPACE, PAIR_ALGEBRA, *coimages)
+        got = core_distance(PAIR_SPACE, PAIR_ALGEBRA, *coimages)
         assert abs(got - operator_norm(subtract(*kernels))) <= 1e-12
 
     def test_coimage_cuts_atoms_under_the_rank_rule(self):
@@ -509,8 +512,141 @@ class TestExpectationPairs:
 
         monkeypatch.setattr(np.linalg, "svd", probe)
         _, first, second = next(_adversarial_pairs())
-        expectation_distance(PAIR_SPACE, PAIR_ALGEBRA, first, second)
+        core_distance(PAIR_SPACE, PAIR_ALGEBRA, first, second)
         assert shapes == [((3, 2, 2), False)]
+
+
+def _orthonormal(rng, rows, cols):
+    """A complex rows x cols matrix with orthonormal columns."""
+    return np.linalg.qr(_complex_vector(rng, rows * cols).reshape(rows, cols))[0]
+
+
+def _cored(blocks, rng, ranks):
+    """An operator on PAIR_SPACE over ``blocks`` held as random cores
+    L K R^H of these ranks, one per block."""
+    cores = [
+        (b, _orthonormal(rng, b.size, r), _complex_vector(rng, r * r).reshape(r, r),
+         _orthonormal(rng, b.size, r))
+        for b, r in zip(blocks, ranks)
+    ]
+    return _from_cores(cores, WeightedOperator(np.zeros((15, 15)), PAIR_SPACE, blocks))
+
+
+def _pair_as_cores(pair, blocks):
+    """M_a E M_b held as cores over ``blocks``, each the union of atoms: the
+    rank-one lines sigma p q^H of its atoms, one column per atom."""
+    sigma, scales = _rank_one_scales(PAIR_SPACE, PAIR_ALGEBRA, pair)
+    p, q = (_unit_line(PAIR_SPACE, PAIR_ALGEBRA, pair, side, scales) for side in (0, 1))
+    cores = []
+    for b in blocks:
+        atoms = np.unique(PAIR_ALGEBRA.labels[b])
+        columns = PAIR_ALGEBRA.labels[b][:, None] == atoms[None, :]
+        cores.append((b, p[b, None] * columns, np.diag(sigma[atoms]), q[b, None] * columns))
+    return _from_cores(cores, WeightedOperator(np.zeros((15, 15)), PAIR_SPACE, blocks))
+
+
+ONE_BLOCK = (np.arange(15),)
+
+
+def _core_cases():
+    """(name, first, second): pairs and operators held as cores, of ranks
+    0, 1 and 2 per atom or up to the atom count on one block, lines that
+    coincide to rounding, and a pair against one block."""
+    rng = np.random.default_rng(8)
+    atoms = PAIR_ALGEBRA.blocks
+    a, b = _complex_vector(rng), _complex_vector(rng)
+    yield "pair-rank-0", (a, b), _cored(atoms, rng, (0, 0, 0))
+    yield "pair-rank-1", (a, b), _cored(atoms, rng, (1, 1, 1))
+    yield "pair-rank-2", (a, b), _cored(atoms, rng, (2, 2, 2))
+    yield "pair-mixed-ranks", (a, b), _cored(atoms, rng, (0, 1, 2))
+    yield "cored-cored", _cored(atoms, rng, (2, 0, 1)), _cored(atoms, rng, (1, 2, 2))
+    yield "cored-itself", *[_cored(atoms, np.random.default_rng(3), (1, 2, 0))] * 2
+    yield "pair-coinciding", (a, b), _pair_as_cores((a, b), atoms)
+    yield "pair-coinciding-scaled", (2.5 * a, b), _pair_as_cores((a, 2.5 * b), atoms)
+    near = (_turned(a, rng, NEAR_ANGLE), b)
+    yield "pair-near", near, _pair_as_cores((a, b), atoms)
+    yield "cored-coinciding", _pair_as_cores((a, b), atoms), _pair_as_cores((a, b), atoms)
+    yield "pair-one-block-rank-3", (a, b), _cored(ONE_BLOCK, rng, (3,))
+    yield "pair-one-block-coinciding", (a, b), _pair_as_cores((a, b), ONE_BLOCK)
+    yield "pair-one-block-near", near, _pair_as_cores((a, b), ONE_BLOCK)
+    yield "cored-one-block", _cored(atoms, rng, (1, 2, 1)), _cored(ONE_BLOCK, rng, (2,))
+
+
+def _as_operator(x, space=PAIR_SPACE, algebra=PAIR_ALGEBRA):
+    """x, or the operator M_a E M_b of the pair x = (a, b)."""
+    return x if isinstance(x, WeightedOperator) else expectation_operator(space, algebra, *x)
+
+
+class TestCoreDistance:
+    """``core_distance`` against the dense reference: the operator norm of
+    the assembled difference, a pair taken as its ``expectation_operator``."""
+
+    @pytest.mark.parametrize("name, first, second", list(_core_cases()))
+    def test_is_the_dense_norm_of_the_difference(self, name, first, second):
+        A, B = _as_operator(first), _as_operator(second)
+        bound = 1e-12 * (1.0 + max(operator_norm(A), operator_norm(B)))
+        dense = operator_norm(subtract(A, B))
+        for x, y in ((first, second), (second, first)):
+            assert abs(core_distance(PAIR_SPACE, PAIR_ALGEBRA, x, y) - dense) <= bound
+        if "coinciding" in name or name == "cored-itself":
+            assert dense <= bound
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_transforms_of_t_as_one_block(self, seed):
+        """T as one block, of rank up to its atom count: its Aluthge
+        transform against the transform's own and T*T against its pair,
+        each to 1e-12 of the dense norm of the difference."""
+        W = as_wce(random_instance(seed, 40, 5))
+        one_block = WeightedOperator(to_matrix(W).entries, W.space)
+        t_pair = (W.w.values, W.u.values)
+        gram = expectation_product(W.space, W.algebra, expectation_adjoint(t_pair), t_pair)
+        transform = aluthge_numeric(one_block)
+        cases = ((aluthge_numeric(transform), transform), (gram, gram_power(one_block, 1.0)))
+        for first, second in cases:
+            A, B = (_as_operator(x, W.space, W.algebra) for x in (first, second))
+            bound = 1e-12 * (1.0 + max(operator_norm(A), operator_norm(B)))
+            got = core_distance(W.space, W.algebra, first, second)
+            assert abs(got - operator_norm(subtract(A, B))) <= bound
+
+    def test_near_lines_keep_their_digits(self):
+        """Lines turned by 1e-9 are compared to 1e-6 relative, on the atoms
+        and on one block: a Gram matrix of the lines would keep no digit."""
+        cases = {name: (x, y) for name, x, y in _core_cases()}
+        for name in ("pair-near", "pair-one-block-near"):
+            near, cored = cases[name]
+            dense = operator_norm(subtract(_pair_operator(near), cored))
+            assert dense > 0.1 * NEAR_ANGLE
+            got = core_distance(PAIR_SPACE, PAIR_ALGEBRA, near, cored)
+            assert got == pytest.approx(dense, rel=1e-6)
+
+    def test_runs_one_stacked_svd_of_small_cores(self, monkeypatch):
+        """Ranks 2 and 1 per atom give one stacked SVD of 3 x 3 cores: no
+        |B| x |B| matrix is factored."""
+        shapes = []
+
+        def probe(a, *args, _original=np.linalg.svd, **kwargs):
+            shapes.append((np.shape(a), kwargs.get("compute_uv", True)))
+            return _original(a, *args, **kwargs)
+
+        rng = np.random.default_rng(1)
+        first = _cored(PAIR_ALGEBRA.blocks, rng, (2, 2, 2))
+        monkeypatch.setattr(np.linalg, "svd", probe)
+        pair = (_complex_vector(rng), _complex_vector(rng))
+        core_distance(PAIR_SPACE, PAIR_ALGEBRA, first, pair)
+        assert shapes == [((3, 3, 3), False)]
+
+    def test_a_side_that_is_not_finite_gives_nan(self):
+        rng = np.random.default_rng(2)
+        a, b = _complex_vector(rng), _complex_vector(rng)
+        a[3] = np.nan
+        cored = _cored(PAIR_ALGEBRA.blocks, rng, (1, 1, 1))
+        assert np.isnan(core_distance(PAIR_SPACE, PAIR_ALGEBRA, (a, b), cored))
+        assert np.isnan(core_distance(PAIR_SPACE, PAIR_ALGEBRA, (a, b), (b, a)))
+
+    def test_an_operator_must_be_held_as_its_cores(self):
+        pair = (np.ones(15), np.ones(15))
+        with pytest.raises(ValueError, match="held as its cores"):
+            core_distance(PAIR_SPACE, PAIR_ALGEBRA, pair, _pair_operator(pair))
 
 
 class TestNormal:

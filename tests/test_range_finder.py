@@ -9,13 +9,14 @@ block: the ranks must match it exactly and the kept values to 1e-12 of the
 largest.
 """
 
+import gc
 import logging
 import re
 
 import numpy as np
 import pytest
 
-from condexp import FiniteMeasureSpace, WeightedOperator, eigenvalues
+from condexp import FiniteMeasureSpace, WeightedOperator, adjoint, eigenvalues
 from condexp import operator_algebra as oa
 from condexp.operator_algebra import DEFAULT_RANK_TOL, _factors, _std_blocks
 
@@ -180,3 +181,28 @@ def test_eigenvalues_build_only_full_rank_blocks(monkeypatch):
     assert built == [(6, 6)]
     dense = np.concatenate([np.linalg.eigvals(m) for _, m in _std_blocks(T)])
     assert multiset_close(evals, dense, 1e-10)
+
+
+def test_a_lazy_operator_builds_one_block_alone(monkeypatch):
+    """On an adjoint whose operator is gone, the rank-cut fallback builds
+    its undecided block alone, after one build of each block for the
+    sketches; the eigenvalues build the full-rank block alone. The adjoint
+    keeps no block."""
+    built = []
+
+    def counted(*args, _original=oa._adjoint_parts, **kwargs):
+        for block in _original(*args, **kwargs):
+            built.append(block.shape[0])
+            yield block
+
+    monkeypatch.setattr(oa, "_adjoint_parts", counted)
+    T = _operator(CASES["rank-cut-fallback"][0] + [(32, [0.5]), (6, np.linspace(1.0, 0.5, 6))])
+    A = adjoint(T)
+    del T
+    gc.collect()
+    _factors(A)
+    assert built == [64, 32, 6, 64]
+    built.clear()
+    eigenvalues(A)
+    assert built == [6]
+    assert callable(A._parts)

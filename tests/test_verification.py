@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from condexp import (
-    WeightedOperator,
     adjoint,
     adjoint_wce,
     as_wce,
@@ -19,9 +18,11 @@ from condexp import (
     to_matrix,
     tstar_t_power,
 )
+from condexp import operator_algebra as oa
 from condexp import wce_operator as wce
+from condexp.measure_space import MeasurableFunction
 from condexp.operator_algebra import gram_power, subtract
-from condexp.verification import _max_diff, verify_instance
+from condexp.verification import POWERS, verify_instance
 
 #: the checks every instance gets
 CHECKS = {
@@ -58,39 +59,6 @@ def test_each_check_runs_once():
 def test_w_one_adds_its_two_checks():
     assert _names(symmetric_interval_example(8)) == Counter(CHECKS | W_ONE_CHECKS)
     assert len(CHECKS | W_ONE_CHECKS) == 25
-
-
-def _assembled_max_diff(W, A, B) -> float:
-    """The reference for ``_max_diff``: the largest entry of the assembled
-    difference, a pair (a, b) taken as its operator M_a E M_b."""
-    A, B = (
-        x if isinstance(x, WeightedOperator) else expectation_operator(W.space, W.algebra, *x)
-        for x in (A, B)
-    )
-    return float(np.abs(A.entries - B.entries).max())
-
-
-def test_max_diff_is_the_largest_entry_of_the_difference_bit_for_bit():
-    """Pairs and operators blocked by the atoms are compared atom by atom, a
-    one-block operator over the entries; every combination gives the
-    largest entry of the assembled difference exactly."""
-    W = as_wce(random_instance(4, 24, 4))
-    T = to_matrix(W)
-    closed = tstar_t_power(W, 0.5)
-    oracle = gram_power(T, 0.5)
-    one_block = WeightedOperator(oracle.entries, W.space)
-    cases = (
-        (closed, oracle),  # a pair against an operator blocked by the atoms
-        (closed, one_block),  # a pair against a one-block operator
-        (oracle, T),  # an operator against an operator
-        (one_block, T),  # the same, over the entries
-        (closed, tstar_t_power(adjoint_wce(W), 0.5)),  # a pair against a pair
-        (T, T),
-    )
-    for A, B in cases:
-        assert _max_diff(W, A, B) == _assembled_max_diff(W, A, B)
-    assert min(_max_diff(W, A, B) for A, B in cases[1:-1]) > 0.0
-    assert _max_diff(W, T, T) == 0.0
 
 
 def _polar(instance) -> dict:
@@ -143,3 +111,77 @@ def test_polar_checks_catch_a_wrong_modulus_power(monkeypatch):
     assert checks["polar_reconstruction"].margin == pytest.approx(dense, rel=1e-12)
     assert checks["polar_partial_isometry"].passed
     assert checks["polar_kernel_condition"].passed
+
+
+def _checks(instance) -> dict:
+    return {c.name: c for c in verify_instance(instance)}
+
+
+def _dense_distance(W, first, second) -> float:
+    """The operator norm of the assembled difference, a pair (a, b) taken as
+    its operator M_a E M_b."""
+    A, B = (
+        expectation_operator(W.space, W.algebra, *x) if isinstance(x, tuple) else x
+        for x in (first, second)
+    )
+    return operator_norm(subtract(A, B))
+
+
+def test_power_checks_catch_a_wrong_power(monkeypatch):
+    """(T*T)^p and (TT*)^p taken at p + 0.1 fail all eight power checks, each
+    by the dense norm of the difference from the oracle's power."""
+    instance = random_instance(3, 24, 4)
+    W = as_wce(instance)
+    T = to_matrix(W)
+    original = wce.tstar_t_power
+    monkeypatch.setattr(wce, "tstar_t_power", lambda V, p: original(V, p + 0.1))
+    checks = _checks(instance)
+    monkeypatch.undo()
+    for p in POWERS:
+        for name, V, S in (("tstar_t", W, T), ("t_tstar", adjoint_wce(W), adjoint(T))):
+            check = checks[f"{name}_power_{p}"]
+            dense = _dense_distance(W, tstar_t_power(V, p + 0.1), gram_power(S, p))
+            assert not check.passed
+            assert check.margin == pytest.approx(dense, rel=1e-9)
+
+
+def _vanishing_on_an_atom(instance, which):
+    """The instance with u (or w) zero on its first atom, so E|u|^2 (or
+    E|w|^2) vanishes there."""
+    values = getattr(instance, which).values.copy()
+    values[instance.algebra.blocks[0]] = 0.0
+    return instance._replace(**{which: MeasurableFunction(values, instance.space)})
+
+
+@pytest.mark.parametrize(
+    "which, name", [("u", "aluthge_matches_oracle"), ("w", "adjoint_aluthge_matches_oracle")]
+)
+def test_aluthge_checks_catch_a_closed_form_without_its_support(monkeypatch, which, name):
+    """The Aluthge closed form E(uw) / E|u|^2 without chi_S is 0/0 where u
+    vanishes on an atom, on T's side, or where w does, on T*'s; the check
+    passes with chi_S and fails without it."""
+    instance = _vanishing_on_an_atom(random_instance(3, 24, 4), which)
+    assert _checks(instance)[name].passed
+
+    def unsupported(V):
+        with np.errstate(invalid="ignore"):
+            factor = V.e_uw.values / V.e_abs_u2.values.real
+        return factor * np.conj(V.u.values), V.u.values
+
+    monkeypatch.setattr(wce, "aluthge_closed_form", unsupported)
+    assert not _checks(instance)[name].passed
+
+
+def test_adjoint_isometry_check_catches_an_unconjugated_adjoint(monkeypatch):
+    """U* taken as the pair (b, a) of U = M_a E M_b, left unconjugated, fails
+    the adjoint-isometry check by the dense norm of the difference."""
+    instance = random_instance(3, 24, 4)
+    W = as_wce(instance)
+    monkeypatch.setattr(oa, "expectation_adjoint", lambda pair: (pair[1], pair[0]))
+    check = _checks(instance)["adjoint_isometry_is_adjoint_of_isometry"]
+    monkeypatch.undo()
+    a, b = polar_isometry_closed_form(W)
+    dense = _dense_distance(W, polar_isometry_closed_form(adjoint_wce(W)), (b, a))
+    assert not check.passed
+    assert check.margin == pytest.approx(dense, rel=1e-9)
+
