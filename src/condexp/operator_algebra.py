@@ -64,7 +64,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import operator
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -592,18 +591,17 @@ def core_distance(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, first, se
     coordinates, L and R with orthonormal columns). NaN where a side is not
     finite.
 
-    On each block the difference is [L_1 L_2] diag(K_1, -K_2) [R_1 R_2]^H,
-    with side 1 an operator held as its cores. Gram-Schmidt of each stack of
-    factors against side 1's orthonormal columns (``_gram_schmidt``) gives
-    its R factor, and R_L diag(K_1, -K_2) R_R^H, at most
+    On each block the difference is [L_1 L_2] diag(K_1, -K_2) [R_1 R_2]^H.
+    A pair is held the same way, its block on an atom B being sigma_B p q^H
+    (``_rank_one_scales``). Gram-Schmidt of each stack of factors, the
+    narrower side's columns against the wider side's (``_gram_schmidt``),
+    gives its R factor, and R_L diag(K_1, -K_2) R_R^H, at most
     (r_1 + r_2) x (r_1 + r_2), is a core with the difference's singular
     values: one stacked values-only SVD of the cores gives every block's
-    norm, in O(n r^2) over all blocks. A pair's block on an atom B is
-    (sqrt(mu) a) (1 / mu(B)) (conj(sqrt(mu) b))^H. Sides blocked
-    differently, such as a pair and an operator of one block, are compared
-    as one block, whose factors take each block's as columns
-    (``_as_one_block``). Two pairs take the rank-one arithmetic of
-    ``_pair_distance``."""
+    norm, in O(n r^2) over all blocks. Sides blocked differently, such as a
+    pair and an operator of one block, are compared as one block, whose
+    factors take each block's as columns (``_as_one_block``). Two pairs take
+    the rank-one arithmetic of ``_pair_distance``."""
     if isinstance(first, tuple):
         if isinstance(second, tuple):
             return _pair_distance(space, algebra, first, second)
@@ -611,9 +609,7 @@ def core_distance(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, first, se
     _check_space(first, space)
     sides = [(first.blocks, _cored_lines(first))]
     if isinstance(second, tuple):
-        # a pair on the same blocks takes the operator's block order
-        blocks = first.blocks if _same_blocks(first.blocks, algebra.blocks) else algebra.blocks
-        sides.append((blocks, _pair_lines(space, second, blocks)))
+        sides.append((algebra.blocks, _pair_lines(space, algebra, second)))
     else:
         _check_space(second, space)
         sides.append((second.blocks, _cored_lines(second)))
@@ -675,12 +671,13 @@ def _largest_value(cores: np.ndarray) -> float:
 
 class _Lines(NamedTuple):
     """A block-diagonal operator whose standard-coordinate block is L K R^H
-    on each block, held flat over its blocks listed one after the other
-    (block k from row ``starts[k]``, in ``sizes[k]`` rows): ``lines``
-    stacks L and R (2 x n x r) with their rows in that order, and ``core``
-    the K (blocks x r x r). A block of lower rank has zero columns in L and
-    R and zero rows and columns in K. Each is built for one comparison,
-    which overwrites its lines (``_gram_schmidt``)."""
+    on each block, L and R with orthonormal (or zero) columns, held flat
+    over its blocks listed one after the other (block k from row
+    ``starts[k]``, in ``sizes[k]`` rows): ``lines`` stacks L and R
+    (2 x n x r) with their rows in that order, and ``core`` the K
+    (blocks x r x r). A block of lower rank has zero columns in L and R and
+    zero rows and columns in K. Each is built for one comparison, which
+    overwrites its lines (``_gram_schmidt``)."""
 
     starts: np.ndarray
     sizes: np.ndarray
@@ -694,60 +691,63 @@ def _segments(blocks: tuple) -> tuple:
     return np.add.accumulate(sizes) - sizes, sizes
 
 
-def _pair_lines(space: FiniteMeasureSpace, pair: tuple, blocks: tuple) -> _Lines:
-    """The ``_Lines`` of M_a E M_b over the atoms, listed as ``blocks`` (the
-    atoms' index arrays, in their order): L = sqrt(mu) a, K = 1 / mu(B) and
-    R = conj(sqrt(mu) b) on each atom B."""
-    order, (starts, sizes) = np.concatenate(blocks), _segments(blocks)
+def _pair_lines(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple) -> _Lines:
+    """The ``_Lines`` of M_a E M_b over the atoms of ``algebra``, in their
+    order: on each atom B, L = p and R = q, the unit vectors along
+    sqrt(mu) a and conj(sqrt(mu) b), and K = sigma_B, as in
+    ``_rank_one_scales`` but summed in block order; all zero where sigma_B
+    is."""
+    order, (starts, sizes) = np.concatenate(algebra.blocks), _segments(algebra.blocks)
     lines = np.empty((2, order.size, 1), dtype=complex)
     for side in (0, 1):  # "wrap" takes into out with no buffer; order never wraps
         np.take(_line(space, pair, side), order, out=lines[side, :, 0], mode="wrap")
-    mass = np.add.reduceat(space.weights[order], starts).astype(complex)
-    return _Lines(starts, sizes, lines, (1.0 / mass)[:, None, None])
+    moduli = np.abs(lines)
+    norms = np.sqrt(_segment_sums(moduli, moduli, starts))
+    sigma = norms[0] * norms[1] / np.add.reduceat(space.weights[order], starts)[:, None]
+    scales = np.divide(1.0, norms, out=np.zeros_like(norms), where=sigma > 0)
+    lines *= np.repeat(scales, sizes, axis=1)
+    return _Lines(starts, sizes, lines, sigma.astype(complex)[:, :, None])
 
 
 def _cored_lines(T: WeightedOperator) -> _Lines:
-    """The ``_Lines`` of an operator held as its cores, gathered anew: each
-    block's L and R go under the previous block's, and its K into the
-    stack. Where every block has one rank that is one concatenation each;
-    otherwise each is zero-padded to the largest rank (``_padded``)."""
+    """The ``_Lines`` of an operator held as its cores, gathered anew by one
+    ``_padded``: each block's L and R go under the previous block's and its
+    K into the stack, each zero-padded to the largest rank."""
     cores = T._memo.get(_CORES)
     if cores is None:
         raise ValueError("an operand must be a pair or an operator held as its cores")
     starts, sizes = _segments(T.blocks)
     _, lefts, ks, rights = zip(*cores)
-    try:
-        lines = np.concatenate(lefts + rights).astype(complex, copy=False)  # a new array
-        core = np.stack(ks).astype(complex, copy=False)
-        uniform = core.shape[1:] == lines.shape[1:] * 2
-        lines = lines.reshape(2, -1, lines.shape[1])
-    except ValueError:  # the blocks' ranks differ
-        uniform = False
-    if not uniform:
-        shapes = [_shapes(mats) for mats in (lefts, ks, rights)]
-        rank = max(shapes[0][:, 1].max(), shapes[2][:, 1].max())
-        lines = np.stack(
-            [_padded(lefts, shapes[0], sizes, rank), _padded(rights, shapes[2], sizes, rank)]
-        )
-        core = _padded(ks, shapes[1], np.full(len(ks), rank), rank).reshape(len(ks), rank, rank)
-    return _Lines(starts, sizes, lines, core)
+    mats = lefts + rights + ks
+    rows, cols = _shapes(mats)
+    rank, n = cols.max(), sizes.sum()
+    heights = np.concatenate([sizes, sizes, np.full(len(ks), rank)])
+    flat = _padded(mats, rows, cols, heights, rank)
+    core = flat[2 * n :].reshape(len(ks), rank, rank)
+    return _Lines(starts, sizes, flat[: 2 * n].reshape(2, n, rank), core)
 
 
-def _shapes(mats) -> np.ndarray:
-    """The shapes of the 2-d arrays ``mats``, one row each."""
-    return np.array(list(map(operator.attrgetter("shape"), mats))).reshape(-1, 2)
+def _shapes(mats) -> tuple:
+    """(rows, columns) of the 2-d arrays ``mats``, read one at a time: a
+    list of all their shape tuples would leave them on the interpreter's
+    free list of tuples, held for the rest of the run."""
+    count = len(mats)
+    return np.fromiter(map(len, mats), int, count), np.fromiter(
+        (m.shape[1] for m in mats), int, count
+    )
 
 
-def _padded(mats, shapes: np.ndarray, heights: np.ndarray, width: int) -> np.ndarray:
-    """The 2-d arrays ``mats`` of these ``shapes`` one under another, mats[k]
-    in the first rows of a slot of ``heights[k]`` rows, zero-padded on the
-    right to ``width``, by one scatter."""
-    out = np.zeros((heights.sum(), width), dtype=complex)
-    counts = shapes[:, 0] * shapes[:, 1]
-    cols = np.repeat(shapes[:, 1], counts)
-    local = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    rows = np.repeat(np.cumsum(heights) - heights, counts) + local // cols
-    out[rows, local % cols] = np.concatenate(mats, axis=None)
+def _padded(mats, rows, cols, heights: np.ndarray, width: int) -> np.ndarray:
+    """The 2-d arrays ``mats``, of these numbers of ``rows`` and ``cols``,
+    one under another, mats[k] in the first rows of a slot of
+    ``heights[k]`` rows, zero-padded on the right to ``width``: one masked
+    assignment, the mask True on each slot's top-left corner of its
+    matrix's shape, which it fills in row-major order."""
+    row = np.arange(heights.sum()) - np.repeat(np.add.accumulate(heights) - heights, heights)
+    below, right = (np.repeat(x, heights)[:, None] for x in (rows, cols))
+    mask = (row[:, None] < below) & (np.arange(width) < right)
+    out = np.zeros(mask.shape, dtype=complex)
+    out[mask] = np.concatenate(mats, axis=None)
     return out
 
 
@@ -769,9 +769,13 @@ def _as_one_block(blocks: tuple, side: _Lines) -> _Lines:
 
 def _lines_distance(first: _Lines, second: _Lines) -> float:
     """||first - second|| for two operators held as ``_Lines`` over the same
-    blocks in the same order, first's L and R with orthonormal columns: per
-    block, the largest singular value of the core R_L diag(K_1, -K_2) R_R^H
-    (``core_distance``)."""
+    blocks in the same order: per block, the largest singular value of the
+    core R_L diag(K_1, -K_2) R_R^H (``core_distance``). The side with more
+    columns is taken as first, so Gram-Schmidt runs over the other's: a
+    pair against an operator of one block loops over the operator's rank,
+    not over the pair's atoms."""
+    if second.core.shape[1] > first.core.shape[1]:
+        first, second = second, first
     r1, r2 = first.core.shape[1], second.core.shape[1]
     core = np.zeros((first.starts.size, r1 + r2, r1 + r2), dtype=complex)
     core[:, :r1, :r1] = first.core

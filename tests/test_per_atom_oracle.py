@@ -515,7 +515,7 @@ def test_class_margins_match_the_composed_operators(name, W):
 
 
 #: bound on the tracemalloc peak of one verify, in units of 16 sum |B|^2 bytes
-#: (the complex blocks of T): measured 4.4 (random) and 3.3 (product), so
+#: (the complex blocks of T): measured 4.4 (random) and 3.4 (product), so
 #: the bound leaves 40% headroom
 VERIFY_PEAK_PER_BLOCK_BYTE = 6.2
 
