@@ -591,17 +591,18 @@ def core_distance(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, first, se
     coordinates, L and R with orthonormal columns). NaN where a side is not
     finite.
 
-    On each block the difference is [L_1 L_2] diag(K_1, -K_2) [R_1 R_2]^H.
-    A pair is held the same way, its block on an atom B being sigma_B p q^H
-    (``_rank_one_scales``). Gram-Schmidt of each stack of factors, the
-    narrower side's columns against the wider side's (``_gram_schmidt``),
-    gives its R factor, and R_L diag(K_1, -K_2) R_R^H, at most
+    On each block the difference is [L_1 L_2] diag(K_1, -K_2) [R_1 R_2]^H,
+    with side 1 an operator held as its cores. Gram-Schmidt of each stack of
+    factors against side 1's orthonormal columns (``_gram_schmidt``) gives
+    its R factor, and R_L diag(K_1, -K_2) R_R^H, at most
     (r_1 + r_2) x (r_1 + r_2), is a core with the difference's singular
     values: one stacked values-only SVD of the cores gives every block's
-    norm, in O(n r^2) over all blocks. Sides blocked differently, such as a
-    pair and an operator of one block, are compared as one block, whose
-    factors take each block's as columns (``_as_one_block``). Two pairs take
-    the rank-one arithmetic of ``_pair_distance``."""
+    norm, in O(n r^2) over all blocks. A pair's block on an atom B is
+    (sqrt(mu) a) (1 / mu(B)) (conj(sqrt(mu) b))^H. Sides blocked
+    differently, such as a pair and an operator of one block, are compared
+    as one block, whose factors take each block's as columns
+    (``_as_one_block``). Two pairs take the rank-one arithmetic of
+    ``_pair_distance``."""
     if isinstance(first, tuple):
         if isinstance(second, tuple):
             return _pair_distance(space, algebra, first, second)
@@ -671,13 +672,12 @@ def _largest_value(cores: np.ndarray) -> float:
 
 class _Lines(NamedTuple):
     """A block-diagonal operator whose standard-coordinate block is L K R^H
-    on each block, L and R with orthonormal (or zero) columns, held flat
-    over its blocks listed one after the other (block k from row
-    ``starts[k]``, in ``sizes[k]`` rows): ``lines`` stacks L and R
-    (2 x n x r) with their rows in that order, and ``core`` the K
-    (blocks x r x r). A block of lower rank has zero columns in L and R and
-    zero rows and columns in K. Each is built for one comparison, which
-    overwrites its lines (``_gram_schmidt``)."""
+    on each block, held flat over its blocks listed one after the other
+    (block k from row ``starts[k]``, in ``sizes[k]`` rows): ``lines``
+    stacks L and R (2 x n x r) with their rows in that order, and ``core``
+    the K (blocks x r x r). A block of lower rank has zero columns in L and
+    R and zero rows and columns in K. Each is built for one comparison,
+    which overwrites its lines (``_gram_schmidt``)."""
 
     starts: np.ndarray
     sizes: np.ndarray
@@ -693,20 +693,14 @@ def _segments(blocks: tuple) -> tuple:
 
 def _pair_lines(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple) -> _Lines:
     """The ``_Lines`` of M_a E M_b over the atoms of ``algebra``, in their
-    order: on each atom B, L = p and R = q, the unit vectors along
-    sqrt(mu) a and conj(sqrt(mu) b), and K = sigma_B, as in
-    ``_rank_one_scales`` but summed in block order; all zero where sigma_B
-    is."""
+    order: L = sqrt(mu) a, K = 1 / mu(B) and R = conj(sqrt(mu) b) on each
+    atom B."""
     order, (starts, sizes) = np.concatenate(algebra.blocks), _segments(algebra.blocks)
     lines = np.empty((2, order.size, 1), dtype=complex)
     for side in (0, 1):  # "wrap" takes into out with no buffer; order never wraps
         np.take(_line(space, pair, side), order, out=lines[side, :, 0], mode="wrap")
-    moduli = np.abs(lines)
-    norms = np.sqrt(_segment_sums(moduli, moduli, starts))
-    sigma = norms[0] * norms[1] / np.add.reduceat(space.weights[order], starts)[:, None]
-    scales = np.divide(1.0, norms, out=np.zeros_like(norms), where=sigma > 0)
-    lines *= np.repeat(scales, sizes, axis=1)
-    return _Lines(starts, sizes, lines, sigma.astype(complex)[:, :, None])
+    mass = np.add.reduceat(space.weights[order], starts).astype(complex)
+    return _Lines(starts, sizes, lines, (1.0 / mass)[:, None, None])
 
 
 def _cored_lines(T: WeightedOperator) -> _Lines:
@@ -743,9 +737,9 @@ def _padded(mats, rows, cols, heights: np.ndarray, width: int) -> np.ndarray:
     ``heights[k]`` rows, zero-padded on the right to ``width``: one masked
     assignment, the mask True on each slot's top-left corner of its
     matrix's shape, which it fills in row-major order."""
-    row = np.arange(heights.sum()) - np.repeat(np.add.accumulate(heights) - heights, heights)
-    below, right = (np.repeat(x, heights)[:, None] for x in (rows, cols))
-    mask = (row[:, None] < below) & (np.arange(width) < right)
+    ends = np.add.accumulate(heights) - heights + rows  # past each matrix's last row
+    below = np.arange(heights.sum()) < np.repeat(ends, heights)
+    mask = below[:, None] & (np.arange(width) < np.repeat(cols, heights)[:, None])
     out = np.zeros(mask.shape, dtype=complex)
     out[mask] = np.concatenate(mats, axis=None)
     return out
@@ -769,13 +763,10 @@ def _as_one_block(blocks: tuple, side: _Lines) -> _Lines:
 
 def _lines_distance(first: _Lines, second: _Lines) -> float:
     """||first - second|| for two operators held as ``_Lines`` over the same
-    blocks in the same order: per block, the largest singular value of the
-    core R_L diag(K_1, -K_2) R_R^H (``core_distance``). The side with more
-    columns is taken as first, so Gram-Schmidt runs over the other's: a
-    pair against an operator of one block loops over the operator's rank,
-    not over the pair's atoms."""
-    if second.core.shape[1] > first.core.shape[1]:
-        first, second = second, first
+    blocks in the same order, first's L and R with orthonormal columns: per
+    block, the largest singular value of the core R_L diag(K_1, -K_2) R_R^H
+    (``core_distance``). Gram-Schmidt loops once per column of second: on
+    one block, a pair's columns are its atoms."""
     r1, r2 = first.core.shape[1], second.core.shape[1]
     core = np.zeros((first.starts.size, r1 + r2, r1 + r2), dtype=complex)
     core[:, :r1, :r1] = first.core

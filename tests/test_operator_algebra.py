@@ -31,7 +31,6 @@ from condexp import (
     to_matrix,
     weighted_inner,
 )
-from condexp import operator_algebra
 from condexp.measure_space import cluster_values
 from condexp.operator_algebra import (
     _factors,
@@ -635,23 +634,6 @@ class TestCoreDistance:
         pair = (_complex_vector(rng), _complex_vector(rng))
         core_distance(PAIR_SPACE, PAIR_ALGEBRA, first, pair)
         assert shapes == [((3, 3, 3), False)]
-
-    def test_gram_schmidt_runs_over_the_narrower_side(self, monkeypatch):
-        """Columns (basis, looped over) of each Gram-Schmidt: on the atoms
-        the pair's one column is looped over against rank 2; against one
-        block of rank 1 the operator's column is, not the pair's 3 atoms."""
-        columns = []
-
-        def probe(basis, x, *args, _original=operator_algebra._gram_schmidt):
-            columns.append((basis.shape[2], x.shape[2]))
-            return _original(basis, x, *args)
-
-        rng = np.random.default_rng(4)
-        pair = (_complex_vector(rng), _complex_vector(rng))
-        monkeypatch.setattr(operator_algebra, "_gram_schmidt", probe)
-        for cored in (_cored(PAIR_ALGEBRA.blocks, rng, (2, 2, 2)), _cored(ONE_BLOCK, rng, (1,))):
-            core_distance(PAIR_SPACE, PAIR_ALGEBRA, pair, cored)
-        assert columns == [(2, 1), (3, 1)]
 
     def test_a_side_that_is_not_finite_gives_nan(self):
         rng = np.random.default_rng(2)
