@@ -221,28 +221,35 @@ def cluster_values(values: Sequence[complex], tol: float) -> list:
     than tol behind the sweep can take no later value (their real parts only
     grow, and a centroid moves only when a value joins it), so it leaves the
     scan: each value is compared only with the centroids near its real part.
+
+    Equal values are swept once, with their multiplicity: each copy meets
+    the centroids before the one the first copy joined or started as that
+    copy did, so the copies after it replay the update of that centroid,
+    in numpy scalars, while it stays within tol; once the update leaves the
+    centroid at v, the copies left leave it there to the bit.
     """
-    vals = np.asarray(values, dtype=complex)
-    order = np.lexsort((vals.imag, vals.real))
+    distinct, counts = np.unique(np.asarray(values, dtype=complex), return_counts=True)
     reps: list = []
-    counts: list = []
+    sizes: list = []
     live: list = []  # indices of the centroids still in the scan, in creation order
-    for v in vals[order]:
-        behind = False
-        for j in live:
-            r = reps[j]
-            if abs(v - r) <= tol:
-                # running centroid keeps the representative inside the cluster
-                counts[j] += 1
-                reps[j] = r + (v - r) / counts[j]
-                break
-            behind = behind or v.real - r.real > tol
-        else:
-            live.append(len(reps))
-            reps.append(complex(v))
-            counts.append(1)
-        if behind:
-            live = [j for j in live if v.real - reps[j].real <= tol]
+    for v, count in zip(distinct, counts.tolist()):
+        live = [j for j in live if v.real - reps[j].real <= tol]
+        while count:
+            j = next((j for j in live if abs(v - reps[j]) <= tol), None)
+            if j is None:
+                j = len(reps)
+                live.append(j)
+                reps.append(complex(v))
+                sizes.append(1)
+                count -= 1
+            # running centroid keeps the representative inside the cluster
+            while count and abs(v - reps[j]) <= tol:
+                sizes[j] += 1
+                reps[j] = reps[j] + (v - reps[j]) / sizes[j]
+                count -= 1
+                if reps[j] == v:
+                    sizes[j] += count
+                    count = 0
     return reps
 
 

@@ -16,24 +16,31 @@ unchanged to each block.
 The oracle factors per atom. Every eigenvalue, SVD and eigh call, and every
 product, runs on the diagonal blocks, so it costs at most sum |B|^3 over
 the blocks instead of n^3. One factorization per block, cut at the one rank
-cutoff, gives each block's rank-r factors X diag(s) Y^H; only these |B| x r
-factors are memoized. On a block of 16 points or more it is a certified
-sketch: Q from the QR of B Omega, with four seeded Gaussian columns Omega,
-and the SVD of the small Q^H B, accepted when the residual
-||B - Q Q^H B||_F is at most 1e-13 s_1, so a block of rank at most four
-costs |B|^2 times four; the full SVD runs where the sketch is not
-certified, and where a sketched value lies within its residual of the
-cutoff, so the rank decisions are the full SVD's. The factors serve the
-norm and the singular values, the eigenvalues (a rank-deficient block's
-come from its r x r core), every power of T*T and TT*, |T|, |T*|, the polar
-isometry, the Aluthge transform and the kernel projection. The R of one
-QR of [Y X] per block gives the block's joint core: the block is Q K Q^H
-with K of at most 2r x 2r, Q an orthonormal basis of the ranges of the
-block and its adjoint that is never formed. The class margins, the
-normality check and the joint point spectrum read K, so none of them holds
-a |B| x |B| array. An operator the oracle builds as L K R^H from a small
-core K keeps only the core, so its own factors cost one r x r SVD, and its
-blocks are built, and checked finite, when they are read. Operators built from T = M_w E M_u carry the atoms of the
+cutoff, gives each block's rank-r factors X diag(s) Y^H. On a block of 16
+points or more it is a certified sketch: Q from the QR of B Omega, with
+four seeded Gaussian columns Omega, and the SVD of the small Q^H B,
+accepted when the residual ||B - Q Q^H B||_F is at most 1e-13 s_1, so a
+block of rank at most four costs |B|^2 times four; the full SVD runs where
+the sketch is not certified, and where a sketched value lies within its
+residual of the cutoff, so the rank decisions are the full SVD's. Only the
+factors are memoized, in one flat form (``_Factors``): the rows of every
+block one after the other, X and Y as n x R arrays zero-padded to the
+largest rank R, s as blocks x R and each block's rank. Every question
+asked of them is stacked arithmetic over all blocks, segment sums over the
+rows and one LAPACK call on a stack of cores, with no loop over the atoms;
+padding adds no value, as each result is masked by the block's rank. The
+factors serve the norm and the singular values, the eigenvalues (each
+block's come from its r x r core), every power of T*T and TT*, |T|, |T*|,
+the polar isometry, the Aluthge transform and the kernel projection.
+Gram-Schmidt of [Y X] in segment sums gives each block's joint core: the
+block is Q K Q^H with K of at most 2R x 2R, Q an orthonormal basis of the
+ranges of the block and its adjoint that is never formed. The class
+margins, the normality check and the joint point spectrum read K, so none
+of them holds a |B| x |B| array. An operator the oracle derives from T's
+factors keeps only its lines and cores L K R^H (``_Lines``: T's X or Y
+and a stack of small cores K), so its own factors cost one stacked SVD of
+its cores, and its blocks are built, and checked finite, when they are
+read. Operators built from T = M_w E M_u carry the atoms of the
 partition, which is the definition of E; the oracle never reads the
 conditional moments, so it stays independent of the closed forms it checks.
 Every decision over the whole operator (the rank cutoff, the PSD scale, the
@@ -164,9 +171,8 @@ class WeightedOperator:
         if not callable(parts):
             object.__setattr__(self, "_parts", _checked_parts(self.blocks, parts))
             return
-        cores = self._memo.get(_CORES)
-        arrays = [a.ravel() for core in cores or () for a in core[1:]]
-        if arrays and not np.isfinite(np.concatenate(arrays)).all():
+        held = self._memo.get(_LINES)
+        if held is not None and not (np.isfinite(held.lines).all() and np.isfinite(held.core).all()):
             raise ValueError("operator entries must be finite")
 
     @property
@@ -387,14 +393,16 @@ _ADJOINT_OF = "adjoint_of"
 
 def _once_per_operator(fn):
     """fn(T) computed once per operator: T is immutable, so every caller can
-    share the result (an array result is made read-only)."""
+    share the result (an array result, and each array of a tuple result, is
+    made read-only)."""
 
     @functools.wraps(fn)
     def memoized(T: WeightedOperator):
         if fn.__name__ not in T._memo:
             value = fn(T)
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    array.setflags(write=False)
             T._memo[fn.__name__] = value
         return T._memo[fn.__name__]
 
@@ -426,22 +434,56 @@ def _cutoff(svds: list) -> float:
     return DEFAULT_RANK_TOL * max(s.max(initial=0.0) for _, _, s, _ in svds)
 
 
-def _cut(svds: list) -> list:
-    """(indices, X, s, Y) of each block U diag(s) V^H above the oracle's one
-    rank cutoff (``_cutoff``): the part X diag(s) Y^H, with X = U_r and
-    Y = V_r (|B| x r, orthonormal columns). They are copies, so U and V^H
-    are not kept alive."""
+def _kept(ranks: np.ndarray, width: int) -> np.ndarray:
+    """The blocks x width mask of the columns within each block's rank."""
+    return np.arange(width) < ranks[:, None]
+
+
+class _Factors(NamedTuple):
+    """An operator's factors X diag(s) Y^H on each block, held flat over its
+    blocks listed one after the other (block k from row ``starts[k]``, in
+    ``sizes[k]`` rows): ``lines`` stacks X and Y (2 x n x R, orthonormal
+    columns on each block) and ``s`` the singular values (blocks x R), each
+    zero-padded past the block's rank ``ranks[k]`` to the largest rank R."""
+
+    starts: np.ndarray
+    sizes: np.ndarray
+    ranks: np.ndarray
+    lines: np.ndarray
+    s: np.ndarray
+
+
+def _cut(blocks: tuple, svds: list) -> _Factors:
+    """The ``_Factors`` over ``blocks`` of each block U diag(s) V^H cut at
+    the oracle's one rank cutoff (``_cutoff``): X = U_r, s_r and Y = V_r,
+    gathered by one ``_padded``, so U and V^H are not kept alive."""
     cutoff = _cutoff(svds)
-    out = []
-    for b, u, s, vh in svds:
-        rank = int(np.sum(s > cutoff))
-        out.append((b, u[:, :rank].copy(), s[:rank].copy(), vh[:rank].conj().T))
+    ranks = np.fromiter((np.count_nonzero(s > cutoff) for _, _, s, _ in svds), int, len(svds))
+    starts, sizes = _segments(blocks)
+    width = ranks.max(initial=0)
+    xs = [u[:, :r] for (_, u, _, _), r in zip(svds, ranks)]
+    ys = [vh[:r].conj().T for (_, _, _, vh), r in zip(svds, ranks)]
+    lines = _padded(xs + ys, np.tile(sizes, 2), np.tile(ranks, 2), width)
+    lines = lines.reshape(2, sizes.sum(), width)
+    values = np.zeros((ranks.size, width))
+    values[_kept(ranks, width)] = np.concatenate([s[:r] for (_, _, s, _), r in zip(svds, ranks)])
+    return _Factors(starts, sizes, ranks, lines, values)
+
+
+def _padded(mats, rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
+    """The 2-d arrays ``mats``, of these numbers of ``rows`` and ``cols``,
+    one under another, each zero-padded on the right to ``width``: one
+    masked assignment, the mask True on each row's first columns, which it
+    fills in row-major order."""
+    mask = np.arange(width) < np.repeat(cols, rows)[:, None]
+    out = np.zeros(mask.shape, dtype=complex)
+    out[mask] = np.concatenate(mats, axis=None)
     return out
 
 
-#: memo key of an operator the oracle built from cores: its list of
-#: (indices, L, K, R), each standard-coordinate block being L K R^H
-_CORES = "cores"
+#: memo key of an operator the oracle derived from T's factors: its
+#: ``_Lines``, each standard-coordinate block being L K R^H
+_LINES = "lines"
 
 #: Gaussian columns of a block's sketch; a sketch is taken only where its
 #: width is at most a quarter of the block's size, where it is cheaper than
@@ -519,77 +561,131 @@ def _block_svds(T: WeightedOperator) -> list:
 
 
 @_once_per_operator
-def _factors(T: WeightedOperator) -> list:
-    """(indices, X, s, Y) of each standard-coordinate block X diag(s) Y^H,
-    cut at the oracle's one rank cutoff (``_cut``); every rank decision of
-    the oracle reads them.
+def _factors(T: WeightedOperator) -> _Factors:
+    """T's factors X diag(s) Y^H on each standard-coordinate block, cut at
+    the oracle's one rank cutoff, held flat (``_Factors``); every rank
+    decision of the oracle reads them.
 
-    The adjoint of a live A has A's factors swapped, the same arrays. An
-    operator built from cores L K R^H with orthonormal L and R factors each
-    r x r core, K = P diag(s) Q^H, so X = L P and Y = R Q. Any other
-    operator cuts one factorization of each of its blocks (``_block_svds``):
-    a certified sketch of _SKETCH_WIDTH columns, which costs |B|^2 times
-    the width, or else the full SVD."""
+    The adjoint of a live A has A's factors swapped, views of the same
+    arrays. An operator held as its lines and cores (``_Lines``) factors its
+    cores (``_cored_factors``). Any other operator cuts one factorization of
+    each of its blocks (``_block_svds``, ``_cut``): a certified sketch of
+    _SKETCH_WIDTH columns, which costs |B|^2 times the width, or else the
+    full SVD."""
     ref = T._memo.get(_ADJOINT_OF)
     source = ref() if ref is not None else None
     if source is not None:
-        return [(b, y, s, x) for b, x, s, y in _factors(source)]
-    cores = T._memo.get(_CORES)
-    if cores is None:
-        return _cut(_block_svds(T))
-    cut = _cut([(b, *_solve("svd", k)) for b, _, k, _ in cores])
-    return [(b, left @ p, s, right @ q) for (b, p, s, q), (_, left, _, right) in zip(cut, cores)]
+        factors = _factors(source)
+        return factors._replace(lines=factors.lines[::-1])
+    held = T._memo.get(_LINES)
+    if held is None:
+        return _cut(T.blocks, _block_svds(T))
+    return _cored_factors(held)
+
+
+def _cored_factors(held: _Lines) -> _Factors:
+    """The ``_Factors`` of the operator held as L K R^H on each block, L and
+    R with orthonormal columns: one stacked SVD of the cores,
+    K = P diag(s) Q^H, cut at the one rank cutoff over all blocks, gives
+    X = L P and Y = R Q, one column at a time in segment arithmetic
+    (``_combination``)."""
+    p, s, qh = _solve("svd", held.core)
+    ranks = np.count_nonzero(s > DEFAULT_RANK_TOL * s.max(initial=0.0), axis=1)
+    width = ranks.max(initial=0)
+    kept = _kept(ranks, width)
+    turns = np.stack([p[..., :width], _conj_t(qh[:, :width])]) * kept[:, None, :]
+    lines = np.empty(held.lines.shape[:2] + (width,), dtype=complex)
+    for j in range(width):
+        lines[..., j] = _combination(held.lines, turns[..., j], held.sizes)
+    return _Factors(held.starts, held.sizes, ranks, lines, np.where(kept, s[:, :width], 0.0))
+
+
+def _conj_t(mats: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of each of a stack of them."""
+    return np.swapaxes(mats, -1, -2).conj()
 
 
 @_once_per_operator
-def _joint_cores(T: WeightedOperator) -> list:
-    """(R_y, R_x, K) of each block X diag(s) Y^H of T's factors, from the R
-    of one QR [Y X] = Q [R_y R_x]. Q has orthonormal columns, min(|B|, 2r)
-    of them, spanning the ranges of the block and of its adjoint, so the
-    block is Q K Q^H with the core K = R_x diag(s) R_y^H, and both vanish on
-    Q's complement. Q itself is never formed: every question asked of it is
-    answered on the core."""
-    out = []
-    for _, x, s, y in _factors(T):
-        r = _solve("qr", np.hstack([y, x]), mode="r")
-        ry, rx = r[:, : s.size], r[:, s.size :]
-        out.append((ry, rx, (rx * s) @ ry.conj().T))
+def _inner_cores(T: WeightedOperator) -> np.ndarray:
+    """C = Y^H X on each block X diag(s) Y^H of T's factors (blocks x R x R,
+    zero past each block's rank), one segment sum per column of Y: the
+    block's eigenvalues are those of C diag(s), and T^2's block is
+    X (S C S) Y^H."""
+    factors = _factors(T)
+    x, y = factors.lines
+    out = np.empty((factors.starts.size,) + factors.s.shape[1:] * 2, dtype=complex)
+    for i in range(y.shape[1]):
+        out[:, i] = np.add.reduceat(np.conj(y[:, i, None]) * x, factors.starts, axis=0)
     return out
 
 
-def _core(x: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The r x r core Y^H X diag(s) of a block X diag(s) Y^H: the block has
-    the core's eigenvalues, plus zeros (X (S Y^H) and (S Y^H) X share their
-    nonzero ones)."""
-    return y.conj().T @ (x * s)
+class _JointCores(NamedTuple):
+    """T's joint cores (``_joint_cores``), stacked over its blocks: R_y and
+    R_x (blocks x 2R x R), the cores K (blocks x 2R x 2R), ``dims``
+    (blocks x 2R) True at the columns of Q that are vectors, and
+    ``complement`` (blocks) True where Q's vectors do not span the block's
+    points."""
+
+    r_y: np.ndarray
+    r_x: np.ndarray
+    core: np.ndarray
+    dims: np.ndarray
+    complement: np.ndarray
 
 
-def _from_cores(cores: list, T: WeightedOperator) -> WeightedOperator:
+@_once_per_operator
+def _joint_cores(T: WeightedOperator) -> _JointCores:
+    """The joint cores of T's blocks X diag(s) Y^H, from the R of
+    [Y X] = Q [R_y R_x] by Gram-Schmidt in segment sums over all blocks
+    (``_gram_schmidt``, each column of X projected twice: a zero column
+    comes last). Q's nonzero columns are orthonormal and span the ranges of
+    the block and of its adjoint, so the block is Q K Q^H with the core
+    K = R_x diag(s) R_y^H, and both vanish on their complement. A zero
+    column of Q, past the block's rank or a column of X in the span of
+    those before it, is no vector: K's row and column there are zero, and
+    ``dims`` leaves it out. Q itself is never formed: every question asked
+    of it is answered on the core."""
+    factors = _factors(T)
+    x, y = factors.lines
+    width = factors.s.shape[1]
+    columns = np.zeros((1, x.shape[0], width + 1), dtype=complex)
+    columns[0, :, :width] = x
+    r = _gram_schmidt(y[None], columns, factors.starts, factors.sizes)[0, :, :-1, :-1].copy()
+    r_y, r_x = r[..., :width], r[..., width:]
+    core = (r_x * factors.s[:, None, :]) @ _conj_t(r_y)
+    kept_x = np.diagonal(r_x[:, width:], axis1=1, axis2=2) > 0
+    dims = np.concatenate([_kept(factors.ranks, width), kept_x], axis=1)
+    return _JointCores(r_y, r_x, core, dims, np.count_nonzero(dims, axis=1) < factors.sizes)
+
+
+def _from_lines(held: _Lines, T: WeightedOperator) -> WeightedOperator:
     """The operator with T's blocks whose standard-coordinate blocks are
-    L K R^H for each (indices, L, K, R) in ``cores`` (L and R with
-    orthonormal columns). It keeps only the cores: its factors cost one
-    r x r SVD per block, and its blocks are built when they are read."""
-    build = functools.partial(_cored_parts, cores, T.space)
-    return WeightedOperator._of_blocks(build, T.space, T.blocks, {_CORES: cores})
+    L K R^H, held as ``held`` in T's block order (L and R with orthonormal
+    columns). It keeps only ``held``: its factors cost one stacked SVD of
+    the cores, and its blocks are built when they are read."""
+    build = functools.partial(_cored_parts, held, T.space, T.blocks)
+    return WeightedOperator._of_blocks(build, T.space, T.blocks, {_LINES: held})
 
 
-def _cored_parts(cores: list, space: FiniteMeasureSpace, which=None):
-    """The blocks on value vectors of the operator held as ``cores``, one at
-    a time (``_from_cores``), or those at the indices ``which``:
-    D^(-1/2) L K R^H D^(1/2) over each block, with the weights applied to
-    the |B| x r factors, so one product builds it."""
+def _cored_parts(held: _Lines, space: FiniteMeasureSpace, blocks: tuple, which=None):
+    """The blocks on value vectors of the operator held as ``held`` over
+    ``blocks`` (``_from_lines``), one at a time, or those at the indices
+    ``which``: D^(-1/2) L K R^H D^(1/2) over each block, with the weights
+    applied to the |B| x R lines, so one product builds it."""
     d = _sqrt_weights(space)
-    for b, left, k, right in _select(cores, which):
+    for k in range(len(blocks)) if which is None else which:
+        b, start = blocks[k], held.starts[k]
+        left, right = held.lines[:, start : start + held.sizes[k]]
         db = d[b][:, None]
-        yield ((left / db) @ k) @ (right * db).conj().T
+        yield ((left / db) @ held.core[k]) @ (right * db).conj().T
 
 
 def core_distance(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, first, second) -> float:
     """||first - second|| on L2(mu), with no |B| x |B| array. Each side is
     the pair (a, b) of M_a E M_b on the atoms of ``algebra``, or an operator
-    held as its cores (``_from_cores``: L K R^H on each block in standard
-    coordinates, L and R with orthonormal columns). NaN where a side is not
-    finite.
+    held as its lines and cores (``_from_lines``: L K R^H on each block in
+    standard coordinates, L and R with orthonormal columns). NaN where a
+    side is not finite.
 
     On each block the difference is [L_1 L_2] diag(K_1, -K_2) [R_1 R_2]^H,
     with side 1 an operator held as its cores. Gram-Schmidt of each stack of
@@ -608,12 +704,12 @@ def core_distance(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, first, se
             return _pair_distance(space, algebra, first, second)
         first, second = second, first
     _check_space(first, space)
-    sides = [(first.blocks, _cored_lines(first))]
+    sides = [(first.blocks, _held_lines(first))]
     if isinstance(second, tuple):
         sides.append((algebra.blocks, _pair_lines(space, algebra, second)))
     else:
         _check_space(second, space)
-        sides.append((second.blocks, _cored_lines(second)))
+        sides.append((second.blocks, _held_lines(second)))
     if not _same_blocks(sides[0][0], sides[1][0]):
         sides = [(None, _as_one_block(*side)) for side in sides]
     return _lines_distance(sides[0][1], sides[1][1])
@@ -676,8 +772,8 @@ class _Lines(NamedTuple):
     (block k from row ``starts[k]``, in ``sizes[k]`` rows): ``lines``
     stacks L and R (2 x n x r) with their rows in that order, and ``core``
     the K (blocks x r x r). A block of lower rank has zero columns in L and
-    R and zero rows and columns in K. Each is built for one comparison,
-    which overwrites its lines (``_gram_schmidt``)."""
+    R and zero rows and columns in K. An operator the oracle derives from
+    T's factors holds T's X and Y as its lines, read-only and shared."""
 
     starts: np.ndarray
     sizes: np.ndarray
@@ -703,46 +799,12 @@ def _pair_lines(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple
     return _Lines(starts, sizes, lines, (1.0 / mass)[:, None, None])
 
 
-def _cored_lines(T: WeightedOperator) -> _Lines:
-    """The ``_Lines`` of an operator held as its cores, gathered anew by one
-    ``_padded``: each block's L and R go under the previous block's and its
-    K into the stack, each zero-padded to the largest rank."""
-    cores = T._memo.get(_CORES)
-    if cores is None:
+def _held_lines(T: WeightedOperator) -> _Lines:
+    """The ``_Lines`` an operator derived from T's factors is held as."""
+    held = T._memo.get(_LINES)
+    if held is None:
         raise ValueError("an operand must be a pair or an operator held as its cores")
-    starts, sizes = _segments(T.blocks)
-    _, lefts, ks, rights = zip(*cores)
-    mats = lefts + rights + ks
-    rows, cols = _shapes(mats)
-    rank, n = cols.max(), sizes.sum()
-    heights = np.concatenate([sizes, sizes, np.full(len(ks), rank)])
-    flat = _padded(mats, rows, cols, heights, rank)
-    core = flat[2 * n :].reshape(len(ks), rank, rank)
-    return _Lines(starts, sizes, flat[: 2 * n].reshape(2, n, rank), core)
-
-
-def _shapes(mats) -> tuple:
-    """(rows, columns) of the 2-d arrays ``mats``, read one at a time: a
-    list of all their shape tuples would leave them on the interpreter's
-    free list of tuples, held for the rest of the run."""
-    count = len(mats)
-    return np.fromiter(map(len, mats), int, count), np.fromiter(
-        (m.shape[1] for m in mats), int, count
-    )
-
-
-def _padded(mats, rows, cols, heights: np.ndarray, width: int) -> np.ndarray:
-    """The 2-d arrays ``mats``, of these numbers of ``rows`` and ``cols``,
-    one under another, mats[k] in the first rows of a slot of
-    ``heights[k]`` rows, zero-padded on the right to ``width``: one masked
-    assignment, the mask True on each slot's top-left corner of its
-    matrix's shape, which it fills in row-major order."""
-    ends = np.add.accumulate(heights) - heights + rows  # past each matrix's last row
-    below = np.arange(heights.sum()) < np.repeat(ends, heights)
-    mask = below[:, None] & (np.arange(width) < np.repeat(cols, heights)[:, None])
-    out = np.zeros(mask.shape, dtype=complex)
-    out[mask] = np.concatenate(mats, axis=None)
-    return out
+    return held
 
 
 def _as_one_block(blocks: tuple, side: _Lines) -> _Lines:
@@ -765,14 +827,15 @@ def _lines_distance(first: _Lines, second: _Lines) -> float:
     """||first - second|| for two operators held as ``_Lines`` over the same
     blocks in the same order, first's L and R with orthonormal columns: per
     block, the largest singular value of the core R_L diag(K_1, -K_2) R_R^H
-    (``core_distance``). Gram-Schmidt loops once per column of second: on
-    one block, a pair's columns are its atoms."""
+    (``core_distance``). Gram-Schmidt overwrites a copy of second's lines
+    and loops once per column of second: on one block, a pair's columns are
+    its atoms."""
     r1, r2 = first.core.shape[1], second.core.shape[1]
     core = np.zeros((first.starts.size, r1 + r2, r1 + r2), dtype=complex)
     core[:, :r1, :r1] = first.core
     core[:, r1:, r1:] = -second.core
-    left, right = _gram_schmidt(first.lines, second.lines, first.starts, first.sizes)
-    return _largest_value(left @ core @ right.conj().transpose(0, 2, 1))
+    left, right = _gram_schmidt(first.lines, np.array(second.lines), first.starts, first.sizes)
+    return _largest_value(left @ core @ _conj_t(right))
 
 
 def _segment_sums(x: np.ndarray, y: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -882,21 +945,27 @@ def subtract(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
 
 @_once_per_operator
 def eigenvalues(T: WeightedOperator) -> np.ndarray:
-    """All n eigenvalues with multiplicity (unordered multiset, read-only).
+    """All n eigenvalues with multiplicity (unordered multiset, read-only),
+    in block order.
 
-    A block of rank r below its size (under the rank cutoff over all
-    blocks) has the eigenvalues of the r x r core of its factors and exact
-    zeros; a full-rank block, the only one built here, is factored by
-    eigvals."""
-    evals = []
-    for k, (b, x, s, y) in enumerate(_factors(T)):
-        if s.size == b.size:
-            evals.append(_solve("eigvals", next(_std_blocks(T, [k]))[1]))
-            continue
-        if s.size:
-            evals.append(_solve("eigvals", _core(x, s, y)))
-        evals.append(np.zeros(b.size - s.size, dtype=complex))
-    return np.concatenate(evals)
+    A block X diag(s) Y^H of T's factors, of rank r below its size, has
+    the eigenvalues of its r x r core C diag(s) with C = Y^H X
+    (``_inner_cores``; X (S Y^H) and (S Y^H) X share their nonzero ones),
+    then |B| - r exact zeros. A full-rank block, the only one built here,
+    is its own r x r matrix: the core would move a defective eigenvalue by
+    rounding to the power 1/r. The matrices of each rank run as one stacked
+    eigvals, cut to that rank, so padding adds no eigenvalue."""
+    factors = _factors(T)
+    cores = _inner_cores(T) * factors.s[:, None, :]
+    out = np.zeros(factors.sizes.sum(), dtype=complex)
+    for rank in np.unique(factors.ranks[factors.ranks > 0]):
+        which = np.flatnonzero(factors.ranks == rank)
+        mats = cores[which, :rank, :rank]
+        whole = factors.sizes[which] == rank
+        if whole.any():
+            mats[whole] = np.stack([m for _, m in _std_blocks(T, which[whole])])
+        out[factors.starts[which, None] + np.arange(rank)] = _solve("eigvals", mats)
+    return out
 
 
 @_once_per_operator
@@ -904,7 +973,8 @@ def singular_values(T: WeightedOperator) -> np.ndarray:
     """Descending singular values (read-only), read off the factors, so the
     ones under the rank cutoff are exact zeros; the largest is the operator
     norm on L2(mu)."""
-    s = np.concatenate([s for _, _, s, _ in _factors(T)])
+    factors = _factors(T)
+    s = factors.s[_kept(factors.ranks, factors.s.shape[1])]
     return np.concatenate([np.sort(s)[::-1], np.zeros(T.space.point_count - s.size)])
 
 
@@ -912,12 +982,12 @@ def operator_norm(T: WeightedOperator) -> float:
     return float(singular_values(T)[0])
 
 
-def _asymmetry(blocks: list) -> tuple:
+def _asymmetry(mats: list) -> tuple:
     """(the largest entry of M - M^H, 1 + the largest entry of M) over the
-    matrices M (standard-coordinate blocks, or their cores): the
-    self-adjointness test compares them."""
-    scale_ = 1.0 + max(np.abs(m).max(initial=0.0) for m in blocks)
-    asymmetry = max(np.abs(m - m.conj().T).max(initial=0.0) for m in blocks)
+    matrices M, or stacks of them (standard-coordinate blocks, or their
+    cores): the self-adjointness test compares them."""
+    scale_ = 1.0 + max(np.abs(m).max(initial=0.0) for m in mats)
+    asymmetry = max(np.abs(m - _conj_t(m)).max(initial=0.0) for m in mats)
     return asymmetry, scale_
 
 
@@ -946,12 +1016,14 @@ def loewner_margins(A: WeightedOperator, B: WeightedOperator) -> LoewnerMargins:
 
 def _margins(cores: list) -> LoewnerMargins:
     """The Loewner margins of the standard-coordinate blocks Z K Z^H given by
-    their ``cores`` K (Z with orthonormal columns; a block is its own core
-    for Z = I): D - D^H = Z (K - K^H) Z^H vanishes iff K - K^H does, so the
-    asymmetry and the scale are read off K, and the eigenvalues of D's
-    self-adjoint part are K's, the rest being exact zeros."""
+    their ``cores`` K, matrices or stacks of them (Z with orthonormal
+    columns; a block is its own core for Z = I): D - D^H = Z (K - K^H) Z^H
+    vanishes iff K - K^H does, so the asymmetry and the scale are read off
+    K, and the eigenvalues of D's self-adjoint part are K's, the rest being
+    exact zeros. A core padded with zero rows and columns adds only zero
+    eigenvalues, which the margins already count."""
     asymmetry, scale_ = _asymmetry(cores)
-    evals = np.concatenate([_solve("eigvalsh", 0.5 * (k + k.conj().T)) for k in cores])
+    evals = np.concatenate([_solve("eigvalsh", 0.5 * (k + _conj_t(k))).ravel() for k in cores])
     return LoewnerMargins(
         asymmetry, scale_, evals.min(initial=0.0), np.abs(evals).max(initial=0.0)
     )
@@ -1000,6 +1072,20 @@ def fractional_power(
     return _from_std_blocks(pieces, A)
 
 
+def _diagonal(values: np.ndarray) -> np.ndarray:
+    """The stack of complex diagonal matrices with the rows of ``values``
+    (blocks x r) as their diagonals."""
+    out = np.zeros(values.shape + values.shape[-1:], dtype=complex)
+    index = np.arange(values.shape[-1])
+    out[:, index, index] = values
+    return out
+
+
+def _twice(line: np.ndarray) -> np.ndarray:
+    """The lines (L, R) = (line, line), a read-only view of ``line``."""
+    return np.broadcast_to(line, (2,) + line.shape)
+
+
 def gram_power(T: WeightedOperator, p: float) -> WeightedOperator:
     """(T* T)^p, read off the memoized factors: a standard-coordinate block
     B = X S Y^H gives (B^H B)^p = Y S^(2p) Y^H, and p = 1/2 is |T|. The
@@ -1008,8 +1094,9 @@ def gram_power(T: WeightedOperator, p: float) -> WeightedOperator:
     factors nothing new."""
     if p <= 0:
         raise ValueError("power must be positive")
-    cores = [(b, y, np.diag(s ** (2 * p)), y) for b, _, s, y in _factors(T)]
-    return _from_cores(cores, T)
+    factors = _factors(T)
+    held = _Lines(factors.starts, factors.sizes, _twice(factors.lines[1]), _diagonal(factors.s ** (2 * p)))
+    return _from_lines(held, T)
 
 
 def polar_isometry_numeric(T: WeightedOperator) -> WeightedOperator:
@@ -1017,38 +1104,45 @@ def polar_isometry_numeric(T: WeightedOperator) -> WeightedOperator:
     modulus |T| is ``gram_power(T, 0.5)``, with the kernel condition: U is
     T|T|^-1 on range(|T|) and 0 on kernel(|T|), so N(U) = N(|T|). A block
     X S Y^H gives U = X Y^H and |T| = Y S Y^H."""
-    return _from_cores([(b, x, np.eye(s.size), y) for b, x, s, y in _factors(T)], T)
+    factors = _factors(T)
+    identities = _diagonal(_kept(factors.ranks, factors.s.shape[1]).astype(float))
+    return _from_lines(_Lines(factors.starts, factors.sizes, factors.lines, identities), T)
 
 
 def aluthge_numeric(T: WeightedOperator) -> WeightedOperator:
     """|T|^(1/2) U |T|^(1/2) from the numeric polar decomposition.
 
     A block X S Y^H has |T|^(1/2) = Y S^(1/2) Y^H and U = X Y^H, so the
-    transform is Y (S^(1/2) C S^(1/2)) Y^H with the r x r core C = Y^H X,
-    which the result keeps. The singular values under the cutoff are exact
-    zeros: the square root would amplify their noise (eps -> sqrt(eps))."""
-    cores = []
-    for b, x, s, y in _factors(T):
-        root = np.sqrt(s)
-        cores.append((b, y, root[:, None] * (y.conj().T @ x) * root[None, :], y))
-    return _from_cores(cores, T)
+    transform is Y (S^(1/2) C S^(1/2)) Y^H with the r x r core C = Y^H X
+    (``_inner_cores``), which the result keeps. The singular values under
+    the cutoff are exact zeros: the square root would amplify their noise
+    (eps -> sqrt(eps))."""
+    factors = _factors(T)
+    root = np.sqrt(factors.s)
+    core = root[:, :, None] * _inner_cores(T) * root[:, None, :]
+    return _from_lines(_Lines(factors.starts, factors.sizes, _twice(factors.lines[1]), core), T)
 
 
 def kernel_projection(T: WeightedOperator) -> WeightedOperator:
     """The weighted-orthogonal projection onto the numeric null space of T,
     block-diagonal like T: I - Y Y^H on each block X diag(s) Y^H of T's
-    factors, so an operator built from cores factors only its r x r cores."""
-    return _from_std_blocks(
-        [(b, np.eye(b.size) - y @ y.conj().T) for b, _, _, y in _factors(T)], T
-    )
+    factors, so an operator held as its cores factors only those. The
+    projection's blocks are built here: it is a dense reference."""
+    factors = _factors(T)
+    y = factors.lines[1]
+    pieces = []
+    for b, start in zip(T.blocks, factors.starts):
+        rows = y[start : start + b.size]
+        pieces.append((b, np.eye(b.size) - rows @ rows.conj().T))
+    return _from_std_blocks(pieces, T)
 
 
 def is_normal(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:
     """T T* = T* T to tolerance, read off T's joint cores: a block Q K Q^H
     (``_joint_cores``) gives T T* - T* T = Q (K K^H - K^H K) Q^H, whose norm
-    is the largest eigenvalue modulus of that Hermitian core."""
-    comm = max(
-        np.abs(_solve("eigvalsh", k @ k.conj().T - k.conj().T @ k)).max(initial=0.0)
-        for _, _, k in _joint_cores(T)
-    )
+    is the largest eigenvalue modulus of that Hermitian core; one stacked
+    eigvalsh takes every block's."""
+    k = _joint_cores(T).core
+    kh = _conj_t(k)
+    comm = np.abs(_solve("eigvalsh", k @ kh - kh @ k)).max(initial=0.0)
     return bool(comm <= tol * (1.0 + operator_norm(T) ** 2))

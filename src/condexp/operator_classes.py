@@ -20,7 +20,10 @@ from .measure_space import (
 )
 from .operator_algebra import (
     WeightedOperator,
+    _conj_t,
+    _diagonal,
     _factors,
+    _inner_cores,
     _joint_cores,
     _margins,
     _once_per_operator,
@@ -83,18 +86,21 @@ def _class_margins(T: WeightedOperator) -> dict:
     [Y X], with the core R_y |M| R_y^H - R_x S^2 R_x^H of at most 2r x 2r
     (``_joint_cores``). Every margin is read off these cores
     (``_margins``), so no |B| x |B| array is built and only r x r
-    factorizations run; the margins are floats, and each test applies its
-    own tolerance."""
-    cores = {A_CLASS: [], STAR_A_CLASS: [], QUASI_STAR_A_CLASS: []}
-    for (_, x, s, y), (ry, rx, _) in zip(_factors(T), _joint_cores(T)):
-        c = y.conj().T @ x
-        _, sigma, qh = _solve("svd", s[:, None] * c * s[None, :])
-        abs_m = (qh.conj().T * sigma) @ qh
-        sq = np.diag(s**2)
-        cores[A_CLASS].append(abs_m - sq)
-        cores[STAR_A_CLASS].append(ry @ abs_m @ ry.conj().T - rx @ sq @ rx.conj().T)
-        cores[QUASI_STAR_A_CLASS].append(s[:, None] * (c.conj().T @ abs_m @ c - sq) * s[None, :])
-    return {name: _margins(k) for name, k in cores.items()}
+    factorizations run, stacked over the blocks: one SVD for |M| and one
+    eigvalsh per class. The stacks are padded with zeros past each block's
+    rank, which adds only zero eigenvalues. The margins are floats, and
+    each test applies its own tolerance."""
+    s, c, joint = _factors(T).s, _inner_cores(T), _joint_cores(T)
+    _, sigma, qh = _solve("svd", s[:, :, None] * c * s[:, None, :])
+    abs_m = (_conj_t(qh) * sigma[:, None, :]) @ qh
+    sq = _diagonal(s**2)
+    cores = {
+        A_CLASS: abs_m - sq,
+        STAR_A_CLASS: joint.r_y @ abs_m @ _conj_t(joint.r_y)
+        - joint.r_x @ sq @ _conj_t(joint.r_x),
+        QUASI_STAR_A_CLASS: s[:, :, None] * (_conj_t(c) @ abs_m @ c - sq) * s[:, None, :],
+    }
+    return {name: _margins([k]) for name, k in cores.items()}
 
 
 def is_a_class_definitional(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:

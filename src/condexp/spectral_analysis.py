@@ -6,7 +6,8 @@ radius its sup norm); the numeric side is the per-atom eigenvalue oracle.
 On a finite space the point spectrum is the spectrum, and 0 belongs to it
 iff T is rank deficient; T has one rank-one block per atom in S and G, so
 its rank is the number of those atoms. The joint point spectrum is read off
-T's factors too: each atom's at most 2r x 2r joint core (``_joint_cores``).
+T's factors too: each atom's at most 2r x 2r joint core (``_joint_cores``),
+all atoms' stacked.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from .measure_space import cluster_values, ess_range, level_set
 from .operator_algebra import (
     WeightedOperator,
-    _factors,
     _joint_cores,
     _solve,
     eigenvalues,
@@ -37,7 +37,8 @@ DEFAULT_SPECTRUM_TOL = 1e-7
 #: default relative tolerance of the joint point spectrum and its identities
 DEFAULT_JOINT_TOL = 1e-8
 #: entries of the work arrays ``_set_distances`` and
-#: ``joint_point_spectrum`` hold at a time
+#: ``joint_point_spectrum`` hold at a time (the latter's stacked matrices
+#: and their two factors together)
 DISTANCE_CHUNK = 1 << 16
 #: two subspaces intersect nontrivially iff their smallest principal angle
 #: is below this (radians)
@@ -193,36 +194,46 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = DEFAULT_JOINT_TOL) ->
     by block: the largest cosine over all blocks gives the smallest angle.
 
     Each block B is Q K Q^H with the core K of ``_joint_cores``, and it and
-    its adjoint vanish on the complement of Q's min(|B|, 2r) columns. So
-    both null spaces are Q's image of the core's, plus that complement when
-    |lambda| is within the cutoff and 2r < |B|, which makes the cosine 1
-    there; Q itself is never needed. One SVD of K - lambda I per block,
-    stacked over the shifts, gives the core's two: with K - lambda I =
-    U S V^H, the right singular vectors past the rank span null(K - lambda I)
-    and the left ones null(K^H - conj(lambda) I). The factors drop only
-    singular values under ``DEFAULT_RANK_TOL`` ||T||, which is below the cutoff
-    for any tol >= DEFAULT_RANK_TOL.
+    its adjoint vanish on the complement of Q's vectors. So both null
+    spaces are Q's image of the core's, plus that complement when |lambda|
+    is within the cutoff and Q's vectors do not span B (``complement``),
+    which makes the cosine 1 there; Q itself is never needed. One SVD of
+    K - lambda I per (atom, shift) pair, stacked over the pairs in
+    DISTANCE_CHUNK pieces, gives the core's two: with K - lambda I =
+    U S V^H, the right singular vectors past the rank span
+    null(K - lambda I) and the left ones null(K^H - conj(lambda) I). A
+    column of the core that is no vector of Q (``dims``) has a zero row and
+    column in K, so it is kept out of both null spaces by a diagonal entry
+    above the cutoff. The factors drop only singular values under
+    ``DEFAULT_RANK_TOL`` ||T||, which is below the cutoff for any
+    tol >= DEFAULT_RANK_TOL.
     """
     cutoff = tol * (1.0 + operator_norm(T))
     clusters = cluster_values(eigenvalues(T), cutoff)
     shifts = np.asarray(clusters, dtype=complex)
+    joint = _joint_cores(T)
     cosine = np.zeros(shifts.size)
-    for (b, _, s, _), (_, _, core) in zip(_factors(T), _joint_cores(T)):
-        if 2 * s.size < b.size:
-            cosine[np.abs(shifts) <= cutoff] = 1.0
-        rows = max(1, DISTANCE_CHUNK // max(1, core.size))
-        for start in range(0, shifts.size, rows):
-            lam = shifts[start : start + rows, None, None]
-            u, sv, vh = _solve("svd", core - lam * np.eye(len(core)))
-            null = sv <= cutoff
-            hit = null.any(axis=-1)  # the shifts with a null vector on this block
-            u, vh, null = u[hit], vh[hit], null[hit]
-            # k1^H k2 with k1 = null(K - lambda I), k2 = null(K^H - conj(lambda) I),
-            # padded with zero rows and columns
-            gram = (vh * null[:, :, None]) @ (u * null[:, None, :])
-            cosines = _solve("svd", gram, compute_uv=False).max(axis=-1, initial=0.0)
-            part = cosine[start : start + rows]
-            part[hit] = np.maximum(part[hit], cosines)
+    if joint.complement.any():
+        cosine[np.abs(shifts) <= cutoff] = 1.0
+    dim = joint.core.shape[-1]
+    diagonal = np.arange(dim)
+    pairs = len(joint.core) * shifts.size
+    rows = max(1, DISTANCE_CHUNK // max(1, 4 * dim * dim))
+    for start in range(0, pairs, rows):
+        atom, shift = np.divmod(np.arange(start, min(start + rows, pairs)), shifts.size)
+        mats = joint.core[atom]
+        mats[:, diagonal, diagonal] = np.where(
+            joint.dims[atom], mats[:, diagonal, diagonal] - shifts[shift, None], 1.0 + 2.0 * cutoff
+        )
+        u, sv, vh = _solve("svd", mats)
+        null = sv <= cutoff
+        hit = null.any(axis=-1)  # the pairs whose block has a null vector at the shift
+        u, vh, null = u[hit], vh[hit], null[hit]
+        # k1^H k2 with k1 = null(K - lambda I), k2 = null(K^H - conj(lambda) I),
+        # padded with zero rows and columns
+        gram = (vh * null[:, :, None]) @ (u * null[:, None, :])
+        cosines = _solve("svd", gram, compute_uv=False).max(axis=-1, initial=0.0)
+        np.maximum.at(cosine, shift[hit], cosines)
     angles = np.arccos(np.clip(cosine, -1.0, 1.0))
     return [lam for lam, angle in zip(clusters, angles) if angle < PRINCIPAL_ANGLE_TOL]
 

@@ -9,7 +9,7 @@ from condexp import (
     operator_norm,
 )
 from condexp.measure_space import cluster_values
-from condexp.operator_algebra import _std_blocks
+from condexp.operator_algebra import _factors, _std_blocks
 from condexp.spectral_analysis import PRINCIPAL_ANGLE_TOL
 
 
@@ -50,6 +50,16 @@ def multiset_close(a, b, tol):
             return False
         b.pop(j)
     return True
+
+
+def block_factors(T):
+    """T's flat factors (``_factors``) read back one block at a time, in
+    block order: (indices, X, s, Y) of each block, cut to its rank."""
+    factors = _factors(T)
+    x, y = factors.lines
+    for b, start, rank, s in zip(T.blocks, factors.starts, factors.ranks, factors.s):
+        rows = slice(start, start + b.size)
+        yield b, x[rows, :rank], s[:rank], y[rows, :rank]
 
 
 def two_svd_joint_point_spectrum(T, tol=1e-8):

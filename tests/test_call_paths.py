@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from condexp import MeasurableFunction, WeightedOperator, product_space_example
+from condexp import MeasurableFunction, WeightedOperator, product_space_example, random_instance
 from condexp import operator_algebra as oa
 from condexp import wce_operator as wce
 from condexp.verification import summarize, verify_instance
@@ -387,3 +387,42 @@ def test_verify_calls_expectation_operator_once(monkeypatch):
         monkeypatch.setattr(module, "expectation_operator", counted)
     assert summarize(verify_instance(product_space_example(4, 80)))["all_passed"]
     assert len(calls) == 1
+
+
+def _solver_calls_outside_t_factorization(monkeypatch, instance) -> int:
+    """The numpy.linalg calls of a verify of ``instance`` made outside
+    ``_block_svds``, which factors T's blocks one at a time (its sketches
+    included)."""
+    calls, inside = [], []
+    for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "qr"):
+
+        def probe(*args, _original=getattr(np.linalg, name), **kwargs):
+            if not inside:
+                calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, probe)
+
+    def block_svds(T, _original=oa._block_svds):
+        inside.append(1)
+        try:
+            return _original(T)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(oa, "_block_svds", block_svds)
+    assert summarize(verify_instance(instance))["all_passed"]
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_verify_makes_no_solver_call_per_atom(monkeypatch):
+    """Outside T's own per-block factorization, a verify makes as many
+    solver calls at 16 atoms as at 8 on the same 64 points: every other
+    question asked of T's factors is one stacked call over the atoms."""
+    for seed in range(2):
+        counts = [
+            _solver_calls_outside_t_factorization(monkeypatch, random_instance(seed, 64, atoms))
+            for atoms in (8, 16)
+        ]
+        assert counts[0] == counts[1] > 0

@@ -341,6 +341,29 @@ class TestClusterValues:
     def test_empty(self):
         assert cluster_values([], 1e-9) == []
 
+    def test_few_distinct_values_with_multiplicities(self):
+        """A verify's shape: n values with k << n distinct ones, exact zeros
+        many times over, and copies of a value joining a centroid that has
+        moved, each by its own update; the centroids equal the greedy
+        reference's to the bit."""
+        tol = 1e-3
+        values = np.concatenate(
+            [
+                np.zeros(300),
+                np.full(7, -0.0),
+                np.full(3, 1.0 + 1j),
+                np.full(5, 1.0 + 1j + 0.6 * tol),  # joins after the centroid moved
+                np.full(4, 1.0 + 1j + 1.2 * tol),  # within tol of the moved centroid
+                np.full(6, 0.5 - 0.25j),
+            ]
+        )
+        np.random.default_rng(4).shuffle(values)
+        got, reference = cluster_values(values, tol), greedy_cluster_values(values, tol)
+        assert len(got) == 3
+        assert got == reference
+        bits = [np.array(x, dtype=complex).view(np.uint64) for x in (got, reference)]
+        assert np.array_equal(*bits)
+
 
 class TestLevelSet:
     def test_exact(self):

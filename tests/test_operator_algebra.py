@@ -33,9 +33,11 @@ from condexp import (
 )
 from condexp.measure_space import cluster_values
 from condexp.operator_algebra import (
+    _Lines,
     _factors,
-    _from_cores,
+    _from_lines,
     _rank_one_scales,
+    _segments,
     _unit_line,
     _std_blocks,
     core_distance,
@@ -47,7 +49,13 @@ from condexp.operator_algebra import (
     subtract,
 )
 
-from conftest import discrete_algebra, make_function, multiset_close, trivial_algebra
+from conftest import (
+    block_factors,
+    discrete_algebra,
+    make_function,
+    multiset_close,
+    trivial_algebra,
+)
 
 
 def flat_space(n):
@@ -521,15 +529,31 @@ def _orthonormal(rng, rows, cols):
     return np.linalg.qr(_complex_vector(rng, rows * cols).reshape(rows, cols))[0]
 
 
+def _held(blocks, cores):
+    """The operator on PAIR_SPACE over ``blocks`` held as the lines and
+    cores L K R^H, one (L, K, R) per block, each zero-padded to the largest
+    rank (``_Lines``)."""
+    starts, sizes = _segments(blocks)
+    rank = max(k.shape[0] for _, k, _ in cores)
+    lines = np.zeros((2, 15, rank), dtype=complex)
+    core = np.zeros((len(blocks), rank, rank), dtype=complex)
+    for j, (start, size, (left, k, right)) in enumerate(zip(starts, sizes, cores)):
+        r = k.shape[0]
+        lines[0, start : start + size, :r], lines[1, start : start + size, :r] = left, right
+        core[j, :r, :r] = k
+    held = _Lines(starts, sizes, lines, core)
+    return _from_lines(held, WeightedOperator(np.zeros((15, 15)), PAIR_SPACE, blocks))
+
+
 def _cored(blocks, rng, ranks):
     """An operator on PAIR_SPACE over ``blocks`` held as random cores
     L K R^H of these ranks, one per block."""
     cores = [
-        (b, _orthonormal(rng, b.size, r), _complex_vector(rng, r * r).reshape(r, r),
+        (_orthonormal(rng, b.size, r), _complex_vector(rng, r * r).reshape(r, r),
          _orthonormal(rng, b.size, r))
         for b, r in zip(blocks, ranks)
     ]
-    return _from_cores(cores, WeightedOperator(np.zeros((15, 15)), PAIR_SPACE, blocks))
+    return _held(blocks, cores)
 
 
 def _pair_as_cores(pair, blocks):
@@ -541,8 +565,8 @@ def _pair_as_cores(pair, blocks):
     for b in blocks:
         atoms = np.unique(PAIR_ALGEBRA.labels[b])
         columns = PAIR_ALGEBRA.labels[b][:, None] == atoms[None, :]
-        cores.append((b, p[b, None] * columns, np.diag(sigma[atoms]), q[b, None] * columns))
-    return _from_cores(cores, WeightedOperator(np.zeros((15, 15)), PAIR_SPACE, blocks))
+        cores.append((p[b, None] * columns, np.diag(sigma[atoms]), q[b, None] * columns))
+    return _held(blocks, cores)
 
 
 ONE_BLOCK = (np.arange(15),)
@@ -683,11 +707,11 @@ class TestNormal:
             assert is_normal(X, turn * (1 - 1e-6)) is False
 
     def test_reads_only_the_joint_cores(self, monkeypatch):
-        """With T's factors memoized, is_normal runs no SVD and only
-        eigvalsh of one at most 2r x 2r core per atom, and builds no
-        operator."""
+        """With T's factors memoized, is_normal runs no SVD and only one
+        eigvalsh, of a stack of at most 2r x 2r cores, one per atom, and
+        builds no operator."""
         T = to_matrix(as_wce(random_instance(0, 18, 3)))
-        rank = max(s.size for _, _, s, _ in _factors(T))
+        rank = _factors(T).s.shape[1]
         calls = []
 
         def probe(routine):
@@ -702,8 +726,9 @@ class TestNormal:
         built = []
         monkeypatch.setattr(WeightedOperator, "__post_init__", lambda op: built.append(op))
         assert not is_normal(T)
-        assert [r for r, _ in calls] == ["eigvalsh"] * len(T.blocks)
-        assert max(max(shape) for _, shape in calls) <= 2 * rank
+        assert [r for r, _ in calls] == ["eigvalsh"]
+        assert calls[0][1][0] == len(T.blocks)
+        assert max(max(shape[-2:]) for _, shape in calls) <= 2 * rank
         assert built == []
 
     def test_hermitian_check(self):
@@ -716,12 +741,13 @@ class TestNormal:
 class TestSolverLog:
     def test_one_debug_record_per_solver_call(self, caplog):
         """eigenvalues of a rank-one-per-atom T: an SVD record per block and
-        an eigvals record per 1 x 1 core, each with its shape and seconds."""
+        one eigvals record for the stack of 1 x 1 cores, each with its shape
+        and seconds."""
         T = to_matrix(as_wce(random_instance(0, 10, 3)))
         caplog.set_level(logging.DEBUG, logger="condexp")
         eigenvalues(T)
         messages = [r.getMessage() for r in caplog.records if r.name == "condexp"]
-        assert len(messages) == 2 * len(T.blocks) == 6
+        assert len(messages) == len(T.blocks) + 1 == 4
         records = [m.split() for m in messages]
         for _, _, seconds, unit in records:
             assert float(seconds) >= 0.0 and unit == "s"
@@ -729,13 +755,13 @@ class TestSolverLog:
         for routine, shape, _, _ in records:
             shapes[routine].append(shape)
         assert sorted(shapes["svd"]) == sorted(f"{b.size}x{b.size}" for b in T.blocks)
-        assert shapes["eigvals"] == ["1x1"] * len(T.blocks)
+        assert shapes["eigvals"] == [f"{len(T.blocks)}x1x1"]
 
     def test_a_stacked_call_logs_its_whole_shape(self, caplog):
-        """The joint point spectrum factors each rank-one atom's 2 x 2 core
-        at every shift in one stacked SVD, and takes the principal angles at
-        the shifts with a null vector in another: each record gives the
-        stack's whole shape."""
+        """The joint point spectrum factors the 2 x 2 core of every rank-one
+        atom at every shift in one stacked SVD, and takes the principal
+        angles at the pairs with a null vector in another: each record gives
+        the stack's whole shape."""
         T = to_matrix(as_wce(random_instance(0, 10, 3)))
         assert all(b.size >= 2 for b in T.blocks)
         shifts = len(cluster_values(eigenvalues(T), 1e-8 * (1.0 + operator_norm(T))))
@@ -743,8 +769,9 @@ class TestSolverLog:
         joint_point_spectrum(T, 1e-8)
         shapes = [m.split()[1] for m in caplog.messages if m.startswith("svd ")]
         assert shifts > 1
-        assert shapes[::2] == [f"{shifts}x2x2"] * len(T.blocks)
-        assert all(re.fullmatch(r"\d+x2x2", shape) for shape in shapes[1::2])
+        assert len(shapes) == 2
+        assert shapes[0] == f"{len(T.blocks) * shifts}x2x2"
+        assert re.fullmatch(r"\d+x2x2", shapes[1])
 
     def test_silent_above_debug(self, caplog):
         caplog.set_level(logging.INFO, logger="condexp")
@@ -761,7 +788,7 @@ def _atom_operator(seed):
 def _reconstruction_error(A):
     return max(
         np.abs((x * s) @ y.conj().T - m).max()
-        for (_, x, s, y), (_, m) in zip(_factors(A), _std_blocks(A))
+        for (_, x, s, y), (_, m) in zip(block_factors(A), _std_blocks(A))
     )
 
 

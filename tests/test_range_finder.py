@@ -16,11 +16,29 @@ import re
 import numpy as np
 import pytest
 
-from condexp import FiniteMeasureSpace, WeightedOperator, adjoint, eigenvalues
+from condexp import (
+    FiniteMeasureSpace,
+    WeightedOperator,
+    adjoint,
+    compose,
+    eigenvalues,
+    is_normal,
+    joint_point_spectrum,
+    operator_norm,
+    singular_values,
+)
 from condexp import operator_algebra as oa
-from condexp.operator_algebra import DEFAULT_RANK_TOL, _factors, _std_blocks
+from condexp.operator_algebra import (
+    DEFAULT_RANK_TOL,
+    _factors,
+    _std_blocks,
+    gram_power,
+    loewner_holds,
+    loewner_margins,
+)
+from condexp.operator_classes import A_CLASS, QUASI_STAR_A_CLASS, STAR_A_CLASS, _class_margins
 
-from conftest import multiset_close
+from conftest import block_factors, multiset_close, two_svd_joint_point_spectrum
 
 
 def _block(rng, size, values):
@@ -84,7 +102,7 @@ CASES = {
 def test_matches_the_dense_svd_of_each_block(caplog, spec, path):
     T = _operator(spec)
     caplog.set_level(logging.DEBUG, logger="condexp")
-    factors = _factors(T)
+    factors = list(block_factors(T))
     first = "\n".join(m for m in caplog.messages if m.startswith(f"sketch {spec[0][0]}x"))
     assert re.search(path, first)
     reference = _dense_reference(T)
@@ -127,7 +145,7 @@ def test_the_residual_certifies_the_values():
 
 
 def _factor_arrays(T) -> dict:
-    return {int(b[0]): (x, s, y) for b, x, s, y in _factors(T)}
+    return {int(b[0]): (x, s, y) for b, x, s, y in block_factors(T)}
 
 
 def test_factors_depend_on_neither_the_run_nor_the_block_order():
@@ -206,3 +224,106 @@ def test_a_lazy_operator_builds_one_block_alone(monkeypatch):
     eigenvalues(A)
     assert built == [6]
     assert callable(A._parts)
+
+
+#: blocks of rank 0, 1, 2 and 4 and of differing sizes, a 1-point atom among
+#: them, all but one under 16 points: the flat factors pad every block to
+#: rank 4
+MIXED_RANKS = [
+    (5, []),
+    (1, [0.7]),
+    (3, [0.9]),
+    (6, [1.0, 0.4]),
+    (20, [1.0, 0.5, 0.3, 0.2]),
+    (12, [0.8, 0.6, 0.3, 0.1]),
+]
+
+
+def _jordan_operator():
+    """A 1-point atom of rank 1 beside a 3 x 3 Jordan block of rank 2,
+    whose kernel and its adjoint's meet only in 0: 0 is an eigenvalue, but
+    no common eigenvector carries it, and the 1-point atom, padded to rank
+    2, must not give it one."""
+    parts = [np.array([[0.6 - 0.3j]]), np.diag([1.0, 2.0], k=1)]
+    weights = np.array([1.3, 0.4, 1.7, 0.9])
+    blocks = [np.arange(1), np.arange(1, 4)]
+    d = np.sqrt(weights)
+    entries = np.zeros((4, 4), dtype=complex)
+    for b, m in zip(blocks, parts):
+        entries[np.ix_(b, b)] = (m / d[b][:, None]) * d[b][None, :]
+    return WeightedOperator(entries, FiniteMeasureSpace(weights), blocks)
+
+
+@pytest.mark.parametrize("seed", range(3))
+class TestMixedRanks:
+    """The flat factors of blocks of rank 0, 1, 2 and 4, padded to rank 4,
+    and every question read off them, against the dense per-block
+    references: each block's SVD and eigvals, ``loewner_margins`` of the
+    composed operators, the dense commutator and the two-SVD joint point
+    spectrum."""
+
+    def test_flat_factors_are_the_dense_svd_of_each_block(self, seed):
+        T = _operator(MIXED_RANKS, seed)
+        factors = _factors(T)
+        reference = _dense_reference(T)
+        largest = max(s.max(initial=0.0) for s in reference)
+        assert factors.ranks.tolist() == [s.size for s in reference] == [0, 1, 1, 2, 4, 4]
+        assert factors.lines.shape == (2, sum(b.size for b in T.blocks), 4)
+        kept = np.arange(4) < factors.ranks[:, None]
+        assert np.all(factors.s[~kept] == 0)
+        for start, size, rank in zip(factors.starts, factors.sizes, factors.ranks):
+            assert np.all(factors.lines[:, start : start + size, rank:] == 0)
+        for (_, x, s, y), (_, m), dense in zip(block_factors(T), _std_blocks(T), reference):
+            np.testing.assert_allclose(s, dense, rtol=1e-12, atol=1e-12 * largest)
+            np.testing.assert_allclose(x.conj().T @ x, np.eye(s.size), atol=1e-12)
+            np.testing.assert_allclose(y.conj().T @ y, np.eye(s.size), atol=1e-12)
+            assert np.abs((x * s) @ y.conj().T - m).max() <= 2 * DEFAULT_RANK_TOL * largest
+
+    def test_singular_values_and_eigenvalues(self, seed):
+        T = _operator(MIXED_RANKS, seed)
+        dense = np.sort(np.concatenate([s for s in _dense_reference(T)]))[::-1]
+        got = singular_values(T)
+        np.testing.assert_allclose(got[: dense.size], dense, rtol=0, atol=1e-12 * dense[0])
+        assert np.all(got[dense.size :] == 0)
+        evals, start = eigenvalues(T), 0
+        for _, m in _std_blocks(T):
+            got = evals[start : start + len(m)]
+            assert multiset_close(got, np.linalg.eigvals(m), 1e-10)
+            start += len(m)
+        assert start == evals.size
+
+    def test_class_margins(self, seed):
+        T = _operator(MIXED_RANKS, seed)
+        t_star = adjoint(T)
+        mod_t2 = gram_power(compose(T, T), 0.5)
+        mod_sq = compose(gram_power(T, 0.5), gram_power(T, 0.5))
+        adj_sq = compose(gram_power(t_star, 0.5), gram_power(t_star, 0.5))
+        generic = {
+            A_CLASS: loewner_margins(mod_t2, mod_sq),
+            STAR_A_CLASS: loewner_margins(mod_t2, adj_sq),
+            QUASI_STAR_A_CLASS: loewner_margins(
+                compose(compose(t_star, mod_t2), T), compose(compose(t_star, adj_sq), T)
+            ),
+        }
+        margins = _class_margins(T)
+        scale = (1.0 + operator_norm(T)) ** 4
+        for cls, reference in generic.items():
+            for tol in (1e-9, 1e-8):
+                assert loewner_holds(margins[cls], tol) == loewner_holds(reference, tol), cls
+            np.testing.assert_allclose(
+                [margins[cls].smallest, margins[cls].norm],
+                [reference.smallest, reference.norm],
+                rtol=0,
+                atol=1e-12 * scale,
+            )
+
+    def test_normality_and_joint_point_spectrum(self, seed):
+        for T in (_operator(MIXED_RANKS, seed), _jordan_operator()):
+            d = np.sqrt(T.space.weights)
+            m = d[:, None] * T.entries / d[None, :]
+            comm = np.linalg.norm(m @ m.conj().T - m.conj().T @ m, 2)
+            turn = comm / (1.0 + operator_norm(T) ** 2)
+            assert is_normal(T, turn * (1 + 1e-6)) and not is_normal(T, turn * (1 - 1e-6))
+            assert joint_point_spectrum(T) == two_svd_joint_point_spectrum(T)
+        assert 0.0 in eigenvalues(_jordan_operator())
+        assert joint_point_spectrum(_jordan_operator()) == [0.6 - 0.3j]
