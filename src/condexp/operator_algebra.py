@@ -172,7 +172,7 @@ class WeightedOperator:
             object.__setattr__(self, "_parts", _checked_parts(self.blocks, parts))
             return
         held = self._memo.get(_LINES)
-        if held is not None and not (np.isfinite(held.lines).all() and np.isfinite(held.core).all()):
+        if held is not None and not all(np.isfinite(a).all() for a in (held.lines, held.core)):
             raise ValueError("operator entries must be finite")
 
     @property
@@ -1095,8 +1095,8 @@ def gram_power(T: WeightedOperator, p: float) -> WeightedOperator:
     if p <= 0:
         raise ValueError("power must be positive")
     factors = _factors(T)
-    held = _Lines(factors.starts, factors.sizes, _twice(factors.lines[1]), _diagonal(factors.s ** (2 * p)))
-    return _from_lines(held, T)
+    core = _diagonal(factors.s ** (2 * p))
+    return _from_lines(_Lines(factors.starts, factors.sizes, _twice(factors.lines[1]), core), T)
 
 
 def polar_isometry_numeric(T: WeightedOperator) -> WeightedOperator:
@@ -1129,12 +1129,8 @@ def kernel_projection(T: WeightedOperator) -> WeightedOperator:
     factors, so an operator held as its cores factors only those. The
     projection's blocks are built here: it is a dense reference."""
     factors = _factors(T)
-    y = factors.lines[1]
-    pieces = []
-    for b, start in zip(T.blocks, factors.starts):
-        rows = y[start : start + b.size]
-        pieces.append((b, np.eye(b.size) - rows @ rows.conj().T))
-    return _from_std_blocks(pieces, T)
+    ys = np.split(factors.lines[1], factors.starts[1:])
+    return _from_std_blocks([(b, np.eye(b.size) - y @ y.conj().T) for b, y in zip(T.blocks, ys)], T)
 
 
 def is_normal(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:

@@ -437,12 +437,12 @@ def _memo_arrays(value):
 def _small_memo(T) -> bool:
     """Apart from T's flat factors (2 x n x R lines), no array memoized on T,
     nor the array it views, has two or more axes and more than
-    blocks x (2R + 1)^2 entries: no |B| x |B| U or V^H and no n x 2R joint
+    blocks x (2R)^2 entries: no |B| x |B| U or V^H and no n x 2R joint
     basis stays alive, only cores of at most 2R x 2R per atom."""
     factors = _factors(T)
     arrays = [a for a in _memo_arrays(list(T._memo.values())) if a.ndim >= 2]
     owned = [a if a.base is None else a.base for a in arrays]
-    bound = len(T.blocks) * (2 * factors.s.shape[1] + 1) ** 2
+    bound = len(T.blocks) * (2 * factors.s.shape[1]) ** 2
     assert any(np.shares_memory(a, factors.lines) for a in owned)
     return all(np.shares_memory(a, factors.lines) or a.size <= bound for a in owned)
 
