@@ -75,7 +75,6 @@ class SubSigmaAlgebra:
         if n < 1:
             raise ValueError("point_count must be >= 1")
         blocks = tuple(np.asarray(b) for b in self.blocks)
-        labels = np.full(n, -1, dtype=int)
         for k, b in enumerate(blocks):
             if b.ndim != 1:
                 raise ValueError(f"block {k} must be a flat list of point indices")
@@ -83,13 +82,19 @@ class SubSigmaAlgebra:
                 raise ValueError("blocks must be nonempty")
             if b.dtype.kind not in "iu":
                 raise ValueError(f"block {k} contains non-integer indices")
-            if b.min() < 0 or b.max() >= n:
-                raise ValueError(f"block {k} contains out-of-range indices")
-            if np.unique(b).size != b.size or np.any(labels[b] != -1):
-                raise ValueError("blocks must be pairwise disjoint without repeats")
-            labels[b] = k
-        if np.any(labels == -1):
+        sizes = np.fromiter(map(len, blocks), int, len(blocks))
+        points = np.concatenate([b.astype(int, copy=False) for b in blocks] or [np.empty(0, int)])
+        outside = np.flatnonzero((points < 0) | (points >= n))
+        if outside.size:
+            k = np.searchsorted(np.cumsum(sizes), outside[0], side="right")
+            raise ValueError(f"block {k} contains out-of-range indices")
+        counts = np.bincount(points, minlength=n)
+        if np.any(counts > 1):
+            raise ValueError("blocks must be pairwise disjoint without repeats")
+        if np.any(counts == 0):
             raise ValueError("blocks must cover every point")
+        labels = np.empty(n, dtype=int)
+        labels[points] = np.repeat(np.arange(len(blocks)), sizes)
         blocks = tuple(_frozen_array(np.sort(b), int) for b in blocks)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "point_count", n)

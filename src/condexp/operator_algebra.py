@@ -59,11 +59,15 @@ The closed forms all have the shape M_a E M_b, rank one on each atom, and
 are handled as their pairs (a, b). ``expectation_operator`` builds a pair's
 blocks (``_expectation_blocks`` yields them one atom at a time); the pair
 rules (adjoint, product, coimage projection, norm per atom) cost O(n) in
-segment sums over the atoms and build no block. ``core_distance`` is the
-one comparison, the operator norm of a difference: each side a pair or an
-operator held as its cores, it costs O(n r^2) in segment sums over the
-blocks plus one stacked values-only SVD of cores of at most
-(r_1 + r_2) x (r_1 + r_2), and builds no block either.
+segment sums over the atoms and build no block. ``core_distances`` is the
+one comparison, the operator norm of a difference, for a batch of them:
+each side a pair or an operator held as its cores, it costs O(n r^2) per
+comparison in segment sums over the blocks, one Gram-Schmidt over the
+whole batch, and builds no block either. Each difference's block has a
+core of at most (r_1 + r_2) x (r_1 + r_2): of at most 2 x 2, as for every
+operator a verify compares, its largest singular value is taken in closed
+form (``_extreme_values``), and larger cores take one stacked values-only
+SVD.
 """
 
 from __future__ import annotations
@@ -288,41 +292,15 @@ def expectation_product(
     return a * conditional_expectation(space, algebra, MeasurableFunction(b * c, space)).values, d
 
 
-def _rank_one_scales(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple) -> tuple:
-    """(sigma, scales) of M_a E M_b: on each atom B its standard-coordinate
-    block sqrt(mu) a (sqrt(mu) b)^T / mu(B) is sigma_B p q^H, with p and q
-    the unit vectors on B along the lines sqrt(mu) a and conj(sqrt(mu) b)
-    (``_unit_line``), and sigma_B = ||sqrt(mu) a||_B ||sqrt(mu) b||_B / mu(B).
-    scales[side] is 1 over that line's norm on each atom, 0 where sigma_B
-    is, so there p = q = 0. The lines are formed one at a time, not kept."""
-    norms = [np.sqrt(_atom_sums(algebra, np.abs(_line(space, pair, s)) ** 2)) for s in (0, 1)]
-    sigma = norms[0] * norms[1] / _atom_sums(algebra, space.weights)
-    on = sigma > 0
-    return sigma, [np.divide(1.0, norm, out=np.zeros_like(norm), where=on) for norm in norms]
-
-
-def _line(space: FiniteMeasureSpace, pair: tuple, side: int) -> np.ndarray:
-    """sqrt(mu) a (side 0) or conj(sqrt(mu) b) (side 1) of the pair (a, b),
-    a new complex array."""
-    line = np.multiply(_sqrt_weights(space), pair[side], dtype=complex)
-    return np.conj(line, out=line) if side else line
-
-
-def _unit_line(
-    space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple, side: int, scales: list
-) -> np.ndarray:
-    """p (side 0) or q (side 1) of ``_rank_one_scales``, a new array."""
-    line = _line(space, pair, side)
-    line *= scales[side][algebra.labels]
-    return line
-
-
 def expectation_norms(
     space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple
 ) -> np.ndarray:
-    """||M_a E M_b|| on each atom, in block order: the singular value of its
-    rank-one block; the largest is the operator norm."""
-    return _rank_one_scales(space, algebra, pair)[0]
+    """||M_a E M_b|| on each atom, in block order: the singular value
+    ||sqrt(mu) a||_B ||sqrt(mu) b||_B / mu(B) of its rank-one block; the
+    largest is the operator norm."""
+    d = _sqrt_weights(space)
+    norms = [np.sqrt(_atom_sums(algebra, np.abs(d * x) ** 2)) for x in pair]
+    return norms[0] * norms[1] / _atom_sums(algebra, space.weights)
 
 
 def expectation_coimage(
@@ -680,92 +658,6 @@ def _cored_parts(held: _Lines, space: FiniteMeasureSpace, blocks: tuple, which=N
         yield ((left / db) @ held.core[k]) @ (right * db).conj().T
 
 
-def core_distance(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, first, second) -> float:
-    """||first - second|| on L2(mu), with no |B| x |B| array. Each side is
-    the pair (a, b) of M_a E M_b on the atoms of ``algebra``, or an operator
-    held as its lines and cores (``_from_lines``: L K R^H on each block in
-    standard coordinates, L and R with orthonormal columns). NaN where a
-    side is not finite.
-
-    On each block the difference is [L_1 L_2] diag(K_1, -K_2) [R_1 R_2]^H,
-    with side 1 an operator held as its cores. Gram-Schmidt of each stack of
-    factors against side 1's orthonormal columns (``_gram_schmidt``) gives
-    its R factor, and R_L diag(K_1, -K_2) R_R^H, at most
-    (r_1 + r_2) x (r_1 + r_2), is a core with the difference's singular
-    values: one stacked values-only SVD of the cores gives every block's
-    norm, in O(n r^2) over all blocks. A pair's block on an atom B is
-    (sqrt(mu) a) (1 / mu(B)) (conj(sqrt(mu) b))^H. Sides blocked
-    differently, such as a pair and an operator of one block, are compared
-    as one block, whose factors take each block's as columns
-    (``_as_one_block``). Two pairs take the rank-one arithmetic of
-    ``_pair_distance``."""
-    if isinstance(first, tuple):
-        if isinstance(second, tuple):
-            return _pair_distance(space, algebra, first, second)
-        first, second = second, first
-    _check_space(first, space)
-    sides = [(first.blocks, _held_lines(first))]
-    if isinstance(second, tuple):
-        sides.append((algebra.blocks, _pair_lines(space, algebra, second)))
-    else:
-        _check_space(second, space)
-        sides.append((second.blocks, _held_lines(second)))
-    if not _same_blocks(sides[0][0], sides[1][0]):
-        sides = [(None, _as_one_block(*side)) for side in sides]
-    return _lines_distance(sides[0][1], sides[1][1])
-
-
-def _pair_distance(
-    space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, first: tuple, second: tuple
-) -> float:
-    """||M_a E M_b - M_c E M_d|| for the pairs first = (a, b) and
-    second = (c, d): the largest over the atoms of the norm of
-    sigma_1 p_1 q_1^H - sigma_2 p_2 q_2^H (``_rank_one_scales``).
-
-    On each atom the second pair's lines are split along the first's,
-    p_2 = c p_1 + rho e with rho = ||p_2 - c p_1|| (the Gram-Schmidt
-    residual: sqrt(1 - |c|^2) would lose the digits when the lines
-    nearly coincide, the case a passing check measures), and likewise
-    q_2 = d q_1 + tau f. The difference is then a 2 x 2 core in the
-    orthonormal bases (p_1, e) and (q_1, f)."""
-    (s1, scales1), (s2, scales2) = (_rank_one_scales(space, algebra, x) for x in (first, second))
-    (c, rho), (d, tau) = (
-        _split(space, algebra, (first, scales1), (second, scales2), side) for side in (0, 1)
-    )
-    cores = np.empty((algebra.block_count, 2, 2), dtype=complex)
-    cores[:, 0, 0] = s1 - s2 * c * np.conj(d)
-    cores[:, 0, 1] = -s2 * c * tau
-    cores[:, 1, 0] = -s2 * rho * np.conj(d)
-    cores[:, 1, 1] = -s2 * rho * tau
-    return _largest_value(cores)
-
-
-def _split(
-    space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, first: tuple, second: tuple, side: int
-) -> tuple:
-    """(c, rho) of ``_pair_distance`` on one side (0 for p, 1 for q), each
-    of first and second a pair with its ``_rank_one_scales``: the second's
-    unit line is c times the first's plus a residual of norm rho, per atom.
-    Only this side's lines are formed."""
-    x1, x2 = (_unit_line(space, algebra, pair, side, scales) for pair, scales in (first, second))
-    inner = np.conj(x1)
-    inner *= x2
-    along = _atom_sums(algebra, inner)
-    del inner  # a line's memory, free before the residual takes its own
-    residual = along[algebra.labels]
-    residual *= x1
-    np.subtract(x2, residual, out=residual)
-    return along, np.sqrt(_atom_sums(algebra, np.abs(residual) ** 2))
-
-
-def _largest_value(cores: np.ndarray) -> float:
-    """The largest singular value over a stack of cores, by one values-only
-    SVD; NaN where a core is not finite, which LAPACK would reject."""
-    if not np.isfinite(cores).all():
-        return math.nan
-    return float(_solve("svd", cores, compute_uv=False).max(initial=0.0))
-
-
 class _Lines(NamedTuple):
     """A block-diagonal operator whose standard-coordinate block is L K R^H
     on each block, held flat over its blocks listed one after the other
@@ -787,20 +679,10 @@ def _segments(blocks: tuple) -> tuple:
     return np.add.accumulate(sizes) - sizes, sizes
 
 
-def _pair_lines(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple) -> _Lines:
-    """The ``_Lines`` of M_a E M_b over the atoms of ``algebra``, in their
-    order: L = sqrt(mu) a, K = 1 / mu(B) and R = conj(sqrt(mu) b) on each
-    atom B."""
-    order, (starts, sizes) = np.concatenate(algebra.blocks), _segments(algebra.blocks)
-    lines = np.empty((2, order.size, 1), dtype=complex)
-    for side in (0, 1):  # "wrap" takes into out with no buffer; order never wraps
-        np.take(_line(space, pair, side), order, out=lines[side, :, 0], mode="wrap")
-    mass = np.add.reduceat(space.weights[order], starts).astype(complex)
-    return _Lines(starts, sizes, lines, (1.0 / mass)[:, None, None])
-
-
-def _held_lines(T: WeightedOperator) -> _Lines:
-    """The ``_Lines`` an operator derived from T's factors is held as."""
+def _held_lines(space: FiniteMeasureSpace, T: WeightedOperator) -> _Lines:
+    """The ``_Lines`` an operator on ``space`` derived from T's factors is
+    held as."""
+    _check_space(T, space)
     held = T._memo.get(_LINES)
     if held is None:
         raise ValueError("an operand must be a pair or an operator held as its cores")
@@ -823,19 +705,139 @@ def _as_one_block(blocks: tuple, side: _Lines) -> _Lines:
     return _Lines(np.zeros(1, dtype=int), np.full(1, n), lines, core)
 
 
-def _lines_distance(first: _Lines, second: _Lines) -> float:
-    """||first - second|| for two operators held as ``_Lines`` over the same
-    blocks in the same order, first's L and R with orthonormal columns: per
-    block, the largest singular value of the core R_L diag(K_1, -K_2) R_R^H
-    (``core_distance``). Gram-Schmidt overwrites a copy of second's lines
-    and loops once per column of second: on one block, a pair's columns are
-    its atoms."""
-    r1, r2 = first.core.shape[1], second.core.shape[1]
-    core = np.zeros((first.starts.size, r1 + r2, r1 + r2), dtype=complex)
-    core[:, :r1, :r1] = first.core
-    core[:, r1:, r1:] = -second.core
-    left, right = _gram_schmidt(first.lines, np.array(second.lines), first.starts, first.sizes)
-    return _largest_value(left @ core @ _conj_t(right))
+def core_distances(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, comparisons) -> np.ndarray:
+    """||first - second|| on L2(mu) for each (first, second) of
+    ``comparisons``, with no |B| x |B| array; NaN where a side is not
+    finite. Each side is the pair (a, b) of M_a E M_b on the atoms of
+    ``algebra``, its block (sqrt(mu) a) (1 / mu(B)) (conj(sqrt(mu) b))^H on
+    an atom B, or an operator held as its lines and cores (``_from_lines``:
+    L K R^H on each block in standard coordinates, L and R orthonormal).
+    Each block of a difference is [L_1 L_2] diag(K_1, -K_2) [R_1 R_2]^H,
+    side 1 held as its cores or, of two pairs, as its unit lines; the
+    comparisons on the same blocks share one Gram-Schmidt against side 1's
+    columns and one pass over their cores (``_lines_distances``), where
+    they are held over the same tuple of blocks. Sides blocked differently,
+    such as a pair and an operator of one block, are compared as one block
+    (``_as_one_block``)."""
+    margins = np.empty(len(comparisons))
+    groups = {}  # id(blocks) -> (blocks, indices, sides) of the comparisons over them
+    for k, sides in enumerate(comparisons):
+        if isinstance(sides[0], tuple) and not isinstance(sides[1], tuple):
+            sides = sides[::-1]  # an operator held as its cores goes first
+        own = [algebra.blocks if isinstance(x, tuple) else x.blocks for x in sides]
+        sides = [x if isinstance(x, tuple) else _held_lines(space, x) for x in sides]
+        blocks = own[0]
+        if not _same_blocks(*own):
+            blocks = (np.arange(space.point_count),)
+            sides = [_one_block(space, b, x, not j) for j, (b, x) in enumerate(zip(own, sides))]
+        group = groups.setdefault(id(blocks), (blocks, [], []))
+        group[1].append(k)
+        group[2].append(sides)
+    for blocks, indices, sides in groups.values():
+        margins[indices] = _lines_distances(space, blocks, sides)
+    return margins
+
+
+def _one_block(space: FiniteMeasureSpace, blocks: tuple, side, unit: bool) -> _Lines:
+    """``side`` over ``blocks`` as one block (``_as_one_block``): its
+    ``_Lines``, or those of a pair on them (``_pair_lines``)."""
+    if not isinstance(side, _Lines):
+        lines, cores = _pair_lines(space, blocks, [side], unit)
+        side = _Lines(*_segments(blocks), lines[:, 0, :, None], cores[0, :, None, None])
+    return _as_one_block(blocks, side)
+
+
+def _pair_lines(space: FiniteMeasureSpace, blocks: tuple, pairs: list, unit: bool) -> tuple:
+    """(lines, cores) of M_a E M_b for each pair (a, b) of ``pairs`` over
+    the atoms ``blocks``, in their order: L = sqrt(mu) a and
+    R = conj(sqrt(mu) b) (2 x pairs x n) and K = 1 / mu(B) (1 x atoms); or,
+    ``unit``, L and R over their norms on each atom B and K the atom's norm
+    ||L|| ||R|| / mu(B) (pairs x atoms; L = R = 0 where K is 0)."""
+    order, (starts, sizes) = np.concatenate(blocks), _segments(blocks)
+    lines = np.empty((2, len(pairs), order.size), dtype=complex)
+    for k, (a, b) in enumerate(pairs):
+        lines[:, k] = a[order], b[order]
+    lines *= _sqrt_weights(space)[order]
+    np.conj(lines[1], out=lines[1])
+    mass = np.add.reduceat(space.weights[order], starts)
+    if not unit:
+        return lines, (1.0 / mass)[None]
+    norms = np.sqrt(np.add.reduceat(np.abs(lines) ** 2, starts, axis=2))
+    cores = norms[0] * norms[1] / mass
+    scales = np.divide(1.0, norms, out=np.zeros_like(norms), where=cores > 0)
+    lines *= np.repeat(scales, sizes, axis=2)
+    return lines, cores
+
+
+def _lines_distances(space: FiniteMeasureSpace, blocks: tuple, comparisons: list) -> np.ndarray:
+    """``core_distances`` of comparisons over the same ``blocks``, each side
+    a pair on them or ``_Lines``: the R factors of [L_1 L_2] and [R_1 R_2]
+    by one Gram-Schmidt over all comparisons, each side's columns
+    zero-padded to the widest, give each block's core
+    R_L diag(K_1, -K_2) R_R^H of at most (r_1 + r_2) x (r_1 + r_2), with
+    the difference's singular values (``_largest_values``)."""
+    (starts, sizes), count, n = _segments(blocks), len(comparisons), space.point_count
+    # a pair, of no width here, takes one column, and each side at least one
+    widths = [
+        [x.core.shape[1] if isinstance(x, _Lines) else None for x in c] for c in comparisons
+    ]
+    r1, r2 = (max(w[j] or 1 for w in widths) for j in (0, 1))
+    factors = np.zeros((2, count, n, r1 + r2), dtype=complex)
+    core = np.zeros((count, starts.size, r1 + r2, r1 + r2), dtype=complex)
+    for j, at in enumerate((0, r1)):
+        pairs = [k for k, w in enumerate(widths) if w[j] is None]
+        if pairs:
+            lines, cores = _pair_lines(space, blocks, [comparisons[k][j] for k in pairs], j == 0)
+            factors[..., at][:, pairs] = lines
+            core[pairs, :, at, at] = -cores if j else cores
+            del lines  # free before the next side's, or Gram-Schmidt's, memory
+        for k, (held, width) in enumerate(zip((c[j] for c in comparisons), (w[j] for w in widths))):
+            if width is not None:
+                factors[:, k, :, at : at + width] = held.lines
+                core[k, :, at : at + width, at : at + width] = -held.core if j else held.core
+    factors = factors.reshape(2 * count, n, r1 + r2)
+    r = _gram_schmidt(factors[..., :r1], factors[..., r1:], starts, sizes)
+    core = np.einsum("...ij,...jk->...ik", r[:count], core)  # einsum: faster than @ on 2 x 2
+    return _largest_values(np.einsum("...ik,...jk->...ij", core, r[count:].conj()))
+
+
+def _largest_values(cores: np.ndarray) -> np.ndarray:
+    """The largest singular value over the blocks of each stack of cores
+    (comparisons x blocks x m x m), NaN where one is not finite: in closed
+    form for m = 2 (``_extreme_values``), else by one values-only SVD of
+    the finite stacks, as LAPACK rejects the others."""
+    width = cores.shape[-1]
+    if width == 2:  # a core that is not finite gives a value that is not
+        values = _extreme_values(cores)[0].max(axis=1, initial=0.0)
+        return np.where(np.isfinite(values), values, math.nan)
+    finite = np.isfinite(cores).all(axis=(1, 2, 3))
+    values = np.full(len(cores), math.nan)
+    if finite.any():
+        sv = _solve("svd", cores[finite].reshape(-1, width, width), compute_uv=False)
+        values[finite] = sv.reshape(-1, cores.shape[1] * width).max(axis=1, initial=0.0)
+    return values
+
+
+def _extreme_values(mats: np.ndarray) -> tuple:
+    """(largest, smallest) singular value of each 2 x 2 matrix M of a stack.
+    With M^H M = [[p, q], [conj(q), r]] and F = p + r = ||M||_F^2, the
+    largest is sigma^2 = (F + sqrt(F^2 - 4 |det M|^2)) / 2, taken as
+    F / 2 + hypot((p - r) / 2, |q|), nonnegative terms that keep their
+    digits where the two values nearly meet, and the smallest |det M| /
+    sigma, each M first divided exactly by the power of two at its largest
+    real or imaginary part, so no square overflows or underflows."""
+    mats = np.ascontiguousarray(mats, dtype=complex)
+    parts = np.abs(mats.view(float)).reshape(mats.shape[:-2] + (8,))
+    scale = np.ldexp(0.5, np.frexp(parts.max(axis=-1, initial=0.0))[1])
+    m = mats / scale[..., None, None]
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    parts = np.square(m.view(float))
+    squares = parts[..., ::2] + parts[..., 1::2]
+    p, r = (squares[..., 0, j] + squares[..., 1, j] for j in (0, 1))
+    largest = np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), np.abs(a.conj() * b + c.conj() * d)))
+    det = np.abs(a * d - b * c)
+    smallest = np.divide(det, largest, out=np.zeros_like(det), where=largest > 0)
+    return largest * scale, smallest * scale
 
 
 def _segment_sums(x: np.ndarray, y: np.ndarray, starts: np.ndarray) -> np.ndarray:

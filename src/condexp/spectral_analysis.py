@@ -20,6 +20,7 @@ import numpy as np
 from .measure_space import cluster_values, ess_range, level_set
 from .operator_algebra import (
     WeightedOperator,
+    _extreme_values,
     _joint_cores,
     _solve,
     eigenvalues,
@@ -201,7 +202,9 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = DEFAULT_JOINT_TOL) ->
     K - lambda I per (atom, shift) pair, stacked over the pairs in
     DISTANCE_CHUNK pieces, gives the core's two: with K - lambda I =
     U S V^H, the right singular vectors past the rank span
-    null(K - lambda I) and the left ones null(K^H - conj(lambda) I). A
+    null(K - lambda I) and the left ones null(K^H - conj(lambda) I); on
+    2 x 2 cores it runs only where the closed-form smallest value
+    (``_extreme_values``) is within twice the cutoff, and still decides. A
     column of the core that is no vector of Q (``dims``) has a zero row and
     column in K, so it is kept out of both null spaces by a diagonal entry
     above the cutoff. The factors drop only singular values under
@@ -225,6 +228,12 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = DEFAULT_JOINT_TOL) ->
         mats[:, diagonal, diagonal] = np.where(
             joint.dims[atom], mats[:, diagonal, diagonal] - shifts[shift, None], 1.0 + 2.0 * cutoff
         )
+        if dim == 2:  # the SVD only near a null vector; the closed form is off by ulps
+            largest, smallest = _extreme_values(mats)
+            near = smallest <= 2.0 * cutoff + 8 * np.finfo(float).eps * largest
+            atom, shift, mats = atom[near], shift[near], mats[near]
+            if not near.any():
+                continue
         u, sv, vh = _solve("svd", mats)
         null = sv <= cutoff
         hit = null.any(axis=-1)  # the pairs whose block has a null vector at the shift

@@ -6,8 +6,11 @@ numerical oracle, or, for the polar decomposition, with T's own definition,
 and records a pass/fail with its margin and tolerance. The fifteen operator
 checks (the powers, the polar decomposition, the Aluthge transforms and the
 adjoint isometry) share one metric, the operator norm of the difference on
-L2(mu), read off the cores of both sides (``core_distance``). This module
-backs both the ``verify`` CLI subcommand and the acceptance test suite.
+L2(mu), read off the cores of both sides: each section compares all its
+operators in one ``core_distances`` call, five calls per verify, and T's
+rank-one atoms make every core 2 x 2, so its largest value is taken in
+closed form. This module backs both the ``verify`` CLI subcommand and the
+acceptance test suite.
 """
 
 from __future__ import annotations
@@ -78,8 +81,9 @@ def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list
     from one certified sketch or SVD per atom, are the only factorization
     of a verify larger than the cores, and T's are the only blocks it
     builds: every operator check compares pairs and the oracle's cored
-    operators on their cores (``core_distance``), in O(n r^2) per check,
-    and the polar section works on the pairs alone, without T's factors."""
+    operators on their cores, in O(n r^2) per check and one
+    ``core_distances`` call per section, and the polar section works on the
+    pairs alone, without T's factors."""
     W = as_wce(instance, support_tol=tols.support)
     T = wce.to_matrix(W)
     norm_t = oa.operator_norm(T)
@@ -106,24 +110,26 @@ def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list
     return checks
 
 
+def _compared(W: WCEOperator, *comparisons) -> list:
+    """One check per (name, first, second, tolerance) of a section's
+    ``comparisons``, all measured by one ``core_distances`` call."""
+    pairs = [(first, second) for _, first, second, _ in comparisons]
+    margins = oa.core_distances(W.space, W.algebra, pairs).tolist()
+    return [_check(name, m, tol) for (name, _, _, tol), m in zip(comparisons, margins)]
+
+
 def _power_checks(W: WCEOperator, T: WeightedOperator, name: str, tols: Tolerances) -> list:
     """Powers of T*T, read off T's factors; on T* they are the powers of TT*."""
-    return [
-        _check(
-            f"{name}_{p}",
-            oa.core_distance(W.space, W.algebra, wce.tstar_t_power(W, p), oa.gram_power(T, p)),
-            tols.match,
-        )
-        for p in POWERS
-    ]
+    powers = [(wce.tstar_t_power(W, p), oa.gram_power(T, p)) for p in POWERS]
+    return _compared(W, *[(f"{name}_{p}", *pair, tols.match) for p, pair in zip(POWERS, powers)])
 
 
 def _polar_checks(W: WCEOperator, tols: Tolerances) -> list:
     """The polar decomposition T = U |T|, with |T| = ``tstar_t_power(W, 0.5)``,
     measured on the pairs (a, b) of the operators M_a E M_b: T's own pair
     (w, u) and those of the two closed forms, combined by the pair rules and
-    compared by their rank-one arithmetic (``core_distance`` on two pairs),
-    so no |B| x |B| block is built.
+    compared on their 2 x 2 cores (``core_distances`` on pairs), so no
+    |B| x |B| block is built.
     The kernel condition N(U) = N(|T|) compares the coimage projections:
     ||P_ker U - P_ker |T||| = ||P_coim |T| - P_coim U||."""
     space, algebra = W.space, W.algebra
@@ -135,40 +141,22 @@ def _polar_checks(W: WCEOperator, tols: Tolerances) -> list:
     u_u_star_u = oa.expectation_product(space, algebra, u_u_star, u_part)
     u_norm = float(oa.expectation_norms(space, algebra, u_part).max(initial=0.0))
     coimages = [oa.expectation_coimage(space, algebra, x) for x in (modulus, u_part)]
-    return [
-        _check(
-            "polar_reconstruction",
-            oa.core_distance(space, algebra, u_modulus, t_pair),
-            tols.match,
-        ),
-        _check(
-            "polar_partial_isometry",
-            oa.core_distance(space, algebra, u_u_star_u, u_part),
-            tols.match * (1.0 + u_norm),
-        ),
-        _check(
-            "polar_kernel_condition",
-            oa.core_distance(space, algebra, *coimages),
-            tols.match,
-        ),
-    ]
+    return _compared(
+        W,
+        ("polar_reconstruction", u_modulus, t_pair, tols.match),
+        ("polar_partial_isometry", u_u_star_u, u_part, tols.match * (1.0 + u_norm)),
+        ("polar_kernel_condition", *coimages, tols.match),
+    )
 
 
 def _aluthge_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> list:
     """The Aluthge transform and its fixed-point property."""
     alu_numeric = oa.aluthge_numeric(T)
-    return [
-        _check(
-            "aluthge_matches_oracle",
-            oa.core_distance(W.space, W.algebra, wce.aluthge_closed_form(W), alu_numeric),
-            tols.match,
-        ),
-        _check(
-            "aluthge_idempotent",
-            oa.core_distance(W.space, W.algebra, oa.aluthge_numeric(alu_numeric), alu_numeric),
-            tols.match,
-        ),
-    ]
+    return _compared(
+        W,
+        ("aluthge_matches_oracle", wce.aluthge_closed_form(W), alu_numeric, tols.match),
+        ("aluthge_idempotent", oa.aluthge_numeric(alu_numeric), alu_numeric, tols.match),
+    )
 
 
 def _adjoint_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> list:
@@ -177,25 +165,13 @@ def _adjoint_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> li
     closed-form one and the Aluthge transform against the oracle on
     adjoint(T)."""
     V = wce.adjoint_wce(W)
-    return [
-        _check(
-            "adjoint_isometry_is_adjoint_of_isometry",
-            oa.core_distance(
-                W.space,
-                W.algebra,
-                wce.polar_isometry_closed_form(V),
-                oa.expectation_adjoint(wce.polar_isometry_closed_form(W)),
-            ),
-            tols.match,
-        ),
-        _check(
-            "adjoint_aluthge_matches_oracle",
-            oa.core_distance(
-                W.space, W.algebra, wce.aluthge_closed_form(V), oa.aluthge_numeric(oa.adjoint(T))
-            ),
-            tols.match,
-        ),
-    ]
+    u_star = oa.expectation_adjoint(wce.polar_isometry_closed_form(W))
+    isometry, alu = wce.polar_isometry_closed_form(V), wce.aluthge_closed_form(V)
+    return _compared(
+        W,
+        ("adjoint_isometry_is_adjoint_of_isometry", isometry, u_star, tols.match),
+        ("adjoint_aluthge_matches_oracle", alu, oa.aluthge_numeric(oa.adjoint(T)), tols.match),
+    )
 
 
 def _spectrum_checks(W: WCEOperator, set_tol: float, tols: Tolerances) -> list:

@@ -71,9 +71,17 @@ class WCEOperator:
 
     @cached_property
     def _adjoint(self) -> "WCEOperator":
-        # built once: every adjoint-side closed form shares its moments
-        return build_wce(
-            self.space, self.algebra, self.w.conj(), self.u.conj(), self.support_tol
+        # built once, for every adjoint-side closed form: with u' = conj(w),
+        # w' = conj(u), W's moments conjugated or swapped are a rebuild's to
+        # the bit, but E(u'w') is taken afresh (conj E(uw) can differ in the
+        # last bit: the products round in another order)
+        u, w, e_u = self.w.conj(), self.u.conj(), self.e_w.conj()
+        return WCEOperator(
+            self.space, self.algebra, u, w, e_u, self.e_u.conj(),
+            e_uw=conditional_expectation(self.space, self.algebra, u * w),
+            e_abs_u2=self.e_abs_w2, e_abs_w2=self.e_abs_u2,
+            support_u2=self.support_w2, support_w2=self.support_u2,
+            support_eu=support(e_u, self.support_tol), support_tol=self.support_tol,
         )
 
 

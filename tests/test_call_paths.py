@@ -323,7 +323,7 @@ def test_verify_assembles_the_parts_of_t_alone(monkeypatch):
     """A verify of product_space_example(4, 80), with its own w or w = 1,
     assembles the blocks of no operator but T, the first it builds: T* and
     the oracle's operators keep only what defines them, and every operator
-    check compares them on their cores (``core_distance``)."""
+    check compares them on their cores (``core_distances``)."""
     built, read = [], []
 
     def counted(op, _original=WeightedOperator.__post_init__):
@@ -426,3 +426,31 @@ def test_verify_makes_no_solver_call_per_atom(monkeypatch):
             for atoms in (8, 16)
         ]
         assert counts[0] == counts[1] > 0
+
+
+def test_verify_compares_each_section_in_one_call(monkeypatch):
+    """A verify of random_instance(7, 64, 8) makes 8 solver calls outside
+    T's factorization and calls ``core_distances`` once per section (the
+    powers of T*T, the polar decomposition, the Aluthge transforms, the
+    powers of TT* and the adjoint), 5 times: T's atoms are rank one, so
+    every comparison's core is 2 x 2 and no values-only SVD runs on one."""
+    instance = random_instance(7, 64, 8)
+    assert _solver_calls_outside_t_factorization(monkeypatch, instance) == 8
+    calls, inside = [], []
+
+    def counted(*args, _original=oa.core_distances, **kwargs):
+        calls.append(len(args[2]))
+        inside.append(1)
+        try:
+            return _original(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def probe(*args, _original=np.linalg.svd, **kwargs):
+        assert not inside, "an SVD ran on a comparison's cores"
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(oa, "core_distances", counted)
+    monkeypatch.setattr(np.linalg, "svd", probe)
+    assert summarize(verify_instance(instance))["all_passed"]
+    assert calls == [4, 3, 2, 4, 2]

@@ -93,6 +93,32 @@ class TestValidation:
             SubSigmaAlgebra(([0, 5],), 2)
 
     @pytest.mark.parametrize(
+        "blocks, n, message",
+        [
+            (([0, 1], [2, -1], [3]), 4, "block 1 contains out-of-range indices"),
+            (([0], [1], [2, 9]), 3, "block 2 contains out-of-range indices"),
+            ((np.array([0], np.uint64), np.array([2**63 + 1], np.uint64)), 1, "block 1 contains"),
+            (([0, 1], [1, 2]), 3, "pairwise disjoint without repeats"),
+            (([0, 0, 1],), 2, "pairwise disjoint without repeats"),
+            (([0], [2]), 3, "cover every point"),
+            ((), 2, "cover every point"),
+            (([0], [1.0]), 2, "block 1 contains non-integer indices"),
+            (([0], [], [1]), 2, "blocks must be nonempty"),
+        ],
+    )
+    def test_each_rejection_names_its_cause(self, blocks, n, message):
+        """The checks run over all blocks at once, and still name the first
+        block with an index out of range."""
+        with pytest.raises(ValueError, match=message):
+            SubSigmaAlgebra(blocks, n)
+
+    def test_labels_and_sorted_blocks(self):
+        algebra = SubSigmaAlgebra((np.array([4, 0], np.uint8), [3, 1], (2,)), 5)
+        assert algebra.labels.tolist() == [0, 1, 2, 1, 0]
+        assert [b.tolist() for b in algebra.blocks] == [[0, 4], [1, 3], [2]]
+        assert not algebra.labels.flags.writeable
+
+    @pytest.mark.parametrize(
         "blocks, n", [(([[0, 1], [2, 3]],), 4), ((0,), 1)], ids=["nested", "scalar"]
     )
     def test_rejects_a_block_that_is_not_1d(self, blocks, n):

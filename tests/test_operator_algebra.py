@@ -35,12 +35,12 @@ from condexp.measure_space import cluster_values
 from condexp.operator_algebra import (
     _Lines,
     _factors,
+    _extreme_values,
     _from_lines,
-    _rank_one_scales,
+    _joint_cores,
     _segments,
-    _unit_line,
     _std_blocks,
-    core_distance,
+    core_distances,
     expectation_adjoint,
     expectation_coimage,
     expectation_norms,
@@ -455,6 +455,12 @@ def _pair_operator(pair):
     return expectation_operator(PAIR_SPACE, PAIR_ALGEBRA, *pair)
 
 
+def core_distance(space, algebra, first, second):
+    """||first - second||, as one comparison of ``core_distances``."""
+    (margin,) = core_distances(space, algebra, [(first, second)])
+    return margin
+
+
 class TestExpectationPairs:
     """The pair rules of M_a E M_b against the operators they stand for."""
 
@@ -511,17 +517,20 @@ class TestExpectationPairs:
         complement = np.eye(15) - _pair_operator(pair).entries
         np.testing.assert_allclose(complement, kernel.entries, atol=1e-12)
 
-    def test_distance_runs_one_stacked_svd_of_two_by_two_cores(self, monkeypatch):
-        shapes = []
+    def test_distance_of_two_pairs_runs_no_solver(self, monkeypatch):
+        """Two pairs give one 2 x 2 core per atom, whose largest value is
+        taken in closed form: no numpy.linalg routine runs."""
+        calls = []
+        for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "qr"):
 
-        def probe(a, *args, _original=np.linalg.svd, **kwargs):
-            shapes.append((np.shape(a), kwargs.get("compute_uv", True)))
-            return _original(a, *args, **kwargs)
+            def probe(a, *args, _original=getattr(np.linalg, name), **kwargs):
+                calls.append(np.shape(a))
+                return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", probe)
-        _, first, second = next(_adversarial_pairs())
-        core_distance(PAIR_SPACE, PAIR_ALGEBRA, first, second)
-        assert shapes == [((3, 2, 2), False)]
+            monkeypatch.setattr(np.linalg, name, probe)
+        for _, first, second in _adversarial_pairs():
+            core_distance(PAIR_SPACE, PAIR_ALGEBRA, first, second)
+        assert calls == []
 
 
 def _orthonormal(rng, rows, cols):
@@ -559,8 +568,15 @@ def _cored(blocks, rng, ranks):
 def _pair_as_cores(pair, blocks):
     """M_a E M_b held as cores over ``blocks``, each the union of atoms: the
     rank-one lines sigma p q^H of its atoms, one column per atom."""
-    sigma, scales = _rank_one_scales(PAIR_SPACE, PAIR_ALGEBRA, pair)
-    p, q = (_unit_line(PAIR_SPACE, PAIR_ALGEBRA, pair, side, scales) for side in (0, 1))
+    sigma = expectation_norms(PAIR_SPACE, PAIR_ALGEBRA, pair)
+    d = np.sqrt(PAIR_SPACE.weights)
+    p, q = d * pair[0], np.conj(d * pair[1])
+    for atom, b in enumerate(PAIR_ALGEBRA.blocks):
+        if sigma[atom] > 0:
+            p[b] /= np.linalg.norm(p[b])
+            q[b] /= np.linalg.norm(q[b])
+        else:
+            p[b] = q[b] = 0.0
     cores = []
     for b in blocks:
         atoms = np.unique(PAIR_ALGEBRA.labels[b])
@@ -602,7 +618,7 @@ def _as_operator(x, space=PAIR_SPACE, algebra=PAIR_ALGEBRA):
 
 
 class TestCoreDistance:
-    """``core_distance`` against the dense reference: the operator norm of
+    """``core_distances`` against the dense reference: the operator norm of
     the assembled difference, a pair taken as its ``expectation_operator``."""
 
     @pytest.mark.parametrize("name, first, second", list(_core_cases()))
@@ -667,10 +683,93 @@ class TestCoreDistance:
         assert np.isnan(core_distance(PAIR_SPACE, PAIR_ALGEBRA, (a, b), cored))
         assert np.isnan(core_distance(PAIR_SPACE, PAIR_ALGEBRA, (a, b), (b, a)))
 
+    def test_a_mixed_batch_is_each_comparison_alone(self):
+        """One call on every case above, both ways round, with the pairs of
+        ``_adversarial_pairs`` and a side that is not finite: pair/pair,
+        pair/held, held/held and one-block comparisons in one batch, each
+        margin within the bounds of its own case against the dense norm."""
+        rng = np.random.default_rng(2)
+        a, b = _complex_vector(rng), _complex_vector(rng)
+        a[3] = np.nan
+        cases = [(x, y) for _, x, y in _core_cases()]
+        cases += [(y, x) for x, y in cases]
+        pairs = [(x, y) for _, x, y in _adversarial_pairs()]
+        nan_cases = [((a, b), _cored(PAIR_ALGEBRA.blocks, rng, (1, 1, 1))), ((a, b), (b, a))]
+        got = core_distances(PAIR_SPACE, PAIR_ALGEBRA, cases + pairs + nan_cases)
+        assert got.shape == (len(cases) + len(pairs) + 2,)
+        for margin, (x, y) in zip(got, cases):
+            A, B = _as_operator(x), _as_operator(y)
+            bound = 1e-12 * (1.0 + max(operator_norm(A), operator_norm(B)))
+            assert abs(margin - operator_norm(subtract(A, B))) <= bound
+        for margin, (x, y) in zip(got[len(cases) :], pairs):
+            A, B = _pair_operator(x), _pair_operator(y)
+            scale = max(operator_norm(A), operator_norm(B))
+            assert abs(margin - operator_norm(subtract(A, B))) <= 1e-14 * scale
+        assert np.isnan(got[-2:]).all()
+        assert core_distances(PAIR_SPACE, PAIR_ALGEBRA, []).shape == (0,)
+
     def test_an_operator_must_be_held_as_its_cores(self):
         pair = (np.ones(15), np.ones(15))
         with pytest.raises(ValueError, match="held as its cores"):
             core_distance(PAIR_SPACE, PAIR_ALGEBRA, pair, _pair_operator(pair))
+
+
+#: a unit in the last place at 1, the closed form's tolerance unit
+ULP = np.finfo(float).eps
+
+
+def _random_cores(rng, count, scale=1.0):
+    return scale * (rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2)))
+
+
+class TestExtremeValues:
+    """The closed-form singular values of 2 x 2 cores against LAPACK's, to
+    4 ulp of the largest."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e200, 1e-200])
+    def test_random_cores_match_lapack(self, scale):
+        cores = _random_cores(np.random.default_rng(0), 10_000, scale)
+        largest, smallest = _extreme_values(cores)
+        reference = np.linalg.svd(cores, compute_uv=False)
+        assert np.all(np.abs(largest - reference[:, 0]) <= 4 * ULP * reference[:, 0])
+        assert np.all(np.abs(smallest - reference[:, 1]) <= 4 * ULP * reference[:, 0])
+
+    def test_the_largest_value_to_two_ulp_of_an_extended_reference(self):
+        """LAPACK's own largest value is off by up to about 4.7 ulp here;
+        the closed form, against sigma^2 = (p + r) / 2 + sqrt(((p - r) / 2)^2
+        + |q|^2) in extended precision, by at most 2."""
+        if np.finfo(np.longdouble).eps >= ULP:
+            pytest.skip("no extended precision on this platform")
+        cores = _random_cores(np.random.default_rng(1), 10_000)
+        re, im = cores.real.astype(np.longdouble), cores.imag.astype(np.longdouble)
+        squares = re**2 + im**2
+        p, r = squares[:, 0, 0] + squares[:, 1, 0], squares[:, 0, 1] + squares[:, 1, 1]
+        q_re = (re[:, 0, 0] * re[:, 0, 1] + im[:, 0, 0] * im[:, 0, 1]
+                + re[:, 1, 0] * re[:, 1, 1] + im[:, 1, 0] * im[:, 1, 1])
+        q_im = (re[:, 0, 0] * im[:, 0, 1] - im[:, 0, 0] * re[:, 0, 1]
+                + re[:, 1, 0] * im[:, 1, 1] - im[:, 1, 0] * re[:, 1, 1])
+        reference = np.sqrt((p + r) / 2 + np.sqrt(((p - r) / 2) ** 2 + q_re**2 + q_im**2))
+        largest = _extreme_values(cores)[0]
+        assert np.all(np.abs(largest - reference) <= 2 * ULP * reference)
+
+    def test_zero_and_rank_one_cores(self):
+        rng = np.random.default_rng(2)
+        zeros = np.zeros((3, 2, 2), dtype=complex)
+        assert [v.tolist() for v in _extreme_values(zeros)] == [[0.0] * 3] * 2
+        for scale in (1.0, 1e150, 1e-150, 1e200, 1e-200):
+            x, y = (_random_cores(rng, 1000)[:, :, :1] for _ in range(2))
+            cores = scale * (x @ y.conj().swapaxes(-1, -2))
+            largest, smallest = _extreme_values(cores)
+            reference = np.linalg.svd(cores, compute_uv=False)
+            assert np.all(np.abs(largest - reference[:, 0]) <= 4 * ULP * reference[:, 0])
+            assert np.all(smallest <= 4 * ULP * largest)
+
+    def test_real_and_strided_stacks(self):
+        cores = _random_cores(np.random.default_rng(3), 50)
+        for view in (cores.real, cores.swapaxes(-1, -2), cores[::2]):
+            reference = np.linalg.svd(view, compute_uv=False)
+            for got, want in zip(_extreme_values(view), reference.T):
+                assert np.all(np.abs(got - want) <= 4 * ULP * reference[:, 0])
 
 
 class TestNormal:
@@ -758,19 +857,27 @@ class TestSolverLog:
         assert shapes["eigvals"] == [f"{len(T.blocks)}x1x1"]
 
     def test_a_stacked_call_logs_its_whole_shape(self, caplog):
-        """The joint point spectrum factors the 2 x 2 core of every rank-one
-        atom at every shift in one stacked SVD, and takes the principal
-        angles at the pairs with a null vector in another: each record gives
-        the stack's whole shape."""
+        """The joint point spectrum factors, in one stacked SVD, the 2 x 2
+        cores of the (rank-one atom, shift) pairs whose smallest singular
+        value lies within twice the cutoff, and takes the principal angles
+        at the pairs with a null vector in another: each record gives the
+        stack's whole shape."""
         T = to_matrix(as_wce(random_instance(0, 10, 3)))
         assert all(b.size >= 2 for b in T.blocks)
-        shifts = len(cluster_values(eigenvalues(T), 1e-8 * (1.0 + operator_norm(T))))
+        cutoff = 1e-8 * (1.0 + operator_norm(T))
+        shifts = np.array(cluster_values(eigenvalues(T), cutoff))
+        joint = _joint_cores(T)
+        assert joint.dims.all()
+        shifted = joint.core[:, None] - shifts[None, :, None, None] * np.eye(2)
+        smallest = np.linalg.svd(shifted, compute_uv=False)[..., -1]
+        candidates = np.count_nonzero(smallest <= 2 * cutoff)
         caplog.set_level(logging.DEBUG, logger="condexp")
         joint_point_spectrum(T, 1e-8)
         shapes = [m.split()[1] for m in caplog.messages if m.startswith("svd ")]
-        assert shifts > 1
+        assert shifts.size > 1
+        assert 0 < candidates < len(T.blocks) * shifts.size
         assert len(shapes) == 2
-        assert shapes[0] == f"{len(T.blocks) * shifts}x2x2"
+        assert shapes[0] == f"{candidates}x2x2"
         assert re.fullmatch(r"\d+x2x2", shapes[1])
 
     def test_silent_above_debug(self, caplog):

@@ -31,7 +31,12 @@ from condexp import (
     to_matrix,
 )
 from condexp import spectral_analysis
-from condexp.operator_algebra import DEFAULT_RANK_TOL, WeightedOperator, _std_blocks
+from condexp.operator_algebra import (
+    DEFAULT_RANK_TOL,
+    WeightedOperator,
+    _joint_cores,
+    _std_blocks,
+)
 
 from conftest import (
     dense_hausdorff_distance,
@@ -403,6 +408,63 @@ class TestJointPointSpectrumOnCores:
         parts = [_low_rank_block(rng, k, r, 0.0) for k, r in sizes_ranks]
         T = _block_diagonal(parts, rng.uniform(0.3, 2.0, 18))
         assert joint_point_spectrum(T) == two_svd_joint_point_spectrum(T)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("chunk", [1, spectral_analysis.DISTANCE_CHUNK])
+    def test_rank_one_blocks_take_the_closed_form_prefilter(self, monkeypatch, seed, chunk):
+        """Blocks of rank 0 and 1 give 2 x 2 joint cores, whose pairs the
+        closed form sorts before the SVD: normal and non-normal rank-one
+        blocks, one sharing a normal block's eigenvalue, zero blocks, a
+        1-point atom of rank 1 and one of rank 0, at several tolerances and
+        in chunks of one pair, give the two-SVD reference's list."""
+        rng = np.random.default_rng(seed)
+        shared = _complex(rng)
+
+        def normal(n, lam):
+            x = _complex(rng, n, 1)
+            return lam * (x @ x.conj().T) / np.vdot(x, x)
+
+        def generic(n, lam):
+            x, y = _complex(rng, n, 1), _complex(rng, n, 1)
+            return lam * (x @ y.conj().T) / np.vdot(y, x)
+
+        parts = [
+            normal(4, shared),
+            generic(5, shared),
+            np.zeros((3, 3)),
+            np.array([[0.7 - 0.2j]]),
+            np.zeros((1, 1)),
+            normal(6, _complex(rng)),
+            generic(2, _complex(rng)),
+        ]
+        T = _block_diagonal(parts, np.ones(sum(len(p) for p in parts)))
+        assert _joint_cores(T).core.shape[-2:] == (2, 2)
+        monkeypatch.setattr(spectral_analysis, "DISTANCE_CHUNK", chunk)
+        for tol in (1e-10, 1e-8, 1e-4):
+            jp = joint_point_spectrum(T, tol)
+            assert jp == two_svd_joint_point_spectrum(T, tol)
+        expected = [shared, 0.7 - 0.2j, 0.0, np.trace(parts[5])]  # the normal blocks', and 0
+        assert hausdorff_distance(joint_point_spectrum(T), expected) <= 1e-7
+
+    def test_a_null_vector_near_the_cutoff_is_kept(self):
+        """A normal rank-one block whose eigenvalue lies 0.95 cutoff from
+        that of three non-normal ones: their cluster's centroid leaves its
+        2 x 2 core a smallest singular value of about 0.71 cutoff, under the
+        cutoff, so the cluster is in sigma_jp through that block alone."""
+        rng = np.random.default_rng(4)
+        lam, tol = 1.0 + 0.5j, 1e-4
+        generic = []
+        for n in (3, 4, 5):
+            x, y = _complex(rng, n, 1), _complex(rng, n, 1)
+            generic.append(lam * (x @ y.conj().T) / np.vdot(y, x))
+        cutoff = tol * (1.0 + max(np.linalg.norm(p, 2) for p in generic))
+        x = _complex(rng, 4, 1)
+        parts = generic + [(lam + 0.95 * cutoff) * (x @ x.conj().T) / np.vdot(x, x)]
+        T = _block_diagonal(parts, np.ones(16))
+        assert abs(tol * (1.0 + operator_norm(T)) - cutoff) <= 1e-12 * cutoff
+        jp = joint_point_spectrum(T, tol)
+        assert jp == two_svd_joint_point_spectrum(T, tol)
+        assert min(abs(np.array(jp) - lam)) <= cutoff
 
     def test_shifts_a_few_at_a_time_give_the_same_list(self, monkeypatch):
         """A core of |B| x |B| takes the shifts in chunks of a bounded number

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from condexp import (
     FiniteMeasureSpace,
     MeasurableFunction,
     SubSigmaAlgebra,
+    WCEOperator,
     adjoint,
     adjoint_wce,
     aluthge_closed_form,
@@ -19,6 +22,7 @@ from condexp import (
     operator_norm,
     polar_isometry_closed_form,
     polar_isometry_numeric,
+    proportional_instance,
     random_instance,
     singular_values,
     symmetric_interval_example,
@@ -348,7 +352,29 @@ class TestAdjointWCE:
                 np.testing.assert_array_equal(cached, fresh)
         polar_isometry_closed_form(adjoint_wce(W))
         aluthge_closed_form(adjoint_wce(W))
-        assert len(calls) == 5  # one build: the five conditional moments
+        assert len(calls) == 1  # E(u'w') alone: the other moments are W's
+
+    @pytest.mark.parametrize(
+        "instance",
+        [random_instance(s, 30, 1 + s % 7) for s in range(20)]
+        + [random_instance(s, 30, 6, complex_valued=False) for s in range(5)]
+        + [proportional_instance(s, 30, 5) for s in range(5)]
+        + [random_instance(7, 9, 9), symmetric_interval_example(6)],
+    )
+    def test_every_field_is_a_rebuild_to_the_bit(self, instance):
+        """The moments and supports adjoint_wce takes from W equal those of
+        build_wce on (conj(w), conj(u)), every field to the bit."""
+        W = as_wce(instance)
+        rebuilt = build_wce(W.space, W.algebra, W.w.conj(), W.u.conj(), W.support_tol)
+        V = adjoint_wce(W)
+        for field in dataclasses.fields(WCEOperator):
+            cached, fresh = getattr(V, field.name), getattr(rebuilt, field.name)
+            if isinstance(fresh, MeasurableFunction):
+                cached, fresh = cached.values, fresh.values
+            if isinstance(fresh, np.ndarray):
+                np.testing.assert_array_equal(cached, fresh, strict=True, err_msg=field.name)
+            else:
+                assert cached == fresh, field.name
 
     def test_matrix_identity(self):
         for seed in range(5):
