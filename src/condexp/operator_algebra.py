@@ -3,71 +3,50 @@ numerical oracle.
 
 An operator is stored as its diagonal blocks: ``blocks`` partitions the
 points into index arrays, and ``parts`` holds, for each block B, the matrix
-the operator acts by on value vectors over B (the entries
-``entries[np.ix_(B, B)]`` of the full matrix, which vanishes outside the
-blocks). Memory and every elementwise step cost sum |B|^2 over the blocks
-instead of n^2; the full n x n matrix ``entries`` is assembled only when it
-is read. The Hilbert structure is the weighted inner product, so the
-adjoint is the diagonal similarity D^-1 A^H D with D = diag(mu), block by
-block. All spectral computations conjugate by D^(1/2), which turns the
-weighted space into standard C^n and lets the dense LAPACK routines apply
-unchanged to each block.
+the operator acts by on value vectors over B; the full n x n matrix
+``entries`` is assembled only when it is read. The adjoint on the weighted
+inner product is D^-1 A^H D with D = diag(mu), block by block, and all
+spectral computations conjugate by D^(1/2) into standard C^n, so LAPACK
+runs on each block, at a cost of at most sum |B|^3 instead of n^3.
 
-The oracle factors per atom. Every eigenvalue, SVD and eigh call, and every
-product, runs on the diagonal blocks, so it costs at most sum |B|^3 over
-the blocks instead of n^3. One factorization per block, cut at the one rank
-cutoff, gives each block's rank-r factors X diag(s) Y^H. On a block of 16
-points or more it is a certified sketch: Q from the QR of B Omega, with
-four seeded Gaussian columns Omega, and the SVD of the small Q^H B,
-accepted when the residual ||B - Q Q^H B||_F is at most 1e-13 s_1, so a
-block of rank at most four costs |B|^2 times four; the full SVD runs where
-the sketch is not certified, and where a sketched value lies within its
-residual of the cutoff, so the rank decisions are the full SVD's. Only the
-factors are memoized, in one flat form (``_Factors``): the rows of every
-block one after the other, X and Y as n x R arrays zero-padded to the
-largest rank R, s as blocks x R and each block's rank. Every question
-asked of them is stacked arithmetic over all blocks, segment sums over the
-rows and one LAPACK call on a stack of cores, with no loop over the atoms;
-padding adds no value, as each result is masked by the block's rank. The
-factors serve the norm and the singular values, the eigenvalues (each
-block's come from its r x r core), every power of T*T and TT*, |T|, |T*|,
-the polar isometry, the Aluthge transform and the kernel projection.
-Gram-Schmidt of [Y X] in segment sums gives each block's joint core: the
-block is Q K Q^H with K of at most 2R x 2R, Q an orthonormal basis of the
-ranges of the block and its adjoint that is never formed. The class
-margins, the normality check and the joint point spectrum read K, so none
-of them holds a |B| x |B| array. An operator the oracle derives from T's
-factors keeps only its lines and cores L K R^H (``_Lines``: T's X or Y
-and a stack of small cores K), so its own factors cost one stacked SVD of
-its cores, and its blocks are built, and checked finite, when they are
-read. Operators built from T = M_w E M_u carry the atoms of the
-partition, which is the definition of E; the oracle never reads the
-conditional moments, so it stays independent of the closed forms it checks.
-Every decision over the whole operator (the rank cutoff, the PSD scale, the
-Loewner norm) uses the values of all blocks, so results match a one-block
-factorization to rounding. An operator given without blocks is one block:
-the dense oracle, which the tests use as the reference. An operator is
-immutable, so its factorizations and its adjoint are computed once and
-shared by every caller. An operator and its adjoint share one
-factorization: the adjoint's standard-coordinate blocks are the conjugate
-transposes, so its factors are the operator's swapped (Y diag(s) X^H),
-read through a weak reference that keeps no operator alive; the adjoint
-keeps what defines the operator's blocks and builds its own when they are
-read.
+The oracle factors each block once, cut at the one rank cutoff over all
+blocks, into rank-r factors X diag(s) Y^H, memoized in one flat form
+(``_Factors``: X and Y as n x R arrays zero-padded to the largest rank R).
+T = M_w E M_u is held as its pair (w, u) (``expectation_operator``), its
+blocks built only when read, and factored from its action by one range
+finder over all atoms (``_action_svds``), certified by Halko, Martinsson
+and Tropp's probabilistic estimate. An operator held as its blocks (the
+dense reference) sketches each block of 16 points or more (``_sketch``),
+certified by its residual. The full SVD of a block alone runs where a
+sketch is not certified or a sketched value lies within its bound of the
+cutoff, so the rank decisions are the full SVD's. Every question asked of
+the factors is stacked arithmetic over all blocks (segment sums over the
+rows, one LAPACK call on a stack of cores), with each result masked by the
+block's rank: the norm, the singular values, the eigenvalues, the powers
+of T*T and TT*, the polar isometry, the Aluthge transform and the kernel
+projection. Gram-Schmidt of [Y X] in segment sums gives each block's
+joint core K (the block is Q K Q^H, with Q never formed), which the class
+margins, the normality check and the joint point spectrum read. An
+operator the oracle derives from T's factors keeps only its lines and
+cores L K R^H (``_Lines``), so its factors cost one stacked SVD of its
+cores. The oracle reads the partition, never the conditional moments, so
+it stays independent of the closed forms it checks; every decision over
+the whole operator uses all blocks' values, so results match a one-block
+factorization (the dense oracle) to rounding. Operators are immutable, so
+factorizations and adjoints are computed once and shared; an adjoint's
+factors are its operator's swapped, read through a weak reference.
 
 The closed forms all have the shape M_a E M_b, rank one on each atom, and
-are handled as their pairs (a, b). ``expectation_operator`` builds a pair's
-blocks (``_expectation_blocks`` yields them one atom at a time); the pair
-rules (adjoint, product, coimage projection, norm per atom) cost O(n) in
-segment sums over the atoms and build no block. ``core_distances`` is the
-one comparison, the operator norm of a difference, for a batch of them:
-each side a pair or an operator held as its cores, it costs O(n r^2) per
-comparison in segment sums over the blocks, one Gram-Schmidt over the
-whole batch, and builds no block either. Each difference's block has a
-core of at most (r_1 + r_2) x (r_1 + r_2): of at most 2 x 2, as for every
-operator a verify compares, its largest singular value is taken in closed
-form (``_extreme_values``), and larger cores take one stacked values-only
-SVD.
+are handled as their pairs (a, b): the pair rules (adjoint, product,
+coimage projection, norm per atom) cost O(n) in segment sums over the
+atoms. ``core_distances`` is the one comparison, the operator norm of a
+difference, for a batch of them, each side a pair or an operator held as
+its cores: one Gram-Schmidt over the batch in O(n r^2) per comparison
+gives each difference's core of at most (r_1 + r_2) x (r_1 + r_2), whose
+largest singular value is taken in closed form at 2 x 2
+(``_extreme_values``), as for every comparison of a verify, and by one
+stacked values-only SVD above. No pair rule and no comparison builds a
+block.
 """
 
 from __future__ import annotations
@@ -124,13 +103,12 @@ class WeightedOperator:
     """A linear operator on L2(mu), stored as its diagonal blocks.
 
     ``WeightedOperator(entries, space, blocks)`` takes the n x n matrix on
-    value vectors. ``blocks`` partitions the points into index arrays, and
-    the matrix must vanish outside the diagonal blocks they define; without
-    it the whole space is one block. ``parts[k]`` is the block over
-    ``blocks[k]``, and ``entries`` assembles the full matrix on each read.
-    An operator the oracle derives keeps only what defines it (its cores,
-    or the operator it is the adjoint of): its ``parts`` are assembled on
-    their first read.
+    value vectors, which must vanish outside the diagonal blocks that
+    ``blocks`` (index arrays partitioning the points; one block without
+    it) define. ``parts[k]`` is the block over ``blocks[k]``. An operator
+    that keeps only what defines it (T its pair, an oracle-derived one its
+    cores, an adjoint its operator's blocks) assembles ``parts`` on their
+    first read.
     """
 
     space: FiniteMeasureSpace
@@ -168,15 +146,16 @@ class WeightedOperator:
 
     def __post_init__(self):
         """Every construction ends here: each block must be a finite square
-        matrix over its indices; it is stored complex and read-only. An
-        operator held as its cores checks that they are finite instead, and
-        its blocks are checked when they are built (``_block_parts``)."""
+        matrix over its indices, stored complex and read-only. An operator
+        held as its cores or its pair checks those finite instead, and its
+        blocks when they are built (``_block_parts``)."""
         parts = self._parts
         if not callable(parts):
             object.__setattr__(self, "_parts", _checked_parts(self.blocks, parts))
             return
         held = self._memo.get(_LINES)
-        if held is not None and not all(np.isfinite(a).all() for a in (held.lines, held.core)):
+        held = (held.lines, held.core) if held is not None else self._memo.get(_PAIR, ())
+        if not all(np.isfinite(a).all() for a in held):
             raise ValueError("operator entries must be finite")
 
     @property
@@ -252,12 +231,17 @@ def _block_parts(T: WeightedOperator, which=None):
     return map(_finite, blocks) if callable(parts) else blocks
 
 
-def _expectation_blocks(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple):
-    """The blocks of M_a E M_b for the pair (a, b), one atom's at a time, in
-    block order: on an atom B the rank-one block a_B (mu_B b_B)^T / mu(B)."""
+#: memo key of an operator held as its pair (a, b): M_a E M_b on its blocks
+_PAIR = "pair"
+
+
+def _pair_parts(pair: tuple, space: FiniteMeasureSpace, blocks: tuple, which=None):
+    """The blocks of M_a E M_b for the pair (a, b) over the atoms
+    ``blocks``, one at a time, in block order, or those at the indices
+    ``which``: on an atom B the rank-one block a_B (mu_B b_B)^T / mu(B)."""
     a, b = pair
     mu = space.weights
-    for block in algebra.blocks:
+    for block in _select(blocks, which):
         mu_b = mu[block]
         yield np.outer(a[block], mu_b * b[block] / mu_b.sum())
 
@@ -268,14 +252,14 @@ def expectation_operator(
     left: Optional[np.ndarray] = None,
     right: Optional[np.ndarray] = None,
 ) -> WeightedOperator:
-    """The operator f -> left * E(right * f), block-diagonal over the atoms
-    of ``algebra`` (``_expectation_blocks``); the conditional expectation E
-    itself when both are omitted."""
+    """The operator f -> left * E(right * f) over the atoms of ``algebra``
+    (E itself when both are omitted), held as its pair, read-only: its
+    blocks are built when read (``_pair_parts``), its factors from its
+    action (``_action_svds``)."""
     n = space.point_count
-    pair = (np.ones(n) if left is None else left, np.ones(n) if right is None else right)
-    return WeightedOperator._of_blocks(
-        _expectation_blocks(space, algebra, pair), space, algebra.blocks
-    )
+    pair = tuple(_frozen_array(np.ones(n) if x is None else x, complex) for x in (left, right))
+    build = functools.partial(_pair_parts, pair, space, algebra.blocks)
+    return WeightedOperator._of_blocks(build, space, algebra.blocks, {_PAIR: pair})
 
 
 def expectation_adjoint(pair: tuple) -> tuple:
@@ -406,10 +390,10 @@ def _solve(routine: str, mat: np.ndarray, **kwargs):
     return out
 
 
-def _cutoff(svds: list) -> float:
-    """The oracle's one rank cutoff over the blocks U diag(s) V^H:
-    DEFAULT_RANK_TOL times the largest singular value of any of them."""
-    return DEFAULT_RANK_TOL * max(s.max(initial=0.0) for _, _, s, _ in svds)
+def _cutoff(groups: list) -> float:
+    """The oracle's one rank cutoff over the factorizations in ``groups``
+    (``_cut``): DEFAULT_RANK_TOL times the largest singular value."""
+    return DEFAULT_RANK_TOL * max(s.max(initial=0.0) for _, _, s, _ in groups)
 
 
 def _kept(ranks: np.ndarray, width: int) -> np.ndarray:
@@ -431,66 +415,61 @@ class _Factors(NamedTuple):
     s: np.ndarray
 
 
-def _cut(blocks: tuple, svds: list) -> _Factors:
-    """The ``_Factors`` over ``blocks`` of each block U diag(s) V^H cut at
-    the oracle's one rank cutoff (``_cutoff``): X = U_r, s_r and Y = V_r,
-    gathered by one ``_padded``, so U and V^H are not kept alive."""
-    cutoff = _cutoff(svds)
-    ranks = np.fromiter((np.count_nonzero(s > cutoff) for _, _, s, _ in svds), int, len(svds))
+def _cut(blocks: tuple, groups: list) -> _Factors:
+    """The ``_Factors`` over ``blocks`` of the factorizations U diag(s) V^H
+    in ``groups``, cut at the one rank cutoff (``_cutoff``): X = U_r, s_r,
+    Y = V_r. A group (which, U, s, V^H) stacks the blocks at the indices
+    ``which``, zero-padded past their sizes; one masked assignment per
+    group gathers them, and U and V^H are not kept alive."""
+    cutoff = _cutoff(groups)
     starts, sizes = _segments(blocks)
+    ranks = np.zeros(sizes.size, dtype=int)
+    for which, _, s, _ in groups:
+        ranks[which] = np.count_nonzero(s > cutoff, axis=1)
     width = ranks.max(initial=0)
-    xs = [u[:, :r] for (_, u, _, _), r in zip(svds, ranks)]
-    ys = [vh[:r].conj().T for (_, _, _, vh), r in zip(svds, ranks)]
-    lines = _padded(xs + ys, np.tile(sizes, 2), np.tile(ranks, 2), width)
-    lines = lines.reshape(2, sizes.sum(), width)
-    values = np.zeros((ranks.size, width))
-    values[_kept(ranks, width)] = np.concatenate([s[:r] for (_, _, s, _), r in zip(svds, ranks)])
+    lines = np.zeros((2, sizes.sum(), width), dtype=complex)
+    values = np.zeros((sizes.size, width))
+    for which, u, s, vh in groups:
+        cols = min(width, s.shape[1])
+        kept = _kept(ranks[which], cols)
+        values[which, :cols] = np.where(kept, s[:, :cols], 0.0)
+        real = np.arange(u.shape[1]) < sizes[which, None]
+        at = (starts[which, None] + np.arange(u.shape[1]))[real]
+        for side, factor in zip(lines, (u[..., :cols], _conj_t(vh[:, :cols]))):
+            side[at, :cols] = np.where(kept[:, None], factor, 0.0)[real]
     return _Factors(starts, sizes, ranks, lines, values)
-
-
-def _padded(mats, rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
-    """The 2-d arrays ``mats``, of these numbers of ``rows`` and ``cols``,
-    one under another, each zero-padded on the right to ``width``: one
-    masked assignment, the mask True on each row's first columns, which it
-    fills in row-major order."""
-    mask = np.arange(width) < np.repeat(cols, rows)[:, None]
-    out = np.zeros(mask.shape, dtype=complex)
-    out[mask] = np.concatenate(mats, axis=None)
-    return out
 
 
 #: memo key of an operator the oracle derived from T's factors: its
 #: ``_Lines``, each standard-coordinate block being L K R^H
 _LINES = "lines"
 
-#: Gaussian columns of a block's sketch; a sketch is taken only where its
-#: width is at most a quarter of the block's size, where it is cheaper than
-#: the full SVD, so blocks of fewer than 16 points are factored in full
+#: Gaussian columns of a sketch; an operator held as its blocks sketches
+#: blocks of 16 points or more, where that is cheaper than the full SVD
 _SKETCH_WIDTH = 4
-#: a sketch is accepted when its residual is at most this times its largest
-#: singular value; it lies below DEFAULT_RANK_TOL, so every singular value a
-#: sketch misses is under the rank cutoff
+#: a sketch is accepted when its residual, or its estimate, is at most this
+#: times its largest singular value; it lies below DEFAULT_RANK_TOL, so
+#: every singular value a sketch misses is under the rank cutoff
 _SKETCH_TOL = 1e-13
-#: seed of every sketch's Gaussian columns, so a block's factors depend on
-#: the block alone, not on the run or the blocks factored before it
+#: seed of every sketch's Gaussian columns, so factors are the same on every call
 _SKETCH_SEED = 0
+#: extra Gaussian probes of the action range finder's estimate: it fails
+#: with probability at most 10^-_PROBES per atom
+_PROBES = 10
 
 
 def _sketch(m: np.ndarray):
-    """(U, s, V^H, residual) of the square standard-coordinate block m by
-    the range finder of Halko, Martinsson and Tropp ("Finding structure with
-    randomness", SIAM Review 53(2), 2011), or None where the full SVD is to
-    be run instead.
-
-    Q from the QR of m Omega, with Omega _SKETCH_WIDTH Gaussian columns
-    drawn from _SKETCH_SEED, spans most of m's range; the SVD of the small
-    Q^H m = P diag(s) V^H gives U = Q P. Every singular value of m lies
-    within the residual ||m - Q Q^H m||_F of its sketched value (Weyl's
-    inequality), and those past the width under it. The sketch is taken
-    only where its width is at most a quarter of the block's size, and
-    accepted when the residual is at most _SKETCH_TOL s_1. The residual is
-    formed explicitly: ||m||^2 - ||Q^H m||^2 would cancel away the digits
-    it is read for."""
+    """(U, s, V^H, residual) of the square standard-coordinate block m of an
+    operator held as its blocks, by Halko, Martinsson and Tropp's range
+    finder ("Finding structure with randomness", SIAM Review 53(2), 2011),
+    or None where the full SVD is to be run instead. Q from the QR of
+    m Omega (_SKETCH_WIDTH Gaussian columns from _SKETCH_SEED) and the SVD
+    of Q^H m = P diag(s) V^H give U = Q P. Every singular value of m lies
+    within the residual ||m - Q Q^H m||_F of its sketched value (Weyl), and
+    those past the width under it. The sketch is taken where its width is
+    at most a quarter of the block's size, and accepted at a residual of
+    at most _SKETCH_TOL s_1, a deterministic certificate; the residual is
+    formed explicitly, as ||m||^2 - ||Q^H m||^2 would cancel its digits."""
     size = m.shape[0]
     if 4 * _SKETCH_WIDTH > size:
         return None
@@ -512,61 +491,155 @@ def _sketch(m: np.ndarray):
 
 
 def _block_svds(T: WeightedOperator) -> list:
-    """(indices, U, s, V^H) of each standard-coordinate block of T: its
-    certified sketch (``_sketch``), or its full SVD. A sketched block with a
-    singular value within its residual of the one rank cutoff is factored in
-    full too, so every rank decision is the full SVD's: the sketched values
-    of the other blocks lie on the same side of the cutoff as the true ones.
-    Only such a block is built a second time, alone."""
-    svds, residuals = [], []
-    for b, m in _std_blocks(T):
-        *usv, residual = _sketch(m) or (*_solve("svd", m), None)
-        svds.append((b, *usv))
+    """The ``_cut`` groups of T's standard-coordinate blocks, one each: its
+    certified sketch (``_sketch``) or its full SVD (``_settled``)."""
+    groups, residuals = [], []
+    for k, (_, m) in enumerate(_std_blocks(T)):
+        *usv, residual = _sketch(m) or (*_solve("svd", m), math.nan)
+        groups.append((np.full(1, k), *(x[None] for x in usv)))
         residuals.append(residual)
-    cutoff = _cutoff(svds)
-    undecided = [
-        k
-        for k, ((_, _, s, _), residual) in enumerate(zip(svds, residuals))
-        if residual is not None and np.any(np.abs(s - cutoff) <= residual)
-    ]
-    for k, (b, m) in zip(undecided, _std_blocks(T, undecided)):
+    return _settled(T, groups, np.array(residuals), ("sketch", "residual"))[0]
+
+
+def _settled(T: WeightedOperator, groups: list, bounds: np.ndarray, names: tuple) -> tuple:
+    """(groups, the count of blocks factored again): each block not
+    certified (bound inf), then each with a sketched value within its bound
+    of the one rank cutoff (logged with the ``names`` of the sketch and its
+    bound), built alone and factored by the full SVD (bound NaN: factored so
+    already). The other sketched values lie within their bounds of the true
+    ones, on their side of the cutoff: the rank decisions are the SVD's."""
+    redo = np.isinf(bounds)
+    groups = _refactored(T, groups, redo)
+    bounds = np.where(redo, math.nan, bounds)
+    cutoff = _cutoff(groups)
+    undecided = np.zeros(bounds.size, dtype=bool)
+    for which, _, s, _ in groups:
+        undecided[which] = np.any(np.abs(s - cutoff) <= bounds[which, None], axis=1)
+    return _refactored(T, groups, undecided, names), np.count_nonzero(redo | undecided)
+
+
+def _refactored(T: WeightedOperator, groups: list, redo: np.ndarray, names=None) -> list:
+    """``groups`` with the blocks marked ``redo`` factored by the full SVD,
+    each in a group of its own, and logged where ``names`` are given."""
+    if not redo.any():
+        return groups
+    out = [(w[~redo[w]], *(x[~redo[w]] for x in usv)) for w, *usv in groups]
+    which = np.flatnonzero(redo)
+    for k, (b, m) in zip(which, _std_blocks(T, which)):
+        if names:
+            message = "%s %dx%d fell back to the full SVD: a value within its %s of the rank cutoff"
+            log.debug(message, names[0], b.size, b.size, names[1])
+        out.append((np.full(1, k), *(x[None] for x in _solve("svd", m))))
+    return out
+
+
+def _runs(sizes: np.ndarray) -> list:
+    """The block indices by size, cut into runs padded to their largest
+    block: a run grows while its padded area stays within twice its points
+    (at most 2 n rows in all), so each run's first block is over twice the
+    size of the last run's, and runs are at most log2(largest size) + 1."""
+    order = np.argsort(sizes, kind="stable")
+    ordered = sizes[order]
+    before = np.concatenate([[0], np.cumsum(ordered)])
+    runs, first = [], 0
+    while first < order.size:
+        count = np.arange(1, order.size - first + 1)
+        fits = count * ordered[first:] <= 2 * (before[first + 1 :] - before[first])
+        end = order.size if fits.all() else first + int(np.argmin(fits))
+        runs.append(order[first:end])
+        first = end
+    return runs
+
+
+#: ||(I - Q Q^H) A|| exceeds this times the largest ||(I - Q Q^H) A omega||
+#: over r Gaussian probes omega with probability at most 10^-r (``_action_svds``)
+_ESTIMATE_FACTOR = 10.0 * math.sqrt(2.0 / math.pi)
+
+
+def _action_svds(T: WeightedOperator) -> list:
+    """The ``_cut`` groups of T = M_a E M_b held as its pair (a, b), by one
+    range finder over all its atoms from T's action, with no block built
+    (Halko, Martinsson and Tropp, SIAM Review 53(2), 2011, 4.1 and 4.3).
+
+    In standard coordinates T's block on an atom B is x_B y_B^T, with
+    x = sqrt(mu) a and y = mu b / (mu(B) sqrt(mu)) as ``_pair_parts``
+    builds it, so T_B Omega and T_B^H Q are one segment sum each. One
+    Gaussian Omega (_SKETCH_WIDTH columns and _PROBES more) serves every
+    atom, each reading its first |B| rows. Each run of atoms (``_runs``),
+    zero-padded to its largest, takes one stacked QR of its sketch columns
+    for Q and one stacked SVD of Q^H T_B = P diag(s) V^H, and U = Q P. An
+    atom is accepted when 10 sqrt(2/pi) max ||(I - Q Q^H) T_B omega|| over
+    the extra probes, an estimate of ||T_B - Q Q^H T_B|| that fails with
+    probability at most 10^-_PROBES, is at most _SKETCH_TOL s_1: a
+    probabilistic certificate, where ``_sketch``'s is deterministic;
+    ``_settled`` factors the others in full. One DEBUG line gives the
+    atoms, runs, width, largest estimate over s_1 and fallback count."""
+    a, b = T._memo[_PAIR]
+    starts, sizes = _segments(T.blocks)
+    order = np.concatenate(T.blocks)
+    mu, d = T.space.weights[order], _sqrt_weights(T.space)[order]
+    mass = np.repeat(np.add.reduceat(mu, starts), sizes)
+    xy = np.stack([a[order] * d, mu * b[order] / mass / d])
+    rng = np.random.default_rng(_SKETCH_SEED)
+    omega = rng.standard_normal((sizes.max(), _SKETCH_WIDTH + _PROBES))
+    runs, probes = _runs(sizes), []
+    for which in runs:  # x, y and y^T Omega of each run, then Omega is freed
+        rows = np.arange(sizes[which[-1]])
+        real = rows < sizes[which, None]
+        x, y = np.where(real, xy[:, np.where(real, starts[which, None] + rows, 0)], 0.0)
+        probes.append((x, y, y.real @ omega[: rows.size] + 1j * (y.imag @ omega[: rows.size])))
+    del omega, xy
+    groups, estimates, first = [], np.empty(sizes.size), np.empty(sizes.size)
+    for which, (x, y, c) in zip(runs, probes):  # T_B Omega = x_B (y_B^T Omega)
+        q = _solve("qr", x[..., None] * c[:, None, :_SKETCH_WIDTH])[0]
+        squares = 0.0
+        for extra in np.split(c[:, _SKETCH_WIDTH:], 2, axis=1):  # halves: half the memory
+            z = x[..., None] * extra[:, None, :]
+            z -= q @ (_conj_t(q) @ z)
+            z = np.einsum("mpj,mpj->mj", z.view(float), z.view(float))
+            squares = np.maximum(squares, (z[:, ::2] + z[:, 1::2]).max(axis=1))
+        h = np.conj(np.einsum("mp,mpk->mk", np.conj(x), q))
+        p, s, vh = _solve("svd", h[..., None] * y[:, None, :], full_matrices=False)
+        groups.append((which, q @ p, s, vh))
+        estimates[which], first[which] = _ESTIMATE_FACTOR * np.sqrt(squares), s[:, 0]
+    bounds = np.where(estimates <= _SKETCH_TOL * first, estimates, math.inf)
+    groups, fallbacks = _settled(T, groups, bounds, ("range finder", "estimate"))
+    if log.isEnabledFor(logging.DEBUG):
+        ratio = np.where(estimates > 0, math.inf, 0.0)
+        np.divide(estimates, first, out=ratio, where=first > 0)
         log.debug(
-            "sketch %dx%d fell back to the full SVD: a value within its residual"
-            " of the rank cutoff", b.size, b.size,
+            "range finder: %d atoms in %d runs, width %d + %d probes, largest estimate/s1 %.3g,"
+            " %d fell back to the full SVD",
+            sizes.size, len(runs), _SKETCH_WIDTH, _PROBES, ratio.max(), fallbacks,
         )
-        svds[k] = (b, *_solve("svd", m))
-    return svds
+    return groups
 
 
 @_once_per_operator
 def _factors(T: WeightedOperator) -> _Factors:
     """T's factors X diag(s) Y^H on each standard-coordinate block, cut at
-    the oracle's one rank cutoff, held flat (``_Factors``); every rank
-    decision of the oracle reads them.
-
-    The adjoint of a live A has A's factors swapped, views of the same
-    arrays. An operator held as its lines and cores (``_Lines``) factors its
-    cores (``_cored_factors``). Any other operator cuts one factorization of
-    each of its blocks (``_block_svds``, ``_cut``): a certified sketch of
-    _SKETCH_WIDTH columns, which costs |B|^2 times the width, or else the
-    full SVD."""
+    the oracle's one rank cutoff, held flat (``_Factors``). The adjoint of a
+    live A has A's factors swapped, views of the same arrays. An operator
+    held as its lines and cores factors its cores (``_cored_factors``);
+    one held as its pair, such as T, its action, in O(n) times the width
+    (``_action_svds``); any other each block, by a certified sketch in
+    |B|^2 times the width or else the full SVD (``_block_svds``)."""
     ref = T._memo.get(_ADJOINT_OF)
     source = ref() if ref is not None else None
     if source is not None:
         factors = _factors(source)
         return factors._replace(lines=factors.lines[::-1])
     held = T._memo.get(_LINES)
-    if held is None:
-        return _cut(T.blocks, _block_svds(T))
-    return _cored_factors(held)
+    if held is not None:
+        return _cored_factors(held)
+    return _cut(T.blocks, (_action_svds if _PAIR in T._memo else _block_svds)(T))
 
 
 def _cored_factors(held: _Lines) -> _Factors:
     """The ``_Factors`` of the operator held as L K R^H on each block, L and
-    R with orthonormal columns: one stacked SVD of the cores,
-    K = P diag(s) Q^H, cut at the one rank cutoff over all blocks, gives
-    X = L P and Y = R Q, one column at a time in segment arithmetic
-    (``_combination``)."""
+    R with orthonormal columns: one stacked SVD of the cores K = P diag(s)
+    Q^H, cut at the one rank cutoff, gives X = L P and Y = R Q, one column
+    at a time (``_combination``)."""
     p, s, qh = _solve("svd", held.core)
     ranks = np.count_nonzero(s > DEFAULT_RANK_TOL * s.max(initial=0.0), axis=1)
     width = ranks.max(initial=0)
@@ -615,14 +688,12 @@ class _JointCores(NamedTuple):
 def _joint_cores(T: WeightedOperator) -> _JointCores:
     """The joint cores of T's blocks X diag(s) Y^H, from the R of
     [Y X] = Q [R_y R_x] by Gram-Schmidt in segment sums over all blocks
-    (``_gram_schmidt``, each column of X projected twice: a zero column
-    comes last). Q's nonzero columns are orthonormal and span the ranges of
-    the block and of its adjoint, so the block is Q K Q^H with the core
-    K = R_x diag(s) R_y^H, and both vanish on their complement. A zero
-    column of Q, past the block's rank or a column of X in the span of
-    those before it, is no vector: K's row and column there are zero, and
-    ``dims`` leaves it out. Q itself is never formed: every question asked
-    of it is answered on the core."""
+    (``_gram_schmidt``; a zero column comes last). Q's nonzero columns are
+    orthonormal and span the ranges of the block and of its adjoint, so the
+    block is Q K Q^H with K = R_x diag(s) R_y^H. A zero column of Q (past
+    the rank, or a column of X in the span of those before it) is no
+    vector: K's row and column there are zero, and ``dims`` leaves it out.
+    Q itself is never formed."""
     factors = _factors(T)
     x, y = factors.lines
     width = factors.s.shape[1]
@@ -660,12 +731,10 @@ def _cored_parts(held: _Lines, space: FiniteMeasureSpace, blocks: tuple, which=N
 
 class _Lines(NamedTuple):
     """A block-diagonal operator whose standard-coordinate block is L K R^H
-    on each block, held flat over its blocks listed one after the other
-    (block k from row ``starts[k]``, in ``sizes[k]`` rows): ``lines``
-    stacks L and R (2 x n x r) with their rows in that order, and ``core``
-    the K (blocks x r x r). A block of lower rank has zero columns in L and
-    R and zero rows and columns in K. An operator the oracle derives from
-    T's factors holds T's X and Y as its lines, read-only and shared."""
+    on each block, held flat like ``_Factors``: ``lines`` stacks L and R
+    (2 x n x r) and ``core`` the K (blocks x r x r), zero past a block's
+    rank. An operator the oracle derives from T's factors holds T's X and
+    Y as its lines, read-only and shared."""
 
     starts: np.ndarray
     sizes: np.ndarray
@@ -708,17 +777,14 @@ def _as_one_block(blocks: tuple, side: _Lines) -> _Lines:
 def core_distances(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, comparisons) -> np.ndarray:
     """||first - second|| on L2(mu) for each (first, second) of
     ``comparisons``, with no |B| x |B| array; NaN where a side is not
-    finite. Each side is the pair (a, b) of M_a E M_b on the atoms of
-    ``algebra``, its block (sqrt(mu) a) (1 / mu(B)) (conj(sqrt(mu) b))^H on
-    an atom B, or an operator held as its lines and cores (``_from_lines``:
-    L K R^H on each block in standard coordinates, L and R orthonormal).
-    Each block of a difference is [L_1 L_2] diag(K_1, -K_2) [R_1 R_2]^H,
-    side 1 held as its cores or, of two pairs, as its unit lines; the
-    comparisons on the same blocks share one Gram-Schmidt against side 1's
-    columns and one pass over their cores (``_lines_distances``), where
-    they are held over the same tuple of blocks. Sides blocked differently,
-    such as a pair and an operator of one block, are compared as one block
-    (``_as_one_block``)."""
+    finite. A side is the pair (a, b) of M_a E M_b on the atoms of
+    ``algebra`` (its block (sqrt(mu) a) (1 / mu(B)) (conj(sqrt(mu) b))^H on
+    an atom B) or an operator held as L K R^H (``_from_lines``). Each block
+    of a difference is [L_1 L_2] diag(K_1, -K_2) [R_1 R_2]^H, side 1 held
+    as its cores or, of two pairs, as its unit lines; the comparisons over
+    the same tuple of blocks share one Gram-Schmidt and one pass over their
+    cores (``_lines_distances``). Sides blocked differently are compared as
+    one block (``_as_one_block``)."""
     margins = np.empty(len(comparisons))
     groups = {}  # id(blocks) -> (blocks, indices, sides) of the comparisons over them
     for k, sides in enumerate(comparisons):
@@ -855,22 +921,17 @@ def _combination(q: np.ndarray, c: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _gram_schmidt(basis: np.ndarray, x: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
-    """The upper-triangular R of [basis x] = Q R on each block, for each of
-    the stacks of factors along the first axis (L's and R's). ``basis`` has
-    orthonormal (or zero) columns on each block, so R begins with the
-    identity and Q with ``basis``; Q's other columns are orthonormal or zero
-    and not kept. Rows are in block order, block k from row ``starts[k]``
-    in ``sizes[k]`` rows. x is overwritten with its residuals.
-
-    Classical Gram-Schmidt over x's columns, with every inner product a
-    segment sum over the rows, so it costs O(n m^2) for m columns and has
-    no loop over the blocks. The residual is formed explicitly, so a column
-    nearly in the span of those before it keeps its digits. A column is
-    projected twice ("twice is enough": Giraud, Langou and Rozloznik,
-    Comput. Math. Appl. 50, 2005), and dropped when its second projection
-    still loses over half its norm, as it then lies in that span to
-    rounding. The last column is projected once: nothing is projected onto
-    it, and it enters R only through its norm."""
+    """The upper-triangular R of [basis x] = Q R on each block (block k from
+    row ``starts[k]`` in ``sizes[k]`` rows), for each stack along the first
+    axis. ``basis`` has orthonormal (or zero) columns on each block, so R
+    begins with the identity; Q is not kept, and x is overwritten with its
+    residuals. Classical Gram-Schmidt with every inner product a segment
+    sum, in O(n m^2) for m columns, with the residual formed explicitly. A
+    column is projected twice ("twice is enough": Giraud, Langou and
+    Rozloznik, Comput. Math. Appl. 50, 2005), and dropped when its second
+    projection still loses over half its norm, as it then lies in the span
+    before it to rounding; the last is projected once, as it enters R
+    only through its norm."""
     stacks, rows, r = basis.shape
     m = r + x.shape[2]
     q = basis
@@ -924,25 +985,22 @@ def _adjoint_parts(source, blocks: tuple, mu: np.ndarray, which=None):
 
 
 def compose(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
-    """A B, block by block when both have the same blocks; otherwise one
-    dense product whose result is one block."""
-    _check_space(A, B)
-    if not _same_blocks(A.blocks, B.blocks):
-        return WeightedOperator(A.entries @ B.entries, A.space)
-    return WeightedOperator._of_blocks(
-        [a @ b for a, b in zip(A.parts, B.parts)], A.space, A.blocks
-    )
+    """A B (``_blockwise``)."""
+    return _blockwise(np.matmul, A, B)
 
 
 def subtract(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
-    """A - B, block by block when both have the same blocks; otherwise one
-    block."""
+    """A - B (``_blockwise``)."""
+    return _blockwise(np.subtract, A, B)
+
+
+def _blockwise(op, A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
+    """op of A's and B's blocks, block by block where both have the same
+    blocks; otherwise op of their n x n matrices, as one block."""
     _check_space(A, B)
     if not _same_blocks(A.blocks, B.blocks):
-        return WeightedOperator(A.entries - B.entries, A.space)
-    return WeightedOperator._of_blocks(
-        [a - b for a, b in zip(A.parts, B.parts)], A.space, A.blocks
-    )
+        return WeightedOperator(op(A.entries, B.entries), A.space)
+    return WeightedOperator._of_blocks(map(op, A.parts, B.parts), A.space, A.blocks)
 
 
 @_once_per_operator
@@ -1019,11 +1077,9 @@ def loewner_margins(A: WeightedOperator, B: WeightedOperator) -> LoewnerMargins:
 def _margins(cores: list) -> LoewnerMargins:
     """The Loewner margins of the standard-coordinate blocks Z K Z^H given by
     their ``cores`` K, matrices or stacks of them (Z with orthonormal
-    columns; a block is its own core for Z = I): D - D^H = Z (K - K^H) Z^H
-    vanishes iff K - K^H does, so the asymmetry and the scale are read off
-    K, and the eigenvalues of D's self-adjoint part are K's, the rest being
-    exact zeros. A core padded with zero rows and columns adds only zero
-    eigenvalues, which the margins already count."""
+    columns; Z = I for a block itself): D - D^H = Z (K - K^H) Z^H, so the
+    asymmetry and the scale are read off K, and the eigenvalues of D's
+    self-adjoint part are K's and exact zeros, which zero padding adds."""
     asymmetry, scale_ = _asymmetry(cores)
     evals = np.concatenate([_solve("eigvalsh", 0.5 * (k + _conj_t(k))).ravel() for k in cores])
     return LoewnerMargins(
@@ -1084,8 +1140,9 @@ def _diagonal(values: np.ndarray) -> np.ndarray:
 
 
 def _twice(line: np.ndarray) -> np.ndarray:
-    """The lines (L, R) = (line, line), a read-only view of ``line``."""
-    return np.broadcast_to(line, (2,) + line.shape)
+    """The lines (L, R) = (line, line), a view of the contiguous ``line``,
+    read-only where it is (a stride of 0 is cheaper than broadcast_to)."""
+    return np.ndarray((2,) + line.shape, line.dtype, line, 0, (0,) + line.strides)
 
 
 def gram_power(T: WeightedOperator, p: float) -> WeightedOperator:

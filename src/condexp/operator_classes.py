@@ -189,13 +189,13 @@ def star_a_criteria(W: WCEOperator, tol: float = DEFAULT_TOL) -> ClassVerdict:
     ratio[on_s] = ew2[on_s] / eu2[on_s]
 
     suff_lhs = np.abs(W.u.values) * np.sqrt(np.abs(W.e_uw.values)) * ratio**0.25 * on_s
-    suff_rhs = np.abs(W.w.values) * np.sqrt(np.clip(eu2, 0.0, None))
+    suff_rhs = np.abs(W.w.values) * np.sqrt(np.maximum(eu2, 0.0))
     sufficient, witness = _pointwise_holds(
         suff_lhs, suff_rhs, np.ones(n, dtype=bool), tol
     )
 
     nec_lhs = np.abs(W.e_u.values) ** 2 * np.abs(W.e_uw.values) * np.sqrt(ratio) * on_s
-    nec_rhs = np.sqrt(np.clip(eu2, 0.0, None)) * np.abs(W.e_w.values) ** 2
+    nec_rhs = np.sqrt(np.maximum(eu2, 0.0)) * np.abs(W.e_w.values) ** 2
     necessary, nec_witness = _pointwise_holds(
         nec_lhs, nec_rhs, np.ones(n, dtype=bool), tol
     )
@@ -217,8 +217,8 @@ def quasi_star_a_criteria(W: WCEOperator, tol: float = DEFAULT_TOL) -> ClassVerd
     """
     n = W.space.point_count
     everywhere = np.ones(n, dtype=bool)
-    eu2 = np.clip(W.e_abs_u2.values.real, 0.0, None)
-    ew2 = np.clip(W.e_abs_w2.values.real, 0.0, None)
+    eu2 = np.maximum(W.e_abs_u2.values.real, 0.0)
+    ew2 = np.maximum(W.e_abs_w2.values.real, 0.0)
     abs_euw = np.abs(W.e_uw.values)
 
     sufficient, witness = _pointwise_holds(abs_euw**2, eu2 * ew2, everywhere, tol)

@@ -78,9 +78,9 @@ def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list
     of the adjoint: the T-side sections rerun on ``adjoint_wce(W)`` against
     the oracle on ``adjoint(T)``, after the T-side sections: ``adjoint(T)``
     is memoized on T and keeps only what defines T's blocks. T's factors,
-    from one certified sketch or SVD per atom, are the only factorization
-    of a verify larger than the cores, and T's are the only blocks it
-    builds: every operator check compares pairs and the oracle's cored
+    from one range finder over T's action on all atoms, are the only
+    factorization of a verify larger than the cores, and a verify builds
+    no block: every operator check compares pairs and the oracle's cored
     operators on their cores, in O(n r^2) per check and one
     ``core_distances`` call per section, and the polar section works on the
     pairs alone, without T's factors."""

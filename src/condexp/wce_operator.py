@@ -59,8 +59,8 @@ class WCEOperator:
 
     @cached_property
     def _matrix(self) -> WeightedOperator:
-        # built once: W is immutable, so every caller shares T and the
-        # factorizations the oracle memoizes on it
+        # built once: W is immutable, so every caller shares T, held as its
+        # pair (w, u), and the factorizations the oracle memoizes on it
         return expectation_operator(
             self.space, self.algebra, self.w.values, self.u.values
         )
@@ -135,7 +135,7 @@ def to_matrix(W: WCEOperator) -> WeightedOperator:
 def norm_closed_form(W: WCEOperator) -> float:
     """||T|| = || (E|w|^2)^(1/2) (E|u|^2)^(1/2) ||_inf."""
     prod = W.e_abs_u2.values.real * W.e_abs_w2.values.real
-    return float(np.sqrt(np.clip(prod, 0.0, None).max()))
+    return float(np.sqrt(np.maximum(prod, 0.0).max()))
 
 
 def tstar_t_power(W: WCEOperator, p: float) -> tuple:
@@ -146,7 +146,7 @@ def tstar_t_power(W: WCEOperator, p: float) -> tuple:
     ew2 = W.e_abs_w2.values.real
     factor = np.zeros(W.space.point_count, dtype=complex)
     on = W.support_u2
-    factor[on] = eu2[on] ** (p - 1.0) * np.clip(ew2[on], 0.0, None) ** p
+    factor[on] = eu2[on] ** (p - 1.0) * np.maximum(ew2[on], 0.0) ** p
     return np.conj(W.u.values) * factor, W.u.values
 
 

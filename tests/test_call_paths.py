@@ -226,10 +226,10 @@ def _verify_inputs() -> list:
 
 def test_verify_runs_no_svd_wider_than_the_sketch(monkeypatch):
     """A verify of product_space_example(4, 80), with its own w or w = 1,
-    runs no SVD with both sides above the sketch width: T's four 80 x 80
-    blocks are factored by their 4 x 80 sketches, and no other SVD has a
-    side above 2 (the polar checks factor stacks of 2 x 2 cores, and the
-    normality check reads T's joint cores)."""
+    runs no SVD with both sides above the sketch width: T's four atoms of
+    80 points are factored by one stacked SVD of their 4 x 80 sketches,
+    and no other SVD has a side above 2 (the polar checks factor stacks of
+    2 x 2 cores, and the normality check reads T's joint cores)."""
     shapes = []
 
     def probe(a, *args, _original=np.linalg.svd, **kwargs):
@@ -244,7 +244,7 @@ def test_verify_runs_no_svd_wider_than_the_sketch(monkeypatch):
         assert ("normality_equivalence_consistent" in [c.name for c in checks]) == w_one
         assert [s for s in shapes if min(s[-2:]) > oa._SKETCH_WIDTH] == []
         large = [s for s in shapes if max(s[-2:]) > 2]
-        assert large == [(oa._SKETCH_WIDTH, 80)] * 4
+        assert large == [(4, oa._SKETCH_WIDTH, 80)]
 
 
 def _operator_algebra_calls(tree) -> list:
@@ -348,11 +348,12 @@ def test_verify_assembles_the_parts_of_t_alone(monkeypatch):
     assert not callable(built[1]._parts)
 
 
-def test_verify_builds_the_blocks_of_t_alone(monkeypatch):
+def test_verify_builds_no_block(monkeypatch):
     """A verify of product_space_example(4, 80), with its own w or w = 1,
-    iterates ``_expectation_blocks`` once, to build T, and never the
-    builders of a lazy operator's blocks (``_cored_parts`` for the oracle's
-    operators, ``_adjoint_parts`` for T*): no block but T's is built."""
+    never iterates the builders of a lazy operator's blocks
+    (``_pair_parts`` for T, which is factored from its action,
+    ``_cored_parts`` for the oracle's operators, ``_adjoint_parts`` for
+    T*): no block is built."""
     iterated = []
 
     def counted(name, original):
@@ -362,16 +363,16 @@ def test_verify_builds_the_blocks_of_t_alone(monkeypatch):
 
         return generator
 
-    for name in ("_expectation_blocks", "_cored_parts", "_adjoint_parts"):
+    for name in ("_pair_parts", "_cored_parts", "_adjoint_parts"):
         monkeypatch.setattr(oa, name, counted(name, getattr(oa, name)))
     for instance in _verify_inputs():
-        iterated.clear()
         assert summarize(verify_instance(instance))["all_passed"]
-        assert iterated == ["_expectation_blocks"]
+        assert iterated == []
     # the probes see an iteration of each builder
     T = oa.expectation_operator(instance.space, instance.algebra)
+    list(T.parts)
     list(oa.adjoint(oa.gram_power(T, 1.0)).parts)
-    assert iterated[1:] == ["_expectation_blocks", "_adjoint_parts", "_cored_parts"]
+    assert iterated == ["_pair_parts", "_adjoint_parts", "_cored_parts"]
 
 
 def test_verify_calls_expectation_operator_once(monkeypatch):
@@ -391,8 +392,8 @@ def test_verify_calls_expectation_operator_once(monkeypatch):
 
 def _solver_calls_outside_t_factorization(monkeypatch, instance) -> int:
     """The numpy.linalg calls of a verify of ``instance`` made outside
-    ``_block_svds``, which factors T's blocks one at a time (its sketches
-    included)."""
+    ``_action_svds``, which factors T from its action (its fallbacks to the
+    full SVD of a block included)."""
     calls, inside = [], []
     for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "qr"):
 
@@ -403,14 +404,14 @@ def _solver_calls_outside_t_factorization(monkeypatch, instance) -> int:
 
         monkeypatch.setattr(np.linalg, name, probe)
 
-    def block_svds(T, _original=oa._block_svds):
+    def action_svds(T, _original=oa._action_svds):
         inside.append(1)
         try:
             return _original(T)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(oa, "_block_svds", block_svds)
+    monkeypatch.setattr(oa, "_action_svds", action_svds)
     assert summarize(verify_instance(instance))["all_passed"]
     monkeypatch.undo()
     return len(calls)

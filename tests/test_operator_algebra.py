@@ -33,6 +33,8 @@ from condexp import (
 )
 from condexp.measure_space import cluster_values
 from condexp.operator_algebra import (
+    _SKETCH_TOL,
+    _SKETCH_WIDTH,
     _Lines,
     _factors,
     _extreme_values,
@@ -840,22 +842,34 @@ class TestNormal:
 
 class TestSolverLog:
     def test_one_debug_record_per_solver_call(self, caplog):
-        """eigenvalues of a rank-one-per-atom T: an SVD record per block and
-        one eigvals record for the stack of 1 x 1 cores, each with its shape
-        and seconds."""
+        """eigenvalues of a rank-one-per-atom T: T's range finder logs one
+        qr record and one SVD record for its one run of atoms, each of the
+        whole stack, and one summary line; then one eigvals record for the
+        stack of 1 x 1 cores. Each solver record gives its shape and
+        seconds."""
         T = to_matrix(as_wce(random_instance(0, 10, 3)))
         caplog.set_level(logging.DEBUG, logger="condexp")
         eigenvalues(T)
         messages = [r.getMessage() for r in caplog.records if r.name == "condexp"]
-        assert len(messages) == len(T.blocks) + 1 == 4
-        records = [m.split() for m in messages]
+        summary = [m for m in messages if m.startswith("range finder: ")]
+        assert len(summary) == 1
+        ratio = re.fullmatch(
+            r"range finder: 3 atoms in 1 runs, width 4 \+ 10 probes, largest estimate/s1"
+            r" (\S+), 0 fell back to the full SVD",
+            summary[0],
+        )
+        assert 0 < float(ratio[1]) <= _SKETCH_TOL
+        records = [m.split() for m in messages if m not in summary]
+        assert len(messages) == len(records) + 1 == 4
         for _, _, seconds, unit in records:
             assert float(seconds) >= 0.0 and unit == "s"
-        shapes = {"svd": [], "eigvals": []}
-        for routine, shape, _, _ in records:
-            shapes[routine].append(shape)
-        assert sorted(shapes["svd"]) == sorted(f"{b.size}x{b.size}" for b in T.blocks)
-        assert shapes["eigvals"] == [f"{len(T.blocks)}x1x1"]
+        size = max(b.size for b in T.blocks)
+        width = min(size, _SKETCH_WIDTH)
+        assert [r[:2] for r in records] == [
+            ["qr", f"{len(T.blocks)}x{size}x{width}"],
+            ["svd", f"{len(T.blocks)}x{width}x{size}"],
+            ["eigvals", f"{len(T.blocks)}x1x1"],
+        ]
 
     def test_a_stacked_call_logs_its_whole_shape(self, caplog):
         """The joint point spectrum factors, in one stacked SVD, the 2 x 2

@@ -402,9 +402,9 @@ def test_kernel_projection_of_an_oracle_built_operator_factors_only_its_cores(mo
 def test_verify_factors_neither_t_squared_nor_its_aluthge(monkeypatch, instance):
     """The class margins read T^2 and the second Aluthge transform reads
     Delta(T) off T's factors: no SVD runs on a block of T^2 or of Delta(T),
-    and verify makes one full-size factorization per atom too small to be
-    sketched, T's SVD, and none on the others (the polar residuals are
-    measured on 2 x 2 cores)."""
+    and verify makes no full-size factorization of any block: T is
+    factored from its action, whatever the size of its atoms, and the
+    polar residuals are measured on 2 x 2 cores."""
     T = to_matrix(as_wce(instance))
     derived = [m for X in (compose(T, T), aluthge_numeric(T)) for _, m in _std_blocks(X)]
     sizes = {b.size for b in T.blocks}
@@ -422,8 +422,7 @@ def test_verify_factors_neither_t_squared_nor_its_aluthge(monkeypatch, instance)
         monkeypatch.setattr(np.linalg, name, probe)
     assert summarize(verify_instance(instance))["all_passed"]
     assert derived_svds == []
-    unsketched = [b.size for b in T.blocks if b.size < 4 * oa._SKETCH_WIDTH]
-    assert sorted(shape[0] for _, shape in full_size) == sorted(unsketched)
+    assert full_size == []
 
 
 def _memo_arrays(value):
