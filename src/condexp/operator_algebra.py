@@ -41,12 +41,14 @@ are handled as their pairs (a, b): the pair rules (adjoint, product,
 coimage projection, norm per atom) cost O(n) in segment sums over the
 atoms. ``core_distances`` is the one comparison, the operator norm of a
 difference, for a batch of them, each side a pair or an operator held as
-its cores: one Gram-Schmidt over the batch in O(n r^2) per comparison
-gives each difference's core of at most (r_1 + r_2) x (r_1 + r_2), whose
-largest singular value is taken in closed form at 2 x 2
-(``_extreme_values``), as for every comparison of a verify, and by one
-stacked values-only SVD above. No pair rule and no comparison builds a
-block.
+its cores. Where every side has width 0 or 1, as in every comparison of
+a verify, a rank-one kernel projects each comparison's second lines on
+its first in place, over bounded groups of atoms, and takes the largest
+singular value of each 2 x 2 core in closed form
+(``_rank_one_distances``), with no LAPACK call. Wider sides take one
+Gram-Schmidt over the batch in O(n r^2) per comparison, giving each
+difference's core of at most (r_1 + r_2) x (r_1 + r_2), and one stacked
+values-only SVD. No pair rule and no comparison builds a block.
 """
 
 from __future__ import annotations
@@ -782,9 +784,11 @@ def core_distances(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, comparis
     an atom B) or an operator held as L K R^H (``_from_lines``). Each block
     of a difference is [L_1 L_2] diag(K_1, -K_2) [R_1 R_2]^H, side 1 held
     as its cores or, of two pairs, as its unit lines; the comparisons over
-    the same tuple of blocks share one Gram-Schmidt and one pass over their
-    cores (``_lines_distances``). Sides blocked differently are compared as
-    one block (``_as_one_block``)."""
+    the same tuple of blocks are measured together (``_lines_distances``):
+    by the rank-one kernel, in bounded groups of atoms, where no side is
+    wider than one column, as in every comparison of a verify, and else by
+    one Gram-Schmidt and one pass over their cores. Sides blocked
+    differently are compared as one block (``_as_one_block``)."""
     margins = np.empty(len(comparisons))
     groups = {}  # id(blocks) -> (blocks, indices, sides) of the comparisons over them
     for k, sides in enumerate(comparisons):
@@ -837,17 +841,21 @@ def _pair_lines(space: FiniteMeasureSpace, blocks: tuple, pairs: list, unit: boo
 
 def _lines_distances(space: FiniteMeasureSpace, blocks: tuple, comparisons: list) -> np.ndarray:
     """``core_distances`` of comparisons over the same ``blocks``, each side
-    a pair on them or ``_Lines``: the R factors of [L_1 L_2] and [R_1 R_2]
-    by one Gram-Schmidt over all comparisons, each side's columns
+    a pair on them or ``_Lines``. Where every side has width 0 or 1, as in
+    every comparison of a verify, the rank-one kernel takes them
+    (``_rank_one_distances``). Otherwise the R factors of [L_1 L_2] and
+    [R_1 R_2] by one Gram-Schmidt over all comparisons, each side's columns
     zero-padded to the widest, give each block's core
     R_L diag(K_1, -K_2) R_R^H of at most (r_1 + r_2) x (r_1 + r_2), with
     the difference's singular values (``_largest_values``)."""
-    (starts, sizes), count, n = _segments(blocks), len(comparisons), space.point_count
     # a pair, of no width here, takes one column, and each side at least one
     widths = [
         [x.core.shape[1] if isinstance(x, _Lines) else None for x in c] for c in comparisons
     ]
     r1, r2 = (max(w[j] or 1 for w in widths) for j in (0, 1))
+    if r1 == r2 == 1:
+        return _rank_one_distances(space, blocks, comparisons)
+    (starts, sizes), count, n = _segments(blocks), len(comparisons), space.point_count
     factors = np.zeros((2, count, n, r1 + r2), dtype=complex)
     core = np.zeros((count, starts.size, r1 + r2, r1 + r2), dtype=complex)
     for j, at in enumerate((0, r1)):
@@ -863,19 +871,15 @@ def _lines_distances(space: FiniteMeasureSpace, blocks: tuple, comparisons: list
                 core[k, :, at : at + width, at : at + width] = -held.core if j else held.core
     factors = factors.reshape(2 * count, n, r1 + r2)
     r = _gram_schmidt(factors[..., :r1], factors[..., r1:], starts, sizes)
-    core = np.einsum("...ij,...jk->...ik", r[:count], core)  # einsum: faster than @ on 2 x 2
+    core = np.einsum("...ij,...jk->...ik", r[:count], core)
     return _largest_values(np.einsum("...ik,...jk->...ij", core, r[count:].conj()))
 
 
 def _largest_values(cores: np.ndarray) -> np.ndarray:
     """The largest singular value over the blocks of each stack of cores
-    (comparisons x blocks x m x m), NaN where one is not finite: in closed
-    form for m = 2 (``_extreme_values``), else by one values-only SVD of
-    the finite stacks, as LAPACK rejects the others."""
+    (comparisons x blocks x m x m), NaN where one is not finite, by one
+    values-only SVD of the finite stacks, as LAPACK rejects the others."""
     width = cores.shape[-1]
-    if width == 2:  # a core that is not finite gives a value that is not
-        values = _extreme_values(cores)[0].max(axis=1, initial=0.0)
-        return np.where(np.isfinite(values), values, math.nan)
     finite = np.isfinite(cores).all(axis=(1, 2, 3))
     values = np.full(len(cores), math.nan)
     if finite.any():
@@ -884,23 +888,141 @@ def _largest_values(cores: np.ndarray) -> np.ndarray:
     return values
 
 
-def _extreme_values(mats: np.ndarray) -> tuple:
-    """(largest, smallest) singular value of each 2 x 2 matrix M of a stack.
-    With M^H M = [[p, q], [conj(q), r]] and F = p + r = ||M||_F^2, the
-    largest is sigma^2 = (F + sqrt(F^2 - 4 |det M|^2)) / 2, taken as
-    F / 2 + hypot((p - r) / 2, |q|), nonnegative terms that keep their
-    digits where the two values nearly meet, and the smallest |det M| /
-    sigma, each M first divided exactly by the power of two at its largest
-    real or imaginary part, so no square overflows or underflows."""
+#: entries (rows times comparisons) of each work array of the rank-one
+#: comparison kernel (``_rank_one_distances``) at a time
+COMPARISON_CHUNK = 1 << 14
+
+
+def _rank_one_distances(space: FiniteMeasureSpace, blocks: tuple, comparisons: list) -> np.ndarray:
+    """``core_distances`` of comparisons over the same ``blocks`` whose
+    sides are pairs or ``_Lines`` of width 0 or 1, so each block of a
+    difference is k_1 l_1 r_1^H - k_2 l_2 r_2^H, with l_1 and r_1 unit or
+    zero (a pair on the first side as its unit lines, k_1 its atom's norm,
+    as ``_pair_lines`` takes it). On each side l_2 = c l_1 + rho e, with
+    c = <l_1, l_2>_B and rho = ||l_2 - c l_1||_B, the residual formed
+    explicitly (``_rank_one_projections``), so the block is the 2 x 2 core
+    [[k_1 - k_2 c_L conj(c_R), -k_2 c_L rho_R],
+    [-k_2 rho_L conj(c_R), -k_2 rho_L rho_R]] on orthonormal bases, whose
+    largest singular value is taken in closed form (``_largest_scaled``);
+    NaN where a side is not finite."""
+    (starts, sizes), count = _segments(blocks), len(comparisons)
+    order = np.concatenate(blocks)
+    mass = np.add.reduceat(space.weights[order], starts)
+    d = _sqrt_weights(space)[order]
+    (c_l, c_r), (rho_l, rho_r), norm = _rank_one_projections(comparisons, order, d, starts, sizes)
+    k = np.zeros((2, count, starts.size), dtype=complex)
+    for i, sides in enumerate(comparisons):
+        for j, side in enumerate(sides):
+            if not isinstance(side, _Lines):
+                k[j, i] = 1.0 / mass if j else norm[0, i] * norm[1, i] / mass
+            elif side.core.shape[1]:
+                k[j, i] = side.core[:, 0, 0]
+    left, right = -k[1] * c_l, -k[1] * rho_l
+    np.conj(c_r, out=c_r)
+    mats = np.empty((count, starts.size, 2, 2), dtype=complex)
+    np.multiply(left, c_r, out=mats[..., 0, 0])
+    mats[..., 0, 0] += k[0]
+    np.multiply(left, rho_r, out=mats[..., 0, 1])
+    np.multiply(right, c_r, out=mats[..., 1, 0])
+    np.multiply(right, rho_r, out=mats[..., 1, 1])
+    m, scale = _scaled(mats)
+    values = (_largest_scaled(m) * scale).max(axis=1, initial=0.0)
+    return np.where(np.isfinite(values), values, math.nan)
+
+
+def _rank_one_projections(
+    comparisons: list, order: np.ndarray, d: np.ndarray, starts: np.ndarray, sizes: np.ndarray
+) -> tuple:
+    """(c, rho, norm) of the L side and then the R side of each comparison
+    on each block (2 x comparisons x blocks each). On each side, each
+    comparison's two lines are written once into a stack: q, the first
+    side's, made unit on each block where it is a pair (``norm`` is its
+    norm), and v, the second's. Then c = <q, v>_B, v -= c q in place and
+    rho = ||v||_B, with two work lines beside them. The blocks run in
+    groups of whole blocks, and the comparisons in chunks, so that rows
+    times comparisons stays within COMPARISON_CHUNK, or one block's rows."""
+    count, ends = len(comparisons), starts + sizes
+    c = np.empty((2, count, starts.size), dtype=complex)
+    rho, norm = np.empty((2, 2, count, starts.size))
+    pairs = np.array([[not isinstance(x, _Lines) for x in sides] for sides in comparisons])
+    first = 0
+    while first < starts.size:
+        top = starts[first] + max(1, COMPARISON_CHUNK // count)
+        last = max(first + 1, int(np.searchsorted(ends, top, side="right")))
+        rows = slice(starts[first], ends[last - 1])
+        at, index, weights = starts[first:last] - rows.start, order[rows], d[rows]
+        atoms = np.repeat(np.arange(last - first), sizes[first:last])  # each row's block
+        step = max(1, COMPARISON_CHUNK // atoms.size)
+        for lo in range(0, count, step):
+            chunk = slice(lo, min(lo + step, count))
+            # q, v and two work lines: no complex product is formed in place,
+            # as numpy rounds an in-place product of one element apart
+            stack = np.empty((4, chunk.stop - lo, atoms.size), dtype=complex)
+            mask = pairs[chunk].T[:, :, None]  # the lines of pairs
+            for j in (0, 1):
+                q, v, work, product = stack
+                for i, sides in enumerate(comparisons[chunk]):
+                    for line, side in zip(stack[:2, i], sides):
+                        if not isinstance(side, _Lines):
+                            np.multiply(side[j][index], weights, out=line)
+                        else:
+                            line[:] = side.lines[j, rows, 0] if side.core.shape[1] else 0.0
+                if j:
+                    np.conj(stack[:2], out=stack[:2], where=mask)
+                norm[j, chunk, first:last] = norms = _segment_norms(q, work, at)
+                scales = np.divide(1.0, norms, out=np.ones_like(norms), where=mask[0] & (norms > 0))
+                scales = np.take(scales.astype(complex), atoms, axis=1, out=work, mode="clip")
+                q, product = np.multiply(scales, q, out=product), q
+                np.multiply(np.conj(q, out=work), v, out=product)
+                c[j, chunk, first:last] = cq = np.add.reduceat(product, at, axis=1)
+                v -= np.multiply(np.take(cq, atoms, axis=1, out=work, mode="clip"), q, out=product)
+                rho[j, chunk, first:last] = _segment_norms(v, work, at)
+        first = last
+    return c, rho, norm
+
+
+def _segment_norms(lines: np.ndarray, work: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The norm of each row of ``lines`` (complex) over each block of its
+    columns (block k from column ``starts[k]``): the squares of the real
+    and imaginary parts, formed in ``work``, summed over twice as many
+    float columns."""
+    parts = lines.view(float)
+    squares = np.multiply(parts, parts, out=work.view(float))
+    return np.sqrt(np.add.reduceat(squares, 2 * starts, axis=1))
+
+
+def _scaled(mats: np.ndarray) -> tuple:
+    """(M / 2^e, 2^e) for each 2 x 2 matrix M of a stack, 2^e the power of
+    two at its largest real or imaginary part, or the smallest normal one
+    where that is subnormal: an exact division, after which no square of
+    an entry overflows or underflows."""
     mats = np.ascontiguousarray(mats, dtype=complex)
     parts = np.abs(mats.view(float)).reshape(mats.shape[:-2] + (8,))
-    scale = np.ldexp(0.5, np.frexp(parts.max(axis=-1, initial=0.0))[1])
-    m = mats / scale[..., None, None]
-    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    exponent = np.frexp(parts.max(axis=-1, initial=0.0))[1]
+    scale = np.ldexp(0.5, np.maximum(exponent, np.finfo(float).minexp + 1))
+    return mats / scale[..., None, None], scale
+
+
+def _largest_scaled(m: np.ndarray) -> np.ndarray:
+    """The largest singular value of each 2 x 2 matrix M of a stack scaled
+    by ``_scaled``. With M^H M = [[p, q], [conj(q), r]] and
+    F = p + r = ||M||_F^2, it is sigma^2 = (F + sqrt(F^2 - 4 |det M|^2)) / 2,
+    taken as F / 2 + hypot((p - r) / 2, |q|), nonnegative terms that keep
+    their digits where the two values nearly meet."""
     parts = np.square(m.view(float))
     squares = parts[..., ::2] + parts[..., 1::2]
     p, r = (squares[..., 0, j] + squares[..., 1, j] for j in (0, 1))
-    largest = np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), np.abs(a.conj() * b + c.conj() * d)))
+    q = m[..., 0, 0].conj() * m[..., 0, 1] + m[..., 1, 0].conj() * m[..., 1, 1]
+    return np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), np.abs(q)))
+
+
+def _extreme_values(mats: np.ndarray) -> tuple:
+    """(largest, smallest) singular value of each 2 x 2 matrix M of a stack,
+    each M first scaled (``_scaled``): the largest sigma in closed form
+    (``_largest_scaled``), the smallest |det M| / sigma."""
+    m, scale = _scaled(mats)
+    largest = _largest_scaled(m)
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     det = np.abs(a * d - b * c)
     smallest = np.divide(det, largest, out=np.zeros_like(det), where=largest > 0)
     return largest * scale, smallest * scale
@@ -1069,22 +1191,31 @@ class LoewnerMargins(NamedTuple):
 
 def loewner_margins(A: WeightedOperator, B: WeightedOperator) -> LoewnerMargins:
     """The margins of A >= B; they do not depend on a tolerance, so one set
-    serves every tolerance (``loewner_holds``)."""
+    serves every tolerance (``loewner_holds``). The standard-coordinate
+    blocks of the difference are zero-padded into one stack (``_margins``)."""
     _check_space(A, B)
-    return _margins([m for _, m in _std_blocks(subtract(A, B))])
+    mats = [m for _, m in _std_blocks(subtract(A, B))]
+    size = max(m.shape[0] for m in mats)
+    stack = np.zeros((1, len(mats), size, size), dtype=complex)
+    for k, m in enumerate(mats):
+        stack[0, k, : m.shape[0], : m.shape[0]] = m
+    return _margins(stack)[0]
 
 
-def _margins(cores: list) -> LoewnerMargins:
-    """The Loewner margins of the standard-coordinate blocks Z K Z^H given by
-    their ``cores`` K, matrices or stacks of them (Z with orthonormal
-    columns; Z = I for a block itself): D - D^H = Z (K - K^H) Z^H, so the
-    asymmetry and the scale are read off K, and the eigenvalues of D's
-    self-adjoint part are K's and exact zeros, which zero padding adds."""
-    asymmetry, scale_ = _asymmetry(cores)
-    evals = np.concatenate([_solve("eigvalsh", 0.5 * (k + _conj_t(k))).ravel() for k in cores])
-    return LoewnerMargins(
-        asymmetry, scale_, evals.min(initial=0.0), np.abs(evals).max(initial=0.0)
-    )
+def _margins(cores: np.ndarray) -> list:
+    """The Loewner margins of each stack of cores along the first axis
+    (groups x blocks x m x m): the standard-coordinate blocks Z K Z^H of
+    one difference given by their cores K (Z with orthonormal columns;
+    Z = I for a block itself). D - D^H = Z (K - K^H) Z^H, so the asymmetry
+    and the scale are read off K, and the eigenvalues of D's self-adjoint
+    part are K's and exact zeros, which zero padding adds; one eigvalsh
+    takes every group's."""
+    adjoints = _conj_t(cores)
+    asymmetry = np.abs(cores - adjoints).max(axis=(1, 2, 3), initial=0.0)
+    scale_ = 1.0 + np.abs(cores).max(axis=(1, 2, 3), initial=0.0)
+    evals = _solve("eigvalsh", 0.5 * (cores + adjoints)).reshape(len(cores), -1)
+    smallest, norm = evals.min(axis=1, initial=0.0), np.abs(evals).max(axis=1, initial=0.0)
+    return [LoewnerMargins(*map(float, m)) for m in zip(asymmetry, scale_, smallest, norm)]
 
 
 def loewner_holds(margins: LoewnerMargins, tol: float = DEFAULT_TOL) -> bool:

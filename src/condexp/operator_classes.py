@@ -84,23 +84,23 @@ def _class_margins(T: WeightedOperator) -> dict:
     quasi-*-A differences are Y K Y^H with the r x r cores |M| - S^2 and
     S (C^H |M| C - S^2) S; the *-A one is Q K Q^H on T's joint basis Q of
     [Y X], with the core R_y |M| R_y^H - R_x S^2 R_x^H of at most 2r x 2r
-    (``_joint_cores``). Every margin is read off these cores
-    (``_margins``), so no |B| x |B| array is built and only r x r
-    factorizations run, stacked over the blocks: one SVD for |M| and one
-    eigvalsh per class. The stacks are padded with zeros past each block's
-    rank, which adds only zero eigenvalues. The margins are floats, and
-    each test applies its own tolerance."""
+    (``_joint_cores``). Every margin is read off these cores, so no
+    |B| x |B| array is built and only r x r factorizations run, stacked
+    over the blocks: one SVD for |M|, then one eigvalsh over all three
+    classes (``_margins``), the A and quasi-*-A cores zero-padded to the
+    *-A core's 2r x 2r. The stacks are padded with zeros past each block's
+    rank too; padding adds only zero eigenvalues. The margins are floats,
+    and each test applies its own tolerance."""
     s, c, joint = _factors(T).s, _inner_cores(T), _joint_cores(T)
     _, sigma, qh = _solve("svd", s[:, :, None] * c * s[:, None, :])
     abs_m = (_conj_t(qh) * sigma[:, None, :]) @ qh
     sq = _diagonal(s**2)
-    cores = {
-        A_CLASS: abs_m - sq,
-        STAR_A_CLASS: joint.r_y @ abs_m @ _conj_t(joint.r_y)
-        - joint.r_x @ sq @ _conj_t(joint.r_x),
-        QUASI_STAR_A_CLASS: s[:, :, None] * (_conj_t(c) @ abs_m @ c - sq) * s[:, None, :],
-    }
-    return {name: _margins([k]) for name, k in cores.items()}
+    width = s.shape[1]
+    cores = np.zeros((3,) + joint.core.shape, dtype=complex)
+    cores[0, :, :width, :width] = abs_m - sq
+    cores[1] = joint.r_y @ abs_m @ _conj_t(joint.r_y) - joint.r_x @ sq @ _conj_t(joint.r_x)
+    cores[2, :, :width, :width] = s[:, :, None] * (_conj_t(c) @ abs_m @ c - sq) * s[:, None, :]
+    return dict(zip((A_CLASS, STAR_A_CLASS, QUASI_STAR_A_CLASS), _margins(cores)))
 
 
 def is_a_class_definitional(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:

@@ -94,6 +94,16 @@ class JointSpectrumRangeReport:
     full_sets_equal: Optional[bool]  # only when S and G cover every point
 
 
+def _eigenvalue_clusters(T: WeightedOperator, cutoff: float) -> tuple:
+    """``cluster_values`` of T's eigenvalues at ``cutoff``, memoized on T by
+    the cutoff: T is immutable, so the point spectrum and the joint point
+    spectrum at one tolerance share one clustering."""
+    key = ("eigenvalue_clusters", cutoff)
+    if key not in T._memo:
+        T._memo[key] = tuple(cluster_values(eigenvalues(T), cutoff))
+    return T._memo[key]
+
+
 def _set_distances(a, b) -> tuple:
     """(the distance from each point of a to the set b, from each point of b
     to a) for finite sets of complex scalars; a distance to an empty set is
@@ -138,7 +148,7 @@ def spectrum_report(W: WCEOperator, tol: float = DEFAULT_SPECTRUM_TOL) -> Spectr
     set_tol = tol * scale
     closed_nonzero, zero_flag, covers = spectrum_closed_form(W, set_tol)
     evals = eigenvalues(T)
-    numeric_nonzero = [v for v in cluster_values(evals, set_tol) if abs(v) > set_tol]
+    numeric_nonzero = [v for v in _eigenvalue_clusters(T, set_tol) if abs(v) > set_tol]
     dist = hausdorff_distance(closed_nonzero, numeric_nonzero)
     return SpectrumReport(
         closed_form_nonzero=tuple(closed_nonzero),
@@ -163,7 +173,7 @@ def em_u_point_spectrum(
     T = to_matrix(W)
     set_tol = tol * (1.0 + operator_norm(T))
     level_values = ess_range(W.e_u, set_tol)
-    numeric = cluster_values(eigenvalues(T), set_tol)
+    numeric = _eigenvalue_clusters(T, set_tol)
 
     closed_nonzero = [v for v in level_values if abs(v) > set_tol]
     numeric_nonzero = [v for v in numeric if abs(v) > set_tol]
@@ -212,7 +222,7 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = DEFAULT_JOINT_TOL) ->
     tol >= DEFAULT_RANK_TOL.
     """
     cutoff = tol * (1.0 + operator_norm(T))
-    clusters = cluster_values(eigenvalues(T), cutoff)
+    clusters = _eigenvalue_clusters(T, cutoff)
     shifts = np.asarray(clusters, dtype=complex)
     joint = _joint_cores(T)
     cosine = np.zeros(shifts.size)
@@ -255,7 +265,7 @@ def sigma_p_equals_sigma_jp_check(
     T = to_matrix(W)
     set_tol = tol * (1.0 + operator_norm(T))
     quasi = is_quasi_star_a_definitional(T, tol)
-    sigma_p = cluster_values(eigenvalues(T), set_tol)
+    sigma_p = _eigenvalue_clusters(T, set_tol)
     sigma_jp = joint_point_spectrum(T, tol)
     equal = None
     counterexamples: list = []

@@ -6,11 +6,12 @@ numerical oracle, or, for the polar decomposition, with T's own definition,
 and records a pass/fail with its margin and tolerance. The fifteen operator
 checks (the powers, the polar decomposition, the Aluthge transforms and the
 adjoint isometry) share one metric, the operator norm of the difference on
-L2(mu), read off the cores of both sides: each section compares all its
-operators in one ``core_distances`` call, five calls per verify, and T's
-rank-one atoms make every core 2 x 2, so its largest value is taken in
-closed form. This module backs both the ``verify`` CLI subcommand and the
-acceptance test suite.
+L2(mu), read off the cores of both sides: T's side (the powers of T*T,
+the polar decomposition, the Aluthge transforms) and T*'s side (the powers
+of TT*, the adjoint) each compare all their operators in one
+``core_distances`` call, two calls per verify, and T's rank-one atoms make
+every core 2 x 2, so its largest value is taken in closed form. This module
+backs both the ``verify`` CLI subcommand and the acceptance test suite.
 """
 
 from __future__ import annotations
@@ -72,18 +73,21 @@ def _check(name: str, margin: float, tolerance: float) -> Check:
 def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list:
     """Run the full closed-form vs oracle suite on one instance.
 
-    Each section is its own function, so the operators it builds and their
-    memoized factorizations are freed when it returns; only W, T and the
-    factorizations memoized on T live throughout. T* is checked as T's side
-    of the adjoint: the T-side sections rerun on ``adjoint_wce(W)`` against
-    the oracle on ``adjoint(T)``, after the T-side sections: ``adjoint(T)``
+    Each section is its own function returning its comparisons; T's side
+    (the powers of T*T, the polar decomposition, the Aluthge transforms)
+    and T*'s side (the powers of TT*, the adjoint) are each measured by one
+    ``core_distances`` call, whose kernel works in bounded groups of atoms,
+    and the operators of a side are freed when its checks are made; only W,
+    T and the factorizations memoized on T live throughout. T* is checked
+    as T's side of the adjoint: the T-side sections rerun on
+    ``adjoint_wce(W)`` against the oracle on ``adjoint(T)``: ``adjoint(T)``
     is memoized on T and keeps only what defines T's blocks. T's factors,
     from one range finder over T's action on all atoms, are the only
     factorization of a verify larger than the cores, and a verify builds
     no block: every operator check compares pairs and the oracle's cored
-    operators on their cores, in O(n r^2) per check and one
-    ``core_distances`` call per section, and the polar section works on the
-    pairs alone, without T's factors."""
+    operators on their cores, in O(n) per check, and the polar section
+    works on the pairs alone, without T's factors. The checks are reported
+    in section order."""
     W = as_wce(instance, support_tol=tols.support)
     T = wce.to_matrix(W)
     norm_t = oa.operator_norm(T)
@@ -96,11 +100,17 @@ def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list
             tols.match * (1.0 + norm_t),
         )
     ]
-    checks += _power_checks(W, T, "tstar_t_power", tols)
-    checks += _polar_checks(W, tols)
-    checks += _aluthge_checks(W, T, tols)
-    checks += _power_checks(wce.adjoint_wce(W), oa.adjoint(T), "t_tstar_power", tols)
-    checks += _adjoint_checks(W, T, tols)
+    checks += _compared(
+        W,
+        _power_comparisons(W, T, "tstar_t_power", tols)
+        + _polar_comparisons(W, tols)
+        + _aluthge_comparisons(W, T, tols),
+    )
+    checks += _compared(
+        W,
+        _power_comparisons(wce.adjoint_wce(W), oa.adjoint(T), "t_tstar_power", tols)
+        + _adjoint_comparisons(W, T, tols),
+    )
     set_tol = tols.spectrum * (1.0 + norm_t)
     checks += _spectrum_checks(W, set_tol, tols)
     checks += _class_checks(W, tols)
@@ -110,21 +120,22 @@ def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list
     return checks
 
 
-def _compared(W: WCEOperator, *comparisons) -> list:
-    """One check per (name, first, second, tolerance) of a section's
-    ``comparisons``, all measured by one ``core_distances`` call."""
+def _compared(W: WCEOperator, comparisons: list) -> list:
+    """One check per (name, first, second, tolerance) of ``comparisons``,
+    all measured by one ``core_distances`` call."""
     pairs = [(first, second) for _, first, second, _ in comparisons]
     margins = oa.core_distances(W.space, W.algebra, pairs).tolist()
     return [_check(name, m, tol) for (name, _, _, tol), m in zip(comparisons, margins)]
 
 
-def _power_checks(W: WCEOperator, T: WeightedOperator, name: str, tols: Tolerances) -> list:
+def _power_comparisons(W: WCEOperator, T: WeightedOperator, name: str, tols: Tolerances) -> list:
     """Powers of T*T, read off T's factors; on T* they are the powers of TT*."""
-    powers = [(wce.tstar_t_power(W, p), oa.gram_power(T, p)) for p in POWERS]
-    return _compared(W, *[(f"{name}_{p}", *pair, tols.match) for p, pair in zip(POWERS, powers)])
+    return [
+        (f"{name}_{p}", wce.tstar_t_power(W, p), oa.gram_power(T, p), tols.match) for p in POWERS
+    ]
 
 
-def _polar_checks(W: WCEOperator, tols: Tolerances) -> list:
+def _polar_comparisons(W: WCEOperator, tols: Tolerances) -> list:
     """The polar decomposition T = U |T|, with |T| = ``tstar_t_power(W, 0.5)``,
     measured on the pairs (a, b) of the operators M_a E M_b: T's own pair
     (w, u) and those of the two closed forms, combined by the pair rules and
@@ -141,25 +152,23 @@ def _polar_checks(W: WCEOperator, tols: Tolerances) -> list:
     u_u_star_u = oa.expectation_product(space, algebra, u_u_star, u_part)
     u_norm = float(oa.expectation_norms(space, algebra, u_part).max(initial=0.0))
     coimages = [oa.expectation_coimage(space, algebra, x) for x in (modulus, u_part)]
-    return _compared(
-        W,
+    return [
         ("polar_reconstruction", u_modulus, t_pair, tols.match),
         ("polar_partial_isometry", u_u_star_u, u_part, tols.match * (1.0 + u_norm)),
         ("polar_kernel_condition", *coimages, tols.match),
-    )
+    ]
 
 
-def _aluthge_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> list:
+def _aluthge_comparisons(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> list:
     """The Aluthge transform and its fixed-point property."""
     alu_numeric = oa.aluthge_numeric(T)
-    return _compared(
-        W,
+    return [
         ("aluthge_matches_oracle", wce.aluthge_closed_form(W), alu_numeric, tols.match),
         ("aluthge_idempotent", oa.aluthge_numeric(alu_numeric), alu_numeric, tols.match),
-    )
+    ]
 
 
-def _adjoint_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> list:
+def _adjoint_comparisons(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> list:
     """Partial isometry and Aluthge transform of T*: the T-side closed forms
     of V = adjoint_wce(W), the isometry against the adjoint pair of T's
     closed-form one and the Aluthge transform against the oracle on
@@ -167,11 +176,10 @@ def _adjoint_checks(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> li
     V = wce.adjoint_wce(W)
     u_star = oa.expectation_adjoint(wce.polar_isometry_closed_form(W))
     isometry, alu = wce.polar_isometry_closed_form(V), wce.aluthge_closed_form(V)
-    return _compared(
-        W,
+    return [
         ("adjoint_isometry_is_adjoint_of_isometry", isometry, u_star, tols.match),
         ("adjoint_aluthge_matches_oracle", alu, oa.aluthge_numeric(oa.adjoint(T)), tols.match),
-    )
+    ]
 
 
 def _spectrum_checks(W: WCEOperator, set_tol: float, tols: Tolerances) -> list:

@@ -430,13 +430,14 @@ def test_verify_makes_no_solver_call_per_atom(monkeypatch):
 
 
 def test_verify_compares_each_section_in_one_call(monkeypatch):
-    """A verify of random_instance(7, 64, 8) makes 8 solver calls outside
-    T's factorization and calls ``core_distances`` once per section (the
-    powers of T*T, the polar decomposition, the Aluthge transforms, the
-    powers of TT* and the adjoint), 5 times: T's atoms are rank one, so
-    every comparison's core is 2 x 2 and no values-only SVD runs on one."""
+    """A verify of random_instance(7, 64, 8) makes 6 solver calls outside
+    T's factorization and calls ``core_distances`` once per side: T's (the
+    powers of T*T, the polar decomposition, the Aluthge transforms; 9
+    comparisons) and T*'s (the powers of TT* and the adjoint; 6). T's
+    atoms are rank one, so every comparison's core is 2 x 2, taken by the
+    rank-one kernel, inside which no numpy.linalg routine runs."""
     instance = random_instance(7, 64, 8)
-    assert _solver_calls_outside_t_factorization(monkeypatch, instance) == 8
+    assert _solver_calls_outside_t_factorization(monkeypatch, instance) == 6
     calls, inside = [], []
 
     def counted(*args, _original=oa.core_distances, **kwargs):
@@ -447,11 +448,13 @@ def test_verify_compares_each_section_in_one_call(monkeypatch):
         finally:
             inside.pop()
 
-    def probe(*args, _original=np.linalg.svd, **kwargs):
-        assert not inside, "an SVD ran on a comparison's cores"
-        return _original(*args, **kwargs)
+    for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "qr"):
 
+        def probe(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            assert not inside, f"{_name} ran inside a comparison"
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, probe)
     monkeypatch.setattr(oa, "core_distances", counted)
-    monkeypatch.setattr(np.linalg, "svd", probe)
     assert summarize(verify_instance(instance))["all_passed"]
-    assert calls == [4, 3, 2, 4, 2]
+    assert calls == [9, 6]
