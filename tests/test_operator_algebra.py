@@ -1,6 +1,7 @@
 import gc
 import logging
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -31,6 +32,7 @@ from condexp import (
     to_matrix,
     weighted_inner,
 )
+from condexp import operator_algebra
 from condexp.measure_space import cluster_values
 from condexp.operator_algebra import (
     _SKETCH_TOL,
@@ -49,6 +51,13 @@ from condexp.operator_algebra import (
     expectation_product,
     gram_power,
     subtract,
+)
+
+from condexp.verification import (
+    Tolerances,
+    _aluthge_comparisons,
+    _polar_comparisons,
+    _power_comparisons,
 )
 
 from conftest import (
@@ -540,31 +549,32 @@ def _orthonormal(rng, rows, cols):
     return np.linalg.qr(_complex_vector(rng, rows * cols).reshape(rows, cols))[0]
 
 
-def _held(blocks, cores):
-    """The operator on PAIR_SPACE over ``blocks`` held as the lines and
+def _held(blocks, cores, space=PAIR_SPACE):
+    """The operator on ``space`` over ``blocks`` held as the lines and
     cores L K R^H, one (L, K, R) per block, each zero-padded to the largest
     rank (``_Lines``)."""
     starts, sizes = _segments(blocks)
+    n = space.point_count
     rank = max(k.shape[0] for _, k, _ in cores)
-    lines = np.zeros((2, 15, rank), dtype=complex)
+    lines = np.zeros((2, n, rank), dtype=complex)
     core = np.zeros((len(blocks), rank, rank), dtype=complex)
     for j, (start, size, (left, k, right)) in enumerate(zip(starts, sizes, cores)):
         r = k.shape[0]
         lines[0, start : start + size, :r], lines[1, start : start + size, :r] = left, right
         core[j, :r, :r] = k
     held = _Lines(starts, sizes, lines, core)
-    return _from_lines(held, WeightedOperator(np.zeros((15, 15)), PAIR_SPACE, blocks))
+    return _from_lines(held, WeightedOperator(np.zeros((n, n)), space, blocks))
 
 
-def _cored(blocks, rng, ranks):
-    """An operator on PAIR_SPACE over ``blocks`` held as random cores
-    L K R^H of these ranks, one per block."""
+def _cored(blocks, rng, ranks, space=PAIR_SPACE, scale=1.0):
+    """An operator on ``space`` over ``blocks`` held as random cores
+    L K R^H of these ranks, one per block, K times ``scale``."""
     cores = [
-        (_orthonormal(rng, b.size, r), _complex_vector(rng, r * r).reshape(r, r),
+        (_orthonormal(rng, b.size, r), scale * _complex_vector(rng, r * r).reshape(r, r),
          _orthonormal(rng, b.size, r))
         for b, r in zip(blocks, ranks)
     ]
-    return _held(blocks, cores)
+    return _held(blocks, cores, space)
 
 
 def _pair_as_cores(pair, blocks):
@@ -714,6 +724,151 @@ class TestCoreDistance:
         pair = (np.ones(15), np.ones(15))
         with pytest.raises(ValueError, match="held as its cores"):
             core_distance(PAIR_SPACE, PAIR_ALGEBRA, pair, _pair_operator(pair))
+
+
+#: nine points in four atoms, two of one point each, listed out of order
+KERNEL_SPACE = FiniteMeasureSpace(np.random.default_rng(31).uniform(0.1, 2.0, 9))
+KERNEL_ALGEBRA = SubSigmaAlgebra(((3,), (0, 5, 8), (1,), (2, 4, 6, 7)), 9)
+
+
+def _kernel_cases():
+    """(name, first, second) on KERNEL_SPACE, every side of width 0 or 1:
+    pairs, operators held as cores of rank 0 or 1 per atom, zero atoms and
+    zero operands, each also at 1e150 and 1e-150 per vector (1e+-300 per
+    entry), the same draws at every scale."""
+    rng = np.random.default_rng(9)
+    atoms, n = KERNEL_ALGEBRA.blocks, 9
+    a, b, c, d = (_complex_vector(rng, n) for _ in range(4))
+    a_gap, d_gap = a.copy(), d.copy()
+    a_gap[[0, 5, 8]] = 0.0
+    d_gap[[2, 4, 6, 7]] = 0.0
+    zero = np.zeros(n, dtype=complex)
+    for scale in (1.0, 1e150, 1e-150):
+        pair = lambda x, y: (scale * x, scale * y)
+        cored = lambda ranks, seed: _cored(
+            atoms, np.random.default_rng(seed), ranks, KERNEL_SPACE, scale**2
+        )
+        yield f"pair-pair-{scale:g}", pair(a, b), pair(c, d)
+        yield f"pair-zero-atoms-{scale:g}", pair(a_gap, b), pair(c, d_gap)
+        yield f"pair-zero-{scale:g}", pair(a, b), (zero, zero)
+        yield f"pair-itself-{scale:g}", pair(a, b), pair(a, b)
+        yield f"width-0-pair-{scale:g}", cored((0, 0, 0, 0), 1), pair(a, b)
+        yield f"width-1-pair-{scale:g}", cored((1, 1, 1, 1), 2), pair(c, d)
+        yield f"width-1-zero-atoms-{scale:g}", cored((1, 0, 1, 0), 3), pair(a_gap, b)
+        yield f"width-1-width-1-{scale:g}", cored((1, 1, 0, 1), 4), cored((1, 1, 1, 1), 5)
+        yield f"width-0-width-1-{scale:g}", cored((0, 0, 0, 0), 6), cored((1, 1, 1, 1), 7)
+        yield f"width-1-itself-{scale:g}", *[cored((1, 1, 1, 1), 8)] * 2
+
+
+def _kernel_nan_cases():
+    """(first, second): a pair with a NaN entry against a pair or an
+    operator held as width-1 cores, both ways round."""
+    rng = np.random.default_rng(10)
+    a, b = _complex_vector(rng, 9), _complex_vector(rng, 9)
+    a[5] = np.nan
+    cored = _cored(KERNEL_ALGEBRA.blocks, rng, (1, 1, 1, 1), KERNEL_SPACE)
+    cases = [((a, b), cored), ((a, b), (b, b)), ((b, b), (a, b))]
+    return cases + [(y, x) for x, y in cases]
+
+
+def _verify_side(seed=3, n=64, atoms=8):
+    """The space, the algebra and the 9 comparisons of T's side of a verify
+    of random_instance(seed, n, atoms): the powers, polar and Aluthge."""
+    W = as_wce(random_instance(seed, n, atoms))
+    T, tols = to_matrix(W), Tolerances()
+    comparisons = (
+        _power_comparisons(W, T, "p", tols) + _polar_comparisons(W, tols)
+        + _aluthge_comparisons(W, T, tols)
+    )
+    return W.space, W.algebra, [(first, second) for _, first, second, _ in comparisons]
+
+
+class TestRankOneKernel:
+    """``core_distances`` of sides of width 0 or 1, which the rank-one
+    kernel takes, against the dense reference."""
+
+    @pytest.mark.parametrize("name, first, second", list(_kernel_cases()))
+    def test_is_the_dense_norm_of_the_difference(self, name, first, second):
+        A, B = (_as_operator(x, KERNEL_SPACE, KERNEL_ALGEBRA) for x in (first, second))
+        bound = 1e-12 * (1.0 + max(operator_norm(A), operator_norm(B)))
+        dense = operator_norm(subtract(A, B))
+        for x, y in ((first, second), (second, first)):
+            got = core_distance(KERNEL_SPACE, KERNEL_ALGEBRA, x, y)
+            assert abs(got - dense) <= bound
+        if "itself" in name:
+            assert dense <= bound
+
+    def test_is_homogeneous_at_1e_plus_minus_150(self):
+        """At 1e+-150 per vector each margin is 1e+-300 times the margin at
+        1, to 1e-12 relative: the 1e-12 (1 + norm) bound alone says
+        nothing at 1e-300. A side against itself is rounding noise alone."""
+        cases = {name: (x, y) for name, x, y in _kernel_cases() if "itself" not in name}
+        for name in [name for name in cases if name.endswith("-1")]:
+            base = core_distance(KERNEL_SPACE, KERNEL_ALGEBRA, *cases[name])
+            assert base > 0
+            for scale in (1e150, 1e-150):
+                got = core_distance(KERNEL_SPACE, KERNEL_ALGEBRA, *cases[f"{name[:-1]}{scale:g}"])
+                assert got == pytest.approx(scale**2 * base, rel=1e-12, abs=0.0)
+
+    def test_a_side_that_is_not_finite_gives_nan(self):
+        got = core_distances(KERNEL_SPACE, KERNEL_ALGEBRA, _kernel_nan_cases())
+        assert np.isnan(got).all()
+
+    def test_runs_no_solver_and_no_gram_schmidt(self, monkeypatch):
+        """Sides of width 0 or 1 take the kernel: no numpy.linalg routine
+        and no Gram-Schmidt runs, and a verify's side takes it too."""
+        calls = []
+        for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "qr"):
+
+            def probe(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, probe)
+        space, algebra, side = _verify_side()
+        cases = [(x, y) for _, x, y in _kernel_cases()] + _kernel_nan_cases()
+        calls.clear()
+        monkeypatch.setattr(operator_algebra, "_gram_schmidt", None)
+        core_distances(KERNEL_SPACE, KERNEL_ALGEBRA, cases)
+        core_distances(space, algebra, side)
+        assert calls == []
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 40])
+    def test_atom_groups_give_the_one_group_margins(self, monkeypatch, chunk):
+        """A row bound small enough to cut the atoms into several groups,
+        and the comparisons into chunks, gives the margins of one group to
+        the bit, on the cases above and on a verify's side."""
+        cases = [(x, y) for _, x, y in _kernel_cases()]
+        cases += [(y, x) for x, y in cases] + _kernel_nan_cases()
+        space, algebra, side = _verify_side()
+        batches = ((KERNEL_SPACE, KERNEL_ALGEBRA, cases), (space, algebra, side))
+        whole = [core_distances(*batch) for batch in batches]
+        monkeypatch.setattr(operator_algebra, "COMPARISON_CHUNK", chunk)
+        for batch, want in zip(batches, whole):
+            np.testing.assert_array_equal(core_distances(*batch), want)
+
+    def test_working_set_is_bounded_by_the_row_bound(self, monkeypatch):
+        """One call over a verify's 9 comparisons at
+        random_instance(0, 20000, 200), with the row bound at 4096 entries,
+        allocates less than: the kernel's stack (q, v and two work arrays of
+        4096 complex entries each), three O(n) arrays (the points in block
+        order, their weights and square roots) and sixteen complex values
+        per comparison and atom. That is under one complex entry per point
+        and comparison (2.9 MB), so a stack that grows with n x comparisons
+        does not fit."""
+        space, algebra, side = _verify_side(0, 20_000, 200)
+        chunk, n, count = 4096, space.point_count, len(side)
+        monkeypatch.setattr(operator_algebra, "COMPARISON_CHUNK", chunk)
+        core_distances(space, algebra, side)  # warm: first-call allocations are not the call's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            core_distances(space, algebra, side)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 16 * (4 * chunk + 3 * n + 16 * count * algebra.block_count)
+        assert peak < bound < 16 * n * count
 
 
 #: a unit in the last place at 1, the closed form's tolerance unit
