@@ -15,26 +15,26 @@ blocks, into rank-r factors X diag(s) Y^H, memoized in one flat form
 T = M_w E M_u is held as its pair (w, u) (``expectation_operator``), its
 blocks built only when read, and factored from its action by one range
 finder over all atoms (``_action_svds``), certified by Halko, Martinsson
-and Tropp's probabilistic estimate. An operator held as its blocks (the
-dense reference) sketches each block of 16 points or more (``_sketch``),
-certified by its residual. The full SVD of a block alone runs where a
-sketch is not certified or a sketched value lies within its bound of the
-cutoff, so the rank decisions are the full SVD's. Every question asked of
-the factors is stacked arithmetic over all blocks (segment sums over the
-rows, one LAPACK call on a stack of cores), with each result masked by the
-block's rank: the norm, the singular values, the eigenvalues, the powers
-of T*T and TT*, the polar isometry, the Aluthge transform and the kernel
-projection. Gram-Schmidt of [Y X] in segment sums gives each block's
-joint core K (the block is Q K Q^H, with Q never formed), which the class
-margins, the normality check and the joint point spectrum read. An
-operator the oracle derives from T's factors keeps only its lines and
-cores L K R^H (``_Lines``), so its factors cost one stacked SVD of its
-cores. The oracle reads the partition, never the conditional moments, so
-it stays independent of the closed forms it checks; every decision over
-the whole operator uses all blocks' values, so results match a one-block
-factorization (the dense oracle) to rounding. Operators are immutable, so
-factorizations and adjoints are computed once and shared; an adjoint's
-factors are its operator's swapped, read through a weak reference.
+and Tropp's probabilistic estimate; the full SVD of an atom alone runs
+where its sketch is not certified or a sketched value lies within its
+estimate of the cutoff, so the rank decisions are the full SVD's. An
+operator held as its blocks (the dense reference) takes the full SVD of
+each block. Every question asked of the factors is stacked arithmetic over
+all blocks (segment sums over the rows, one LAPACK call on a stack of
+cores), with each result masked by the block's rank: the norm, the
+singular values, the eigenvalues, the powers of T*T and TT*, the polar
+isometry, the Aluthge transform and the kernel projection. Gram-Schmidt of
+[Y X] in segment sums gives each block's joint core K (the block is Q K
+Q^H, with Q never formed), which the class margins, the normality check
+and the joint point spectrum read. An operator the oracle derives from T's
+factors keeps only its lines and cores L K R^H (``_Lines``), so its
+factors cost one stacked SVD of its cores. The oracle reads the partition,
+never the conditional moments, so it stays independent of the closed forms
+it checks; every decision over the whole operator uses all blocks' values,
+so results match a one-block factorization (the dense oracle) to rounding.
+Operators are immutable, so factorizations and adjoints are computed once
+and shared; an adjoint's factors are its operator's swapped, read through
+a weak reference.
 
 The closed forms all have the shape M_a E M_b, rank one on each atom, and
 are handled as their pairs (a, b): the pair rules (adjoint, product,
@@ -446,70 +446,26 @@ def _cut(blocks: tuple, groups: list) -> _Factors:
 #: ``_Lines``, each standard-coordinate block being L K R^H
 _LINES = "lines"
 
-#: Gaussian columns of a sketch; an operator held as its blocks sketches
-#: blocks of 16 points or more, where that is cheaper than the full SVD
+#: Gaussian columns of the action range finder's sketch (``_action_svds``)
 _SKETCH_WIDTH = 4
-#: a sketch is accepted when its residual, or its estimate, is at most this
-#: times its largest singular value; it lies below DEFAULT_RANK_TOL, so
-#: every singular value a sketch misses is under the rank cutoff
+#: an atom's sketch is accepted when its estimate is at most this times its
+#: largest singular value; it lies below DEFAULT_RANK_TOL, so every singular
+#: value the sketch misses is under the rank cutoff
 _SKETCH_TOL = 1e-13
-#: seed of every sketch's Gaussian columns, so factors are the same on every call
+#: seed of the sketch's Gaussian columns, so factors are the same on every call
 _SKETCH_SEED = 0
 #: extra Gaussian probes of the action range finder's estimate: it fails
 #: with probability at most 10^-_PROBES per atom
 _PROBES = 10
 
 
-def _sketch(m: np.ndarray):
-    """(U, s, V^H, residual) of the square standard-coordinate block m of an
-    operator held as its blocks, by Halko, Martinsson and Tropp's range
-    finder ("Finding structure with randomness", SIAM Review 53(2), 2011),
-    or None where the full SVD is to be run instead. Q from the QR of
-    m Omega (_SKETCH_WIDTH Gaussian columns from _SKETCH_SEED) and the SVD
-    of Q^H m = P diag(s) V^H give U = Q P. Every singular value of m lies
-    within the residual ||m - Q Q^H m||_F of its sketched value (Weyl), and
-    those past the width under it. The sketch is taken where its width is
-    at most a quarter of the block's size, and accepted at a residual of
-    at most _SKETCH_TOL s_1, a deterministic certificate; the residual is
-    formed explicitly, as ||m||^2 - ||Q^H m||^2 would cancel its digits."""
-    size = m.shape[0]
-    if 4 * _SKETCH_WIDTH > size:
-        return None
-    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((size, _SKETCH_WIDTH))
-    q = _solve("qr", m @ omega)[0]
-    c = q.conj().T @ m
-    p, s, vh = _solve("svd", c, full_matrices=False)
-    r = q @ c
-    r -= m
-    residual = math.sqrt(np.vdot(r, r).real)
-    accepted = residual <= _SKETCH_TOL * s[0]
-    ratio = residual / s[0] if s[0] > 0 else (math.inf if residual else 0.0)
-    log.debug(
-        "sketch %dx%d width %d residual/s1 %.3g %s",
-        size, size, _SKETCH_WIDTH, ratio,
-        "accepted" if accepted else "rejected, fell back to the full SVD",
-    )
-    return (q @ p, s, vh, residual) if accepted else None
-
-
-def _block_svds(T: WeightedOperator) -> list:
-    """The ``_cut`` groups of T's standard-coordinate blocks, one each: its
-    certified sketch (``_sketch``) or its full SVD (``_settled``)."""
-    groups, residuals = [], []
-    for k, (_, m) in enumerate(_std_blocks(T)):
-        *usv, residual = _sketch(m) or (*_solve("svd", m), math.nan)
-        groups.append((np.full(1, k), *(x[None] for x in usv)))
-        residuals.append(residual)
-    return _settled(T, groups, np.array(residuals), ("sketch", "residual"))[0]
-
-
-def _settled(T: WeightedOperator, groups: list, bounds: np.ndarray, names: tuple) -> tuple:
-    """(groups, the count of blocks factored again): each block not
-    certified (bound inf), then each with a sketched value within its bound
-    of the one rank cutoff (logged with the ``names`` of the sketch and its
-    bound), built alone and factored by the full SVD (bound NaN: factored so
-    already). The other sketched values lie within their bounds of the true
-    ones, on their side of the cutoff: the rank decisions are the SVD's."""
+def _settled(T: WeightedOperator, groups: list, bounds: np.ndarray) -> tuple:
+    """(groups, the count of atoms factored again): each atom not certified
+    (bound inf), then each with a sketched value within its estimate of the
+    one rank cutoff (logged), built alone and factored by the full SVD
+    (bound NaN: factored so already). The other sketched values lie within
+    their bounds of the true ones, on their side of the cutoff: the rank
+    decisions are the SVD's."""
     redo = np.isinf(bounds)
     groups = _refactored(T, groups, redo)
     bounds = np.where(redo, math.nan, bounds)
@@ -517,20 +473,23 @@ def _settled(T: WeightedOperator, groups: list, bounds: np.ndarray, names: tuple
     undecided = np.zeros(bounds.size, dtype=bool)
     for which, _, s, _ in groups:
         undecided[which] = np.any(np.abs(s - cutoff) <= bounds[which, None], axis=1)
-    return _refactored(T, groups, undecided, names), np.count_nonzero(redo | undecided)
+    for k in np.flatnonzero(undecided):
+        size = T.blocks[k].size
+        log.debug(
+            "range finder %dx%d fell back to the full SVD:"
+            " a value within its estimate of the rank cutoff", size, size,
+        )
+    return _refactored(T, groups, undecided), np.count_nonzero(redo | undecided)
 
 
-def _refactored(T: WeightedOperator, groups: list, redo: np.ndarray, names=None) -> list:
+def _refactored(T: WeightedOperator, groups: list, redo: np.ndarray) -> list:
     """``groups`` with the blocks marked ``redo`` factored by the full SVD,
-    each in a group of its own, and logged where ``names`` are given."""
+    each in a group of its own."""
     if not redo.any():
         return groups
     out = [(w[~redo[w]], *(x[~redo[w]] for x in usv)) for w, *usv in groups]
     which = np.flatnonzero(redo)
-    for k, (b, m) in zip(which, _std_blocks(T, which)):
-        if names:
-            message = "%s %dx%d fell back to the full SVD: a value within its %s of the rank cutoff"
-            log.debug(message, names[0], b.size, b.size, names[1])
+    for k, (_, m) in zip(which, _std_blocks(T, which)):
         out.append((np.full(1, k), *(x[None] for x in _solve("svd", m))))
     return out
 
@@ -573,9 +532,9 @@ def _action_svds(T: WeightedOperator) -> list:
     atom is accepted when 10 sqrt(2/pi) max ||(I - Q Q^H) T_B omega|| over
     the extra probes, an estimate of ||T_B - Q Q^H T_B|| that fails with
     probability at most 10^-_PROBES, is at most _SKETCH_TOL s_1: a
-    probabilistic certificate, where ``_sketch``'s is deterministic;
-    ``_settled`` factors the others in full. One DEBUG line gives the
-    atoms, runs, width, largest estimate over s_1 and fallback count."""
+    probabilistic certificate; ``_settled`` factors the others in full.
+    One DEBUG line gives the atoms, runs, width, largest estimate over s_1
+    and fallback count."""
     a, b = T._memo[_PAIR]
     starts, sizes = _segments(T.blocks)
     order = np.concatenate(T.blocks)
@@ -605,7 +564,7 @@ def _action_svds(T: WeightedOperator) -> list:
         groups.append((which, q @ p, s, vh))
         estimates[which], first[which] = _ESTIMATE_FACTOR * np.sqrt(squares), s[:, 0]
     bounds = np.where(estimates <= _SKETCH_TOL * first, estimates, math.inf)
-    groups, fallbacks = _settled(T, groups, bounds, ("range finder", "estimate"))
+    groups, fallbacks = _settled(T, groups, bounds)
     if log.isEnabledFor(logging.DEBUG):
         ratio = np.where(estimates > 0, math.inf, 0.0)
         np.divide(estimates, first, out=ratio, where=first > 0)
@@ -624,8 +583,8 @@ def _factors(T: WeightedOperator) -> _Factors:
     live A has A's factors swapped, views of the same arrays. An operator
     held as its lines and cores factors its cores (``_cored_factors``);
     one held as its pair, such as T, its action, in O(n) times the width
-    (``_action_svds``); any other each block, by a certified sketch in
-    |B|^2 times the width or else the full SVD (``_block_svds``)."""
+    (``_action_svds``); one held as its blocks (the dense reference) each
+    block, by its full SVD."""
     ref = T._memo.get(_ADJOINT_OF)
     source = ref() if ref is not None else None
     if source is not None:
@@ -634,7 +593,9 @@ def _factors(T: WeightedOperator) -> _Factors:
     held = T._memo.get(_LINES)
     if held is not None:
         return _cored_factors(held)
-    return _cut(T.blocks, (_action_svds if _PAIR in T._memo else _block_svds)(T))
+    if _PAIR in T._memo:
+        return _cut(T.blocks, _action_svds(T))
+    return _cut(T.blocks, _refactored(T, [], np.ones(len(T.blocks), dtype=bool)))
 
 
 def _cored_factors(held: _Lines) -> _Factors:
@@ -1164,18 +1125,12 @@ def operator_norm(T: WeightedOperator) -> float:
     return float(singular_values(T)[0])
 
 
-def _asymmetry(mats: list) -> tuple:
-    """(the largest entry of M - M^H, 1 + the largest entry of M) over the
-    matrices M, or stacks of them (standard-coordinate blocks, or their
-    cores): the self-adjointness test compares them."""
-    scale_ = 1.0 + max(np.abs(m).max(initial=0.0) for m in mats)
-    asymmetry = max(np.abs(m - _conj_t(m)).max(initial=0.0) for m in mats)
-    return asymmetry, scale_
-
-
 def is_hermitian(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:
-    asymmetry, scale_ = _asymmetry([m for _, m in _std_blocks(T)])
-    return bool(asymmetry <= tol * scale_)
+    """Whether the largest entry of M - M^H is at most tol times 1 + the
+    largest entry of M, over T's standard-coordinate blocks M."""
+    mats = [m for _, m in _std_blocks(T)]
+    scale_ = 1.0 + max(np.abs(m).max() for m in mats)
+    return bool(max(np.abs(m - _conj_t(m)).max() for m in mats) <= tol * scale_)
 
 
 class LoewnerMargins(NamedTuple):

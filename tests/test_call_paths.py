@@ -216,6 +216,47 @@ def test_numpy_linalg_is_called_only_through_solve():
     assert _linalg_uses(probe) == [(1, None), (3, "f")]
 
 
+def _qr_callers(tree) -> list:
+    """The enclosing top-level function (None outside one) of each QR call
+    in ``tree``: ``_solve("qr", ...)``, or a call of an attribute ``qr``."""
+    callers = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            solved = (
+                isinstance(func, ast.Name)
+                and func.id == "_solve"
+                and args
+                and isinstance(args[0], ast.Constant)
+                and args[0].value == "qr"
+            )
+            if solved or (isinstance(func, ast.Attribute) and func.attr == "qr"):
+                callers.append(owner)
+    return callers
+
+
+def test_qr_is_called_by_the_action_range_finder_alone():
+    """One range finder: QR runs in one function of ``src``, the range
+    finder over T's action (``_action_svds``), and an operator held as its
+    blocks takes the full SVD of each block."""
+    callers = {
+        f"{path.name}:{owner}"
+        for path in (ROOT / "src").rglob("*.py")
+        for owner in _qr_callers(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert callers == {"operator_algebra.py:_action_svds"}
+    # the scan sees a QR through _solve and a direct one, and no other routine
+    probe = ast.parse(
+        'def f(m):\n    return _solve("qr", m)\n'
+        "def g(m):\n    return np.linalg.qr(m)\n"
+        'def h(m):\n    return _solve("svd", m)\n'
+    )
+    assert _qr_callers(probe) == ["f", "g"]
+
+
 def _verify_inputs() -> list:
     """The inputs of the structural verify tests: product_space_example(4, 80)
     as it is, and with w replaced by the constant 1, so that verify runs the

@@ -1,17 +1,16 @@
-"""T's factors by the range finder against the dense SVD of each block.
+"""Factors of an operator held as its blocks against the dense SVD of each
+block.
 
-``_factors`` sketches each standard-coordinate block of at least 16 points
-with four Gaussian columns and runs the full SVD where the sketch is not
-certified, or where a sketched singular value lies within the block's
-residual of the one rank cutoff. The reference stays numpy's SVD of
+``_factors`` takes the full SVD of each standard-coordinate block of an
+operator held as its blocks (the dense reference): one ``svd`` call per
+block and no range finder, so no ``qr``. The reference is numpy's SVD of
 each block, cut at DEFAULT_RANK_TOL times the largest singular value of any
 block: the ranks must match it exactly and the kept values to 1e-12 of the
-largest.
+largest. The flat factors of blocks of mixed ranks, and every question read
+off them, are checked against the dense per-block references too.
 """
 
 import gc
-import logging
-import re
 
 import numpy as np
 import pytest
@@ -79,32 +78,40 @@ def _dense_reference(T) -> list:
     return [s[s > cutoff] for s in values]
 
 
-ACCEPTED = r"width 4 residual/s1 \S+ accepted"
-REJECTED = r"width 4 residual/s1 \S+ rejected, fell back to the full SVD"
-#: (size, singular values) per block, and the path the first block's
-#: factorization takes, as logged
+#: (size, singular values) per block: "certificate-fallback" has rank 5,
+#: past the width of T's range finder, and "rank-cut-fallback" values at
+#: the rank cutoff
 CASES = {
-    "rank-0": ([(24, [1.0]), (20, [])], ACCEPTED),
-    "rank-1": ([(32, [2.0])], ACCEPTED),
-    "rank-2": ([(32, [1.0, 0.3]), (16, [0.7])], ACCEPTED),
-    "rank-4": ([(64, [1.0, 0.5, 0.3, 0.2])], ACCEPTED),
-    "full-rank": ([(20, np.linspace(1.0, 0.1, 20))], REJECTED),
-    "just-above-and-below-the-cut": (
-        [(40, [1.0, 1.001e-10]), (40, [0.5, 0.999e-10])],
-        ACCEPTED,
-    ),
-    "certificate-fallback": ([(64, [1.0, 0.5, 0.3, 0.2, 0.1])], REJECTED),
-    "rank-cut-fallback": ([(64, [1.0, 1e-10 + 3e-15] + [5e-15] * 10)], "rank cutoff"),
+    "rank-0": [(24, [1.0]), (20, [])],
+    "rank-1": [(32, [2.0])],
+    "rank-2": [(32, [1.0, 0.3]), (16, [0.7])],
+    "rank-4": [(64, [1.0, 0.5, 0.3, 0.2])],
+    "full-rank": [(20, np.linspace(1.0, 0.1, 20))],
+    "just-above-and-below-the-cut": [(40, [1.0, 1.001e-10]), (40, [0.5, 0.999e-10])],
+    "certificate-fallback": [(64, [1.0, 0.5, 0.3, 0.2, 0.1])],
+    "rank-cut-fallback": [(64, [1.0, 1e-10 + 3e-15] + [5e-15] * 10)],
 }
 
 
-@pytest.mark.parametrize("spec, path", CASES.values(), ids=CASES.keys())
-def test_matches_the_dense_svd_of_each_block(caplog, spec, path):
+@pytest.mark.parametrize("spec", CASES.values(), ids=CASES.keys())
+def test_matches_the_dense_svd_of_each_block(monkeypatch, spec):
+    """The factors are the full SVD of each block: one ``svd`` call per
+    block, each on the whole block, and no ``qr``."""
     T = _operator(spec)
-    caplog.set_level(logging.DEBUG, logger="condexp")
+    calls = []
+
+    def probe(routine):
+        def counted(a, *args, _original=getattr(np.linalg, routine), **kwargs):
+            calls.append((routine, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        return counted
+
+    for routine in ("svd", "qr"):
+        monkeypatch.setattr(np.linalg, routine, probe(routine))
     factors = list(block_factors(T))
-    first = "\n".join(m for m in caplog.messages if m.startswith(f"sketch {spec[0][0]}x"))
-    assert re.search(path, first)
+    monkeypatch.undo()
+    assert calls == [("svd", (size, size)) for size, _ in spec]
     reference = _dense_reference(T)
     largest = max(s.max(initial=0.0) for s in reference)
     for (_, x, s, y), (_, m), dense in zip(factors, _std_blocks(T), reference, strict=True):
@@ -116,41 +123,13 @@ def test_matches_the_dense_svd_of_each_block(caplog, spec, path):
         assert np.abs((x * s) @ y.conj().T - m).max() <= 2 * DEFAULT_RANK_TOL * largest
 
 
-def test_sketches_only_where_the_width_is_a_quarter_of_the_block(caplog):
-    """A block of 15 points gets the full SVD with no sketch, one of 16 a
-    sketch of 4 columns, and a sketch that is not certified is not widened:
-    the full SVD runs in its place."""
-    rng = np.random.default_rng(1)
-    caplog.set_level(logging.DEBUG, logger="condexp")
-    assert oa._sketch(_block(rng, 15, [1.0])) is None
-    assert not caplog.messages
-    u, s, vh, residual = oa._sketch(_block(rng, 16, [1.0]))
-    assert u.shape == (16, oa._SKETCH_WIDTH) and vh.shape == (oa._SKETCH_WIDTH, 16)
-    assert residual <= oa._SKETCH_TOL * s[0]
-    caplog.clear()
-    assert oa._sketch(_block(rng, 64, np.ones(5))) is None
-    assert [m.split()[3] for m in caplog.messages if m.startswith("sketch ")] == ["4"]
-
-
-def test_the_residual_certifies_the_values():
-    """Every singular value of the block lies within the sketch's residual
-    of the sketched one, and those past the width under the residual."""
-    rng = np.random.default_rng(2)
-    m = _block(rng, 64, [1.0, 0.5, 0.3])
-    u, s, vh, residual = oa._sketch(m)
-    dense = np.linalg.svd(m, compute_uv=False)
-    padded = np.concatenate([s, np.zeros(dense.size - s.size)])
-    assert np.abs(dense - padded).max() <= residual + 1e-15
-    assert np.abs((u * s) @ vh - m).max() <= residual
-
-
 def _factor_arrays(T) -> dict:
     return {int(b[0]): (x, s, y) for b, x, s, y in block_factors(T)}
 
 
 def test_factors_depend_on_neither_the_run_nor_the_block_order():
-    """The Gaussian columns come from a fixed seed, so factoring twice or in
-    the reverse block order gives the same arrays to the bit."""
+    """Each block is factored alone, so factoring twice or in the reverse
+    block order gives the same arrays to the bit."""
     spec = [(24, [1.0]), (64, [1.0, 0.5, 0.3, 0.2]), (40, [0.5, 0.2])]
     runs = [_factor_arrays(_operator(spec)) for _ in range(2)]
     runs.append(_factor_arrays(_operator(spec, order=[2, 1, 0])))
@@ -158,27 +137,6 @@ def test_factors_depend_on_neither_the_run_nor_the_block_order():
         assert run.keys() == runs[0].keys()
         for key, arrays in run.items():
             assert all(np.array_equal(a, b) for a, b in zip(arrays, runs[0][key], strict=True))
-
-
-def test_a_forced_fallback_is_logged(caplog):
-    """At DEBUG each sketch logs its width, its residual over its largest
-    singular value and whether it was accepted or fell back; a block with a
-    value at the cutoff logs its fallback too."""
-    T = _operator(CASES["certificate-fallback"][0] + CASES["rank-cut-fallback"][0])
-    caplog.set_level(logging.DEBUG, logger="condexp")
-    _factors(T)
-    sketches = [m for m in caplog.messages if m.startswith("sketch ")]
-    assert sketches == [
-        "sketch 64x64 width 4 residual/s1 "
-        + sketches[0].split()[5]
-        + " rejected, fell back to the full SVD",
-        "sketch 64x64 width 4 residual/s1 " + sketches[1].split()[5] + " accepted",
-        "sketch 64x64 fell back to the full SVD: a value within its residual of the rank cutoff",
-    ]
-    assert float(sketches[0].split()[5]) > oa._SKETCH_TOL
-    assert float(sketches[1].split()[5]) <= oa._SKETCH_TOL
-    svds = [m.split()[1] for m in caplog.messages if m.startswith("svd ")]
-    assert svds.count("64x64") == 2
 
 
 def test_eigenvalues_build_only_full_rank_blocks(monkeypatch):
@@ -202,10 +160,9 @@ def test_eigenvalues_build_only_full_rank_blocks(monkeypatch):
 
 
 def test_a_lazy_operator_builds_one_block_alone(monkeypatch):
-    """On an adjoint whose operator is gone, the rank-cut fallback builds
-    its undecided block alone, after one build of each block for the
-    sketches; the eigenvalues build the full-rank block alone. The adjoint
-    keeps no block."""
+    """On an adjoint whose operator is gone, factoring builds each block
+    once, for its full SVD; the eigenvalues build the full-rank block
+    alone. The adjoint keeps no block."""
     built = []
 
     def counted(*args, _original=oa._adjoint_parts, **kwargs):
@@ -214,12 +171,12 @@ def test_a_lazy_operator_builds_one_block_alone(monkeypatch):
             yield block
 
     monkeypatch.setattr(oa, "_adjoint_parts", counted)
-    T = _operator(CASES["rank-cut-fallback"][0] + [(32, [0.5]), (6, np.linspace(1.0, 0.5, 6))])
+    T = _operator(CASES["rank-cut-fallback"] + [(32, [0.5]), (6, np.linspace(1.0, 0.5, 6))])
     A = adjoint(T)
     del T
     gc.collect()
     _factors(A)
-    assert built == [64, 32, 6, 64]
+    assert built == [64, 32, 6]
     built.clear()
     eigenvalues(A)
     assert built == [6]
