@@ -2,8 +2,10 @@
 block.
 
 ``_factors`` takes the full SVD of each standard-coordinate block of an
-operator held as its blocks (the dense reference): one ``svd`` call per
-block and no range finder, so no ``qr``. The reference is numpy's SVD of
+operator held as its blocks (the dense reference, ``compose``,
+``fractional_power``, ``kernel_projection``, an adjoint whose operator is
+gone): one ``svd`` call per block, logged at DEBUG, and no range finder, so
+no ``qr``. The reference is numpy's SVD of
 each block, cut at DEFAULT_RANK_TOL times the largest singular value of any
 block: the ranks must match it exactly and the kept values to 1e-12 of the
 largest. The flat factors of blocks of mixed ranks, and every question read
@@ -11,6 +13,7 @@ off them, are checked against the dense per-block references too.
 """
 
 import gc
+import logging
 
 import numpy as np
 import pytest
@@ -21,14 +24,17 @@ from condexp import (
     adjoint,
     compose,
     eigenvalues,
+    fractional_power,
     is_normal,
     joint_point_spectrum,
+    kernel_projection,
     operator_norm,
     singular_values,
 )
 from condexp import operator_algebra as oa
 from condexp.operator_algebra import (
     DEFAULT_RANK_TOL,
+    _PAIR,
     _factors,
     _std_blocks,
     gram_power,
@@ -93,11 +99,10 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("spec", CASES.values(), ids=CASES.keys())
-def test_matches_the_dense_svd_of_each_block(monkeypatch, spec):
-    """The factors are the full SVD of each block: one ``svd`` call per
-    block, each on the whole block, and no ``qr``."""
-    T = _operator(spec)
+def _assert_full_svd_of_each_block(monkeypatch, T):
+    """T's factors are the full SVD of each block: one ``svd`` call per
+    block, each on the whole block, in block order, and no ``qr``; they
+    match the dense reference."""
     calls = []
 
     def probe(routine):
@@ -111,7 +116,7 @@ def test_matches_the_dense_svd_of_each_block(monkeypatch, spec):
         monkeypatch.setattr(np.linalg, routine, probe(routine))
     factors = list(block_factors(T))
     monkeypatch.undo()
-    assert calls == [("svd", (size, size)) for size, _ in spec]
+    assert calls == [("svd", (b.size, b.size)) for b in T.blocks]
     reference = _dense_reference(T)
     largest = max(s.max(initial=0.0) for s in reference)
     for (_, x, s, y), (_, m), dense in zip(factors, _std_blocks(T), reference, strict=True):
@@ -121,6 +126,75 @@ def test_matches_the_dense_svd_of_each_block(monkeypatch, spec):
         np.testing.assert_allclose(y.conj().T @ y, np.eye(s.size), atol=1e-12)
         # the block less its kept part holds only values under the cutoff
         assert np.abs((x * s) @ y.conj().T - m).max() <= 2 * DEFAULT_RANK_TOL * largest
+
+
+@pytest.mark.parametrize("spec", CASES.values(), ids=CASES.keys())
+def test_matches_the_dense_svd_of_each_block(monkeypatch, spec):
+    """The factors are the full SVD of each block: one ``svd`` call per
+    block, each on the whole block, and no ``qr``."""
+    _assert_full_svd_of_each_block(monkeypatch, _operator(spec))
+
+
+#: blocks of 24, 64, 6 and 20 points of rank 1, 4, 6 and 2
+DERIVED_SPEC = [
+    (24, [1.0]),
+    (64, [1.0, 0.5, 0.3, 0.2]),
+    (6, np.linspace(1.0, 0.5, 6)),
+    (20, [0.8, 0.4]),
+]
+
+
+def _gone_adjoint():
+    """The adjoint of an operator that is gone: it holds only what defines
+    its blocks."""
+    A = adjoint(_operator(DERIVED_SPEC))
+    gc.collect()
+    assert A._memo[oa._ADJOINT_OF]() is None
+    return A
+
+
+def _square(T):
+    """T T, by ``compose``."""
+    return compose(T, T)
+
+
+def _root_of_gram(T):
+    """(T* T)^(1/2), by ``fractional_power`` of the composed T* T."""
+    return fractional_power(compose(adjoint(T), T), 0.5)
+
+
+#: the operators the library holds as their blocks, each built from
+#: _operator(DERIVED_SPEC)
+DERIVED = {
+    "compose": lambda: _square(_operator(DERIVED_SPEC)),
+    "fractional_power": lambda: _root_of_gram(_operator(DERIVED_SPEC)),
+    "kernel_projection": lambda: kernel_projection(_operator(DERIVED_SPEC)),
+    "gone-adjoint": _gone_adjoint,
+}
+
+
+@pytest.mark.parametrize("build", DERIVED.values(), ids=DERIVED.keys())
+def test_derived_operators_take_the_full_svd_of_each_block(monkeypatch, build):
+    """Every operator held as its blocks, not only the dense reference, is
+    factored by the full SVD of each block, with no range finder."""
+    T = build()
+    assert _PAIR not in T._memo and oa._LINES not in T._memo
+    _assert_full_svd_of_each_block(monkeypatch, T)
+
+
+def test_each_block_logs_its_svd_and_no_range_finder(caplog):
+    """At DEBUG, factoring an operator held as its blocks logs one ``svd``
+    line per block, with its shape, and no range finder line: no estimate
+    is made, so a block with a value at the rank cutoff logs no fallback."""
+    T = _operator(CASES["certificate-fallback"] + CASES["rank-cut-fallback"] + [(6, [1.0])])
+    caplog.set_level(logging.DEBUG, logger="condexp")
+    _factors(T)
+    assert [m.split()[:2] for m in caplog.messages] == [
+        ["svd", "64x64"],
+        ["svd", "64x64"],
+        ["svd", "6x6"],
+    ]
+    assert not any("range finder" in m or "fell back" in m for m in caplog.messages)
 
 
 def _factor_arrays(T) -> dict:
