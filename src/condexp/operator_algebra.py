@@ -1,33 +1,36 @@
 """Operators on the weighted L2 space, stored atom by atom, and the
 numerical oracle.
 
-An operator is stored as its diagonal blocks: ``blocks`` partitions the
-points into index arrays, and ``parts`` holds, for each block B, the matrix
-the operator acts by on value vectors over B; the full n x n matrix
-``entries`` is assembled only when it is read. The adjoint on the weighted
-inner product is D^-1 A^H D with D = diag(mu), block by block, and all
-spectral computations conjugate by D^(1/2) into standard C^n, so LAPACK
-runs on each block, at a cost of at most sum |B|^3 instead of n^3.
+An operator is block-diagonal: ``blocks`` partitions the points into index
+arrays, and ``parts`` gives, for each block B, the matrix the operator acts
+by on value vectors over B. It is held in one of three forms: its blocks
+(the dense reference), its pair (a, b) of M_a E M_b (T), or its lines and
+cores (the oracle's derived operators); the last two build ``parts`` and
+the full n x n matrix ``entries`` on each read, and keep neither. The
+adjoint on the weighted inner product is D^-1 A^H D with D = diag(mu),
+block by block, held in its operator's form, and all spectral
+computations conjugate by D^(1/2) into standard C^n, so LAPACK runs on
+each block, at a cost of at most sum |B|^3 instead of n^3.
 
 The oracle factors each block once, cut at the one rank cutoff over all
 blocks, into rank-r factors X diag(s) Y^H, memoized in one flat form
 (``_Factors``: X and Y as n x R arrays zero-padded to the largest rank R).
-T = M_w E M_u is held as its pair (w, u) (``expectation_operator``), its
-blocks built only when read, and factored from its action by one range
-finder over all atoms (``_action_svds``), certified by Halko, Martinsson
-and Tropp's probabilistic estimate; the full SVD of an atom alone runs
-where its sketch is not certified or a sketched value lies within its
-estimate of the cutoff, so the rank decisions are the full SVD's. An
-operator held as its blocks (the dense reference) takes the full SVD of
-each block. Every question asked of the factors is stacked arithmetic over
-all blocks (segment sums over the rows, one LAPACK call on a stack of
-cores), with each result masked by the block's rank: the norm, the
+T = M_w E M_u is held as its pair (w, u) (``expectation_operator``) and
+factored from its action by one range finder over all atoms
+(``_action_svds``), certified by Halko, Martinsson and Tropp's
+probabilistic estimate; the full SVD of an atom alone runs where its
+sketch is not certified or a sketched value lies within its estimate of
+the cutoff, so the rank decisions are the full SVD's. An operator held as
+its blocks (the dense reference) takes the full SVD of each block. Every
+question asked of the factors is stacked arithmetic over all blocks
+(segment sums over the rows, one LAPACK call on a stack of cores), with
+each result masked by the block's rank: the norm, the
 singular values, the eigenvalues, the powers of T*T and TT*, the polar
 isometry, the Aluthge transform and the kernel projection. Gram-Schmidt of
 [Y X] in segment sums gives each block's joint core K (the block is Q K
 Q^H, with Q never formed), which the class margins, the normality check
 and the joint point spectrum read. An operator the oracle derives from T's
-factors keeps only its lines and cores L K R^H (``_Lines``), so its
+factors is held as its lines and cores L K R^H (``_Lines``), so its
 factors cost one stacked SVD of its cores. The oracle reads the partition,
 never the conditional moments, so it stays independent of the closed forms
 it checks; every decision over the whole operator uses all blocks' values,
@@ -102,20 +105,22 @@ def _as_blocks(blocks, n: int) -> tuple:
 
 @dataclass(frozen=True, init=False, eq=False)
 class WeightedOperator:
-    """A linear operator on L2(mu), stored as its diagonal blocks.
+    """A linear operator on L2(mu), block-diagonal over ``blocks``.
 
     ``WeightedOperator(entries, space, blocks)`` takes the n x n matrix on
     value vectors, which must vanish outside the diagonal blocks that
     ``blocks`` (index arrays partitioning the points; one block without
     it) define. ``parts[k]`` is the block over ``blocks[k]``. An operator
-    that keeps only what defines it (T its pair, an oracle-derived one its
-    cores, an adjoint its operator's blocks) assembles ``parts`` on their
-    first read.
+    is held in one of three forms: its blocks (``_parts``; the dense
+    reference), its pair (a, b) of M_a E M_b (``_memo[_PAIR]``; T), or its
+    lines and cores (``_memo[_LINES]``; the oracle's derived operators).
+    The last two hold no block (``_parts`` is None) and build ``parts`` on
+    each read.
     """
 
     space: FiniteMeasureSpace
     blocks: tuple
-    _parts: object = field(repr=False)  # the blocks, or a callable yielding them
+    _parts: Optional[tuple] = field(repr=False)  # the blocks, or None
     _memo: dict = field(repr=False)
 
     def __init__(self, entries, space: FiniteMeasureSpace, blocks=None):
@@ -133,11 +138,10 @@ class WeightedOperator:
     def _of_blocks(cls, parts, space: FiniteMeasureSpace, blocks: tuple, memo=None):
         """The operator with these diagonal blocks over ``blocks`` (already a
         partition). ``parts`` is an iterable of new arrays the caller hands
-        over, frozen in place, not copied; or a callable yielding them one
-        block at a time, called when ``parts`` is read, with what defines
-        them in ``memo``."""
+        over, frozen in place, not copied; or None for an operator held as
+        its pair or its lines, given in ``memo``."""
         op = cls.__new__(cls)
-        op._assign(parts if callable(parts) else tuple(parts), space, blocks, dict(memo or {}))
+        op._assign(None if parts is None else tuple(parts), space, blocks, dict(memo or {}))
         return op
 
     def _assign(self, parts, space: FiniteMeasureSpace, blocks: tuple, memo: dict) -> None:
@@ -149,27 +153,24 @@ class WeightedOperator:
     def __post_init__(self):
         """Every construction ends here: each block must be a finite square
         matrix over its indices, stored complex and read-only. An operator
-        held as its cores or its pair checks those finite instead, and its
+        held as its pair or its lines checks those finite instead, and its
         blocks when they are built (``_block_parts``)."""
-        parts = self._parts
-        if not callable(parts):
-            object.__setattr__(self, "_parts", _checked_parts(self.blocks, parts))
+        if self._parts is not None:
+            object.__setattr__(self, "_parts", _checked_parts(self.blocks, self._parts))
             return
         held = self._memo.get(_LINES)
-        held = (held.lines, held.core) if held is not None else self._memo.get(_PAIR, ())
+        held = (held.lines, held.core) if held is not None else self._memo[_PAIR]
         if not all(np.isfinite(a).all() for a in held):
             raise ValueError("operator entries must be finite")
 
     @property
     def parts(self) -> tuple:
-        """The diagonal blocks in block order, assembled on the first read
-        where the operator keeps only what defines them. ``_parts`` is read
-        once, so two threads reading it first both assemble the same blocks."""
-        parts = self._parts
-        if callable(parts):
-            parts = _checked_parts(self.blocks, parts())
-            object.__setattr__(self, "_parts", parts)
-        return parts
+        """The diagonal blocks in block order: those held, or, for an
+        operator held as its pair or its lines, built on each read
+        (``_block_parts``), none kept."""
+        if self._parts is not None:
+            return self._parts
+        return _checked_parts(self.blocks, _block_parts(self))
 
     @property
     def entries(self) -> np.ndarray:
@@ -200,52 +201,35 @@ def _finite(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _select(items, which):
-    """``items`` at the indices ``which``, in that order; all of them when
-    ``which`` is None."""
-    return items if which is None else [items[k] for k in which]
-
-
-def _holding_blocks(T: WeightedOperator) -> WeightedOperator:
-    """T where it holds its blocks; where it keeps only what defines them, a
-    copy of T holding them, so each is built once for several reads and T
-    keeps none."""
-    parts = T._parts  # read once: another thread may assemble T's blocks
-    if not callable(parts):
-        return T
-    return WeightedOperator._of_blocks(parts(), T.space, T.blocks)
-
-
-def _iter_parts(parts, which=None):
-    """The blocks held as ``parts`` (a tuple, or a callable yielding them),
-    one at a time: those at the indices ``which`` (``_select``); a callable
-    builds only those."""
-    return parts(which) if callable(parts) else iter(_select(parts, which))
-
-
 def _block_parts(T: WeightedOperator, which=None):
     """T's blocks one at a time, in block order, or those at the indices
-    ``which``. Where T keeps only what defines them they are built as
-    ``parts`` would build them, to the bit, and checked finite as ``parts``
-    would check them, but none is kept and no other block is built."""
-    parts = T._parts  # read once: another thread may assemble T's blocks
-    blocks = _iter_parts(parts, which)
-    return map(_finite, blocks) if callable(parts) else blocks
+    ``which``: the one reader of blocks. Held blocks are read; for T held
+    as its pair or its lines each is built (``_built_block``) and checked
+    finite, none is kept and no other block is built."""
+    indices = range(len(T.blocks)) if which is None else which
+    if T._parts is not None:
+        return (T._parts[k] for k in indices)
+    return (_finite(_built_block(T, k)) for k in indices)
+
+
+def _built_block(T: WeightedOperator, k: int) -> np.ndarray:
+    """Block k on value vectors of T held as its pair (a, b), the rank-one
+    a_B (mu_B b_B)^T / mu(B) on its atom B; or held as its lines
+    (``_Lines``), D^(-1/2) L K R^H D^(1/2) over the block, with the weights
+    applied to the |B| x R lines, so one product builds it."""
+    block = T.blocks[k]
+    mu_b = T.space.weights[block]
+    held = T._memo.get(_LINES)
+    if held is None:
+        a, b = T._memo[_PAIR]
+        return np.outer(a[block], mu_b * b[block] / mu_b.sum())
+    left, right = held.lines[:, held.starts[k] : held.starts[k] + held.sizes[k]]
+    db = np.sqrt(mu_b)[:, None]
+    return ((left / db) @ held.core[k]) @ (right * db).conj().T
 
 
 #: memo key of an operator held as its pair (a, b): M_a E M_b on its blocks
 _PAIR = "pair"
-
-
-def _pair_parts(pair: tuple, space: FiniteMeasureSpace, blocks: tuple, which=None):
-    """The blocks of M_a E M_b for the pair (a, b) over the atoms
-    ``blocks``, one at a time, in block order, or those at the indices
-    ``which``: on an atom B the rank-one block a_B (mu_B b_B)^T / mu(B)."""
-    a, b = pair
-    mu = space.weights
-    for block in _select(blocks, which):
-        mu_b = mu[block]
-        yield np.outer(a[block], mu_b * b[block] / mu_b.sum())
 
 
 def expectation_operator(
@@ -256,12 +240,11 @@ def expectation_operator(
 ) -> WeightedOperator:
     """The operator f -> left * E(right * f) over the atoms of ``algebra``
     (E itself when both are omitted), held as its pair, read-only: its
-    blocks are built when read (``_pair_parts``), its factors from its
+    blocks are built on each read (``_block_parts``), its factors from its
     action (``_action_svds``)."""
     n = space.point_count
     pair = tuple(_frozen_array(np.ones(n) if x is None else x, complex) for x in (left, right))
-    build = functools.partial(_pair_parts, pair, space, algebra.blocks)
-    return WeightedOperator._of_blocks(build, space, algebra.blocks, {_PAIR: pair})
+    return WeightedOperator._of_blocks(None, space, algebra.blocks, {_PAIR: pair})
 
 
 def expectation_adjoint(pair: tuple) -> tuple:
@@ -339,7 +322,8 @@ def _std_blocks(T: WeightedOperator, which=None):
     Conjugating by D^(1/2) gives a matrix on standard C^n unitarily
     equivalent to T, so the dense LAPACK routines apply to its blocks."""
     d = _sqrt_weights(T.space)
-    for b, p in zip(_select(T.blocks, which), _block_parts(T, which)):
+    blocks = T.blocks if which is None else [T.blocks[k] for k in which]
+    for b, p in zip(blocks, _block_parts(T, which)):
         yield b, _standard(d[b], p)
 
 
@@ -523,7 +507,7 @@ def _action_svds(T: WeightedOperator) -> list:
     (Halko, Martinsson and Tropp, SIAM Review 53(2), 2011, 4.1 and 4.3).
 
     In standard coordinates T's block on an atom B is x_B y_B^T, with
-    x = sqrt(mu) a and y = mu b / (mu(B) sqrt(mu)) as ``_pair_parts``
+    x = sqrt(mu) a and y = mu b / (mu(B) sqrt(mu)) as ``_built_block``
     builds it, so T_B Omega and T_B^H Q are one segment sum each. One
     Gaussian Omega (_SKETCH_WIDTH columns and _PROBES more) serves every
     atom, each reading its first |B| rows. Each run of atoms (``_runs``),
@@ -580,11 +564,12 @@ def _action_svds(T: WeightedOperator) -> list:
 def _factors(T: WeightedOperator) -> _Factors:
     """T's factors X diag(s) Y^H on each standard-coordinate block, cut at
     the oracle's one rank cutoff, held flat (``_Factors``). The adjoint of a
-    live A has A's factors swapped, views of the same arrays. An operator
-    held as its lines and cores factors its cores (``_cored_factors``);
-    one held as its pair, such as T, its action, in O(n) times the width
-    (``_action_svds``); one held as its blocks (the dense reference) each
-    block, by its full SVD."""
+    live A has A's factors swapped, views of the same arrays. Otherwise the
+    form T is held in decides: its lines and cores, its cores
+    (``_cored_factors``); its pair, such as T, its action, in O(n) times the
+    width (``_action_svds``); its blocks (the dense reference), each block,
+    by its full SVD. An adjoint whose operator is gone is held in that
+    operator's form, so it takes the same route."""
     ref = T._memo.get(_ADJOINT_OF)
     source = ref() if ref is not None else None
     if source is not None:
@@ -673,23 +658,9 @@ def _joint_cores(T: WeightedOperator) -> _JointCores:
 def _from_lines(held: _Lines, T: WeightedOperator) -> WeightedOperator:
     """The operator with T's blocks whose standard-coordinate blocks are
     L K R^H, held as ``held`` in T's block order (L and R with orthonormal
-    columns). It keeps only ``held``: its factors cost one stacked SVD of
-    the cores, and its blocks are built when they are read."""
-    build = functools.partial(_cored_parts, held, T.space, T.blocks)
-    return WeightedOperator._of_blocks(build, T.space, T.blocks, {_LINES: held})
-
-
-def _cored_parts(held: _Lines, space: FiniteMeasureSpace, blocks: tuple, which=None):
-    """The blocks on value vectors of the operator held as ``held`` over
-    ``blocks`` (``_from_lines``), one at a time, or those at the indices
-    ``which``: D^(-1/2) L K R^H D^(1/2) over each block, with the weights
-    applied to the |B| x R lines, so one product builds it."""
-    d = _sqrt_weights(space)
-    for k in range(len(blocks)) if which is None else which:
-        b, start = blocks[k], held.starts[k]
-        left, right = held.lines[:, start : start + held.sizes[k]]
-        db = d[b][:, None]
-        yield ((left / db) @ held.core[k]) @ (right * db).conj().T
+    columns). It is held as ``held``: its factors cost one stacked SVD of
+    the cores, and its blocks are built on each read (``_block_parts``)."""
+    return WeightedOperator._of_blocks(None, T.space, T.blocks, {_LINES: held})
 
 
 class _Lines(NamedTuple):
@@ -1048,23 +1019,26 @@ def apply(T: WeightedOperator, f: MeasurableFunction) -> MeasurableFunction:
 
 @_once_per_operator
 def adjoint(T: WeightedOperator) -> WeightedOperator:
-    """The unique T* with <Tf, g> = <f, T*g> for the weighted inner product;
-    built once per operator, so the factorizations of T* are shared too. It
-    keeps what defines T's blocks, not T, and builds its own when they are
-    read."""
-    build = functools.partial(_adjoint_parts, T._parts, T.blocks, T.space.weights)
-    adj = WeightedOperator._of_blocks(build, T.space, T.blocks)
+    """The unique T* with <Tf, g> = <f, T*g> for the weighted inner product,
+    built once per operator and held in T's form: the pair (a, b) as
+    (conj(b), conj(a)) (``expectation_adjoint``), the lines L K R^H as
+    R K^H L^H, the blocks P as D^-1 P^H D, built and checked here. While T
+    lives, T*'s factors are T's swapped (``_factors``); once T is gone,
+    T* is factored by its form's own route."""
+    held = T._memo.get(_LINES)
+    if held is not None:
+        parts, memo = None, {_LINES: held._replace(lines=held.lines[::-1], core=_conj_t(held.core))}
+    elif _PAIR in T._memo:
+        pair = expectation_adjoint(T._memo[_PAIR])
+        parts, memo = None, {_PAIR: tuple(_frozen_array(x, complex) for x in pair)}
+    else:
+        mu = T.space.weights
+        parts = ((p.conj().T * mu[b][None, :]) / mu[b][:, None] for b, p in zip(T.blocks, T._parts))
+        memo = {}
+    adj = WeightedOperator._of_blocks(parts, T.space, T.blocks, memo)
     # weak: T's memo holds T*, so a strong reference back would be a cycle
     adj._memo[_ADJOINT_OF] = weakref.ref(T)
     return adj
-
-
-def _adjoint_parts(source, blocks: tuple, mu: np.ndarray, which=None):
-    """The blocks of the adjoint, D^-1 P^H D for each block P of ``source``
-    (the blocks, or a callable yielding them), one at a time, or those at
-    the indices ``which``: only the matching blocks of ``source`` are read."""
-    for b, p in zip(_select(blocks, which), _iter_parts(source, which)):
-        yield (p.conj().T * mu[b][None, :]) / mu[b][:, None]
 
 
 def compose(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
@@ -1199,7 +1173,7 @@ def fractional_power(
     """
     if p <= 0:
         raise ValueError("power must be positive")
-    A = _holding_blocks(A)  # built once, for the test and for eigh
+    A = WeightedOperator._of_blocks(A.parts, A.space, A.blocks)  # built once, for the test and eigh
     if not is_hermitian(A, tol):
         raise ValueError("operator is not self-adjoint to tolerance")
     eigs = [(b, *_solve("eigh", 0.5 * (m + m.conj().T))) for b, m in _std_blocks(A)]

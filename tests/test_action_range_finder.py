@@ -79,7 +79,7 @@ def test_flat_factors_are_the_dense_svd_of_each_block(caplog, seed):
     T = _operator(seed)
     caplog.set_level(logging.DEBUG, logger="condexp")
     factors = _factors(T)
-    assert callable(T._parts)
+    assert T._parts is None
     summary = _summary(caplog.messages)
     assert int(summary[1]) == len(SIZES) and int(summary[2]) == len(_runs(factors.sizes)) > 1
     assert 0 < float(summary[3]) <= oa._SKETCH_TOL and summary[4] == "0"
@@ -104,12 +104,12 @@ def test_an_atom_at_the_rank_cutoff_falls_back_alone(caplog, monkeypatch):
     right = np.concatenate([b, b * 2.0**-33, b[::-1] * 0.5])
     built = []
 
-    def counted(*args, _original=oa._pair_parts, **kwargs):
-        for block in _original(*args, **kwargs):
-            built.append(block.shape[0])
-            yield block
+    def counted(T, k, _original=oa._built_block):
+        block = _original(T, k)
+        built.append(block.shape[0])
+        return block
 
-    monkeypatch.setattr(oa, "_pair_parts", counted)
+    monkeypatch.setattr(oa, "_built_block", counted)
     T = expectation_operator(space, SubSigmaAlgebra(blocks, n), left, right)
     caplog.set_level(logging.DEBUG, logger="condexp")
     factors = _factors(T)
@@ -136,12 +136,12 @@ def test_a_failed_certificate_gives_the_dense_factors(caplog, monkeypatch):
     monkeypatch.setattr(oa, "_SKETCH_TOL", 0.0)
     built = []
 
-    def counted(*args, _original=oa._pair_parts, **kwargs):
-        for block in _original(*args, **kwargs):
-            built.append(block.shape[0])
-            yield block
+    def counted(T, k, _original=oa._built_block):
+        block = _original(T, k)
+        built.append(block.shape[0])
+        return block
 
-    monkeypatch.setattr(oa, "_pair_parts", counted)
+    monkeypatch.setattr(oa, "_built_block", counted)
     T = _operator(0)
     caplog.set_level(logging.DEBUG, logger="condexp")
     _factors(T)
@@ -183,4 +183,4 @@ def test_peak_memory_of_a_large_atom_beside_one_point_atoms():
         tracemalloc.stop()
     assert peak < 2 * n * 14 * 16 + factors.lines.nbytes + factors.s.nbytes
     assert factors.ranks.tolist() == [1] * len(sizes)
-    assert len(_runs(factors.sizes)) == 2 and callable(T._parts)
+    assert len(_runs(factors.sizes)) == 2 and T._parts is None

@@ -14,6 +14,7 @@ from condexp import MeasurableFunction, WeightedOperator, product_space_example,
 from condexp import operator_algebra as oa
 from condexp import wce_operator as wce
 from condexp.verification import summarize, verify_instance
+from conftest import block_factors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -362,9 +363,9 @@ def test_verify_constructs_thirteen_operators(monkeypatch):
 
 def test_verify_assembles_the_parts_of_t_alone(monkeypatch):
     """A verify of product_space_example(4, 80), with its own w or w = 1,
-    assembles the blocks of no operator but T, the first it builds: T* and
-    the oracle's operators keep only what defines them, and every operator
-    check compares them on their cores (``core_distances``)."""
+    reads the blocks of no operator but T, the first it builds: T, T* and
+    the oracle's operators are held as their pairs or lines, and every
+    operator check compares them on their cores (``core_distances``)."""
     built, read = [], []
 
     def counted(op, _original=WeightedOperator.__post_init__):
@@ -383,37 +384,71 @@ def test_verify_assembles_the_parts_of_t_alone(monkeypatch):
         assert summarize(verify_instance(instance))["all_passed"]
         assert len(built) == 13
         assert all(op is built[0] for op in read)
-        assert all(callable(op._parts) for op in built[1:])
-    # the probe sees a read, and a read assembles the blocks
-    assert built[1].parts and read == [built[1]]
-    assert not callable(built[1]._parts)
+        assert all(op._parts is None for op in built)
+    # the probe sees a read; a read builds the blocks, and the operator keeps none
+    blocks = _counted_blocks(monkeypatch)
+    assert len(built[1].parts) == len(blocks) == len(built[1].blocks) and read == [built[1]]
+    assert built[1]._parts is None
+
+
+def _counted_blocks(monkeypatch) -> list:
+    """A list that records, for each block the one builder
+    (``_built_block``) builds from now on, the form it is built from:
+    ``_PAIR`` or ``_LINES``."""
+    built = []
+
+    def counted(T, k, _original=oa._built_block):
+        built.append(oa._LINES if oa._LINES in T._memo else oa._PAIR)
+        return _original(T, k)
+
+    monkeypatch.setattr(oa, "_built_block", counted)
+    return built
 
 
 def test_verify_builds_no_block(monkeypatch):
     """A verify of product_space_example(4, 80), with its own w or w = 1,
-    never iterates the builders of a lazy operator's blocks
-    (``_pair_parts`` for T, which is factored from its action,
-    ``_cored_parts`` for the oracle's operators, ``_adjoint_parts`` for
-    T*): no block is built."""
-    iterated = []
-
-    def counted(name, original):
-        def generator(*args, **kwargs):
-            iterated.append(name)
-            yield from original(*args, **kwargs)
-
-        return generator
-
-    for name in ("_pair_parts", "_cored_parts", "_adjoint_parts"):
-        monkeypatch.setattr(oa, name, counted(name, getattr(oa, name)))
+    never calls the one builder of blocks (``_built_block``), from a pair
+    (T, which is factored from its action, and T*) or from lines (the
+    oracle's operators): no block is built."""
+    built = _counted_blocks(monkeypatch)
     for instance in _verify_inputs():
         assert summarize(verify_instance(instance))["all_passed"]
-        assert iterated == []
-    # the probes see an iteration of each builder
+        assert built == []
+    # the probe sees a block built from each form
     T = oa.expectation_operator(instance.space, instance.algebra)
     list(T.parts)
     list(oa.adjoint(oa.gram_power(T, 1.0)).parts)
-    assert iterated == ["_pair_parts", "_adjoint_parts", "_cored_parts"]
+    assert built == [oa._PAIR] * 4 + [oa._LINES] * 4
+
+
+def test_every_operator_of_a_verify_holds_one_form(monkeypatch):
+    """Each of the 13 operators a verify of product_space_example(4, 80),
+    with its own w or w = 1, builds holds exactly one of its blocks, its
+    pair or its lines: T and T* their pairs, the oracle's eleven their
+    lines. Reading ``parts`` of one gives its blocks, the product of its
+    factors on each, and leaves ``_parts`` None."""
+    built = []
+
+    def counted(op, _original=WeightedOperator.__post_init__):
+        built.append(op)
+        _original(op)
+
+    monkeypatch.setattr(WeightedOperator, "__post_init__", counted)
+    for instance in _verify_inputs():
+        built.clear()
+        assert summarize(verify_instance(instance))["all_passed"]
+        forms = [
+            [op._parts is not None, oa._PAIR in op._memo, oa._LINES in op._memo] for op in built
+        ]
+        assert forms[0] == [False, True, False] and len(forms) == 13
+        assert forms.count([False, True, False]) == 2 and forms.count([False, False, True]) == 11
+        d = np.sqrt(instance.space.weights)
+        for op in built:
+            for (b, x, s, y), p in zip(block_factors(op), op.parts, strict=True):
+                expected = (((x * s) @ y.conj().T) / d[b][:, None]) * d[b][None, :]
+                scale = 1.0 + np.abs(expected).max()
+                assert np.abs(p - expected).max() <= 1e-12 * scale
+            assert op._parts is None
 
 
 def test_verify_calls_expectation_operator_once(monkeypatch):

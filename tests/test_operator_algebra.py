@@ -1069,6 +1069,111 @@ def _reconstruction_error(A):
     )
 
 
+#: the three forms an operator is held in, each with a builder over
+#: random_instance(seed, 18, 3): a random operator held as its blocks, T
+#: held as its pair, and two operators derived from T's factors held as
+#: their lines
+HELD_AS = {
+    "blocks": lambda inst, T: _random_blocks(inst),
+    "pair": lambda inst, T: T,
+    "gram_power": lambda inst, T: gram_power(T, 1.0),
+    "aluthge": lambda inst, T: aluthge_numeric(T),
+}
+
+
+def _random_blocks(inst):
+    """A random complex operator held as its blocks over inst's atoms."""
+    rng = np.random.default_rng(11)
+    n = inst.space.point_count
+    entries = np.zeros((n, n), dtype=complex)
+    for b in inst.algebra.blocks:
+        entries[np.ix_(b, b)] = rng.standard_normal((b.size, 2 * b.size)).view(complex)
+    return WeightedOperator(entries, inst.space, inst.algebra.blocks)
+
+
+def _held_as(form):
+    """An operator held in ``form`` (``HELD_AS``), held by nothing but the
+    caller."""
+    inst = random_instance(4, 18, 3)
+    T = expectation_operator(inst.space, inst.algebra, inst.w.values, inst.u.values)
+    return HELD_AS[form](inst, T)
+
+
+def _form(X) -> list:
+    """Which of its blocks, its pair and its lines X holds."""
+    memo = X._memo
+    return [X._parts is not None, operator_algebra._PAIR in memo, operator_algebra._LINES in memo]
+
+
+@pytest.mark.parametrize("form", HELD_AS)
+def test_the_adjoint_keeps_its_operator_form(form):
+    """adjoint(X) is held in X's form, refers back to X, and is
+    D^-1 X^H D; the adjoint of the adjoint is X again."""
+    X = _held_as(form)
+    A = adjoint(X)
+    assert _form(A) == _form(X) and _form(X).count(True) == 1
+    assert A._memo[operator_algebra._ADJOINT_OF]() is X
+    mu = X.space.weights
+    expected = (X.entries.conj().T * mu[None, :]) / mu[:, None]
+    scale = 1.0 + np.abs(expected).max()
+    assert np.abs(A.entries - expected).max() <= 1e-12 * scale
+    assert np.abs(adjoint(A).entries - X.entries).max() <= 1e-12 * scale
+
+
+#: the numpy.linalg calls that factor an adjoint whose operator is gone,
+#: for each form, as (routine, dimensions of its input): a pair's range
+#: finder stacks a QR and an SVD over each run of atoms, lines take one
+#: stacked SVD of their cores, and blocks one SVD per block
+FREED_CALLS = {
+    "blocks": lambda A: [("svd", (b.size, b.size)) for b in A.blocks],
+    "pair": lambda A: [("qr", 3), ("svd", 3)],
+    "gram_power": lambda A: [("svd", A._memo[operator_algebra._LINES].core.shape)],
+    "aluthge": lambda A: [("svd", A._memo[operator_algebra._LINES].core.shape)],
+}
+
+
+@pytest.mark.parametrize("form", HELD_AS)
+def test_the_adjoint_of_a_freed_operator_factors_by_its_form(monkeypatch, form):
+    """Once X is freed, adjoint(X) factors itself by its own form's route,
+    and its factors reconstruct its blocks: a pair by the range finder, lines
+    by one stacked SVD of their cores with no |B| x |B| factorization,
+    blocks by one full SVD per block."""
+    X = _held_as(form)
+    A = adjoint(X)
+    del X
+    gc.collect()
+    assert A._memo[operator_algebra._ADJOINT_OF]() is None
+    calls = []
+
+    def probe(routine):
+        def counted(a, *args, _original=getattr(np.linalg, routine), **kwargs):
+            shape = np.shape(a)
+            calls.append((routine, len(shape) if form == "pair" else shape))
+            return _original(a, *args, **kwargs)
+
+        return counted
+
+    for routine in ("svd", "qr", "eig", "eigvals", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, routine, probe(routine))
+    _factors(A)
+    monkeypatch.undo()
+    assert calls == FREED_CALLS[form](A)
+    if form in ("gram_power", "aluthge"):
+        assert calls[0][1][-1] < min(b.size for b in A.blocks)
+    assert _reconstruction_error(A) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("points, atoms", [(40, 40), (64, 8)])
+def test_the_eigenvalues_of_the_adjoint_are_conjugate(seed, points, atoms):
+    """eigenvalues(T*) is conj(eigenvalues(T)) as a multiset, within the
+    corpus's 1e-15 (1 + ||T||): one-point atoms build T*'s blocks from its
+    own pair, and larger ones read T's factors swapped."""
+    T = to_matrix(as_wce(random_instance(seed, points, atoms)))
+    bound = 1e-15 * (1.0 + operator_norm(T))
+    assert multiset_close(eigenvalues(adjoint(T)), np.conj(eigenvalues(T)), bound)
+
+
 class TestAdjointSharesSVD:
     LINALG = ("svd", "eig", "eigvals", "eigh", "eigvalsh")
 
@@ -1084,19 +1189,27 @@ class TestAdjointSharesSVD:
         assert _reconstruction_error(adjoint(T)) <= 1e-12
 
     def test_adjoint_of_a_freed_operator_factors_itself(self, monkeypatch):
+        """T is held as its pair, and so is T*: once T is freed, T*'s
+        factors come from its own action, by the range finder, whose every
+        call is stacked (a QR and an SVD per run), with no block factored
+        alone."""
         T = _atom_operator(2)
         A = adjoint(T)
         del T
         gc.collect()
         calls = []
 
-        def probe(a, *args, _original=np.linalg.svd, **kwargs):
-            calls.append(np.shape(a))
-            return _original(a, *args, **kwargs)
+        def probe(routine):
+            def counted(a, *args, _original=getattr(np.linalg, routine), **kwargs):
+                calls.append((routine, np.ndim(a)))
+                return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", probe)
+            return counted
+
+        for routine in ("svd", "qr"):
+            monkeypatch.setattr(np.linalg, routine, probe(routine))
         assert _reconstruction_error(A) <= 1e-12
-        assert len(calls) == len(A.blocks)
+        assert ("qr", 3) in calls and set(calls) == {("qr", 3), ("svd", 3)}
 
     def test_adjoint_does_not_keep_the_operator_alive(self):
         gc.disable()

@@ -214,16 +214,20 @@ class TestBlocks:
         np.testing.assert_allclose(mixed.entries, T.entries @ T.entries)
 
     def test_blocks_built_from_finite_cores_are_checked_finite(self):
-        """An operator that keeps only what defines its blocks checks each
-        block as it is built, by every reader: on weights 1e-300 and 1e300
-        the value-coordinate blocks of T* and of T's derived operators scale
-        finite cores by sqrt(mu_j / mu_i) = 1e300 and overflow."""
+        """Every block is checked finite: on weights 1e-300 and 1e300 the
+        value-coordinate blocks of T* and of T's derived operators scale
+        finite cores by sqrt(mu_j / mu_i) = 1e300 and overflow. The adjoint
+        of T, held as its blocks, builds them at once and is refused; the
+        derived operators, held as their lines, are refused by every reader
+        of their blocks."""
         space = FiniteMeasureSpace(np.array([1e-300, 1e300]))
         d = np.sqrt(space.weights)
         standard = np.array([[0.0, 0.0], [1e9, 1e9]])
         T = WeightedOperator((standard / d[:, None]) * d[None, :], space, [np.arange(2)])
         with np.errstate(all="ignore"):
-            for op in (adjoint(T), gram_power(T, 1), aluthge_numeric(T)):
+            with pytest.raises(ValueError, match="must be finite"):
+                adjoint(T)
+            for op in (gram_power(T, 1), aluthge_numeric(T)):
                 for read in (lambda: list(oa._block_parts(op)), lambda: is_hermitian(op)):
                     with pytest.raises(ValueError, match="must be finite"):
                         read()
@@ -231,39 +235,33 @@ class TestBlocks:
                     op.parts
 
     def test_fractional_power_builds_each_lazy_block_once(self, monkeypatch):
-        """fractional_power of an operator held as its cores, or of its
-        adjoint, builds each block once for both the self-adjointness test
-        and eigh, and the operator keeps none."""
-        built = _count_block_builders(monkeypatch)
+        """fractional_power of an operator held as its lines, or of its
+        adjoint, held as its lines too, builds each block once for both the
+        self-adjointness test and eigh, and the operator keeps none."""
+        built = _count_block_builds(monkeypatch)
         T = to_matrix(as_wce(random_instance(1, 24, 4)))
         G = gram_power(T, 1.0)
         built.clear()
         root = fractional_power(G, 0.5)
-        assert built == ["_cored_parts"] * 4
+        assert built == [0, 1, 2, 3]
         built.clear()
         fractional_power(adjoint(G), 0.5)
-        assert built == ["_cored_parts", "_adjoint_parts"] * 4
-        assert callable(G._parts)
+        assert built == [0, 1, 2, 3]
+        assert G._parts is None and adjoint(G)._parts is None
         held = WeightedOperator(G.entries, G.space, G.blocks)
         np.testing.assert_allclose(root.entries, fractional_power(held, 0.5).entries, atol=1e-12)
 
 
-def _count_block_builders(monkeypatch) -> list:
-    """A list that records the name of ``_cored_parts`` or
-    ``_adjoint_parts`` for each block either yields, for the operators built
-    from now on."""
+def _count_block_builds(monkeypatch) -> list:
+    """A list that records the index of each block the one builder
+    (``_built_block``) builds from now on."""
     built = []
 
-    def counted(name, original):
-        def generator(*args, **kwargs):
-            for block in original(*args, **kwargs):
-                built.append(name)
-                yield block
+    def counted(T, k, _original=oa._built_block):
+        built.append(k)
+        return _original(T, k)
 
-        return generator
-
-    for name in ("_cored_parts", "_adjoint_parts"):
-        monkeypatch.setattr(oa, name, counted(name, getattr(oa, name)))
+    monkeypatch.setattr(oa, "_built_block", counted)
     return built
 
 

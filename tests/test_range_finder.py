@@ -145,8 +145,8 @@ DERIVED_SPEC = [
 
 
 def _gone_adjoint():
-    """The adjoint of an operator that is gone: it holds only what defines
-    its blocks."""
+    """The adjoint of an operator that is gone: it holds its own blocks,
+    built with it."""
     A = adjoint(_operator(DERIVED_SPEC))
     gc.collect()
     assert A._memo[oa._ADJOINT_OF]() is None
@@ -234,27 +234,37 @@ def test_eigenvalues_build_only_full_rank_blocks(monkeypatch):
 
 
 def test_a_lazy_operator_builds_one_block_alone(monkeypatch):
-    """On an adjoint whose operator is gone, factoring builds each block
-    once, for its full SVD; the eigenvalues build the full-rank block
-    alone. The adjoint keeps no block."""
-    built = []
-
-    def counted(*args, _original=oa._adjoint_parts, **kwargs):
-        for block in _original(*args, **kwargs):
-            built.append(block.shape[0])
-            yield block
-
-    monkeypatch.setattr(oa, "_adjoint_parts", counted)
+    """The adjoint of an operator held as its blocks holds its own blocks,
+    built with it. Once its operator is gone, factoring reads each block
+    once, for its full SVD (one ``svd`` per block and no ``qr``); the
+    eigenvalues read the full-rank block alone."""
     T = _operator(CASES["rank-cut-fallback"] + [(32, [0.5]), (6, np.linspace(1.0, 0.5, 6))])
     A = adjoint(T)
+    assert isinstance(A._parts, tuple)
     del T
     gc.collect()
+    read, calls = [], []
+
+    def counted(db, p, _original=oa._standard):
+        read.append(p.shape[0])
+        return _original(db, p)
+
+    def probe(routine):
+        def recorded(a, *args, _original=getattr(np.linalg, routine), **kwargs):
+            calls.append((routine, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        return recorded
+
+    monkeypatch.setattr(oa, "_standard", counted)
+    for routine in ("svd", "qr"):
+        monkeypatch.setattr(np.linalg, routine, probe(routine))
     _factors(A)
-    assert built == [64, 32, 6]
-    built.clear()
+    assert read == [64, 32, 6]
+    assert calls == [("svd", (size, size)) for size in read]
+    read.clear()
     eigenvalues(A)
-    assert built == [6]
-    assert callable(A._parts)
+    assert read == [6]
 
 
 #: blocks of rank 0, 1, 2 and 4 and of differing sizes, a 1-point atom among
