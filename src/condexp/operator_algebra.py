@@ -3,41 +3,37 @@ numerical oracle.
 
 An operator is block-diagonal: ``blocks`` partitions the points into index
 arrays, and ``parts`` gives, for each block B, the matrix the operator acts
-by on value vectors over B. It is held in one of three forms: its blocks
-(the dense reference), its pair (a, b) of M_a E M_b (T), or its lines and
-cores (the oracle's derived operators); the last two build ``parts`` and
-the full n x n matrix ``entries`` on each read, and keep neither. The
-adjoint on the weighted inner product is D^-1 A^H D with D = diag(mu),
-block by block, held in its operator's form, and all spectral
-computations conjugate by D^(1/2) into standard C^n, so LAPACK runs on
-each block, at a cost of at most sum |B|^3 instead of n^3.
+by on value vectors over B. It is held in one of two forms: its blocks
+(the dense reference), or its lines and cores L K R^H on each block (T,
+T* and the oracle's derived operators), which build ``parts`` and the
+full n x n matrix ``entries`` on each read and keep neither. The adjoint
+on the weighted inner product is D^-1 A^H D with D = diag(mu), block by
+block, held in its operator's form, and all spectral computations
+conjugate by D^(1/2) into standard C^n, so LAPACK runs on each block, at a
+cost of at most sum |B|^3 instead of n^3.
 
 The oracle factors each block once, cut at the one rank cutoff over all
 blocks, into rank-r factors X diag(s) Y^H, memoized in one flat form
 (``_Factors``: X and Y as n x R arrays zero-padded to the largest rank R).
-T = M_w E M_u is held as its pair (w, u) (``expectation_operator``) and
-factored from its action by one range finder over all atoms
-(``_action_svds``), certified by Halko, Martinsson and Tropp's
-probabilistic estimate; the full SVD of an atom alone runs where its
-sketch is not certified or a sketched value lies within its estimate of
-the cutoff, so the rank decisions are the full SVD's. An operator held as
-its blocks (the dense reference) takes the full SVD of each block. Every
-question asked of the factors is stacked arithmetic over all blocks
-(segment sums over the rows, one LAPACK call on a stack of cores), with
-each result masked by the block's rank: the norm, the
+T = M_w E M_u is rank one on each atom, so ``expectation_operator`` holds
+it as its unit lines and 1 x 1 cores, read off (w, u) in segment sums;
+an operator held as its lines is factored by one stacked SVD of its cores
+(``_cored_factors``), and one held as its blocks by the full SVD of each
+block. Every question asked of the factors is stacked arithmetic over all
+blocks (segment sums over the rows, one LAPACK call on a stack of cores),
+with each result masked by the block's rank: the norm, the
 singular values, the eigenvalues, the powers of T*T and TT*, the polar
 isometry, the Aluthge transform and the kernel projection. Gram-Schmidt of
 [Y X] in segment sums gives each block's joint core K (the block is Q K
 Q^H, with Q never formed), which the class margins, the normality check
 and the joint point spectrum read. An operator the oracle derives from T's
-factors is held as its lines and cores L K R^H (``_Lines``), so its
-factors cost one stacked SVD of its cores. The oracle reads the partition,
-never the conditional moments, so it stays independent of the closed forms
-it checks; every decision over the whole operator uses all blocks' values,
-so results match a one-block factorization (the dense oracle) to rounding.
-Operators are immutable, so factorizations and adjoints are computed once
-and shared; an adjoint's factors are its operator's swapped, read through
-a weak reference.
+factors is held as its lines and cores too (``_Lines``). The oracle reads
+the partition and (w, u), never the conditional moments, so it stays
+independent of the closed forms it checks; every decision over the whole
+operator uses all blocks' values, so results match a one-block
+factorization (the dense oracle) to rounding. Operators are immutable, so
+factorizations and adjoints are computed once and shared; an adjoint's
+factors are its operator's swapped, read through a weak reference.
 
 The closed forms all have the shape M_a E M_b, rank one on each atom, and
 are handled as their pairs (a, b): the pair rules (adjoint, product,
@@ -111,11 +107,10 @@ class WeightedOperator:
     value vectors, which must vanish outside the diagonal blocks that
     ``blocks`` (index arrays partitioning the points; one block without
     it) define. ``parts[k]`` is the block over ``blocks[k]``. An operator
-    is held in one of three forms: its blocks (``_parts``; the dense
-    reference), its pair (a, b) of M_a E M_b (``_memo[_PAIR]``; T), or its
-    lines and cores (``_memo[_LINES]``; the oracle's derived operators).
-    The last two hold no block (``_parts`` is None) and build ``parts`` on
-    each read.
+    is held in one of two forms: its blocks (``_parts``; the dense
+    reference), or its lines and cores (``_memo[_LINES]``; T, T* and the
+    oracle's derived operators), which hold no block (``_parts`` is None)
+    and build ``parts`` on each read.
     """
 
     space: FiniteMeasureSpace
@@ -139,7 +134,7 @@ class WeightedOperator:
         """The operator with these diagonal blocks over ``blocks`` (already a
         partition). ``parts`` is an iterable of new arrays the caller hands
         over, frozen in place, not copied; or None for an operator held as
-        its pair or its lines, given in ``memo``."""
+        its lines, given in ``memo``."""
         op = cls.__new__(cls)
         op._assign(None if parts is None else tuple(parts), space, blocks, dict(memo or {}))
         return op
@@ -153,20 +148,19 @@ class WeightedOperator:
     def __post_init__(self):
         """Every construction ends here: each block must be a finite square
         matrix over its indices, stored complex and read-only. An operator
-        held as its pair or its lines checks those finite instead, and its
+        held as its lines checks its lines and cores finite instead, and its
         blocks when they are built (``_block_parts``)."""
         if self._parts is not None:
             object.__setattr__(self, "_parts", _checked_parts(self.blocks, self._parts))
             return
-        held = self._memo.get(_LINES)
-        held = (held.lines, held.core) if held is not None else self._memo[_PAIR]
-        if not all(np.isfinite(a).all() for a in held):
+        held = self._memo[_LINES]
+        if not (np.isfinite(held.lines).all() and np.isfinite(held.core).all()):
             raise ValueError("operator entries must be finite")
 
     @property
     def parts(self) -> tuple:
         """The diagonal blocks in block order: those held, or, for an
-        operator held as its pair or its lines, built on each read
+        operator held as its lines, built on each read
         (``_block_parts``), none kept."""
         if self._parts is not None:
             return self._parts
@@ -204,8 +198,8 @@ def _finite(p: np.ndarray) -> np.ndarray:
 def _block_parts(T: WeightedOperator, which=None):
     """T's blocks one at a time, in block order, or those at the indices
     ``which``: the one reader of blocks. Held blocks are read; for T held
-    as its pair or its lines each is built (``_built_block``) and checked
-    finite, none is kept and no other block is built."""
+    as its lines each is built (``_built_block``) and checked finite, none
+    is kept and no other block is built."""
     indices = range(len(T.blocks)) if which is None else which
     if T._parts is not None:
         return (T._parts[k] for k in indices)
@@ -213,23 +207,13 @@ def _block_parts(T: WeightedOperator, which=None):
 
 
 def _built_block(T: WeightedOperator, k: int) -> np.ndarray:
-    """Block k on value vectors of T held as its pair (a, b), the rank-one
-    a_B (mu_B b_B)^T / mu(B) on its atom B; or held as its lines
-    (``_Lines``), D^(-1/2) L K R^H D^(1/2) over the block, with the weights
-    applied to the |B| x R lines, so one product builds it."""
-    block = T.blocks[k]
-    mu_b = T.space.weights[block]
-    held = T._memo.get(_LINES)
-    if held is None:
-        a, b = T._memo[_PAIR]
-        return np.outer(a[block], mu_b * b[block] / mu_b.sum())
+    """Block k on value vectors of T held as its lines (``_Lines``),
+    D^(-1/2) L K R^H D^(1/2) over the block, with the weights applied to
+    the |B| x R lines, so one product builds it."""
+    held = T._memo[_LINES]
     left, right = held.lines[:, held.starts[k] : held.starts[k] + held.sizes[k]]
-    db = np.sqrt(mu_b)[:, None]
+    db = np.sqrt(T.space.weights[T.blocks[k]])[:, None]
     return ((left / db) @ held.core[k]) @ (right * db).conj().T
-
-
-#: memo key of an operator held as its pair (a, b): M_a E M_b on its blocks
-_PAIR = "pair"
 
 
 def expectation_operator(
@@ -239,12 +223,21 @@ def expectation_operator(
     right: Optional[np.ndarray] = None,
 ) -> WeightedOperator:
     """The operator f -> left * E(right * f) over the atoms of ``algebra``
-    (E itself when both are omitted), held as its pair, read-only: its
-    blocks are built on each read (``_block_parts``), its factors from its
-    action (``_action_svds``)."""
+    (E itself when both are omitted), held as its lines, read-only. In
+    standard coordinates its block on an atom B is x_B y_B^H, with
+    x = sqrt(mu) left and y = conj(sqrt(mu) right) / mu(B), which
+    ``_pair_lines`` holds as its exact SVD: L = x / ||x||_B and
+    R = y / ||y||_B (zero where the atom's norm is 0), and the 1 x 1 core
+    K = ||x||_B ||y||_B. Its blocks are built on each read
+    (``_block_parts``), and its factors come from one stacked SVD of its
+    cores (``_cored_factors``)."""
     n = space.point_count
-    pair = tuple(_frozen_array(np.ones(n) if x is None else x, complex) for x in (left, right))
-    return WeightedOperator._of_blocks(None, space, algebra.blocks, {_PAIR: pair})
+    pair = tuple(np.ones(n) if x is None else np.asarray(x) for x in (left, right))
+    lines, cores = _pair_lines(space, algebra.blocks, [pair], True)
+    held = _Lines(*_segments(algebra.blocks), lines[:, 0, :, None], cores[0, :, None, None] + 0j)
+    for array in (lines, *held):
+        array.setflags(write=False)
+    return WeightedOperator._of_blocks(None, space, algebra.blocks, {_LINES: held})
 
 
 def expectation_adjoint(pair: tuple) -> tuple:
@@ -376,12 +369,6 @@ def _solve(routine: str, mat: np.ndarray, **kwargs):
     return out
 
 
-def _cutoff(groups: list) -> float:
-    """The oracle's one rank cutoff over the factorizations in ``groups``
-    (``_cut``): DEFAULT_RANK_TOL times the largest singular value."""
-    return DEFAULT_RANK_TOL * max(s.max(initial=0.0) for _, _, s, _ in groups)
-
-
 def _kept(ranks: np.ndarray, width: int) -> np.ndarray:
     """The blocks x width mask of the columns within each block's rank."""
     return np.arange(width) < ranks[:, None]
@@ -401,163 +388,26 @@ class _Factors(NamedTuple):
     s: np.ndarray
 
 
-def _cut(blocks: tuple, groups: list) -> _Factors:
-    """The ``_Factors`` over ``blocks`` of the factorizations U diag(s) V^H
-    in ``groups``, cut at the one rank cutoff (``_cutoff``): X = U_r, s_r,
-    Y = V_r. A group (which, U, s, V^H) stacks the blocks at the indices
-    ``which``, zero-padded past their sizes; one masked assignment per
-    group gathers them, and U and V^H are not kept alive."""
-    cutoff = _cutoff(groups)
+def _cut(blocks: tuple, svds: list) -> _Factors:
+    """The ``_Factors`` over ``blocks`` of the full SVD U diag(s) V^H of
+    each block, in ``svds``, cut at the one rank cutoff, DEFAULT_RANK_TOL
+    times the largest value of any block: X = U_r, s_r, Y = V_r."""
+    cutoff = DEFAULT_RANK_TOL * max(s.max(initial=0.0) for _, s, _ in svds)
     starts, sizes = _segments(blocks)
-    ranks = np.zeros(sizes.size, dtype=int)
-    for which, _, s, _ in groups:
-        ranks[which] = np.count_nonzero(s > cutoff, axis=1)
+    ranks = np.array([np.count_nonzero(s > cutoff) for _, s, _ in svds], dtype=int)
     width = ranks.max(initial=0)
     lines = np.zeros((2, sizes.sum(), width), dtype=complex)
     values = np.zeros((sizes.size, width))
-    for which, u, s, vh in groups:
-        cols = min(width, s.shape[1])
-        kept = _kept(ranks[which], cols)
-        values[which, :cols] = np.where(kept, s[:, :cols], 0.0)
-        real = np.arange(u.shape[1]) < sizes[which, None]
-        at = (starts[which, None] + np.arange(u.shape[1]))[real]
-        for side, factor in zip(lines, (u[..., :cols], _conj_t(vh[:, :cols]))):
-            side[at, :cols] = np.where(kept[:, None], factor, 0.0)[real]
+    for k, (u, s, vh) in enumerate(svds):
+        rows, rank = slice(starts[k], starts[k] + sizes[k]), ranks[k]
+        lines[0, rows, :rank], lines[1, rows, :rank] = u[:, :rank], _conj_t(vh[:rank])
+        values[k, :rank] = s[:rank]
     return _Factors(starts, sizes, ranks, lines, values)
 
 
-#: memo key of an operator the oracle derived from T's factors: its
-#: ``_Lines``, each standard-coordinate block being L K R^H
+#: memo key of an operator held as its lines: its ``_Lines``, each
+#: standard-coordinate block being L K R^H
 _LINES = "lines"
-
-#: Gaussian columns of the action range finder's sketch (``_action_svds``)
-_SKETCH_WIDTH = 4
-#: an atom's sketch is accepted when its estimate is at most this times its
-#: largest singular value; it lies below DEFAULT_RANK_TOL, so every singular
-#: value the sketch misses is under the rank cutoff
-_SKETCH_TOL = 1e-13
-#: seed of the sketch's Gaussian columns, so factors are the same on every call
-_SKETCH_SEED = 0
-#: extra Gaussian probes of the action range finder's estimate: it fails
-#: with probability at most 10^-_PROBES per atom
-_PROBES = 10
-
-
-def _settled(T: WeightedOperator, groups: list, bounds: np.ndarray) -> tuple:
-    """(groups, the count of atoms factored again): each atom not certified
-    (bound inf), then each with a sketched value within its estimate of the
-    one rank cutoff (logged), built alone and factored by the full SVD
-    (bound NaN: factored so already). The other sketched values lie within
-    their bounds of the true ones, on their side of the cutoff: the rank
-    decisions are the SVD's."""
-    redo = np.isinf(bounds)
-    groups = _refactored(T, groups, redo)
-    bounds = np.where(redo, math.nan, bounds)
-    cutoff = _cutoff(groups)
-    undecided = np.zeros(bounds.size, dtype=bool)
-    for which, _, s, _ in groups:
-        undecided[which] = np.any(np.abs(s - cutoff) <= bounds[which, None], axis=1)
-    for k in np.flatnonzero(undecided):
-        size = T.blocks[k].size
-        log.debug(
-            "range finder %dx%d fell back to the full SVD:"
-            " a value within its estimate of the rank cutoff", size, size,
-        )
-    return _refactored(T, groups, undecided), np.count_nonzero(redo | undecided)
-
-
-def _refactored(T: WeightedOperator, groups: list, redo: np.ndarray) -> list:
-    """``groups`` with the blocks marked ``redo`` factored by the full SVD,
-    each in a group of its own."""
-    if not redo.any():
-        return groups
-    out = [(w[~redo[w]], *(x[~redo[w]] for x in usv)) for w, *usv in groups]
-    which = np.flatnonzero(redo)
-    for k, (_, m) in zip(which, _std_blocks(T, which)):
-        out.append((np.full(1, k), *(x[None] for x in _solve("svd", m))))
-    return out
-
-
-def _runs(sizes: np.ndarray) -> list:
-    """The block indices by size, cut into runs padded to their largest
-    block: a run grows while its padded area stays within twice its points
-    (at most 2 n rows in all), so each run's first block is over twice the
-    size of the last run's, and runs are at most log2(largest size) + 1."""
-    order = np.argsort(sizes, kind="stable")
-    ordered = sizes[order]
-    before = np.concatenate([[0], np.cumsum(ordered)])
-    runs, first = [], 0
-    while first < order.size:
-        count = np.arange(1, order.size - first + 1)
-        fits = count * ordered[first:] <= 2 * (before[first + 1 :] - before[first])
-        end = order.size if fits.all() else first + int(np.argmin(fits))
-        runs.append(order[first:end])
-        first = end
-    return runs
-
-
-#: ||(I - Q Q^H) A|| exceeds this times the largest ||(I - Q Q^H) A omega||
-#: over r Gaussian probes omega with probability at most 10^-r (``_action_svds``)
-_ESTIMATE_FACTOR = 10.0 * math.sqrt(2.0 / math.pi)
-
-
-def _action_svds(T: WeightedOperator) -> list:
-    """The ``_cut`` groups of T = M_a E M_b held as its pair (a, b), by one
-    range finder over all its atoms from T's action, with no block built
-    (Halko, Martinsson and Tropp, SIAM Review 53(2), 2011, 4.1 and 4.3).
-
-    In standard coordinates T's block on an atom B is x_B y_B^T, with
-    x = sqrt(mu) a and y = mu b / (mu(B) sqrt(mu)) as ``_built_block``
-    builds it, so T_B Omega and T_B^H Q are one segment sum each. One
-    Gaussian Omega (_SKETCH_WIDTH columns and _PROBES more) serves every
-    atom, each reading its first |B| rows. Each run of atoms (``_runs``),
-    zero-padded to its largest, takes one stacked QR of its sketch columns
-    for Q and one stacked SVD of Q^H T_B = P diag(s) V^H, and U = Q P. An
-    atom is accepted when 10 sqrt(2/pi) max ||(I - Q Q^H) T_B omega|| over
-    the extra probes, an estimate of ||T_B - Q Q^H T_B|| that fails with
-    probability at most 10^-_PROBES, is at most _SKETCH_TOL s_1: a
-    probabilistic certificate; ``_settled`` factors the others in full.
-    One DEBUG line gives the atoms, runs, width, largest estimate over s_1
-    and fallback count."""
-    a, b = T._memo[_PAIR]
-    starts, sizes = _segments(T.blocks)
-    order = np.concatenate(T.blocks)
-    mu, d = T.space.weights[order], _sqrt_weights(T.space)[order]
-    mass = np.repeat(np.add.reduceat(mu, starts), sizes)
-    xy = np.stack([a[order] * d, mu * b[order] / mass / d])
-    rng = np.random.default_rng(_SKETCH_SEED)
-    omega = rng.standard_normal((sizes.max(), _SKETCH_WIDTH + _PROBES))
-    runs, probes = _runs(sizes), []
-    for which in runs:  # x, y and y^T Omega of each run, then Omega is freed
-        rows = np.arange(sizes[which[-1]])
-        real = rows < sizes[which, None]
-        x, y = np.where(real, xy[:, np.where(real, starts[which, None] + rows, 0)], 0.0)
-        probes.append((x, y, y.real @ omega[: rows.size] + 1j * (y.imag @ omega[: rows.size])))
-    del omega, xy
-    groups, estimates, first = [], np.empty(sizes.size), np.empty(sizes.size)
-    for which, (x, y, c) in zip(runs, probes):  # T_B Omega = x_B (y_B^T Omega)
-        q = _solve("qr", x[..., None] * c[:, None, :_SKETCH_WIDTH])[0]
-        squares = 0.0
-        for extra in np.split(c[:, _SKETCH_WIDTH:], 2, axis=1):  # halves: half the memory
-            z = x[..., None] * extra[:, None, :]
-            z -= q @ (_conj_t(q) @ z)
-            z = np.einsum("mpj,mpj->mj", z.view(float), z.view(float))
-            squares = np.maximum(squares, (z[:, ::2] + z[:, 1::2]).max(axis=1))
-        h = np.conj(np.einsum("mp,mpk->mk", np.conj(x), q))
-        p, s, vh = _solve("svd", h[..., None] * y[:, None, :], full_matrices=False)
-        groups.append((which, q @ p, s, vh))
-        estimates[which], first[which] = _ESTIMATE_FACTOR * np.sqrt(squares), s[:, 0]
-    bounds = np.where(estimates <= _SKETCH_TOL * first, estimates, math.inf)
-    groups, fallbacks = _settled(T, groups, bounds)
-    if log.isEnabledFor(logging.DEBUG):
-        ratio = np.where(estimates > 0, math.inf, 0.0)
-        np.divide(estimates, first, out=ratio, where=first > 0)
-        log.debug(
-            "range finder: %d atoms in %d runs, width %d + %d probes, largest estimate/s1 %.3g,"
-            " %d fell back to the full SVD",
-            sizes.size, len(runs), _SKETCH_WIDTH, _PROBES, ratio.max(), fallbacks,
-        )
-    return groups
 
 
 @_once_per_operator
@@ -565,29 +415,27 @@ def _factors(T: WeightedOperator) -> _Factors:
     """T's factors X diag(s) Y^H on each standard-coordinate block, cut at
     the oracle's one rank cutoff, held flat (``_Factors``). The adjoint of a
     live A has A's factors swapped, views of the same arrays. Otherwise the
-    form T is held in decides: its lines and cores, its cores
-    (``_cored_factors``); its pair, such as T, its action, in O(n) times the
-    width (``_action_svds``); its blocks (the dense reference), each block,
-    by its full SVD. An adjoint whose operator is gone is held in that
+    form T is held in decides: its lines and cores (T, T* and the oracle's
+    derived operators), one stacked SVD of its cores (``_cored_factors``);
+    its blocks (the dense reference), the full SVD of each block
+    (``_cut``). An adjoint whose operator is gone is held in that
     operator's form, so it takes the same route."""
     ref = T._memo.get(_ADJOINT_OF)
     source = ref() if ref is not None else None
     if source is not None:
         factors = _factors(source)
         return factors._replace(lines=factors.lines[::-1])
-    held = T._memo.get(_LINES)
-    if held is not None:
-        return _cored_factors(held)
-    if _PAIR in T._memo:
-        return _cut(T.blocks, _action_svds(T))
-    return _cut(T.blocks, _refactored(T, [], np.ones(len(T.blocks), dtype=bool)))
+    if T._parts is None:
+        return _cored_factors(T._memo[_LINES])
+    return _cut(T.blocks, [_solve("svd", m) for _, m in _std_blocks(T)])
 
 
 def _cored_factors(held: _Lines) -> _Factors:
     """The ``_Factors`` of the operator held as L K R^H on each block, L and
-    R with orthonormal columns: one stacked SVD of the cores K = P diag(s)
-    Q^H, cut at the one rank cutoff, gives X = L P and Y = R Q, one column
-    at a time (``_combination``)."""
+    R with orthonormal (or zero) columns: one stacked SVD of the cores
+    K = P diag(s) Q^H, cut at the one rank cutoff, gives X = L P and
+    Y = R Q, one column at a time (``_combination``). For T the cores are
+    1 x 1, so this is T's exact SVD up to a phase per atom."""
     p, s, qh = _solve("svd", held.core)
     ranks = np.count_nonzero(s > DEFAULT_RANK_TOL * s.max(initial=0.0), axis=1)
     width = ranks.max(initial=0)
@@ -667,8 +515,10 @@ class _Lines(NamedTuple):
     """A block-diagonal operator whose standard-coordinate block is L K R^H
     on each block, held flat like ``_Factors``: ``lines`` stacks L and R
     (2 x n x r) and ``core`` the K (blocks x r x r), zero past a block's
-    rank. An operator the oracle derives from T's factors holds T's X and
-    Y as its lines, read-only and shared."""
+    rank. T = M_w E M_u holds its unit lines (2 x n x 1) and 1 x 1 cores
+    (``expectation_operator``); an operator the oracle derives from T's
+    factors holds T's X and Y as its lines. All are read-only, and the
+    adjoint shares its operator's lines."""
 
     starts: np.ndarray
     sizes: np.ndarray
@@ -683,12 +533,12 @@ def _segments(blocks: tuple) -> tuple:
 
 
 def _held_lines(space: FiniteMeasureSpace, T: WeightedOperator) -> _Lines:
-    """The ``_Lines`` an operator on ``space`` derived from T's factors is
-    held as."""
+    """The ``_Lines`` the operator T on ``space`` is held as: T, T* or an
+    operator derived from T's factors; one held as its blocks is refused."""
     _check_space(T, space)
     held = T._memo.get(_LINES)
     if held is None:
-        raise ValueError("an operand must be a pair or an operator held as its cores")
+        raise ValueError("an operand must be a pair or an operator held as its cores, not blocks")
     return held
 
 
@@ -754,7 +604,10 @@ def _pair_lines(space: FiniteMeasureSpace, blocks: tuple, pairs: list, unit: boo
     the atoms ``blocks``, in their order: L = sqrt(mu) a and
     R = conj(sqrt(mu) b) (2 x pairs x n) and K = 1 / mu(B) (1 x atoms); or,
     ``unit``, L and R over their norms on each atom B and K the atom's norm
-    ||L|| ||R|| / mu(B) (pairs x atoms; L = R = 0 where K is 0)."""
+    ||L|| ||R|| / mu(B) (pairs x atoms; L = R = 0 where K is 0). Each
+    atom's line is first divided by the power of two at its largest entry,
+    an exact division after which no square overflows or underflows, and
+    its norm is multiplied back."""
     order, (starts, sizes) = np.concatenate(blocks), _segments(blocks)
     lines = np.empty((2, len(pairs), order.size), dtype=complex)
     for k, (a, b) in enumerate(pairs):
@@ -764,8 +617,11 @@ def _pair_lines(space: FiniteMeasureSpace, blocks: tuple, pairs: list, unit: boo
     mass = np.add.reduceat(space.weights[order], starts)
     if not unit:
         return lines, (1.0 / mass)[None]
+    powers = np.ldexp(0.5, np.frexp(np.maximum.reduceat(np.abs(lines), starts, axis=2))[1])
+    parts = lines.view(float)  # part by part, so every sign is kept, a zero's too
+    parts /= np.repeat(powers, 2 * sizes, axis=2)
     norms = np.sqrt(np.add.reduceat(np.abs(lines) ** 2, starts, axis=2))
-    cores = norms[0] * norms[1] / mass
+    cores = norms[0] * norms[1] / mass * powers[0] * powers[1]
     scales = np.divide(1.0, norms, out=np.zeros_like(norms), where=cores > 0)
     lines *= np.repeat(scales, sizes, axis=2)
     return lines, cores
@@ -1020,17 +876,14 @@ def apply(T: WeightedOperator, f: MeasurableFunction) -> MeasurableFunction:
 @_once_per_operator
 def adjoint(T: WeightedOperator) -> WeightedOperator:
     """The unique T* with <Tf, g> = <f, T*g> for the weighted inner product,
-    built once per operator and held in T's form: the pair (a, b) as
-    (conj(b), conj(a)) (``expectation_adjoint``), the lines L K R^H as
-    R K^H L^H, the blocks P as D^-1 P^H D, built and checked here. While T
-    lives, T*'s factors are T's swapped (``_factors``); once T is gone,
-    T* is factored by its form's own route."""
-    held = T._memo.get(_LINES)
-    if held is not None:
+    built once per operator and held in T's form: the lines L K R^H as
+    R K^H L^H (for T = M_w E M_u, the lines of M_conj(u) E M_conj(w)), the
+    blocks P as D^-1 P^H D, built and checked here. While T lives, T*'s
+    factors are T's swapped (``_factors``); once T is gone, T* is factored
+    by its form's own route."""
+    if T._parts is None:
+        held = T._memo[_LINES]
         parts, memo = None, {_LINES: held._replace(lines=held.lines[::-1], core=_conj_t(held.core))}
-    elif _PAIR in T._memo:
-        pair = expectation_adjoint(T._memo[_PAIR])
-        parts, memo = None, {_PAIR: tuple(_frozen_array(x, complex) for x in pair)}
     else:
         mu = T.space.weights
         parts = ((p.conj().T * mu[b][None, :]) / mu[b][:, None] for b, p in zip(T.blocks, T._parts))

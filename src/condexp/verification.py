@@ -81,13 +81,14 @@ def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list
     T and the factorizations memoized on T live throughout. T* is checked
     as T's side of the adjoint: the T-side sections rerun on
     ``adjoint_wce(W)`` against the oracle on ``adjoint(T)``: ``adjoint(T)``
-    is memoized on T and held, like T, as its pair (conj(u), conj(w)),
-    with T's factors swapped. T's factors, from one range finder over T's
-    action on all atoms, are the only factorization of a verify larger
-    than the cores, and a verify builds no block: every operator check
-    compares pairs and the oracle's cored operators on their cores, in
-    O(n) per check, and the polar section works on the pairs alone,
-    without T's factors. The checks are reported in section order."""
+    is memoized on T and held, like T, as its lines, T's swapped, with
+    T's factors swapped. T is held as its unit lines and 1 x 1 cores on
+    each atom, so its factors take one stacked SVD of its cores, and a
+    verify factors nothing larger than a core and builds no block: every
+    operator check compares pairs and the oracle's cored operators on
+    their cores, in O(n) per check, and the polar section works on the
+    pairs alone, without T's factors. The checks are reported in section
+    order."""
     W = as_wce(instance, support_tol=tols.support)
     T = wce.to_matrix(W)
     norm_t = oa.operator_norm(T)

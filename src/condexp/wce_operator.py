@@ -7,7 +7,8 @@ the cached conditional moments E(u), E(w), E(uw), E(|u|^2), E(|w|^2); the
 modulus |T| of T = U |T| is ``tstar_t_power(W, 0.5)``. Each closed-form
 operator has the shape M_a E M_b, rank one on each atom, and is returned as
 its pair (a, b): ``expectation_operator(W.space, W.algebra, *pair)`` is the
-one way to build its blocks, and this module builds no operator but T
+one way to build it as an operator, held as its unit lines and 1 x 1
+cores on each atom, and this module builds no operator but T
 (``to_matrix``). The family is closed under adjoints,
 T* = M_conj(u) E M_conj(w), so this module states no adjoint-side form: the
 powers of TT* and the polar isometry and Aluthge transform of T* are the
@@ -60,7 +61,7 @@ class WCEOperator:
     @cached_property
     def _matrix(self) -> WeightedOperator:
         # built once: W is immutable, so every caller shares T, held as its
-        # pair (w, u), and the factorizations the oracle memoizes on it
+        # lines read off (w, u), and the factorizations the oracle memoizes on it
         return expectation_operator(
             self.space, self.algebra, self.w.values, self.u.values
         )

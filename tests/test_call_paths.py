@@ -239,16 +239,16 @@ def _qr_callers(tree) -> list:
     return callers
 
 
-def test_qr_is_called_by_the_action_range_finder_alone():
-    """One range finder: QR runs in one function of ``src``, the range
-    finder over T's action (``_action_svds``), and an operator held as its
-    blocks takes the full SVD of each block."""
+def test_no_src_function_calls_qr():
+    """No function of ``src`` calls QR: an operator held as its lines, T
+    among them, is factored by one stacked SVD of its cores, and one held
+    as its blocks by the full SVD of each block."""
     callers = {
         f"{path.name}:{owner}"
         for path in (ROOT / "src").rglob("*.py")
         for owner in _qr_callers(ast.parse(path.read_text(encoding="utf-8")))
     }
-    assert callers == {"operator_algebra.py:_action_svds"}
+    assert callers == set()
     # the scan sees a QR through _solve and a direct one, and no other routine
     probe = ast.parse(
         'def f(m):\n    return _solve("qr", m)\n'
@@ -266,12 +266,12 @@ def _verify_inputs() -> list:
     return [instance, instance._replace(w=MeasurableFunction.constant(instance.space, 1.0))]
 
 
-def test_verify_runs_no_svd_wider_than_the_sketch(monkeypatch):
+def test_verify_runs_no_svd_with_a_side_above_two(monkeypatch):
     """A verify of product_space_example(4, 80), with its own w or w = 1,
-    runs no SVD with both sides above the sketch width: T's four atoms of
-    80 points are factored by one stacked SVD of their 4 x 80 sketches,
-    and no other SVD has a side above 2 (the polar checks factor stacks of
-    2 x 2 cores, and the normality check reads T's joint cores)."""
+    runs no SVD with a side above 2: T's four atoms of 80 points are
+    factored by one stacked SVD of their 1 x 1 cores, the polar checks
+    factor stacks of 2 x 2 cores, and the normality check reads T's joint
+    cores."""
     shapes = []
 
     def probe(a, *args, _original=np.linalg.svd, **kwargs):
@@ -284,9 +284,8 @@ def test_verify_runs_no_svd_wider_than_the_sketch(monkeypatch):
         checks = verify_instance(instance)
         assert summarize(checks)["all_passed"]
         assert ("normality_equivalence_consistent" in [c.name for c in checks]) == w_one
-        assert [s for s in shapes if min(s[-2:]) > oa._SKETCH_WIDTH] == []
-        large = [s for s in shapes if max(s[-2:]) > 2]
-        assert large == [(4, oa._SKETCH_WIDTH, 80)]
+        assert (4, 1, 1) in shapes
+        assert [s for s in shapes if max(s[-2:]) > 2] == []
 
 
 def _operator_algebra_calls(tree) -> list:
@@ -361,11 +360,11 @@ def test_verify_constructs_thirteen_operators(monkeypatch):
         assert len(built) == 13
 
 
-def test_verify_assembles_the_parts_of_t_alone(monkeypatch):
+def test_verify_reads_the_parts_of_no_operator(monkeypatch):
     """A verify of product_space_example(4, 80), with its own w or w = 1,
-    reads the blocks of no operator but T, the first it builds: T, T* and
-    the oracle's operators are held as their pairs or lines, and every
-    operator check compares them on their cores (``core_distances``)."""
+    reads the blocks of no operator: T, T* and the oracle's operators are
+    held as their lines, and every operator check compares them on their
+    cores (``core_distances``)."""
     built, read = [], []
 
     def counted(op, _original=WeightedOperator.__post_init__):
@@ -383,7 +382,7 @@ def test_verify_assembles_the_parts_of_t_alone(monkeypatch):
         read.clear()
         assert summarize(verify_instance(instance))["all_passed"]
         assert len(built) == 13
-        assert all(op is built[0] for op in read)
+        assert read == []
         assert all(op._parts is None for op in built)
     # the probe sees a read; a read builds the blocks, and the operator keeps none
     blocks = _counted_blocks(monkeypatch)
@@ -394,11 +393,11 @@ def test_verify_assembles_the_parts_of_t_alone(monkeypatch):
 def _counted_blocks(monkeypatch) -> list:
     """A list that records, for each block the one builder
     (``_built_block``) builds from now on, the form it is built from:
-    ``_PAIR`` or ``_LINES``."""
+    ``_LINES``, the one form it builds from."""
     built = []
 
     def counted(T, k, _original=oa._built_block):
-        built.append(oa._LINES if oa._LINES in T._memo else oa._PAIR)
+        built.append(oa._LINES if oa._LINES in T._memo else None)
         return _original(T, k)
 
     monkeypatch.setattr(oa, "_built_block", counted)
@@ -407,26 +406,25 @@ def _counted_blocks(monkeypatch) -> list:
 
 def test_verify_builds_no_block(monkeypatch):
     """A verify of product_space_example(4, 80), with its own w or w = 1,
-    never calls the one builder of blocks (``_built_block``), from a pair
-    (T, which is factored from its action, and T*) or from lines (the
-    oracle's operators): no block is built."""
+    never calls the one builder of blocks (``_built_block``), from the
+    lines of T, of T* or of the oracle's operators: no block is built."""
     built = _counted_blocks(monkeypatch)
     for instance in _verify_inputs():
         assert summarize(verify_instance(instance))["all_passed"]
         assert built == []
-    # the probe sees a block built from each form
+    # the probe sees a block built from T's lines and from a derived operator's
     T = oa.expectation_operator(instance.space, instance.algebra)
     list(T.parts)
     list(oa.adjoint(oa.gram_power(T, 1.0)).parts)
-    assert built == [oa._PAIR] * 4 + [oa._LINES] * 4
+    assert built == [oa._LINES] * 8
 
 
 def test_every_operator_of_a_verify_holds_one_form(monkeypatch):
     """Each of the 13 operators a verify of product_space_example(4, 80),
-    with its own w or w = 1, builds holds exactly one of its blocks, its
-    pair or its lines: T and T* their pairs, the oracle's eleven their
-    lines. Reading ``parts`` of one gives its blocks, the product of its
-    factors on each, and leaves ``_parts`` None."""
+    with its own w or w = 1, builds holds exactly one of its blocks or its
+    lines: T, T* and the oracle's eleven their lines. Reading ``parts`` of
+    one gives its blocks, the product of its factors on each, and leaves
+    ``_parts`` None."""
     built = []
 
     def counted(op, _original=WeightedOperator.__post_init__):
@@ -437,11 +435,8 @@ def test_every_operator_of_a_verify_holds_one_form(monkeypatch):
     for instance in _verify_inputs():
         built.clear()
         assert summarize(verify_instance(instance))["all_passed"]
-        forms = [
-            [op._parts is not None, oa._PAIR in op._memo, oa._LINES in op._memo] for op in built
-        ]
-        assert forms[0] == [False, True, False] and len(forms) == 13
-        assert forms.count([False, True, False]) == 2 and forms.count([False, False, True]) == 11
+        forms = [[op._parts is not None, oa._LINES in op._memo] for op in built]
+        assert forms == [[False, True]] * 13
         d = np.sqrt(instance.space.weights)
         for op in built:
             for (b, x, s, y), p in zip(block_factors(op), op.parts, strict=True):
@@ -467,29 +462,33 @@ def test_verify_calls_expectation_operator_once(monkeypatch):
 
 
 def _solver_calls_outside_t_factorization(monkeypatch, instance) -> int:
-    """The numpy.linalg calls of a verify of ``instance`` made outside
-    ``_action_svds``, which factors T from its action (its fallbacks to the
-    full SVD of a block included)."""
+    """The numpy.linalg calls of a verify of ``instance`` made outside T's
+    one ``_cored_factors`` call, the first, which factors T by one stacked
+    SVD of its 1 x 1 cores."""
     calls, inside = [], []
     for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "qr"):
 
         def probe(*args, _original=getattr(np.linalg, name), **kwargs):
-            if not inside:
+            if not any(inside):
                 calls.append(1)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, probe)
 
-    def action_svds(T, _original=oa._action_svds):
-        inside.append(1)
+    cored = []
+
+    def cored_factors(held, _original=oa._cored_factors):
+        cored.append(held.core.shape)
+        inside.append(len(cored) == 1)
         try:
-            return _original(T)
+            return _original(held)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(oa, "_action_svds", action_svds)
+    monkeypatch.setattr(oa, "_cored_factors", cored_factors)
     assert summarize(verify_instance(instance))["all_passed"]
     monkeypatch.undo()
+    assert cored[0] == (instance.algebra.block_count, 1, 1)
     return len(calls)
 
 

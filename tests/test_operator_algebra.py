@@ -35,8 +35,6 @@ from condexp import (
 from condexp import operator_algebra
 from condexp.measure_space import cluster_values
 from condexp.operator_algebra import (
-    _SKETCH_TOL,
-    _SKETCH_WIDTH,
     _Lines,
     _factors,
     _extreme_values,
@@ -721,9 +719,15 @@ class TestCoreDistance:
         assert core_distances(PAIR_SPACE, PAIR_ALGEBRA, []).shape == (0,)
 
     def test_an_operator_must_be_held_as_its_cores(self):
-        pair = (np.ones(15), np.ones(15))
-        with pytest.raises(ValueError, match="held as its cores"):
-            core_distance(PAIR_SPACE, PAIR_ALGEBRA, pair, _pair_operator(pair))
+        """T = M_a E M_b is held as its lines, so it compares with its own
+        pair to rounding; an operator held as its blocks is refused."""
+        rng = np.random.default_rng(6)
+        for pair in [(np.ones(15), np.ones(15)), (_complex_vector(rng), _complex_vector(rng))]:
+            T = _pair_operator(pair)
+            margin = core_distance(PAIR_SPACE, PAIR_ALGEBRA, pair, T)
+            assert margin <= 1e-14 * (1.0 + operator_norm(T))
+            with pytest.raises(ValueError, match="held as its cores"):
+                core_distance(PAIR_SPACE, PAIR_ALGEBRA, pair, WeightedOperator(T.entries, T.space))
 
 
 #: nine points in four atoms, two of one point each, listed out of order
@@ -997,34 +1001,17 @@ class TestNormal:
 
 class TestSolverLog:
     def test_one_debug_record_per_solver_call(self, caplog):
-        """eigenvalues of a rank-one-per-atom T: T's range finder logs one
-        qr record and one SVD record for its one run of atoms, each of the
-        whole stack, and one summary line; then one eigvals record for the
-        stack of 1 x 1 cores. Each solver record gives its shape and
-        seconds."""
+        """eigenvalues of a rank-one-per-atom T: T's factorization logs one
+        SVD record for the stack of its 1 x 1 cores, then one eigvals
+        record for the stack of 1 x 1 cores of its eigenvalues. Each record
+        gives its shape and seconds."""
         T = to_matrix(as_wce(random_instance(0, 10, 3)))
         caplog.set_level(logging.DEBUG, logger="condexp")
         eigenvalues(T)
-        messages = [r.getMessage() for r in caplog.records if r.name == "condexp"]
-        summary = [m for m in messages if m.startswith("range finder: ")]
-        assert len(summary) == 1
-        ratio = re.fullmatch(
-            r"range finder: 3 atoms in 1 runs, width 4 \+ 10 probes, largest estimate/s1"
-            r" (\S+), 0 fell back to the full SVD",
-            summary[0],
-        )
-        assert 0 < float(ratio[1]) <= _SKETCH_TOL
-        records = [m.split() for m in messages if m not in summary]
-        assert len(messages) == len(records) + 1 == 4
+        records = [r.getMessage().split() for r in caplog.records if r.name == "condexp"]
         for _, _, seconds, unit in records:
             assert float(seconds) >= 0.0 and unit == "s"
-        size = max(b.size for b in T.blocks)
-        width = min(size, _SKETCH_WIDTH)
-        assert [r[:2] for r in records] == [
-            ["qr", f"{len(T.blocks)}x{size}x{width}"],
-            ["svd", f"{len(T.blocks)}x{width}x{size}"],
-            ["eigvals", f"{len(T.blocks)}x1x1"],
-        ]
+        assert [r[:2] for r in records] == [["svd", "3x1x1"], ["eigvals", "3x1x1"]]
 
     def test_a_stacked_call_logs_its_whole_shape(self, caplog):
         """The joint point spectrum factors, in one stacked SVD, the 2 x 2
@@ -1069,10 +1056,10 @@ def _reconstruction_error(A):
     )
 
 
-#: the three forms an operator is held in, each with a builder over
-#: random_instance(seed, 18, 3): a random operator held as its blocks, T
-#: held as its pair, and two operators derived from T's factors held as
-#: their lines
+#: the forms an operator is held in, each with a builder over
+#: random_instance(seed, 18, 3): a random operator held as its blocks, and,
+#: held as their lines, T built from its pair and two operators derived
+#: from T's factors
 HELD_AS = {
     "blocks": lambda inst, T: _random_blocks(inst),
     "pair": lambda inst, T: T,
@@ -1100,9 +1087,8 @@ def _held_as(form):
 
 
 def _form(X) -> list:
-    """Which of its blocks, its pair and its lines X holds."""
-    memo = X._memo
-    return [X._parts is not None, operator_algebra._PAIR in memo, operator_algebra._LINES in memo]
+    """Which of its blocks and its lines X holds."""
+    return [X._parts is not None, operator_algebra._LINES in X._memo]
 
 
 @pytest.mark.parametrize("form", HELD_AS)
@@ -1121,23 +1107,27 @@ def test_the_adjoint_keeps_its_operator_form(form):
 
 
 #: the numpy.linalg calls that factor an adjoint whose operator is gone,
-#: for each form, as (routine, dimensions of its input): a pair's range
-#: finder stacks a QR and an SVD over each run of atoms, lines take one
-#: stacked SVD of their cores, and blocks one SVD per block
+#: for each form, as (routine, shape of its input): lines, T's 1 x 1 cores
+#: among them, take one stacked SVD of their cores, and blocks one SVD per
+#: block
+def _cores_svd(A) -> list:
+    return [("svd", A._memo[operator_algebra._LINES].core.shape)]
+
+
 FREED_CALLS = {
     "blocks": lambda A: [("svd", (b.size, b.size)) for b in A.blocks],
-    "pair": lambda A: [("qr", 3), ("svd", 3)],
-    "gram_power": lambda A: [("svd", A._memo[operator_algebra._LINES].core.shape)],
-    "aluthge": lambda A: [("svd", A._memo[operator_algebra._LINES].core.shape)],
+    "pair": _cores_svd,
+    "gram_power": _cores_svd,
+    "aluthge": _cores_svd,
 }
 
 
 @pytest.mark.parametrize("form", HELD_AS)
 def test_the_adjoint_of_a_freed_operator_factors_by_its_form(monkeypatch, form):
     """Once X is freed, adjoint(X) factors itself by its own form's route,
-    and its factors reconstruct its blocks: a pair by the range finder, lines
-    by one stacked SVD of their cores with no |B| x |B| factorization,
-    blocks by one full SVD per block."""
+    and its factors reconstruct its blocks: lines, T's among them, by one
+    stacked SVD of their cores with no |B| x |B| factorization, blocks by
+    one full SVD per block."""
     X = _held_as(form)
     A = adjoint(X)
     del X
@@ -1147,8 +1137,7 @@ def test_the_adjoint_of_a_freed_operator_factors_by_its_form(monkeypatch, form):
 
     def probe(routine):
         def counted(a, *args, _original=getattr(np.linalg, routine), **kwargs):
-            shape = np.shape(a)
-            calls.append((routine, len(shape) if form == "pair" else shape))
+            calls.append((routine, np.shape(a)))
             return _original(a, *args, **kwargs)
 
         return counted
@@ -1158,7 +1147,7 @@ def test_the_adjoint_of_a_freed_operator_factors_by_its_form(monkeypatch, form):
     _factors(A)
     monkeypatch.undo()
     assert calls == FREED_CALLS[form](A)
-    if form in ("gram_power", "aluthge"):
+    if form != "blocks":
         assert calls[0][1][-1] < min(b.size for b in A.blocks)
     assert _reconstruction_error(A) <= 1e-12
 
@@ -1168,7 +1157,7 @@ def test_the_adjoint_of_a_freed_operator_factors_by_its_form(monkeypatch, form):
 def test_the_eigenvalues_of_the_adjoint_are_conjugate(seed, points, atoms):
     """eigenvalues(T*) is conj(eigenvalues(T)) as a multiset, within the
     corpus's 1e-15 (1 + ||T||): one-point atoms build T*'s blocks from its
-    own pair, and larger ones read T's factors swapped."""
+    own lines, T's swapped, and larger ones read T's factors swapped."""
     T = to_matrix(as_wce(random_instance(seed, points, atoms)))
     bound = 1e-15 * (1.0 + operator_norm(T))
     assert multiset_close(eigenvalues(adjoint(T)), np.conj(eigenvalues(T)), bound)
@@ -1189,10 +1178,9 @@ class TestAdjointSharesSVD:
         assert _reconstruction_error(adjoint(T)) <= 1e-12
 
     def test_adjoint_of_a_freed_operator_factors_itself(self, monkeypatch):
-        """T is held as its pair, and so is T*: once T is freed, T*'s
-        factors come from its own action, by the range finder, whose every
-        call is stacked (a QR and an SVD per run), with no block factored
-        alone."""
+        """T is held as its lines, and so is T*: once T is freed, T*'s
+        factors come from one stacked SVD of its 1 x 1 cores, with no QR
+        and no block factored alone."""
         T = _atom_operator(2)
         A = adjoint(T)
         del T
@@ -1201,7 +1189,7 @@ class TestAdjointSharesSVD:
 
         def probe(routine):
             def counted(a, *args, _original=getattr(np.linalg, routine), **kwargs):
-                calls.append((routine, np.ndim(a)))
+                calls.append((routine, np.shape(a)))
                 return _original(a, *args, **kwargs)
 
             return counted
@@ -1209,7 +1197,7 @@ class TestAdjointSharesSVD:
         for routine in ("svd", "qr"):
             monkeypatch.setattr(np.linalg, routine, probe(routine))
         assert _reconstruction_error(A) <= 1e-12
-        assert ("qr", 3) in calls and set(calls) == {("qr", 3), ("svd", 3)}
+        assert calls == [("svd", (len(A.blocks), 1, 1))]
 
     def test_adjoint_does_not_keep_the_operator_alive(self):
         gc.disable()

@@ -4,8 +4,8 @@ block.
 ``_factors`` takes the full SVD of each standard-coordinate block of an
 operator held as its blocks (the dense reference, ``compose``,
 ``fractional_power``, ``kernel_projection``, an adjoint whose operator is
-gone): one ``svd`` call per block, logged at DEBUG, and no range finder, so
-no ``qr``. The reference is numpy's SVD of
+gone): one ``svd`` call per block, logged at DEBUG, and no ``qr``. The
+reference is numpy's SVD of
 each block, cut at DEFAULT_RANK_TOL times the largest singular value of any
 block: the ranks must match it exactly and the kept values to 1e-12 of the
 largest. The flat factors of blocks of mixed ranks, and every question read
@@ -34,7 +34,6 @@ from condexp import (
 from condexp import operator_algebra as oa
 from condexp.operator_algebra import (
     DEFAULT_RANK_TOL,
-    _PAIR,
     _factors,
     _std_blocks,
     gram_power,
@@ -85,8 +84,7 @@ def _dense_reference(T) -> list:
 
 
 #: (size, singular values) per block: "certificate-fallback" has rank 5,
-#: past the width of T's range finder, and "rank-cut-fallback" values at
-#: the rank cutoff
+#: and "rank-cut-fallback" values at the rank cutoff
 CASES = {
     "rank-0": [(24, [1.0]), (20, [])],
     "rank-1": [(32, [2.0])],
@@ -176,16 +174,16 @@ DERIVED = {
 @pytest.mark.parametrize("build", DERIVED.values(), ids=DERIVED.keys())
 def test_derived_operators_take_the_full_svd_of_each_block(monkeypatch, build):
     """Every operator held as its blocks, not only the dense reference, is
-    factored by the full SVD of each block, with no range finder."""
+    factored by the full SVD of each block."""
     T = build()
-    assert _PAIR not in T._memo and oa._LINES not in T._memo
+    assert T._parts is not None and oa._LINES not in T._memo
     _assert_full_svd_of_each_block(monkeypatch, T)
 
 
 def test_each_block_logs_its_svd_and_no_range_finder(caplog):
     """At DEBUG, factoring an operator held as its blocks logs one ``svd``
-    line per block, with its shape, and no range finder line: no estimate
-    is made, so a block with a value at the rank cutoff logs no fallback."""
+    line per block, with its shape, and nothing else: no estimate is made,
+    so a block with a value at the rank cutoff logs no fallback."""
     T = _operator(CASES["certificate-fallback"] + CASES["rank-cut-fallback"] + [(6, [1.0])])
     caplog.set_level(logging.DEBUG, logger="condexp")
     _factors(T)
