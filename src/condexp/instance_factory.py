@@ -80,8 +80,9 @@ def _random_partition(rng: np.random.Generator, n_points: int, n_blocks: int):
         [np.arange(n_blocks), rng.integers(0, n_blocks, size=n_points - n_blocks)]
     )
     labels = labels[rng.permutation(n_points)]
-    blocks = tuple(np.nonzero(labels == k)[0] for k in range(n_blocks))
-    return blocks
+    # each block's points in increasing order, as np.nonzero(labels == k) gives them
+    points = np.argsort(labels, kind="stable")
+    return tuple(np.split(points, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1]))
 
 
 def _random_values(rng: np.random.Generator, n: int, complex_valued: bool):

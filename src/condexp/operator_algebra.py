@@ -259,10 +259,19 @@ def expectation_norms(
 ) -> np.ndarray:
     """||M_a E M_b|| on each atom, in block order: the singular value
     ||sqrt(mu) a||_B ||sqrt(mu) b||_B / mu(B) of its rank-one block; the
-    largest is the operator norm."""
-    d = _sqrt_weights(space)
-    norms = [np.sqrt(_atom_sums(algebra, np.abs(d * x) ** 2)) for x in pair]
-    return norms[0] * norms[1] / _atom_sums(algebra, space.weights)
+    largest is the operator norm. It is safe at any scale: where a sum of
+    squares may have lost a square to overflow or underflow
+    (``_squares_safe``), each atom's lines are divided by their power of
+    two first (``_block_norms``), which changes no digit of the others."""
+    d, mass = _sqrt_weights(space), _atom_sums(algebra, space.weights)
+    with np.errstate(over="ignore"):  # an overflow fails the check below
+        sums = np.array([_atom_sums(algebra, np.abs(d * x) ** 2) for x in pair])
+    if _squares_safe(sums):
+        return np.sqrt(sums[0]) * np.sqrt(sums[1]) / mass
+    (starts, sizes), order = _segments(algebra.blocks), np.concatenate(algebra.blocks)
+    lines = np.multiply(np.stack(pair)[:, order], d[order], dtype=complex, order="C")
+    norms, powers = _block_norms(lines, starts, sizes)
+    return norms[0] * norms[1] / mass * powers[0] * powers[1]
 
 
 def expectation_coimage(
@@ -432,10 +441,21 @@ def _factors(T: WeightedOperator) -> _Factors:
 
 def _cored_factors(held: _Lines) -> _Factors:
     """The ``_Factors`` of the operator held as L K R^H on each block, L and
-    R with orthonormal (or zero) columns: one stacked SVD of the cores
-    K = P diag(s) Q^H, cut at the one rank cutoff, gives X = L P and
-    Y = R Q, one column at a time (``_combination``). For T the cores are
-    1 x 1, so this is T's exact SVD up to a phase per atom."""
+    R with orthonormal (or zero) columns, cut at the one rank cutoff. A
+    1 x 1 core k (T, T* and every operator the oracle derives from them)
+    is its own SVD: s = |k|, X = L k / |k| and Y = R. Wider cores (the
+    one-block reference) take one stacked SVD K = P diag(s) Q^H, which
+    gives X = L P and Y = R Q, one column at a time (``_combination``)."""
+    if held.core.shape[1] <= 1:
+        core = held.core.reshape(held.core.shape[:2])
+        s = np.abs(core)
+        kept = s > DEFAULT_RANK_TOL * s.max(initial=0.0)
+        ranks = np.count_nonzero(kept, axis=1)
+        turns = np.stack([np.divide(core, s, out=np.zeros_like(core), where=kept), kept + 0j])
+        lines = held.lines * np.repeat(turns, held.sizes, axis=1)
+        width = ranks.max(initial=0)
+        values = np.where(kept, s, 0.0)[:, :width]
+        return _Factors(held.starts, held.sizes, ranks, lines[..., :width], values)
     p, s, qh = _solve("svd", held.core)
     ranks = np.count_nonzero(s > DEFAULT_RANK_TOL * s.max(initial=0.0), axis=1)
     width = ranks.max(initial=0)
@@ -483,24 +503,51 @@ class _JointCores(NamedTuple):
 @_once_per_operator
 def _joint_cores(T: WeightedOperator) -> _JointCores:
     """The joint cores of T's blocks X diag(s) Y^H, from the R of
-    [Y X] = Q [R_y R_x] by Gram-Schmidt in segment sums over all blocks
-    (``_gram_schmidt``; a zero column comes last). Q's nonzero columns are
-    orthonormal and span the ranges of the block and of its adjoint, so the
-    block is Q K Q^H with K = R_x diag(s) R_y^H. A zero column of Q (past
-    the rank, or a column of X in the span of those before it) is no
-    vector: K's row and column there are zero, and ``dims`` leaves it out.
-    Q itself is never formed."""
+    [Y X] = Q [R_y R_x] on each block. Q's nonzero columns are orthonormal
+    and span the ranges of the block and of its adjoint, so the block is
+    Q K Q^H with K = R_x diag(s) R_y^H. A zero column of Q (past the rank,
+    or a column of X in the span of those before it) is no vector: K's row
+    and column there are zero, and ``dims`` leaves it out. Q itself is
+    never formed. Of width 1 (T, T* and the operators derived from them) R
+    is [[1, g], [0, h]] in closed form (``_rank_one_r``), so K is
+    [[s g, 0], [s h, 0]]; wider factors (the one-block reference) take
+    Gram-Schmidt in segment sums over all blocks (``_gram_schmidt``; a
+    zero column comes last)."""
     factors = _factors(T)
     x, y = factors.lines
     width = factors.s.shape[1]
-    columns = np.zeros((1, x.shape[0], width + 1), dtype=complex)
-    columns[0, :, :width] = x
-    r = _gram_schmidt(y[None], columns, factors.starts, factors.sizes)[0, :, :-1, :-1].copy()
+    if width <= 1:
+        r = _rank_one_r(factors, _inner_cores(T))
+    else:
+        columns = np.zeros((1, x.shape[0], width + 1), dtype=complex)
+        columns[0, :, :width] = x
+        r = _gram_schmidt(y[None], columns, factors.starts, factors.sizes)[0, :, :-1, :-1].copy()
     r_y, r_x = r[..., :width], r[..., width:]
     core = (r_x * factors.s[:, None, :]) @ _conj_t(r_y)
     kept_x = np.diagonal(r_x[:, width:], axis1=1, axis2=2) > 0
     dims = np.concatenate([_kept(factors.ranks, width), kept_x], axis=1)
     return _JointCores(r_y, r_x, core, dims, np.count_nonzero(dims, axis=1) < factors.sizes)
+
+
+def _rank_one_r(factors: _Factors, inner: np.ndarray) -> np.ndarray:
+    """The R of [Y X] = Q R on each block of factors of width 0 or 1, as
+    ``_gram_schmidt`` takes it, in closed form: [[1, g], [0, h]] with
+    g = Y^H X (``inner``) and h = ||X - g Y||, the residual projected on Y
+    once more and h zeroed where that second projection loses over half
+    its norm (blocks x 2w x 2w)."""
+    blocks, width = inner.shape[:2]
+    r = np.zeros((blocks, 2 * width, 2 * width), dtype=complex)
+    if not width:
+        return r
+    (x, y), starts, sizes = factors.lines[..., 0], factors.starts, factors.sizes
+    g = inner[:, 0, 0]
+    residual = x - np.repeat(g, sizes) * y
+    before = np.sqrt(np.add.reduceat(np.abs(residual) ** 2, starts))
+    residual -= np.repeat(np.add.reduceat(np.conj(y) * residual, starts), sizes) * y
+    after = np.sqrt(np.add.reduceat(np.abs(residual) ** 2, starts))
+    r[:, 0, 0], r[:, 0, 1] = 1.0, g
+    r[:, 1, 1] = np.where(after >= 0.5 * before, after, 0.0)
+    return r
 
 
 def _from_lines(held: _Lines, T: WeightedOperator) -> WeightedOperator:
@@ -604,10 +651,8 @@ def _pair_lines(space: FiniteMeasureSpace, blocks: tuple, pairs: list, unit: boo
     the atoms ``blocks``, in their order: L = sqrt(mu) a and
     R = conj(sqrt(mu) b) (2 x pairs x n) and K = 1 / mu(B) (1 x atoms); or,
     ``unit``, L and R over their norms on each atom B and K the atom's norm
-    ||L|| ||R|| / mu(B) (pairs x atoms; L = R = 0 where K is 0). Each
-    atom's line is first divided by the power of two at its largest entry,
-    an exact division after which no square overflows or underflows, and
-    its norm is multiplied back."""
+    ||L|| ||R|| / mu(B) (pairs x atoms; L = R = 0 where K is 0), taken
+    safe at any scale (``_block_norms``)."""
     order, (starts, sizes) = np.concatenate(blocks), _segments(blocks)
     lines = np.empty((2, len(pairs), order.size), dtype=complex)
     for k, (a, b) in enumerate(pairs):
@@ -617,11 +662,10 @@ def _pair_lines(space: FiniteMeasureSpace, blocks: tuple, pairs: list, unit: boo
     mass = np.add.reduceat(space.weights[order], starts)
     if not unit:
         return lines, (1.0 / mass)[None]
-    powers = np.ldexp(0.5, np.frexp(np.maximum.reduceat(np.abs(lines), starts, axis=2))[1])
-    parts = lines.view(float)  # part by part, so every sign is kept, a zero's too
-    parts /= np.repeat(powers, 2 * sizes, axis=2)
-    norms = np.sqrt(np.add.reduceat(np.abs(lines) ** 2, starts, axis=2))
-    cores = norms[0] * norms[1] / mass * powers[0] * powers[1]
+    norms, powers = _block_norms(lines, starts, sizes)
+    cores = norms[0] * norms[1] / mass
+    if powers is not None:
+        cores *= powers[0] * powers[1]
     scales = np.divide(1.0, norms, out=np.zeros_like(norms), where=cores > 0)
     lines *= np.repeat(scales, sizes, axis=2)
     return lines, cores
@@ -676,11 +720,6 @@ def _largest_values(cores: np.ndarray) -> np.ndarray:
     return values
 
 
-#: entries (rows times comparisons) of each work array of the rank-one
-#: comparison kernel (``_rank_one_distances``) at a time
-COMPARISON_CHUNK = 1 << 14
-
-
 def _rank_one_distances(space: FiniteMeasureSpace, blocks: tuple, comparisons: list) -> np.ndarray:
     """``core_distances`` of comparisons over the same ``blocks`` whose
     sides are pairs or ``_Lines`` of width 0 or 1, so each block of a
@@ -697,13 +736,17 @@ def _rank_one_distances(space: FiniteMeasureSpace, blocks: tuple, comparisons: l
     order = np.concatenate(blocks)
     mass = np.add.reduceat(space.weights[order], starts)
     d = _sqrt_weights(space)[order]
-    (c_l, c_r), (rho_l, rho_r), norm = _rank_one_projections(comparisons, order, d, starts, sizes)
+    pairs = [[not isinstance(x, _Lines) for x in sides] for sides in comparisons]
+    (c_l, c_r), (rho_l, rho_r), norm = _rank_one_projections(
+        comparisons, pairs, order, d, starts, sizes
+    )
     k = np.zeros((2, count, starts.size), dtype=complex)
+    firsts, seconds = np.array(pairs, dtype=bool).reshape(count, 2).T
+    k[0, firsts] = norm[0, firsts] * norm[1, firsts] / mass
+    k[1, seconds] = 1.0 / mass
     for i, sides in enumerate(comparisons):
         for j, side in enumerate(sides):
-            if not isinstance(side, _Lines):
-                k[j, i] = 1.0 / mass if j else norm[0, i] * norm[1, i] / mass
-            elif side.core.shape[1]:
+            if not pairs[i][j] and side.core.shape[1]:
                 k[j, i] = side.core[:, 0, 0]
     left, right = -k[1] * c_l, -k[1] * rho_l
     np.conj(c_r, out=c_r)
@@ -718,55 +761,149 @@ def _rank_one_distances(space: FiniteMeasureSpace, blocks: tuple, comparisons: l
     return np.where(np.isfinite(values), values, math.nan)
 
 
+#: entries (rows times lines) the rank-one comparison kernel's working set
+#: holds at a time (``_rank_one_projections``)
+COMPARISON_CHUNK = 1 << 16
+
+
+def _line_sources(comparisons: list, pairs: list) -> tuple:
+    """The distinct lines the sides of ``comparisons`` read, each listed
+    once, and the distinct projections of one on another they need:
+    (vectors, combos, where). ``vectors[k]`` is (x, j, is a pair's): on
+    side j (0 for L, 1 for R) a pair (where ``pairs[i][t]``) reads its
+    function x, in point order, an operator held as ``_Lines`` of width 1
+    line j of its lines x, in block order, and one of width 0 no vector
+    (x None), a zero line; sides holding the same array on the same side
+    share a line. ``combos[r]`` holds the lines (first, second) of a
+    projection, and ``where[j][i]`` is the projection side j of
+    comparison i takes."""
+    seen, vectors, combos, where = {}, [], {}, ([], [])
+    for j in (0, 1):
+        for sides, kinds in zip(comparisons, pairs):
+            places = []
+            for side, pair in zip(sides, kinds):
+                x = side[j] if pair else side.lines if side.core.shape[1] else None
+                if (id(x), j) not in seen:
+                    seen[id(x), j] = len(vectors)
+                    vectors.append((x, j, pair))
+                places.append(seen[id(x), j])
+            where[j].append(combos.setdefault(tuple(places), len(combos)))
+    return vectors, np.array(list(combos)), np.array(where)
+
+
 def _rank_one_projections(
-    comparisons: list, order: np.ndarray, d: np.ndarray, starts: np.ndarray, sizes: np.ndarray
+    comparisons: list, pairs: list, order: np.ndarray, d: np.ndarray, starts, sizes
 ) -> tuple:
     """(c, rho, norm) of the L side and then the R side of each comparison
-    on each block (2 x comparisons x blocks each). On each side, each
-    comparison's two lines are written once into a stack: q, the first
-    side's, made unit on each block where it is a pair (``norm`` is its
-    norm), and v, the second's. Then c = <q, v>_B, v -= c q in place and
-    rho = ||v||_B, with two work lines beside them. The blocks run in
-    groups of whole blocks, and the comparisons in chunks, so that rows
-    times comparisons stays within COMPARISON_CHUNK, or one block's rows."""
-    count, ends = len(comparisons), starts + sizes
-    c = np.empty((2, count, starts.size), dtype=complex)
-    rho, norm = np.empty((2, 2, count, starts.size))
-    pairs = np.array([[not isinstance(x, _Lines) for x in sides] for sides in comparisons])
-    first = 0
+    on each block (2 x comparisons x blocks each), from ``_projections``
+    of the distinct projections the sides need (``_line_sources``). The
+    blocks run in groups of whole blocks, and the projections in chunks,
+    so that the working set (at most four lines per projection) stays
+    within COMPARISON_CHUNK entries, or the lines of one block and one
+    projection."""
+    vectors, combos, where = _line_sources(comparisons, pairs)
+    count, ends = len(combos), starts + sizes
+    lines = 2 * count + max(2 * count, len(vectors))
+    pieces, first = [], 0
     while first < starts.size:
-        top = starts[first] + max(1, COMPARISON_CHUNK // count)
+        top = starts[first] + max(1, COMPARISON_CHUNK // lines)
         last = max(first + 1, int(np.searchsorted(ends, top, side="right")))
-        rows = slice(starts[first], ends[last - 1])
-        at, index, weights = starts[first:last] - rows.start, order[rows], d[rows]
-        atoms = np.repeat(np.arange(last - first), sizes[first:last])  # each row's block
-        step = max(1, COMPARISON_CHUNK // atoms.size)
+        group, rows = slice(first, last), slice(starts[first], ends[last - 1])
+        width = rows.stop - rows.start
+        step = count if lines * width <= COMPARISON_CHUNK else max(1, COMPARISON_CHUNK // (4 * width))
         for lo in range(0, count, step):
-            chunk = slice(lo, min(lo + step, count))
-            # q, v and two work lines: no complex product is formed in place,
-            # as numpy rounds an in-place product of one element apart
-            stack = np.empty((4, chunk.stop - lo, atoms.size), dtype=complex)
-            mask = pairs[chunk].T[:, :, None]  # the lines of pairs
-            for j in (0, 1):
-                q, v, work, product = stack
-                for i, sides in enumerate(comparisons[chunk]):
-                    for line, side in zip(stack[:2, i], sides):
-                        if not isinstance(side, _Lines):
-                            np.multiply(side[j][index], weights, out=line)
-                        else:
-                            line[:] = side.lines[j, rows, 0] if side.core.shape[1] else 0.0
-                if j:
-                    np.conj(stack[:2], out=stack[:2], where=mask)
-                norm[j, chunk, first:last] = norms = _segment_norms(q, work, at)
-                scales = np.divide(1.0, norms, out=np.ones_like(norms), where=mask[0] & (norms > 0))
-                scales = np.take(scales.astype(complex), atoms, axis=1, out=work, mode="clip")
-                q, product = np.multiply(scales, q, out=product), q
-                np.multiply(np.conj(q, out=work), v, out=product)
-                c[j, chunk, first:last] = cq = np.add.reduceat(product, at, axis=1)
-                v -= np.multiply(np.take(cq, atoms, axis=1, out=work, mode="clip"), q, out=product)
-                rho[j, chunk, first:last] = _segment_norms(v, work, at)
+            chunk, used, local = slice(lo, lo + step), vectors, combos[lo : lo + step]
+            if step < count:  # the lines of the chunk's projections alone
+                places = np.unique(local)
+                used, local = [vectors[k] for k in places], np.searchsorted(places, local)
+            values = _projections(used, local, rows, order, d, starts[group], sizes[group])
+            pieces.append((chunk, group, values))
         first = last
-    return c, rho, norm
+    if len(pieces) > 1:
+        out = [np.empty((count, starts.size), dtype=x.dtype) for x in pieces[0][2]]
+        for chunk, group, values in pieces:
+            for x, value in zip(out, values):
+                x[chunk, group] = value
+    return tuple(x[where] for x in (pieces[0][2] if len(pieces) == 1 else out))
+
+
+def _projections(vectors, combos, rows, order, d, starts, sizes) -> tuple:
+    """(c, rho, norm) of the projections ``combos`` of the lines
+    ``vectors`` (``_line_sources``) over one group of blocks, in ``rows``
+    of the block order (``starts`` and ``sizes`` its blocks'). Each line
+    is written once into a stack, a pair's function as sqrt(mu) times it,
+    conjugated on the R side, and taken with its norm n on each block
+    (``_block_norms``, safe at any scale; ``norm``). Then, by index over
+    the stack, q is the first line, made unit, and v the second:
+    c = <q, v>_B, v -= c q in place and rho = ||v||_B, each multiplied
+    back by the power of two v was divided by. Beside q and v the
+    projections take one line each for the products and half a line for
+    the coefficients of the residuals, formed half the projections at a
+    time; the stack is made in that memory, or past it where it has more
+    lines. No complex product is formed in place, as numpy may round an
+    in-place product apart."""
+    count, at, width, m = len(combos), starts - rows.start, rows.stop - rows.start, len(vectors)
+    half = (count + 1) // 2
+    buffer = np.empty((2 * count + max(count + half, m), width), dtype=complex)
+    q, v, product, work = (buffer[k * count : (k + 1) * count] for k in range(4))
+    stack, index, weights = buffer[2 * count : 2 * count + m], order[rows], d[rows]
+    for (x, j, pair), line in zip(vectors, stack):
+        if x is None:
+            line[:] = 0.0
+        elif pair:
+            np.multiply(x[index], weights, out=line)
+            if j:
+                np.conj(line, out=line)
+        else:
+            line[:] = x[j, rows, 0]
+    norms, powers = _block_norms(stack, at, sizes, buffer[:m])
+    first, second = combos.T
+    if powers is None:  # every norm is positive
+        inverse = (1.0 / norms)[first]
+    else:
+        inverse = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)[first]
+    np.take(stack, first, axis=0, out=q, mode="clip")
+    np.take(stack, second, axis=0, out=v, mode="clip")
+    np.multiply(np.conj(q, out=q), v, out=product)  # q conjugated in place, and back
+    np.conj(q, out=q)
+    cq = np.add.reduceat(product, at, axis=1) * inverse
+    coefficients, atoms = cq * inverse, np.repeat(np.arange(sizes.size), sizes)
+    for lo in range(0, count, half):
+        part, work = slice(lo, lo + half), buffer[3 * count : 3 * count + min(half, count - lo)]
+        np.take(coefficients[part], atoms, axis=1, out=work, mode="clip")
+        v[part] -= np.multiply(work, q[part], out=product[part])
+    rho = _segment_norms(v, product, at)
+    if powers is None:
+        return cq, rho, norms[first]
+    return cq * powers[second], rho * powers[second], norms[first] * powers[first]
+
+
+def _squares_safe(sums: np.ndarray) -> bool:
+    """Whether no square summed into ``sums`` can have overflowed, or have
+    underflowed while mattering to its sum: every sum lies in
+    [2^-900, 2^900]."""
+    return bool(sums.size == 0 or (sums.min() > 2.0**-900 and sums.max() < 2.0**900))
+
+
+def _block_norms(lines: np.ndarray, starts: np.ndarray, sizes: np.ndarray, work=None) -> tuple:
+    """(norms, powers) of each complex line of ``lines`` on each block of
+    its columns (block k from column ``starts[k]``, in ``sizes[k]``
+    columns), safe at any scale: where a sum of squares may have lost a
+    square (``_squares_safe``), each line is divided in place on each
+    block by the power of two at its largest part (``powers``; None where
+    none was), an exact division after which no square overflows or
+    underflows, so its norm there is ``norms`` times that power. The
+    division is part by part, so every sign is kept, a zero's too.
+    ``work``, shaped like ``lines``, takes the scratch when given."""
+    parts, scratch = lines.view(float), None if work is None else work.view(float)
+    with np.errstate(over="ignore"):  # an overflow fails the check below
+        squares = np.add.reduceat(np.square(parts, out=scratch), 2 * starts, axis=-1)
+    if _squares_safe(squares):
+        return np.sqrt(squares), None
+    largest = np.maximum.reduceat(np.abs(parts, out=scratch), 2 * starts, axis=-1)
+    powers = np.ldexp(0.5, np.frexp(largest)[1])
+    parts /= np.repeat(powers, 2 * sizes, axis=-1)
+    return np.sqrt(np.add.reduceat(np.square(parts, out=scratch), 2 * starts, axis=-1)), powers
 
 
 def _segment_norms(lines: np.ndarray, work: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -921,13 +1058,20 @@ def eigenvalues(T: WeightedOperator) -> np.ndarray:
     A block X diag(s) Y^H of T's factors, of rank r below its size, has
     the eigenvalues of its r x r core C diag(s) with C = Y^H X
     (``_inner_cores``; X (S Y^H) and (S Y^H) X share their nonzero ones),
-    then |B| - r exact zeros. A full-rank block, the only one built here,
-    is its own r x r matrix: the core would move a defective eigenvalue by
-    rounding to the power 1/r. The matrices of each rank run as one stacked
-    eigvals, cut to that rank, so padding adds no eigenvalue."""
+    then |B| - r exact zeros. Of width 1 (T, T* and the operators derived
+    from them) that is s g per atom of rank 1, g = Y^H X, in closed form.
+    Wider factors (the one-block reference) run the cores of each rank as
+    one stacked eigvals, cut to that rank, so padding adds no eigenvalue;
+    a full-rank block, the only one built here, is its own r x r matrix:
+    the core would move a defective eigenvalue by rounding to the power
+    1/r."""
     factors = _factors(T)
     cores = _inner_cores(T) * factors.s[:, None, :]
     out = np.zeros(factors.sizes.sum(), dtype=complex)
+    if cores.shape[-1] == 1:
+        kept = factors.ranks > 0
+        out[factors.starts[kept]] = cores[kept, 0, 0]
+        return out
     for rank in np.unique(factors.ranks[factors.ranks > 0]):
         which = np.flatnonzero(factors.ranks == rank)
         mats = cores[which, :rank, :rank]
@@ -1052,10 +1196,14 @@ def _diagonal(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _twice(line: np.ndarray) -> np.ndarray:
-    """The lines (L, R) = (line, line), a view of the contiguous ``line``,
-    read-only where it is (a stride of 0 is cheaper than broadcast_to)."""
-    return np.ndarray((2,) + line.shape, line.dtype, line, 0, (0,) + line.strides)
+@_once_per_operator
+def _right_lines(T: WeightedOperator) -> np.ndarray:
+    """The lines (L, R) = (Y, Y) of T's factors X diag(s) Y^H, one view for
+    every operator held on them (T's powers of T*T and its Aluthge
+    transform), so the comparison kernel reads Y once for them all
+    (``_line_sources``); a stride of 0 is cheaper than broadcast_to."""
+    y = _factors(T).lines[1]
+    return np.ndarray((2,) + y.shape, y.dtype, y, 0, (0,) + y.strides)
 
 
 def gram_power(T: WeightedOperator, p: float) -> WeightedOperator:
@@ -1068,7 +1216,7 @@ def gram_power(T: WeightedOperator, p: float) -> WeightedOperator:
         raise ValueError("power must be positive")
     factors = _factors(T)
     core = _diagonal(factors.s ** (2 * p))
-    return _from_lines(_Lines(factors.starts, factors.sizes, _twice(factors.lines[1]), core), T)
+    return _from_lines(_Lines(factors.starts, factors.sizes, _right_lines(T), core), T)
 
 
 def polar_isometry_numeric(T: WeightedOperator) -> WeightedOperator:
@@ -1092,7 +1240,7 @@ def aluthge_numeric(T: WeightedOperator) -> WeightedOperator:
     factors = _factors(T)
     root = np.sqrt(factors.s)
     core = root[:, :, None] * _inner_cores(T) * root[:, None, :]
-    return _from_lines(_Lines(factors.starts, factors.sizes, _twice(factors.lines[1]), core), T)
+    return _from_lines(_Lines(factors.starts, factors.sizes, _right_lines(T), core), T)
 
 
 def kernel_projection(T: WeightedOperator) -> WeightedOperator:
@@ -1108,9 +1256,15 @@ def kernel_projection(T: WeightedOperator) -> WeightedOperator:
 def is_normal(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:
     """T T* = T* T to tolerance, read off T's joint cores: a block Q K Q^H
     (``_joint_cores``) gives T T* - T* T = Q (K K^H - K^H K) Q^H, whose norm
-    is the largest eigenvalue modulus of that Hermitian core; one stacked
-    eigvalsh takes every block's."""
+    is the largest eigenvalue modulus of that Hermitian core. Of width 1
+    (T, T* and the operators derived from them) K = [[a, 0], [b, 0]], and
+    that modulus is |b| hypot(|a|, |b|) in closed form; wider factors (the
+    one-block reference) take one stacked eigvalsh of every block's."""
     k = _joint_cores(T).core
-    kh = _conj_t(k)
-    comm = np.abs(_solve("eigvalsh", k @ kh - kh @ k)).max(initial=0.0)
+    if k.shape[-1] > 2:
+        kh = _conj_t(k)
+        comm = np.abs(_solve("eigvalsh", k @ kh - kh @ k)).max(initial=0.0)
+    else:
+        a, b = np.abs(k[..., 0]).T if k.size else np.zeros((2, 0))
+        comm = (b * np.hypot(a, b)).max(initial=0.0)
     return bool(comm <= tol * (1.0 + operator_norm(T) ** 2))

@@ -19,6 +19,7 @@ from .measure_space import (
     is_algebra_measurable,
 )
 from .operator_algebra import (
+    LoewnerMargins,
     WeightedOperator,
     _conj_t,
     _diagonal,
@@ -85,22 +86,64 @@ def _class_margins(T: WeightedOperator) -> dict:
     S (C^H |M| C - S^2) S; the *-A one is Q K Q^H on T's joint basis Q of
     [Y X], with the core R_y |M| R_y^H - R_x S^2 R_x^H of at most 2r x 2r
     (``_joint_cores``). Every margin is read off these cores, so no
-    |B| x |B| array is built and only r x r factorizations run, stacked
-    over the blocks: one SVD for |M|, then one eigvalsh over all three
-    classes (``_margins``), the A and quasi-*-A cores zero-padded to the
-    *-A core's 2r x 2r. The stacks are padded with zeros past each block's
-    rank too; padding adds only zero eigenvalues. The margins are floats,
-    and each test applies its own tolerance."""
+    |B| x |B| array is built. Of width 1 (T and T*) they are in closed form
+    (``_rank_one_margins``); wider factors (the one-block reference) take
+    r x r factorizations stacked over the blocks: one SVD for |M|, then
+    one eigvalsh over all three classes (``_margins``), the A and
+    quasi-*-A cores zero-padded to the *-A core's 2r x 2r. The stacks are
+    padded with zeros past each block's rank too; padding adds only zero
+    eigenvalues. The margins are floats, and each test applies its own
+    tolerance."""
     s, c, joint = _factors(T).s, _inner_cores(T), _joint_cores(T)
+    width = s.shape[1]
+    if width <= 1:
+        return _rank_one_margins(s, joint)
     _, sigma, qh = _solve("svd", s[:, :, None] * c * s[:, None, :])
     abs_m = (_conj_t(qh) * sigma[:, None, :]) @ qh
     sq = _diagonal(s**2)
-    width = s.shape[1]
     cores = np.zeros((3,) + joint.core.shape, dtype=complex)
     cores[0, :, :width, :width] = abs_m - sq
     cores[1] = joint.r_y @ abs_m @ _conj_t(joint.r_y) - joint.r_x @ sq @ _conj_t(joint.r_x)
     cores[2, :, :width, :width] = s[:, :, None] * (_conj_t(c) @ abs_m @ c - sq) * s[:, None, :]
     return dict(zip((A_CLASS, STAR_A_CLASS, QUASI_STAR_A_CLASS), _margins(cores)))
+
+
+def _rank_one_margins(s: np.ndarray, joint) -> dict:
+    """``_class_margins`` of factors of width 1 (or 0) in closed form. With
+    R_x = [[g], [h]] (``_joint_cores``: g = Y^H X, |g| <= 1, and h >= 0),
+    M = s^2 g is 1 x 1, so the A and quasi-*-A cores are s^2 (|g| - 1) and
+    s^4 (|g|^3 - 1), padded with a zero eigenvalue, and the *-A core is
+    s^2 H with H = [[|g| (1 - |g|), -g h], [-conj(g) h, -h^2]], whose
+    eigenvalues (p + r) / 2 -+ hypot((p - r) / 2, |q|), for H's diagonal p,
+    r and corner q, keep their digits where the two nearly meet; H's
+    entries are at most 1, so only the factor s^2 scales them. Each core
+    is Hermitian, so every asymmetry is 0."""
+    s2 = s[:, 0] ** 2 if s.shape[1] else np.zeros(len(s))
+    g = joint.r_x[:, 0, 0] if s.shape[1] else np.zeros(len(s))
+    h = joint.r_x[:, 1, 0].real if s.shape[1] else np.zeros(len(s))
+    a = np.abs(g)
+    p, r, q = a * (1.0 - a), -h * h, a * h
+    mean, radius = 0.5 * (p + r), np.hypot(0.5 * (p - r), q)
+    a_core, quasi_core = s2 * (a - 1.0), s2 * s2 * (a**3 - 1.0)
+    star = s2 * np.stack([mean - radius, mean + radius])
+    entries = s2 * np.maximum(np.maximum(np.abs(p), q), -r)
+    return {
+        A_CLASS: _closed_margins(a_core, np.abs(a_core)),
+        STAR_A_CLASS: _closed_margins(star, entries),
+        QUASI_STAR_A_CLASS: _closed_margins(quasi_core, np.abs(quasi_core)),
+    }
+
+
+def _closed_margins(eigenvalues: np.ndarray, entries: np.ndarray) -> LoewnerMargins:
+    """The margins of Hermitian cores with these ``eigenvalues`` (and zero
+    padding) and these moduli of their largest entries, as ``_margins``
+    reads them."""
+    return LoewnerMargins(
+        0.0,
+        1.0 + float(entries.max(initial=0.0)),
+        float(eigenvalues.min(initial=0.0)),
+        float(np.abs(eigenvalues).max(initial=0.0)),
+    )
 
 
 def is_a_class_definitional(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:

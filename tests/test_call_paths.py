@@ -268,24 +268,25 @@ def _verify_inputs() -> list:
 
 def test_verify_runs_no_svd_with_a_side_above_two(monkeypatch):
     """A verify of product_space_example(4, 80), with its own w or w = 1,
-    runs no SVD with a side above 2: T's four atoms of 80 points are
-    factored by one stacked SVD of their 1 x 1 cores, the polar checks
-    factor stacks of 2 x 2 cores, and the normality check reads T's joint
-    cores."""
-    shapes = []
+    makes no LAPACK call but SVDs of stacks of 2 x 2 cores, the joint point
+    spectrum's: T's four atoms of 80 points are factored in closed form
+    from their 1 x 1 cores, and the eigenvalues, the class margins and the
+    normality check read T's factors and joint cores in closed form."""
+    calls = []
+    for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "qr"):
 
-    def probe(a, *args, _original=np.linalg.svd, **kwargs):
-        shapes.append(np.shape(a))
-        return _original(a, *args, **kwargs)
+        def probe(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", probe)
+        monkeypatch.setattr(np.linalg, name, probe)
     for w_one, instance in enumerate(_verify_inputs()):
-        shapes.clear()
+        calls.clear()
         checks = verify_instance(instance)
         assert summarize(checks)["all_passed"]
         assert ("normality_equivalence_consistent" in [c.name for c in checks]) == w_one
-        assert (4, 1, 1) in shapes
-        assert [s for s in shapes if max(s[-2:]) > 2] == []
+        assert calls and {name for name, _ in calls} == {"svd"}
+        assert [shape for _, shape in calls if shape[-2:] != (2, 2)] == []
 
 
 def _operator_algebra_calls(tree) -> list:
@@ -419,6 +420,19 @@ def test_verify_builds_no_block(monkeypatch):
     assert built == [oa._LINES] * 8
 
 
+def test_verify_of_one_point_atoms_builds_no_block(monkeypatch):
+    """A verify of random_instance(1, 40, 40), whose 40 atoms are one point
+    each, builds no block either: T's eigenvalues are s g on each atom, read
+    off its factors, not off its 1 x 1 blocks. Verifies of
+    random_instance(7, 64, 8) and product_space_example(4, 80) build none."""
+    built = _counted_blocks(monkeypatch)
+    inputs = (random_instance(1, 40, 40), random_instance(7, 64, 8), product_space_example(4, 80))
+    for instance in inputs:
+        assert summarize(verify_instance(instance))["all_passed"]
+    assert inputs[0].algebra.block_count == 40
+    assert built == []
+
+
 def test_every_operator_of_a_verify_holds_one_form(monkeypatch):
     """Each of the 13 operators a verify of product_space_example(4, 80),
     with its own w or w = 1, builds holds exactly one of its blocks or its
@@ -463,8 +477,8 @@ def test_verify_calls_expectation_operator_once(monkeypatch):
 
 def _solver_calls_outside_t_factorization(monkeypatch, instance) -> int:
     """The numpy.linalg calls of a verify of ``instance`` made outside T's
-    one ``_cored_factors`` call, the first, which factors T by one stacked
-    SVD of its 1 x 1 cores."""
+    one ``_cored_factors`` call, the first, which factors T from its 1 x 1
+    cores."""
     calls, inside = [], []
     for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "qr"):
 
@@ -505,14 +519,14 @@ def test_verify_makes_no_solver_call_per_atom(monkeypatch):
 
 
 def test_verify_compares_each_section_in_one_call(monkeypatch):
-    """A verify of random_instance(7, 64, 8) makes 6 solver calls outside
-    T's factorization and calls ``core_distances`` once per side: T's (the
+    """A verify of random_instance(7, 64, 8) makes 2 solver calls, none in
+    T's factorization, and calls ``core_distances`` once per side: T's (the
     powers of T*T, the polar decomposition, the Aluthge transforms; 9
     comparisons) and T*'s (the powers of TT* and the adjoint; 6). T's
     atoms are rank one, so every comparison's core is 2 x 2, taken by the
     rank-one kernel, inside which no numpy.linalg routine runs."""
     instance = random_instance(7, 64, 8)
-    assert _solver_calls_outside_t_factorization(monkeypatch, instance) == 6
+    assert _solver_calls_outside_t_factorization(monkeypatch, instance) == 2
     calls, inside = [], []
 
     def counted(*args, _original=oa.core_distances, **kwargs):

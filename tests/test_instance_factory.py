@@ -15,6 +15,7 @@ from condexp import (
     symmetric_interval_example,
     to_matrix,
 )
+from condexp.instance_factory import _random_partition
 from condexp.measure_space import MeasurableFunction
 
 
@@ -156,6 +157,35 @@ class TestRandomInstance:
             random_instance(0, 4, 5)
         with pytest.raises(ValueError):
             random_instance(0, 4, 0)
+
+
+def _nonzero_partition(rng, n_points, n_blocks):
+    """The reference for ``_random_partition``: the same labels, each block
+    read off them by one np.nonzero per block."""
+    labels = np.concatenate(
+        [np.arange(n_blocks), rng.integers(0, n_blocks, size=n_points - n_blocks)]
+    )
+    labels = labels[rng.permutation(n_points)]
+    return tuple(np.nonzero(labels == k)[0] for k in range(n_blocks))
+
+
+@pytest.mark.parametrize(
+    "n_points, n_blocks",
+    [(1, 1), (2, 1), (2, 2), (7, 1), (7, 3), (7, 7), (64, 8), (500, 37), (500, 500)],
+)
+def test_random_partition_matches_one_nonzero_per_block(n_points, n_blocks):
+    """One stable argsort and one split give each block's index array, in
+    increasing order, as one np.nonzero per block did, and leave the
+    generator in the same state."""
+    for seed in range(3):
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _random_partition(rngs[0], n_points, n_blocks)
+        want = _nonzero_partition(rngs[1], n_points, n_blocks)
+        assert len(got) == len(want) == n_blocks
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        assert rngs[0].random() == rngs[1].random()
 
 
 class TestProportionalInstance:

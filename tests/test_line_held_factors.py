@@ -3,11 +3,11 @@ block.
 
 ``expectation_operator`` holds M_a E M_b as its unit lines and 1 x 1
 cores on each atom, read off (a, b) in segment sums, which are its exact
-SVD; its factors come from one stacked SVD of the cores. The reference
-stays numpy's SVD of each standard-coordinate block, cut at
-DEFAULT_RANK_TOL times the largest singular value of any block, with the
-bounds of ``test_range_finder``: the ranks must match it exactly and the
-kept values to 1e-12 of the largest.
+SVD; its factors are read off the cores in closed form, with no LAPACK
+call. The reference stays numpy's SVD of each standard-coordinate block,
+cut at DEFAULT_RANK_TOL times the largest singular value of any block,
+with the bounds of ``test_block_held_factors``: the ranks must match it
+exactly and the kept values to 1e-12 of the largest.
 """
 
 import gc
@@ -52,7 +52,7 @@ def _operator(seed, sizes=SIZES, zero=ZERO_ATOM):
 
 def _assert_dense(T):
     """T's flat factors are the dense SVD of each standard-coordinate block,
-    within the bounds of ``test_range_finder``."""
+    within the bounds of ``test_block_held_factors``."""
     values = [np.linalg.svd(m, compute_uv=False) for _, m in _std_blocks(T)]
     cutoff = DEFAULT_RANK_TOL * max(s.max() for s in values)
     reference = [s[s > cutoff] for s in values]

@@ -56,6 +56,7 @@ from condexp.verification import (
     _aluthge_comparisons,
     _polar_comparisons,
     _power_comparisons,
+    verify_instance,
 )
 
 from conftest import (
@@ -685,6 +686,25 @@ class TestCoreDistance:
         core_distance(PAIR_SPACE, PAIR_ALGEBRA, first, pair)
         assert shapes == [((3, 3, 3), False)]
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    def test_a_pair_is_measured_at_any_scale(self, scale):
+        """With w times c, on random_instance(0, 12, 4), ||M_wc E M_u - 0||
+        and the largest of ``expectation_norms`` are c times their values
+        at c = 1, to 1e-12 relative: each atom's line is divided by the
+        power of two at its largest entry before it is squared."""
+        inst = random_instance(0, 12, 4)
+        zero = np.zeros(inst.space.point_count)
+
+        def measured(c):
+            pair = (inst.w.values * c, inst.u.values)
+            norms = expectation_norms(inst.space, inst.algebra, pair)
+            distance = core_distances(inst.space, inst.algebra, [(pair, (zero, zero))])[0]
+            return np.array([distance, norms.max()])
+
+        base = measured(1.0)
+        assert base.min() > 0
+        np.testing.assert_allclose(measured(scale), scale * base, rtol=1e-12, atol=0.0)
+
     def test_a_side_that_is_not_finite_gives_nan(self):
         rng = np.random.default_rng(2)
         a, b = _complex_vector(rng), _complex_vector(rng)
@@ -968,11 +988,14 @@ class TestNormal:
             assert is_normal(X, turn * (1 - 1e-6)) is False
 
     def test_reads_only_the_joint_cores(self, monkeypatch):
-        """With T's factors memoized, is_normal runs no SVD and only one
-        eigvalsh, of a stack of at most 2r x 2r cores, one per atom, and
-        builds no operator."""
+        """With T's factors memoized, is_normal reads T's 2 x 2 joint cores
+        in closed form: no SVD and no eigvalsh runs, and no operator is
+        built. T as one block (the one-block reference, of width r) runs
+        one eigvalsh, of its one 2r x 2r core."""
         T = to_matrix(as_wce(random_instance(0, 18, 3)))
-        rank = _factors(T).s.shape[1]
+        one_block = WeightedOperator(T.entries, T.space)
+        rank = _factors(one_block).s.shape[1]
+        _factors(T)
         calls = []
 
         def probe(routine):
@@ -987,9 +1010,11 @@ class TestNormal:
         built = []
         monkeypatch.setattr(WeightedOperator, "__post_init__", lambda op: built.append(op))
         assert not is_normal(T)
-        assert [r for r, _ in calls] == ["eigvalsh"]
-        assert calls[0][1][0] == len(T.blocks)
-        assert max(max(shape[-2:]) for _, shape in calls) <= 2 * rank
+        assert calls == [] and built == []
+        _joint_cores(one_block)
+        calls.clear()
+        assert not is_normal(one_block)
+        assert calls == [("eigvalsh", (1, 2 * rank, 2 * rank))]
         assert built == []
 
     def test_hermitian_check(self):
@@ -1000,18 +1025,26 @@ class TestNormal:
 
 
 class TestSolverLog:
-    def test_one_debug_record_per_solver_call(self, caplog):
-        """eigenvalues of a rank-one-per-atom T: T's factorization logs one
-        SVD record for the stack of its 1 x 1 cores, then one eigvals
-        record for the stack of 1 x 1 cores of its eigenvalues. Each record
-        gives its shape and seconds."""
-        T = to_matrix(as_wce(random_instance(0, 10, 3)))
+    def test_one_debug_record_per_solver_call(self, monkeypatch, caplog):
+        """A verify of random_instance(7, 64, 8) makes two LAPACK calls, the
+        joint point spectrum's SVDs of its 16 candidate 2 x 2 cores, and
+        logs one record for each, with its shape and seconds: T's factors,
+        eigenvalues, joint cores and class margins are read in closed
+        form, and log nothing."""
+        calls = []
+        for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "qr"):
+
+            def probe(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls.append(f"{_name} {'x'.join(map(str, np.shape(a)))}")
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, probe)
         caplog.set_level(logging.DEBUG, logger="condexp")
-        eigenvalues(T)
+        verify_instance(random_instance(7, 64, 8))
         records = [r.getMessage().split() for r in caplog.records if r.name == "condexp"]
         for _, _, seconds, unit in records:
             assert float(seconds) >= 0.0 and unit == "s"
-        assert [r[:2] for r in records] == [["svd", "3x1x1"], ["eigvals", "3x1x1"]]
+        assert [" ".join(r[:2]) for r in records] == calls == ["svd 16x2x2"] * 2
 
     def test_a_stacked_call_logs_its_whole_shape(self, caplog):
         """The joint point spectrum factors, in one stacked SVD, the 2 x 2
@@ -1107,27 +1140,23 @@ def test_the_adjoint_keeps_its_operator_form(form):
 
 
 #: the numpy.linalg calls that factor an adjoint whose operator is gone,
-#: for each form, as (routine, shape of its input): lines, T's 1 x 1 cores
-#: among them, take one stacked SVD of their cores, and blocks one SVD per
-#: block
-def _cores_svd(A) -> list:
-    return [("svd", A._memo[operator_algebra._LINES].core.shape)]
-
-
+#: for each form, as (routine, shape of its input): lines of width 1, T's
+#: among them, read their 1 x 1 cores in closed form, with no call, and
+#: blocks take one SVD per block
 FREED_CALLS = {
     "blocks": lambda A: [("svd", (b.size, b.size)) for b in A.blocks],
-    "pair": _cores_svd,
-    "gram_power": _cores_svd,
-    "aluthge": _cores_svd,
+    "pair": lambda A: [],
+    "gram_power": lambda A: [],
+    "aluthge": lambda A: [],
 }
 
 
 @pytest.mark.parametrize("form", HELD_AS)
 def test_the_adjoint_of_a_freed_operator_factors_by_its_form(monkeypatch, form):
     """Once X is freed, adjoint(X) factors itself by its own form's route,
-    and its factors reconstruct its blocks: lines, T's among them, by one
-    stacked SVD of their cores with no |B| x |B| factorization, blocks by
-    one full SVD per block."""
+    and its factors reconstruct its blocks: lines, T's among them, from
+    their 1 x 1 cores in closed form with no LAPACK call, blocks by one
+    full SVD per block."""
     X = _held_as(form)
     A = adjoint(X)
     del X
@@ -1147,8 +1176,6 @@ def test_the_adjoint_of_a_freed_operator_factors_by_its_form(monkeypatch, form):
     _factors(A)
     monkeypatch.undo()
     assert calls == FREED_CALLS[form](A)
-    if form != "blocks":
-        assert calls[0][1][-1] < min(b.size for b in A.blocks)
     assert _reconstruction_error(A) <= 1e-12
 
 
@@ -1156,8 +1183,8 @@ def test_the_adjoint_of_a_freed_operator_factors_by_its_form(monkeypatch, form):
 @pytest.mark.parametrize("points, atoms", [(40, 40), (64, 8)])
 def test_the_eigenvalues_of_the_adjoint_are_conjugate(seed, points, atoms):
     """eigenvalues(T*) is conj(eigenvalues(T)) as a multiset, within the
-    corpus's 1e-15 (1 + ||T||): one-point atoms build T*'s blocks from its
-    own lines, T's swapped, and larger ones read T's factors swapped."""
+    corpus's 1e-15 (1 + ||T||): both are s g on each atom, read off T's
+    factors and off T*'s, T's swapped, with no block built."""
     T = to_matrix(as_wce(random_instance(seed, points, atoms)))
     bound = 1e-15 * (1.0 + operator_norm(T))
     assert multiset_close(eigenvalues(adjoint(T)), np.conj(eigenvalues(T)), bound)
@@ -1178,13 +1205,20 @@ class TestAdjointSharesSVD:
         assert _reconstruction_error(adjoint(T)) <= 1e-12
 
     def test_adjoint_of_a_freed_operator_factors_itself(self, monkeypatch):
-        """T is held as its lines, and so is T*: once T is freed, T*'s
-        factors come from one stacked SVD of its 1 x 1 cores, with no QR
-        and no block factored alone."""
+        """T is held as its lines, and so is T*: while T lives, T*'s factors
+        are T's swapped, views of the same arrays, computed once; once T is
+        freed, T*'s factors are read off its own 1 x 1 cores in closed
+        form, with no LAPACK call, and they are T's swapped up to a phase
+        per atom, with the same singular values."""
         T = _atom_operator(2)
+        factors, swapped = _factors(T), _factors(adjoint(T))
+        assert np.shares_memory(swapped.lines, factors.lines) and _factors(T) is factors
+        assert np.array_equal(swapped.lines, factors.lines[::-1])
+        s = factors.s.copy()
         A = adjoint(T)
-        del T
+        del T, factors, swapped
         gc.collect()
+        A._memo.pop("_factors")
         calls = []
 
         def probe(routine):
@@ -1194,10 +1228,11 @@ class TestAdjointSharesSVD:
 
             return counted
 
-        for routine in ("svd", "qr"):
+        for routine in self.LINALG + ("qr",):
             monkeypatch.setattr(np.linalg, routine, probe(routine))
         assert _reconstruction_error(A) <= 1e-12
-        assert calls == [("svd", (len(A.blocks), 1, 1))]
+        assert calls == []
+        np.testing.assert_allclose(_factors(A).s, s, rtol=1e-15)
 
     def test_adjoint_does_not_keep_the_operator_alive(self):
         gc.disable()

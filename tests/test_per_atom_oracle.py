@@ -314,24 +314,34 @@ def test_no_matrix_larger_than_an_atom(monkeypatch, instance):
 
 @FOUR_ATOMS
 def test_eigenvalues_computed_once_per_atom(monkeypatch, instance):
-    """verify factors T once: one numpy.linalg.eigvals call, on a stack with
-    one core per atom."""
-    calls = []
+    """verify reads T's eigenvalues once per atom, s g in closed form from
+    T's factors: no numpy.linalg.eigvals call and no block built; they are
+    the eigenvalues of T's blocks."""
+    calls, built = [], []
 
     def probe(a, *args, _original=np.linalg.eigvals, **kwargs):
         calls.append(np.shape(a))
         return _original(a, *args, **kwargs)
 
+    def counted(T, k, _original=oa._built_block):
+        built.append(k)
+        return _original(T, k)
+
     monkeypatch.setattr(np.linalg, "eigvals", probe)
+    monkeypatch.setattr(oa, "_built_block", counted)
     verify_instance(instance)
-    assert calls == [(instance.algebra.block_count, 1, 1)]
+    assert calls == [] and built == []
+    T = to_matrix(as_wce(instance))
+    dense = np.concatenate([np.linalg.eigvals(m) for _, m in _std_blocks(T)])
+    monkeypatch.undo()
+    assert multiset_close(eigenvalues(T), dense, 1e-12 * (1.0 + operator_norm(T)))
 
 
 @FOUR_ATOMS
 def test_verify_reads_t_through_its_svd(monkeypatch, instance):
-    """During verify no eigh runs, no values-only SVD runs on a block of T,
-    and eigvals runs only on the stack of the 1 x 1 cores of T's rank-one
-    atoms."""
+    """During verify no eigh and no eigvals runs, and no values-only SVD
+    runs on a block of T: T's eigenvalues are s g on each atom, read off
+    its factors."""
     t_blocks = [m for _, m in _std_blocks(to_matrix(as_wce(instance)))]
     calls = {"eigh": [], "eigvals": [], "svd": []}
     for name in calls:
@@ -342,8 +352,7 @@ def test_verify_reads_t_through_its_svd(monkeypatch, instance):
 
         monkeypatch.setattr(np.linalg, name, probe)
     assert summarize(verify_instance(instance))["all_passed"]
-    assert calls["eigh"] == []
-    assert [a.shape for a, _ in calls["eigvals"]] == [(len(t_blocks), 1, 1)]
+    assert calls["eigh"] == [] and calls["eigvals"] == []
     values_only = [a for a, with_vectors in calls["svd"] if not with_vectors]
     assert not any(np.array_equal(a, m) for a in values_only for m in t_blocks)
 
@@ -374,10 +383,10 @@ def test_joint_point_spectrum_factors_only_the_cores(monkeypatch, instance):
 
 
 def test_kernel_projection_of_an_oracle_built_operator_factors_only_its_cores(monkeypatch):
-    """The polar isometry and the Aluthge transform keep their r x r cores,
-    so their kernel projections factor those, one stacked SVD each, and no
-    |B| x |B| block; they match the one-block projections of the same
-    entries."""
+    """The polar isometry and the Aluthge transform keep their 1 x 1 cores,
+    so their kernel projections read their factors off those in closed
+    form, with no LAPACK call and no |B| x |B| block factored; they match
+    the one-block projections of the same entries."""
     T = to_matrix(as_wce(product_space_example(4, 80)))
     built = [polar_isometry_numeric(T), aluthge_numeric(T)]
     orders = []
@@ -390,7 +399,7 @@ def test_kernel_projection_of_an_oracle_built_operator_factors_only_its_cores(mo
         monkeypatch.setattr(np.linalg, name, probe)
     projections = [kernel_projection(X) for X in built]
     monkeypatch.undo()
-    assert orders == [1] * len(built)
+    assert orders == []
     for X, projection in zip(built, projections):
         dense = kernel_projection(WeightedOperator(X.entries, X.space))
         assert _close(projection, dense, 1.0)
