@@ -16,21 +16,28 @@ The oracle factors each block once, cut at the one rank cutoff over all
 blocks, into rank-r factors X diag(s) Y^H, memoized in one flat form
 (``_Factors``: X and Y as n x R arrays zero-padded to the largest rank R).
 T = M_w E M_u is rank one on each atom, so ``expectation_operator`` holds
-it as its unit lines and 1 x 1 cores, read off (w, u) in segment sums;
-an operator held as its lines is factored by one stacked SVD of its cores
-(``_cored_factors``), and one held as its blocks by the full SVD of each
-block. Every question asked of the factors is stacked arithmetic over all
-blocks (segment sums over the rows, one LAPACK call on a stack of cores),
-with each result masked by the block's rank: the norm, the
+it as its unit lines and 1 x 1 cores, read off (w, u) in segment sums. T,
+T* and every operator the oracle derives from them (``_Lines``) are held
+as lines of width 1, so every question asked of one is read in closed
+form off one record per atom: its unit lines x and y, s = |k| with the
+phase of its core k, g = y^H x (``_inner_cores``) and h = ||x - g y||
+(``_rank_one_r``). Its factors take no SVD (``_cored_factors``), its
+eigenvalues are s g with no block built (``eigenvalues``), its joint core
+is [[s g, 0], [s h, 0]] (``_joint_cores``), and the class margins and the
+normality check read those. So a verify of T makes no LAPACK call but the
+joint point spectrum's SVDs of its candidate 2 x 2 cores: on
+random_instance(7, 64, 8), ``svd 16x2x2`` twice. The width-general routes
+are those of the one-block reference the tests compare against, taken
+where the factors are wider than one column: the full SVD of each block
+of an operator held as its blocks (``_cut``), one stacked SVD of wider
+cores, Gram-Schmidt of [Y X] in segment sums (``_gram_schmidt``), and
+stacked eigvals and eigvalsh. Every question is stacked arithmetic over
+all blocks, with each result masked by the block's rank: the norm, the
 singular values, the eigenvalues, the powers of T*T and TT*, the polar
-isometry, the Aluthge transform and the kernel projection. Gram-Schmidt of
-[Y X] in segment sums gives each block's joint core K (the block is Q K
-Q^H, with Q never formed), which the class margins, the normality check
-and the joint point spectrum read. An operator the oracle derives from T's
-factors is held as its lines and cores too (``_Lines``). The oracle reads
-the partition and (w, u), never the conditional moments, so it stays
-independent of the closed forms it checks; every decision over the whole
-operator uses all blocks' values, so results match a one-block
+isometry, the Aluthge transform and the kernel projection. The oracle
+reads the partition and (w, u), never the conditional moments, so it
+stays independent of the closed forms it checks; every decision over the
+whole operator uses all blocks' values, so results match a one-block
 factorization (the dense oracle) to rounding. Operators are immutable, so
 factorizations and adjoints are computed once and shared; an adjoint's
 factors are its operator's swapped, read through a weak reference.
@@ -38,12 +45,14 @@ factors are its operator's swapped, read through a weak reference.
 The closed forms all have the shape M_a E M_b, rank one on each atom, and
 are handled as their pairs (a, b): the pair rules (adjoint, product,
 coimage projection, norm per atom) cost O(n) in segment sums over the
-atoms. ``core_distances`` is the one comparison, the operator norm of a
+atoms, with every norm safe at any scale (``_block_norms``).
+``core_distances`` is the one comparison, the operator norm of a
 difference, for a batch of them, each side a pair or an operator held as
 its cores. Where every side has width 0 or 1, as in every comparison of
-a verify, a rank-one kernel projects each comparison's second lines on
-its first in place, over bounded groups of atoms, and takes the largest
-singular value of each 2 x 2 core in closed form
+a verify, a rank-one kernel writes each distinct line the batch reads
+into one stack once, forms each distinct projection of one line on
+another by index over it, over bounded groups of atoms, and takes the
+largest singular value of each 2 x 2 core in closed form
 (``_rank_one_distances``), with no LAPACK call. Wider sides take one
 Gram-Schmidt over the batch in O(n r^2) per comparison, giving each
 difference's core of at most (r_1 + r_2) x (r_1 + r_2), and one stacked
@@ -229,8 +238,8 @@ def expectation_operator(
     ``_pair_lines`` holds as its exact SVD: L = x / ||x||_B and
     R = y / ||y||_B (zero where the atom's norm is 0), and the 1 x 1 core
     K = ||x||_B ||y||_B. Its blocks are built on each read
-    (``_block_parts``), and its factors come from one stacked SVD of its
-    cores (``_cored_factors``)."""
+    (``_block_parts``), and its factors are read off its cores in closed
+    form (``_cored_factors``)."""
     n = space.point_count
     pair = tuple(np.ones(n) if x is None else np.asarray(x) for x in (left, right))
     lines, cores = _pair_lines(space, algebra.blocks, [pair], True)
@@ -425,8 +434,9 @@ def _factors(T: WeightedOperator) -> _Factors:
     the oracle's one rank cutoff, held flat (``_Factors``). The adjoint of a
     live A has A's factors swapped, views of the same arrays. Otherwise the
     form T is held in decides: its lines and cores (T, T* and the oracle's
-    derived operators), one stacked SVD of its cores (``_cored_factors``);
-    its blocks (the dense reference), the full SVD of each block
+    derived operators), its cores' SVD, in closed form for 1 x 1 cores
+    (``_cored_factors``); its blocks (the dense reference), the full SVD
+    of each block
     (``_cut``). An adjoint whose operator is gone is held in that
     operator's form, so it takes the same route."""
     ref = T._memo.get(_ADJOINT_OF)
@@ -553,8 +563,9 @@ def _rank_one_r(factors: _Factors, inner: np.ndarray) -> np.ndarray:
 def _from_lines(held: _Lines, T: WeightedOperator) -> WeightedOperator:
     """The operator with T's blocks whose standard-coordinate blocks are
     L K R^H, held as ``held`` in T's block order (L and R with orthonormal
-    columns). It is held as ``held``: its factors cost one stacked SVD of
-    the cores, and its blocks are built on each read (``_block_parts``)."""
+    columns). It is held as ``held``: its factors come from its cores
+    (``_cored_factors``), and its blocks are built on each read
+    (``_block_parts``)."""
     return WeightedOperator._of_blocks(None, T.space, T.blocks, {_LINES: held})
 
 
@@ -819,12 +830,13 @@ def _rank_one_projections(
             values = _projections(used, local, rows, order, d, starts[group], sizes[group])
             pieces.append((chunk, group, values))
         first = last
+    values = pieces[0][2]
     if len(pieces) > 1:
-        out = [np.empty((count, starts.size), dtype=x.dtype) for x in pieces[0][2]]
-        for chunk, group, values in pieces:
-            for x, value in zip(out, values):
-                x[chunk, group] = value
-    return tuple(x[where] for x in (pieces[0][2] if len(pieces) == 1 else out))
+        values = [np.empty((count, starts.size), dtype=x.dtype) for x in values]
+        for chunk, group, piece in pieces:
+            for x, part in zip(values, piece):
+                x[chunk, group] = part
+    return tuple(x[where] for x in values)
 
 
 def _projections(vectors, combos, rows, order, d, starts, sizes) -> tuple:
@@ -832,20 +844,19 @@ def _projections(vectors, combos, rows, order, d, starts, sizes) -> tuple:
     ``vectors`` (``_line_sources``) over one group of blocks, in ``rows``
     of the block order (``starts`` and ``sizes`` its blocks'). Each line
     is written once into a stack, a pair's function as sqrt(mu) times it,
-    conjugated on the R side, and taken with its norm n on each block
-    (``_block_norms``, safe at any scale; ``norm``). Then, by index over
-    the stack, q is the first line, made unit, and v the second:
-    c = <q, v>_B, v -= c q in place and rho = ||v||_B, each multiplied
-    back by the power of two v was divided by. Beside q and v the
-    projections take one line each for the products and half a line for
-    the coefficients of the residuals, formed half the projections at a
-    time; the stack is made in that memory, or past it where it has more
-    lines. No complex product is formed in place, as numpy may round an
-    in-place product apart."""
+    conjugated on the R side, with its norm n on each block
+    (``_block_norms``, safe at any scale; ``norm``). By index over the
+    stack, q is a projection's first line and v its second: c = <q, v>_B / n,
+    v -= (c / n) q in place and rho = ||v||_B, each multiplied back by the
+    power of two v was divided by. Beside q and v, one line per projection
+    holds the products and half a line the residuals' coefficients, taken
+    for half the projections at a time; the stack is made in that memory,
+    or past it where it has more lines. No complex product is formed in
+    place, as numpy may round an in-place product apart."""
     count, at, width, m = len(combos), starts - rows.start, rows.stop - rows.start, len(vectors)
     half = (count + 1) // 2
     buffer = np.empty((2 * count + max(count + half, m), width), dtype=complex)
-    q, v, product, work = (buffer[k * count : (k + 1) * count] for k in range(4))
+    q, v, product = (buffer[k * count : (k + 1) * count] for k in range(3))
     stack, index, weights = buffer[2 * count : 2 * count + m], order[rows], d[rows]
     for (x, j, pair), line in zip(vectors, stack):
         if x is None:

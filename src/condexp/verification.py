@@ -83,12 +83,15 @@ def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list
     ``adjoint_wce(W)`` against the oracle on ``adjoint(T)``: ``adjoint(T)``
     is memoized on T and held, like T, as its lines, T's swapped, with
     T's factors swapped. T is held as its unit lines and 1 x 1 cores on
-    each atom, so its factors take one stacked SVD of its cores, and a
-    verify factors nothing larger than a core and builds no block: every
-    operator check compares pairs and the oracle's cored operators on
-    their cores, in O(n) per check, and the polar section works on the
-    pairs alone, without T's factors. The checks are reported in section
-    order."""
+    each atom, so the oracle reads its factors, eigenvalues, joint cores,
+    class margins and normality in closed form, and a verify builds no
+    block and makes no LAPACK call but the joint point spectrum's SVDs of
+    its candidate 2 x 2 cores (``svd 16x2x2`` twice on
+    random_instance(7, 64, 8)): every operator check compares pairs and
+    the oracle's cored operators on their lines, each distinct line
+    written once (``core_distances``), in O(n) per check, and the polar
+    section works on the pairs alone, without T's factors. The checks are
+    reported in section order."""
     W = as_wce(instance, support_tol=tols.support)
     T = wce.to_matrix(W)
     norm_t = oa.operator_norm(T)
