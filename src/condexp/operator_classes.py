@@ -118,9 +118,9 @@ def _rank_one_margins(s: np.ndarray, joint) -> dict:
     r and corner q, keep their digits where the two nearly meet; H's
     entries are at most 1, so only the factor s^2 scales them. Each core
     is Hermitian, so every asymmetry is 0."""
-    s2 = s[:, 0] ** 2 if s.shape[1] else np.zeros(len(s))
-    g = joint.r_x[:, 0, 0] if s.shape[1] else np.zeros(len(s))
-    h = joint.r_x[:, 1, 0].real if s.shape[1] else np.zeros(len(s))
+    s2 = g = h = np.zeros(len(s))  # of width 0, T is 0 and so is every core
+    if s.shape[1]:
+        s2, g, h = s[:, 0] ** 2, joint.r_x[:, 0, 0], joint.r_x[:, 1, 0].real
     a = np.abs(g)
     p, r, q = a * (1.0 - a), -h * h, a * h
     mean, radius = 0.5 * (p + r), np.hypot(0.5 * (p - r), q)
