@@ -270,8 +270,8 @@ def expectation_norms(
     ||sqrt(mu) a||_B ||sqrt(mu) b||_B / mu(B) of its rank-one block; the
     largest is the operator norm. It is safe at any scale: where a sum of
     squares may have lost a square to overflow or underflow
-    (``_squares_safe``), each atom's lines are divided by their power of
-    two first (``_block_norms``), which changes no digit of the others."""
+    (``_squares_safe``), the norms are taken again on each atom's lines
+    divided by their power of two (``_block_norms``)."""
     d, mass = _sqrt_weights(space), _atom_sums(algebra, space.weights)
     with np.errstate(over="ignore"):  # an overflow fails the check below
         sums = np.array([_atom_sums(algebra, np.abs(d * x) ** 2) for x in pair])
