@@ -152,9 +152,8 @@ def _tolerances(args) -> Tolerances:
 def _emit(report: dict, pretty: bool) -> None:
     if pretty:
         _print_table(report)
-    else:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    else:  # one write: json.dump writes each of its many pieces
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
 
 
 def _print_table(report: dict, indent: str = "") -> None:
@@ -359,7 +358,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except SolverError as exc:

@@ -9,7 +9,9 @@ block averaging.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -89,20 +91,38 @@ class SubSigmaAlgebra:
             k = np.searchsorted(np.cumsum(sizes), outside[0], side="right")
             raise ValueError(f"block {k} contains out-of-range indices")
         counts = np.bincount(points, minlength=n)
-        if np.any(counts > 1):
+        if (counts > 1).any():
             raise ValueError("blocks must be pairwise disjoint without repeats")
-        if np.any(counts == 0):
+        if (counts == 0).any():
             raise ValueError("blocks must cover every point")
         labels = np.empty(n, dtype=int)
-        labels[points] = np.repeat(np.arange(len(blocks)), sizes)
-        blocks = tuple(_frozen_array(np.sort(b), int) for b in blocks)
-        object.__setattr__(self, "blocks", blocks)
+        labels[points] = np.arange(len(blocks)).repeat(sizes)
+        # each block's points in increasing order, read-only views of one array
+        points = _frozen_array(labels.argsort(kind="stable"), int)
+        object.__setattr__(self, "blocks", tuple(np.split(points, sizes.cumsum()[:-1])))
         object.__setattr__(self, "point_count", n)
         object.__setattr__(self, "labels", _frozen_array(labels, int))
 
     @property
     def block_count(self) -> int:
         return len(self.blocks)
+
+    def _masses(self, weights: np.ndarray) -> tuple:
+        """(mu(B) per atom, each point's share mu_i / mu(B)) of the read-only
+        ``weights``, kept for the last weights asked while they live."""
+        held = self.__dict__.get("_masses_of")
+        if held is None or held[0]() is not weights:
+            mass = _atom_sums(self, weights)
+            held = self.__dict__["_masses_of"] = (weakref.ref(weights), mass, weights / mass[self.labels])
+            for array in held[1:]:
+                array.setflags(write=False)
+        return held[1:]
+
+    @cached_property
+    def _part_labels(self) -> np.ndarray:
+        """Bins of a complex array's float view for ``_atom_sums``: 2 labels[i]
+        and 2 labels[i] + 1 for point i's real and imaginary parts."""
+        return _frozen_array((2 * self.labels[:, None] + np.arange(2)).ravel(), int)
 
 
 @dataclass(frozen=True)
@@ -116,12 +136,20 @@ class MeasurableFunction:
         v = np.asarray(self.values, dtype=complex)
         if v.ndim != 1 or v.size != self.space.point_count:
             raise ValueError("value vector length must match the space")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("function values must be finite")
-        object.__setattr__(self, "values", _frozen_array(v, complex))
+        object.__setattr__(self, "values", _frozen_array(_finite_values(v), complex))
 
     def conj(self) -> "MeasurableFunction":
-        return MeasurableFunction(np.conj(self.values), self.space)
+        return MeasurableFunction._of(np.conj(self.values), self.space)
+
+    @classmethod
+    def _of(cls, values: np.ndarray, space: FiniteMeasureSpace) -> "MeasurableFunction":
+        """The function over ``values``, a new complex array the caller hands
+        over, checked finite and frozen in place, not copied."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "values", _finite_values(values))
+        object.__setattr__(f, "space", space)
+        values.setflags(write=False)
+        return f
 
     def __mul__(self, other):
         if isinstance(other, MeasurableFunction):
@@ -170,23 +198,35 @@ def conditional_expectation(
     """
     if f.space.point_count != space.point_count:
         raise ValueError("function does not live on the given space")
+    return MeasurableFunction(_conditional_means(space, algebra, f.values)[0], space)
+
+
+def _conditional_means(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, *values) -> list:
+    """``conditional_expectation`` of each array of ``values``, on arrays, with
+    one set of atom shares (``SubSigmaAlgebra._masses``); the caller checks
+    finite what a ``MeasurableFunction`` would (``_finite_values``)."""
     if algebra.point_count != space.point_count:
         raise ValueError("algebra does not partition the given space")
-    mu = space.weights
-    share = mu / _atom_sums(algebra, mu)[algebra.labels]
-    means = _atom_sums(algebra, share * f.values)
-    return MeasurableFunction(means[algebra.labels], space)
+    share = algebra._masses(space.weights)[1]
+    return [_atom_sums(algebra, share * f)[algebra.labels] for f in values]
+
+
+def _finite_values(values: np.ndarray) -> np.ndarray:
+    """values, once every one is checked finite."""
+    if not np.isfinite(values).all():
+        raise ValueError("function values must be finite")
+    return values
 
 
 def _atom_sums(algebra: SubSigmaAlgebra, values: np.ndarray) -> np.ndarray:
     """The sum of ``values`` over each atom (one per atom, in block order):
-    one bincount for a real array, one per part for a complex one."""
-    labels, k = algebra.labels, algebra.block_count
-    if not np.iscomplexobj(values):
-        return np.bincount(labels, weights=values, minlength=k)
-    sums = np.bincount(labels, weights=values.real, minlength=k).astype(complex)
-    sums += 1j * np.bincount(labels, weights=values.imag, minlength=k)
-    return sums
+    one bincount for a real array, and one of the float view of a complex
+    one, whose parts each atom sums in point order in its own bin."""
+    if values.dtype.kind != "c":
+        return np.bincount(algebra.labels, weights=values, minlength=algebra.block_count)
+    parts = np.ascontiguousarray(values, dtype=complex).view(float)
+    sums = np.bincount(algebra._part_labels, weights=parts, minlength=2 * algebra.block_count)
+    return sums.view(complex)
 
 
 def weighted_inner(f: MeasurableFunction, g: MeasurableFunction) -> complex:

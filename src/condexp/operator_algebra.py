@@ -1,62 +1,43 @@
 """Operators on the weighted L2 space, stored atom by atom, and the
 numerical oracle.
 
-An operator is block-diagonal: ``blocks`` partitions the points into index
-arrays, and ``parts`` gives, for each block B, the matrix the operator acts
-by on value vectors over B. It is held in one of two forms: its blocks
-(the dense reference), or its lines and cores L K R^H on each block (T,
-T* and the oracle's derived operators), which build ``parts`` and the
-full n x n matrix ``entries`` on each read and keep neither. The adjoint
-on the weighted inner product is D^-1 A^H D with D = diag(mu), block by
-block, held in its operator's form, and all spectral computations
-conjugate by D^(1/2) into standard C^n, so LAPACK runs on each block, at a
-cost of at most sum |B|^3 instead of n^3.
+An operator is block-diagonal over ``blocks``, index arrays partitioning
+the points, and is held in one of two forms: its blocks (the dense
+reference), or its lines and cores L K R^H on each block (T, T* and the
+oracle's derived operators), which build ``parts`` and ``entries`` on each
+read. The adjoint on the weighted inner product is D^-1 A^H D with
+D = diag(mu), held in its operator's form, and spectral computations
+conjugate by D^(1/2) into standard C^n, block by block.
 
-The oracle factors each block once, cut at the one rank cutoff over all
-blocks, into rank-r factors X diag(s) Y^H, memoized in one flat form
-(``_Factors``: X and Y as n x R arrays zero-padded to the largest rank R).
-T = M_w E M_u is rank one on each atom, so ``expectation_operator`` holds
-it as its unit lines and 1 x 1 cores, read off (w, u) in segment sums. T,
-T* and every operator the oracle derives from them (``_Lines``) are held
-as lines of width 1, so every question asked of one is read in closed
-form off one record per atom: its unit lines x and y, s = |k| with the
-phase of its core k, g = y^H x (``_inner_cores``) and h = ||x - g y||
-(``_rank_one_r``). Its factors take no SVD (``_cored_factors``), its
-eigenvalues are s g with no block built (``eigenvalues``), its joint core
-is [[s g, 0], [s h, 0]] (``_joint_cores``), and the class margins and the
-normality check read those. So a verify of T makes no LAPACK call but the
-joint point spectrum's SVDs of its candidate 2 x 2 cores: on
-random_instance(7, 64, 8), ``svd 16x2x2`` twice. The width-general routes
-are those of the one-block reference the tests compare against, taken
-where the factors are wider than one column: the full SVD of each block
-of an operator held as its blocks (``_cut``), one stacked SVD of wider
-cores, Gram-Schmidt of [Y X] in segment sums (``_gram_schmidt``), and
-stacked eigvals and eigvalsh. Every question is stacked arithmetic over
-all blocks, with each result masked by the block's rank: the norm, the
-singular values, the eigenvalues, the powers of T*T and TT*, the polar
-isometry, the Aluthge transform and the kernel projection. The oracle
-reads the partition and (w, u), never the conditional moments, so it
-stays independent of the closed forms it checks; every decision over the
-whole operator uses all blocks' values, so results match a one-block
-factorization (the dense oracle) to rounding. Operators are immutable, so
-factorizations and adjoints are computed once and shared; an adjoint's
-factors are its operator's swapped, read through a weak reference.
+T = M_w E M_u is rank one on each atom: ``expectation_operator`` holds it
+as its unit lines and 1 x 1 cores, read off (w, u) in segment sums. Each
+operator whose factors have width 0 or 1 has one memoized per-atom record
+(``_atoms``), made in one pass over its lines (s = |k|, the lines
+x = L k / |k| and y = R, and g = y^H x) or, for an adjoint, swapped from
+its operator's; only T's own questions add h = ||x - g y|| (``_heights``).
+Its factors, singular values, eigenvalues s g, normality, class margins
+and joint cores [[s g, 0], [s h, 0]] are read off the record, and the
+powers of T*T, the Aluthge transforms and the adjoint are built from it,
+so a verify makes no LAPACK call but the joint point spectrum's SVDs of
+its candidate 2 x 2 cores (``svd 16x2x2`` twice on
+random_instance(7, 64, 8)). Wider factors take the one-block reference's
+routes: the full SVD of each block held (``_cut``), one stacked SVD of
+wider cores, Gram-Schmidt in segment sums (``_gram_schmidt``), stacked
+eigvals and eigvalsh. The oracle reads the partition and (w, u), never
+the conditional moments, so it stays independent of the closed forms it
+checks. Operators are immutable, so what is computed of one is memoized.
 
-The closed forms all have the shape M_a E M_b, rank one on each atom, and
-are handled as their pairs (a, b): the pair rules (adjoint, product,
-coimage projection, norm per atom) cost O(n) in segment sums over the
-atoms, with every norm safe at any scale (``_block_norms``).
-``core_distances`` is the one comparison, the operator norm of a
-difference, for a batch of them, each side a pair or an operator held as
-its cores. Where every side has width 0 or 1, as in every comparison of
-a verify, a rank-one kernel writes each distinct line the batch reads
-into one stack once, forms each distinct projection of one line on
-another by index over it, over bounded groups of atoms, and takes the
-largest singular value of each 2 x 2 core in closed form
-(``_rank_one_distances``), with no LAPACK call. Wider sides take one
-Gram-Schmidt over the batch in O(n r^2) per comparison, giving each
-difference's core of at most (r_1 + r_2) x (r_1 + r_2), and one stacked
-values-only SVD. No pair rule and no comparison builds a block.
+The closed forms all have the shape M_a E M_b and are handled as their
+pairs (a, b): the pair rules (adjoint, product, coimage projection, norm
+per atom) cost O(n) on arrays, every norm safe at any scale
+(``_block_norms``). ``core_distances`` is the one comparison, the
+operator norm of differences whose sides are pairs or operators held as
+their cores: of width 0 or 1, as in a verify, a rank-one kernel forms
+each distinct projection of one line on another once, over bounded
+groups of atoms, and takes each 2 x 2 core's largest singular value in
+closed form (``_rank_one_distances``); wider sides take one Gram-Schmidt
+and one stacked values-only SVD. No pair rule and no comparison builds a
+block.
 """
 
 from __future__ import annotations
@@ -77,8 +58,9 @@ from .measure_space import (
     MeasurableFunction,
     SubSigmaAlgebra,
     _atom_sums,
+    _conditional_means,
+    _finite_values,
     _frozen_array,
-    conditional_expectation,
 )
 
 #: relative cutoff below which a singular value counts as zero (rank decisions)
@@ -149,22 +131,20 @@ class WeightedOperator:
         return op
 
     def _assign(self, parts, space: FiniteMeasureSpace, blocks: tuple, memo: dict) -> None:
-        fields = (("space", space), ("blocks", blocks), ("_parts", parts), ("_memo", memo))
-        for name, value in fields:
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_memo", memo)
         self.__post_init__()
 
     def __post_init__(self):
         """Every construction ends here: each block must be a finite square
-        matrix over its indices, stored complex and read-only. An operator
-        held as its lines checks its lines and cores finite instead, and its
-        blocks when they are built (``_block_parts``)."""
+        matrix over its indices, stored complex and read-only; an operator held
+        as its lines checks its own cores (its lines where they are made)."""
         if self._parts is not None:
             object.__setattr__(self, "_parts", _checked_parts(self.blocks, self._parts))
-            return
-        held = self._memo[_LINES]
-        if not (np.isfinite(held.lines).all() and np.isfinite(held.core).all()):
-            raise ValueError("operator entries must be finite")
+        else:
+            _finite(self._memo[_LINES].core)
 
     @property
     def parts(self) -> tuple:
@@ -232,18 +212,14 @@ def expectation_operator(
     right: Optional[np.ndarray] = None,
 ) -> WeightedOperator:
     """The operator f -> left * E(right * f) over the atoms of ``algebra``
-    (E itself when both are omitted), held as its lines, read-only. In
-    standard coordinates its block on an atom B is x_B y_B^H, with
-    x = sqrt(mu) left and y = conj(sqrt(mu) right) / mu(B), which
-    ``_pair_lines`` holds as its exact SVD: L = x / ||x||_B and
-    R = y / ||y||_B (zero where the atom's norm is 0), and the 1 x 1 core
-    K = ||x||_B ||y||_B. Its blocks are built on each read
-    (``_block_parts``), and its factors are read off its cores in closed
-    form (``_cored_factors``)."""
+    (E itself when both are omitted), held as the exact SVD of its block
+    x_B y_B^H on each atom B, x = sqrt(mu) left, y = conj(sqrt(mu) right) / mu(B):
+    the unit lines and the core ||x||_B ||y||_B (``_pair_lines``), its lines
+    checked finite here, once for every operator that shares them."""
     n = space.point_count
     pair = tuple(np.ones(n) if x is None else np.asarray(x) for x in (left, right))
     lines, cores = _pair_lines(space, algebra.blocks, [pair], True)
-    held = _Lines(*_segments(algebra.blocks), lines[:, 0, :, None], cores[0, :, None, None] + 0j)
+    held = _Lines(*_segments(algebra.blocks), _finite(lines)[:, 0, :, None], cores[0, :, None, None] + 0j)
     for array in (lines, *held):
         array.setflags(write=False)
     return WeightedOperator._of_blocks(None, space, algebra.blocks, {_LINES: held})
@@ -258,9 +234,11 @@ def expectation_adjoint(pair: tuple) -> tuple:
 def expectation_product(
     space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, first: tuple, second: tuple
 ) -> tuple:
-    """The pair of (M_a E M_b)(M_c E M_d) = M_{a E(bc)} E M_d, in O(n)."""
+    """The pair of (M_a E M_b)(M_c E M_d) = M_{a E(bc)} E M_d, in O(n), on
+    arrays (``_conditional_means``), bc and E(bc) checked finite."""
     (a, b), (c, d) = first, second
-    return a * conditional_expectation(space, algebra, MeasurableFunction(b * c, space)).values, d
+    (mean,) = _conditional_means(space, algebra, _finite_values(np.asarray(b * c, dtype=complex)))
+    return a * _finite_values(mean), d
 
 
 def expectation_norms(
@@ -272,15 +250,17 @@ def expectation_norms(
     squares may have lost a square to overflow or underflow
     (``_squares_safe``), the norms are taken again on each atom's lines
     divided by their power of two (``_block_norms``)."""
-    d, mass = _sqrt_weights(space), _atom_sums(algebra, space.weights)
+    d, mass = _sqrt_weights(space), algebra._masses(space.weights)[0]
     with np.errstate(over="ignore"):  # an overflow fails the check below
         sums = np.array([_atom_sums(algebra, np.abs(d * x) ** 2) for x in pair])
     if _squares_safe(sums):
         return np.sqrt(sums[0]) * np.sqrt(sums[1]) / mass
     (starts, sizes), order = _segments(algebra.blocks), np.concatenate(algebra.blocks)
     lines = np.multiply(np.stack(pair)[:, order], d[order], dtype=complex, order="C")
+    # the lines' own sums of squares may all pass where those of |d x|^2 did not
     norms, powers = _block_norms(lines, starts, sizes)
-    return norms[0] * norms[1] / mass * powers[0] * powers[1]
+    norms = norms[0] * norms[1] / mass
+    return norms if powers is None else norms * powers[0] * powers[1]
 
 
 def expectation_coimage(
@@ -293,9 +273,9 @@ def expectation_coimage(
     _, b = pair
     sigma = expectation_norms(space, algebra, pair)
     mu = space.weights
-    e_b2 = _atom_sums(algebra, mu * np.abs(b) ** 2) / _atom_sums(algebra, mu)
+    e_b2 = _atom_sums(algebra, mu * np.abs(b) ** 2) / algebra._masses(mu)[0]
     keep = sigma > DEFAULT_RANK_TOL * sigma.max(initial=0.0)
-    factor = np.divide(1.0, e_b2, out=np.zeros_like(e_b2), where=keep)
+    factor = np.divide(1.0, e_b2, out=np.zeros(e_b2.shape), where=keep)
     return factor[algebra.labels] * np.conj(b), b
 
 
@@ -355,15 +335,18 @@ def _once_per_operator(fn):
     share the result (an array result, and each array of a tuple result, is
     made read-only)."""
 
+    name = fn.__name__
+
     @functools.wraps(fn)
     def memoized(T: WeightedOperator):
-        if fn.__name__ not in T._memo:
+        memo = T._memo
+        if name not in memo:
             value = fn(T)
             for array in value if isinstance(value, tuple) else (value,):
                 if isinstance(array, np.ndarray):
                     array.setflags(write=False)
-            T._memo[fn.__name__] = value
-        return T._memo[fn.__name__]
+            memo[name] = value
+        return memo[name]
 
     return memoized
 
@@ -428,44 +411,37 @@ def _cut(blocks: tuple, svds: list) -> _Factors:
 _LINES = "lines"
 
 
+def _adjoint_source(T: WeightedOperator) -> Optional[WeightedOperator]:
+    """The live operator T is the adjoint of, or None."""
+    ref = T._memo.get(_ADJOINT_OF)
+    return ref() if ref is not None else None
+
+
 @_once_per_operator
 def _factors(T: WeightedOperator) -> _Factors:
     """T's factors X diag(s) Y^H on each standard-coordinate block, cut at
-    the oracle's one rank cutoff, held flat (``_Factors``). The adjoint of a
-    live A has A's factors swapped, views of the same arrays. Otherwise the
-    form T is held in decides: its lines and cores (T, T* and the oracle's
-    derived operators), its cores' SVD, in closed form for 1 x 1 cores
-    (``_cored_factors``); its blocks (the dense reference), the full SVD
-    of each block
-    (``_cut``). An adjoint whose operator is gone is held in that
-    operator's form, so it takes the same route."""
-    ref = T._memo.get(_ADJOINT_OF)
-    source = ref() if ref is not None else None
+    the oracle's one rank cutoff, held flat (``_Factors``): those of the
+    live operator T is the adjoint of, swapped; else of its blocks, the full
+    SVD of each (``_cut``); of width 0 or 1, its record (``_atoms``); of
+    wider cores, their SVD (``_cored_factors``)."""
+    source = _adjoint_source(T)
     if source is not None:
         factors = _factors(source)
         return factors._replace(lines=factors.lines[::-1])
-    if T._parts is None:
+    if T._parts is not None:
+        return _cut(T.blocks, [_solve("svd", m) for _, m in _std_blocks(T)])
+    atoms = _atoms(T)
+    if atoms is None:
         return _cored_factors(T._memo[_LINES])
-    return _cut(T.blocks, [_solve("svd", m) for _, m in _std_blocks(T)])
+    width = atoms.lines.shape[-1]
+    return _Factors(atoms.starts, atoms.sizes, atoms.ranks, atoms.lines, atoms.s[:, None][:, :width])
 
 
 def _cored_factors(held: _Lines) -> _Factors:
-    """The ``_Factors`` of the operator held as L K R^H on each block, L and
-    R with orthonormal (or zero) columns, cut at the one rank cutoff. A
-    1 x 1 core k (T, T* and every operator the oracle derives from them)
-    is its own SVD: s = |k|, X = L k / |k| and Y = R. Wider cores (the
-    one-block reference) take one stacked SVD K = P diag(s) Q^H, which
-    gives X = L P and Y = R Q, one column at a time (``_combination``)."""
-    if held.core.shape[1] <= 1:
-        core = held.core.reshape(held.core.shape[:2])
-        s = np.abs(core)
-        kept = s > DEFAULT_RANK_TOL * s.max(initial=0.0)
-        ranks = np.count_nonzero(kept, axis=1)
-        turns = np.stack([np.divide(core, s, out=np.zeros_like(core), where=kept), kept + 0j])
-        lines = held.lines * np.repeat(turns, held.sizes, axis=1)
-        width = ranks.max(initial=0)
-        values = np.where(kept, s, 0.0)[:, :width]
-        return _Factors(held.starts, held.sizes, ranks, lines[..., :width], values)
+    """The ``_Factors`` of the operator held as L K R^H on each block with
+    cores wider than 1 x 1 (the one-block reference), cut at the one rank
+    cutoff: one stacked SVD K = P diag(s) Q^H gives X = L P and Y = R Q,
+    one column at a time (``_combination``)."""
     p, s, qh = _solve("svd", held.core)
     ranks = np.count_nonzero(s > DEFAULT_RANK_TOL * s.max(initial=0.0), axis=1)
     width = ranks.max(initial=0)
@@ -482,12 +458,84 @@ def _conj_t(mats: np.ndarray) -> np.ndarray:
     return np.swapaxes(mats, -1, -2).conj()
 
 
+class _Atoms(NamedTuple):
+    """The record of factors of width 0 or 1 (``_atoms``), s x y^H on each
+    atom, flat like ``_Factors``: ``ranks`` (1 where s passes the cutoff),
+    ``s`` (0 past the rank), ``lines`` X and Y (2 x n x w, w = 0 where no
+    atom passes), and on each atom g = y^H x and g_adjoint = x^H y, each its
+    own products' segment sum."""
+
+    starts: np.ndarray
+    sizes: np.ndarray
+    ranks: np.ndarray
+    s: np.ndarray
+    lines: np.ndarray
+    g: np.ndarray
+    g_adjoint: np.ndarray
+
+
+@_once_per_operator
+def _atoms(T: WeightedOperator) -> Optional[_Atoms]:
+    """T's record where its factors have width 0 or 1 (``_Atoms``), else None:
+    read off its lines in one pass (a 1 x 1 core k is its own SVD, s = |k|,
+    x = L k / |k| and y = R, each inner product one segment sum), swapped
+    from the record of the live operator it is the adjoint of, or read off
+    the SVDs of the blocks it holds (``_factors``)."""
+    source = _adjoint_source(T)
+    if source is not None:
+        atoms = _atoms(source)
+        return atoms and atoms._replace(lines=atoms.lines[::-1], g=atoms.g_adjoint, g_adjoint=atoms.g)
+    held = T._memo.get(_LINES)
+    if held is None:
+        factors = _factors(T)
+        if factors.s.shape[1] > 1:
+            return None
+        starts, sizes, ranks, lines, s = factors
+        s = s[:, 0] if s.shape[1] else np.zeros(ranks.size)
+    elif held.core.shape[1] > 1:
+        return None
+    else:
+        starts, sizes = held.starts, held.sizes
+        core = held.core[:, 0, 0] if held.core.shape[1] else np.zeros(sizes.size, dtype=complex)
+        s = np.abs(core)
+        kept = s > DEFAULT_RANK_TOL * s.max(initial=0.0)
+        turns = np.zeros((2, sizes.size), dtype=complex)
+        np.divide(core, s, out=turns[0], where=kept)
+        turns[1] = kept
+        ranks, s = kept.astype(int), np.where(kept, s, 0.0)
+        lines = (held.lines * turns.repeat(sizes, axis=1)[..., None])[..., : ranks.max(initial=0)]
+    g = np.zeros((2, ranks.size), dtype=complex)
+    if lines.shape[-1]:
+        # y^H x and x^H y on each atom, in one product and one segment sum
+        g = np.add.reduceat(np.conj(lines[::-1, :, 0]) * lines[..., 0], starts, axis=1)
+    return _Atoms(starts, sizes, ranks, s, lines, *g)
+
+
+@_once_per_operator
+def _heights(T: WeightedOperator) -> np.ndarray:
+    """h on each atom of T's record: ||x - g y|| projected on y once more and
+    zeroed where that loses over half its norm, as ``_gram_schmidt`` takes
+    it, so the atom's joint core is [[s g, 0], [s h, 0]]; only T's read it."""
+    atoms = _atoms(T)
+    if not atoms.lines.shape[-1]:
+        return np.zeros(atoms.ranks.size)
+    (x, y), starts, sizes = atoms.lines[..., 0], atoms.starts, atoms.sizes
+    residual = x - atoms.g.repeat(sizes) * y
+    before = np.sqrt(np.add.reduceat(np.abs(residual) ** 2, starts))
+    residual -= np.add.reduceat(np.conj(y) * residual, starts).repeat(sizes) * y
+    after = np.sqrt(np.add.reduceat(np.abs(residual) ** 2, starts))
+    return np.where(after >= 0.5 * before, after, 0.0)
+
+
 @_once_per_operator
 def _inner_cores(T: WeightedOperator) -> np.ndarray:
     """C = Y^H X on each block X diag(s) Y^H of T's factors (blocks x R x R,
-    zero past each block's rank), one segment sum per column of Y: the
-    block's eigenvalues are those of C diag(s), and T^2's block is
-    X (S C S) Y^H."""
+    zero past each block's rank): a record's g, else one segment sum per
+    column of Y."""
+    atoms = _atoms(T)
+    if atoms is not None:
+        width = atoms.lines.shape[-1]
+        return atoms.g[:, None, None][:, :width, :width]
     factors = _factors(T)
     x, y = factors.lines
     out = np.empty((factors.starts.size,) + factors.s.shape[1:] * 2, dtype=complex)
@@ -497,11 +545,10 @@ def _inner_cores(T: WeightedOperator) -> np.ndarray:
 
 
 class _JointCores(NamedTuple):
-    """T's joint cores (``_joint_cores``), stacked over its blocks: R_y and
-    R_x (blocks x 2R x R), the cores K (blocks x 2R x 2R), ``dims``
-    (blocks x 2R) True at the columns of Q that are vectors, and
-    ``complement`` (blocks) True where Q's vectors do not span the block's
-    points."""
+    """T's joint cores (``_joint_cores``) over its blocks: R_y and R_x
+    (blocks x 2R x R), the cores K (blocks x 2R x 2R), ``dims`` True at the
+    columns of Q that are vectors, and ``complement`` True where they do
+    not span the block."""
 
     r_y: np.ndarray
     r_x: np.ndarray
@@ -512,26 +559,17 @@ class _JointCores(NamedTuple):
 
 @_once_per_operator
 def _joint_cores(T: WeightedOperator) -> _JointCores:
-    """The joint cores of T's blocks X diag(s) Y^H, from the R of
-    [Y X] = Q [R_y R_x] on each block. Q's nonzero columns are orthonormal
-    and span the ranges of the block and of its adjoint, so the block is
-    Q K Q^H with K = R_x diag(s) R_y^H. A zero column of Q (past the rank,
-    or a column of X in the span of those before it) is no vector: K's row
-    and column there are zero, and ``dims`` leaves it out. Q itself is
-    never formed. Of width 1 (T, T* and the operators derived from them) R
-    is [[1, g], [0, h]] in closed form (``_rank_one_r``), so K is
-    [[s g, 0], [s h, 0]]; wider factors (the one-block reference) take
-    Gram-Schmidt in segment sums over all blocks (``_gram_schmidt``; a
-    zero column comes last)."""
+    """The joint cores of factors wider than one column (a record's are
+    [[s g, 0], [s h, 0]], ``_heights``): with [Y X] = Q [R_y R_x] on each
+    block by Gram-Schmidt (``_gram_schmidt``), Q never formed, the block is
+    Q K Q^H with K = R_x diag(s) R_y^H; a zero column of Q (past the rank,
+    or in the span before it) is no vector and is left out of ``dims``."""
     factors = _factors(T)
     x, y = factors.lines
     width = factors.s.shape[1]
-    if width <= 1:
-        r = _rank_one_r(factors, _inner_cores(T))
-    else:
-        columns = np.zeros((1, x.shape[0], width + 1), dtype=complex)
-        columns[0, :, :width] = x
-        r = _gram_schmidt(y[None], columns, factors.starts, factors.sizes)[0, :, :-1, :-1].copy()
+    columns = np.zeros((1, x.shape[0], width + 1), dtype=complex)
+    columns[0, :, :width] = x
+    r = _gram_schmidt(y[None], columns, factors.starts, factors.sizes)[0, :, :-1, :-1].copy()
     r_y, r_x = r[..., :width], r[..., width:]
     core = (r_x * factors.s[:, None, :]) @ _conj_t(r_y)
     kept_x = np.diagonal(r_x[:, width:], axis1=1, axis2=2) > 0
@@ -539,44 +577,18 @@ def _joint_cores(T: WeightedOperator) -> _JointCores:
     return _JointCores(r_y, r_x, core, dims, np.count_nonzero(dims, axis=1) < factors.sizes)
 
 
-def _rank_one_r(factors: _Factors, inner: np.ndarray) -> np.ndarray:
-    """The R of [Y X] = Q R on each block of factors of width 0 or 1, as
-    ``_gram_schmidt`` takes it, in closed form: [[1, g], [0, h]] with
-    g = Y^H X (``inner``) and h = ||X - g Y||, the residual projected on Y
-    once more and h zeroed where that second projection loses over half
-    its norm (blocks x 2w x 2w)."""
-    blocks, width = inner.shape[:2]
-    r = np.zeros((blocks, 2 * width, 2 * width), dtype=complex)
-    if not width:
-        return r
-    (x, y), starts, sizes = factors.lines[..., 0], factors.starts, factors.sizes
-    g = inner[:, 0, 0]
-    residual = x - np.repeat(g, sizes) * y
-    before = np.sqrt(np.add.reduceat(np.abs(residual) ** 2, starts))
-    residual -= np.repeat(np.add.reduceat(np.conj(y) * residual, starts), sizes) * y
-    after = np.sqrt(np.add.reduceat(np.abs(residual) ** 2, starts))
-    r[:, 0, 0], r[:, 0, 1] = 1.0, g
-    r[:, 1, 1] = np.where(after >= 0.5 * before, after, 0.0)
-    return r
-
-
 def _from_lines(held: _Lines, T: WeightedOperator) -> WeightedOperator:
-    """The operator with T's blocks whose standard-coordinate blocks are
-    L K R^H, held as ``held`` in T's block order (L and R with orthonormal
-    columns). It is held as ``held``: its factors come from its cores
-    (``_cored_factors``), and its blocks are built on each read
-    (``_block_parts``)."""
+    """The operator over T's blocks held as ``held`` (L K R^H on each block),
+    its blocks built on each read (``_block_parts``)."""
     return WeightedOperator._of_blocks(None, T.space, T.blocks, {_LINES: held})
 
 
 class _Lines(NamedTuple):
-    """A block-diagonal operator whose standard-coordinate block is L K R^H
-    on each block, held flat like ``_Factors``: ``lines`` stacks L and R
-    (2 x n x r) and ``core`` the K (blocks x r x r), zero past a block's
-    rank. T = M_w E M_u holds its unit lines (2 x n x 1) and 1 x 1 cores
-    (``expectation_operator``); an operator the oracle derives from T's
-    factors holds T's X and Y as its lines. All are read-only, and the
-    adjoint shares its operator's lines."""
+    """A block-diagonal operator whose standard-coordinate block is L K R^H,
+    flat like ``_Factors``: ``lines`` stacks L and R (2 x n x r) and
+    ``core`` the K (blocks x r x r). T holds its unit lines and 1 x 1 cores
+    (``expectation_operator``); the operators derived from it hold its
+    factors' lines, and the adjoint its operator's, swapped."""
 
     starts: np.ndarray
     sizes: np.ndarray
@@ -620,15 +632,10 @@ def core_distances(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, comparis
     """||first - second|| on L2(mu) for each (first, second) of
     ``comparisons``, with no |B| x |B| array; NaN where a side is not
     finite. A side is the pair (a, b) of M_a E M_b on the atoms of
-    ``algebra`` (its block (sqrt(mu) a) (1 / mu(B)) (conj(sqrt(mu) b))^H on
-    an atom B) or an operator held as L K R^H (``_from_lines``). Each block
-    of a difference is [L_1 L_2] diag(K_1, -K_2) [R_1 R_2]^H, side 1 held
-    as its cores or, of two pairs, as its unit lines; the comparisons over
-    the same tuple of blocks are measured together (``_lines_distances``):
-    by the rank-one kernel, in bounded groups of atoms, where no side is
-    wider than one column, as in every comparison of a verify, and else by
-    one Gram-Schmidt and one pass over their cores. Sides blocked
-    differently are compared as one block (``_as_one_block``)."""
+    ``algebra`` or an operator held as L K R^H (``_from_lines``). The
+    comparisons over the same blocks are measured together
+    (``_lines_distances``); sides blocked differently are compared as one
+    block (``_as_one_block``)."""
     margins = np.empty(len(comparisons))
     groups = {}  # id(blocks) -> (blocks, indices, sides) of the comparisons over them
     for k, sides in enumerate(comparisons):
@@ -677,20 +684,18 @@ def _pair_lines(space: FiniteMeasureSpace, blocks: tuple, pairs: list, unit: boo
     cores = norms[0] * norms[1] / mass
     if powers is not None:
         cores *= powers[0] * powers[1]
-    scales = np.divide(1.0, norms, out=np.zeros_like(norms), where=cores > 0)
-    lines *= np.repeat(scales, sizes, axis=2)
+    scales = np.divide(1.0, norms, out=np.zeros(norms.shape), where=cores > 0)
+    lines *= scales.repeat(sizes, axis=2)
     return lines, cores
 
 
 def _lines_distances(space: FiniteMeasureSpace, blocks: tuple, comparisons: list) -> np.ndarray:
-    """``core_distances`` of comparisons over the same ``blocks``, each side
-    a pair on them or ``_Lines``. Where every side has width 0 or 1, as in
-    every comparison of a verify, the rank-one kernel takes them
-    (``_rank_one_distances``). Otherwise the R factors of [L_1 L_2] and
-    [R_1 R_2] by one Gram-Schmidt over all comparisons, each side's columns
-    zero-padded to the widest, give each block's core
-    R_L diag(K_1, -K_2) R_R^H of at most (r_1 + r_2) x (r_1 + r_2), with
-    the difference's singular values (``_largest_values``)."""
+    """``core_distances`` of comparisons over the same ``blocks``, each side a
+    pair on them or ``_Lines``: by the rank-one kernel where every side has
+    width 0 or 1 (``_rank_one_distances``), else by one Gram-Schmidt of
+    [L_1 L_2] and [R_1 R_2] over all comparisons, each side zero-padded to
+    the widest, giving each block's core R_L diag(K_1, -K_2) R_R^H and its
+    singular values (``_largest_values``)."""
     # a pair, of no width here, takes one column, and each side at least one
     widths = [
         [x.core.shape[1] if isinstance(x, _Lines) else None for x in c] for c in comparisons
@@ -732,17 +737,14 @@ def _largest_values(cores: np.ndarray) -> np.ndarray:
 
 
 def _rank_one_distances(space: FiniteMeasureSpace, blocks: tuple, comparisons: list) -> np.ndarray:
-    """``core_distances`` of comparisons over the same ``blocks`` whose
-    sides are pairs or ``_Lines`` of width 0 or 1, so each block of a
-    difference is k_1 l_1 r_1^H - k_2 l_2 r_2^H, with l_1 and r_1 unit or
-    zero (a pair on the first side as its unit lines, k_1 its atom's norm,
-    as ``_pair_lines`` takes it). On each side l_2 = c l_1 + rho e, with
-    c = <l_1, l_2>_B and rho = ||l_2 - c l_1||_B, the residual formed
-    explicitly (``_rank_one_projections``), so the block is the 2 x 2 core
+    """``core_distances`` of comparisons over the same ``blocks`` whose sides
+    are pairs or ``_Lines`` of width 0 or 1: each block of a difference is
+    k_1 l_1 r_1^H - k_2 l_2 r_2^H, l_1 and r_1 unit or zero (a pair first
+    as its unit lines, as ``_pair_lines`` takes it). With l_2 = c l_1 + rho e
+    on each side (``_rank_one_projections``) it is the 2 x 2 core
     [[k_1 - k_2 c_L conj(c_R), -k_2 c_L rho_R],
-    [-k_2 rho_L conj(c_R), -k_2 rho_L rho_R]] on orthonormal bases, whose
-    largest singular value is taken in closed form (``_largest_scaled``);
-    NaN where a side is not finite."""
+    [-k_2 rho_L conj(c_R), -k_2 rho_L rho_R]], whose largest singular value
+    is taken in closed form (``_largest_scaled``); NaN where not finite."""
     (starts, sizes), count = _segments(blocks), len(comparisons)
     order = np.concatenate(blocks)
     mass = np.add.reduceat(space.weights[order], starts)
@@ -778,15 +780,12 @@ COMPARISON_CHUNK = 1 << 16
 
 
 def _line_sources(comparisons: list, pairs: list) -> tuple:
-    """The distinct lines the sides of ``comparisons`` read, each listed
-    once, and the distinct projections of one on another they need:
-    (vectors, combos, where). ``vectors[k]`` is (x, j, is a pair's): on
-    side j (0 for L, 1 for R) a pair (where ``pairs[i][t]``) reads its
-    function x, in point order, an operator held as ``_Lines`` of width 1
-    line j of its lines x, in block order, and one of width 0 no vector
-    (x None), a zero line; sides holding the same array on the same side
-    share a line. ``combos[r]`` holds the lines (first, second) of a
-    projection, and ``where[j][i]`` is the projection side j of
+    """(vectors, combos, where): the distinct lines ``comparisons`` read, each
+    listed once as (x, j, is a pair's), and the distinct projections of one
+    on another they need. On side j (0 for L, 1 for R) a pair reads its
+    function x, in point order, ``_Lines`` of width 1 line j of its lines x,
+    and of width 0 a zero line (x None). ``combos[r]`` holds a projection's
+    lines (first, second), and ``where[j][i]`` the projection side j of
     comparison i takes."""
     seen, vectors, combos, where = {}, [], {}, ([], [])
     for j in (0, 1):
@@ -805,13 +804,11 @@ def _line_sources(comparisons: list, pairs: list) -> tuple:
 def _rank_one_projections(
     comparisons: list, pairs: list, order: np.ndarray, d: np.ndarray, starts, sizes
 ) -> tuple:
-    """(c, rho, norm) of the L side and then the R side of each comparison
-    on each block (2 x comparisons x blocks each), from ``_projections``
-    of the distinct projections the sides need (``_line_sources``). The
-    blocks run in groups of whole blocks, and the projections in chunks,
-    so that the working set (at most four lines per projection) stays
-    within COMPARISON_CHUNK entries, or the lines of one block and one
-    projection."""
+    """(c, rho, norm) of the L and then the R side of each comparison on each
+    block (2 x comparisons x blocks each), from ``_projections`` of the
+    distinct projections (``_line_sources``), in groups of whole blocks and
+    chunks of projections whose working set (at most four lines per
+    projection) stays within COMPARISON_CHUNK entries, or one block's."""
     vectors, combos, where = _line_sources(comparisons, pairs)
     count, ends = len(combos), starts + sizes
     lines = 2 * count + max(2 * count, len(vectors))
@@ -840,19 +837,16 @@ def _rank_one_projections(
 
 
 def _projections(vectors, combos, rows, order, d, starts, sizes) -> tuple:
-    """(c, rho, norm) of the projections ``combos`` of the lines
-    ``vectors`` (``_line_sources``) over one group of blocks, in ``rows``
-    of the block order (``starts`` and ``sizes`` its blocks'). Each line
-    is written once into a stack, a pair's function as sqrt(mu) times it,
+    """(c, rho, norm) of the projections ``combos`` of the lines ``vectors``
+    over one group of blocks, in ``rows`` of the block order. Each line is
+    written once into a stack, a pair's function as sqrt(mu) times it,
     conjugated on the R side, with its norm n on each block
-    (``_block_norms``, safe at any scale; ``norm``). By index over the
-    stack, q is a projection's first line and v its second: c = <q, v>_B / n,
-    v -= (c / n) q in place and rho = ||v||_B, each multiplied back by the
-    power of two v was divided by. Beside q and v, one line per projection
-    holds the products and half a line the residuals' coefficients, taken
-    for half the projections at a time; the stack is made in that memory,
-    or past it where it has more lines. No complex product is formed in
-    place, as numpy may round an in-place product apart."""
+    (``_block_norms``). By index over the stack, q is a projection's first
+    line and v its second: c = <q, v>_B / n, v -= (c / n) q and
+    rho = ||v||_B, each times the power of two v was divided by. Beside q and
+    v, one line per projection holds the products and half a line the
+    residuals' coefficients; the stack is made in that memory, or past it.
+    No complex product is formed in place, as numpy may round it apart."""
     count, at, width, m = len(combos), starts - rows.start, rows.stop - rows.start, len(vectors)
     half = (count + 1) // 2
     buffer = np.empty((2 * count + max(count + half, m), width), dtype=complex)
@@ -872,16 +866,16 @@ def _projections(vectors, combos, rows, order, d, starts, sizes) -> tuple:
     if powers is None:  # every norm is positive
         inverse = (1.0 / norms)[first]
     else:
-        inverse = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)[first]
-    np.take(stack, first, axis=0, out=q, mode="clip")
-    np.take(stack, second, axis=0, out=v, mode="clip")
+        inverse = np.divide(1.0, norms, out=np.zeros(norms.shape), where=norms > 0)[first]
+    stack.take(first, axis=0, out=q, mode="clip")
+    stack.take(second, axis=0, out=v, mode="clip")
     np.multiply(np.conj(q, out=q), v, out=product)  # q conjugated in place, and back
     np.conj(q, out=q)
     cq = np.add.reduceat(product, at, axis=1) * inverse
-    coefficients, atoms = cq * inverse, np.repeat(np.arange(sizes.size), sizes)
+    coefficients, atoms = cq * inverse, np.arange(sizes.size).repeat(sizes)
     for lo in range(0, count, half):
         part, work = slice(lo, lo + half), buffer[3 * count : 3 * count + min(half, count - lo)]
-        np.take(coefficients[part], atoms, axis=1, out=work, mode="clip")
+        coefficients[part].take(atoms, axis=1, out=work, mode="clip")
         v[part] -= np.multiply(work, q[part], out=product[part])
     rho = _segment_norms(v, product, at)
     if powers is None:
@@ -897,15 +891,13 @@ def _squares_safe(sums: np.ndarray) -> bool:
 
 
 def _block_norms(lines: np.ndarray, starts: np.ndarray, sizes: np.ndarray, work=None) -> tuple:
-    """(norms, powers) of each complex line of ``lines`` on each block of
-    its columns (block k from column ``starts[k]``, in ``sizes[k]``
-    columns), safe at any scale: where a sum of squares may have lost a
-    square (``_squares_safe``), each line is divided in place on each
-    block by the power of two at its largest part (``powers``; None where
-    none was), an exact division after which no square overflows or
-    underflows, so its norm there is ``norms`` times that power. The
-    division is part by part, so every sign is kept, a zero's too.
-    ``work``, shaped like ``lines``, takes the scratch when given."""
+    """(norms, powers) of each complex line of ``lines`` on each block of its
+    columns, safe at any scale: where a sum of squares may have lost a
+    square (``_squares_safe``), each line is divided in place on each block
+    by the power of two at its largest part (``powers``; None where none
+    was), exactly and part by part, so every sign is kept, and its norm is
+    ``norms`` times that power. ``work``, shaped like ``lines``, takes the
+    scratch when given."""
     parts, scratch = lines.view(float), None if work is None else work.view(float)
     with np.errstate(over="ignore"):  # an overflow fails the check below
         squares = np.add.reduceat(np.square(parts, out=scratch), 2 * starts, axis=-1)
@@ -928,13 +920,18 @@ def _segment_norms(lines: np.ndarray, work: np.ndarray, starts: np.ndarray) -> n
 
 
 def _scaled(mats: np.ndarray) -> tuple:
-    """(M / 2^e, 2^e) for each 2 x 2 matrix M of a stack, 2^e the power of
-    two at its largest real or imaginary part, or the smallest normal one
-    where that is subnormal: an exact division, after which no square of
-    an entry overflows or underflows."""
+    """(M / 2^e, 2^e) for each 2 x 2 matrix M of a stack, 2^e the power of two
+    at its largest part, or the smallest normal one: an exact division after
+    which no square of an entry overflows or underflows. Where every largest
+    part is 0 or in [2^-500, 2^500], none does so while it matters unscaled,
+    and the stack is given as it is, with the scale 1."""
     mats = np.ascontiguousarray(mats, dtype=complex)
     parts = np.abs(mats.view(float)).reshape(mats.shape[:-2] + (8,))
-    exponent = np.frexp(parts.max(axis=-1, initial=0.0))[1]
+    largest = parts.max(axis=-1, initial=0.0)
+    lowest = largest.min(initial=2.0**500, where=largest > 0)
+    if largest.max(initial=0.0) <= 2.0**500 and lowest >= 2.0**-500:
+        return mats, 1.0
+    exponent = np.frexp(largest)[1]
     scale = np.ldexp(0.5, np.maximum(exponent, np.finfo(float).minexp + 1))
     return mats / scale[..., None, None], scale
 
@@ -960,7 +957,7 @@ def _extreme_values(mats: np.ndarray) -> tuple:
     largest = _largest_scaled(m)
     a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     det = np.abs(a * d - b * c)
-    smallest = np.divide(det, largest, out=np.zeros_like(det), where=largest > 0)
+    smallest = np.divide(det, largest, out=np.zeros(det.shape), where=largest > 0)
     return largest * scale, smallest * scale
 
 
@@ -1025,10 +1022,9 @@ def apply(T: WeightedOperator, f: MeasurableFunction) -> MeasurableFunction:
 def adjoint(T: WeightedOperator) -> WeightedOperator:
     """The unique T* with <Tf, g> = <f, T*g> for the weighted inner product,
     built once per operator and held in T's form: the lines L K R^H as
-    R K^H L^H (for T = M_w E M_u, the lines of M_conj(u) E M_conj(w)), the
-    blocks P as D^-1 P^H D, built and checked here. While T lives, T*'s
-    factors are T's swapped (``_factors``); once T is gone, T* is factored
-    by its form's own route."""
+    R K^H L^H, its cores alone checked, or the blocks P as D^-1 P^H D, built
+    and checked here. While T lives, T*'s factors and record are T's
+    swapped (``_factors``, ``_atoms``)."""
     if T._parts is None:
         held = T._memo[_LINES]
         parts, memo = None, {_LINES: held._replace(lines=held.lines[::-1], core=_conj_t(held.core))}
@@ -1064,25 +1060,21 @@ def _blockwise(op, A: WeightedOperator, B: WeightedOperator) -> WeightedOperator
 @_once_per_operator
 def eigenvalues(T: WeightedOperator) -> np.ndarray:
     """All n eigenvalues with multiplicity (unordered multiset, read-only),
-    in block order.
-
-    A block X diag(s) Y^H of T's factors, of rank r below its size, has
-    the eigenvalues of its r x r core C diag(s) with C = Y^H X
-    (``_inner_cores``; X (S Y^H) and (S Y^H) X share their nonzero ones),
-    then |B| - r exact zeros. Of width 1 (T, T* and the operators derived
-    from them) that is s g per atom of rank 1, g = Y^H X, in closed form.
-    Wider factors (the one-block reference) run the cores of each rank as
-    one stacked eigvals, cut to that rank, so padding adds no eigenvalue;
-    a full-rank block, the only one built here, is its own r x r matrix:
-    the core would move a defective eigenvalue by rounding to the power
-    1/r."""
+    in block order. Of width 0 or 1 they are s g on each atom of rank 1
+    and zeros, read off the record (``_atoms``). A wider block
+    X diag(s) Y^H of rank r has those of its core C diag(s), C = Y^H X
+    (``_inner_cores``), then |B| - r zeros: one stacked eigvals per rank,
+    and a full-rank block, the only one built here, is its own matrix (the
+    core would move a defective eigenvalue by rounding to the power 1/r)."""
+    atoms = _atoms(T)
+    if atoms is not None:
+        out = np.zeros(atoms.sizes.sum(), dtype=complex)
+        kept = atoms.ranks > 0
+        out[atoms.starts[kept]] = (atoms.g * atoms.s)[kept]
+        return out
     factors = _factors(T)
     cores = _inner_cores(T) * factors.s[:, None, :]
     out = np.zeros(factors.sizes.sum(), dtype=complex)
-    if cores.shape[-1] == 1:
-        kept = factors.ranks > 0
-        out[factors.starts[kept]] = cores[kept, 0, 0]
-        return out
     for rank in np.unique(factors.ranks[factors.ranks > 0]):
         which = np.flatnonzero(factors.ranks == rank)
         mats = cores[which, :rank, :rank]
@@ -1095,9 +1087,9 @@ def eigenvalues(T: WeightedOperator) -> np.ndarray:
 
 @_once_per_operator
 def singular_values(T: WeightedOperator) -> np.ndarray:
-    """Descending singular values (read-only), read off the factors, so the
-    ones under the rank cutoff are exact zeros; the largest is the operator
-    norm on L2(mu)."""
+    """Descending singular values (read-only), read off the factors, or of
+    width 0 or 1 off the record (``_atoms``), so the ones under the rank
+    cutoff are exact zeros; the largest is the operator norm on L2(mu)."""
     factors = _factors(T)
     s = factors.s[_kept(factors.ranks, factors.s.shape[1])]
     return np.concatenate([np.sort(s)[::-1], np.zeros(T.space.point_count - s.size)])
@@ -1201,28 +1193,25 @@ def fractional_power(
 def _diagonal(values: np.ndarray) -> np.ndarray:
     """The stack of complex diagonal matrices with the rows of ``values``
     (blocks x r) as their diagonals."""
-    out = np.zeros(values.shape + values.shape[-1:], dtype=complex)
-    index = np.arange(values.shape[-1])
-    out[:, index, index] = values
+    blocks, width = values.shape
+    out = np.zeros((blocks, width, width), dtype=complex)
+    out.reshape(blocks, width * width)[:, :: width + 1] = values
     return out
 
 
 @_once_per_operator
 def _right_lines(T: WeightedOperator) -> np.ndarray:
-    """The lines (L, R) = (Y, Y) of T's factors X diag(s) Y^H, one view for
-    every operator held on them (T's powers of T*T and its Aluthge
-    transform), so the comparison kernel reads Y once for them all
-    (``_line_sources``); a stride of 0 is cheaper than broadcast_to."""
+    """The lines (Y, Y) of T's factors, one view for every operator held on
+    them, so the comparison kernel reads Y once for them all; a stride of
+    0 is cheaper than broadcast_to."""
     y = _factors(T).lines[1]
     return np.ndarray((2,) + y.shape, y.dtype, y, 0, (0,) + y.strides)
 
 
 def gram_power(T: WeightedOperator, p: float) -> WeightedOperator:
-    """(T* T)^p, read off the memoized factors: a standard-coordinate block
-    B = X S Y^H gives (B^H B)^p = Y S^(2p) Y^H, and p = 1/2 is |T|. The
-    singular values under the rank cutoff are exact zeros. (T T*)^p is
-    ``gram_power(adjoint(T), p)``: T*'s factors are T's swapped, so it
-    factors nothing new."""
+    """(T* T)^p off T's factors: a block B = X S Y^H gives
+    (B^H B)^p = Y S^(2p) Y^H, and p = 1/2 is |T|; values under the rank
+    cutoff are exact zeros. (T T*)^p is ``gram_power(adjoint(T), p)``."""
     if p <= 0:
         raise ValueError("power must be positive")
     factors = _factors(T)
@@ -1241,13 +1230,10 @@ def polar_isometry_numeric(T: WeightedOperator) -> WeightedOperator:
 
 
 def aluthge_numeric(T: WeightedOperator) -> WeightedOperator:
-    """|T|^(1/2) U |T|^(1/2) from the numeric polar decomposition.
-
-    A block X S Y^H has |T|^(1/2) = Y S^(1/2) Y^H and U = X Y^H, so the
-    transform is Y (S^(1/2) C S^(1/2)) Y^H with the r x r core C = Y^H X
-    (``_inner_cores``), which the result keeps. The singular values under
-    the cutoff are exact zeros: the square root would amplify their noise
-    (eps -> sqrt(eps))."""
+    """|T|^(1/2) U |T|^(1/2) from the numeric polar decomposition: a block
+    X S Y^H gives Y (S^(1/2) C S^(1/2)) Y^H with C = Y^H X
+    (``_inner_cores``). Values under the cutoff are exact zeros, as the
+    square root would amplify their noise."""
     factors = _factors(T)
     root = np.sqrt(factors.s)
     core = root[:, :, None] * _inner_cores(T) * root[:, None, :]
@@ -1266,16 +1252,15 @@ def kernel_projection(T: WeightedOperator) -> WeightedOperator:
 
 def is_normal(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:
     """T T* = T* T to tolerance, read off T's joint cores: a block Q K Q^H
-    (``_joint_cores``) gives T T* - T* T = Q (K K^H - K^H K) Q^H, whose norm
-    is the largest eigenvalue modulus of that Hermitian core. Of width 1
-    (T, T* and the operators derived from them) K = [[a, 0], [b, 0]], and
-    that modulus is |b| hypot(|a|, |b|) in closed form; wider factors (the
-    one-block reference) take one stacked eigvalsh of every block's."""
-    k = _joint_cores(T).core
-    if k.shape[-1] > 2:
+    gives T T* - T* T = Q (K K^H - K^H K) Q^H. Of width 0 or 1,
+    K = [[s g, 0], [s h, 0]] (``_heights``) and its norm is
+    |s h| hypot(|s g|, |s h|); wider factors take one stacked eigvalsh."""
+    atoms = _atoms(T)
+    if atoms is not None:
+        a, b = np.abs(atoms.g * atoms.s), np.abs(_heights(T) * atoms.s)
+        comm = (b * np.hypot(a, b)).max(initial=0.0)
+    else:
+        k = _joint_cores(T).core
         kh = _conj_t(k)
         comm = np.abs(_solve("eigvalsh", k @ kh - kh @ k)).max(initial=0.0)
-    else:
-        a, b = np.abs(k[..., 0]).T if k.size else np.zeros((2, 0))
-        comm = (b * np.hypot(a, b)).max(initial=0.0)
     return bool(comm <= tol * (1.0 + operator_norm(T) ** 2))

@@ -21,9 +21,11 @@ from .measure_space import (
 from .operator_algebra import (
     LoewnerMargins,
     WeightedOperator,
+    _atoms,
     _conj_t,
     _diagonal,
     _factors,
+    _heights,
     _inner_cores,
     _joint_cores,
     _margins,
@@ -77,27 +79,18 @@ class NormalityReport:
 
 @_once_per_operator
 def _class_margins(T: WeightedOperator) -> dict:
-    """The Loewner margins of the three definitional tests, keyed by class.
-
-    They are read off T's factors: on a standard-coordinate block
-    B = X S Y^H with C = Y^H X, T^2 is X M Y^H with M = S C S, so
-    |T^2| = Y |M| Y^H, |T|^2 = Y S^2 Y^H and |T*|^2 = X S^2 X^H. The A and
-    quasi-*-A differences are Y K Y^H with the r x r cores |M| - S^2 and
-    S (C^H |M| C - S^2) S; the *-A one is Q K Q^H on T's joint basis Q of
-    [Y X], with the core R_y |M| R_y^H - R_x S^2 R_x^H of at most 2r x 2r
-    (``_joint_cores``). Every margin is read off these cores, so no
-    |B| x |B| array is built. Of width 1 (T and T*) they are in closed form
-    (``_rank_one_margins``); wider factors (the one-block reference) take
-    r x r factorizations stacked over the blocks: one SVD for |M|, then
-    one eigvalsh over all three classes (``_margins``), the A and
-    quasi-*-A cores zero-padded to the *-A core's 2r x 2r. The stacks are
-    padded with zeros past each block's rank too; padding adds only zero
-    eigenvalues. The margins are floats, and each test applies its own
-    tolerance."""
+    """The Loewner margins of the three definitional tests, keyed by class:
+    on a block X S Y^H with C = Y^H X, T^2 is X M Y^H with M = S C S, so the
+    A and quasi-*-A differences are Y K Y^H with K = |M| - S^2 and
+    S (C^H |M| C - S^2) S, and the *-A one is Q K Q^H on the joint basis Q of
+    [Y X] with K = R_y |M| R_y^H - R_x S^2 R_x^H. A record's are in closed
+    form (``_rank_one_margins``); wider factors take one SVD for |M| and one
+    eigvalsh over the three zero-padded cores (``_margins``)."""
+    atoms = _atoms(T)
+    if atoms is not None:
+        return _rank_one_margins(atoms.s, atoms.g, _heights(T))
     s, c, joint = _factors(T).s, _inner_cores(T), _joint_cores(T)
     width = s.shape[1]
-    if width <= 1:
-        return _rank_one_margins(s, joint)
     _, sigma, qh = _solve("svd", s[:, :, None] * c * s[:, None, :])
     abs_m = (_conj_t(qh) * sigma[:, None, :]) @ qh
     sq = _diagonal(s**2)
@@ -108,24 +101,17 @@ def _class_margins(T: WeightedOperator) -> dict:
     return dict(zip((A_CLASS, STAR_A_CLASS, QUASI_STAR_A_CLASS), _margins(cores)))
 
 
-def _rank_one_margins(s: np.ndarray, joint) -> dict:
-    """``_class_margins`` of factors of width 1 (or 0) in closed form. With
-    R_x = [[g], [h]] (``_joint_cores``: g = Y^H X, |g| <= 1, and h >= 0),
-    M = s^2 g is 1 x 1, so the A and quasi-*-A cores are s^2 (|g| - 1) and
-    s^4 (|g|^3 - 1), padded with a zero eigenvalue, and the *-A core is
-    s^2 H with H = [[|g| (1 - |g|), -g h], [-conj(g) h, -h^2]], whose
-    eigenvalues (p + r) / 2 -+ hypot((p - r) / 2, |q|), for H's diagonal p,
-    r and corner q, keep their digits where the two nearly meet; H's
-    entries are at most 1, so only the factor s^2 scales them. Each core
-    is Hermitian, so every asymmetry is 0."""
-    s2 = g = h = np.zeros(len(s))  # of width 0, T is 0 and so is every core
-    if s.shape[1]:
-        s2, g, h = s[:, 0] ** 2, joint.r_x[:, 0, 0], joint.r_x[:, 1, 0].real
-    a = np.abs(g)
+def _rank_one_margins(s: np.ndarray, g: np.ndarray, h: np.ndarray) -> dict:
+    """``_class_margins`` of a record in closed form, from each atom's s,
+    g = y^H x and h (``_heights``): the A and quasi-*-A cores are
+    s^2 (|g| - 1) and s^4 (|g|^3 - 1), and the *-A core is s^2 H with
+    H = [[|g| (1 - |g|), -g h], [-conj(g) h, -h^2]], whose eigenvalues
+    (p + r) / 2 -+ hypot((p - r) / 2, |q|) keep their digits where they meet."""
+    s2, a = s**2, np.abs(g)
     p, r, q = a * (1.0 - a), -h * h, a * h
     mean, radius = 0.5 * (p + r), np.hypot(0.5 * (p - r), q)
     a_core, quasi_core = s2 * (a - 1.0), s2 * s2 * (a**3 - 1.0)
-    star = s2 * np.stack([mean - radius, mean + radius])
+    star = s2 * np.array([mean - radius, mean + radius])
     entries = s2 * np.maximum(np.maximum(np.abs(p), q), -r)
     return {
         A_CLASS: _closed_margins(a_core, np.abs(a_core)),

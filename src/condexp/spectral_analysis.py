@@ -6,8 +6,7 @@ radius its sup norm); the numeric side is the per-atom eigenvalue oracle.
 On a finite space the point spectrum is the spectrum, and 0 belongs to it
 iff T is rank deficient; T has one rank-one block per atom in S and G, so
 its rank is the number of those atoms. The joint point spectrum is read off
-T's factors too: each atom's at most 2r x 2r joint core (``_joint_cores``),
-all atoms' stacked.
+T's factors too: each atom's joint core, 2 x 2 off T's record.
 """
 
 from __future__ import annotations
@@ -20,7 +19,9 @@ import numpy as np
 from .measure_space import cluster_values, ess_range, level_set
 from .operator_algebra import (
     WeightedOperator,
+    _atoms,
     _extreme_values,
+    _heights,
     _joint_cores,
     _solve,
     eigenvalues,
@@ -136,7 +137,7 @@ def spectrum_closed_form(W: WCEOperator, tol: float = DEFAULT_SPECTRUM_TOL):
     """
     nonzero = [v for v in ess_range(W.e_uw, tol) if abs(v) > tol]
     s_and_g = W.support_u2 & W.support_w2
-    rank = np.unique(W.algebra.labels[s_and_g]).size
+    rank = int(np.count_nonzero(np.bincount(W.algebra.labels[s_and_g])))
     zero_flag = rank < W.space.point_count
     return nonzero, zero_flag, bool(s_and_g.all())
 
@@ -196,54 +197,51 @@ def em_u_point_spectrum(
 
 
 def joint_point_spectrum(T: WeightedOperator, tol: float = DEFAULT_JOINT_TOL) -> list:
-    """Eigenvalues that carry a common eigenvector of T and T* (conjugated).
+    """Eigenvalues that carry a common eigenvector of T and T* (conjugated):
+    those where the smallest principal angle between the numeric null
+    spaces of T - lambda I and T* - conj(lambda) I, over all blocks, is below
+    the module threshold.
 
-    For each clustered eigenvalue the numeric null spaces of T - lambda I and
-    T* - conj(lambda) I are intersected; the intersection is nontrivial iff
-    the smallest principal angle between them is below the module threshold.
-    Both null spaces are block-diagonal like T, so they are intersected block
-    by block: the largest cosine over all blocks gives the smallest angle.
-
-    Each block B is Q K Q^H with the core K of ``_joint_cores``, and it and
-    its adjoint vanish on the complement of Q's vectors. So both null
-    spaces are Q's image of the core's, plus that complement when |lambda|
-    is within the cutoff and Q's vectors do not span B (``complement``),
-    which makes the cosine 1 there; Q itself is never needed. One SVD of
-    K - lambda I per (atom, shift) pair, stacked over the pairs in
-    DISTANCE_CHUNK pieces, gives the core's two: with K - lambda I =
-    U S V^H, the right singular vectors past the rank span
-    null(K - lambda I) and the left ones null(K^H - conj(lambda) I); on
-    2 x 2 cores it runs only where the closed-form smallest value
-    (``_extreme_values``) is within twice the cutoff, and still decides. A
-    column of the core that is no vector of Q (``dims``) has a zero row and
-    column in K, so it is kept out of both null spaces by a diagonal entry
-    above the cutoff. The factors drop only singular values under
-    ``DEFAULT_RANK_TOL`` ||T||, which is below the cutoff for any
-    tol >= DEFAULT_RANK_TOL.
-    """
+    Each block B is Q K Q^H with its joint core K, so both null spaces are
+    Q's image of the core's, plus the complement of Q's vectors when
+    |lambda| is within the cutoff. One SVD of K - lambda I per (block,
+    shift) pair, a bounded number of blocks at a time, gives the core's two,
+    past its rank: null(K - lambda I) from the right singular vectors and
+    null(K^H - conj(lambda) I) from the left. A column of K that is no
+    vector of Q (``dims``) gets a diagonal entry above the cutoff. A
+    record's cores are [[s g, 0], [s h, 0]] (``_heights``), factored only
+    where the closed-form smallest value (``_extreme_values``) is within
+    twice the cutoff; wider factors take ``_joint_cores``."""
     cutoff = tol * (1.0 + operator_norm(T))
     clusters = _eigenvalue_clusters(T, cutoff)
     shifts = np.asarray(clusters, dtype=complex)
-    joint = _joint_cores(T)
+    atoms = _atoms(T)
+    if atoms is None:
+        joint = _joint_cores(T)
+        cores, dims, complement = joint.core, joint.dims, joint.complement
+    else:  # the cores as R_x diag(s) R_y^H forms them, a zero of either sign made +0
+        h = _heights(T)
+        cores = np.zeros((h.size, 2, 2), dtype=complex)
+        cores[:, 0, 0], cores[:, 1, 0] = atoms.g * atoms.s + 0, h * atoms.s + 0j
+        dims, complement = np.array([atoms.ranks > 0, h > 0]).T, atoms.ranks + (h > 0) < atoms.sizes
     cosine = np.zeros(shifts.size)
-    if joint.complement.any():
+    if complement.any():
         cosine[np.abs(shifts) <= cutoff] = 1.0
-    dim = joint.core.shape[-1]
+    dim = cores.shape[-1]
     diagonal = np.arange(dim)
-    pairs = len(joint.core) * shifts.size
-    rows = max(1, DISTANCE_CHUNK // max(1, 4 * dim * dim))
-    for start in range(0, pairs, rows):
-        atom, shift = np.divmod(np.arange(start, min(start + rows, pairs)), shifts.size)
-        mats = joint.core[atom]
-        mats[:, diagonal, diagonal] = np.where(
-            joint.dims[atom], mats[:, diagonal, diagonal] - shifts[shift, None], 1.0 + 2.0 * cutoff
+    rows = max(1, DISTANCE_CHUNK // max(1, 4 * dim * dim * shifts.size))
+    for lo in range(0, len(cores), rows):
+        mats = cores[lo : lo + rows, None].repeat(shifts.size, axis=1)
+        mats[..., diagonal, diagonal] = np.where(
+            dims[lo : lo + rows, None], mats[..., diagonal, diagonal] - shifts[:, None], 1.0 + 2.0 * cutoff
         )
+        near = np.ones(mats.shape[:2], dtype=bool)
         if dim == 2:  # the SVD only near a null vector; the closed form is off by ulps
             largest, smallest = _extreme_values(mats)
             near = smallest <= 2.0 * cutoff + 8 * np.finfo(float).eps * largest
-            atom, shift, mats = atom[near], shift[near], mats[near]
-            if not near.any():
-                continue
+        shift, mats = near.nonzero()[1], mats[near]
+        if not near.any():
+            continue
         u, sv, vh = _solve("svd", mats)
         null = sv <= cutoff
         hit = null.any(axis=-1)  # the pairs whose block has a null vector at the shift

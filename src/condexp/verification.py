@@ -71,27 +71,15 @@ def _check(name: str, margin: float, tolerance: float) -> Check:
 
 
 def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list:
-    """Run the full closed-form vs oracle suite on one instance.
-
-    Each section is its own function returning its comparisons; T's side
-    (the powers of T*T, the polar decomposition, the Aluthge transforms)
-    and T*'s side (the powers of TT*, the adjoint) are each measured by one
-    ``core_distances`` call, whose kernel works in bounded groups of atoms,
-    and the operators of a side are freed when its checks are made; only W,
-    T and the factorizations memoized on T live throughout. T* is checked
-    as T's side of the adjoint: the T-side sections rerun on
-    ``adjoint_wce(W)`` against the oracle on ``adjoint(T)``: ``adjoint(T)``
-    is memoized on T and held, like T, as its lines, T's swapped, with
-    T's factors swapped. T is held as its unit lines and 1 x 1 cores on
-    each atom, so the oracle reads its factors, eigenvalues, joint cores,
-    class margins and normality in closed form, and a verify builds no
-    block and makes no LAPACK call but the joint point spectrum's SVDs of
-    its candidate 2 x 2 cores (``svd 16x2x2`` twice on
-    random_instance(7, 64, 8)): every operator check compares pairs and
-    the oracle's cored operators on their lines, each distinct line
-    written once (``core_distances``), in O(n) per check, and the polar
-    section works on the pairs alone, without T's factors. The checks are
-    reported in section order."""
+    """Run the full closed-form vs oracle suite on one instance, the checks in
+    section order. T's side (the powers of T*T, the polar decomposition,
+    the Aluthge transforms) and T*'s side (the powers of TT*, the adjoint:
+    the T-side sections on ``adjoint_wce(W)`` and ``adjoint(T)``) are each
+    measured by one ``core_distances`` call, a side's operators freed once
+    its checks are made. Every question asked of T reads its per-atom
+    record, made once, so a verify builds no block and makes no LAPACK call
+    but the joint point spectrum's (``svd 16x2x2`` twice on
+    random_instance(7, 64, 8))."""
     W = as_wce(instance, support_tol=tols.support)
     T = wce.to_matrix(W)
     norm_t = oa.operator_norm(T)

@@ -32,7 +32,8 @@ from .measure_space import (
     FiniteMeasureSpace,
     MeasurableFunction,
     SubSigmaAlgebra,
-    conditional_expectation,
+    _conditional_means,
+    _finite_values,
     ess_sup_norm,
     support,
 )
@@ -77,9 +78,10 @@ class WCEOperator:
         # the bit, but E(u'w') is taken afresh (conj E(uw) can differ in the
         # last bit: the products round in another order)
         u, w, e_u = self.w.conj(), self.u.conj(), self.e_w.conj()
+        (e_uw,) = _conditional_means(self.space, self.algebra, _finite_values(u.values * w.values))
         return WCEOperator(
             self.space, self.algebra, u, w, e_u, self.e_u.conj(),
-            e_uw=conditional_expectation(self.space, self.algebra, u * w),
+            e_uw=MeasurableFunction._of(e_uw, self.space),
             e_abs_u2=self.e_abs_w2, e_abs_w2=self.e_abs_u2,
             support_u2=self.support_w2, support_w2=self.support_u2,
             support_eu=support(e_u, self.support_tol), support_tol=self.support_tol,
@@ -93,16 +95,17 @@ def build_wce(
     w: MeasurableFunction,
     support_tol: float = DEFAULT_SUPPORT_TOL,
 ) -> WCEOperator:
-    """Cache the five conditional moments and three supports of T = M_w E M_u."""
+    """Cache the five conditional moments, taken on arrays with one set of
+    atom shares (``_conditional_means``), and three supports of T."""
     for f in (u, w):
         if f.space.point_count != space.point_count:
             raise ValueError("u and w must live on the given space")
-    e = lambda f: conditional_expectation(space, algebra, f)
-    e_u = e(u)
-    e_w = e(w)
-    e_uw = e(u * w)
-    e_abs_u2 = e(MeasurableFunction(np.abs(u.values) ** 2, space))
-    e_abs_w2 = e(MeasurableFunction(np.abs(w.values) ** 2, space))
+    u_, w_ = u.values, w.values
+    products = (_finite_values(x) for x in (u_ * w_, np.abs(u_) ** 2, np.abs(w_) ** 2))
+    moments = _conditional_means(space, algebra, u_, w_, *products)
+    e_u, e_w, e_uw, e_abs_u2, e_abs_w2 = (
+        MeasurableFunction._of(np.asarray(m, dtype=complex), space) for m in moments
+    )
     return WCEOperator(
         space=space,
         algebra=algebra,
@@ -122,9 +125,7 @@ def build_wce(
 
 def _guarded_ratio(numer: np.ndarray, denom: np.ndarray, on: np.ndarray) -> np.ndarray:
     """numer/denom on the support mask ``on``, else 0."""
-    out = np.zeros_like(numer, dtype=complex)
-    out[on] = numer[on] / denom[on]
-    return out
+    return np.divide(numer, denom, out=np.zeros(denom.shape, np.result_type(numer, denom)), where=on)
 
 
 def to_matrix(W: WCEOperator) -> WeightedOperator:
@@ -159,7 +160,7 @@ def polar_isometry_closed_form(W: WCEOperator) -> tuple:
     """
     s_and_g = W.support_u2 & W.support_w2
     ew2_eu2 = W.e_abs_w2.values.real * W.e_abs_u2.values.real
-    iso_factor = np.sqrt(_guarded_ratio(np.ones_like(ew2_eu2), ew2_eu2, s_and_g).real)
+    iso_factor = np.sqrt(_guarded_ratio(1.0, ew2_eu2, s_and_g))
     return iso_factor * W.w.values, W.u.values
 
 

@@ -31,11 +31,14 @@ LIBRARY_MODULES = sorted(
 #: references the tests check the oracle with (``kernel_projection`` is the
 #: one the coimage rule of the polar kernel check is compared with), the
 #: generic product the tests build T*T, T^2 and T*(.)T with, the inner
-#: product the adjoint identities are checked against, and the paper's
-#: sigma_jp identity, which the tests check on its own
+#: product the adjoint identities are checked against, the paper's
+#: sigma_jp identity, which the tests check on its own, and the
+#: conditional expectation of one function, which the closed forms take on
+#: arrays (``_conditional_means``) and the tests check them against
 NOT_ON_A_CALL_PATH = {
     "apply",
     "compose",
+    "conditional_expectation",
     "fractional_power",
     "kernel_projection",
     "polar_isometry_numeric",
@@ -347,18 +350,81 @@ def test_verify_constructs_thirteen_operators(monkeypatch):
     constructs T, T* and the oracle's eleven operators (``gram_power`` at
     four powers of T and of T*, and the Aluthge transforms of T, of that
     transform and of T*), no closed-form operator, and none for the
-    normality check."""
-    built = []
+    normality check; each checks its own cores finite and no line, and only
+    T's lines are checked, once, where they are made."""
+    built, checked = [], []
 
     def counted(op, _original=WeightedOperator.__post_init__):
-        built.append(1)
+        built.append(op)
         _original(op)
 
+    def finite(p, _original=oa._finite):
+        checked.append(p)
+        return _original(p)
+
     monkeypatch.setattr(WeightedOperator, "__post_init__", counted)
+    monkeypatch.setattr(oa, "_finite", finite)
     for instance in _verify_inputs():
         built.clear()
+        checked.clear()
         assert summarize(verify_instance(instance))["all_passed"]
         assert len(built) == 13
+        cores = [op._memo[oa._LINES].core for op in built]
+        t_lines = built[0]._memo[oa._LINES].lines
+        assert len(checked) == 14 and checked[0].size == t_lines.size
+        assert np.shares_memory(checked[0], t_lines)
+        assert all(x is c for x, c in zip(checked[1:], cores))
+
+
+def test_a_derived_operator_rechecks_no_line_it_shares_with_t(monkeypatch):
+    """The powers of T*T and the Aluthge transforms hold lines that are
+    views of T's record (Y of T's factors), and the adjoint holds T's lines
+    swapped: constructing them runs no finiteness check on a line."""
+    instance = random_instance(3, 64, 8)
+    T = oa.expectation_operator(instance.space, instance.algebra, instance.w.values, instance.u.values)
+    record = oa._atoms(T)
+    checked = []
+
+    def finite(p, _original=oa._finite):
+        checked.append(p.shape)
+        return _original(p)
+
+    monkeypatch.setattr(oa, "_finite", finite)
+    derived = [oa.gram_power(T, p) for p in (0.5, 1.0, 2.0, 3.5)] + [oa.aluthge_numeric(T)]
+    derived.append(oa.adjoint(T))
+    assert checked == [(instance.algebra.block_count, 1, 1)] * 6
+    for op in derived[:-1]:
+        assert np.shares_memory(op._memo[oa._LINES].lines, record.lines)
+    assert np.shares_memory(derived[-1]._memo[oa._LINES].lines, T._memo[oa._LINES].lines)
+
+
+def test_verify_makes_one_record_pass_for_t_and_none_for_its_adjoint(monkeypatch):
+    """A verify of random_instance(7, 64, 8) reads T's per-atom record off
+    T's lines in one pass, and one more off the lines of T's Aluthge
+    transform, whose own transform is checked: two passes in all. T*'s
+    record is T's swapped, read with no pass over lines: its lines are T's
+    record's, and its inner products T's, swapped."""
+    passes, made = [], []
+
+    class Counted(oa._Atoms):
+        def __new__(cls, *fields):
+            passes.append(fields[4].shape)
+            return super().__new__(cls, *fields)
+
+    def capture(*args, _original=oa.expectation_operator, **kwargs):
+        made.append(_original(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(oa, "_Atoms", Counted)
+    for module in (oa, wce):
+        monkeypatch.setattr(module, "expectation_operator", capture)
+    assert summarize(verify_instance(random_instance(7, 64, 8)))["all_passed"]
+    assert passes == [(2, 64, 1)] * 2
+    (T,) = made
+    record, swapped = T._memo["_atoms"], oa.adjoint(T)._memo["_atoms"]
+    assert np.shares_memory(swapped.lines, record.lines)
+    assert swapped.g is record.g_adjoint and swapped.g_adjoint is record.g
+    assert swapped.s is record.s
 
 
 def test_verify_reads_the_parts_of_no_operator(monkeypatch):
@@ -451,6 +517,7 @@ def test_every_operator_of_a_verify_holds_one_form(monkeypatch):
         assert summarize(verify_instance(instance))["all_passed"]
         forms = [[op._parts is not None, oa._LINES in op._memo] for op in built]
         assert forms == [[False, True]] * 13
+        assert all(oa._atoms(op) is not None for op in built)  # each reads a record
         d = np.sqrt(instance.space.weights)
         for op in built:
             for (b, x, s, y), p in zip(block_factors(op), op.parts, strict=True):
@@ -475,58 +542,41 @@ def test_verify_calls_expectation_operator_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _solver_calls_outside_t_factorization(monkeypatch, instance) -> int:
-    """The numpy.linalg calls of a verify of ``instance`` made outside T's
-    one ``_cored_factors`` call, the first, which factors T from its 1 x 1
-    cores."""
-    calls, inside = [], []
+def _solver_calls(monkeypatch, instance) -> int:
+    """The numpy.linalg calls of a verify of ``instance``, whose T is read
+    off its 1 x 1 cores in one pass over its lines (``_atoms``), with no
+    solver call: there is no per-block factorization of T to leave out."""
+    calls = []
     for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "qr"):
 
         def probe(*args, _original=getattr(np.linalg, name), **kwargs):
-            if not any(inside):
-                calls.append(1)
+            calls.append(1)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, probe)
-
-    cored = []
-
-    def cored_factors(held, _original=oa._cored_factors):
-        cored.append(held.core.shape)
-        inside.append(len(cored) == 1)
-        try:
-            return _original(held)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(oa, "_cored_factors", cored_factors)
     assert summarize(verify_instance(instance))["all_passed"]
     monkeypatch.undo()
-    assert cored[0] == (instance.algebra.block_count, 1, 1)
     return len(calls)
 
 
 def test_verify_makes_no_solver_call_per_atom(monkeypatch):
-    """Outside T's own per-block factorization, a verify makes as many
-    solver calls at 16 atoms as at 8 on the same 64 points: every other
-    question asked of T's factors is one stacked call over the atoms."""
+    """A verify makes as many solver calls at 16 atoms as at 8 on the same
+    64 points: T's factors are read off its record, and every question
+    asked of them is one stacked call over the atoms."""
     for seed in range(2):
-        counts = [
-            _solver_calls_outside_t_factorization(monkeypatch, random_instance(seed, 64, atoms))
-            for atoms in (8, 16)
-        ]
+        counts = [_solver_calls(monkeypatch, random_instance(seed, 64, atoms)) for atoms in (8, 16)]
         assert counts[0] == counts[1] > 0
 
 
 def test_verify_compares_each_section_in_one_call(monkeypatch):
-    """A verify of random_instance(7, 64, 8) makes 2 solver calls, none in
-    T's factorization, and calls ``core_distances`` once per side: T's (the
+    """A verify of random_instance(7, 64, 8) makes 2 solver calls, none for
+    T's factors, and calls ``core_distances`` once per side: T's (the
     powers of T*T, the polar decomposition, the Aluthge transforms; 9
     comparisons) and T*'s (the powers of TT* and the adjoint; 6). T's
     atoms are rank one, so every comparison's core is 2 x 2, taken by the
     rank-one kernel, inside which no numpy.linalg routine runs."""
     instance = random_instance(7, 64, 8)
-    assert _solver_calls_outside_t_factorization(monkeypatch, instance) == 2
+    assert _solver_calls(monkeypatch, instance) == 2
     calls, inside = [], []
 
     def counted(*args, _original=oa.core_distances, **kwargs):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,3 +427,29 @@ class TestSpectrum:
         expected = sigma_p_equals_sigma_jp_check(W).joint_point_spectrum
         assert report["joint_point_spectrum"] == [[z.real, z.imag] for z in expected]
         assert "point_spectrum_closed_form" not in report
+
+
+class TestReportedOnce:
+    def test_verify_of_the_guard_mismatch_instance_passes(self, capsys, tmp_path):
+        """The instance whose sums fell under expectation_norms' guard but
+        not the lines' verifies with every check passed and no traceback."""
+        from test_operator_algebra import GUARD_MISMATCH
+
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(GUARD_MISMATCH), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["verify", str(path)])
+        assert code == EXIT_OK and "Traceback" not in err
+        assert json.loads(out)["summary"]["passed"] == 25
+
+    def test_invalid_input_is_one_stderr_line(self):
+        """Invalid input is reported once, as the ``error:`` line, with
+        exit code 2, in a process of its own so that no logging setup of
+        another test hides a second report."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+        argv = ["verify", "--random", "--points", "2", "--blocks", "5"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "condexp.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == EXIT_BAD_INPUT
+        assert proc.stderr.splitlines() == ["error: need 1 <= n_blocks <= n_points"]

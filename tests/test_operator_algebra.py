@@ -1056,9 +1056,11 @@ class TestSolverLog:
         assert all(b.size >= 2 for b in T.blocks)
         cutoff = 1e-8 * (1.0 + operator_norm(T))
         shifts = np.array(cluster_values(eigenvalues(T), cutoff))
-        joint = _joint_cores(T)
-        assert joint.dims.all()
-        shifted = joint.core[:, None] - shifts[None, :, None, None] * np.eye(2)
+        record, h = operator_algebra._atoms(T), operator_algebra._heights(T)
+        assert (record.ranks == 1).all() and (h > 0).all()
+        core = np.zeros((len(T.blocks), 2, 2), dtype=complex)  # [[s g, 0], [s h, 0]]
+        core[:, 0, 0], core[:, 1, 0] = record.s * record.g, record.s * h
+        shifted = core[:, None] - shifts[None, :, None, None] * np.eye(2)
         smallest = np.linalg.svd(shifted, compute_uv=False)[..., -1]
         candidates = np.count_nonzero(smallest <= 2 * cutoff)
         caplog.set_level(logging.DEBUG, logger="condexp")
@@ -1246,3 +1248,94 @@ class TestAdjointSharesSVD:
             assert _reconstruction_error(A) <= 1e-12
         finally:
             gc.enable()
+
+
+class TestScaledFastPath:
+    """``_scaled`` gives a stack whose every largest part is 0 or in
+    [2^-500, 2^500] as it is, with the scale 1; the closed forms read the
+    same bits off it as off the stack divided by its powers of two."""
+
+    @staticmethod
+    def _divided(mats):
+        parts = np.abs(mats.view(float)).reshape(mats.shape[:-2] + (8,))
+        exponent = np.frexp(parts.max(axis=-1, initial=0.0))[1]
+        scale = np.ldexp(0.5, np.maximum(exponent, np.finfo(float).minexp + 1))
+        return mats / scale[..., None, None], scale
+
+    def _extreme(self, mats):
+        m, scale = self._divided(mats)
+        largest = operator_algebra._largest_scaled(m)
+        det = np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
+        smallest = np.divide(det, largest, out=np.zeros_like(det), where=largest > 0)
+        return largest * scale, smallest * scale
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_both_routes_are_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (4000, 2, 2)
+        mats = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 2.0 ** rng.uniform(
+            -480, 480, (shape[0], 1, 1)
+        )
+        mats[:10] = 0.0
+        m, scale = operator_algebra._scaled(mats)
+        assert m is mats and scale == 1.0
+        divided, powers = self._divided(mats)
+        np.testing.assert_array_equal(
+            operator_algebra._largest_scaled(m) * scale,
+            operator_algebra._largest_scaled(divided) * powers,
+        )
+        for got, want in zip(_extreme_values(mats), self._extreme(mats)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_a_stack_far_out_takes_the_scaled_route(self, power):
+        rng = np.random.default_rng(7)
+        mats = (rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))) * 2.0**power
+        m, scale = operator_algebra._scaled(mats)
+        divided, powers = self._divided(mats)
+        np.testing.assert_array_equal(scale, powers)
+        np.testing.assert_array_equal(m, divided)
+        for got, want in zip(_extreme_values(mats), self._extreme(mats)):
+            np.testing.assert_array_equal(got, want)
+        assert np.isfinite(_extreme_values(mats)[0]).all()
+
+
+#: a valid instance on which the sums of |d a|^2 of expectation_norms fell
+#: under 2^-900 while those of the lines' squared parts did not
+GUARD_MISMATCH = {
+    "weights": [1.4605582545268825e-271, 1.0],
+    "blocks": [[0], [1]],
+    "u": [[0.11658903841798231, 0.89241638046417], [1.0, 0.0]],
+    "w": [[1.0, 0.0], [1.0, 0.0]],
+}
+
+
+class TestExpectationNormsGuard:
+    def test_a_sum_unsafe_only_for_the_first_guard_is_read(self):
+        """The instance whose verify crashed: expectation_norms' own guard
+        finds a sum of |d x|^2 under 2^-900, the lines' norms find every sum
+        safe and give no powers; the norms are read as they are."""
+        from condexp.cli import instance_from_json
+
+        instance = instance_from_json(GUARD_MISMATCH)
+        checks = verify_instance(instance)
+        assert len(checks) == 25 and all(c.passed for c in checks)
+
+    def test_the_guards_disagreeing_is_forced(self, monkeypatch):
+        """With the first guard forced to fail, the norms come from the
+        lines (``_block_norms``, which finds them safe) and equal the ones
+        the first guard passes, to rounding."""
+        rng = np.random.default_rng(3)
+        inst = random_instance(3, 12, 4)
+        pair = (rng.standard_normal(12) + 1j, rng.standard_normal(12) - 2j)
+        want = expectation_norms(inst.space, inst.algebra, pair)
+        calls = []
+
+        def guard(sums, _original=operator_algebra._squares_safe):
+            calls.append(1)
+            return len(calls) > 1 and _original(sums)
+
+        monkeypatch.setattr(operator_algebra, "_squares_safe", guard)
+        got = expectation_norms(inst.space, inst.algebra, pair)
+        assert len(calls) == 2
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)

@@ -34,7 +34,7 @@ from condexp import spectral_analysis
 from condexp.operator_algebra import (
     DEFAULT_RANK_TOL,
     WeightedOperator,
-    _joint_cores,
+    _atoms,
     _std_blocks,
 )
 
@@ -438,7 +438,7 @@ class TestJointPointSpectrumOnCores:
             generic(2, _complex(rng)),
         ]
         T = _block_diagonal(parts, np.ones(sum(len(p) for p in parts)))
-        assert _joint_cores(T).core.shape[-2:] == (2, 2)
+        assert _atoms(T) is not None  # rank <= 1 on every block: 2 x 2 cores off its record
         monkeypatch.setattr(spectral_analysis, "DISTANCE_CHUNK", chunk)
         for tol in (1e-10, 1e-8, 1e-4):
             jp = joint_point_spectrum(T, tol)

@@ -334,16 +334,39 @@ class TestAdjointWCE:
         np.testing.assert_allclose(back.e_uw.values, W.e_uw.values, atol=1e-14)
         np.testing.assert_allclose(back.e_abs_u2.values, W.e_abs_u2.values, atol=1e-14)
 
+    def test_build_takes_one_set_of_atom_shares(self, monkeypatch):
+        """build_wce takes its five moments in one ``_conditional_means``
+        call, which sums the masses over the atoms once: one set of shares
+        mu_i / mu(B) for all five."""
+        from condexp import measure_space
+
+        inst = random_instance(4, 30, 5)
+        calls, masses = [], []
+
+        def means(space, algebra, *values, _original=wce_module._conditional_means):
+            calls.append(len(values))
+            return _original(space, algebra, *values)
+
+        def sums(algebra, values, _original=measure_space._atom_sums):
+            masses.append(values is inst.space.weights)
+            return _original(algebra, values)
+
+        monkeypatch.setattr(wce_module, "_conditional_means", means)
+        monkeypatch.setattr(measure_space, "_atom_sums", sums)
+        build_wce(inst.space, inst.algebra, inst.u, inst.w)
+        assert calls == [5]
+        assert masses == [True] + [False] * 5
+
     def test_built_once_per_operator(self, monkeypatch):
         W = as_wce(random_instance(13, 12, 3))
         rebuilt = build_wce(W.space, W.algebra, W.w.conj(), W.u.conj(), W.support_tol)
         calls = []
 
-        def probe(*args, _original=wce_module.conditional_expectation, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
+        def probe(space, algebra, *values, _original=wce_module._conditional_means):
+            calls.append(len(values))
+            return _original(space, algebra, *values)
 
-        monkeypatch.setattr(wce_module, "conditional_expectation", probe)
+        monkeypatch.setattr(wce_module, "_conditional_means", probe)
         assert adjoint_wce(W) is adjoint_wce(W)
         for p in POWERS:
             for cached, fresh in zip(
@@ -352,7 +375,7 @@ class TestAdjointWCE:
                 np.testing.assert_array_equal(cached, fresh)
         polar_isometry_closed_form(adjoint_wce(W))
         aluthge_closed_form(adjoint_wce(W))
-        assert len(calls) == 1  # E(u'w') alone: the other moments are W's
+        assert calls == [1]  # E(u'w') alone: the other moments are W's
 
     @pytest.mark.parametrize(
         "instance",
