@@ -9,7 +9,6 @@ block averaging.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -109,11 +108,12 @@ class SubSigmaAlgebra:
 
     def _masses(self, weights: np.ndarray) -> tuple:
         """(mu(B) per atom, each point's share mu_i / mu(B)) of the read-only
-        ``weights``, kept for the last weights asked while they live."""
+        ``weights``, kept with them for the last weights asked."""
         held = self.__dict__.get("_masses_of")
-        if held is None or held[0]() is not weights:
+        if held is None or held[0] is not weights:
             mass = _atom_sums(self, weights)
-            held = self.__dict__["_masses_of"] = (weakref.ref(weights), mass, weights / mass[self.labels])
+            held = (weights, mass, weights / mass[self.labels])
+            self.__dict__["_masses_of"] = held
             for array in held[1:]:
                 array.setflags(write=False)
         return held[1:]

@@ -219,7 +219,8 @@ def expectation_operator(
     n = space.point_count
     pair = tuple(np.ones(n) if x is None else np.asarray(x) for x in (left, right))
     lines, cores = _pair_lines(space, algebra.blocks, [pair], True)
-    held = _Lines(*_segments(algebra.blocks), _finite(lines)[:, 0, :, None], cores[0, :, None, None] + 0j)
+    core = cores[0, :, None, None] + 0j
+    held = _Lines(*_segments(algebra.blocks), _finite(lines)[:, 0, :, None], core)
     for array in (lines, *held):
         array.setflags(write=False)
     return WeightedOperator._of_blocks(None, space, algebra.blocks, {_LINES: held})
@@ -433,8 +434,8 @@ def _factors(T: WeightedOperator) -> _Factors:
     atoms = _atoms(T)
     if atoms is None:
         return _cored_factors(T._memo[_LINES])
-    width = atoms.lines.shape[-1]
-    return _Factors(atoms.starts, atoms.sizes, atoms.ranks, atoms.lines, atoms.s[:, None][:, :width])
+    values = atoms.s[:, None][:, : atoms.lines.shape[-1]]
+    return _Factors(atoms.starts, atoms.sizes, atoms.ranks, atoms.lines, values)
 
 
 def _cored_factors(held: _Lines) -> _Factors:
@@ -483,8 +484,9 @@ def _atoms(T: WeightedOperator) -> Optional[_Atoms]:
     the SVDs of the blocks it holds (``_factors``)."""
     source = _adjoint_source(T)
     if source is not None:
-        atoms = _atoms(source)
-        return atoms and atoms._replace(lines=atoms.lines[::-1], g=atoms.g_adjoint, g_adjoint=atoms.g)
+        if (atoms := _atoms(source)) is None:
+            return None
+        return atoms._replace(lines=atoms.lines[::-1], g=atoms.g_adjoint, g_adjoint=atoms.g)
     held = T._memo.get(_LINES)
     if held is None:
         factors = _factors(T)

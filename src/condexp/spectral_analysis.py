@@ -231,10 +231,10 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = DEFAULT_JOINT_TOL) ->
     diagonal = np.arange(dim)
     rows = max(1, DISTANCE_CHUNK // max(1, 4 * dim * dim * shifts.size))
     for lo in range(0, len(cores), rows):
-        mats = cores[lo : lo + rows, None].repeat(shifts.size, axis=1)
-        mats[..., diagonal, diagonal] = np.where(
-            dims[lo : lo + rows, None], mats[..., diagonal, diagonal] - shifts[:, None], 1.0 + 2.0 * cutoff
-        )
+        part = slice(lo, lo + rows)
+        mats = cores[part, None].repeat(shifts.size, axis=1)
+        shifted = mats[..., diagonal, diagonal] - shifts[:, None]
+        mats[..., diagonal, diagonal] = np.where(dims[part, None], shifted, 1.0 + 2.0 * cutoff)
         near = np.ones(mats.shape[:2], dtype=bool)
         if dim == 2:  # the SVD only near a null vector; the closed form is off by ulps
             largest, smallest = _extreme_values(mats)

@@ -125,7 +125,8 @@ def build_wce(
 
 def _guarded_ratio(numer: np.ndarray, denom: np.ndarray, on: np.ndarray) -> np.ndarray:
     """numer/denom on the support mask ``on``, else 0."""
-    return np.divide(numer, denom, out=np.zeros(denom.shape, np.result_type(numer, denom)), where=on)
+    out = np.zeros(denom.shape, np.result_type(numer, denom))
+    return np.divide(numer, denom, out=out, where=on)
 
 
 def to_matrix(W: WCEOperator) -> WeightedOperator:

@@ -381,7 +381,7 @@ def test_a_derived_operator_rechecks_no_line_it_shares_with_t(monkeypatch):
     views of T's record (Y of T's factors), and the adjoint holds T's lines
     swapped: constructing them runs no finiteness check on a line."""
     instance = random_instance(3, 64, 8)
-    T = oa.expectation_operator(instance.space, instance.algebra, instance.w.values, instance.u.values)
+    T = oa.expectation_operator(*instance[:2], instance.w.values, instance.u.values)
     record = oa._atoms(T)
     checked = []
 
