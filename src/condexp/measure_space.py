@@ -41,6 +41,9 @@ class FiniteMeasureSpace:
             raise ValueError("point masses must be finite")
         if np.any(w <= 0.0):
             raise ValueError("point masses must be strictly positive")
+        with np.errstate(over="ignore"):  # an overflow fails the check below
+            if not np.isfinite(w.sum()):
+                raise ValueError("the total mass must be finite")
         object.__setattr__(self, "weights", _frozen_array(w, float))
 
     @property

@@ -2,12 +2,13 @@
 numerical oracle.
 
 An operator is block-diagonal over ``blocks``, index arrays partitioning
-the points, and is held in one of two forms: its blocks (the dense
-reference), or its lines and cores L K R^H on each block (T, T* and the
-oracle's derived operators), which build ``parts`` and ``entries`` on each
-read. The adjoint on the weighted inner product is D^-1 A^H D with
-D = diag(mu), held in its operator's form, and spectral computations
-conjugate by D^(1/2) into standard C^n, block by block.
+the points, and is held in one of two forms, each with one route: its
+blocks (the dense reference), factored by LAPACK block by block, or its
+lines and cores L K R^H on each block, of width 0 or 1 (T, T* and the
+oracle's derived operators), read in closed form and built into ``parts``
+and ``entries`` on each read. The adjoint on the weighted inner product
+is D^-1 A^H D with D = diag(mu), held in its operator's form, and spectral
+computations conjugate by D^(1/2) into standard C^n, block by block.
 
 T = M_w E M_u is rank one on each atom: ``expectation_operator`` holds it
 as its unit lines and 1 x 1 cores, read off (w, u) in segment sums. Each
@@ -20,24 +21,24 @@ and joint cores [[s g, 0], [s h, 0]] are read off the record, and the
 powers of T*T, the Aluthge transforms and the adjoint are built from it,
 so a verify makes no LAPACK call but the joint point spectrum's SVDs of
 its candidate 2 x 2 cores (``svd 16x2x2`` twice on
-random_instance(7, 64, 8)). Wider factors take the one-block reference's
-routes: the full SVD of each block held (``_cut``), one stacked SVD of
-wider cores, Gram-Schmidt in segment sums (``_gram_schmidt``), stacked
-eigvals and eigvalsh. The oracle reads the partition and (w, u), never
-the conditional moments, so it stays independent of the closed forms it
-checks. Operators are immutable, so what is computed of one is memoized.
+random_instance(7, 64, 8)). An operator held as its blocks takes the full
+SVD of each (``_cut``); where that has width 0 or 1 it reads a record too,
+and otherwise each question takes its own LAPACK routine on the blocks,
+and the derived operators are held as blocks. The oracle reads the
+partition and (w, u), never the conditional moments, so it stays
+independent of the closed forms it checks. Operators are immutable, so
+what is computed of one is memoized.
 
 The closed forms all have the shape M_a E M_b and are handled as their
 pairs (a, b): the pair rules (adjoint, product, coimage projection, norm
 per atom) cost O(n) on arrays, every norm safe at any scale
 (``_block_norms``). ``core_distances`` is the one comparison, the
-operator norm of differences whose sides are pairs or operators held as
-their cores: of width 0 or 1, as in a verify, a rank-one kernel forms
-each distinct projection of one line on another once, over bounded
-groups of atoms, and takes each 2 x 2 core's largest singular value in
-closed form (``_rank_one_distances``); wider sides take one Gram-Schmidt
-and one stacked values-only SVD. No pair rule and no comparison builds a
-block.
+operator norm of differences: where both sides are pairs or operators
+held as their lines over the same blocks, as in a verify, a rank-one
+kernel forms each distinct projection of one line on another once, over
+bounded groups of atoms, and takes each 2 x 2 core's largest singular
+value in closed form (``_rank_one_distances``), building no block; any
+other comparison is the norm of the assembled difference.
 """
 
 from __future__ import annotations
@@ -99,9 +100,9 @@ class WeightedOperator:
     ``blocks`` (index arrays partitioning the points; one block without
     it) define. ``parts[k]`` is the block over ``blocks[k]``. An operator
     is held in one of two forms: its blocks (``_parts``; the dense
-    reference), or its lines and cores (``_memo[_LINES]``; T, T* and the
-    oracle's derived operators), which hold no block (``_parts`` is None)
-    and build ``parts`` on each read.
+    reference), or its lines and cores of width 0 or 1 (``_memo[_LINES]``;
+    T, T* and the oracle's derived operators), which hold no block
+    (``_parts`` is None) and build ``parts`` on each read.
     """
 
     space: FiniteMeasureSpace
@@ -140,11 +141,12 @@ class WeightedOperator:
     def __post_init__(self):
         """Every construction ends here: each block must be a finite square
         matrix over its indices, stored complex and read-only; an operator held
-        as its lines checks its own cores (its lines where they are made)."""
+        as its lines checks its own cores, finite and of width 0 or 1 (its
+        lines where they are made)."""
         if self._parts is not None:
             object.__setattr__(self, "_parts", _checked_parts(self.blocks, self._parts))
-        else:
-            _finite(self._memo[_LINES].core)
+        elif _finite(self._memo[_LINES].core).shape[1] > 1:
+            raise ValueError("an operator held as its lines must have cores of width 0 or 1")
 
     @property
     def parts(self) -> tuple:
@@ -218,9 +220,8 @@ def expectation_operator(
     checked finite here, once for every operator that shares them."""
     n = space.point_count
     pair = tuple(np.ones(n) if x is None else np.asarray(x) for x in (left, right))
-    lines, cores = _pair_lines(space, algebra.blocks, [pair], True)
-    core = cores[0, :, None, None] + 0j
-    held = _Lines(*_segments(algebra.blocks), _finite(lines)[:, 0, :, None], core)
+    lines, cores = _pair_lines(space, algebra.blocks, pair)
+    held = _Lines(*_segments(algebra.blocks), _finite(lines)[..., None], cores[:, None, None] + 0j)
     for array in (lines, *held):
         array.setflags(write=False)
     return WeightedOperator._of_blocks(None, space, algebra.blocks, {_LINES: held})
@@ -422,9 +423,8 @@ def _adjoint_source(T: WeightedOperator) -> Optional[WeightedOperator]:
 def _factors(T: WeightedOperator) -> _Factors:
     """T's factors X diag(s) Y^H on each standard-coordinate block, cut at
     the oracle's one rank cutoff, held flat (``_Factors``): those of the
-    live operator T is the adjoint of, swapped; else of its blocks, the full
-    SVD of each (``_cut``); of width 0 or 1, its record (``_atoms``); of
-    wider cores, their SVD (``_cored_factors``)."""
+    live operator T is the adjoint of, swapped; of its blocks, the full SVD
+    of each (``_cut``); of its lines, its record (``_atoms``)."""
     source = _adjoint_source(T)
     if source is not None:
         factors = _factors(source)
@@ -432,26 +432,8 @@ def _factors(T: WeightedOperator) -> _Factors:
     if T._parts is not None:
         return _cut(T.blocks, [_solve("svd", m) for _, m in _std_blocks(T)])
     atoms = _atoms(T)
-    if atoms is None:
-        return _cored_factors(T._memo[_LINES])
     values = atoms.s[:, None][:, : atoms.lines.shape[-1]]
     return _Factors(atoms.starts, atoms.sizes, atoms.ranks, atoms.lines, values)
-
-
-def _cored_factors(held: _Lines) -> _Factors:
-    """The ``_Factors`` of the operator held as L K R^H on each block with
-    cores wider than 1 x 1 (the one-block reference), cut at the one rank
-    cutoff: one stacked SVD K = P diag(s) Q^H gives X = L P and Y = R Q,
-    one column at a time (``_combination``)."""
-    p, s, qh = _solve("svd", held.core)
-    ranks = np.count_nonzero(s > DEFAULT_RANK_TOL * s.max(initial=0.0), axis=1)
-    width = ranks.max(initial=0)
-    kept = _kept(ranks, width)
-    turns = np.stack([p[..., :width], _conj_t(qh[:, :width])]) * kept[:, None, :]
-    lines = np.empty(held.lines.shape[:2] + (width,), dtype=complex)
-    for j in range(width):
-        lines[..., j] = _combination(held.lines, turns[..., j], held.sizes)
-    return _Factors(held.starts, held.sizes, ranks, lines, np.where(kept, s[:, :width], 0.0))
 
 
 def _conj_t(mats: np.ndarray) -> np.ndarray:
@@ -477,8 +459,9 @@ class _Atoms(NamedTuple):
 
 @_once_per_operator
 def _atoms(T: WeightedOperator) -> Optional[_Atoms]:
-    """T's record where its factors have width 0 or 1 (``_Atoms``), else None:
-    read off its lines in one pass (a 1 x 1 core k is its own SVD, s = |k|,
+    """T's record where its factors have width 0 or 1 (``_Atoms``), else None
+    (an operator held as its blocks, of rank over 1 on one): read off its
+    lines in one pass (a 1 x 1 core k is its own SVD, s = |k|,
     x = L k / |k| and y = R, each inner product one segment sum), swapped
     from the record of the live operator it is the adjoint of, or read off
     the SVDs of the blocks it holds (``_factors``)."""
@@ -494,8 +477,6 @@ def _atoms(T: WeightedOperator) -> Optional[_Atoms]:
             return None
         starts, sizes, ranks, lines, s = factors
         s = s[:, 0] if s.shape[1] else np.zeros(ranks.size)
-    elif held.core.shape[1] > 1:
-        return None
     else:
         starts, sizes = held.starts, held.sizes
         core = held.core[:, 0, 0] if held.core.shape[1] else np.zeros(sizes.size, dtype=complex)
@@ -515,9 +496,11 @@ def _atoms(T: WeightedOperator) -> Optional[_Atoms]:
 
 @_once_per_operator
 def _heights(T: WeightedOperator) -> np.ndarray:
-    """h on each atom of T's record: ||x - g y|| projected on y once more and
-    zeroed where that loses over half its norm, as ``_gram_schmidt`` takes
-    it, so the atom's joint core is [[s g, 0], [s h, 0]]; only T's read it."""
+    """h on each atom of T's record: ||x - g y||, the residual projected on y
+    once more ("twice is enough": Giraud, Langou and Rozloznik, Comput.
+    Math. Appl. 50, 2005) and zeroed where that loses over half its norm, as
+    x then lies in y's span to rounding, so the atom's joint core is
+    [[s g, 0], [s h, 0]] on the basis (y, (x - g y) / h); only T's read it."""
     atoms = _atoms(T)
     if not atoms.lines.shape[-1]:
         return np.zeros(atoms.ranks.size)
@@ -529,56 +512,6 @@ def _heights(T: WeightedOperator) -> np.ndarray:
     return np.where(after >= 0.5 * before, after, 0.0)
 
 
-@_once_per_operator
-def _inner_cores(T: WeightedOperator) -> np.ndarray:
-    """C = Y^H X on each block X diag(s) Y^H of T's factors (blocks x R x R,
-    zero past each block's rank): a record's g, else one segment sum per
-    column of Y."""
-    atoms = _atoms(T)
-    if atoms is not None:
-        width = atoms.lines.shape[-1]
-        return atoms.g[:, None, None][:, :width, :width]
-    factors = _factors(T)
-    x, y = factors.lines
-    out = np.empty((factors.starts.size,) + factors.s.shape[1:] * 2, dtype=complex)
-    for i in range(y.shape[1]):
-        out[:, i] = np.add.reduceat(np.conj(y[:, i, None]) * x, factors.starts, axis=0)
-    return out
-
-
-class _JointCores(NamedTuple):
-    """T's joint cores (``_joint_cores``) over its blocks: R_y and R_x
-    (blocks x 2R x R), the cores K (blocks x 2R x 2R), ``dims`` True at the
-    columns of Q that are vectors, and ``complement`` True where they do
-    not span the block."""
-
-    r_y: np.ndarray
-    r_x: np.ndarray
-    core: np.ndarray
-    dims: np.ndarray
-    complement: np.ndarray
-
-
-@_once_per_operator
-def _joint_cores(T: WeightedOperator) -> _JointCores:
-    """The joint cores of factors wider than one column (a record's are
-    [[s g, 0], [s h, 0]], ``_heights``): with [Y X] = Q [R_y R_x] on each
-    block by Gram-Schmidt (``_gram_schmidt``), Q never formed, the block is
-    Q K Q^H with K = R_x diag(s) R_y^H; a zero column of Q (past the rank,
-    or in the span before it) is no vector and is left out of ``dims``."""
-    factors = _factors(T)
-    x, y = factors.lines
-    width = factors.s.shape[1]
-    columns = np.zeros((1, x.shape[0], width + 1), dtype=complex)
-    columns[0, :, :width] = x
-    r = _gram_schmidt(y[None], columns, factors.starts, factors.sizes)[0, :, :-1, :-1].copy()
-    r_y, r_x = r[..., :width], r[..., width:]
-    core = (r_x * factors.s[:, None, :]) @ _conj_t(r_y)
-    kept_x = np.diagonal(r_x[:, width:], axis1=1, axis2=2) > 0
-    dims = np.concatenate([_kept(factors.ranks, width), kept_x], axis=1)
-    return _JointCores(r_y, r_x, core, dims, np.count_nonzero(dims, axis=1) < factors.sizes)
-
-
 def _from_lines(held: _Lines, T: WeightedOperator) -> WeightedOperator:
     """The operator over T's blocks held as ``held`` (L K R^H on each block),
     its blocks built on each read (``_block_parts``)."""
@@ -588,9 +521,9 @@ def _from_lines(held: _Lines, T: WeightedOperator) -> WeightedOperator:
 class _Lines(NamedTuple):
     """A block-diagonal operator whose standard-coordinate block is L K R^H,
     flat like ``_Factors``: ``lines`` stacks L and R (2 x n x r) and
-    ``core`` the K (blocks x r x r). T holds its unit lines and 1 x 1 cores
-    (``expectation_operator``); the operators derived from it hold its
-    factors' lines, and the adjoint its operator's, swapped."""
+    ``core`` the K (blocks x r x r), r at most 1. T holds its unit lines
+    and 1 x 1 cores (``expectation_operator``); the operators derived from
+    it hold its factors' lines, and the adjoint its operator's, swapped."""
 
     starts: np.ndarray
     sizes: np.ndarray
@@ -604,138 +537,68 @@ def _segments(blocks: tuple) -> tuple:
     return np.add.accumulate(sizes) - sizes, sizes
 
 
-def _held_lines(space: FiniteMeasureSpace, T: WeightedOperator) -> _Lines:
-    """The ``_Lines`` the operator T on ``space`` is held as: T, T* or an
-    operator derived from T's factors; one held as its blocks is refused."""
-    _check_space(T, space)
-    held = T._memo.get(_LINES)
-    if held is None:
-        raise ValueError("an operand must be a pair or an operator held as its cores, not blocks")
-    return held
-
-
-def _as_one_block(blocks: tuple, side: _Lines) -> _Lines:
-    """The operator held as ``side`` over ``blocks`` as one block over the
-    points in their own order: block k's columns of L and R become columns
-    k r to (k + 1) r of the one block's, and its K the k-th diagonal block
-    of the one K. Blocks are disjoint, so orthonormal columns stay
-    orthonormal."""
-    n, count, rank = side.lines.shape[1], side.sizes.size, side.core.shape[1]
-    columns = np.repeat(np.arange(count), side.sizes)[:, None] * rank + np.arange(rank)
-    lines = np.zeros((2, n, count * rank), dtype=complex)
-    lines[:, np.concatenate(blocks)[:, None], columns] = side.lines
-    at = np.arange(count)[:, None, None] * rank
-    core = np.zeros((1, count * rank, count * rank), dtype=complex)
-    core[0, at + np.arange(rank)[:, None], at + np.arange(rank)] = side.core
-    return _Lines(np.zeros(1, dtype=int), np.full(1, n), lines, core)
-
-
 def core_distances(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, comparisons) -> np.ndarray:
     """||first - second|| on L2(mu) for each (first, second) of
-    ``comparisons``, with no |B| x |B| array; NaN where a side is not
-    finite. A side is the pair (a, b) of M_a E M_b on the atoms of
-    ``algebra`` or an operator held as L K R^H (``_from_lines``). The
-    comparisons over the same blocks are measured together
-    (``_lines_distances``); sides blocked differently are compared as one
-    block (``_as_one_block``)."""
+    ``comparisons``; NaN where a side is not finite. A side is the pair
+    (a, b) of M_a E M_b on the atoms of ``algebra`` or an operator. The
+    comparisons whose sides are pairs or operators held as their lines,
+    over the same blocks, are measured together by the rank-one kernel,
+    with no |B| x |B| array (``_rank_one_distances``); any other, with a
+    side held as blocks or sides blocked differently, is the dense
+    reference's (``_dense_distance``)."""
     margins = np.empty(len(comparisons))
     groups = {}  # id(blocks) -> (blocks, indices, sides) of the comparisons over them
     for k, sides in enumerate(comparisons):
-        if isinstance(sides[0], tuple) and not isinstance(sides[1], tuple):
-            sides = sides[::-1]  # an operator held as its cores goes first
+        operators = [x for x in sides if not isinstance(x, tuple)]
+        for x in operators:
+            _check_space(x, space)
+        if isinstance(sides[0], tuple) and operators:
+            sides = sides[::-1]  # an operator held as its lines goes first
         own = [algebra.blocks if isinstance(x, tuple) else x.blocks for x in sides]
-        sides = [x if isinstance(x, tuple) else _held_lines(space, x) for x in sides]
-        blocks = own[0]
-        if not _same_blocks(*own):
-            blocks = (np.arange(space.point_count),)
-            sides = [_one_block(space, b, x, not j) for j, (b, x) in enumerate(zip(own, sides))]
-        group = groups.setdefault(id(blocks), (blocks, [], []))
+        if not _same_blocks(*own) or any(_LINES not in x._memo for x in operators):
+            margins[k] = _dense_distance(space, algebra, sides)
+            continue
+        group = groups.setdefault(id(own[0]), (own[0], [], []))
         group[1].append(k)
-        group[2].append(sides)
+        group[2].append([x if isinstance(x, tuple) else x._memo[_LINES] for x in sides])
     for blocks, indices, sides in groups.values():
-        margins[indices] = _lines_distances(space, blocks, sides)
+        margins[indices] = _rank_one_distances(space, blocks, sides)
     return margins
 
 
-def _one_block(space: FiniteMeasureSpace, blocks: tuple, side, unit: bool) -> _Lines:
-    """``side`` over ``blocks`` as one block (``_as_one_block``): its
-    ``_Lines``, or those of a pair on them (``_pair_lines``)."""
-    if not isinstance(side, _Lines):
-        lines, cores = _pair_lines(space, blocks, [side], unit)
-        side = _Lines(*_segments(blocks), lines[:, 0, :, None], cores[0, :, None, None])
-    return _as_one_block(blocks, side)
+def _dense_distance(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, sides) -> float:
+    """||A - B|| of the assembled difference of the two sides, a pair taken
+    as its ``expectation_operator``: NaN where that, or the difference, is
+    not finite."""
+    try:
+        A, B = (
+            x if isinstance(x, WeightedOperator) else expectation_operator(space, algebra, *x)
+            for x in sides
+        )
+        return operator_norm(subtract(A, B))
+    except ValueError:  # an operator's entries are not finite
+        return math.nan
 
 
-def _pair_lines(space: FiniteMeasureSpace, blocks: tuple, pairs: list, unit: bool) -> tuple:
-    """(lines, cores) of M_a E M_b for each pair (a, b) of ``pairs`` over
-    the atoms ``blocks``, in their order: L = sqrt(mu) a and
-    R = conj(sqrt(mu) b) (2 x pairs x n) and K = 1 / mu(B) (1 x atoms); or,
-    ``unit``, L and R over their norms on each atom B and K the atom's norm
-    ||L|| ||R|| / mu(B) (pairs x atoms; L = R = 0 where K is 0), taken
-    safe at any scale (``_block_norms``)."""
+def _pair_lines(space: FiniteMeasureSpace, blocks: tuple, pair: tuple) -> tuple:
+    """(lines, cores) of M_a E M_b for the pair (a, b) over the atoms
+    ``blocks``, in their order: L = sqrt(mu) a and R = conj(sqrt(mu) b)
+    over their norms on each atom B (2 x n) and K the atom's norm
+    ||L|| ||R|| / mu(B) (L = R = 0 where K is 0), taken safe at any scale
+    (``_block_norms``)."""
     order, (starts, sizes) = np.concatenate(blocks), _segments(blocks)
-    lines = np.empty((2, len(pairs), order.size), dtype=complex)
-    for k, (a, b) in enumerate(pairs):
-        lines[:, k] = a[order], b[order]
+    lines = np.empty((2, order.size), dtype=complex)
+    lines[0], lines[1] = pair[0][order], pair[1][order]
     lines *= _sqrt_weights(space)[order]
     np.conj(lines[1], out=lines[1])
     mass = np.add.reduceat(space.weights[order], starts)
-    if not unit:
-        return lines, (1.0 / mass)[None]
     norms, powers = _block_norms(lines, starts, sizes)
     cores = norms[0] * norms[1] / mass
     if powers is not None:
         cores *= powers[0] * powers[1]
     scales = np.divide(1.0, norms, out=np.zeros(norms.shape), where=cores > 0)
-    lines *= scales.repeat(sizes, axis=2)
+    lines *= scales.repeat(sizes, axis=1)
     return lines, cores
-
-
-def _lines_distances(space: FiniteMeasureSpace, blocks: tuple, comparisons: list) -> np.ndarray:
-    """``core_distances`` of comparisons over the same ``blocks``, each side a
-    pair on them or ``_Lines``: by the rank-one kernel where every side has
-    width 0 or 1 (``_rank_one_distances``), else by one Gram-Schmidt of
-    [L_1 L_2] and [R_1 R_2] over all comparisons, each side zero-padded to
-    the widest, giving each block's core R_L diag(K_1, -K_2) R_R^H and its
-    singular values (``_largest_values``)."""
-    # a pair, of no width here, takes one column, and each side at least one
-    widths = [
-        [x.core.shape[1] if isinstance(x, _Lines) else None for x in c] for c in comparisons
-    ]
-    r1, r2 = (max(w[j] or 1 for w in widths) for j in (0, 1))
-    if r1 == r2 == 1:
-        return _rank_one_distances(space, blocks, comparisons)
-    (starts, sizes), count, n = _segments(blocks), len(comparisons), space.point_count
-    factors = np.zeros((2, count, n, r1 + r2), dtype=complex)
-    core = np.zeros((count, starts.size, r1 + r2, r1 + r2), dtype=complex)
-    for j, at in enumerate((0, r1)):
-        pairs = [k for k, w in enumerate(widths) if w[j] is None]
-        if pairs:
-            lines, cores = _pair_lines(space, blocks, [comparisons[k][j] for k in pairs], j == 0)
-            factors[..., at][:, pairs] = lines
-            core[pairs, :, at, at] = -cores if j else cores
-            del lines  # free before the next side's, or Gram-Schmidt's, memory
-        for k, (held, width) in enumerate(zip((c[j] for c in comparisons), (w[j] for w in widths))):
-            if width is not None:
-                factors[:, k, :, at : at + width] = held.lines
-                core[k, :, at : at + width, at : at + width] = -held.core if j else held.core
-    factors = factors.reshape(2 * count, n, r1 + r2)
-    r = _gram_schmidt(factors[..., :r1], factors[..., r1:], starts, sizes)
-    core = np.einsum("...ij,...jk->...ik", r[:count], core)
-    return _largest_values(np.einsum("...ik,...jk->...ij", core, r[count:].conj()))
-
-
-def _largest_values(cores: np.ndarray) -> np.ndarray:
-    """The largest singular value over the blocks of each stack of cores
-    (comparisons x blocks x m x m), NaN where one is not finite, by one
-    values-only SVD of the finite stacks, as LAPACK rejects the others."""
-    width = cores.shape[-1]
-    finite = np.isfinite(cores).all(axis=(1, 2, 3))
-    values = np.full(len(cores), math.nan)
-    if finite.any():
-        sv = _solve("svd", cores[finite].reshape(-1, width, width), compute_uv=False)
-        values[finite] = sv.reshape(-1, cores.shape[1] * width).max(axis=1, initial=0.0)
-    return values
 
 
 def _rank_one_distances(space: FiniteMeasureSpace, blocks: tuple, comparisons: list) -> np.ndarray:
@@ -963,55 +826,6 @@ def _extreme_values(mats: np.ndarray) -> tuple:
     return largest * scale, smallest * scale
 
 
-def _segment_sums(x: np.ndarray, y: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The sums of x * y over each block of rows (axis 1, block k from row
-    ``starts[k]``), formed in x's memory: x is overwritten."""
-    return np.add.reduceat(np.multiply(x, y, out=x), starts, axis=1)
-
-
-def _combination(q: np.ndarray, c: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """On each block, q's columns combined with that block's coefficients c
-    (blocks x columns, along axis 1), for blocks of ``sizes`` rows."""
-    out = np.repeat(c, sizes, axis=1)
-    out *= q
-    return out[..., 0] if out.shape[-1] == 1 else out.sum(axis=-1)
-
-
-def _gram_schmidt(basis: np.ndarray, x: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
-    """The upper-triangular R of [basis x] = Q R on each block (block k from
-    row ``starts[k]`` in ``sizes[k]`` rows), for each stack along the first
-    axis. ``basis`` has orthonormal (or zero) columns on each block, so R
-    begins with the identity; Q is not kept, and x is overwritten with its
-    residuals. Classical Gram-Schmidt with every inner product a segment
-    sum, in O(n m^2) for m columns, with the residual formed explicitly. A
-    column is projected twice ("twice is enough": Giraud, Langou and
-    Rozloznik, Comput. Math. Appl. 50, 2005), and dropped when its second
-    projection still loses over half its norm, as it then lies in the span
-    before it to rounding; the last is projected once, as it enters R
-    only through its norm."""
-    stacks, rows, r = basis.shape
-    m = r + x.shape[2]
-    q = basis
-    if m - r > 1:
-        q = np.concatenate([basis, np.zeros((stacks, rows, m - r - 1), dtype=complex)], axis=2)
-    out = np.zeros((stacks, starts.size, m, m), dtype=complex)
-    out[..., range(r), range(r)] = 1.0
-    for j in range(r, m):
-        v, norms = x[..., j - r], []  # a view: the residual is formed in x
-        for _ in range(2 if j < m - 1 else 1):
-            c = _segment_sums(np.conj(q[..., :j]), v[..., None], starts)
-            v -= _combination(q[..., :j], c, sizes)
-            out[..., :j, j] += c
-            squares = np.abs(v)
-            norms.append(np.sqrt(_segment_sums(squares, squares, starts)))
-        norm = norms[-1] if len(norms) == 1 else np.where(norms[1] >= 0.5 * norms[0], norms[1], 0)
-        out[..., j, j] = norm
-        if j < m - 1:
-            scale = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0)
-            np.multiply(v, np.repeat(scale, sizes, axis=1), out=q[..., j])
-    return out
-
-
 def apply(T: WeightedOperator, f: MeasurableFunction) -> MeasurableFunction:
     _check_space(T, f)
     out = np.empty(T.space.point_count, dtype=complex)
@@ -1064,10 +878,10 @@ def eigenvalues(T: WeightedOperator) -> np.ndarray:
     """All n eigenvalues with multiplicity (unordered multiset, read-only),
     in block order. Of width 0 or 1 they are s g on each atom of rank 1
     and zeros, read off the record (``_atoms``). A wider block
-    X diag(s) Y^H of rank r has those of its core C diag(s), C = Y^H X
-    (``_inner_cores``), then |B| - r zeros: one stacked eigvals per rank,
-    and a full-rank block, the only one built here, is its own matrix (the
-    core would move a defective eigenvalue by rounding to the power 1/r)."""
+    X diag(s) Y^H of rank r has those of its core (Y^H X) diag(s), then
+    |B| - r zeros: one stacked eigvals per rank, and a full-rank block is
+    its own matrix (the core would move a defective eigenvalue by rounding
+    to the power 1/r)."""
     atoms = _atoms(T)
     if atoms is not None:
         out = np.zeros(atoms.sizes.sum(), dtype=complex)
@@ -1075,14 +889,16 @@ def eigenvalues(T: WeightedOperator) -> np.ndarray:
         out[atoms.starts[kept]] = (atoms.g * atoms.s)[kept]
         return out
     factors = _factors(T)
-    cores = _inner_cores(T) * factors.s[:, None, :]
     out = np.zeros(factors.sizes.sum(), dtype=complex)
     for rank in np.unique(factors.ranks[factors.ranks > 0]):
         which = np.flatnonzero(factors.ranks == rank)
-        mats = cores[which, :rank, :rank]
         whole = factors.sizes[which] == rank
+        mats = np.empty((which.size, rank, rank), dtype=complex)
         if whole.any():
             mats[whole] = np.stack([m for _, m in _std_blocks(T, which[whole])])
+        for j in np.flatnonzero(~whole):
+            x, s, y = _block_factors(factors, which[j])
+            mats[j] = (_conj_t(y) @ x) * s
         out[factors.starts[which, None] + np.arange(rank)] = _solve("eigvals", mats)
     return out
 
@@ -1111,11 +927,10 @@ def is_hermitian(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:
 
 class LoewnerMargins(NamedTuple):
     """The four numbers the Loewner test A >= B decides on, all of
-    D = A - B in standard coordinates, read off the cores K of its blocks
-    (``_margins``)."""
+    D = A - B in standard coordinates (``loewner_margins``)."""
 
-    asymmetry: float  # largest entry of K - K^H, K the core of each block Z K Z^H of D
-    scale: float  # 1 + the largest entry of K
+    asymmetry: float  # largest entry of D - D^H
+    scale: float  # 1 + the largest entry of D
     smallest: float  # smallest eigenvalue of the self-adjoint part of D
     norm: float  # largest eigenvalue modulus of the self-adjoint part of D
 
@@ -1123,30 +938,29 @@ class LoewnerMargins(NamedTuple):
 def loewner_margins(A: WeightedOperator, B: WeightedOperator) -> LoewnerMargins:
     """The margins of A >= B; they do not depend on a tolerance, so one set
     serves every tolerance (``loewner_holds``). The standard-coordinate
-    blocks of the difference are zero-padded into one stack (``_margins``)."""
+    blocks of the difference are zero-padded into one stack
+    (``_padded_blocks``): padding adds only zero eigenvalues, so one
+    eigvalsh takes every block's."""
     _check_space(A, B)
-    mats = [m for _, m in _std_blocks(subtract(A, B))]
-    size = max(m.shape[0] for m in mats)
-    stack = np.zeros((1, len(mats), size, size), dtype=complex)
-    for k, m in enumerate(mats):
-        stack[0, k, : m.shape[0], : m.shape[0]] = m
-    return _margins(stack)[0]
+    d = _padded_blocks(subtract(A, B))
+    dh = _conj_t(d)
+    evals = _solve("eigvalsh", 0.5 * (d + dh))
+    return LoewnerMargins(
+        float(np.abs(d - dh).max(initial=0.0)),
+        1.0 + float(np.abs(d).max(initial=0.0)),
+        float(evals.min(initial=0.0)),
+        float(np.abs(evals).max(initial=0.0)),
+    )
 
 
-def _margins(cores: np.ndarray) -> list:
-    """The Loewner margins of each stack of cores along the first axis
-    (groups x blocks x m x m): the standard-coordinate blocks Z K Z^H of
-    one difference given by their cores K (Z with orthonormal columns;
-    Z = I for a block itself). D - D^H = Z (K - K^H) Z^H, so the asymmetry
-    and the scale are read off K, and the eigenvalues of D's self-adjoint
-    part are K's and exact zeros, which zero padding adds; one eigvalsh
-    takes every group's."""
-    adjoints = _conj_t(cores)
-    asymmetry = np.abs(cores - adjoints).max(axis=(1, 2, 3), initial=0.0)
-    scale_ = 1.0 + np.abs(cores).max(axis=(1, 2, 3), initial=0.0)
-    evals = _solve("eigvalsh", 0.5 * (cores + adjoints)).reshape(len(cores), -1)
-    smallest, norm = evals.min(axis=1, initial=0.0), np.abs(evals).max(axis=1, initial=0.0)
-    return [LoewnerMargins(*map(float, m)) for m in zip(asymmetry, scale_, smallest, norm)]
+def _padded_blocks(T: WeightedOperator) -> np.ndarray:
+    """T's standard-coordinate blocks zero-padded into one stack
+    (blocks x m x m, m the largest block's size)."""
+    size = max(b.size for b in T.blocks)
+    stack = np.zeros((len(T.blocks), size, size), dtype=complex)
+    for k, (b, m) in enumerate(_std_blocks(T)):
+        stack[k, : b.size, : b.size] = m
+    return stack
 
 
 def loewner_holds(margins: LoewnerMargins, tol: float = DEFAULT_TOL) -> bool:
@@ -1192,15 +1006,6 @@ def fractional_power(
     return _from_std_blocks(pieces, A)
 
 
-def _diagonal(values: np.ndarray) -> np.ndarray:
-    """The stack of complex diagonal matrices with the rows of ``values``
-    (blocks x r) as their diagonals."""
-    blocks, width = values.shape
-    out = np.zeros((blocks, width, width), dtype=complex)
-    out.reshape(blocks, width * width)[:, :: width + 1] = values
-    return out
-
-
 @_once_per_operator
 def _right_lines(T: WeightedOperator) -> np.ndarray:
     """The lines (Y, Y) of T's factors, one view for every operator held on
@@ -1210,14 +1015,40 @@ def _right_lines(T: WeightedOperator) -> np.ndarray:
     return np.ndarray((2,) + y.shape, y.dtype, y, 0, (0,) + y.strides)
 
 
+def _block_factors(factors: _Factors, k: int) -> tuple:
+    """(X, s, Y) of block k of ``factors``, cut at the block's rank."""
+    rows = slice(factors.starts[k], factors.starts[k] + factors.sizes[k])
+    x, y = factors.lines[:, rows, : factors.ranks[k]]
+    return x, factors.s[k, : factors.ranks[k]], y
+
+
+def _of_factors(T: WeightedOperator, build) -> WeightedOperator:
+    """The operator over T's blocks, held as blocks, whose
+    standard-coordinate block is build(X, s, Y) of T's factors on it: the
+    route of an operator held as its blocks of rank over 1 on one."""
+    factors = _factors(T)
+    return _from_std_blocks(
+        [(b, build(*_block_factors(factors, k))) for k, b in enumerate(T.blocks)], T
+    )
+
+
+def _unit_cores(values: np.ndarray) -> np.ndarray:
+    """The complex 1 x 1 cores of ``values`` (blocks x w, w at most 1),
+    0 x 0 at width 0."""
+    return values[..., None][..., : values.shape[1]].astype(complex)
+
+
 def gram_power(T: WeightedOperator, p: float) -> WeightedOperator:
     """(T* T)^p off T's factors: a block B = X S Y^H gives
     (B^H B)^p = Y S^(2p) Y^H, and p = 1/2 is |T|; values under the rank
-    cutoff are exact zeros. (T T*)^p is ``gram_power(adjoint(T), p)``."""
+    cutoff are exact zeros. (T T*)^p is ``gram_power(adjoint(T), p)``.
+    Held as lines of width 0 or 1 where T has a record, else as blocks."""
     if p <= 0:
         raise ValueError("power must be positive")
+    if _atoms(T) is None:
+        return _of_factors(T, lambda x, s, y: (y * s ** (2 * p)) @ _conj_t(y))
     factors = _factors(T)
-    core = _diagonal(factors.s ** (2 * p))
+    core = _unit_cores(factors.s ** (2 * p))
     return _from_lines(_Lines(factors.starts, factors.sizes, _right_lines(T), core), T)
 
 
@@ -1225,20 +1056,28 @@ def polar_isometry_numeric(T: WeightedOperator) -> WeightedOperator:
     """The partial isometry U of the polar decomposition T = U |T|, whose
     modulus |T| is ``gram_power(T, 0.5)``, with the kernel condition: U is
     T|T|^-1 on range(|T|) and 0 on kernel(|T|), so N(U) = N(|T|). A block
-    X S Y^H gives U = X Y^H and |T| = Y S Y^H."""
+    X S Y^H gives U = X Y^H and |T| = Y S Y^H. Held in the form
+    ``gram_power`` takes."""
+    if _atoms(T) is None:
+        return _of_factors(T, lambda x, s, y: x @ _conj_t(y))
     factors = _factors(T)
-    identities = _diagonal(_kept(factors.ranks, factors.s.shape[1]).astype(float))
+    identities = _unit_cores(_kept(factors.ranks, factors.s.shape[1]))
     return _from_lines(_Lines(factors.starts, factors.sizes, factors.lines, identities), T)
 
 
 def aluthge_numeric(T: WeightedOperator) -> WeightedOperator:
     """|T|^(1/2) U |T|^(1/2) from the numeric polar decomposition: a block
-    X S Y^H gives Y (S^(1/2) C S^(1/2)) Y^H with C = Y^H X
-    (``_inner_cores``). Values under the cutoff are exact zeros, as the
-    square root would amplify their noise."""
+    X S Y^H gives Y (S^(1/2) C S^(1/2)) Y^H with C = Y^H X, of a record
+    C = g. Values under the cutoff are exact zeros, as the square root
+    would amplify their noise. Held in the form ``gram_power`` takes."""
+    atoms = _atoms(T)
+    if atoms is None:
+        return _of_factors(
+            T, lambda x, s, y: ((y * np.sqrt(s)) @ (_conj_t(y) @ x) * np.sqrt(s)) @ _conj_t(y)
+        )
     factors = _factors(T)
     root = np.sqrt(factors.s)
-    core = root[:, :, None] * _inner_cores(T) * root[:, None, :]
+    core = _unit_cores(root * atoms.g[:, None] * root)
     return _from_lines(_Lines(factors.starts, factors.sizes, _right_lines(T), core), T)
 
 
@@ -1253,16 +1092,17 @@ def kernel_projection(T: WeightedOperator) -> WeightedOperator:
 
 
 def is_normal(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:
-    """T T* = T* T to tolerance, read off T's joint cores: a block Q K Q^H
-    gives T T* - T* T = Q (K K^H - K^H K) Q^H. Of width 0 or 1,
-    K = [[s g, 0], [s h, 0]] (``_heights``) and its norm is
-    |s h| hypot(|s g|, |s h|); wider factors take one stacked eigvalsh."""
+    """T T* = T* T to tolerance. Of width 0 or 1 it is read off T's joint
+    cores K = [[s g, 0], [s h, 0]] (``_heights``): a block Q K Q^H gives
+    T T* - T* T = Q (K K^H - K^H K) Q^H, of norm |s h| hypot(|s g|, |s h|).
+    Otherwise it is the commutator of each standard-coordinate block, the
+    blocks zero-padded into one eigvalsh (``_padded_blocks``)."""
     atoms = _atoms(T)
     if atoms is not None:
         a, b = np.abs(atoms.g * atoms.s), np.abs(_heights(T) * atoms.s)
         comm = (b * np.hypot(a, b)).max(initial=0.0)
     else:
-        k = _joint_cores(T).core
-        kh = _conj_t(k)
-        comm = np.abs(_solve("eigvalsh", k @ kh - kh @ k)).max(initial=0.0)
+        m = _padded_blocks(T)
+        mh = _conj_t(m)
+        comm = np.abs(_solve("eigvalsh", m @ mh - mh @ m)).max(initial=0.0)
     return bool(comm <= tol * (1.0 + operator_norm(T) ** 2))

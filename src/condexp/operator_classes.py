@@ -4,6 +4,9 @@ Each class has two routes: the definitional Loewner-order inequality,
 evaluated on the matrix with the numerical oracle, and the pointwise
 moment criteria, evaluated on the cached conditional moments. The two are
 reported side by side and never mixed, so each cross-validates the other.
+The oracle reads the Loewner margins of an operator with a per-atom record
+in closed form off the record; an operator held as its blocks, of rank
+over 1 on one, takes them of the operators composed on its blocks.
 """
 
 from __future__ import annotations
@@ -22,17 +25,14 @@ from .operator_algebra import (
     LoewnerMargins,
     WeightedOperator,
     _atoms,
-    _conj_t,
-    _diagonal,
-    _factors,
     _heights,
-    _inner_cores,
-    _joint_cores,
-    _margins,
     _once_per_operator,
-    _solve,
+    adjoint,
+    compose,
+    gram_power,
     is_normal,
     loewner_holds,
+    loewner_margins,
 )
 from .wce_operator import WCEOperator, to_matrix
 
@@ -80,25 +80,24 @@ class NormalityReport:
 @_once_per_operator
 def _class_margins(T: WeightedOperator) -> dict:
     """The Loewner margins of the three definitional tests, keyed by class:
-    on a block X S Y^H with C = Y^H X, T^2 is X M Y^H with M = S C S, so the
-    A and quasi-*-A differences are Y K Y^H with K = |M| - S^2 and
-    S (C^H |M| C - S^2) S, and the *-A one is Q K Q^H on the joint basis Q of
-    [Y X] with K = R_y |M| R_y^H - R_x S^2 R_x^H. A record's are in closed
-    form (``_rank_one_margins``); wider factors take one SVD for |M| and one
-    eigvalsh over the three zero-padded cores (``_margins``)."""
+    |T^2| >= |T|^2 (A), |T^2| >= |T*|^2 (*-A) and
+    T* |T^2| T >= T* |T*|^2 T (quasi-*-A). A record's are in closed form
+    (``_rank_one_margins``); an operator held as its blocks of rank over 1
+    on one takes ``loewner_margins`` of the operators composed on its
+    blocks."""
     atoms = _atoms(T)
     if atoms is not None:
         return _rank_one_margins(atoms.s, atoms.g, _heights(T))
-    s, c, joint = _factors(T).s, _inner_cores(T), _joint_cores(T)
-    width = s.shape[1]
-    _, sigma, qh = _solve("svd", s[:, :, None] * c * s[:, None, :])
-    abs_m = (_conj_t(qh) * sigma[:, None, :]) @ qh
-    sq = _diagonal(s**2)
-    cores = np.zeros((3,) + joint.core.shape, dtype=complex)
-    cores[0, :, :width, :width] = abs_m - sq
-    cores[1] = joint.r_y @ abs_m @ _conj_t(joint.r_y) - joint.r_x @ sq @ _conj_t(joint.r_x)
-    cores[2, :, :width, :width] = s[:, :, None] * (_conj_t(c) @ abs_m @ c - sq) * s[:, None, :]
-    return dict(zip((A_CLASS, STAR_A_CLASS, QUASI_STAR_A_CLASS), _margins(cores)))
+    t_adj = adjoint(T)
+    mod_t2, adj_sq = gram_power(compose(T, T), 0.5), gram_power(t_adj, 1.0)
+    mod_sq = gram_power(T, 1.0)
+    return {
+        A_CLASS: loewner_margins(mod_t2, mod_sq),
+        STAR_A_CLASS: loewner_margins(mod_t2, adj_sq),
+        QUASI_STAR_A_CLASS: loewner_margins(
+            compose(t_adj, compose(mod_t2, T)), compose(t_adj, compose(adj_sq, T))
+        ),
+    }
 
 
 def _rank_one_margins(s: np.ndarray, g: np.ndarray, h: np.ndarray) -> dict:
@@ -122,8 +121,8 @@ def _rank_one_margins(s: np.ndarray, g: np.ndarray, h: np.ndarray) -> dict:
 
 def _closed_margins(eigenvalues: np.ndarray, entries: np.ndarray) -> LoewnerMargins:
     """The margins of Hermitian cores with these ``eigenvalues`` (and zero
-    padding) and these moduli of their largest entries, as ``_margins``
-    reads them."""
+    padding) and these moduli of their largest entries, as
+    ``loewner_margins`` reads them."""
     return LoewnerMargins(
         0.0,
         1.0 + float(entries.max(initial=0.0)),

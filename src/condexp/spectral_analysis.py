@@ -6,7 +6,8 @@ radius its sup norm); the numeric side is the per-atom eigenvalue oracle.
 On a finite space the point spectrum is the spectrum, and 0 belongs to it
 iff T is rank deficient; T has one rank-one block per atom in S and G, so
 its rank is the number of those atoms. The joint point spectrum is read off
-T's factors too: each atom's joint core, 2 x 2 off T's record.
+T's factors too: each atom's joint core, 2 x 2 off T's record, or, for an
+operator held as its blocks of rank over 1 on one, each block itself.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .operator_algebra import (
     _atoms,
     _extreme_values,
     _heights,
-    _joint_cores,
+    _padded_blocks,
     _solve,
     eigenvalues,
     operator_norm,
@@ -202,23 +203,25 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = DEFAULT_JOINT_TOL) ->
     spaces of T - lambda I and T* - conj(lambda) I, over all blocks, is below
     the module threshold.
 
-    Each block B is Q K Q^H with its joint core K, so both null spaces are
-    Q's image of the core's, plus the complement of Q's vectors when
-    |lambda| is within the cutoff. One SVD of K - lambda I per (block,
-    shift) pair, a bounded number of blocks at a time, gives the core's two,
-    past its rank: null(K - lambda I) from the right singular vectors and
+    Each block B is Q K Q^H with its core K, so both null spaces are Q's
+    image of the core's, plus the complement of Q's vectors when |lambda|
+    is within the cutoff. One SVD of K - lambda I per (block, shift) pair,
+    a bounded number of blocks at a time, gives the core's two, past its
+    rank: null(K - lambda I) from the right singular vectors and
     null(K^H - conj(lambda) I) from the left. A column of K that is no
     vector of Q (``dims``) gets a diagonal entry above the cutoff. A
-    record's cores are [[s g, 0], [s h, 0]] (``_heights``), factored only
-    where the closed-form smallest value (``_extreme_values``) is within
-    twice the cutoff; wider factors take ``_joint_cores``."""
+    record's cores are its joint cores [[s g, 0], [s h, 0]] (``_heights``),
+    factored only where the closed-form smallest value
+    (``_extreme_values``) is within twice the cutoff; an operator held as
+    its blocks of rank over 1 on one takes its standard-coordinate blocks,
+    zero-padded (``_padded_blocks``), Q = I on each block's rows."""
     cutoff = tol * (1.0 + operator_norm(T))
     clusters = _eigenvalue_clusters(T, cutoff)
     shifts = np.asarray(clusters, dtype=complex)
     atoms = _atoms(T)
     if atoms is None:
-        joint = _joint_cores(T)
-        cores, dims, complement = joint.core, joint.dims, joint.complement
+        cores, sizes = _padded_blocks(T), np.array([b.size for b in T.blocks])
+        dims, complement = np.arange(cores.shape[-1]) < sizes[:, None], np.zeros(sizes.size, bool)
     else:  # the cores as R_x diag(s) R_y^H forms them, a zero of either sign made +0
         h = _heights(T)
         cores = np.zeros((h.size, 2, 2), dtype=complex)

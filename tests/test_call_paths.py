@@ -30,14 +30,12 @@ LIBRARY_MODULES = sorted(
 #: the public functions nothing in ``src`` or ``bench`` calls: the dense
 #: references the tests check the oracle with (``kernel_projection`` is the
 #: one the coimage rule of the polar kernel check is compared with), the
-#: generic product the tests build T*T, T^2 and T*(.)T with, the inner
-#: product the adjoint identities are checked against, the paper's
+#: inner product the adjoint identities are checked against, the paper's
 #: sigma_jp identity, which the tests check on its own, and the
 #: conditional expectation of one function, which the closed forms take on
 #: arrays (``_conditional_means``) and the tests check them against
 NOT_ON_A_CALL_PATH = {
     "apply",
-    "compose",
     "conditional_expectation",
     "fractional_power",
     "kernel_projection",
@@ -244,8 +242,8 @@ def _qr_callers(tree) -> list:
 
 def test_no_src_function_calls_qr():
     """No function of ``src`` calls QR: an operator held as its lines, T
-    among them, is factored by one stacked SVD of its cores, and one held
-    as its blocks by the full SVD of each block."""
+    among them, is factored in closed form off its 1 x 1 cores, and one
+    held as its blocks by the full SVD of each block."""
     callers = {
         f"{path.name}:{owner}"
         for path in (ROOT / "src").rglob("*.py")

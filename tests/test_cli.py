@@ -249,6 +249,22 @@ class TestBadInput:
         assert "True" in err
 
     @pytest.mark.parametrize("command", ["inspect", "classify", "spectrum", "verify", "gen"])
+    def test_total_mass_that_overflows(self, capsys, tmp_path, command):
+        """Weights whose sum is inf are invalid input, not an atom of mass
+        inf whose conditional means read 0."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "weights": [1e308, 1e308],
+            "blocks": [[0, 1]],
+            "u": [1, 2],
+            "w": [1, 1],
+        }))
+        code, out, err = run_cli(capsys, [command, str(bad)])
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.splitlines() == ["error: the total mass must be finite"]
+
+    @pytest.mark.parametrize("command", ["inspect", "classify", "spectrum", "verify", "gen"])
     def test_nested_block(self, capsys, tmp_path, command):
         """A block given as a list of lists is not an atom of the partition."""
         bad = tmp_path / "bad.json"

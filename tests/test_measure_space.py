@@ -68,6 +68,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             FiniteMeasureSpace([1.0, -0.5])
 
+    def test_rejects_weights_whose_total_overflows(self):
+        """Finite masses whose sum is inf would make an atom's mass inf and
+        its conditional means 0."""
+        with pytest.raises(ValueError, match="total mass must be finite"):
+            FiniteMeasureSpace([1e308, 1e308])
+
     def test_rejects_empty_space(self):
         with pytest.raises(ValueError):
             FiniteMeasureSpace([])

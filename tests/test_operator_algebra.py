@@ -39,7 +39,6 @@ from condexp.operator_algebra import (
     _factors,
     _extreme_values,
     _from_lines,
-    _joint_cores,
     _segments,
     _std_blocks,
     core_distances,
@@ -484,7 +483,7 @@ class TestExpectationPairs:
 
     def test_near_coincident_lines_defeat_the_cosine_form(self):
         """At the angle 1e-9, sqrt(1 - |c|^2) keeps no digit of the sine:
-        the near cases above need the Gram-Schmidt residual."""
+        the near cases above need the residual formed explicitly."""
         rng = np.random.default_rng(0)
         v = _complex_vector(rng)
         turned = _turned(v, rng, NEAR_ANGLE)
@@ -549,12 +548,18 @@ def _orthonormal(rng, rows, cols):
 
 
 def _held(blocks, cores, space=PAIR_SPACE):
-    """The operator on ``space`` over ``blocks`` held as the lines and
-    cores L K R^H, one (L, K, R) per block, each zero-padded to the largest
-    rank (``_Lines``)."""
+    """The operator on ``space`` over ``blocks`` whose standard-coordinate
+    block is L K R^H, one (L, K, R) per block: held as those lines and
+    cores, each zero-padded to the largest rank, where that is at most 1
+    (``_Lines``), else as its blocks."""
     starts, sizes = _segments(blocks)
     n = space.point_count
     rank = max(k.shape[0] for _, k, _ in cores)
+    if rank > 1:
+        d, entries = np.sqrt(space.weights), np.zeros((n, n), dtype=complex)
+        for b, (left, k, right) in zip(blocks, cores):
+            entries[np.ix_(b, b)] = (left @ k @ right.conj().T) / d[b][:, None] * d[b][None, :]
+        return WeightedOperator(entries, space, blocks)
     lines = np.zeros((2, n, rank), dtype=complex)
     core = np.zeros((len(blocks), rank, rank), dtype=complex)
     for j, (start, size, (left, k, right)) in enumerate(zip(starts, sizes, cores)):
@@ -566,8 +571,8 @@ def _held(blocks, cores, space=PAIR_SPACE):
 
 
 def _cored(blocks, rng, ranks, space=PAIR_SPACE, scale=1.0):
-    """An operator on ``space`` over ``blocks`` held as random cores
-    L K R^H of these ranks, one per block, K times ``scale``."""
+    """An operator on ``space`` over ``blocks`` with random cores
+    L K R^H of these ranks, one per block, K times ``scale`` (``_held``)."""
     cores = [
         (_orthonormal(rng, b.size, r), scale * _complex_vector(rng, r * r).reshape(r, r),
          _orthonormal(rng, b.size, r))
@@ -577,8 +582,8 @@ def _cored(blocks, rng, ranks, space=PAIR_SPACE, scale=1.0):
 
 
 def _pair_as_cores(pair, blocks):
-    """M_a E M_b held as cores over ``blocks``, each the union of atoms: the
-    rank-one lines sigma p q^H of its atoms, one column per atom."""
+    """M_a E M_b over ``blocks``, each the union of atoms, from the rank-one
+    lines sigma p q^H of its atoms, one column per atom (``_held``)."""
     sigma = expectation_norms(PAIR_SPACE, PAIR_ALGEBRA, pair)
     d = np.sqrt(PAIR_SPACE.weights)
     p, q = d * pair[0], np.conj(d * pair[1])
@@ -600,9 +605,10 @@ ONE_BLOCK = (np.arange(15),)
 
 
 def _core_cases():
-    """(name, first, second): pairs and operators held as cores, of ranks
-    0, 1 and 2 per atom or up to the atom count on one block, lines that
-    coincide to rounding, and a pair against one block."""
+    """(name, first, second): pairs and operators of ranks 0, 1 and 2 per
+    atom or up to the atom count on one block, held as lines where the rank
+    is at most 1 and as blocks above, lines that coincide to rounding, and
+    a pair against one block."""
     rng = np.random.default_rng(8)
     atoms = PAIR_ALGEBRA.blocks
     a, b = _complex_vector(rng), _complex_vector(rng)
@@ -670,22 +676,6 @@ class TestCoreDistance:
             got = core_distance(PAIR_SPACE, PAIR_ALGEBRA, near, cored)
             assert got == pytest.approx(dense, rel=1e-6)
 
-    def test_runs_one_stacked_svd_of_small_cores(self, monkeypatch):
-        """Ranks 2 and 1 per atom give one stacked SVD of 3 x 3 cores: no
-        |B| x |B| matrix is factored."""
-        shapes = []
-
-        def probe(a, *args, _original=np.linalg.svd, **kwargs):
-            shapes.append((np.shape(a), kwargs.get("compute_uv", True)))
-            return _original(a, *args, **kwargs)
-
-        rng = np.random.default_rng(1)
-        first = _cored(PAIR_ALGEBRA.blocks, rng, (2, 2, 2))
-        monkeypatch.setattr(np.linalg, "svd", probe)
-        pair = (_complex_vector(rng), _complex_vector(rng))
-        core_distance(PAIR_SPACE, PAIR_ALGEBRA, first, pair)
-        assert shapes == [((3, 3, 3), False)]
-
     @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
     def test_a_pair_is_measured_at_any_scale(self, scale):
         """With w times c, on random_instance(0, 12, 4), ||M_wc E M_u - 0||
@@ -706,12 +696,17 @@ class TestCoreDistance:
         np.testing.assert_allclose(measured(scale), scale * base, rtol=1e-12, atol=0.0)
 
     def test_a_side_that_is_not_finite_gives_nan(self):
+        """Against a pair that is not finite, a pair, an operator held as its
+        lines and one held as its blocks each give NaN, both ways round."""
         rng = np.random.default_rng(2)
         a, b = _complex_vector(rng), _complex_vector(rng)
         a[3] = np.nan
         cored = _cored(PAIR_ALGEBRA.blocks, rng, (1, 1, 1))
-        assert np.isnan(core_distance(PAIR_SPACE, PAIR_ALGEBRA, (a, b), cored))
-        assert np.isnan(core_distance(PAIR_SPACE, PAIR_ALGEBRA, (a, b), (b, a)))
+        blocks = _cored(PAIR_ALGEBRA.blocks, rng, (2, 1, 2))
+        assert blocks._parts is not None
+        for side in (cored, blocks, (b, a)):
+            assert np.isnan(core_distance(PAIR_SPACE, PAIR_ALGEBRA, (a, b), side))
+            assert np.isnan(core_distance(PAIR_SPACE, PAIR_ALGEBRA, side, (a, b)))
 
     def test_a_mixed_batch_is_each_comparison_alone(self):
         """One call on every case above, both ways round, with the pairs of
@@ -738,16 +733,15 @@ class TestCoreDistance:
         assert np.isnan(got[-2:]).all()
         assert core_distances(PAIR_SPACE, PAIR_ALGEBRA, []).shape == (0,)
 
-    def test_an_operator_must_be_held_as_its_cores(self):
-        """T = M_a E M_b is held as its lines, so it compares with its own
-        pair to rounding; an operator held as its blocks is refused."""
+    def test_an_operator_in_either_form_matches_its_pair(self):
+        """T = M_a E M_b held as its lines, over its atoms, or as one block
+        compares with its own pair to rounding."""
         rng = np.random.default_rng(6)
         for pair in [(np.ones(15), np.ones(15)), (_complex_vector(rng), _complex_vector(rng))]:
             T = _pair_operator(pair)
-            margin = core_distance(PAIR_SPACE, PAIR_ALGEBRA, pair, T)
-            assert margin <= 1e-14 * (1.0 + operator_norm(T))
-            with pytest.raises(ValueError, match="held as its cores"):
-                core_distance(PAIR_SPACE, PAIR_ALGEBRA, pair, WeightedOperator(T.entries, T.space))
+            for X in (T, WeightedOperator(T.entries, T.space)):
+                margin = core_distance(PAIR_SPACE, PAIR_ALGEBRA, pair, X)
+                assert margin <= 1e-14 * (1.0 + operator_norm(T))
 
 
 #: nine points in four atoms, two of one point each, listed out of order
@@ -838,9 +832,10 @@ class TestRankOneKernel:
         got = core_distances(KERNEL_SPACE, KERNEL_ALGEBRA, _kernel_nan_cases())
         assert np.isnan(got).all()
 
-    def test_runs_no_solver_and_no_gram_schmidt(self, monkeypatch):
+    def test_runs_no_solver_and_no_dense_route(self, monkeypatch):
         """Sides of width 0 or 1 take the kernel: no numpy.linalg routine
-        and no Gram-Schmidt runs, and a verify's side takes it too."""
+        runs and no difference is assembled, and a verify's side takes it
+        too."""
         calls = []
         for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "qr"):
 
@@ -852,7 +847,7 @@ class TestRankOneKernel:
         space, algebra, side = _verify_side()
         cases = [(x, y) for _, x, y in _kernel_cases()] + _kernel_nan_cases()
         calls.clear()
-        monkeypatch.setattr(operator_algebra, "_gram_schmidt", None)
+        monkeypatch.setattr(operator_algebra, "_dense_distance", None)
         core_distances(KERNEL_SPACE, KERNEL_ALGEBRA, cases)
         core_distances(space, algebra, side)
         assert calls == []
@@ -990,11 +985,11 @@ class TestNormal:
     def test_reads_only_the_joint_cores(self, monkeypatch):
         """With T's factors memoized, is_normal reads T's 2 x 2 joint cores
         in closed form: no SVD and no eigvalsh runs, and no operator is
-        built. T as one block (the one-block reference, of width r) runs
-        one eigvalsh, of its one 2r x 2r core."""
+        built. T as one block (the one-block reference, of rank over 1)
+        runs one eigvalsh, of the commutator of its one 18 x 18 block."""
         T = to_matrix(as_wce(random_instance(0, 18, 3)))
         one_block = WeightedOperator(T.entries, T.space)
-        rank = _factors(one_block).s.shape[1]
+        assert _factors(one_block).s.shape[1] > 1
         _factors(T)
         calls = []
 
@@ -1011,10 +1006,9 @@ class TestNormal:
         monkeypatch.setattr(WeightedOperator, "__post_init__", lambda op: built.append(op))
         assert not is_normal(T)
         assert calls == [] and built == []
-        _joint_cores(one_block)
         calls.clear()
         assert not is_normal(one_block)
-        assert calls == [("eigvalsh", (1, 2 * rank, 2 * rank))]
+        assert calls == [("eigvalsh", (1, 18, 18))]
         assert built == []
 
     def test_hermitian_check(self):
@@ -1124,6 +1118,40 @@ def _held_as(form):
 def _form(X) -> list:
     """Which of its blocks and its lines X holds."""
     return [X._parts is not None, operator_algebra._LINES in X._memo]
+
+
+#: the oracle's operators derived from an operator's factors
+DERIVED_OF = {
+    "gram_power-0.5": lambda X: gram_power(X, 0.5),
+    "gram_power-2": lambda X: gram_power(X, 2.0),
+    "polar_isometry": polar_isometry_numeric,
+    "aluthge": aluthge_numeric,
+}
+
+
+@pytest.mark.parametrize("derive", DERIVED_OF.values(), ids=DERIVED_OF.keys())
+def test_a_derived_operator_keeps_its_operands_form(derive):
+    """Of T, held as its lines, a derived operator is held as lines; of T
+    as one block, of rank over 1 on it, it is held as blocks, and is the
+    same operator to 1e-12."""
+    T = to_matrix(as_wce(random_instance(4, 18, 3)))
+    X = WeightedOperator(T.entries, T.space)
+    of_lines, of_blocks = derive(T), derive(X)
+    assert _form(of_lines) == [False, True] and _form(of_blocks) == [True, False]
+    scale = 1.0 + np.abs(of_lines.entries).max()
+    assert np.abs(of_blocks.entries - of_lines.entries).max() <= 1e-12 * scale
+
+
+def test_lines_wider_than_one_column_are_refused():
+    """An operator held as its lines has cores of width 0 or 1: a wider
+    form is refused where it is made."""
+    starts, sizes = _segments(PAIR_ALGEBRA.blocks)
+    zero = WeightedOperator(np.zeros((15, 15)), PAIR_SPACE, PAIR_ALGEBRA.blocks)
+    for width in (2, 3):
+        lines = np.zeros((2, 15, width), dtype=complex)
+        held = _Lines(starts, sizes, lines, np.zeros((3, width, width), dtype=complex))
+        with pytest.raises(ValueError, match="width 0 or 1"):
+            _from_lines(held, zero)
 
 
 @pytest.mark.parametrize("form", HELD_AS)

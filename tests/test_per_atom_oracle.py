@@ -360,9 +360,9 @@ def test_verify_reads_t_through_its_svd(monkeypatch, instance):
 @FOUR_ATOMS
 def test_joint_point_spectrum_factors_only_the_cores(monkeypatch, instance):
     """With T's factors warm, the joint point spectrum runs no qr (the joint
-    basis comes from Gram-Schmidt in segment sums) and SVDs of the at most
-    2 x 2 cores of the rank-one atoms, stacked over the atoms and shifts,
-    and no |B| x |B| SVD; it gives the two-SVD verdicts."""
+    cores are read off T's record) and SVDs of the at most 2 x 2 cores of
+    the rank-one atoms, stacked over the atoms and shifts, and no
+    |B| x |B| SVD; it gives the two-SVD verdicts."""
     T = to_matrix(as_wce(instance))
     _factors(T)
     calls = {"svd": [], "qr": []}

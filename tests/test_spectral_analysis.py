@@ -347,8 +347,9 @@ BLOCK_KINDS = [
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(BLOCK_KINDS), st.integers(0, 2**32 - 1))
 def test_one_block_of_each_kind_matches_two_svd_reference(kind, seed):
-    """T as one block of each kind, at the kind's own cutoff: the core test
-    on the joint basis gives the two-SVD verdicts."""
+    """T as one block of each kind, at the kind's own cutoff: the joint
+    point spectrum, on the record's joint core of a block of rank 1 or on
+    the block itself, gives the two-SVD verdicts."""
     rng = np.random.default_rng(seed)
     block, cutoff = _test_block(kind, rng)
     T = WeightedOperator(block, FiniteMeasureSpace(np.ones(len(block))))
