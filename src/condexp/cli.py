@@ -153,7 +153,7 @@ def _emit(report: dict, pretty: bool) -> None:
     if pretty:
         _print_table(report)
     else:  # one write: json.dump writes each of its many pieces
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
 def _print_table(report: dict, indent: str = "") -> None:

@@ -58,10 +58,12 @@ class Check:
     tolerance: float
 
     def as_dict(self) -> dict:
+        """The check as JSON values: a margin that is not finite is None."""
+        margin = float(self.margin)
         return {
             "name": self.name,
             "passed": bool(self.passed),
-            "margin": float(self.margin),
+            "margin": margin if math.isfinite(margin) else None,
             "tolerance": float(self.tolerance),
         }
 

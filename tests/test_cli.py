@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from condexp import (
+    MeasurableFunction,
     as_wce,
     proportional_instance,
     random_instance,
@@ -469,3 +470,30 @@ class TestReportedOnce:
         )
         assert proc.returncode == EXIT_BAD_INPUT
         assert proc.stderr.splitlines() == ["error: need 1 <= n_blocks <= n_points"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e150, 1e-100])
+def test_every_report_of_a_gauged_instance_is_standard_json(capsys, tmp_path, scale):
+    """random_instance(0, 12, 4) under the gauge (u c, w / c), the same T,
+    gives a margin that is not finite at these c (a power of T*T or of TT*
+    at 3.5); each subcommand still writes standard JSON, the margin as null
+    and its check failed."""
+    instance = random_instance(0, 12, 4)
+    u, w = (MeasurableFunction(f.values * c, instance.space) for f, c in
+            ((instance.u, scale), (instance.w, 1.0 / scale)))
+    data = instance_to_json(instance._replace(u=u, w=w))
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    nulls = []
+    for command in ("inspect", "classify", "spectrum", "verify"):
+        code, out, _ = run_cli(capsys, [command, str(path)])
+        report = json.loads(out, parse_constant=_refuse_constant)
+        if command == "verify":
+            failures = report["summary"]["failures"]
+            nulls = [f["name"] for f in failures if f["margin"] is None]
+            assert code == EXIT_CHECK_FAILED
+    assert {"tstar_t_power_3.5", "t_tstar_power_3.5"} & set(nulls)
