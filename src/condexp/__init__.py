@@ -16,24 +16,16 @@ from .measure_space import (
     is_algebra_measurable,
     level_set,
     support,
-    weighted_inner,
 )
 from .operator_algebra import (
     SolverError,
     WeightedOperator,
     adjoint,
     aluthge_numeric,
-    apply,
-    compose,
     eigenvalues,
     expectation_operator,
-    fractional_power,
-    is_hermitian,
     is_normal,
-    kernel_projection,
-    loewner_geq,
     operator_norm,
-    polar_isometry_numeric,
     singular_values,
 )
 from .wce_operator import (

@@ -232,12 +232,6 @@ def _atom_sums(algebra: SubSigmaAlgebra, values: np.ndarray) -> np.ndarray:
     return sums.view(complex)
 
 
-def weighted_inner(f: MeasurableFunction, g: MeasurableFunction) -> complex:
-    """The L2(mu) inner product sum_i f_i conj(g_i) mu_i."""
-    _check_same_space(f, g)
-    return complex(np.sum(f.values * np.conj(g.values) * f.space.weights))
-
-
 def support(f: MeasurableFunction, tol: float = DEFAULT_SUPPORT_TOL) -> np.ndarray:
     """The read-only boolean mask of the points where |f| exceeds ``tol``."""
     _check_tol(tol)

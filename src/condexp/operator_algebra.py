@@ -2,43 +2,35 @@
 numerical oracle.
 
 An operator is block-diagonal over ``blocks``, index arrays partitioning
-the points, and is held in one of two forms, each with one route: its
-blocks (the dense reference), factored by LAPACK block by block, or its
-lines and cores L K R^H on each block, of width 0 or 1 (T, T* and the
-oracle's derived operators), read in closed form and built into ``parts``
-and ``entries`` on each read. The adjoint on the weighted inner product
-is D^-1 A^H D with D = diag(mu), held in its operator's form, and spectral
-computations conjugate by D^(1/2) into standard C^n, block by block.
+the points, and is held in one form: its lines and cores L K R^H on each
+block, of width 0 or 1 (T, T* and the oracle's derived operators), read in
+closed form; ``parts`` and ``entries`` build its blocks on each read. The
+adjoint on the weighted inner product is D^-1 A^H D with D = diag(mu), and
+the lines are in standard coordinates, conjugated by D^(1/2).
 
 T = M_w E M_u is rank one on each atom: ``expectation_operator`` holds it
 as its unit lines and 1 x 1 cores, read off (w, u) in segment sums. Each
-operator whose factors have width 0 or 1 has one memoized per-atom record
-(``_atoms``), made in one pass over its lines (s = |k|, the lines
-x = L k / |k| and y = R, and g = y^H x) or, for an adjoint, swapped from
-its operator's; only T's own questions add h = ||x - g y|| (``_heights``).
-Its factors, singular values, eigenvalues s g, normality, class margins
-and joint cores [[s g, 0], [s h, 0]] are read off the record, and the
-powers of T*T, the Aluthge transforms and the adjoint are built from it,
-so a verify makes no LAPACK call but the joint point spectrum's SVDs of
-its candidate 2 x 2 cores (``svd 16x2x2`` twice on
-random_instance(7, 64, 8)). An operator held as its blocks takes the full
-SVD of each (``_cut``); where that has width 0 or 1 it reads a record too,
-and otherwise each question takes its own LAPACK routine on the blocks,
-and the derived operators are held as blocks. The oracle reads the
-partition and (w, u), never the conditional moments, so it stays
-independent of the closed forms it checks. Operators are immutable, so
-what is computed of one is memoized.
+operator has one memoized per-atom record (``_atoms``), made in one pass
+over its lines (s = |k|, the lines x = L k / |k| and y = R, and g = y^H x)
+or, for an adjoint, swapped from its operator's; only T's own questions
+add h = ||x - g y|| (``_heights``). Its singular values, eigenvalues s g,
+normality, class margins and joint cores [[s g, 0], [s h, 0]] are read off
+the record, and the powers of T*T, the Aluthge transforms and the adjoint
+are built from it, so a verify makes no LAPACK call but the joint point
+spectrum's SVDs of its candidate 2 x 2 cores (``svd 16x2x2`` twice on
+random_instance(7, 64, 8)). The oracle reads the partition and (w, u),
+never the conditional moments, so it stays independent of the closed forms
+it checks. Operators are immutable, so what is computed of one is memoized.
 
 The closed forms all have the shape M_a E M_b and are handled as their
 pairs (a, b): the pair rules (adjoint, product, coimage projection, norm
 per atom) cost O(n) on arrays, every norm safe at any scale
 (``_block_norms``). ``core_distances`` is the one comparison, the
-operator norm of differences: where both sides are pairs or operators
-held as their lines over the same blocks, as in a verify, a rank-one
-kernel forms each distinct projection of one line on another once, over
-bounded groups of atoms, and takes each 2 x 2 core's largest singular
-value in closed form (``_rank_one_distances``), building no block; any
-other comparison is the norm of the assembled difference.
+operator norm of differences of pairs and operators over the same blocks:
+a rank-one kernel forms each distinct projection of one line on another
+once, over bounded groups of atoms, and takes each 2 x 2 core's largest
+singular value in closed form (``_rank_one_distances``), building no
+block.
 """
 
 from __future__ import annotations
@@ -56,18 +48,14 @@ import numpy as np
 from .measure_space import (
     DEFAULT_TOL,
     FiniteMeasureSpace,
-    MeasurableFunction,
     SubSigmaAlgebra,
     _atom_sums,
     _conditional_means,
     _finite_values,
-    _frozen_array,
 )
 
 #: relative cutoff below which a singular value counts as zero (rank decisions)
 DEFAULT_RANK_TOL = 1e-10
-#: relative floor under which an eigenvalue of a PSD operator is an exact zero
-EIGEN_ZERO_TOL = 1e-12
 
 log = logging.getLogger("condexp")
 
@@ -76,86 +64,31 @@ class SolverError(RuntimeError):
     """Raised when a dense eigenvalue/SVD routine fails to converge."""
 
 
-def _as_blocks(blocks, n: int) -> tuple:
-    """Read-only index arrays that partition range(n); None is one block."""
-    if blocks is None:
-        return (_frozen_array(np.arange(n), int),)
-    blocks = tuple(blocks)
-    arrays = [np.asarray(b) for b in blocks]
-    if any(a.ndim != 1 or a.size == 0 or a.dtype.kind not in "iu" for a in arrays):
-        raise ValueError("blocks must be nonempty 1-d integer index arrays")
-    if not np.array_equal(np.sort(np.concatenate(arrays)), np.arange(n)):
-        raise ValueError("blocks must partition the points")
-    if all(isinstance(b, np.ndarray) and not b.flags.writeable for b in blocks):
-        return blocks  # already frozen (an algebra's atoms): keep the same tuple
-    return tuple(_frozen_array(a, int) for a in arrays)
-
-
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class WeightedOperator:
-    """A linear operator on L2(mu), block-diagonal over ``blocks``.
-
-    ``WeightedOperator(entries, space, blocks)`` takes the n x n matrix on
-    value vectors, which must vanish outside the diagonal blocks that
-    ``blocks`` (index arrays partitioning the points; one block without
-    it) define. ``parts[k]`` is the block over ``blocks[k]``. An operator
-    is held in one of two forms: its blocks (``_parts``; the dense
-    reference), or its lines and cores of width 0 or 1 (``_memo[_LINES]``;
-    T, T* and the oracle's derived operators), which hold no block
-    (``_parts`` is None) and build ``parts`` on each read.
-    """
+    """A linear operator on L2(mu), block-diagonal over ``blocks``, index
+    arrays partitioning the points, held as its lines and cores of width 0
+    or 1 (``_memo[_LINES]``, a ``_Lines``); ``parts[k]``, its block over
+    ``blocks[k]``, is built on each read."""
 
     space: FiniteMeasureSpace
     blocks: tuple
-    _parts: Optional[tuple] = field(repr=False)  # the blocks, or None
     _memo: dict = field(repr=False)
 
-    def __init__(self, entries, space: FiniteMeasureSpace, blocks=None):
-        m = np.asarray(entries, dtype=complex)
-        n = space.point_count
-        if m.shape != (n, n):
-            raise ValueError(f"entries must be a {n}x{n} matrix")
-        blocks = _as_blocks(blocks, n)
-        parts = tuple(m[np.ix_(b, b)] for b in blocks)  # fancy indexing copies
-        if len(blocks) > 1 and np.count_nonzero(m) != sum(map(np.count_nonzero, parts)):
-            raise ValueError("operator entries must vanish outside the blocks")
-        self._assign(parts, space, blocks, {})
-
-    @classmethod
-    def _of_blocks(cls, parts, space: FiniteMeasureSpace, blocks: tuple, memo=None):
-        """The operator with these diagonal blocks over ``blocks`` (already a
-        partition). ``parts`` is an iterable of new arrays the caller hands
-        over, frozen in place, not copied; or None for an operator held as
-        its lines, given in ``memo``."""
-        op = cls.__new__(cls)
-        op._assign(None if parts is None else tuple(parts), space, blocks, dict(memo or {}))
-        return op
-
-    def _assign(self, parts, space: FiniteMeasureSpace, blocks: tuple, memo: dict) -> None:
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_parts", parts)
-        object.__setattr__(self, "_memo", memo)
-        self.__post_init__()
-
     def __post_init__(self):
-        """Every construction ends here: each block must be a finite square
-        matrix over its indices, stored complex and read-only; an operator held
-        as its lines checks its own cores, finite and of width 0 or 1 (its
-        lines where they are made)."""
-        if self._parts is not None:
-            object.__setattr__(self, "_parts", _checked_parts(self.blocks, self._parts))
-        elif _finite(self._memo[_LINES].core).shape[1] > 1:
+        """Every construction ends here: the operator checks its own cores,
+        finite and of width 0 or 1 (its lines where they are made)."""
+        if _finite(self._memo[_LINES].core).shape[1] > 1:
             raise ValueError("an operator held as its lines must have cores of width 0 or 1")
 
     @property
     def parts(self) -> tuple:
-        """The diagonal blocks in block order: those held, or, for an
-        operator held as its lines, built on each read
-        (``_block_parts``), none kept."""
-        if self._parts is not None:
-            return self._parts
-        return _checked_parts(self.blocks, _block_parts(self))
+        """The diagonal blocks in block order, each built on this read
+        (``_built_block``) and checked finite, none kept."""
+        parts = tuple(_finite(_built_block(self, k)) for k in range(len(self.blocks)))
+        for p in parts:
+            p.setflags(write=False)
+        return parts
 
     @property
     def entries(self) -> np.ndarray:
@@ -168,17 +101,6 @@ class WeightedOperator:
         return out
 
 
-def _checked_parts(blocks: tuple, parts) -> tuple:
-    """``parts`` as complex read-only arrays, each a finite square matrix
-    over its indices."""
-    parts = tuple(np.asarray(p, dtype=complex) for p in parts)
-    for b, p in zip(blocks, parts, strict=True):
-        if p.shape != (b.size, b.size):
-            raise ValueError("each block must be square over its indices")
-        _finite(p).setflags(write=False)
-    return parts
-
-
 def _finite(p: np.ndarray) -> np.ndarray:
     """p, once every entry is checked finite."""
     if not np.isfinite(p).all():
@@ -186,19 +108,8 @@ def _finite(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _block_parts(T: WeightedOperator, which=None):
-    """T's blocks one at a time, in block order, or those at the indices
-    ``which``: the one reader of blocks. Held blocks are read; for T held
-    as its lines each is built (``_built_block``) and checked finite, none
-    is kept and no other block is built."""
-    indices = range(len(T.blocks)) if which is None else which
-    if T._parts is not None:
-        return (T._parts[k] for k in indices)
-    return (_finite(_built_block(T, k)) for k in indices)
-
-
 def _built_block(T: WeightedOperator, k: int) -> np.ndarray:
-    """Block k on value vectors of T held as its lines (``_Lines``),
+    """Block k on value vectors of T, held as its lines (``_Lines``),
     D^(-1/2) L K R^H D^(1/2) over the block, with the weights applied to
     the |B| x R lines, so one product builds it."""
     held = T._memo[_LINES]
@@ -224,7 +135,7 @@ def expectation_operator(
     held = _Lines(*_segments(algebra.blocks), _finite(lines)[..., None], cores[:, None, None] + 0j)
     for array in (lines, *held):
         array.setflags(write=False)
-    return WeightedOperator._of_blocks(None, space, algebra.blocks, {_LINES: held})
+    return WeightedOperator(space, algebra.blocks, {_LINES: held})
 
 
 def expectation_adjoint(pair: tuple) -> tuple:
@@ -281,12 +192,11 @@ def expectation_coimage(
     return factor[algebra.labels] * np.conj(b), b
 
 
-def _check_space(a: WeightedOperator, b) -> None:
-    """b, an operator or a function, or b itself a space, must be a's space."""
-    other = getattr(b, "space", b)
-    if a.space is not other and (
-        a.space.point_count != other.point_count
-        or not np.array_equal(a.space.weights, other.weights)
+def _check_space(T: WeightedOperator, space: FiniteMeasureSpace) -> None:
+    """T must live on ``space``."""
+    if T.space is not space and (
+        T.space.point_count != space.point_count
+        or not np.array_equal(T.space.weights, space.weights)
     ):
         raise ValueError("operands live on different spaces")
 
@@ -300,32 +210,6 @@ def _same_blocks(first: tuple, second: tuple) -> bool:
 
 def _sqrt_weights(space: FiniteMeasureSpace) -> np.ndarray:
     return np.sqrt(space.weights)
-
-
-def _standard(db: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The standard-coordinate block of the block p, with db the square roots
-    of the weights over its indices."""
-    return (db[:, None] * p) / db[None, :]
-
-
-def _std_blocks(T: WeightedOperator, which=None):
-    """(indices, diagonal block of the standard-coordinate matrix) per block,
-    or for the blocks at the indices ``which`` alone (``_block_parts``).
-
-    Conjugating by D^(1/2) gives a matrix on standard C^n unitarily
-    equivalent to T, so the dense LAPACK routines apply to its blocks."""
-    d = _sqrt_weights(T.space)
-    blocks = T.blocks if which is None else [T.blocks[k] for k in which]
-    for b, p in zip(blocks, _block_parts(T, which)):
-        yield b, _standard(d[b], p)
-
-
-def _from_std_blocks(pieces, T: WeightedOperator) -> WeightedOperator:
-    """The operator with T's blocks whose standard-coordinate diagonal blocks
-    are ``pieces`` (pairs of indices and matrices, in T's block order)."""
-    d = _sqrt_weights(T.space)
-    parts = [(mat / d[b][:, None]) * d[b][None, :] for b, mat in pieces]
-    return WeightedOperator._of_blocks(parts, T.space, T.blocks)
 
 
 #: memo key of an adjoint: a weak reference to the operator it is the adjoint of
@@ -372,42 +256,6 @@ def _solve(routine: str, mat: np.ndarray, **kwargs):
     return out
 
 
-def _kept(ranks: np.ndarray, width: int) -> np.ndarray:
-    """The blocks x width mask of the columns within each block's rank."""
-    return np.arange(width) < ranks[:, None]
-
-
-class _Factors(NamedTuple):
-    """An operator's factors X diag(s) Y^H on each block, held flat over its
-    blocks listed one after the other (block k from row ``starts[k]``, in
-    ``sizes[k]`` rows): ``lines`` stacks X and Y (2 x n x R, orthonormal
-    columns on each block) and ``s`` the singular values (blocks x R), each
-    zero-padded past the block's rank ``ranks[k]`` to the largest rank R."""
-
-    starts: np.ndarray
-    sizes: np.ndarray
-    ranks: np.ndarray
-    lines: np.ndarray
-    s: np.ndarray
-
-
-def _cut(blocks: tuple, svds: list) -> _Factors:
-    """The ``_Factors`` over ``blocks`` of the full SVD U diag(s) V^H of
-    each block, in ``svds``, cut at the one rank cutoff, DEFAULT_RANK_TOL
-    times the largest value of any block: X = U_r, s_r, Y = V_r."""
-    cutoff = DEFAULT_RANK_TOL * max(s.max(initial=0.0) for _, s, _ in svds)
-    starts, sizes = _segments(blocks)
-    ranks = np.array([np.count_nonzero(s > cutoff) for _, s, _ in svds], dtype=int)
-    width = ranks.max(initial=0)
-    lines = np.zeros((2, sizes.sum(), width), dtype=complex)
-    values = np.zeros((sizes.size, width))
-    for k, (u, s, vh) in enumerate(svds):
-        rows, rank = slice(starts[k], starts[k] + sizes[k]), ranks[k]
-        lines[0, rows, :rank], lines[1, rows, :rank] = u[:, :rank], _conj_t(vh[:rank])
-        values[k, :rank] = s[:rank]
-    return _Factors(starts, sizes, ranks, lines, values)
-
-
 #: memo key of an operator held as its lines: its ``_Lines``, each
 #: standard-coordinate block being L K R^H
 _LINES = "lines"
@@ -419,34 +267,14 @@ def _adjoint_source(T: WeightedOperator) -> Optional[WeightedOperator]:
     return ref() if ref is not None else None
 
 
-@_once_per_operator
-def _factors(T: WeightedOperator) -> _Factors:
-    """T's factors X diag(s) Y^H on each standard-coordinate block, cut at
-    the oracle's one rank cutoff, held flat (``_Factors``): those of the
-    live operator T is the adjoint of, swapped; of its blocks, the full SVD
-    of each (``_cut``); of its lines, its record (``_atoms``)."""
-    source = _adjoint_source(T)
-    if source is not None:
-        factors = _factors(source)
-        return factors._replace(lines=factors.lines[::-1])
-    if T._parts is not None:
-        return _cut(T.blocks, [_solve("svd", m) for _, m in _std_blocks(T)])
-    atoms = _atoms(T)
-    values = atoms.s[:, None][:, : atoms.lines.shape[-1]]
-    return _Factors(atoms.starts, atoms.sizes, atoms.ranks, atoms.lines, values)
-
-
-def _conj_t(mats: np.ndarray) -> np.ndarray:
-    """The conjugate transpose of a matrix, or of each of a stack of them."""
-    return np.swapaxes(mats, -1, -2).conj()
-
-
 class _Atoms(NamedTuple):
-    """The record of factors of width 0 or 1 (``_atoms``), s x y^H on each
-    atom, flat like ``_Factors``: ``ranks`` (1 where s passes the cutoff),
-    ``s`` (0 past the rank), ``lines`` X and Y (2 x n x w, w = 0 where no
-    atom passes), and on each atom g = y^H x and g_adjoint = x^H y, each its
-    own products' segment sum."""
+    """An operator's record (``_atoms``): its factors s x y^H on each
+    standard-coordinate block, held flat over its blocks listed one after
+    the other (block k from row ``starts[k]``, in ``sizes[k]`` rows):
+    ``ranks`` (1 where s passes the cutoff), ``s`` (0 past the rank),
+    ``lines`` X and Y (2 x n x w, unit on each block of rank 1, w = 0 where
+    no block passes), and on each block g = y^H x and g_adjoint = x^H y,
+    each its own products' segment sum."""
 
     starts: np.ndarray
     sizes: np.ndarray
@@ -458,35 +286,26 @@ class _Atoms(NamedTuple):
 
 
 @_once_per_operator
-def _atoms(T: WeightedOperator) -> Optional[_Atoms]:
-    """T's record where its factors have width 0 or 1 (``_Atoms``), else None
-    (an operator held as its blocks, of rank over 1 on one): read off its
-    lines in one pass (a 1 x 1 core k is its own SVD, s = |k|,
-    x = L k / |k| and y = R, each inner product one segment sum), swapped
-    from the record of the live operator it is the adjoint of, or read off
-    the SVDs of the blocks it holds (``_factors``)."""
+def _atoms(T: WeightedOperator) -> _Atoms:
+    """T's record (``_Atoms``), cut at the oracle's one rank cutoff,
+    DEFAULT_RANK_TOL times the largest s: read off its lines in one pass (a
+    1 x 1 core k is its own SVD, s = |k|, x = L k / |k| and y = R, each
+    inner product one segment sum), or swapped from the record of the live
+    operator it is the adjoint of."""
     source = _adjoint_source(T)
     if source is not None:
-        if (atoms := _atoms(source)) is None:
-            return None
+        atoms = _atoms(source)
         return atoms._replace(lines=atoms.lines[::-1], g=atoms.g_adjoint, g_adjoint=atoms.g)
-    held = T._memo.get(_LINES)
-    if held is None:
-        factors = _factors(T)
-        if factors.s.shape[1] > 1:
-            return None
-        starts, sizes, ranks, lines, s = factors
-        s = s[:, 0] if s.shape[1] else np.zeros(ranks.size)
-    else:
-        starts, sizes = held.starts, held.sizes
-        core = held.core[:, 0, 0] if held.core.shape[1] else np.zeros(sizes.size, dtype=complex)
-        s = np.abs(core)
-        kept = s > DEFAULT_RANK_TOL * s.max(initial=0.0)
-        turns = np.zeros((2, sizes.size), dtype=complex)
-        np.divide(core, s, out=turns[0], where=kept)
-        turns[1] = kept
-        ranks, s = kept.astype(int), np.where(kept, s, 0.0)
-        lines = (held.lines * turns.repeat(sizes, axis=1)[..., None])[..., : ranks.max(initial=0)]
+    held = T._memo[_LINES]
+    starts, sizes = held.starts, held.sizes
+    core = held.core[:, 0, 0] if held.core.shape[1] else np.zeros(sizes.size, dtype=complex)
+    s = np.abs(core)
+    kept = s > DEFAULT_RANK_TOL * s.max(initial=0.0)
+    turns = np.zeros((2, sizes.size), dtype=complex)
+    np.divide(core, s, out=turns[0], where=kept)
+    turns[1] = kept
+    ranks, s = kept.astype(int), np.where(kept, s, 0.0)
+    lines = (held.lines * turns.repeat(sizes, axis=1)[..., None])[..., : ranks.max(initial=0)]
     g = np.zeros((2, ranks.size), dtype=complex)
     if lines.shape[-1]:
         # y^H x and x^H y on each atom, in one product and one segment sum
@@ -512,18 +331,12 @@ def _heights(T: WeightedOperator) -> np.ndarray:
     return np.where(after >= 0.5 * before, after, 0.0)
 
 
-def _from_lines(held: _Lines, T: WeightedOperator) -> WeightedOperator:
-    """The operator over T's blocks held as ``held`` (L K R^H on each block),
-    its blocks built on each read (``_block_parts``)."""
-    return WeightedOperator._of_blocks(None, T.space, T.blocks, {_LINES: held})
-
-
 class _Lines(NamedTuple):
     """A block-diagonal operator whose standard-coordinate block is L K R^H,
-    flat like ``_Factors``: ``lines`` stacks L and R (2 x n x r) and
+    flat like ``_Atoms``: ``lines`` stacks L and R (2 x n x r) and
     ``core`` the K (blocks x r x r), r at most 1. T holds its unit lines
     and 1 x 1 cores (``expectation_operator``); the operators derived from
-    it hold its factors' lines, and the adjoint its operator's, swapped."""
+    it hold its record's lines, and the adjoint its operator's, swapped."""
 
     starts: np.ndarray
     sizes: np.ndarray
@@ -540,12 +353,10 @@ def _segments(blocks: tuple) -> tuple:
 def core_distances(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, comparisons) -> np.ndarray:
     """||first - second|| on L2(mu) for each (first, second) of
     ``comparisons``; NaN where a side is not finite. A side is the pair
-    (a, b) of M_a E M_b on the atoms of ``algebra`` or an operator. The
-    comparisons whose sides are pairs or operators held as their lines,
-    over the same blocks, are measured together by the rank-one kernel,
-    with no |B| x |B| array (``_rank_one_distances``); any other, with a
-    side held as blocks or sides blocked differently, is the dense
-    reference's (``_dense_distance``)."""
+    (a, b) of M_a E M_b on the atoms of ``algebra`` or an operator, and
+    both sides of a comparison must be over the same blocks. The
+    comparisons over the same blocks are measured together by the rank-one
+    kernel, with no |B| x |B| array (``_rank_one_distances``)."""
     margins = np.empty(len(comparisons))
     groups = {}  # id(blocks) -> (blocks, indices, sides) of the comparisons over them
     for k, sides in enumerate(comparisons):
@@ -553,31 +364,16 @@ def core_distances(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, comparis
         for x in operators:
             _check_space(x, space)
         if isinstance(sides[0], tuple) and operators:
-            sides = sides[::-1]  # an operator held as its lines goes first
+            sides = sides[::-1]  # an operator goes first
         own = [algebra.blocks if isinstance(x, tuple) else x.blocks for x in sides]
-        if not _same_blocks(*own) or any(_LINES not in x._memo for x in operators):
-            margins[k] = _dense_distance(space, algebra, sides)
-            continue
+        if not _same_blocks(*own):
+            raise ValueError("the sides of a comparison must be over the same blocks")
         group = groups.setdefault(id(own[0]), (own[0], [], []))
         group[1].append(k)
         group[2].append([x if isinstance(x, tuple) else x._memo[_LINES] for x in sides])
     for blocks, indices, sides in groups.values():
         margins[indices] = _rank_one_distances(space, blocks, sides)
     return margins
-
-
-def _dense_distance(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, sides) -> float:
-    """||A - B|| of the assembled difference of the two sides, a pair taken
-    as its ``expectation_operator``: NaN where that, or the difference, is
-    not finite."""
-    try:
-        A, B = (
-            x if isinstance(x, WeightedOperator) else expectation_operator(space, algebra, *x)
-            for x in sides
-        )
-        return operator_norm(subtract(A, B))
-    except ValueError:  # an operator's entries are not finite
-        return math.nan
 
 
 def _pair_lines(space: FiniteMeasureSpace, blocks: tuple, pair: tuple) -> tuple:
@@ -826,90 +622,37 @@ def _extreme_values(mats: np.ndarray) -> tuple:
     return largest * scale, smallest * scale
 
 
-def apply(T: WeightedOperator, f: MeasurableFunction) -> MeasurableFunction:
-    _check_space(T, f)
-    out = np.empty(T.space.point_count, dtype=complex)
-    for b, p in zip(T.blocks, T.parts):
-        out[b] = p @ f.values[b]
-    return MeasurableFunction(out, T.space)
-
-
 @_once_per_operator
 def adjoint(T: WeightedOperator) -> WeightedOperator:
     """The unique T* with <Tf, g> = <f, T*g> for the weighted inner product,
-    built once per operator and held in T's form: the lines L K R^H as
-    R K^H L^H, its cores alone checked, or the blocks P as D^-1 P^H D, built
-    and checked here. While T lives, T*'s factors and record are T's
-    swapped (``_factors``, ``_atoms``)."""
-    if T._parts is None:
-        held = T._memo[_LINES]
-        parts, memo = None, {_LINES: held._replace(lines=held.lines[::-1], core=_conj_t(held.core))}
-    else:
-        mu = T.space.weights
-        parts = ((p.conj().T * mu[b][None, :]) / mu[b][:, None] for b, p in zip(T.blocks, T._parts))
-        memo = {}
-    adj = WeightedOperator._of_blocks(parts, T.space, T.blocks, memo)
+    built once per operator: the lines L K R^H as R K^H L^H, each core of
+    width 0 or 1 its own transpose, so K^H = conj(K); its cores alone are
+    checked. While T lives, T*'s record is T's swapped (``_atoms``)."""
+    held = T._memo[_LINES]
+    swapped = held._replace(lines=held.lines[::-1], core=held.core.conj())
     # weak: T's memo holds T*, so a strong reference back would be a cycle
-    adj._memo[_ADJOINT_OF] = weakref.ref(T)
-    return adj
-
-
-def compose(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
-    """A B (``_blockwise``)."""
-    return _blockwise(np.matmul, A, B)
-
-
-def subtract(A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
-    """A - B (``_blockwise``)."""
-    return _blockwise(np.subtract, A, B)
-
-
-def _blockwise(op, A: WeightedOperator, B: WeightedOperator) -> WeightedOperator:
-    """op of A's and B's blocks, block by block where both have the same
-    blocks; otherwise op of their n x n matrices, as one block."""
-    _check_space(A, B)
-    if not _same_blocks(A.blocks, B.blocks):
-        return WeightedOperator(op(A.entries, B.entries), A.space)
-    return WeightedOperator._of_blocks(map(op, A.parts, B.parts), A.space, A.blocks)
+    return WeightedOperator(T.space, T.blocks, {_LINES: swapped, _ADJOINT_OF: weakref.ref(T)})
 
 
 @_once_per_operator
 def eigenvalues(T: WeightedOperator) -> np.ndarray:
     """All n eigenvalues with multiplicity (unordered multiset, read-only),
-    in block order. Of width 0 or 1 they are s g on each atom of rank 1
-    and zeros, read off the record (``_atoms``). A wider block
-    X diag(s) Y^H of rank r has those of its core (Y^H X) diag(s), then
-    |B| - r zeros: one stacked eigvals per rank, and a full-rank block is
-    its own matrix (the core would move a defective eigenvalue by rounding
-    to the power 1/r)."""
+    in block order: s g on each block of rank 1 and zeros, read off the
+    record (``_atoms``)."""
     atoms = _atoms(T)
-    if atoms is not None:
-        out = np.zeros(atoms.sizes.sum(), dtype=complex)
-        kept = atoms.ranks > 0
-        out[atoms.starts[kept]] = (atoms.g * atoms.s)[kept]
-        return out
-    factors = _factors(T)
-    out = np.zeros(factors.sizes.sum(), dtype=complex)
-    for rank in np.unique(factors.ranks[factors.ranks > 0]):
-        which = np.flatnonzero(factors.ranks == rank)
-        whole = factors.sizes[which] == rank
-        mats = np.empty((which.size, rank, rank), dtype=complex)
-        if whole.any():
-            mats[whole] = np.stack([m for _, m in _std_blocks(T, which[whole])])
-        for j in np.flatnonzero(~whole):
-            x, s, y = _block_factors(factors, which[j])
-            mats[j] = (_conj_t(y) @ x) * s
-        out[factors.starts[which, None] + np.arange(rank)] = _solve("eigvals", mats)
+    out = np.zeros(atoms.sizes.sum(), dtype=complex)
+    kept = atoms.ranks > 0
+    out[atoms.starts[kept]] = (atoms.g * atoms.s)[kept]
     return out
 
 
 @_once_per_operator
 def singular_values(T: WeightedOperator) -> np.ndarray:
-    """Descending singular values (read-only), read off the factors, or of
-    width 0 or 1 off the record (``_atoms``), so the ones under the rank
-    cutoff are exact zeros; the largest is the operator norm on L2(mu)."""
-    factors = _factors(T)
-    s = factors.s[_kept(factors.ranks, factors.s.shape[1])]
+    """Descending singular values (read-only), read off the record
+    (``_atoms``), so the ones under the rank cutoff are exact zeros; the
+    largest is the operator norm on L2(mu)."""
+    atoms = _atoms(T)
+    s = atoms.s[atoms.ranks > 0]
     return np.concatenate([np.sort(s)[::-1], np.zeros(T.space.point_count - s.size)])
 
 
@@ -917,50 +660,15 @@ def operator_norm(T: WeightedOperator) -> float:
     return float(singular_values(T)[0])
 
 
-def is_hermitian(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the largest entry of M - M^H is at most tol times 1 + the
-    largest entry of M, over T's standard-coordinate blocks M."""
-    mats = [m for _, m in _std_blocks(T)]
-    scale_ = 1.0 + max(np.abs(m).max() for m in mats)
-    return bool(max(np.abs(m - _conj_t(m)).max() for m in mats) <= tol * scale_)
-
-
 class LoewnerMargins(NamedTuple):
     """The four numbers the Loewner test A >= B decides on, all of
-    D = A - B in standard coordinates (``loewner_margins``)."""
+    D = A - B in standard coordinates; they do not depend on a tolerance,
+    so one set serves every tolerance (``loewner_holds``)."""
 
     asymmetry: float  # largest entry of D - D^H
     scale: float  # 1 + the largest entry of D
     smallest: float  # smallest eigenvalue of the self-adjoint part of D
     norm: float  # largest eigenvalue modulus of the self-adjoint part of D
-
-
-def loewner_margins(A: WeightedOperator, B: WeightedOperator) -> LoewnerMargins:
-    """The margins of A >= B; they do not depend on a tolerance, so one set
-    serves every tolerance (``loewner_holds``). The standard-coordinate
-    blocks of the difference are zero-padded into one stack
-    (``_padded_blocks``): padding adds only zero eigenvalues, so one
-    eigvalsh takes every block's."""
-    _check_space(A, B)
-    d = _padded_blocks(subtract(A, B))
-    dh = _conj_t(d)
-    evals = _solve("eigvalsh", 0.5 * (d + dh))
-    return LoewnerMargins(
-        float(np.abs(d - dh).max(initial=0.0)),
-        1.0 + float(np.abs(d).max(initial=0.0)),
-        float(evals.min(initial=0.0)),
-        float(np.abs(evals).max(initial=0.0)),
-    )
-
-
-def _padded_blocks(T: WeightedOperator) -> np.ndarray:
-    """T's standard-coordinate blocks zero-padded into one stack
-    (blocks x m x m, m the largest block's size)."""
-    size = max(b.size for b in T.blocks)
-    stack = np.zeros((len(T.blocks), size, size), dtype=complex)
-    for k, (b, m) in enumerate(_std_blocks(T)):
-        stack[k, : b.size, : b.size] = m
-    return stack
 
 
 def loewner_holds(margins: LoewnerMargins, tol: float = DEFAULT_TOL) -> bool:
@@ -972,137 +680,49 @@ def loewner_holds(margins: LoewnerMargins, tol: float = DEFAULT_TOL) -> bool:
     )
 
 
-def loewner_geq(
-    A: WeightedOperator, B: WeightedOperator, tol: float = DEFAULT_TOL
-) -> bool:
-    """A >= B in the Loewner order: A - B self-adjoint and PSD (to tolerance)."""
-    return loewner_holds(loewner_margins(A, B), tol)
-
-
-def fractional_power(
-    A: WeightedOperator, p: float, tol: float = DEFAULT_TOL
-) -> WeightedOperator:
-    """Spectral calculus A^p for self-adjoint PSD A (weighted inner product).
-
-    Eigenvalues in [-tol*scale, 0) are clamped to 0; more negative ones are an
-    error because A is then not PSD.
-    """
-    if p <= 0:
-        raise ValueError("power must be positive")
-    A = WeightedOperator._of_blocks(A.parts, A.space, A.blocks)  # built once, for the test and eigh
-    if not is_hermitian(A, tol):
-        raise ValueError("operator is not self-adjoint to tolerance")
-    eigs = [(b, *_solve("eigh", 0.5 * (m + m.conj().T))) for b, m in _std_blocks(A)]
-    evals = np.concatenate([e for _, e, _ in eigs])
-    scale_ = 1.0 + np.abs(evals).max(initial=0.0)
-    if evals.min(initial=0.0) < -tol * scale_:
-        raise ValueError("operator is not positive semidefinite to tolerance")
-    pieces = []
-    for b, e, v in eigs:
-        # eigenvalues at rounding-noise level are exact zeros; powers p < 1
-        # would otherwise amplify them (eps -> eps^p)
-        clamped = np.where(e > EIGEN_ZERO_TOL * scale_, e, 0.0)
-        pieces.append((b, (v * clamped**p) @ v.conj().T))
-    return _from_std_blocks(pieces, A)
-
-
 @_once_per_operator
 def _right_lines(T: WeightedOperator) -> np.ndarray:
-    """The lines (Y, Y) of T's factors, one view for every operator held on
+    """The lines (Y, Y) of T's record, one view for every operator held on
     them, so the comparison kernel reads Y once for them all; a stride of
     0 is cheaper than broadcast_to."""
-    y = _factors(T).lines[1]
+    y = _atoms(T).lines[1]
     return np.ndarray((2,) + y.shape, y.dtype, y, 0, (0,) + y.strides)
 
 
-def _block_factors(factors: _Factors, k: int) -> tuple:
-    """(X, s, Y) of block k of ``factors``, cut at the block's rank."""
-    rows = slice(factors.starts[k], factors.starts[k] + factors.sizes[k])
-    x, y = factors.lines[:, rows, : factors.ranks[k]]
-    return x, factors.s[k, : factors.ranks[k]], y
-
-
-def _of_factors(T: WeightedOperator, build) -> WeightedOperator:
-    """The operator over T's blocks, held as blocks, whose
-    standard-coordinate block is build(X, s, Y) of T's factors on it: the
-    route of an operator held as its blocks of rank over 1 on one."""
-    factors = _factors(T)
-    return _from_std_blocks(
-        [(b, build(*_block_factors(factors, k))) for k, b in enumerate(T.blocks)], T
-    )
-
-
-def _unit_cores(values: np.ndarray) -> np.ndarray:
-    """The complex 1 x 1 cores of ``values`` (blocks x w, w at most 1),
-    0 x 0 at width 0."""
-    return values[..., None][..., : values.shape[1]].astype(complex)
+def _on_right_lines(T: WeightedOperator, values: np.ndarray) -> WeightedOperator:
+    """The operator over T's blocks held as c y y^H on each, y of T's record
+    (``_right_lines``) and c the complex 1 x 1 core of ``values`` (0 x 0 at
+    width 0)."""
+    atoms = _atoms(T)
+    width = atoms.lines.shape[-1]
+    core = values[:, None, None][:, :width, :width].astype(complex)
+    held = _Lines(atoms.starts, atoms.sizes, _right_lines(T), core)
+    return WeightedOperator(T.space, T.blocks, {_LINES: held})
 
 
 def gram_power(T: WeightedOperator, p: float) -> WeightedOperator:
-    """(T* T)^p off T's factors: a block B = X S Y^H gives
-    (B^H B)^p = Y S^(2p) Y^H, and p = 1/2 is |T|; values under the rank
-    cutoff are exact zeros. (T T*)^p is ``gram_power(adjoint(T), p)``.
-    Held as lines of width 0 or 1 where T has a record, else as blocks."""
+    """(T* T)^p off T's record: a block s x y^H gives
+    (B^H B)^p = s^(2p) y y^H, and p = 1/2 is |T|; values under the rank
+    cutoff are exact zeros. (T T*)^p is ``gram_power(adjoint(T), p)``."""
     if p <= 0:
         raise ValueError("power must be positive")
-    if _atoms(T) is None:
-        return _of_factors(T, lambda x, s, y: (y * s ** (2 * p)) @ _conj_t(y))
-    factors = _factors(T)
-    core = _unit_cores(factors.s ** (2 * p))
-    return _from_lines(_Lines(factors.starts, factors.sizes, _right_lines(T), core), T)
-
-
-def polar_isometry_numeric(T: WeightedOperator) -> WeightedOperator:
-    """The partial isometry U of the polar decomposition T = U |T|, whose
-    modulus |T| is ``gram_power(T, 0.5)``, with the kernel condition: U is
-    T|T|^-1 on range(|T|) and 0 on kernel(|T|), so N(U) = N(|T|). A block
-    X S Y^H gives U = X Y^H and |T| = Y S Y^H. Held in the form
-    ``gram_power`` takes."""
-    if _atoms(T) is None:
-        return _of_factors(T, lambda x, s, y: x @ _conj_t(y))
-    factors = _factors(T)
-    identities = _unit_cores(_kept(factors.ranks, factors.s.shape[1]))
-    return _from_lines(_Lines(factors.starts, factors.sizes, factors.lines, identities), T)
+    return _on_right_lines(T, _atoms(T).s ** (2 * p))
 
 
 def aluthge_numeric(T: WeightedOperator) -> WeightedOperator:
     """|T|^(1/2) U |T|^(1/2) from the numeric polar decomposition: a block
-    X S Y^H gives Y (S^(1/2) C S^(1/2)) Y^H with C = Y^H X, of a record
-    C = g. Values under the cutoff are exact zeros, as the square root
-    would amplify their noise. Held in the form ``gram_power`` takes."""
+    s x y^H gives (s^(1/2) g s^(1/2)) y y^H with g = y^H x. Values under the
+    cutoff are exact zeros, as the square root would amplify their noise."""
     atoms = _atoms(T)
-    if atoms is None:
-        return _of_factors(
-            T, lambda x, s, y: ((y * np.sqrt(s)) @ (_conj_t(y) @ x) * np.sqrt(s)) @ _conj_t(y)
-        )
-    factors = _factors(T)
-    root = np.sqrt(factors.s)
-    core = _unit_cores(root * atoms.g[:, None] * root)
-    return _from_lines(_Lines(factors.starts, factors.sizes, _right_lines(T), core), T)
-
-
-def kernel_projection(T: WeightedOperator) -> WeightedOperator:
-    """The weighted-orthogonal projection onto the numeric null space of T,
-    block-diagonal like T: I - Y Y^H on each block X diag(s) Y^H of T's
-    factors, so an operator held as its cores factors only those. The
-    projection's blocks are built here: it is a dense reference."""
-    factors = _factors(T)
-    ys = np.split(factors.lines[1], factors.starts[1:])
-    return _from_std_blocks([(b, np.eye(b.size) - y @ y.conj().T) for b, y in zip(T.blocks, ys)], T)
+    root = np.sqrt(atoms.s)
+    return _on_right_lines(T, root * atoms.g * root)
 
 
 def is_normal(T: WeightedOperator, tol: float = DEFAULT_TOL) -> bool:
-    """T T* = T* T to tolerance. Of width 0 or 1 it is read off T's joint
-    cores K = [[s g, 0], [s h, 0]] (``_heights``): a block Q K Q^H gives
-    T T* - T* T = Q (K K^H - K^H K) Q^H, of norm |s h| hypot(|s g|, |s h|).
-    Otherwise it is the commutator of each standard-coordinate block, the
-    blocks zero-padded into one eigvalsh (``_padded_blocks``)."""
+    """T T* = T* T to tolerance, read off T's joint cores
+    K = [[s g, 0], [s h, 0]] (``_heights``): a block Q K Q^H gives
+    T T* - T* T = Q (K K^H - K^H K) Q^H, of norm |s h| hypot(|s g|, |s h|)."""
     atoms = _atoms(T)
-    if atoms is not None:
-        a, b = np.abs(atoms.g * atoms.s), np.abs(_heights(T) * atoms.s)
-        comm = (b * np.hypot(a, b)).max(initial=0.0)
-    else:
-        m = _padded_blocks(T)
-        mh = _conj_t(m)
-        comm = np.abs(_solve("eigvalsh", m @ mh - mh @ m)).max(initial=0.0)
+    a, b = np.abs(atoms.g * atoms.s), np.abs(_heights(T) * atoms.s)
+    comm = (b * np.hypot(a, b)).max(initial=0.0)
     return bool(comm <= tol * (1.0 + operator_norm(T) ** 2))

@@ -4,9 +4,8 @@ Each class has two routes: the definitional Loewner-order inequality,
 evaluated on the matrix with the numerical oracle, and the pointwise
 moment criteria, evaluated on the cached conditional moments. The two are
 reported side by side and never mixed, so each cross-validates the other.
-The oracle reads the Loewner margins of an operator with a per-atom record
-in closed form off the record; an operator held as its blocks, of rank
-over 1 on one, takes them of the operators composed on its blocks.
+The oracle reads the Loewner margins in closed form off the operator's
+per-atom record, each atom's cores 1 x 1 or 2 x 2.
 """
 
 from __future__ import annotations
@@ -27,12 +26,8 @@ from .operator_algebra import (
     _atoms,
     _heights,
     _once_per_operator,
-    adjoint,
-    compose,
-    gram_power,
     is_normal,
     loewner_holds,
-    loewner_margins,
 )
 from .wce_operator import WCEOperator, to_matrix
 
@@ -81,32 +76,14 @@ class NormalityReport:
 def _class_margins(T: WeightedOperator) -> dict:
     """The Loewner margins of the three definitional tests, keyed by class:
     |T^2| >= |T|^2 (A), |T^2| >= |T*|^2 (*-A) and
-    T* |T^2| T >= T* |T*|^2 T (quasi-*-A). A record's are in closed form
-    (``_rank_one_margins``); an operator held as its blocks of rank over 1
-    on one takes ``loewner_margins`` of the operators composed on its
-    blocks."""
-    atoms = _atoms(T)
-    if atoms is not None:
-        return _rank_one_margins(atoms.s, atoms.g, _heights(T))
-    t_adj = adjoint(T)
-    mod_t2, adj_sq = gram_power(compose(T, T), 0.5), gram_power(t_adj, 1.0)
-    mod_sq = gram_power(T, 1.0)
-    return {
-        A_CLASS: loewner_margins(mod_t2, mod_sq),
-        STAR_A_CLASS: loewner_margins(mod_t2, adj_sq),
-        QUASI_STAR_A_CLASS: loewner_margins(
-            compose(t_adj, compose(mod_t2, T)), compose(t_adj, compose(adj_sq, T))
-        ),
-    }
-
-
-def _rank_one_margins(s: np.ndarray, g: np.ndarray, h: np.ndarray) -> dict:
-    """``_class_margins`` of a record in closed form, from each atom's s,
-    g = y^H x and h (``_heights``): the A and quasi-*-A cores are
-    s^2 (|g| - 1) and s^4 (|g|^3 - 1), and the *-A core is s^2 H with
-    H = [[|g| (1 - |g|), -g h], [-conj(g) h, -h^2]], whose eigenvalues
-    (p + r) / 2 -+ hypot((p - r) / 2, |q|) keep their digits where they meet."""
-    s2, a = s**2, np.abs(g)
+    T* |T^2| T >= T* |T*|^2 T (quasi-*-A), in closed form off T's record,
+    from each atom's s, g = y^H x and h (``_heights``): the A and
+    quasi-*-A cores are s^2 (|g| - 1) and s^4 (|g|^3 - 1), and the *-A core
+    is s^2 H with H = [[|g| (1 - |g|), -g h], [-conj(g) h, -h^2]], whose
+    eigenvalues (p + r) / 2 -+ hypot((p - r) / 2, |q|) keep their digits
+    where they meet."""
+    atoms, h = _atoms(T), _heights(T)
+    s2, a = atoms.s**2, np.abs(atoms.g)
     p, r, q = a * (1.0 - a), -h * h, a * h
     mean, radius = 0.5 * (p + r), np.hypot(0.5 * (p - r), q)
     a_core, quasi_core = s2 * (a - 1.0), s2 * s2 * (a**3 - 1.0)
@@ -121,8 +98,7 @@ def _rank_one_margins(s: np.ndarray, g: np.ndarray, h: np.ndarray) -> dict:
 
 def _closed_margins(eigenvalues: np.ndarray, entries: np.ndarray) -> LoewnerMargins:
     """The margins of Hermitian cores with these ``eigenvalues`` (and zero
-    padding) and these moduli of their largest entries, as
-    ``loewner_margins`` reads them."""
+    padding) and these moduli of their largest entries (``LoewnerMargins``)."""
     return LoewnerMargins(
         0.0,
         1.0 + float(entries.max(initial=0.0)),

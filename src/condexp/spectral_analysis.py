@@ -6,8 +6,8 @@ radius its sup norm); the numeric side is the per-atom eigenvalue oracle.
 On a finite space the point spectrum is the spectrum, and 0 belongs to it
 iff T is rank deficient; T has one rank-one block per atom in S and G, so
 its rank is the number of those atoms. The joint point spectrum is read off
-T's factors too: each atom's joint core, 2 x 2 off T's record, or, for an
-operator held as its blocks of rank over 1 on one, each block itself.
+T's per-atom record too: each atom's 2 x 2 joint core, factored by LAPACK
+only where it is near a shift, the one LAPACK call of a verify.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .operator_algebra import (
     _atoms,
     _extreme_values,
     _heights,
-    _padded_blocks,
     _solve,
     eigenvalues,
     operator_norm,
@@ -203,45 +202,37 @@ def joint_point_spectrum(T: WeightedOperator, tol: float = DEFAULT_JOINT_TOL) ->
     spaces of T - lambda I and T* - conj(lambda) I, over all blocks, is below
     the module threshold.
 
-    Each block B is Q K Q^H with its core K, so both null spaces are Q's
-    image of the core's, plus the complement of Q's vectors when |lambda|
-    is within the cutoff. One SVD of K - lambda I per (block, shift) pair,
-    a bounded number of blocks at a time, gives the core's two, past its
-    rank: null(K - lambda I) from the right singular vectors and
+    Each atom's block is Q K Q^H with its joint core K = [[s g, 0], [s h, 0]]
+    on the basis (y, (x - g y) / h) (``_heights``), so both null spaces are
+    Q's image of the core's, plus the complement of Q's vectors when
+    |lambda| is within the cutoff. One SVD of K - lambda I per (atom, shift)
+    pair, a bounded number of atoms at a time, gives the core's two:
+    null(K - lambda I) from the right singular vectors and
     null(K^H - conj(lambda) I) from the left. A column of K that is no
-    vector of Q (``dims``) gets a diagonal entry above the cutoff. A
-    record's cores are its joint cores [[s g, 0], [s h, 0]] (``_heights``),
-    factored only where the closed-form smallest value
-    (``_extreme_values``) is within twice the cutoff; an operator held as
-    its blocks of rank over 1 on one takes its standard-coordinate blocks,
-    zero-padded (``_padded_blocks``), Q = I on each block's rows."""
+    vector of Q (``dims``) gets a diagonal entry above the cutoff. A core
+    is factored only where its closed-form smallest value
+    (``_extreme_values``) is within twice the cutoff."""
     cutoff = tol * (1.0 + operator_norm(T))
     clusters = _eigenvalue_clusters(T, cutoff)
     shifts = np.asarray(clusters, dtype=complex)
-    atoms = _atoms(T)
-    if atoms is None:
-        cores, sizes = _padded_blocks(T), np.array([b.size for b in T.blocks])
-        dims, complement = np.arange(cores.shape[-1]) < sizes[:, None], np.zeros(sizes.size, bool)
-    else:  # the cores as R_x diag(s) R_y^H forms them, a zero of either sign made +0
-        h = _heights(T)
-        cores = np.zeros((h.size, 2, 2), dtype=complex)
-        cores[:, 0, 0], cores[:, 1, 0] = atoms.g * atoms.s + 0, h * atoms.s + 0j
-        dims, complement = np.array([atoms.ranks > 0, h > 0]).T, atoms.ranks + (h > 0) < atoms.sizes
+    atoms, h = _atoms(T), _heights(T)
+    # the cores as R_x diag(s) R_y^H forms them, a zero of either sign made +0
+    cores = np.zeros((h.size, 2, 2), dtype=complex)
+    cores[:, 0, 0], cores[:, 1, 0] = atoms.g * atoms.s + 0, h * atoms.s + 0j
+    dims, complement = np.array([atoms.ranks > 0, h > 0]).T, atoms.ranks + (h > 0) < atoms.sizes
     cosine = np.zeros(shifts.size)
     if complement.any():
         cosine[np.abs(shifts) <= cutoff] = 1.0
-    dim = cores.shape[-1]
-    diagonal = np.arange(dim)
-    rows = max(1, DISTANCE_CHUNK // max(1, 4 * dim * dim * shifts.size))
+    diagonal = np.arange(2)
+    rows = max(1, DISTANCE_CHUNK // max(1, 16 * shifts.size))
     for lo in range(0, len(cores), rows):
         part = slice(lo, lo + rows)
         mats = cores[part, None].repeat(shifts.size, axis=1)
         shifted = mats[..., diagonal, diagonal] - shifts[:, None]
         mats[..., diagonal, diagonal] = np.where(dims[part, None], shifted, 1.0 + 2.0 * cutoff)
-        near = np.ones(mats.shape[:2], dtype=bool)
-        if dim == 2:  # the SVD only near a null vector; the closed form is off by ulps
-            largest, smallest = _extreme_values(mats)
-            near = smallest <= 2.0 * cutoff + 8 * np.finfo(float).eps * largest
+        # the SVD only near a null vector; the closed form is off by ulps
+        largest, smallest = _extreme_values(mats)
+        near = smallest <= 2.0 * cutoff + 8 * np.finfo(float).eps * largest
         shift, mats = near.nonzero()[1], mats[near]
         if not near.any():
             continue

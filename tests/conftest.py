@@ -9,8 +9,9 @@ from condexp import (
     operator_norm,
 )
 from condexp.measure_space import cluster_values
-from condexp.operator_algebra import _factors, _std_blocks
-from condexp.spectral_analysis import PRINCIPAL_ANGLE_TOL
+from condexp.operator_algebra import _atoms
+
+import dense_reference as dense
 
 
 @pytest.fixture
@@ -53,39 +54,29 @@ def multiset_close(a, b, tol):
 
 
 def block_factors(T):
-    """T's flat factors (``_factors``) read back one block at a time, in
+    """T's per-atom record (``_atoms``) read back one block at a time, in
     block order: (indices, X, s, Y) of each block, cut to its rank."""
-    factors = _factors(T)
-    x, y = factors.lines
-    for b, start, rank, s in zip(T.blocks, factors.starts, factors.ranks, factors.s):
+    atoms = _atoms(T)
+    x, y = atoms.lines
+    for b, start, rank, s in zip(T.blocks, atoms.starts, atoms.ranks, atoms.s):
         rows = slice(start, start + b.size)
-        yield b, x[rows, :rank], s[:rank], y[rows, :rank]
+        yield b, x[rows, :rank], np.array([s])[:rank], y[rows, :rank]
 
 
-def two_svd_joint_point_spectrum(T, tol=1e-8):
-    """The reference for ``joint_point_spectrum``: the same principal-angle
-    test, with one SVD for null(B - lambda I) and another for
-    null(B^H - conj(lambda) I) on every block B."""
+def standard_blocks(T):
+    """(indices, the standard-coordinate block of the dense reference) of
+    each of T's blocks, built from its ``parts``."""
+    for b, p in zip(T.blocks, T.parts):
+        yield b, dense.standard(p, T.space.weights[b])
 
-    def null_space(mat, cutoff):
-        _, s, vh = np.linalg.svd(mat)
-        return vh[int(np.sum(s > cutoff)):, :].conj().T
 
-    blocks = [m for _, m in _std_blocks(T)]
+def reference_joint_point_spectrum(T, tol=1e-8):
+    """The dense reference's joint point spectrum of T, on T's eigenvalue
+    clusters at the cutoff ``joint_point_spectrum`` takes, so the two lists
+    compare entry by entry."""
     cutoff = tol * (1.0 + operator_norm(T))
-    result = []
-    for lam in cluster_values(eigenvalues(T), cutoff):
-        cosine = 0.0
-        for b in blocks:
-            eye = np.eye(b.shape[0])
-            k1 = null_space(b - lam * eye, cutoff)
-            k2 = null_space(b.conj().T - np.conj(lam) * eye, cutoff)
-            if k1.shape[1] and k2.shape[1]:
-                cosines = np.linalg.svd(k1.conj().T @ k2, compute_uv=False)
-                cosine = max(cosine, float(cosines.max(initial=0.0)))
-        if np.arccos(np.clip(cosine, -1.0, 1.0)) < PRINCIPAL_ANGLE_TOL:
-            result.append(lam)
-    return result
+    candidates = cluster_values(eigenvalues(T), cutoff)
+    return dense.joint_point_spectrum(dense.standard(T.entries, T.space.weights), candidates, cutoff)
 
 
 def greedy_cluster_values(values, tol):

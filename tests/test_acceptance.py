@@ -29,6 +29,8 @@ from condexp import wce_operator as wce
 from condexp.measure_space import MeasurableFunction, SubSigmaAlgebra
 from condexp.operator_algebra import WeightedOperator
 
+import dense_reference as dense
+
 GAP_FLOOR = -1e-9
 _gap_minima = []
 
@@ -56,14 +58,20 @@ def _sized_random(seed, max_points, max_blocks, proportional=False):
     return random_instance(seed, n, blocks)
 
 
+def _standard(W, x) -> np.ndarray:
+    """The dense reference's standard-coordinate matrix of x, an operator
+    or the pair (a, b) of M_a E M_b."""
+    if not isinstance(x, WeightedOperator):
+        x = oa.expectation_operator(W.space, W.algebra, *x)
+    return dense.standard(x.entries, W.space.weights)
+
+
 def _distance(W, first, second) -> float:
-    """||first - second|| on L2(mu) by the dense oracle on the assembled
-    blocks, each side an operator or the pair (a, b) of M_a E M_b."""
-    A, B = (
-        x if isinstance(x, WeightedOperator) else oa.expectation_operator(W.space, W.algebra, *x)
-        for x in (first, second)
-    )
-    return oa.operator_norm(oa.subtract(A, B))
+    """||first - second|| on L2(mu) by the dense reference, each side an
+    operator, the pair (a, b) of M_a E M_b or a standard-coordinate
+    matrix."""
+    a, b = (x if isinstance(x, np.ndarray) else _standard(W, x) for x in (first, second))
+    return dense.norm(a - b)
 
 
 def test_criterion_1_norm_formula():
@@ -87,15 +95,13 @@ def test_criterion_2_power_formulas():
     worst = 0.0
     for seed in range(200):
         W = _track(as_wce(_sized_random(seed, 16, 5)))
-        T = wce.to_matrix(W)
-        tstar_t = oa.compose(oa.adjoint(T), T)
-        t_tstar = oa.compose(T, oa.adjoint(T))
+        m = _standard(W, wce.to_matrix(W))
         V = wce.adjoint_wce(W)  # (TT*)^p is the T*T power of the adjoint
         for p in (0.5, 1.0, 2.0, 3.5):
             worst = max(
                 worst,
-                _distance(W, wce.tstar_t_power(W, p), oa.fractional_power(tstar_t, p)),
-                _distance(W, wce.tstar_t_power(V, p), oa.fractional_power(t_tstar, p)),
+                _distance(W, wce.tstar_t_power(W, p), dense.gram_power(m, p)),
+                _distance(W, wce.tstar_t_power(V, p), dense.gram_power(m.conj().T, p)),
             )
     _report(
         2,
@@ -121,21 +127,14 @@ def test_criterion_3_polar_decomposition():
     worst_recon = worst_iso = worst_kernel = 0.0
     for instance in instances:
         W = _track(as_wce(instance))
-        T = wce.to_matrix(W)
+        t = _standard(W, wce.to_matrix(W))
         U, M = (
-            oa.expectation_operator(W.space, W.algebra, *pair)
+            _standard(W, pair)
             for pair in (wce.polar_isometry_closed_form(W), wce.tstar_t_power(W, 0.5))
         )
-        worst_recon = max(
-            worst_recon, oa.operator_norm(oa.subtract(oa.compose(U, M), T))
-        )
-        worst_iso = max(
-            worst_iso,
-            oa.operator_norm(oa.subtract(oa.compose(oa.compose(U, oa.adjoint(U)), U), U)),
-        )
-        kernel_gap = oa.operator_norm(
-            oa.subtract(oa.kernel_projection(U), oa.kernel_projection(M))
-        )
+        worst_recon = max(worst_recon, dense.norm(U @ M - t))
+        worst_iso = max(worst_iso, dense.norm(U @ U.conj().T @ U - U))
+        kernel_gap = dense.norm(dense.kernel_projection(U) - dense.kernel_projection(M))
         worst_kernel = max(worst_kernel, kernel_gap)
     _report(
         3,
@@ -229,9 +228,12 @@ def test_criterion_7_point_vs_joint_point_spectrum():
     sym_report = sa.sigma_p_equals_sigma_jp_check(W)
     sym_ok = sym_report.quasi_star_a and sym_report.equal
 
-    # a nilpotent operator is not quasi-*-A and separates the two spectra
+    # a nilpotent operator is not quasi-*-A and separates the two spectra:
+    # f -> (f_1, 0), M_a E M_b with a = (2, 0) and b = (0, 1) on one atom
     space = FiniteMeasureSpace(np.ones(2))
-    nilpotent = WeightedOperator([[0.0, 1.0], [0.0, 0.0]], space)
+    one_atom = SubSigmaAlgebra(([0, 1],), 2)
+    nilpotent = oa.expectation_operator(space, one_atom, np.array([2.0, 0.0]), np.array([0.0, 1.0]))
+    assert np.array_equal(nilpotent.entries, [[0.0, 1.0], [0.0, 0.0]])
     counter_ok = (
         not oc.is_quasi_star_a_definitional(nilpotent)
         and sa.joint_point_spectrum(nilpotent) == []

@@ -27,23 +27,19 @@ LIBRARY_MODULES = sorted(
     if path.name not in ("__init__.py", "cli.py")
 )
 
-#: the public functions nothing in ``src`` or ``bench`` calls: the dense
-#: references the tests check the oracle with (``kernel_projection`` is the
-#: one the coimage rule of the polar kernel check is compared with), the
-#: inner product the adjoint identities are checked against, the paper's
-#: sigma_jp identity, which the tests check on its own, and the
-#: conditional expectation of one function, which the closed forms take on
-#: arrays (``_conditional_means``) and the tests check them against
+#: the public functions nothing in ``src`` or ``bench`` calls: the paper's
+#: sigma_jp identity, which the tests check on its own, and the conditional
+#: expectation of one function, which the closed forms take on arrays
+#: (``_conditional_means``) and the tests check them against
 NOT_ON_A_CALL_PATH = {
-    "apply",
     "conditional_expectation",
-    "fractional_power",
-    "kernel_projection",
-    "polar_isometry_numeric",
-    "loewner_geq",
-    "weighted_inner",
     "joint_spectrum_range_check",
 }
+
+#: the public members nothing in ``src`` or ``bench`` reads: an operator's
+#: n x n matrix, the one bridge from the oracle to the tests' dense
+#: reference (``tests/dense_reference.py``)
+READ_BY_THE_TESTS_ALONE = [("WeightedOperator", "entries")]
 
 
 def _called_names() -> set:
@@ -144,8 +140,8 @@ def test_every_public_member_is_read_in_src_or_bench():
     }
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in LIBRARY_MODULES]
     members = _public_members(trees)
-    assert ("WeightedOperator", "entries") in members
-    assert [m for m in members if m[1] not in reads] == []
+    assert ("WeightedOperator", "parts") in members
+    assert [m for m in members if m[1] not in reads] == READ_BY_THE_TESTS_ALONE
     # the scan sees static methods and properties, and skips private members
     probe = ast.parse(
         "class C:\n"
@@ -241,9 +237,8 @@ def _qr_callers(tree) -> list:
 
 
 def test_no_src_function_calls_qr():
-    """No function of ``src`` calls QR: an operator held as its lines, T
-    among them, is factored in closed form off its 1 x 1 cores, and one
-    held as its blocks by the full SVD of each block."""
+    """No function of ``src`` calls QR: every operator, T among them, is
+    factored in closed form off its 1 x 1 cores."""
     callers = {
         f"{path.name}:{owner}"
         for path in (ROOT / "src").rglob("*.py")
@@ -257,6 +252,49 @@ def test_no_src_function_calls_qr():
         'def h(m):\n    return _solve("svd", m)\n'
     )
     assert _qr_callers(probe) == ["f", "g"]
+
+
+def _callers(tree, name: str) -> list:
+    """The enclosing top-level function (None outside one) of each call in
+    ``tree`` of ``name``, by itself or as an attribute."""
+    return [
+        top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_lapack_runs_only_for_the_joint_point_spectrum():
+    """In ``src`` the one caller of ``_solve``, so of LAPACK, is
+    ``joint_point_spectrum``, which factors its candidate cores: every other
+    question is read off the per-atom record in closed form."""
+    callers = {
+        (path.name, owner)
+        for path in (ROOT / "src").rglob("*.py")
+        for owner in _callers(ast.parse(path.read_text(encoding="utf-8")), "_solve")
+    }
+    assert callers == {("spectral_analysis.py", "joint_point_spectrum")}
+    probe = ast.parse('def f(m):\n    return _solve("svd", m)\nx = oa._solve("eigvals", m)\n')
+    assert _callers(probe, "_solve") == ["f", None]
+
+
+def test_the_dense_reference_imports_nothing_from_the_package():
+    """``tests/dense_reference.py`` shares no code with the oracle it checks:
+    it imports numpy alone, nothing of ``condexp``."""
+    tree = ast.parse((ROOT / "tests" / "dense_reference.py").read_text(encoding="utf-8"))
+    imported = {
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in (
+            [alias.name for alias in node.names]
+            if isinstance(node, ast.Import)
+            else [f"{'.' * node.level}{node.module or ''}"]
+        )
+    }
+    assert imported == {"numpy"}
 
 
 def _verify_inputs() -> list:
@@ -448,11 +486,10 @@ def test_verify_reads_the_parts_of_no_operator(monkeypatch):
         assert summarize(verify_instance(instance))["all_passed"]
         assert len(built) == 13
         assert read == []
-        assert all(op._parts is None for op in built)
     # the probe sees a read; a read builds the blocks, and the operator keeps none
-    blocks = _counted_blocks(monkeypatch)
+    blocks, memo = _counted_blocks(monkeypatch), dict(built[1]._memo)
     assert len(built[1].parts) == len(blocks) == len(built[1].blocks) and read == [built[1]]
-    assert built[1]._parts is None
+    assert built[1]._memo == memo
 
 
 def _counted_blocks(monkeypatch) -> list:
@@ -499,10 +536,10 @@ def test_verify_of_one_point_atoms_builds_no_block(monkeypatch):
 
 def test_every_operator_of_a_verify_holds_one_form(monkeypatch):
     """Each of the 13 operators a verify of product_space_example(4, 80),
-    with its own w or w = 1, builds holds exactly one of its blocks or its
-    lines: T, T* and the oracle's eleven their lines. Reading ``parts`` of
-    one gives its blocks, the product of its factors on each, and leaves
-    ``_parts`` None."""
+    with its own w or w = 1, builds (T, T* and the oracle's eleven) holds
+    its lines and reads a record. Reading ``parts`` of one gives its
+    blocks, the product of its record's factors on each, and adds nothing
+    to its memo."""
     built = []
 
     def counted(op, _original=WeightedOperator.__post_init__):
@@ -513,16 +550,16 @@ def test_every_operator_of_a_verify_holds_one_form(monkeypatch):
     for instance in _verify_inputs():
         built.clear()
         assert summarize(verify_instance(instance))["all_passed"]
-        forms = [[op._parts is not None, oa._LINES in op._memo] for op in built]
-        assert forms == [[False, True]] * 13
-        assert all(oa._atoms(op) is not None for op in built)  # each reads a record
+        assert [oa._LINES in op._memo for op in built] == [True] * 13
+        assert all(isinstance(oa._atoms(op), oa._Atoms) for op in built)  # each reads a record
         d = np.sqrt(instance.space.weights)
         for op in built:
+            memo = dict(op._memo)
             for (b, x, s, y), p in zip(block_factors(op), op.parts, strict=True):
                 expected = (((x * s) @ y.conj().T) / d[b][:, None]) * d[b][None, :]
                 scale = 1.0 + np.abs(expected).max()
                 assert np.abs(p - expected).max() <= 1e-12 * scale
-            assert op._parts is None
+            assert op._memo == memo
 
 
 def test_verify_calls_expectation_operator_once(monkeypatch):

@@ -3,11 +3,11 @@ block.
 
 ``expectation_operator`` holds M_a E M_b as its unit lines and 1 x 1
 cores on each atom, read off (a, b) in segment sums, which are its exact
-SVD; its factors are read off the cores in closed form, with no LAPACK
-call. The reference stays numpy's SVD of each standard-coordinate block,
-cut at DEFAULT_RANK_TOL times the largest singular value of any block,
-with the bounds of ``test_block_held_factors``: the ranks must match it
-exactly and the kept values to 1e-12 of the largest.
+SVD; its record (``_atoms``) is read off the cores in closed form, with no
+LAPACK call. The reference is numpy's SVD of each standard-coordinate
+block, cut at DEFAULT_RANK_TOL times the largest singular value of any
+block: the ranks must match it exactly and the kept values to 1e-12 of
+the largest.
 """
 
 import gc
@@ -25,9 +25,10 @@ from condexp import (
     random_instance,
     singular_values,
 )
-from condexp.operator_algebra import DEFAULT_RANK_TOL, _factors, _std_blocks
+from condexp import operator_algebra as oa
+from condexp.operator_algebra import DEFAULT_RANK_TOL, _atoms
 
-from conftest import block_factors
+from conftest import block_factors, standard_blocks
 
 #: atom sizes: one-point atoms among atoms of 2 to 90 points, enough to make
 #: more than one run, and an atom of 40 points where u vanishes (rank 0)
@@ -51,13 +52,12 @@ def _operator(seed, sizes=SIZES, zero=ZERO_ATOM):
 
 
 def _assert_dense(T):
-    """T's flat factors are the dense SVD of each standard-coordinate block,
-    within the bounds of ``test_block_held_factors``."""
-    values = [np.linalg.svd(m, compute_uv=False) for _, m in _std_blocks(T)]
+    """T's record is the dense SVD of each standard-coordinate block."""
+    values = [np.linalg.svd(m, compute_uv=False) for _, m in standard_blocks(T)]
     cutoff = DEFAULT_RANK_TOL * max(s.max() for s in values)
     reference = [s[s > cutoff] for s in values]
     largest = max(s.max(initial=0.0) for s in reference)
-    for (_, x, s, y), (_, m), dense in zip(block_factors(T), _std_blocks(T), reference, strict=True):
+    for (_, x, s, y), (_, m), dense in zip(block_factors(T), standard_blocks(T), reference, strict=True):
         assert s.size == dense.size
         np.testing.assert_allclose(s, dense, rtol=1e-12, atol=1e-12 * largest)
         np.testing.assert_allclose(x.conj().T @ x, np.eye(s.size), atol=1e-12)
@@ -66,34 +66,40 @@ def _assert_dense(T):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_flat_factors_are_the_dense_svd_of_each_block(seed):
+def test_flat_factors_are_the_dense_svd_of_each_block(monkeypatch, seed):
     """On mixed atom sizes, one-point atoms and a rank-0 atom among them,
-    no block is built and the factors are the dense SVD of each block."""
+    the record is made with no block built and is the dense SVD of each
+    block."""
     T = _operator(seed)
-    factors = _factors(T)
-    assert T._parts is None
-    assert factors.ranks.tolist() == [int(k != ZERO_ATOM) for k in range(len(SIZES))]
+    with monkeypatch.context() as patched:
+        patched.setattr(oa, "_built_block", _no_block)
+        atoms = _atoms(T)
+    assert atoms.ranks.tolist() == [int(k != ZERO_ATOM) for k in range(len(SIZES))]
     _assert_dense(T)
 
 
-def test_peak_memory_of_a_large_atom_beside_one_point_atoms():
+def _no_block(T, k):
+    raise AssertionError("a block was built")
+
+
+def test_peak_memory_of_a_large_atom_beside_one_point_atoms(monkeypatch):
     """One 4,000-point atom beside 1,000 one-point atoms: a tracemalloc
-    peak under 2 n 14 complex numbers plus the factors, where the
-    4,000 x 4,000 block alone would take 256 MB."""
+    peak under 2 n 14 complex numbers plus the record, where the
+    4,000 x 4,000 block alone would take 256 MB, and no block built."""
     n = 5000
     sizes = [4000] + [1] * 1000
     T = _operator(1, sizes, None)
-    _factors(_operator(1, sizes, None))  # warm: first-call allocations are not the factorization's
+    _atoms(_operator(1, sizes, None))  # warm: first-call allocations are not the factorization's
+    monkeypatch.setattr(oa, "_built_block", _no_block)
     gc.collect()
     tracemalloc.start()
     try:
-        factors = _factors(T)
+        atoms = _atoms(T)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * n * 14 * 16 + factors.lines.nbytes + factors.s.nbytes
-    assert factors.ranks.tolist() == [1] * len(sizes)
-    assert T._parts is None
+    assert peak < 2 * n * 14 * 16 + atoms.lines.nbytes + atoms.s.nbytes
+    assert atoms.ranks.tolist() == [1] * len(sizes)
 
 
 #: factors that take T's entries near the ends of the double range: their

@@ -13,7 +13,6 @@ from condexp import (
     is_algebra_measurable,
     level_set,
     support,
-    weighted_inner,
 )
 from condexp.measure_space import cluster_values
 
@@ -199,8 +198,8 @@ class TestConditionalExpectation:
         space, algebra, (f, g) = saf
         ef = conditional_expectation(space, algebra, f)
         eg = conditional_expectation(space, algebra, g)
-        lhs = weighted_inner(ef, g)
-        rhs = weighted_inner(f, eg)
+        lhs = np.sum(ef.values * np.conj(g.values) * space.weights)
+        rhs = np.sum(f.values * np.conj(eg.values) * space.weights)
         scale = 1.0 + abs(lhs) + abs(rhs)
         assert abs(lhs - rhs) <= 1e-11 * scale
 
@@ -231,36 +230,6 @@ class TestConditionalExpectation:
         full = discrete_algebra(space.point_count)
         ef = conditional_expectation(space, full, f)
         np.testing.assert_allclose(ef.values, f.values)
-
-
-class TestWeightedInner:
-    def test_constant_functions(self):
-        space = FiniteMeasureSpace([1.0, 3.0])
-        f = make_function(space, [1, 1])
-        assert weighted_inner(f, f) == pytest.approx(4.0)
-
-    def test_disjoint_supports(self):
-        space = FiniteMeasureSpace([0.7, 2.0])
-        f = make_function(space, [1, 0])
-        g = make_function(space, [0, 1])
-        assert weighted_inner(f, g) == 0
-
-    def test_zero_vector(self):
-        space = FiniteMeasureSpace([1.0, 1.0])
-        z = make_function(space, [0, 0])
-        assert weighted_inner(z, z) == 0
-
-    def test_conjugate_symmetry(self):
-        space = FiniteMeasureSpace([1.0, 2.0])
-        f = make_function(space, [1 + 1j, 2])
-        g = make_function(space, [3, -1j])
-        assert weighted_inner(f, g) == pytest.approx(np.conj(weighted_inner(g, f)))
-
-    def test_dimension_mismatch(self):
-        f = make_function(FiniteMeasureSpace([1.0]), [1])
-        g = make_function(FiniteMeasureSpace([1.0, 1.0]), [1, 1])
-        with pytest.raises(ValueError):
-            weighted_inner(f, g)
 
 
 def assert_mask(mask, expected):

@@ -13,41 +13,31 @@ from condexp import (
     WeightedOperator,
     adjoint,
     aluthge_numeric,
-    apply,
     as_wce,
     build_wce,
-    compose,
     eigenvalues,
     expectation_operator,
-    fractional_power,
-    is_hermitian,
     is_normal,
     joint_point_spectrum,
-    kernel_projection,
-    loewner_geq,
     operator_norm,
-    polar_isometry_numeric,
     random_instance,
     singular_values,
     to_matrix,
-    weighted_inner,
 )
 from condexp import operator_algebra
 from condexp.measure_space import cluster_values
 from condexp.operator_algebra import (
     _Lines,
-    _factors,
+    _LINES,
+    _atoms,
     _extreme_values,
-    _from_lines,
     _segments,
-    _std_blocks,
     core_distances,
     expectation_adjoint,
     expectation_coimage,
     expectation_norms,
     expectation_product,
     gram_power,
-    subtract,
 )
 
 from condexp.verification import (
@@ -58,76 +48,33 @@ from condexp.verification import (
     verify_instance,
 )
 
+import dense_reference as dense
 from conftest import (
     block_factors,
     discrete_algebra,
     make_function,
     multiset_close,
-    trivial_algebra,
+    standard_blocks,
 )
 
 
-def flat_space(n):
-    return FiniteMeasureSpace(np.ones(n))
+def _standard(X) -> np.ndarray:
+    """X's one n x n standard-coordinate matrix, the dense reference's input."""
+    return dense.standard(X.entries, X.space.weights)
 
 
-def random_operator(seed, n=6):
-    rng = np.random.default_rng(seed)
-    space = FiniteMeasureSpace(rng.uniform(0.2, 2.0, n))
-    entries = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return WeightedOperator(entries, space)
+def _dense_distance(A, B) -> float:
+    """||A - B|| on L2(mu), by the dense reference."""
+    return dense.norm(_standard(A) - _standard(B))
 
 
-def random_psd(seed, n=6, space=None):
-    if space is None:
-        space = random_operator(seed, n).space
-    rng = np.random.default_rng(seed + 1000)
-    entries = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    T = WeightedOperator(entries, space)
-    return compose(adjoint(T), T)
+def _instance_operator(seed, n=12, atoms=4):
+    return to_matrix(as_wce(random_instance(seed, n, atoms)))
 
 
-RANK_ONE = [[1, 0], [1, 0]]  # f -> (f_0, f_0); eigenvalues {0, 1}
-
-
-class TestApplyCompose:
-    def test_identity(self):
-        space = flat_space(3)
-        f = make_function(space, [1, 2j, -1])
-        out = apply(WeightedOperator(np.eye(3), space), f)
-        np.testing.assert_allclose(out.values, f.values)
-
-    def test_zero(self):
-        space = flat_space(2)
-        f = make_function(space, [5, 7])
-        assert np.all(apply(WeightedOperator(np.zeros((2, 2)), space), f).values == 0)
-
-    def test_row_evaluation(self):
-        space = flat_space(2)
-        T = WeightedOperator(RANK_ONE, space)
-        out = apply(T, make_function(space, [2, 5]))
-        np.testing.assert_allclose(out.values, [2, 2])
-
-    def test_compose_identity(self):
-        T = random_operator(0)
-        out = compose(WeightedOperator(np.eye(6), T.space), T)
-        np.testing.assert_allclose(out.entries, T.entries)
-
-    def test_compose_zero(self):
-        T = random_operator(1)
-        out = compose(T, WeightedOperator(np.zeros((6, 6)), T.space))
-        assert np.all(out.entries == 0)
-
-    def test_compose_idempotent(self):
-        space = flat_space(2)
-        T = WeightedOperator(RANK_ONE, space)
-        np.testing.assert_allclose(compose(T, T).entries, RANK_ONE)
-
-    def test_dimension_mismatch(self):
-        a = WeightedOperator(np.eye(2), flat_space(2))
-        b = WeightedOperator(np.eye(3), flat_space(3))
-        with pytest.raises(ValueError):
-            compose(a, b)
+def _inner(space, f, g) -> complex:
+    """The L2(mu) inner product sum_i f_i conj(g_i) mu_i."""
+    return complex(np.sum(f * np.conj(g) * space.weights))
 
 
 class TestAdjoint:
@@ -141,48 +88,29 @@ class TestAdjoint:
         space = FiniteMeasureSpace([1.0, 2.0, 0.5, 0.5])
         algebra = SubSigmaAlgebra(([0, 2], [1, 3]), 4)
         e = expectation_operator(space, algebra)
-        for i in range(4):
-            for j in range(4):
-                f = make_function(space, np.eye(4)[i])
-                g = make_function(space, np.eye(4)[j])
-                assert weighted_inner(apply(e, f), g) == pytest.approx(
-                    weighted_inner(f, apply(e, g))
-                )
+        m = _standard(e)
+        np.testing.assert_allclose(m, m.conj().T, atol=1e-15)
+        np.testing.assert_allclose(adjoint(e).entries, e.entries, atol=1e-15)
 
     def test_involution(self):
-        T = random_operator(3)
+        T = _instance_operator(3)
         np.testing.assert_allclose(adjoint(adjoint(T)).entries, T.entries)
 
     def test_defining_identity(self):
-        T = random_operator(4)
+        T = _instance_operator(4)
         rng = np.random.default_rng(11)
-        f = make_function(T.space, rng.standard_normal(6) + 1j * rng.standard_normal(6))
-        g = make_function(T.space, rng.standard_normal(6) + 1j * rng.standard_normal(6))
-        assert weighted_inner(apply(T, f), g) == pytest.approx(
-            weighted_inner(f, apply(adjoint(T), g))
-        )
+        f, g = (rng.standard_normal(12) + 1j * rng.standard_normal(12) for _ in range(2))
+        lhs = _inner(T.space, T.entries @ f, g)
+        assert lhs == pytest.approx(_inner(T.space, f, adjoint(T).entries @ g))
 
 
 class TestEigenvalues:
-    def test_diagonal(self):
-        space = flat_space(2)
-        evals = eigenvalues(WeightedOperator(np.diag([1.0, 2.0]), space))
-        assert multiset_close(evals, [1, 2], 1e-12)
-
-    def test_rank_one_projection_like(self):
-        evals = eigenvalues(WeightedOperator(RANK_ONE, flat_space(2)))
-        assert multiset_close(evals, [0, 1], 1e-12)
-
-    def test_nilpotent(self):
-        evals = eigenvalues(WeightedOperator([[0, 1], [0, 0]], flat_space(2)))
-        assert np.abs(evals).max() < 1e-7
-
     def test_nilpotent_rank_one_atom_gives_exact_zeros(self):
         """E(uw) = 0 on the first atom with u, w != 0, so its rank-one block
         is nilpotent. Dense eigvals spreads its zeros to about
-        sqrt(eps) ||B||; the SVD core gives |B| - 1 exact zeros and one
+        sqrt(eps) ||B||; the record gives |B| - 1 exact zeros and one
         eigenvalue of rounding size."""
-        space = flat_space(6)
+        space = FiniteMeasureSpace(np.ones(6))
         algebra = SubSigmaAlgebra(([0, 1, 2, 3], [4, 5]), 6)
         u = make_function(space, [1, 1, 1, 1, 2, 1j])
         w = make_function(space, [1, -1, 2, -2, 1, 3])
@@ -192,227 +120,28 @@ class TestEigenvalues:
         assert np.count_nonzero(evals[:4]) <= 1
         assert np.abs(evals[:4]).max() <= 1e-15 * norm
         assert multiset_close(evals[4:], [1 + 1.5j, 0], 1e-14)
-        dense = np.linalg.eigvals(next(_std_blocks(T))[1])
-        assert np.abs(dense).max() > 1e-12 * norm
-
-    @pytest.mark.parametrize(
-        "entries",
-        [
-            np.diag([1.0, 2.0, 3.0]),
-            np.eye(3, k=1) + 2 * np.eye(3),
-            np.triu(np.arange(1, 10).reshape(3, 3) * (1 - 0.5j)),
-        ],
-        ids=["diagonal", "defective", "non-normal"],
-    )
-    def test_full_rank_keeps_dense_eigvals(self, entries):
-        T = WeightedOperator(entries, FiniteMeasureSpace([0.5, 1.0, 2.0]))
-        dense = np.linalg.eigvals(next(_std_blocks(T))[1])
-        np.testing.assert_array_equal(eigenvalues(T), dense)
+        dense_evals = np.linalg.eigvals(next(standard_blocks(T))[1])
+        assert np.abs(dense_evals).max() > 1e-12 * norm
 
 
 class TestSingularValues:
-    def test_identity(self):
-        s = singular_values(WeightedOperator(np.eye(4), flat_space(4)))
-        np.testing.assert_allclose(s, np.ones(4))
-
-    def test_rank_one(self):
-        s = singular_values(WeightedOperator(RANK_ONE, flat_space(2)))
-        np.testing.assert_allclose(s, [np.sqrt(2), 0], atol=1e-14)
-
-    def test_zero(self):
-        s = singular_values(WeightedOperator(np.zeros((3, 3)), flat_space(3)))
-        np.testing.assert_allclose(s, 0)
-
     def test_invariant_under_adjoint(self):
         for seed in range(5):
-            T = random_operator(seed)
+            T = _instance_operator(seed)
             np.testing.assert_allclose(
                 singular_values(T), singular_values(adjoint(T)), atol=1e-10
             )
 
 
-class TestLoewner:
-    def test_identity_geq_zero(self):
-        space = flat_space(2)
-        zero = WeightedOperator(np.zeros((2, 2)), space)
-        assert loewner_geq(WeightedOperator(np.eye(2), space), zero)
-
-    def test_indefinite_difference(self):
-        space = flat_space(2)
-        a = WeightedOperator(np.diag([1.0, 2.0]), space)
-        b = WeightedOperator(np.diag([0.0, 3.0]), space)
-        assert not loewner_geq(a, b)
-
-    def test_reflexive(self):
-        for seed in range(5):
-            A = random_psd(seed)
-            assert loewner_geq(A, A)
-
-    def test_antisymmetric(self):
-        for seed in range(5):
-            A = random_psd(seed)
-            B = random_psd(seed + 100, space=A.space)
-            if loewner_geq(A, B, 1e-10) and loewner_geq(B, A, 1e-10):
-                diff = WeightedOperator(A.entries - B.entries, A.space)
-                assert operator_norm(diff) <= 1e-8 * (1 + operator_norm(A))
-            # perturbing A within tolerance keeps both directions true
-            eps = 1e-12
-            A_eps = WeightedOperator(A.entries * (1 + eps), A.space)
-            assert loewner_geq(A, A_eps, 1e-9) and loewner_geq(A_eps, A, 1e-9)
-
-    def test_transitive_on_constructed_chain(self):
-        for seed in range(5):
-            A = random_psd(seed)
-            B = WeightedOperator(
-                A.entries + random_psd(seed + 50, space=A.space).entries, A.space
-            )
-            C = WeightedOperator(
-                B.entries + random_psd(seed + 90, space=A.space).entries, B.space
-            )
-            assert loewner_geq(C, B) and loewner_geq(B, A)
-            assert loewner_geq(C, A)
-
-    def test_rejects_non_hermitian_difference(self):
-        space = flat_space(2)
-        a = WeightedOperator([[0, 1], [0, 0]], space)
-        assert not loewner_geq(a, WeightedOperator(np.zeros((2, 2)), space))
-
-
-class TestFractionalPower:
-    def test_square_root_of_diagonal(self):
-        space = flat_space(2)
-        A = WeightedOperator(np.diag([4.0, 9.0]), space)
-        np.testing.assert_allclose(
-            fractional_power(A, 0.5).entries, np.diag([2.0, 3.0]), atol=1e-12
-        )
-
-    def test_power_one_is_identity_map(self):
-        A = random_psd(7)
-        np.testing.assert_allclose(fractional_power(A, 1.0).entries, A.entries, atol=1e-10)
-
-    def test_power_two_is_square(self):
-        A = random_psd(8)
-        np.testing.assert_allclose(
-            fractional_power(A, 2.0).entries, compose(A, A).entries, atol=1e-9
-        )
-
-    def test_power_addition(self):
-        for seed in range(5):
-            A = random_psd(seed)
-            for p, q in [(0.5, 0.5), (1.5, 2.0), (0.25, 0.75)]:
-                lhs = compose(fractional_power(A, p), fractional_power(A, q))
-                rhs = fractional_power(A, p + q)
-                assert np.abs(lhs.entries - rhs.entries).max() <= 1e-8
-
-    def test_rejects_non_psd(self):
-        space = flat_space(2)
-        A = WeightedOperator(np.diag([1.0, -1.0]), space)
-        with pytest.raises(ValueError):
-            fractional_power(A, 0.5)
-
-    def test_rejects_non_hermitian(self):
-        space = flat_space(2)
-        A = WeightedOperator([[0, 1], [0, 0]], space)
-        with pytest.raises(ValueError):
-            fractional_power(A, 0.5)
-
-
-class TestModulusPolar:
-    def test_positive_diagonal(self):
-        space = flat_space(2)
-        D = WeightedOperator(np.diag([2.0, 3.0]), space)
-        np.testing.assert_allclose(gram_power(D, 0.5).entries, D.entries, atol=1e-12)
-
-    def test_lower_shift(self):
-        space = flat_space(2)
-        T = WeightedOperator([[0, 0], [1, 0]], space)
-        np.testing.assert_allclose(
-            gram_power(T, 0.5).entries, np.diag([1.0, 0.0]), atol=1e-12
-        )
-
-    def test_unitary_has_identity_modulus(self):
-        space = flat_space(2)
-        theta = 0.7
-        U = WeightedOperator(
-            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]], space
-        )
-        np.testing.assert_allclose(gram_power(U, 0.5).entries, np.eye(2), atol=1e-12)
-
-    def test_polar_of_positive_diagonal(self):
-        space = flat_space(2)
-        T = WeightedOperator(np.diag([2.0, 3.0]), space)
-        np.testing.assert_allclose(polar_isometry_numeric(T).entries, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(gram_power(T, 0.5).entries, T.entries, atol=1e-12)
-
-    def test_polar_of_rank_one(self):
-        space = flat_space(2)
-        T = WeightedOperator(RANK_ONE, space)
-        np.testing.assert_allclose(
-            gram_power(T, 0.5).entries, np.diag([np.sqrt(2), 0.0]), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            polar_isometry_numeric(T).entries,
-            [[1 / np.sqrt(2), 0], [1 / np.sqrt(2), 0]],
-            atol=1e-12,
-        )
-
-    def test_polar_of_zero(self):
-        space = flat_space(3)
-        zero = WeightedOperator(np.zeros((3, 3)), space)
-        assert np.all(polar_isometry_numeric(zero).entries == 0)
-        assert np.all(gram_power(zero, 0.5).entries == 0)
-
-    def test_reconstruction_and_kernel_condition(self):
-        for seed in range(8):
-            T = random_operator(seed)
-            U, modulus = polar_isometry_numeric(T), gram_power(T, 0.5)
-            recon = compose(U, modulus)
-            err = operator_norm(WeightedOperator(recon.entries - T.entries, T.space))
-            assert err <= 1e-8 * (1 + operator_norm(T))
-            ku = kernel_projection(U)
-            km = kernel_projection(modulus)
-            assert operator_norm(subtract(ku, km)) <= 1e-8
-
-
 class TestAluthge:
-    def test_fixes_normal_diagonal(self):
-        space = flat_space(3)
-        T = WeightedOperator(np.diag([1.0, -2.0, 3.0]), space)
-        np.testing.assert_allclose(aluthge_numeric(T).entries, T.entries, atol=1e-10)
-
-    def test_annihilates_nilpotent(self):
-        space = flat_space(2)
-        T = WeightedOperator([[0, 1], [0, 0]], space)
-        assert np.abs(aluthge_numeric(T).entries).max() <= 1e-12
-
-    def test_zero(self):
-        space = flat_space(2)
-        out = aluthge_numeric(WeightedOperator(np.zeros((2, 2)), space))
-        assert np.all(out.entries == 0)
-
     def test_preserves_eigenvalue_multiset(self):
         for seed in range(8):
-            T = random_operator(seed)
+            T = _instance_operator(seed)
             assert multiset_close(
                 eigenvalues(T),
                 eigenvalues(aluthge_numeric(T)),
                 1e-6 * (1 + operator_norm(T)),
             )
-
-
-class TestKernel:
-    def test_identity_has_trivial_kernel(self):
-        projection = kernel_projection(WeightedOperator(np.eye(3), flat_space(3)))
-        np.testing.assert_allclose(projection.entries, 0.0, atol=1e-12)
-
-    def test_zero_has_full_kernel(self):
-        projection = kernel_projection(WeightedOperator(np.zeros((3, 3)), flat_space(3)))
-        np.testing.assert_allclose(projection.entries, np.eye(3), atol=1e-12)
-
-    def test_rank_one(self):
-        # the kernel is span{(0, 1)}
-        projection = kernel_projection(WeightedOperator(RANK_ONE, flat_space(2)))
-        np.testing.assert_allclose(projection.entries, np.diag([0.0, 1.0]), atol=1e-12)
 
 
 #: three atoms of five points with random masses, for the pair tests
@@ -478,7 +207,7 @@ class TestExpectationPairs:
         A, B = _pair_operator(first), _pair_operator(second)
         scale = max(operator_norm(A), operator_norm(B))
         got = core_distance(PAIR_SPACE, PAIR_ALGEBRA, first, second)
-        assert abs(got - operator_norm(subtract(A, B))) <= 1e-14 * scale
+        assert abs(got - _dense_distance(A, B)) <= 1e-14 * scale
         assert core_distance(PAIR_SPACE, PAIR_ALGEBRA, first, first) <= 1e-14 * scale
 
     def test_near_coincident_lines_defeat_the_cosine_form(self):
@@ -496,7 +225,7 @@ class TestExpectationPairs:
     def test_product_adjoint_and_norms(self, name, first, second):
         A, B = _pair_operator(first), _pair_operator(second)
         product = _pair_operator(expectation_product(PAIR_SPACE, PAIR_ALGEBRA, first, second))
-        np.testing.assert_allclose(product.entries, compose(A, B).entries, atol=1e-12)
+        np.testing.assert_allclose(product.entries, A.entries @ B.entries, atol=1e-12)
         star = _pair_operator(expectation_adjoint(first))
         np.testing.assert_allclose(star.entries, adjoint(A).entries, atol=1e-12)
         norms = expectation_norms(PAIR_SPACE, PAIR_ALGEBRA, first)
@@ -504,15 +233,16 @@ class TestExpectationPairs:
 
     @pytest.mark.parametrize("name, first, second", list(_adversarial_pairs()))
     def test_coimage_is_the_complement_of_the_kernel_projection(self, name, first, second):
-        """The coimage pair is I - kernel_projection, rank cut included, so
-        the coimage distance is the distance of the kernel projections."""
+        """The coimage pair is I minus the dense reference's kernel
+        projection, rank cut included, so the coimage distance is the
+        distance of the kernel projections."""
         coimages = [expectation_coimage(PAIR_SPACE, PAIR_ALGEBRA, x) for x in (first, second)]
-        kernels = [kernel_projection(_pair_operator(x)) for x in (first, second)]
+        kernels = [dense.kernel_projection(_standard(_pair_operator(x))) for x in (first, second)]
         for pair, kernel in zip(coimages, kernels):
-            complement = np.eye(15) - _pair_operator(pair).entries
-            np.testing.assert_allclose(complement, kernel.entries, atol=1e-12)
+            complement = np.eye(15) - _standard(_pair_operator(pair))
+            np.testing.assert_allclose(complement, kernel, atol=1e-12)
         got = core_distance(PAIR_SPACE, PAIR_ALGEBRA, *coimages)
-        assert abs(got - operator_norm(subtract(*kernels))) <= 1e-12
+        assert abs(got - dense.norm(kernels[0] - kernels[1])) <= 1e-12
 
     def test_coimage_cuts_atoms_under_the_rank_rule(self):
         """An atom whose norm is under DEFAULT_RANK_TOL times the largest is
@@ -521,10 +251,10 @@ class TestExpectationPairs:
         a, b = _complex_vector(rng), _complex_vector(rng)
         a[10:] *= 1e-12
         pair = expectation_coimage(PAIR_SPACE, PAIR_ALGEBRA, (a, b))
-        kernel = kernel_projection(_pair_operator((a, b)))
+        kernel = dense.kernel_projection(_standard(_pair_operator((a, b))))
         np.testing.assert_allclose(pair[0][10:], 0.0)
-        complement = np.eye(15) - _pair_operator(pair).entries
-        np.testing.assert_allclose(complement, kernel.entries, atol=1e-12)
+        complement = np.eye(15) - _standard(_pair_operator(pair))
+        np.testing.assert_allclose(complement, kernel, atol=1e-12)
 
     def test_distance_of_two_pairs_runs_no_solver(self, monkeypatch):
         """Two pairs give one 2 x 2 core per atom, whose largest value is
@@ -549,25 +279,18 @@ def _orthonormal(rng, rows, cols):
 
 def _held(blocks, cores, space=PAIR_SPACE):
     """The operator on ``space`` over ``blocks`` whose standard-coordinate
-    block is L K R^H, one (L, K, R) per block: held as those lines and
-    cores, each zero-padded to the largest rank, where that is at most 1
-    (``_Lines``), else as its blocks."""
+    block is L K R^H, one (L, K, R) of rank 0 or 1 per block, held as those
+    lines and cores, each zero-padded to the largest rank (``_Lines``)."""
     starts, sizes = _segments(blocks)
     n = space.point_count
     rank = max(k.shape[0] for _, k, _ in cores)
-    if rank > 1:
-        d, entries = np.sqrt(space.weights), np.zeros((n, n), dtype=complex)
-        for b, (left, k, right) in zip(blocks, cores):
-            entries[np.ix_(b, b)] = (left @ k @ right.conj().T) / d[b][:, None] * d[b][None, :]
-        return WeightedOperator(entries, space, blocks)
     lines = np.zeros((2, n, rank), dtype=complex)
     core = np.zeros((len(blocks), rank, rank), dtype=complex)
     for j, (start, size, (left, k, right)) in enumerate(zip(starts, sizes, cores)):
         r = k.shape[0]
         lines[0, start : start + size, :r], lines[1, start : start + size, :r] = left, right
         core[j, :r, :r] = k
-    held = _Lines(starts, sizes, lines, core)
-    return _from_lines(held, WeightedOperator(np.zeros((n, n)), space, blocks))
+    return WeightedOperator(space, tuple(blocks), {_LINES: _Lines(starts, sizes, lines, core)})
 
 
 def _cored(blocks, rng, ranks, space=PAIR_SPACE, scale=1.0):
@@ -582,8 +305,8 @@ def _cored(blocks, rng, ranks, space=PAIR_SPACE, scale=1.0):
 
 
 def _pair_as_cores(pair, blocks):
-    """M_a E M_b over ``blocks``, each the union of atoms, from the rank-one
-    lines sigma p q^H of its atoms, one column per atom (``_held``)."""
+    """M_a E M_b over the atoms ``blocks`` from the rank-one lines
+    sigma p q^H of its atoms (``_held``)."""
     sigma = expectation_norms(PAIR_SPACE, PAIR_ALGEBRA, pair)
     d = np.sqrt(PAIR_SPACE.weights)
     p, q = d * pair[0], np.conj(d * pair[1])
@@ -601,32 +324,19 @@ def _pair_as_cores(pair, blocks):
     return _held(blocks, cores)
 
 
-ONE_BLOCK = (np.arange(15),)
-
-
 def _core_cases():
-    """(name, first, second): pairs and operators of ranks 0, 1 and 2 per
-    atom or up to the atom count on one block, held as lines where the rank
-    is at most 1 and as blocks above, lines that coincide to rounding, and
-    a pair against one block."""
+    """(name, first, second): pairs and operators of rank 0 or 1 per atom,
+    and lines that coincide to rounding."""
     rng = np.random.default_rng(8)
     atoms = PAIR_ALGEBRA.blocks
     a, b = _complex_vector(rng), _complex_vector(rng)
     yield "pair-rank-0", (a, b), _cored(atoms, rng, (0, 0, 0))
     yield "pair-rank-1", (a, b), _cored(atoms, rng, (1, 1, 1))
-    yield "pair-rank-2", (a, b), _cored(atoms, rng, (2, 2, 2))
-    yield "pair-mixed-ranks", (a, b), _cored(atoms, rng, (0, 1, 2))
-    yield "cored-cored", _cored(atoms, rng, (2, 0, 1)), _cored(atoms, rng, (1, 2, 2))
-    yield "cored-itself", *[_cored(atoms, np.random.default_rng(3), (1, 2, 0))] * 2
     yield "pair-coinciding", (a, b), _pair_as_cores((a, b), atoms)
     yield "pair-coinciding-scaled", (2.5 * a, b), _pair_as_cores((a, 2.5 * b), atoms)
     near = (_turned(a, rng, NEAR_ANGLE), b)
     yield "pair-near", near, _pair_as_cores((a, b), atoms)
     yield "cored-coinciding", _pair_as_cores((a, b), atoms), _pair_as_cores((a, b), atoms)
-    yield "pair-one-block-rank-3", (a, b), _cored(ONE_BLOCK, rng, (3,))
-    yield "pair-one-block-coinciding", (a, b), _pair_as_cores((a, b), ONE_BLOCK)
-    yield "pair-one-block-near", near, _pair_as_cores((a, b), ONE_BLOCK)
-    yield "cored-one-block", _cored(atoms, rng, (1, 2, 1)), _cored(ONE_BLOCK, rng, (2,))
 
 
 def _as_operator(x, space=PAIR_SPACE, algebra=PAIR_ALGEBRA):
@@ -642,39 +352,20 @@ class TestCoreDistance:
     def test_is_the_dense_norm_of_the_difference(self, name, first, second):
         A, B = _as_operator(first), _as_operator(second)
         bound = 1e-12 * (1.0 + max(operator_norm(A), operator_norm(B)))
-        dense = operator_norm(subtract(A, B))
+        reference = _dense_distance(A, B)
         for x, y in ((first, second), (second, first)):
-            assert abs(core_distance(PAIR_SPACE, PAIR_ALGEBRA, x, y) - dense) <= bound
-        if "coinciding" in name or name == "cored-itself":
-            assert dense <= bound
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_transforms_of_t_as_one_block(self, seed):
-        """T as one block, of rank up to its atom count: its Aluthge
-        transform against the transform's own and T*T against its pair,
-        each to 1e-12 of the dense norm of the difference."""
-        W = as_wce(random_instance(seed, 40, 5))
-        one_block = WeightedOperator(to_matrix(W).entries, W.space)
-        t_pair = (W.w.values, W.u.values)
-        gram = expectation_product(W.space, W.algebra, expectation_adjoint(t_pair), t_pair)
-        transform = aluthge_numeric(one_block)
-        cases = ((aluthge_numeric(transform), transform), (gram, gram_power(one_block, 1.0)))
-        for first, second in cases:
-            A, B = (_as_operator(x, W.space, W.algebra) for x in (first, second))
-            bound = 1e-12 * (1.0 + max(operator_norm(A), operator_norm(B)))
-            got = core_distance(W.space, W.algebra, first, second)
-            assert abs(got - operator_norm(subtract(A, B))) <= bound
+            assert abs(core_distance(PAIR_SPACE, PAIR_ALGEBRA, x, y) - reference) <= bound
+        if "coinciding" in name:
+            assert reference <= bound
 
     def test_near_lines_keep_their_digits(self):
-        """Lines turned by 1e-9 are compared to 1e-6 relative, on the atoms
-        and on one block: a Gram matrix of the lines would keep no digit."""
-        cases = {name: (x, y) for name, x, y in _core_cases()}
-        for name in ("pair-near", "pair-one-block-near"):
-            near, cored = cases[name]
-            dense = operator_norm(subtract(_pair_operator(near), cored))
-            assert dense > 0.1 * NEAR_ANGLE
-            got = core_distance(PAIR_SPACE, PAIR_ALGEBRA, near, cored)
-            assert got == pytest.approx(dense, rel=1e-6)
+        """Lines turned by 1e-9 are compared to 1e-6 relative: a Gram matrix
+        of the lines would keep no digit."""
+        near, cored = {name: (x, y) for name, x, y in _core_cases()}["pair-near"]
+        reference = _dense_distance(_pair_operator(near), cored)
+        assert reference > 0.1 * NEAR_ANGLE
+        got = core_distance(PAIR_SPACE, PAIR_ALGEBRA, near, cored)
+        assert got == pytest.approx(reference, rel=1e-6)
 
     @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
     def test_a_pair_is_measured_at_any_scale(self, scale):
@@ -696,22 +387,20 @@ class TestCoreDistance:
         np.testing.assert_allclose(measured(scale), scale * base, rtol=1e-12, atol=0.0)
 
     def test_a_side_that_is_not_finite_gives_nan(self):
-        """Against a pair that is not finite, a pair, an operator held as its
-        lines and one held as its blocks each give NaN, both ways round."""
+        """Against a pair that is not finite, a pair and an operator each
+        give NaN, both ways round."""
         rng = np.random.default_rng(2)
         a, b = _complex_vector(rng), _complex_vector(rng)
         a[3] = np.nan
         cored = _cored(PAIR_ALGEBRA.blocks, rng, (1, 1, 1))
-        blocks = _cored(PAIR_ALGEBRA.blocks, rng, (2, 1, 2))
-        assert blocks._parts is not None
-        for side in (cored, blocks, (b, a)):
+        for side in (cored, (b, a)):
             assert np.isnan(core_distance(PAIR_SPACE, PAIR_ALGEBRA, (a, b), side))
             assert np.isnan(core_distance(PAIR_SPACE, PAIR_ALGEBRA, side, (a, b)))
 
     def test_a_mixed_batch_is_each_comparison_alone(self):
         """One call on every case above, both ways round, with the pairs of
         ``_adversarial_pairs`` and a side that is not finite: pair/pair,
-        pair/held, held/held and one-block comparisons in one batch, each
+        pair/operator and operator/operator comparisons in one batch, each
         margin within the bounds of its own case against the dense norm."""
         rng = np.random.default_rng(2)
         a, b = _complex_vector(rng), _complex_vector(rng)
@@ -725,23 +414,29 @@ class TestCoreDistance:
         for margin, (x, y) in zip(got, cases):
             A, B = _as_operator(x), _as_operator(y)
             bound = 1e-12 * (1.0 + max(operator_norm(A), operator_norm(B)))
-            assert abs(margin - operator_norm(subtract(A, B))) <= bound
+            assert abs(margin - _dense_distance(A, B)) <= bound
         for margin, (x, y) in zip(got[len(cases) :], pairs):
             A, B = _pair_operator(x), _pair_operator(y)
             scale = max(operator_norm(A), operator_norm(B))
-            assert abs(margin - operator_norm(subtract(A, B))) <= 1e-14 * scale
+            assert abs(margin - _dense_distance(A, B)) <= 1e-14 * scale
         assert np.isnan(got[-2:]).all()
         assert core_distances(PAIR_SPACE, PAIR_ALGEBRA, []).shape == (0,)
 
-    def test_an_operator_in_either_form_matches_its_pair(self):
-        """T = M_a E M_b held as its lines, over its atoms, or as one block
-        compares with its own pair to rounding."""
+    def test_an_operator_matches_its_pair(self):
+        """T = M_a E M_b compares with its own pair to rounding."""
         rng = np.random.default_rng(6)
         for pair in [(np.ones(15), np.ones(15)), (_complex_vector(rng), _complex_vector(rng))]:
             T = _pair_operator(pair)
-            for X in (T, WeightedOperator(T.entries, T.space)):
-                margin = core_distance(PAIR_SPACE, PAIR_ALGEBRA, pair, X)
-                assert margin <= 1e-14 * (1.0 + operator_norm(T))
+            margin = core_distance(PAIR_SPACE, PAIR_ALGEBRA, pair, T)
+            assert margin <= 1e-14 * (1.0 + operator_norm(T))
+
+    def test_sides_over_other_blocks_are_refused(self):
+        """Both sides of a comparison are over the same blocks: an operator
+        over one block against a pair over the atoms is refused."""
+        pair = (np.ones(15), np.ones(15))
+        one_block = expectation_operator(PAIR_SPACE, SubSigmaAlgebra((range(15),), 15))
+        with pytest.raises(ValueError, match="same blocks"):
+            core_distance(PAIR_SPACE, PAIR_ALGEBRA, pair, one_block)
 
 
 #: nine points in four atoms, two of one point each, listed out of order
@@ -809,12 +504,12 @@ class TestRankOneKernel:
     def test_is_the_dense_norm_of_the_difference(self, name, first, second):
         A, B = (_as_operator(x, KERNEL_SPACE, KERNEL_ALGEBRA) for x in (first, second))
         bound = 1e-12 * (1.0 + max(operator_norm(A), operator_norm(B)))
-        dense = operator_norm(subtract(A, B))
+        reference = _dense_distance(A, B)
         for x, y in ((first, second), (second, first)):
             got = core_distance(KERNEL_SPACE, KERNEL_ALGEBRA, x, y)
-            assert abs(got - dense) <= bound
+            assert abs(got - reference) <= bound
         if "itself" in name:
-            assert dense <= bound
+            assert reference <= bound
 
     def test_is_homogeneous_at_1e_plus_minus_150(self):
         """At 1e+-150 per vector each margin is 1e+-300 times the margin at
@@ -832,10 +527,9 @@ class TestRankOneKernel:
         got = core_distances(KERNEL_SPACE, KERNEL_ALGEBRA, _kernel_nan_cases())
         assert np.isnan(got).all()
 
-    def test_runs_no_solver_and_no_dense_route(self, monkeypatch):
+    def test_runs_no_solver(self, monkeypatch):
         """Sides of width 0 or 1 take the kernel: no numpy.linalg routine
-        runs and no difference is assembled, and a verify's side takes it
-        too."""
+        runs, and a verify's side takes it too."""
         calls = []
         for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "qr"):
 
@@ -847,7 +541,6 @@ class TestRankOneKernel:
         space, algebra, side = _verify_side()
         cases = [(x, y) for _, x, y in _kernel_cases()] + _kernel_nan_cases()
         calls.clear()
-        monkeypatch.setattr(operator_algebra, "_dense_distance", None)
         core_distances(KERNEL_SPACE, KERNEL_ALGEBRA, cases)
         core_distances(space, algebra, side)
         assert calls == []
@@ -955,42 +648,30 @@ class TestNormal:
         algebra = SubSigmaAlgebra(([0, 1], [2]), 3)
         assert is_normal(expectation_operator(space, algebra))
 
-    def test_rank_one_is_not_normal(self):
-        assert not is_normal(WeightedOperator(RANK_ONE, flat_space(2)))
-
-    def test_unitary_is_normal(self):
-        space = flat_space(2)
-        U = WeightedOperator([[0, 1], [-1, 0]], space)
-        assert is_normal(U)
-
     def test_zero_is_normal(self):
-        """A zero operator has rank 0 on every atom: its joint cores are
-        0 x 0."""
-        assert is_normal(WeightedOperator(np.zeros((3, 3)), FiniteMeasureSpace([1.0, 2.0, 3.0])))
+        """A zero operator has rank 0 on every atom: its record has width 0."""
+        space = FiniteMeasureSpace([1.0, 2.0, 3.0])
+        zero = expectation_operator(space, SubSigmaAlgebra(([0, 2], [1]), 3), np.zeros(3))
+        assert _atoms(zero).lines.shape[-1] == 0
+        assert is_normal(zero)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_decides_on_the_dense_commutator_norm(self, seed):
         """The tolerance at which is_normal turns is ||TT* - T*T|| / (1 + ||T||^2),
-        with the commutator taken densely in standard coordinates, for T
-        blocked by its atoms, T as one block and a full-rank operator."""
+        with the commutator taken densely in standard coordinates."""
         T = to_matrix(as_wce(random_instance(seed, 18, 3)))
-        for X in (T, WeightedOperator(T.entries, T.space), random_operator(seed)):
-            d = np.sqrt(X.space.weights)
-            m = d[:, None] * X.entries / d[None, :]
-            comm = np.linalg.norm(m @ m.conj().T - m.conj().T @ m, 2)
-            turn = comm / (1.0 + operator_norm(X) ** 2)
-            assert is_normal(X, turn * (1 + 1e-6)) is True
-            assert is_normal(X, turn * (1 - 1e-6)) is False
+        m = _standard(T)
+        comm = np.linalg.norm(m @ m.conj().T - m.conj().T @ m, 2)
+        turn = comm / (1.0 + operator_norm(T) ** 2)
+        assert is_normal(T, turn * (1 + 1e-6)) is True
+        assert is_normal(T, turn * (1 - 1e-6)) is False
 
     def test_reads_only_the_joint_cores(self, monkeypatch):
-        """With T's factors memoized, is_normal reads T's 2 x 2 joint cores
+        """With T's record memoized, is_normal reads T's 2 x 2 joint cores
         in closed form: no SVD and no eigvalsh runs, and no operator is
-        built. T as one block (the one-block reference, of rank over 1)
-        runs one eigvalsh, of the commutator of its one 18 x 18 block."""
+        built."""
         T = to_matrix(as_wce(random_instance(0, 18, 3)))
-        one_block = WeightedOperator(T.entries, T.space)
-        assert _factors(one_block).s.shape[1] > 1
-        _factors(T)
+        _atoms(T)
         calls = []
 
         def probe(routine):
@@ -1006,16 +687,6 @@ class TestNormal:
         monkeypatch.setattr(WeightedOperator, "__post_init__", lambda op: built.append(op))
         assert not is_normal(T)
         assert calls == [] and built == []
-        calls.clear()
-        assert not is_normal(one_block)
-        assert calls == [("eigvalsh", (1, 18, 18))]
-        assert built == []
-
-    def test_hermitian_check(self):
-        space = FiniteMeasureSpace([1.0, 3.0])
-        algebra = trivial_algebra(2)
-        assert is_hermitian(expectation_operator(space, algebra))
-        assert not is_hermitian(WeightedOperator([[0, 1], [0, 0]], space))
 
 
 class TestSolverLog:
@@ -1081,86 +752,46 @@ def _atom_operator(seed):
 def _reconstruction_error(A):
     return max(
         np.abs((x * s) @ y.conj().T - m).max()
-        for (_, x, s, y), (_, m) in zip(block_factors(A), _std_blocks(A))
+        for (_, x, s, y), (_, m) in zip(block_factors(A), standard_blocks(A))
     )
 
 
-#: the forms an operator is held in, each with a builder over
-#: random_instance(seed, 18, 3): a random operator held as its blocks, and,
-#: held as their lines, T built from its pair and two operators derived
-#: from T's factors
+#: operators held as their lines, each with a builder over
+#: random_instance(seed, 18, 3): T built from its pair and two operators
+#: derived from T's record
 HELD_AS = {
-    "blocks": lambda inst, T: _random_blocks(inst),
-    "pair": lambda inst, T: T,
-    "gram_power": lambda inst, T: gram_power(T, 1.0),
-    "aluthge": lambda inst, T: aluthge_numeric(T),
-}
-
-
-def _random_blocks(inst):
-    """A random complex operator held as its blocks over inst's atoms."""
-    rng = np.random.default_rng(11)
-    n = inst.space.point_count
-    entries = np.zeros((n, n), dtype=complex)
-    for b in inst.algebra.blocks:
-        entries[np.ix_(b, b)] = rng.standard_normal((b.size, 2 * b.size)).view(complex)
-    return WeightedOperator(entries, inst.space, inst.algebra.blocks)
-
-
-def _held_as(form):
-    """An operator held in ``form`` (``HELD_AS``), held by nothing but the
-    caller."""
-    inst = random_instance(4, 18, 3)
-    T = expectation_operator(inst.space, inst.algebra, inst.w.values, inst.u.values)
-    return HELD_AS[form](inst, T)
-
-
-def _form(X) -> list:
-    """Which of its blocks and its lines X holds."""
-    return [X._parts is not None, operator_algebra._LINES in X._memo]
-
-
-#: the oracle's operators derived from an operator's factors
-DERIVED_OF = {
-    "gram_power-0.5": lambda X: gram_power(X, 0.5),
-    "gram_power-2": lambda X: gram_power(X, 2.0),
-    "polar_isometry": polar_isometry_numeric,
+    "pair": lambda T: T,
+    "gram_power": lambda T: gram_power(T, 1.0),
     "aluthge": aluthge_numeric,
 }
 
 
-@pytest.mark.parametrize("derive", DERIVED_OF.values(), ids=DERIVED_OF.keys())
-def test_a_derived_operator_keeps_its_operands_form(derive):
-    """Of T, held as its lines, a derived operator is held as lines; of T
-    as one block, of rank over 1 on it, it is held as blocks, and is the
-    same operator to 1e-12."""
-    T = to_matrix(as_wce(random_instance(4, 18, 3)))
-    X = WeightedOperator(T.entries, T.space)
-    of_lines, of_blocks = derive(T), derive(X)
-    assert _form(of_lines) == [False, True] and _form(of_blocks) == [True, False]
-    scale = 1.0 + np.abs(of_lines.entries).max()
-    assert np.abs(of_blocks.entries - of_lines.entries).max() <= 1e-12 * scale
+def _held_as(form):
+    """An operator held as ``form`` (``HELD_AS``), held by nothing but the
+    caller."""
+    inst = random_instance(4, 18, 3)
+    T = expectation_operator(inst.space, inst.algebra, inst.w.values, inst.u.values)
+    return HELD_AS[form](T)
 
 
 def test_lines_wider_than_one_column_are_refused():
     """An operator held as its lines has cores of width 0 or 1: a wider
     form is refused where it is made."""
     starts, sizes = _segments(PAIR_ALGEBRA.blocks)
-    zero = WeightedOperator(np.zeros((15, 15)), PAIR_SPACE, PAIR_ALGEBRA.blocks)
     for width in (2, 3):
         lines = np.zeros((2, 15, width), dtype=complex)
         held = _Lines(starts, sizes, lines, np.zeros((3, width, width), dtype=complex))
         with pytest.raises(ValueError, match="width 0 or 1"):
-            _from_lines(held, zero)
+            WeightedOperator(PAIR_SPACE, PAIR_ALGEBRA.blocks, {_LINES: held})
 
 
 @pytest.mark.parametrize("form", HELD_AS)
 def test_the_adjoint_keeps_its_operator_form(form):
-    """adjoint(X) is held in X's form, refers back to X, and is
+    """adjoint(X) is held as its lines, refers back to X, and is
     D^-1 X^H D; the adjoint of the adjoint is X again."""
     X = _held_as(form)
     A = adjoint(X)
-    assert _form(A) == _form(X) and _form(X).count(True) == 1
+    assert _LINES in A._memo
     assert A._memo[operator_algebra._ADJOINT_OF]() is X
     mu = X.space.weights
     expected = (X.entries.conj().T * mu[None, :]) / mu[:, None]
@@ -1169,24 +800,11 @@ def test_the_adjoint_keeps_its_operator_form(form):
     assert np.abs(adjoint(A).entries - X.entries).max() <= 1e-12 * scale
 
 
-#: the numpy.linalg calls that factor an adjoint whose operator is gone,
-#: for each form, as (routine, shape of its input): lines of width 1, T's
-#: among them, read their 1 x 1 cores in closed form, with no call, and
-#: blocks take one SVD per block
-FREED_CALLS = {
-    "blocks": lambda A: [("svd", (b.size, b.size)) for b in A.blocks],
-    "pair": lambda A: [],
-    "gram_power": lambda A: [],
-    "aluthge": lambda A: [],
-}
-
-
 @pytest.mark.parametrize("form", HELD_AS)
 def test_the_adjoint_of_a_freed_operator_factors_by_its_form(monkeypatch, form):
-    """Once X is freed, adjoint(X) factors itself by its own form's route,
-    and its factors reconstruct its blocks: lines, T's among them, from
-    their 1 x 1 cores in closed form with no LAPACK call, blocks by one
-    full SVD per block."""
+    """Once X is freed, adjoint(X) reads its record off its own 1 x 1 cores
+    in closed form, with no LAPACK call, and its record reconstructs its
+    blocks."""
     X = _held_as(form)
     A = adjoint(X)
     del X
@@ -1203,9 +821,9 @@ def test_the_adjoint_of_a_freed_operator_factors_by_its_form(monkeypatch, form):
 
     for routine in ("svd", "qr", "eig", "eigvals", "eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, routine, probe(routine))
-    _factors(A)
+    _atoms(A)
     monkeypatch.undo()
-    assert calls == FREED_CALLS[form](A)
+    assert calls == []
     assert _reconstruction_error(A) <= 1e-12
 
 
@@ -1214,7 +832,7 @@ def test_the_adjoint_of_a_freed_operator_factors_by_its_form(monkeypatch, form):
 def test_the_eigenvalues_of_the_adjoint_are_conjugate(seed, points, atoms):
     """eigenvalues(T*) is conj(eigenvalues(T)) as a multiset, within the
     corpus's 1e-15 (1 + ||T||): both are s g on each atom, read off T's
-    factors and off T*'s, T's swapped, with no block built."""
+    record and off T*'s, T's swapped, with no block built."""
     T = to_matrix(as_wce(random_instance(seed, points, atoms)))
     bound = 1e-15 * (1.0 + operator_norm(T))
     assert multiset_close(eigenvalues(adjoint(T)), np.conj(eigenvalues(T)), bound)
@@ -1225,7 +843,7 @@ class TestAdjointSharesSVD:
 
     def test_adjoint_reads_the_operator_svd(self, monkeypatch):
         T = _atom_operator(1)
-        _factors(T)
+        _atoms(T)
 
         def no_call(*args, **kwargs):
             raise AssertionError("numpy.linalg was called")
@@ -1235,20 +853,20 @@ class TestAdjointSharesSVD:
         assert _reconstruction_error(adjoint(T)) <= 1e-12
 
     def test_adjoint_of_a_freed_operator_factors_itself(self, monkeypatch):
-        """T is held as its lines, and so is T*: while T lives, T*'s factors
-        are T's swapped, views of the same arrays, computed once; once T is
-        freed, T*'s factors are read off its own 1 x 1 cores in closed
-        form, with no LAPACK call, and they are T's swapped up to a phase
-        per atom, with the same singular values."""
+        """T is held as its lines, and so is T*: while T lives, T*'s record
+        is T's swapped, views of the same arrays, computed once; once T is
+        freed, T*'s record is read off its own 1 x 1 cores in closed form,
+        with no LAPACK call, and it is T's swapped up to a phase per atom,
+        with the same singular values."""
         T = _atom_operator(2)
-        factors, swapped = _factors(T), _factors(adjoint(T))
-        assert np.shares_memory(swapped.lines, factors.lines) and _factors(T) is factors
-        assert np.array_equal(swapped.lines, factors.lines[::-1])
-        s = factors.s.copy()
+        record, swapped = _atoms(T), _atoms(adjoint(T))
+        assert np.shares_memory(swapped.lines, record.lines) and _atoms(T) is record
+        assert np.array_equal(swapped.lines, record.lines[::-1])
+        s = record.s.copy()
         A = adjoint(T)
-        del T, factors, swapped
+        del T, record, swapped
         gc.collect()
-        A._memo.pop("_factors")
+        A._memo.pop("_atoms")
         calls = []
 
         def probe(routine):
@@ -1262,14 +880,14 @@ class TestAdjointSharesSVD:
             monkeypatch.setattr(np.linalg, routine, probe(routine))
         assert _reconstruction_error(A) <= 1e-12
         assert calls == []
-        np.testing.assert_allclose(_factors(A).s, s, rtol=1e-15)
+        np.testing.assert_allclose(_atoms(A).s, s, rtol=1e-15)
 
     def test_adjoint_does_not_keep_the_operator_alive(self):
         gc.disable()
         try:
             T = _atom_operator(3)
             A = adjoint(T)
-            _factors(A)
+            _atoms(A)
             ref = weakref.ref(T)
             del T
             assert ref() is None

@@ -1,9 +1,10 @@
-"""The per-atom oracle against the dense one.
+"""The per-atom oracle against the dense reference.
 
-An operator built from T = M_w E M_u carries the atoms of its partition, and
-every factorization runs on the atom blocks. The same entries given without
-blocks form one block, which is the dense whole-matrix oracle; each routine
-must agree with it to rounding.
+An operator built from T = M_w E M_u carries the atoms of its partition,
+and every question is read off its per-atom record. The dense reference
+(``dense_reference``) answers the same questions with plain numpy on T's
+one n x n standard-coordinate matrix M; each must agree with it to
+rounding.
 """
 
 import gc
@@ -14,26 +15,22 @@ import pytest
 
 from condexp import (
     FiniteMeasureSpace,
-    Instance,
     MeasurableFunction,
-    WCEOperator,
     WeightedOperator,
     adjoint,
     aluthge_numeric,
     as_wce,
     build_wce,
-    compose,
     eigenvalues,
     expectation_operator,
-    fractional_power,
     hausdorff_distance,
-    is_hermitian,
+    is_a_class_definitional,
     is_normal,
+    is_quasi_star_a_definitional,
+    is_star_a_definitional,
     joint_point_spectrum,
-    kernel_projection,
-    loewner_geq,
     operator_norm,
-    polar_isometry_numeric,
+    polar_isometry_closed_form,
     product_space_example,
     proportional_instance,
     random_instance,
@@ -42,13 +39,7 @@ from condexp import (
     to_matrix,
 )
 from condexp import operator_algebra as oa
-from condexp.operator_algebra import (
-    _factors,
-    _std_blocks,
-    gram_power,
-    loewner_holds,
-    loewner_margins,
-)
+from condexp.operator_algebra import _Lines, gram_power, loewner_holds
 from condexp.operator_classes import (
     A_CLASS,
     QUASI_STAR_A_CLASS,
@@ -57,7 +48,8 @@ from condexp.operator_classes import (
 )
 from condexp.verification import POWERS, Tolerances, summarize, verify_instance
 
-from conftest import multiset_close, two_svd_joint_point_spectrum
+import dense_reference as dense
+from conftest import multiset_close, reference_joint_point_spectrum, standard_blocks
 
 
 def _u_vanishes_on_an_atom(seed):
@@ -88,181 +80,94 @@ def _instances():
 CASES = _instances()
 
 
-def _pair(W):
-    """The per-atom operator of W and the same entries as one block."""
-    T = to_matrix(W)
-    return T, WeightedOperator(T.entries, T.space)
+def _standard(X) -> np.ndarray:
+    """X's one n x n standard-coordinate matrix, the dense reference's input."""
+    return dense.standard(X.entries, X.space.weights)
 
 
-def _close(A, B, scale):
-    return np.abs(A.entries - B.entries).max() <= 1e-10 * (1.0 + scale)
+def _close(X, reference, scale):
+    return np.abs(_standard(X) - reference).max() <= 1e-10 * (1.0 + scale)
 
 
 @pytest.mark.parametrize("name, W", CASES, ids=[c[0] for c in CASES])
 class TestAgreesWithDense:
     def test_blocks_are_the_atoms(self, name, W):
-        T, D = _pair(W)
-        assert len(T.blocks) == W.algebra.block_count
-        assert len(D.blocks) == 1
+        assert len(to_matrix(W).blocks) == W.algebra.block_count
 
     def test_eigenvalues(self, name, W):
-        T, D = _pair(W)
-        tol = 1e-7 * (1.0 + operator_norm(D))
-        assert multiset_close(eigenvalues(T), eigenvalues(D), tol)
+        T = to_matrix(W)
+        m = _standard(T)
+        tol = 1e-7 * (1.0 + dense.norm(m))
+        assert multiset_close(eigenvalues(T), dense.eigenvalues(m), tol)
 
     def test_eigenvalues_per_block_match_dense_eigvals(self, name, W):
-        """Each block's eigenvalues, from its SVD core where it is rank
-        deficient, are the dense eigvals of that block as a multiset."""
-        T, _ = _pair(W)
+        """Each block's eigenvalues, read off the record, are the dense
+        eigvals of that block as a multiset."""
+        T = to_matrix(W)
         evals = eigenvalues(T)
         tol = 1e-7 * (1.0 + operator_norm(T))
         start = 0
-        for _, m in _std_blocks(T):
+        for _, m in standard_blocks(T):
             stop = start + len(m)
             assert multiset_close(evals[start:stop], np.linalg.eigvals(m), tol)
             start = stop
         assert start == evals.size
 
     def test_singular_values(self, name, W):
-        T, D = _pair(W)
-        s_dense = singular_values(D)
+        T = to_matrix(W)
+        s_dense = np.linalg.svd(_standard(T), compute_uv=False)
         np.testing.assert_allclose(
             singular_values(T), s_dense, rtol=0, atol=1e-12 * (1.0 + s_dense[0])
         )
 
     def test_fractional_powers(self, name, W):
-        T, D = _pair(W)
-        norm = operator_norm(D)
+        """The powers of T*T and of TT*, read off T's record and off T*'s,
+        T's swapped."""
+        T = to_matrix(W)
+        m = _standard(T)
+        norm = dense.norm(m)
         for p in POWERS:
-            for X, Y in ((T, D), (adjoint(T), adjoint(D))):
-                per_atom = fractional_power(compose(adjoint(X), X), p)
-                dense = fractional_power(compose(adjoint(Y), Y), p)
-                assert len(per_atom.blocks) == len(T.blocks)
-                assert _close(per_atom, dense, norm ** (2 * p)), p
-                # the same power read off X's factors (T*'s are T's swapped)
-                assert _close(gram_power(X, p), dense, norm ** (2 * p)), p
+            for X, mx in ((T, m), (adjoint(T), m.conj().T)):
+                assert len(gram_power(X, p).blocks) == len(T.blocks)
+                assert _close(gram_power(X, p), dense.gram_power(mx, p), norm ** (2 * p)), p
 
-    def test_modulus_polar_aluthge(self, name, W):
-        T, D = _pair(W)
-        norm = operator_norm(D)
-        for X, Y in ((T, D), (adjoint(T), adjoint(D))):
-            assert _close(gram_power(X, 0.5), gram_power(Y, 0.5), norm)
-            assert _close(polar_isometry_numeric(X), polar_isometry_numeric(Y), 1.0)
-            assert _close(aluthge_numeric(X), aluthge_numeric(Y), norm)
+    def test_modulus_and_aluthge(self, name, W):
+        T = to_matrix(W)
+        m = _standard(T)
+        norm = dense.norm(m)
+        for X, mx in ((T, m), (adjoint(T), m.conj().T)):
+            assert _close(gram_power(X, 0.5), dense.gram_power(mx, 0.5), norm)
+            assert _close(aluthge_numeric(X), dense.aluthge(mx), norm)
 
-    def test_kernel_projections(self, name, W):
-        T, _ = _pair(W)
-        for X in (T, polar_isometry_numeric(T)):
-            Y = WeightedOperator(X.entries, X.space)
-            dense = kernel_projection(Y)
-            projection = kernel_projection(X)
-            assert _close(projection, dense, 1.0)
-            # the trace of a projection is the dimension of its range
-            nullity = [round(np.trace(P.entries).real) for P in (projection, dense)]
-            assert nullity[0] == nullity[1]
-
-    def test_loewner_and_normality(self, name, W):
-        T, D = _pair(W)
-        for X in (T, D):
-            assert is_normal(X) == is_normal(D)
-        for X, Y in ((T, D), (adjoint(T), adjoint(D))):
-            mod_x, mod_y = gram_power(X, 0.5), gram_power(Y, 0.5)
-            mod_sq_x = gram_power(compose(X, X), 0.5)
-            mod_sq_y = gram_power(compose(Y, Y), 0.5)
-            assert loewner_geq(mod_sq_x, compose(mod_x, mod_x)) == loewner_geq(
-                mod_sq_y, compose(mod_y, mod_y)
-            )
-            assert loewner_geq(compose(mod_x, mod_x), mod_sq_x) == loewner_geq(
-                compose(mod_y, mod_y), mod_sq_y
-            )
+    def test_normality(self, name, W):
+        T = to_matrix(W)
+        assert is_normal(T) == dense.is_normal(_standard(T), Tolerances().psd)
 
     def test_joint_point_spectrum(self, name, W):
-        T, D = _pair(W)
-        per_atom, dense = joint_point_spectrum(T), joint_point_spectrum(D)
-        assert len(per_atom) == len(dense)
-        assert hausdorff_distance(per_atom, dense) <= 1e-7 * (1.0 + operator_norm(D))
-
-    def test_joint_point_spectrum_matches_two_svd_reference(self, name, W):
-        for X in _pair(W):
-            assert joint_point_spectrum(X) == two_svd_joint_point_spectrum(X)
+        T = to_matrix(W)
+        assert joint_point_spectrum(T) == reference_joint_point_spectrum(T)
 
 
 class TestBlocks:
-    def test_entries_outside_the_blocks_are_rejected(self):
-        T = to_matrix(as_wce(random_instance(0, 10, 3)))
-        entries = T.entries.copy()
-        a, b = T.blocks[0][0], T.blocks[1][0]
-        entries[a, b] = 1e-3
-        with pytest.raises(ValueError, match="outside the blocks"):
-            WeightedOperator(entries, T.space, T.blocks)
-        WeightedOperator(entries, T.space)  # one block: any matrix
-
-    @pytest.mark.parametrize(
-        "blocks", [([0, 1], [1, 2]), ([0, 1],), ([0, 1], [2, 5]), ([0, 1], []), ([0, 1.0], [2])]
-    )
-    def test_blocks_must_partition_the_points(self, blocks):
-        T = WeightedOperator(np.eye(3), random_instance(0, 3, 1).space)
-        with pytest.raises(ValueError):
-            WeightedOperator(T.entries, T.space, blocks)
-
-    def test_products_keep_shared_blocks_only(self):
-        T = to_matrix(as_wce(random_instance(1, 12, 3)))
-        assert compose(T, adjoint(T)).blocks is T.blocks
-        D = WeightedOperator(T.entries, T.space)
-        mixed = compose(T, D)
-        assert len(mixed.blocks) == 1
-        np.testing.assert_allclose(mixed.entries, T.entries @ T.entries)
-
     def test_blocks_built_from_finite_cores_are_checked_finite(self):
         """Every block is checked finite: on weights 1e-300 and 1e300 the
         value-coordinate blocks of T* and of T's derived operators scale
-        finite cores by sqrt(mu_j / mu_i) = 1e300 and overflow. The adjoint
-        of T, held as its blocks, builds them at once and is refused; the
-        derived operators, held as their lines, are refused by every reader
-        of their blocks."""
+        finite cores by sqrt(mu_j / mu_i) = 1e300 and overflow. Each is
+        held as its lines and refused by every reader of its blocks; T's
+        own block is finite."""
         space = FiniteMeasureSpace(np.array([1e-300, 1e300]))
-        d = np.sqrt(space.weights)
-        standard = np.array([[0.0, 0.0], [1e9, 1e9]])
-        T = WeightedOperator((standard / d[:, None]) * d[None, :], space, [np.arange(2)])
+        # the standard-coordinate block [[0, 0], [1e9, 1e9]] as its lines
+        lines = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)[..., None]
+        lines[1] /= np.sqrt(2.0)
+        core = np.array([[[1e9 * np.sqrt(2.0)]]], dtype=complex)
+        held = _Lines(np.array([0]), np.array([2]), lines, core)
+        T = WeightedOperator(space, (np.arange(2),), {oa._LINES: held})
+        assert np.isfinite(T.entries).all()
         with np.errstate(all="ignore"):
-            with pytest.raises(ValueError, match="must be finite"):
-                adjoint(T)
-            for op in (gram_power(T, 1), aluthge_numeric(T)):
-                for read in (lambda: list(oa._block_parts(op)), lambda: is_hermitian(op)):
+            for op in (adjoint(T), gram_power(T, 1), aluthge_numeric(T)):
+                for read in (lambda: op.parts, lambda: op.entries):
                     with pytest.raises(ValueError, match="must be finite"):
                         read()
-                with pytest.raises(ValueError, match="must be finite"):
-                    op.parts
-
-    def test_fractional_power_builds_each_lazy_block_once(self, monkeypatch):
-        """fractional_power of an operator held as its lines, or of its
-        adjoint, held as its lines too, builds each block once for both the
-        self-adjointness test and eigh, and the operator keeps none."""
-        built = _count_block_builds(monkeypatch)
-        T = to_matrix(as_wce(random_instance(1, 24, 4)))
-        G = gram_power(T, 1.0)
-        built.clear()
-        root = fractional_power(G, 0.5)
-        assert built == [0, 1, 2, 3]
-        built.clear()
-        fractional_power(adjoint(G), 0.5)
-        assert built == [0, 1, 2, 3]
-        assert G._parts is None and adjoint(G)._parts is None
-        held = WeightedOperator(G.entries, G.space, G.blocks)
-        np.testing.assert_allclose(root.entries, fractional_power(held, 0.5).entries, atol=1e-12)
-
-
-def _count_block_builds(monkeypatch) -> list:
-    """A list that records the index of each block the one builder
-    (``_built_block``) builds from now on."""
-    built = []
-
-    def counted(T, k, _original=oa._built_block):
-        built.append(k)
-        return _original(T, k)
-
-    monkeypatch.setattr(oa, "_built_block", counted)
-    return built
 
 
 FOUR_ATOMS = pytest.mark.parametrize(
@@ -332,7 +237,7 @@ def test_eigenvalues_computed_once_per_atom(monkeypatch, instance):
     verify_instance(instance)
     assert calls == [] and built == []
     T = to_matrix(as_wce(instance))
-    dense = np.concatenate([np.linalg.eigvals(m) for _, m in _std_blocks(T)])
+    dense = np.concatenate([np.linalg.eigvals(m) for _, m in standard_blocks(T)])
     monkeypatch.undo()
     assert multiset_close(eigenvalues(T), dense, 1e-12 * (1.0 + operator_norm(T)))
 
@@ -342,7 +247,7 @@ def test_verify_reads_t_through_its_svd(monkeypatch, instance):
     """During verify no eigh and no eigvals runs, and no values-only SVD
     runs on a block of T: T's eigenvalues are s g on each atom, read off
     its factors."""
-    t_blocks = [m for _, m in _std_blocks(to_matrix(as_wce(instance)))]
+    t_blocks = [m for _, m in standard_blocks(to_matrix(as_wce(instance)))]
     calls = {"eigh": [], "eigvals": [], "svd": []}
     for name in calls:
 
@@ -362,9 +267,9 @@ def test_joint_point_spectrum_factors_only_the_cores(monkeypatch, instance):
     """With T's factors warm, the joint point spectrum runs no qr (the joint
     cores are read off T's record) and SVDs of the at most 2 x 2 cores of
     the rank-one atoms, stacked over the atoms and shifts, and no
-    |B| x |B| SVD; it gives the two-SVD verdicts."""
+    |B| x |B| SVD; it gives the dense reference's verdicts."""
     T = to_matrix(as_wce(instance))
-    _factors(T)
+    oa._atoms(T)
     calls = {"svd": [], "qr": []}
     for name in calls:
 
@@ -379,30 +284,7 @@ def test_joint_point_spectrum_factors_only_the_cores(monkeypatch, instance):
     assert calls["svd"]
     assert max(max(shape[-2:]) for shape in calls["svd"]) <= 2
     assert 0.0 in jp
-    assert jp == two_svd_joint_point_spectrum(T)
-
-
-def test_kernel_projection_of_an_oracle_built_operator_factors_only_its_cores(monkeypatch):
-    """The polar isometry and the Aluthge transform keep their 1 x 1 cores,
-    so their kernel projections read their factors off those in closed
-    form, with no LAPACK call and no |B| x |B| block factored; they match
-    the one-block projections of the same entries."""
-    T = to_matrix(as_wce(product_space_example(4, 80)))
-    built = [polar_isometry_numeric(T), aluthge_numeric(T)]
-    orders = []
-    for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "qr"):
-
-        def probe(a, *args, _original=getattr(np.linalg, name), **kwargs):
-            orders.append(max(np.shape(a)[-2:]))
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, probe)
-    projections = [kernel_projection(X) for X in built]
-    monkeypatch.undo()
-    assert orders == []
-    for X, projection in zip(built, projections):
-        dense = kernel_projection(WeightedOperator(X.entries, X.space))
-        assert _close(projection, dense, 1.0)
+    assert jp == reference_joint_point_spectrum(T)
 
 
 @FOUR_ATOMS
@@ -413,7 +295,8 @@ def test_verify_factors_neither_t_squared_nor_its_aluthge(monkeypatch, instance)
     factored from its 1 x 1 cores, whatever the size of its atoms, and the
     polar residuals are measured on 2 x 2 cores."""
     T = to_matrix(as_wce(instance))
-    derived = [m for X in (compose(T, T), aluthge_numeric(T)) for _, m in _std_blocks(X)]
+    squares = [m @ m for _, m in standard_blocks(T)]
+    derived = squares + [m for _, m in standard_blocks(aluthge_numeric(T))]
     sizes = {b.size for b in T.blocks}
     derived_svds, full_size = [], []
     for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "qr"):
@@ -441,32 +324,32 @@ def _memo_arrays(value):
 
 
 def _small_memo(T) -> bool:
-    """Apart from T's flat factors (2 x n x R lines) and the lines T is
+    """Apart from the lines of T's record (2 x n x R) and the lines T is
     held as (2 x n x 1, its definition), no array memoized on T, nor the
     array it views, has two or more axes and more than blocks x (2R)^2
     entries: no |B| x |B| U or V^H and no n x 2R joint basis stays alive,
     only cores of at most 2R x 2R per atom."""
-    factors = _factors(T)
+    record = oa._atoms(T)
     arrays = [a for a in _memo_arrays(list(T._memo.values())) if a.ndim >= 2]
     owned = [a if a.base is None else a.base for a in arrays]
-    bound = len(T.blocks) * (2 * factors.s.shape[1]) ** 2
-    exempt = (factors.lines, T._memo[oa._LINES].lines)
-    assert any(np.shares_memory(a, factors.lines) for a in owned)
+    bound = len(T.blocks) * (2 * record.lines.shape[-1]) ** 2
+    exempt = (record.lines, T._memo[oa._LINES].lines)
+    assert any(np.shares_memory(a, record.lines) for a in owned)
     return all(a.size <= bound or any(np.shares_memory(a, e) for e in exempt) for a in owned)
 
 
 @FOUR_ATOMS
 def test_adjoint_aluthge_keeps_no_copies_of_t_svd(instance):
-    """T*'s factors are T's swapped, views of the same arrays: the Aluthge
-    transform of T* memoizes no |B| x |B| array on T*, only its flat
-    factors and r x r cores."""
+    """T*'s record is T's swapped, views of the same arrays: the Aluthge
+    transform of T* memoizes no |B| x |B| array on T*, only its record
+    and r x r cores."""
     T = to_matrix(as_wce(instance))
     t_star = adjoint(T)
     aluthge_numeric(t_star)
     assert _small_memo(t_star)
-    factors, swapped = _factors(T), _factors(t_star)
-    assert np.shares_memory(swapped.lines, factors.lines) and swapped.s is factors.s
-    assert np.array_equal(swapped.lines, factors.lines[::-1])
+    record, swapped = oa._atoms(T), oa._atoms(t_star)
+    assert np.shares_memory(swapped.lines, record.lines) and swapped.s is record.s
+    assert np.array_equal(swapped.lines, record.lines[::-1])
 
 
 @FOUR_ATOMS
@@ -492,7 +375,7 @@ def test_class_margins_and_normality_peak_below_one_atom_block(read):
     instance = instance._replace(w=MeasurableFunction.constant(instance.space, 1.0))
     read(to_matrix(as_wce(instance)))  # warm: first-call allocations are not read's
     T = to_matrix(as_wce(instance))
-    _factors(T)
+    oa._atoms(T)
     gc.collect()
     tracemalloc.start()
     try:
@@ -505,29 +388,19 @@ def test_class_margins_and_normality_peak_below_one_atom_block(read):
 
 @pytest.mark.parametrize("name, W", CASES, ids=[c[0] for c in CASES])
 def test_class_margins_match_the_composed_operators(name, W):
-    """The class margins read off T's factors give the verdicts of the
-    generic route, loewner_margins on the composed |T^2|, |T|^2, |T*|^2 and
+    """The class margins read off T's record give the verdicts of the dense
+    reference, the Loewner margins of the composed |T^2|, |T|^2, |T*|^2 and
     T*(.)T, at both class tolerances, and the same eigenvalue margins."""
     T = to_matrix(W)
-    t_star = adjoint(T)
-    mod_t2 = gram_power(compose(T, T), 0.5)
-    mod_sq = compose(gram_power(T, 0.5), gram_power(T, 0.5))
-    adj_sq = compose(gram_power(t_star, 0.5), gram_power(t_star, 0.5))
-    generic = {
-        A_CLASS: loewner_margins(mod_t2, mod_sq),
-        STAR_A_CLASS: loewner_margins(mod_t2, adj_sq),
-        QUASI_STAR_A_CLASS: loewner_margins(
-            compose(compose(t_star, mod_t2), T), compose(compose(t_star, adj_sq), T)
-        ),
-    }
+    references = dense.class_margins(_standard(T))
     margins = _class_margins(T)
     scale = (1.0 + operator_norm(T)) ** 4
-    for cls, reference in generic.items():
+    for cls, reference in zip((A_CLASS, STAR_A_CLASS, QUASI_STAR_A_CLASS), references):
         for tol in (Tolerances().psd, Tolerances().match):
-            assert loewner_holds(margins[cls], tol) == loewner_holds(reference, tol), cls
+            assert loewner_holds(margins[cls], tol) == dense.loewner_geq(reference, tol), cls
         np.testing.assert_allclose(
             [margins[cls].smallest, margins[cls].norm],
-            [reference.smallest, reference.norm],
+            reference[2:],
             rtol=0,
             atol=1e-12 * scale,
         )
@@ -556,21 +429,42 @@ def test_verify_peak_memory_is_a_multiple_of_the_blocks(instance):
     assert peak < VERIFY_PEAK_PER_BLOCK_BYTE * block_bytes
 
 
-def _one_block_matrix(W):
-    T = expectation_operator(W.space, W.algebra, W.w.values, W.u.values)
-    return WeightedOperator(T.entries, T.space)
+#: the definitional class tests and the reference's class margins, in order
+DEFINITIONAL = (is_a_class_definitional, is_star_a_definitional, is_quasi_star_a_definitional)
 
 
 @pytest.mark.parametrize("name, W", CASES, ids=[c[0] for c in CASES])
-def test_verify_agrees_with_t_as_one_block(monkeypatch, name, W):
-    """All of verify with T forced into one dense block gives the per-atom
-    verdicts, with margins within 1e-12."""
-    instance = Instance(W.space, W.algebra, W.u, W.w)
-    per_atom = verify_instance(instance)
-    monkeypatch.setattr(WCEOperator, "_matrix", property(_one_block_matrix))
-    assert len(to_matrix(W).blocks) == 1
-    dense = verify_instance(instance)
-    assert [(c.name, c.passed) for c in dense] == [(c.name, c.passed) for c in per_atom]
-    np.testing.assert_allclose(
-        [c.margin for c in dense], [c.margin for c in per_atom], rtol=0, atol=1e-12
-    )
+def test_verify_agrees_with_t_as_one_block(name, W):
+    """Every value a verify reads off the oracle is the dense reference's on
+    T's one n x n matrix M: the operators it compares within 1e-12 in the
+    L2(mu) norm (the powers of T*T and of TT*, the Aluthge transforms of T,
+    of that transform and of T*, and the closed-form polar isometry against
+    M's), ||T|| and r(T) within 1e-12, the eigenvalues within
+    1e-12 (1 + ||T||), and the same class verdicts at both class
+    tolerances, sigma_jp and normality. By the triangle inequality every
+    operator check's margin is then within 1e-12 of the reference's."""
+    T = to_matrix(W)
+    t_star, m = adjoint(T), _standard(T)
+    mh = m.conj().T
+    alu = aluthge_numeric(T)
+    pairs = [(gram_power(X, p), dense.gram_power(mx, p)) for p in POWERS for X, mx in ((T, m), (t_star, mh))]
+    pairs += [
+        (alu, dense.aluthge(m)),
+        (aluthge_numeric(alu), dense.aluthge(dense.aluthge(m))),
+        (aluthge_numeric(t_star), dense.aluthge(mh)),
+        (t_star, mh),
+        (expectation_operator(W.space, W.algebra, *polar_isometry_closed_form(W)), dense.polar_isometry(m)),
+    ]
+    for X, reference in pairs:
+        assert dense.norm(_standard(X) - reference) <= 1e-12
+    norm = operator_norm(T)
+    evals, reference_evals = eigenvalues(T), dense.eigenvalues(m)
+    assert abs(norm - dense.norm(m)) <= 1e-12
+    assert abs(np.abs(evals).max() - np.abs(reference_evals).max()) <= 1e-12
+    assert multiset_close(evals, reference_evals, 1e-12 * (1.0 + norm))
+    tols = Tolerances()
+    for definitional, margins in zip(DEFINITIONAL, dense.class_margins(m)):
+        for tol in (tols.psd, tols.match):
+            assert definitional(T, tol) == dense.loewner_geq(margins, tol), definitional.__name__
+    assert joint_point_spectrum(T, tols.match) == reference_joint_point_spectrum(T, tols.match)
+    assert is_normal(T, tols.psd) == dense.is_normal(m, tols.psd)

@@ -33,18 +33,20 @@ from condexp import (
 from condexp import spectral_analysis
 from condexp.operator_algebra import (
     DEFAULT_RANK_TOL,
+    _LINES,
     WeightedOperator,
+    _Lines,
     _atoms,
-    _std_blocks,
+    _segments,
+    expectation_operator,
 )
 
 from conftest import (
     dense_hausdorff_distance,
     discrete_algebra,
     make_function,
-    multiset_close,
+    reference_joint_point_spectrum,
     trivial_algebra,
-    two_svd_joint_point_spectrum,
 )
 
 
@@ -241,44 +243,36 @@ class TestEMuPointSpectrum:
 
 
 WEIGHTS = np.array([0.5, 1.0, 2.0, 1.5])
-JORDAN = np.eye(4, k=1)  # nilpotent: null spaces span e_1 and e_4
 # x y^H with y^H x = 0: nilpotent, null spaces y-perp and x-perp meet in 2 dims
-ORTHOGONAL_RANK_ONE = np.outer([1, 1j, 0, 2], np.conj([1j, 1, 3, 0]))
+X, Y = np.array([1, 1j, 0, 2]), np.array([1j, 1, 3, 0])
+ORTHOGONAL_RANK_ONE = np.outer(X, np.conj(Y))
 
 
-def _mixed_blocks():
-    """J_3 + 2I, x y^H + (1+i)I and a 1x1 block, each on its own atom: only
-    1+i and 0.5 carry a common eigenvector of T and T*."""
-    entries = np.zeros((8, 8), dtype=complex)
-    entries[:3, :3] = np.eye(3, k=1) + 2 * np.eye(3)
-    entries[3:7, 3:7] = ORTHOGONAL_RANK_ONE + (1 + 1j) * np.eye(4)
-    entries[7, 7] = 0.5
-    space = FiniteMeasureSpace(np.linspace(0.5, 2.0, 8))
-    blocks = (np.arange(3), np.arange(3, 7), np.array([7]))
-    return WeightedOperator(entries, space, blocks), [1 + 1j, 0.5]
+def _nilpotent():
+    """f -> (f_1, 0): M_a E M_b with a = (2, 0) and b = (0, 1) on one atom
+    of two unit points."""
+    space = FiniteMeasureSpace(np.ones(2))
+    return expectation_operator(space, trivial_algebra(2), np.array([2.0, 0.0]), np.array([0.0, 1.0]))
 
 
-NON_NORMAL = {
-    "jordan": lambda: (WeightedOperator(JORDAN, FiniteMeasureSpace(WEIGHTS)), []),
-    "orthogonal-rank-one": lambda: (
-        WeightedOperator(ORTHOGONAL_RANK_ONE, FiniteMeasureSpace(WEIGHTS)),
-        [0.0],
-    ),
-    "mixed-blocks": _mixed_blocks,
-}
+def _orthogonal_rank_one():
+    """ORTHOGONAL_RANK_ONE on the weights WEIGHTS, one atom: X Y^H is
+    M_a E M_b with a = X and b = conj(Y) mu(B) / mu."""
+    space = FiniteMeasureSpace(WEIGHTS)
+    T = expectation_operator(space, trivial_algebra(4), X, np.conj(Y) * WEIGHTS.sum() / WEIGHTS)
+    np.testing.assert_allclose(T.entries, ORTHOGONAL_RANK_ONE, atol=1e-15)
+    return T
 
 
 class TestJointPointSpectrum:
     def test_normal_operator_equals_point_spectrum(self):
         space = FiniteMeasureSpace(np.ones(3))
-        T = WeightedOperator(np.diag([1.0, 2.0, 2.0]), space)
+        T = expectation_operator(space, discrete_algebra(3), np.array([1.0, 2.0, 2.0]))
         jp = joint_point_spectrum(T)
         assert hausdorff_distance(jp, [1, 2]) <= 1e-9
 
     def test_nilpotent_has_empty_joint_spectrum(self):
-        space = FiniteMeasureSpace(np.ones(2))
-        T = WeightedOperator([[0, 1], [0, 0]], space)
-        assert joint_point_spectrum(T) == []
+        assert joint_point_spectrum(_nilpotent()) == []
 
     def test_symmetric_interval_normal_case(self):
         W = as_wce(symmetric_interval_example(12))
@@ -287,15 +281,15 @@ class TestJointPointSpectrum:
         jp = joint_point_spectrum(T)
         assert hausdorff_distance(jp, sigma_p) <= 1e-7
 
-    @pytest.mark.parametrize("case", sorted(NON_NORMAL))
-    def test_non_normal_blocks_match_two_svd_reference(self, case):
-        """Blocks where null(B - lambda I) and null(B^H - conj(lambda) I)
-        differ: one SVD per shift must give the two-SVD verdicts."""
-        T, expected = NON_NORMAL[case]()
+    def test_orthogonal_rank_one_matches_the_reference(self):
+        """A rank-one block whose null(B - lambda I) and
+        null(B^H - conj(lambda) I) differ, and meet in two dimensions at 0:
+        the dense reference's verdicts, and sigma_jp = {0}."""
+        T = _orthogonal_rank_one()
         assert not is_normal(T)
         jp = joint_point_spectrum(T)
-        assert jp == two_svd_joint_point_spectrum(T)
-        assert hausdorff_distance(jp, expected) <= 1e-7
+        assert jp == reference_joint_point_spectrum(T)
+        assert hausdorff_distance(jp, [0.0]) <= 1e-7
 
     def test_subset_of_point_spectrum(self):
         for seed in range(10):
@@ -309,106 +303,27 @@ def _complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _low_rank_block(rng, n, rank, noise):
-    """x y^H of the given rank plus entries of size ``noise``."""
-    return _complex(rng, n, rank) @ _complex(rng, rank, n) + noise * _complex(rng, n, n)
-
-
-def _test_block(kind, rng):
-    """(block, cutoff) of each kind of block the joint point spectrum is
-    checked on: low rank with noise under the cutoff, full rank with the
-    cutoff below every singular value or between two of them, and Jordan."""
-    n = int(rng.integers(4, 8))
-    if kind.startswith("rank-"):
-        block = _low_rank_block(rng, n, int(kind[-1]), 1e-11)
-        return block, 1e-8 * (1.0 + np.linalg.norm(block, 2))
-    if kind.startswith("full-rank"):  # non-normal: a large strictly upper part
-        block = np.triu(_complex(rng, n, n), 1) * 5 + np.diag(_complex(rng, n))
-        s = np.linalg.svd(block, compute_uv=False)
-        if kind == "full-rank":
-            return block, 1e-8 * s[0]  # below every singular value: r = n
-        return block, 0.5 * (s[n // 2] + s[n // 2 - 1])  # cuts the smaller half off
-    shift = 0.0 if kind == "jordan" else _complex(rng)
-    return np.eye(n, k=1) + shift * np.eye(n), 1e-8
-
-
-BLOCK_KINDS = [
-    "rank-0",
-    "rank-1",
-    "rank-2",
-    "rank-3",
-    "full-rank",
-    "full-rank-cut",
-    "jordan",
-    "jordan-shifted",
-]
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(BLOCK_KINDS), st.integers(0, 2**32 - 1))
-def test_one_block_of_each_kind_matches_two_svd_reference(kind, seed):
-    """T as one block of each kind, at the kind's own cutoff: the joint
-    point spectrum, on the record's joint core of a block of rank 1 or on
-    the block itself, gives the two-SVD verdicts."""
-    rng = np.random.default_rng(seed)
-    block, cutoff = _test_block(kind, rng)
-    T = WeightedOperator(block, FiniteMeasureSpace(np.ones(len(block))))
-    tol = cutoff / (1.0 + operator_norm(T))
-    assert joint_point_spectrum(T, tol) == two_svd_joint_point_spectrum(T, tol)
-
-
-def _block_diagonal(parts, weights):
-    """The operator with these diagonal blocks, each on its own atom."""
+def _rank_one_blocks(parts, weights):
+    """The operator whose value-coordinate blocks are ``parts``, each of
+    rank 0 or 1 on its own atom, held as the lines and core of the leading
+    singular triple of each standard-coordinate block."""
     sizes = [len(p) for p in parts]
     n = sum(sizes)
-    entries = np.zeros((n, n), dtype=complex)
-    blocks = np.split(np.arange(n), np.cumsum(sizes)[:-1])
-    for b, p in zip(blocks, parts):
-        entries[np.ix_(b, b)] = p
-    return WeightedOperator(entries, FiniteMeasureSpace(weights), blocks)
-
-
-def _blocks_operator(seed):
-    """One operator whose atoms carry every path of the core test: a rank-2
-    block (a 4 x 4 core on a joint basis of 4 of its 5 dimensions), a
-    nilpotent Jordan block (rank 3, the joint basis spans the block), a
-    full-rank defective block and a full-rank non-normal one (the core is the
-    whole block), a normal rank-2 block whose eigenvalue 2 is shared with the
-    defective one (X and Y span the same plane), and a 1 x 1 block."""
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(_complex(rng, 4, 4))
-    parts = [
-        _low_rank_block(rng, 5, 2, 0.0),
-        np.eye(4, k=1),
-        np.eye(3, k=1) + 2 * np.eye(3),
-        np.triu(_complex(rng, 3, 3)) * 3,
-        (q * np.array([2, 1 + 1j, 0, 0])) @ q.conj().T,
-        np.array([[0.5]]),
-    ]
-    weights = rng.uniform(0.3, 2.0, 20)
-    weights[15:19] = 1.0  # D^(1/2) keeps the normal block (the fifth) normal
-    return _block_diagonal(parts, weights)
+    space = FiniteMeasureSpace(weights)
+    blocks = tuple(np.split(np.arange(n), np.cumsum(sizes)[:-1]))
+    d = np.sqrt(space.weights)
+    lines = np.zeros((2, n, 1), dtype=complex)
+    core = np.zeros((len(parts), 1, 1), dtype=complex)
+    for k, (b, p) in enumerate(zip(blocks, parts)):
+        u, s, vh = np.linalg.svd(d[b][:, None] * p / d[b][None, :])
+        lines[0, b, 0], lines[1, b, 0], core[k] = u[:, 0], vh[0].conj(), s[0]
+    held = _Lines(*_segments(blocks), lines, core)
+    return WeightedOperator(space, blocks, {_LINES: held})
 
 
 class TestJointPointSpectrumOnCores:
-    """The joint point spectrum read off each block's core on its joint
-    basis gives the two-SVD reference's list."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_two_svd_reference(self, seed):
-        T = _blocks_operator(seed)
-        jp = joint_point_spectrum(T)
-        assert jp == two_svd_joint_point_spectrum(T)
-        # the normal block's eigenvalues, and 0.5, carry common eigenvectors
-        assert hausdorff_distance(jp, [0, 2, 1 + 1j, 0.5]) <= 1e-7
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_two_svd_reference_on_random_low_rank_blocks(self, seed):
-        rng = np.random.default_rng(seed)
-        sizes_ranks = [(4, 1), (5, 2), (3, 3), (6, 2)]
-        parts = [_low_rank_block(rng, k, r, 0.0) for k, r in sizes_ranks]
-        T = _block_diagonal(parts, rng.uniform(0.3, 2.0, 18))
-        assert joint_point_spectrum(T) == two_svd_joint_point_spectrum(T)
+    """The joint point spectrum read off each atom's joint core gives the
+    dense reference's list."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("chunk", [1, spectral_analysis.DISTANCE_CHUNK])
@@ -417,7 +332,7 @@ class TestJointPointSpectrumOnCores:
         closed form sorts before the SVD: normal and non-normal rank-one
         blocks, one sharing a normal block's eigenvalue, zero blocks, a
         1-point atom of rank 1 and one of rank 0, at several tolerances and
-        in chunks of one pair, give the two-SVD reference's list."""
+        in chunks of one pair, give the dense reference's list."""
         rng = np.random.default_rng(seed)
         shared = _complex(rng)
 
@@ -438,12 +353,12 @@ class TestJointPointSpectrumOnCores:
             normal(6, _complex(rng)),
             generic(2, _complex(rng)),
         ]
-        T = _block_diagonal(parts, np.ones(sum(len(p) for p in parts)))
-        assert _atoms(T) is not None  # rank <= 1 on every block: 2 x 2 cores off its record
+        T = _rank_one_blocks(parts, np.ones(sum(len(p) for p in parts)))
+        assert _atoms(T).ranks.tolist() == [1, 1, 0, 1, 0, 1, 1]
         monkeypatch.setattr(spectral_analysis, "DISTANCE_CHUNK", chunk)
         for tol in (1e-10, 1e-8, 1e-4):
             jp = joint_point_spectrum(T, tol)
-            assert jp == two_svd_joint_point_spectrum(T, tol)
+            assert jp == reference_joint_point_spectrum(T, tol)
         expected = [shared, 0.7 - 0.2j, 0.0, np.trace(parts[5])]  # the normal blocks', and 0
         assert hausdorff_distance(joint_point_spectrum(T), expected) <= 1e-7
 
@@ -461,37 +376,11 @@ class TestJointPointSpectrumOnCores:
         cutoff = tol * (1.0 + max(np.linalg.norm(p, 2) for p in generic))
         x = _complex(rng, 4, 1)
         parts = generic + [(lam + 0.95 * cutoff) * (x @ x.conj().T) / np.vdot(x, x)]
-        T = _block_diagonal(parts, np.ones(16))
+        T = _rank_one_blocks(parts, np.ones(16))
         assert abs(tol * (1.0 + operator_norm(T)) - cutoff) <= 1e-12 * cutoff
         jp = joint_point_spectrum(T, tol)
-        assert jp == two_svd_joint_point_spectrum(T, tol)
+        assert jp == reference_joint_point_spectrum(T, tol)
         assert min(abs(np.array(jp) - lam)) <= cutoff
-
-    def test_shifts_a_few_at_a_time_give_the_same_list(self, monkeypatch):
-        """A core of |B| x |B| takes the shifts in chunks of a bounded number
-        of entries; chunks of one shift give the same list."""
-        T = _blocks_operator(1)
-        monkeypatch.setattr(spectral_analysis, "DISTANCE_CHUNK", 1)
-        assert joint_point_spectrum(T) == two_svd_joint_point_spectrum(T)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_eigenvalues_from_the_svd_core(self, seed):
-        """Full-rank blocks keep their dense eigvals bit for bit; the
-        rank-deficient ones match them as a multiset, with exact zeros."""
-        T = _blocks_operator(seed)
-        evals = eigenvalues(T)
-        cutoff = DEFAULT_RANK_TOL * operator_norm(T)
-        start = 0
-        for _, m in _std_blocks(T):
-            got, dense = evals[start : start + len(m)], np.linalg.eigvals(m)
-            start += len(m)
-            rank = int(np.sum(np.linalg.svd(m, compute_uv=False) > cutoff))
-            if rank == len(m):
-                np.testing.assert_array_equal(got, dense)
-            else:
-                assert np.count_nonzero(got) <= rank
-                assert multiset_close(got, dense, 1e-7)
-
 
 class TestSpectralRadius:
     def test_rank_one(self):
@@ -531,7 +420,7 @@ def _aluthge_iterates(T, n):
 class TestIteratedAluthge:
     def test_fixes_normal_diagonal(self):
         space = FiniteMeasureSpace(np.ones(3))
-        T = WeightedOperator(np.diag([1.0, 2.0, -1.0]), space)
+        T = expectation_operator(space, discrete_algebra(3), np.array([1.0, 2.0, -1.0]))
         for iterate in _aluthge_iterates(T, 3):
             np.testing.assert_allclose(iterate.entries, T.entries, atol=1e-9)
 
@@ -542,9 +431,7 @@ class TestIteratedAluthge:
             assert np.abs(d1.entries - d2.entries).max() <= 1e-8
 
     def test_nilpotent_collapses_to_zero(self):
-        space = FiniteMeasureSpace(np.ones(2))
-        T = WeightedOperator([[0, 1], [0, 0]], space)
-        for iterate in _aluthge_iterates(T, 3):
+        for iterate in _aluthge_iterates(_nilpotent(), 3):
             assert np.abs(iterate.entries).max() <= 1e-12
 
     def test_norm_sequence_reaches_spectral_radius(self):

@@ -9,7 +9,6 @@ from condexp import (
     adjoint,
     adjoint_wce,
     as_wce,
-    compose,
     expectation_operator,
     operator_norm,
     polar_isometry_closed_form,
@@ -21,8 +20,10 @@ from condexp import (
 from condexp import operator_algebra as oa
 from condexp import wce_operator as wce
 from condexp.measure_space import MeasurableFunction
-from condexp.operator_algebra import gram_power, subtract
+from condexp.operator_algebra import gram_power
 from condexp.verification import POWERS, verify_instance
+
+import dense_reference as dense
 
 #: the checks every instance gets
 CHECKS = {
@@ -61,6 +62,11 @@ def test_w_one_adds_its_two_checks():
     assert len(CHECKS | W_ONE_CHECKS) == 25
 
 
+def _standard(X) -> np.ndarray:
+    """X's n x n standard-coordinate matrix, the dense reference's input."""
+    return dense.standard(X.entries, X.space.weights)
+
+
 def _polar(instance) -> dict:
     return {c.name: c for c in verify_instance(instance) if c.name.startswith("polar_")}
 
@@ -81,13 +87,14 @@ def test_polar_checks_catch_an_isometry_without_its_square_root(monkeypatch):
     checks = _polar(instance)
     U = expectation_operator(W.space, W.algebra, *rootless(W))
     modulus = expectation_operator(W.space, W.algebra, *tstar_t_power(W, 0.5))
+    u, t = _standard(U), _standard(to_matrix(W))
     residuals = {
-        "polar_reconstruction": operator_norm(subtract(compose(U, modulus), to_matrix(W))),
-        "polar_partial_isometry": operator_norm(subtract(compose(compose(U, adjoint(U)), U), U)),
+        "polar_reconstruction": dense.norm(u @ _standard(modulus) - t),
+        "polar_partial_isometry": dense.norm(u @ u.conj().T @ u - u),
     }
-    for name, dense in residuals.items():
+    for name, residual in residuals.items():
         assert not checks[name].passed
-        assert checks[name].margin == pytest.approx(dense, rel=1e-12)
+        assert checks[name].margin == pytest.approx(residual, rel=1e-12)
     assert checks["polar_partial_isometry"].tolerance == pytest.approx(
         1e-8 * (1.0 + operator_norm(U)), rel=1e-12
     )
@@ -102,13 +109,13 @@ def test_polar_checks_catch_a_wrong_modulus_power(monkeypatch):
     monkeypatch.setattr(wce, "tstar_t_power", lambda V, p: original(V, 0.4))
     checks = _polar(instance)
     monkeypatch.undo()
-    U, modulus = (
-        expectation_operator(W.space, W.algebra, *pair)
+    u, modulus = (
+        _standard(expectation_operator(W.space, W.algebra, *pair))
         for pair in (polar_isometry_closed_form(W), tstar_t_power(W, 0.4))
     )
-    dense = operator_norm(subtract(compose(U, modulus), to_matrix(W)))
+    residual = dense.norm(u @ modulus - _standard(to_matrix(W)))
     assert not checks["polar_reconstruction"].passed
-    assert checks["polar_reconstruction"].margin == pytest.approx(dense, rel=1e-12)
+    assert checks["polar_reconstruction"].margin == pytest.approx(residual, rel=1e-12)
     assert checks["polar_partial_isometry"].passed
     assert checks["polar_kernel_condition"].passed
 
@@ -118,13 +125,13 @@ def _checks(instance) -> dict:
 
 
 def _dense_distance(W, first, second) -> float:
-    """The operator norm of the assembled difference, a pair (a, b) taken as
+    """The dense reference's norm of the difference, a pair (a, b) taken as
     its operator M_a E M_b."""
     A, B = (
         expectation_operator(W.space, W.algebra, *x) if isinstance(x, tuple) else x
         for x in (first, second)
     )
-    return operator_norm(subtract(A, B))
+    return dense.norm(_standard(A) - _standard(B))
 
 
 def test_power_checks_catch_a_wrong_power(monkeypatch):
@@ -140,9 +147,9 @@ def test_power_checks_catch_a_wrong_power(monkeypatch):
     for p in POWERS:
         for name, V, S in (("tstar_t", W, T), ("t_tstar", adjoint_wce(W), adjoint(T))):
             check = checks[f"{name}_power_{p}"]
-            dense = _dense_distance(W, tstar_t_power(V, p + 0.1), gram_power(S, p))
+            distance = _dense_distance(W, tstar_t_power(V, p + 0.1), gram_power(S, p))
             assert not check.passed
-            assert check.margin == pytest.approx(dense, rel=1e-9)
+            assert check.margin == pytest.approx(distance, rel=1e-9)
 
 
 def _vanishing_on_an_atom(instance, which):
@@ -181,7 +188,7 @@ def test_adjoint_isometry_check_catches_an_unconjugated_adjoint(monkeypatch):
     check = _checks(instance)["adjoint_isometry_is_adjoint_of_isometry"]
     monkeypatch.undo()
     a, b = polar_isometry_closed_form(W)
-    dense = _dense_distance(W, polar_isometry_closed_form(adjoint_wce(W)), (b, a))
+    distance = _dense_distance(W, polar_isometry_closed_form(adjoint_wce(W)), (b, a))
     assert not check.passed
-    assert check.margin == pytest.approx(dense, rel=1e-9)
+    assert check.margin == pytest.approx(distance, rel=1e-9)
 

@@ -14,14 +14,10 @@ from condexp import (
     aluthge_numeric,
     as_wce,
     build_wce,
-    compose,
     expectation_operator,
-    fractional_power,
-    kernel_projection,
     norm_closed_form,
     operator_norm,
     polar_isometry_closed_form,
-    polar_isometry_numeric,
     proportional_instance,
     random_instance,
     singular_values,
@@ -31,8 +27,9 @@ from condexp import (
 )
 
 from condexp import wce_operator as wce_module
-from condexp.operator_algebra import gram_power, subtract
+from condexp.operator_algebra import gram_power
 
+import dense_reference as dense
 from conftest import discrete_algebra, make_function, trivial_algebra
 
 POWERS = (0.5, 1.0, 2.0, 3.5)
@@ -62,16 +59,31 @@ def as_operator(closed_form, W, *args):
 
 
 def max_diff(A, B):
-    return np.abs(A.entries - B.entries).max()
+    """The largest entry of A - B, each an operator or value-coordinate
+    entries (a dense reference's, by ``reference``)."""
+    a, b = (x if isinstance(x, np.ndarray) else x.entries for x in (A, B))
+    return np.abs(a - b).max()
+
+
+def standard(X):
+    """X's n x n standard-coordinate matrix, the dense reference's input."""
+    return dense.standard(X.entries, X.space.weights)
+
+
+def reference(m, space):
+    """The value-coordinate entries D^(-1/2) m D^(1/2) of the dense
+    reference's standard-coordinate matrix m."""
+    d = np.sqrt(space.weights)
+    return m / d[:, None] * d[None, :]
 
 
 def assert_partial_isometry_with_kernel_condition(W):
-    """U U* U = U and N(U) = N(|T|), measured as verify measures them."""
-    U = as_operator(polar_isometry_closed_form, W)
-    residual = operator_norm(subtract(compose(compose(U, adjoint(U)), U), U))
-    assert residual <= 1e-8 * (1.0 + operator_norm(U))
-    modulus = as_operator(tstar_t_power, W, 0.5)
-    assert operator_norm(subtract(kernel_projection(U), kernel_projection(modulus))) <= 1e-8
+    """U U* U = U and N(U) = N(|T|), measured by the dense reference."""
+    u = standard(as_operator(polar_isometry_closed_form, W))
+    residual = dense.norm(u @ u.conj().T @ u - u)
+    assert residual <= 1e-8 * (1.0 + dense.norm(u))
+    modulus = standard(as_operator(tstar_t_power, W, 0.5))
+    assert dense.norm(dense.kernel_projection(u) - dense.kernel_projection(modulus)) <= 1e-8
 
 
 class TestBuild:
@@ -164,10 +176,11 @@ class TestPowers:
     def test_p1_matches_products(self):
         for seed in range(5):
             W = as_wce(random_instance(seed, 8, 3))
-            T = to_matrix(W)
-            assert max_diff(as_operator(tstar_t_power, W, 1), compose(adjoint(T), T)) <= 1e-9
+            m = standard(to_matrix(W))
+            tst = reference(m.conj().T @ m, W.space)
+            assert max_diff(as_operator(tstar_t_power, W, 1), tst) <= 1e-9
             tts = as_operator(tstar_t_power, adjoint_wce(W), 1)
-            assert max_diff(tts, compose(T, adjoint(T))) <= 1e-9
+            assert max_diff(tts, reference(m @ m.conj().T, W.space)) <= 1e-9
 
     def test_p_half_matches_modulus(self):
         for seed in range(5):
@@ -191,13 +204,12 @@ class TestPowers:
     def test_all_powers_match_spectral_calculus(self):
         for seed in range(10):
             W = as_wce(random_instance(seed + 60, 6 + seed, 1 + seed % 5))
-            T = to_matrix(W)
-            tst = compose(adjoint(T), T)
-            tts = compose(T, adjoint(T))
+            m = standard(to_matrix(W))
             for p in POWERS:
-                assert max_diff(as_operator(tstar_t_power, W, p), fractional_power(tst, p)) <= 1e-8
+                tst = reference(dense.gram_power(m, p), W.space)
+                assert max_diff(as_operator(tstar_t_power, W, p), tst) <= 1e-8
                 tts_p = as_operator(tstar_t_power, adjoint_wce(W), p)
-                assert max_diff(tts_p, fractional_power(tts, p)) <= 1e-8
+                assert max_diff(tts_p, reference(dense.gram_power(m.conj().T, p), W.space)) <= 1e-8
 
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
@@ -218,7 +230,7 @@ class TestPolar:
         np.testing.assert_allclose(modulus.entries, [[np.sqrt(2), 0], [0, 0]], atol=1e-12)
         T = to_matrix(W)
         U = as_operator(polar_isometry_closed_form, W)
-        assert max_diff(U, polar_isometry_numeric(T)) <= 1e-10
+        assert max_diff(U, reference(dense.polar_isometry(standard(T)), W.space)) <= 1e-10
         assert max_diff(modulus, gram_power(T, 0.5)) <= 1e-10
 
     def test_random_instances_match_oracle(self):
@@ -227,11 +239,11 @@ class TestPolar:
             T = to_matrix(W)
             U = as_operator(polar_isometry_closed_form, W)
             modulus = as_operator(tstar_t_power, W, 0.5)
-            assert max_diff(U, polar_isometry_numeric(T)) <= 1e-8
+            assert max_diff(U, reference(dense.polar_isometry(standard(T)), W.space)) <= 1e-8
             assert max_diff(modulus, gram_power(T, 0.5)) <= 1e-8
-            recon = compose(U, modulus)
-            assert operator_norm(recon) == pytest.approx(operator_norm(T), abs=1e-9)
-            assert max_diff(recon, T) <= 1e-8
+            recon = standard(U) @ standard(modulus)
+            assert dense.norm(recon) == pytest.approx(operator_norm(T), abs=1e-9)
+            assert max_diff(reference(recon, W.space), T) <= 1e-8
             assert_partial_isometry_with_kernel_condition(W)
 
     def test_vanishing_moment_blocks(self):
@@ -250,8 +262,8 @@ class TestPolar:
         )
         T = to_matrix(W)
         U = as_operator(polar_isometry_closed_form, W)
-        recon = compose(U, as_operator(tstar_t_power, W, 0.5))
-        assert max_diff(recon, T) <= 1e-8
+        recon = standard(U) @ standard(as_operator(tstar_t_power, W, 0.5))
+        assert max_diff(reference(recon, W.space), T) <= 1e-8
         assert_partial_isometry_with_kernel_condition(W)
 
 
@@ -312,7 +324,8 @@ class TestAdjointParts:
             modulus = as_operator(tstar_t_power, V, 0.5)
             assert max_diff(modulus, gram_power(adjoint(T), 0.5)) <= 1e-8
             U = as_operator(polar_isometry_closed_form, V)
-            assert max_diff(U, polar_isometry_numeric(adjoint(T))) <= 1e-8
+            isometry = dense.polar_isometry(standard(T).conj().T)
+            assert max_diff(U, reference(isometry, W.space)) <= 1e-8
             alu = as_operator(aluthge_closed_form, V)
             assert max_diff(alu, aluthge_numeric(adjoint(T))) <= 1e-8
 
