@@ -2,8 +2,8 @@
 
 Closed-form norm, polar decomposition, Aluthge transform, operator-class
 membership and spectra of T = M_w E M_u, each cross-validated against a
-numerical linear algebra oracle on the weighted L2 space that factors every
-operator on the atom blocks of the partition.
+numerical oracle on the weighted L2 space that reads every operator, rank
+one on each atom of the partition, off its per-atom record.
 """
 
 from .measure_space import (

@@ -63,6 +63,11 @@ def block_factors(T):
         yield b, x[rows, :rank], np.array([s])[:rank], y[rows, :rank]
 
 
+def standard(X):
+    """X's one n x n standard-coordinate matrix, the dense reference's input."""
+    return dense.standard(X.entries, X.space.weights)
+
+
 def standard_blocks(T):
     """(indices, the standard-coordinate block of the dense reference) of
     each of T's blocks, built from its ``parts``."""

@@ -54,18 +54,14 @@ from conftest import (
     discrete_algebra,
     make_function,
     multiset_close,
+    standard,
     standard_blocks,
 )
 
 
-def _standard(X) -> np.ndarray:
-    """X's one n x n standard-coordinate matrix, the dense reference's input."""
-    return dense.standard(X.entries, X.space.weights)
-
-
 def _dense_distance(A, B) -> float:
     """||A - B|| on L2(mu), by the dense reference."""
-    return dense.norm(_standard(A) - _standard(B))
+    return dense.norm(standard(A) - standard(B))
 
 
 def _instance_operator(seed, n=12, atoms=4):
@@ -88,7 +84,7 @@ class TestAdjoint:
         space = FiniteMeasureSpace([1.0, 2.0, 0.5, 0.5])
         algebra = SubSigmaAlgebra(([0, 2], [1, 3]), 4)
         e = expectation_operator(space, algebra)
-        m = _standard(e)
+        m = standard(e)
         np.testing.assert_allclose(m, m.conj().T, atol=1e-15)
         np.testing.assert_allclose(adjoint(e).entries, e.entries, atol=1e-15)
 
@@ -237,9 +233,9 @@ class TestExpectationPairs:
         projection, rank cut included, so the coimage distance is the
         distance of the kernel projections."""
         coimages = [expectation_coimage(PAIR_SPACE, PAIR_ALGEBRA, x) for x in (first, second)]
-        kernels = [dense.kernel_projection(_standard(_pair_operator(x))) for x in (first, second)]
+        kernels = [dense.kernel_projection(standard(_pair_operator(x))) for x in (first, second)]
         for pair, kernel in zip(coimages, kernels):
-            complement = np.eye(15) - _standard(_pair_operator(pair))
+            complement = np.eye(15) - standard(_pair_operator(pair))
             np.testing.assert_allclose(complement, kernel, atol=1e-12)
         got = core_distance(PAIR_SPACE, PAIR_ALGEBRA, *coimages)
         assert abs(got - dense.norm(kernels[0] - kernels[1])) <= 1e-12
@@ -251,9 +247,9 @@ class TestExpectationPairs:
         a, b = _complex_vector(rng), _complex_vector(rng)
         a[10:] *= 1e-12
         pair = expectation_coimage(PAIR_SPACE, PAIR_ALGEBRA, (a, b))
-        kernel = dense.kernel_projection(_standard(_pair_operator((a, b))))
+        kernel = dense.kernel_projection(standard(_pair_operator((a, b))))
         np.testing.assert_allclose(pair[0][10:], 0.0)
-        complement = np.eye(15) - _standard(_pair_operator(pair))
+        complement = np.eye(15) - standard(_pair_operator(pair))
         np.testing.assert_allclose(complement, kernel, atol=1e-12)
 
     def test_distance_of_two_pairs_runs_no_solver(self, monkeypatch):
@@ -660,7 +656,7 @@ class TestNormal:
         """The tolerance at which is_normal turns is ||TT* - T*T|| / (1 + ||T||^2),
         with the commutator taken densely in standard coordinates."""
         T = to_matrix(as_wce(random_instance(seed, 18, 3)))
-        m = _standard(T)
+        m = standard(T)
         comm = np.linalg.norm(m @ m.conj().T - m.conj().T @ m, 2)
         turn = comm / (1.0 + operator_norm(T) ** 2)
         assert is_normal(T, turn * (1 + 1e-6)) is True

@@ -23,7 +23,6 @@ from condexp import (
     build_wce,
     eigenvalues,
     expectation_operator,
-    hausdorff_distance,
     is_a_class_definitional,
     is_normal,
     is_quasi_star_a_definitional,
@@ -49,7 +48,7 @@ from condexp.operator_classes import (
 from condexp.verification import POWERS, Tolerances, summarize, verify_instance
 
 import dense_reference as dense
-from conftest import multiset_close, reference_joint_point_spectrum, standard_blocks
+from conftest import multiset_close, reference_joint_point_spectrum, standard, standard_blocks
 
 
 def _u_vanishes_on_an_atom(seed):
@@ -80,13 +79,8 @@ def _instances():
 CASES = _instances()
 
 
-def _standard(X) -> np.ndarray:
-    """X's one n x n standard-coordinate matrix, the dense reference's input."""
-    return dense.standard(X.entries, X.space.weights)
-
-
 def _close(X, reference, scale):
-    return np.abs(_standard(X) - reference).max() <= 1e-10 * (1.0 + scale)
+    return np.abs(standard(X) - reference).max() <= 1e-10 * (1.0 + scale)
 
 
 @pytest.mark.parametrize("name, W", CASES, ids=[c[0] for c in CASES])
@@ -96,7 +90,7 @@ class TestAgreesWithDense:
 
     def test_eigenvalues(self, name, W):
         T = to_matrix(W)
-        m = _standard(T)
+        m = standard(T)
         tol = 1e-7 * (1.0 + dense.norm(m))
         assert multiset_close(eigenvalues(T), dense.eigenvalues(m), tol)
 
@@ -115,7 +109,7 @@ class TestAgreesWithDense:
 
     def test_singular_values(self, name, W):
         T = to_matrix(W)
-        s_dense = np.linalg.svd(_standard(T), compute_uv=False)
+        s_dense = np.linalg.svd(standard(T), compute_uv=False)
         np.testing.assert_allclose(
             singular_values(T), s_dense, rtol=0, atol=1e-12 * (1.0 + s_dense[0])
         )
@@ -124,7 +118,7 @@ class TestAgreesWithDense:
         """The powers of T*T and of TT*, read off T's record and off T*'s,
         T's swapped."""
         T = to_matrix(W)
-        m = _standard(T)
+        m = standard(T)
         norm = dense.norm(m)
         for p in POWERS:
             for X, mx in ((T, m), (adjoint(T), m.conj().T)):
@@ -133,7 +127,7 @@ class TestAgreesWithDense:
 
     def test_modulus_and_aluthge(self, name, W):
         T = to_matrix(W)
-        m = _standard(T)
+        m = standard(T)
         norm = dense.norm(m)
         for X, mx in ((T, m), (adjoint(T), m.conj().T)):
             assert _close(gram_power(X, 0.5), dense.gram_power(mx, 0.5), norm)
@@ -141,7 +135,7 @@ class TestAgreesWithDense:
 
     def test_normality(self, name, W):
         T = to_matrix(W)
-        assert is_normal(T) == dense.is_normal(_standard(T), Tolerances().psd)
+        assert is_normal(T) == dense.is_normal(standard(T), Tolerances().psd)
 
     def test_joint_point_spectrum(self, name, W):
         T = to_matrix(W)
@@ -392,7 +386,7 @@ def test_class_margins_match_the_composed_operators(name, W):
     reference, the Loewner margins of the composed |T^2|, |T|^2, |T*|^2 and
     T*(.)T, at both class tolerances, and the same eigenvalue margins."""
     T = to_matrix(W)
-    references = dense.class_margins(_standard(T))
+    references = dense.class_margins(standard(T))
     margins = _class_margins(T)
     scale = (1.0 + operator_norm(T)) ** 4
     for cls, reference in zip((A_CLASS, STAR_A_CLASS, QUASI_STAR_A_CLASS), references):
@@ -444,7 +438,7 @@ def test_verify_agrees_with_t_as_one_block(name, W):
     tolerances, sigma_jp and normality. By the triangle inequality every
     operator check's margin is then within 1e-12 of the reference's."""
     T = to_matrix(W)
-    t_star, m = adjoint(T), _standard(T)
+    t_star, m = adjoint(T), standard(T)
     mh = m.conj().T
     alu = aluthge_numeric(T)
     pairs = [(gram_power(X, p), dense.gram_power(mx, p)) for p in POWERS for X, mx in ((T, m), (t_star, mh))]
@@ -456,7 +450,7 @@ def test_verify_agrees_with_t_as_one_block(name, W):
         (expectation_operator(W.space, W.algebra, *polar_isometry_closed_form(W)), dense.polar_isometry(m)),
     ]
     for X, reference in pairs:
-        assert dense.norm(_standard(X) - reference) <= 1e-12
+        assert dense.norm(standard(X) - reference) <= 1e-12
     norm = operator_norm(T)
     evals, reference_evals = eigenvalues(T), dense.eigenvalues(m)
     assert abs(norm - dense.norm(m)) <= 1e-12

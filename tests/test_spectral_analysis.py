@@ -2,8 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from condexp import (
     FiniteMeasureSpace,

@@ -24,6 +24,7 @@ from condexp.operator_algebra import gram_power
 from condexp.verification import POWERS, verify_instance
 
 import dense_reference as dense
+from conftest import standard
 
 #: the checks every instance gets
 CHECKS = {
@@ -62,11 +63,6 @@ def test_w_one_adds_its_two_checks():
     assert len(CHECKS | W_ONE_CHECKS) == 25
 
 
-def _standard(X) -> np.ndarray:
-    """X's n x n standard-coordinate matrix, the dense reference's input."""
-    return dense.standard(X.entries, X.space.weights)
-
-
 def _polar(instance) -> dict:
     return {c.name: c for c in verify_instance(instance) if c.name.startswith("polar_")}
 
@@ -87,9 +83,9 @@ def test_polar_checks_catch_an_isometry_without_its_square_root(monkeypatch):
     checks = _polar(instance)
     U = expectation_operator(W.space, W.algebra, *rootless(W))
     modulus = expectation_operator(W.space, W.algebra, *tstar_t_power(W, 0.5))
-    u, t = _standard(U), _standard(to_matrix(W))
+    u, t = standard(U), standard(to_matrix(W))
     residuals = {
-        "polar_reconstruction": dense.norm(u @ _standard(modulus) - t),
+        "polar_reconstruction": dense.norm(u @ standard(modulus) - t),
         "polar_partial_isometry": dense.norm(u @ u.conj().T @ u - u),
     }
     for name, residual in residuals.items():
@@ -110,10 +106,10 @@ def test_polar_checks_catch_a_wrong_modulus_power(monkeypatch):
     checks = _polar(instance)
     monkeypatch.undo()
     u, modulus = (
-        _standard(expectation_operator(W.space, W.algebra, *pair))
+        standard(expectation_operator(W.space, W.algebra, *pair))
         for pair in (polar_isometry_closed_form(W), tstar_t_power(W, 0.4))
     )
-    residual = dense.norm(u @ modulus - _standard(to_matrix(W)))
+    residual = dense.norm(u @ modulus - standard(to_matrix(W)))
     assert not checks["polar_reconstruction"].passed
     assert checks["polar_reconstruction"].margin == pytest.approx(residual, rel=1e-12)
     assert checks["polar_partial_isometry"].passed
@@ -131,7 +127,7 @@ def _dense_distance(W, first, second) -> float:
         expectation_operator(W.space, W.algebra, *x) if isinstance(x, tuple) else x
         for x in (first, second)
     )
-    return dense.norm(_standard(A) - _standard(B))
+    return dense.norm(standard(A) - standard(B))
 
 
 def test_power_checks_catch_a_wrong_power(monkeypatch):

@@ -30,7 +30,7 @@ from condexp import wce_operator as wce_module
 from condexp.operator_algebra import gram_power
 
 import dense_reference as dense
-from conftest import discrete_algebra, make_function, trivial_algebra
+from conftest import discrete_algebra, make_function, standard, trivial_algebra
 
 POWERS = (0.5, 1.0, 2.0, 3.5)
 
@@ -63,11 +63,6 @@ def max_diff(A, B):
     entries (a dense reference's, by ``reference``)."""
     a, b = (x if isinstance(x, np.ndarray) else x.entries for x in (A, B))
     return np.abs(a - b).max()
-
-
-def standard(X):
-    """X's n x n standard-coordinate matrix, the dense reference's input."""
-    return dense.standard(X.entries, X.space.weights)
 
 
 def reference(m, space):
