@@ -661,23 +661,17 @@ def operator_norm(T: WeightedOperator) -> float:
 
 
 class LoewnerMargins(NamedTuple):
-    """The four numbers the Loewner test A >= B decides on, all of
-    D = A - B in standard coordinates; they do not depend on a tolerance,
+    """The two numbers the Loewner test A >= B decides on, both of the
+    self-adjoint difference D = A - B; they do not depend on a tolerance,
     so one set serves every tolerance (``loewner_holds``)."""
 
-    asymmetry: float  # largest entry of D - D^H
-    scale: float  # 1 + the largest entry of D
-    smallest: float  # smallest eigenvalue of the self-adjoint part of D
-    norm: float  # largest eigenvalue modulus of the self-adjoint part of D
+    smallest: float  # smallest eigenvalue of D
+    norm: float  # largest eigenvalue modulus of D
 
 
 def loewner_holds(margins: LoewnerMargins, tol: float = DEFAULT_TOL) -> bool:
-    """The Loewner test on its margins: the difference is self-adjoint and
-    PSD to tolerance."""
-    return bool(
-        margins.asymmetry <= tol * margins.scale
-        and margins.smallest >= -tol * (1.0 + margins.norm)
-    )
+    """The Loewner test on its margins: the difference is PSD to tolerance."""
+    return bool(margins.smallest >= -tol * (1.0 + margins.norm))
 
 
 @_once_per_operator

@@ -88,22 +88,18 @@ def _class_margins(T: WeightedOperator) -> dict:
     mean, radius = 0.5 * (p + r), np.hypot(0.5 * (p - r), q)
     a_core, quasi_core = s2 * (a - 1.0), s2 * s2 * (a**3 - 1.0)
     star = s2 * np.array([mean - radius, mean + radius])
-    entries = s2 * np.maximum(np.maximum(np.abs(p), q), -r)
     return {
-        A_CLASS: _closed_margins(a_core, np.abs(a_core)),
-        STAR_A_CLASS: _closed_margins(star, entries),
-        QUASI_STAR_A_CLASS: _closed_margins(quasi_core, np.abs(quasi_core)),
+        A_CLASS: _closed_margins(a_core),
+        STAR_A_CLASS: _closed_margins(star),
+        QUASI_STAR_A_CLASS: _closed_margins(quasi_core),
     }
 
 
-def _closed_margins(eigenvalues: np.ndarray, entries: np.ndarray) -> LoewnerMargins:
-    """The margins of Hermitian cores with these ``eigenvalues`` (and zero
-    padding) and these moduli of their largest entries (``LoewnerMargins``)."""
+def _closed_margins(eigenvalues: np.ndarray) -> LoewnerMargins:
+    """The margins of Hermitian cores with these ``eigenvalues``, and zero
+    padding (``LoewnerMargins``)."""
     return LoewnerMargins(
-        0.0,
-        1.0 + float(entries.max(initial=0.0)),
-        float(eigenvalues.min(initial=0.0)),
-        float(np.abs(eigenvalues).max(initial=0.0)),
+        float(eigenvalues.min(initial=0.0)), float(np.abs(eigenvalues).max(initial=0.0))
     )
 
 
