@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -122,6 +122,12 @@ class SubSigmaAlgebra:
         return held[1:]
 
     @cached_property
+    def _firsts(self) -> np.ndarray:
+        """The first point of each atom, in block order: an atom-constant
+        function read there gives its value once per atom."""
+        return _frozen_array([b[0] for b in self.blocks], int)
+
+    @cached_property
     def _part_labels(self) -> np.ndarray:
         """Bins of a complex array's float view for ``_atom_sums``: 2 labels[i]
         and 2 labels[i] + 1 for point i's real and imaginary parts."""
@@ -175,6 +181,62 @@ class MeasurableFunction:
         return MeasurableFunction(np.full(space.point_count, value, dtype=complex), space)
 
 
+@dataclass(frozen=True, eq=False)
+class Base:
+    """A function on the points that the sides of pairs (a, b) of operators
+    M_a E M_b share, on the atoms of ``algebra``, with what is taken of it
+    once (``_memo``), such as its mean square E|f|^2 on each atom."""
+
+    values: np.ndarray
+    algebra: SubSigmaAlgebra
+    _memo: dict = field(default_factory=dict, repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class Side:
+    """One function of a pair, held per atom: ``coefficient``, one value per
+    atom, times its base's values, conjugated where ``conjugated``.
+    ``numpy.asarray`` expands it to its values on the points."""
+
+    coefficient: np.ndarray
+    base: Base
+    conjugated: bool = False
+
+    def __array__(self, dtype=None, copy=None):
+        values = np.conj(self.base.values) if self.conjugated else self.base.values
+        return np.asarray(self.coefficient[self.base.algebra.labels] * values, dtype=dtype)
+
+    def conj(self) -> "Side":
+        return Side(np.conj(self.coefficient), self.base, not self.conjugated)
+
+    def times(self, coefficient: np.ndarray) -> "Side":
+        """The side times ``coefficient``, one value per atom."""
+        return Side(self.coefficient * coefficient, self.base, self.conjugated)
+
+
+def function_side(
+    algebra: SubSigmaAlgebra, values: np.ndarray, mean_squares: Optional[np.ndarray] = None
+) -> Side:
+    """``values`` as a side of coefficient 1 on its own base, whose E|f|^2 on
+    each atom is ``mean_squares`` where the caller has it."""
+    base = Base(np.asarray(values), algebra)
+    if mean_squares is not None:
+        base._memo[_MEAN_SQUARES] = mean_squares
+    return Side(np.ones(algebra.block_count, dtype=complex), base)
+
+
+#: memo key of a ``Base``: its mean square E|f|^2 on each atom
+_MEAN_SQUARES = "mean_squares"
+
+
+def _mean_squares(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, *bases: Base) -> list:
+    """E|f|^2 on each atom of each base, taken once per base."""
+    for b in bases:
+        if _MEAN_SQUARES not in b._memo:
+            (b._memo[_MEAN_SQUARES],) = _atom_means(space, algebra, np.abs(b.values) ** 2)
+    return [b._memo[_MEAN_SQUARES] for b in bases]
+
+
 def _check_tol(tol: float) -> None:
     """A tolerance must be finite and >= 0: a negative one rejects every
     point, a NaN or infinite one decides every comparison vacuously."""
@@ -208,10 +270,16 @@ def _conditional_means(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, *val
     """``conditional_expectation`` of each array of ``values``, on arrays, with
     one set of atom shares (``SubSigmaAlgebra._masses``); the caller checks
     finite what a ``MeasurableFunction`` would (``_finite_values``)."""
+    return [m[algebra.labels] for m in _atom_means(space, algebra, *values)]
+
+
+def _atom_means(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, *values) -> list:
+    """The conditional mean of each array of ``values`` once per atom, in
+    block order, before ``_conditional_means`` gathers it to the points."""
     if algebra.point_count != space.point_count:
         raise ValueError("algebra does not partition the given space")
     share = algebra._masses(space.weights)[1]
-    return [_atom_sums(algebra, share * f)[algebra.labels] for f in values]
+    return [_atom_sums(algebra, share * f) for f in values]
 
 
 def _finite_values(values: np.ndarray) -> np.ndarray:

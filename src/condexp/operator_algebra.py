@@ -47,11 +47,15 @@ import numpy as np
 
 from .measure_space import (
     DEFAULT_TOL,
+    Base,
     FiniteMeasureSpace,
+    Side,
     SubSigmaAlgebra,
+    _atom_means,
     _atom_sums,
-    _conditional_means,
     _finite_values,
+    _mean_squares,
+    function_side,
 )
 
 #: relative cutoff below which a singular value counts as zero (rank decisions)
@@ -138,58 +142,96 @@ def expectation_operator(
     return WeightedOperator(space, algebra.blocks, {_LINES: held})
 
 
+def _sides(algebra: SubSigmaAlgebra, pair: tuple) -> tuple:
+    """The pair's two functions as sides: an array is coefficient 1 on
+    itself (``function_side``)."""
+    a, b = pair
+    if isinstance(a, Side) and isinstance(b, Side):
+        return pair
+    return tuple(x if isinstance(x, Side) else function_side(algebra, x) for x in pair)
+
+
 def expectation_adjoint(pair: tuple) -> tuple:
     """The pair of the adjoint of M_a E M_b on L2(mu): (conj(b), conj(a))."""
     a, b = pair
-    return np.conj(b), np.conj(a)
+    return tuple(x.conj() if isinstance(x, Side) else np.conj(x) for x in (b, a))
 
 
 def expectation_product(
     space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, first: tuple, second: tuple
 ) -> tuple:
-    """The pair of (M_a E M_b)(M_c E M_d) = M_{a E(bc)} E M_d, in O(n), on
-    arrays (``_conditional_means``), bc and E(bc) checked finite."""
-    (a, b), (c, d) = first, second
-    (mean,) = _conditional_means(space, algebra, _finite_values(np.asarray(b * c, dtype=complex)))
-    return a * _finite_values(mean), d
+    """The pair of (M_a E M_b)(M_c E M_d) = M_{a E(bc)} E M_d: with b and c
+    on one base, one conjugated, E(bc) is their coefficients times the
+    base's E|f|^2, in O(atoms), else a mean over the points, checked
+    finite."""
+    (a, b), (c, d) = _sides(algebra, first), _sides(algebra, second)
+    if b.base is c.base and b.conjugated != c.conjugated:
+        (mean,) = _mean_squares(space, algebra, b.base)
+    else:
+        f, g = (np.conj(x.base.values) if x.conjugated else x.base.values for x in (b, c))
+        (mean,) = _atom_means(space, algebra, _finite_values(np.multiply(f, g, dtype=complex)))
+    return a.times(_finite_values(b.coefficient * c.coefficient * mean)), d
+
+
+#: memo key of a ``Base``: its norm on each atom (``_base_norms``)
+_NORMS = "norms"
+
+
+def _base_norms(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, *bases: Base) -> list:
+    """||sqrt(mu) f|| on each atom of each base, taken once per base and
+    safe at any scale: where a sum of squares may have lost a square to
+    overflow or underflow (``_squares_safe``), the norms of the bases not
+    yet taken are taken again on their lines divided by their power of two
+    on each atom (``_block_norms``)."""
+    missing = list({id(b): b for b in bases if _NORMS not in b._memo}.values())
+    if missing:
+        d = _sqrt_weights(space)
+        with np.errstate(over="ignore"):  # an overflow fails the check below
+            sums = np.array([_atom_sums(algebra, np.abs(d * b.values) ** 2) for b in missing])
+        if _squares_safe(sums):
+            norms = np.sqrt(sums)
+        else:
+            (starts, sizes), order = _segments(algebra.blocks), np.concatenate(algebra.blocks)
+            lines = np.stack([b.values[order] for b in missing])
+            lines = np.multiply(lines, d[order], dtype=complex, order="C")
+            # the lines' own sums of squares may all pass where those of |d f|^2 did not
+            norms, powers = _block_norms(lines, starts, sizes)
+            norms = norms if powers is None else norms * powers
+        for b, norm in zip(missing, norms):
+            b._memo[_NORMS] = norm
+    return [b._memo[_NORMS] for b in bases]
 
 
 def expectation_norms(
     space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple
 ) -> np.ndarray:
     """||M_a E M_b|| on each atom, in block order: the singular value
-    ||sqrt(mu) a||_B ||sqrt(mu) b||_B / mu(B) of its rank-one block; the
-    largest is the operator norm. It is safe at any scale: where a sum of
-    squares may have lost a square to overflow or underflow
-    (``_squares_safe``), the norms are taken again on each atom's lines
-    divided by their power of two (``_block_norms``)."""
-    d, mass = _sqrt_weights(space), algebra._masses(space.weights)[0]
-    with np.errstate(over="ignore"):  # an overflow fails the check below
-        sums = np.array([_atom_sums(algebra, np.abs(d * x) ** 2) for x in pair])
-    if _squares_safe(sums):
-        return np.sqrt(sums[0]) * np.sqrt(sums[1]) / mass
-    (starts, sizes), order = _segments(algebra.blocks), np.concatenate(algebra.blocks)
-    lines = np.multiply(np.stack(pair)[:, order], d[order], dtype=complex, order="C")
-    # the lines' own sums of squares may all pass where those of |d x|^2 did not
-    norms, powers = _block_norms(lines, starts, sizes)
-    norms = norms[0] * norms[1] / mass
-    return norms if powers is None else norms * powers[0] * powers[1]
+    |alpha| ||sqrt(mu) f||_B |beta| ||sqrt(mu) g||_B / mu(B) of its rank-one
+    block, for a = alpha f and b = beta g; the largest is the operator norm.
+    It is safe at any scale as the bases' norms are (``_base_norms``)."""
+    a, b = _sides(algebra, pair)
+    norm_a, norm_b = _base_norms(space, algebra, a.base, b.base)
+    mass = algebra._masses(space.weights)[0]
+    return (np.abs(a.coefficient) * norm_a) * (np.abs(b.coefficient) * norm_b) / mass
 
 
 def expectation_coimage(
     space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, pair: tuple
 ) -> tuple:
     """The pair of the weighted-orthogonal projection onto the coimage of
-    M_a E M_b (the orthogonal complement of its kernel):
-    (chi conj(b) / E|b|^2, b), where chi marks the atoms whose norm passes
+    M_a E M_b (the orthogonal complement of its kernel),
+    (chi conj(b) / E|b|^2, b), which is the same for b times any nonzero
+    constant on each atom: taken on b = g / ||sqrt(mu) g||_B, of
+    E|b|^2 = 1 / mu(B), so each coefficient is safe at any scale where the
+    base's norm is (``_base_norms``). chi marks the atoms whose norm passes
     the oracle's rank rule, DEFAULT_RANK_TOL times the largest."""
-    _, b = pair
+    _, b = _sides(algebra, pair)
     sigma = expectation_norms(space, algebra, pair)
-    mu = space.weights
-    e_b2 = _atom_sums(algebra, mu * np.abs(b) ** 2) / algebra._masses(mu)[0]
+    (norm,) = _base_norms(space, algebra, b.base)
     keep = sigma > DEFAULT_RANK_TOL * sigma.max(initial=0.0)
-    factor = np.divide(1.0, e_b2, out=np.zeros(e_b2.shape), where=keep)
-    return factor[algebra.labels] * np.conj(b), b
+    unit = np.divide(1.0, norm, out=np.zeros(norm.shape), where=keep)
+    right = Side(unit + 0j, b.base, b.conjugated)
+    return right.conj().times(algebra._masses(space.weights)[0]), right
 
 
 def _check_space(T: WeightedOperator, space: FiniteMeasureSpace) -> None:
@@ -360,17 +402,22 @@ def core_distances(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, comparis
     margins = np.empty(len(comparisons))
     groups = {}  # id(blocks) -> (blocks, indices, sides) of the comparisons over them
     for k, sides in enumerate(comparisons):
-        operators = [x for x in sides if not isinstance(x, tuple)]
-        for x in operators:
-            _check_space(x, space)
-        if isinstance(sides[0], tuple) and operators:
+        if isinstance(sides[0], tuple) and not isinstance(sides[1], tuple):
             sides = sides[::-1]  # an operator goes first
-        own = [algebra.blocks if isinstance(x, tuple) else x.blocks for x in sides]
+        own, held = [], []
+        for x in sides:
+            if isinstance(x, tuple):
+                own.append(algebra.blocks)
+                held.append(_sides(algebra, x))
+            else:
+                _check_space(x, space)
+                own.append(x.blocks)
+                held.append(x._memo[_LINES])
         if not _same_blocks(*own):
             raise ValueError("the sides of a comparison must be over the same blocks")
         group = groups.setdefault(id(own[0]), (own[0], [], []))
         group[1].append(k)
-        group[2].append([x if isinstance(x, tuple) else x._memo[_LINES] for x in sides])
+        group[2].append(held)
     for blocks, indices, sides in groups.values():
         margins[indices] = _rank_one_distances(space, blocks, sides)
     return margins
@@ -399,10 +446,11 @@ def _pair_lines(space: FiniteMeasureSpace, blocks: tuple, pair: tuple) -> tuple:
 
 def _rank_one_distances(space: FiniteMeasureSpace, blocks: tuple, comparisons: list) -> np.ndarray:
     """``core_distances`` of comparisons over the same ``blocks`` whose sides
-    are pairs or ``_Lines`` of width 0 or 1: each block of a difference is
-    k_1 l_1 r_1^H - k_2 l_2 r_2^H, l_1 and r_1 unit or zero (a pair first
-    as its unit lines, as ``_pair_lines`` takes it). With l_2 = c l_1 + rho e
-    on each side (``_rank_one_projections``) it is the 2 x 2 core
+    are pairs of sides or ``_Lines`` of width 0 or 1: each block of a
+    difference is k_1 l_1 r_1^H - k_2 l_2 r_2^H, every line unit or zero (a
+    pair as its bases' unit lines, as ``_pair_lines`` takes them, with its
+    coefficients and its bases' norms in k). With l_2 = c l_1 + rho e on
+    each side (``_rank_one_projections``) it is the 2 x 2 core
     [[k_1 - k_2 c_L conj(c_R), -k_2 c_L rho_R],
     [-k_2 rho_L conj(c_R), -k_2 rho_L rho_R]], whose largest singular value
     is taken in closed form (``_largest_scaled``); NaN where not finite."""
@@ -411,17 +459,28 @@ def _rank_one_distances(space: FiniteMeasureSpace, blocks: tuple, comparisons: l
     mass = np.add.reduceat(space.weights[order], starts)
     d = _sqrt_weights(space)[order]
     pairs = [[not isinstance(x, _Lines) for x in sides] for sides in comparisons]
-    (c_l, c_r), (rho_l, rho_r), norm = _rank_one_projections(
+    (c_l, c_r), (rho_l, rho_r), *norms = _rank_one_projections(
         comparisons, pairs, order, d, starts, sizes
     )
-    k = np.zeros((2, count, starts.size), dtype=complex)
-    firsts, seconds = np.array(pairs, dtype=bool).reshape(count, 2).T
-    k[0, firsts] = norm[0, firsts] * norm[1, firsts] / mass
-    k[1, seconds] = 1.0 / mass
+    # k of a pair is (alpha n_L) (beta n_R) / mu(B) on its bases' unit lines, n their
+    # norms; of an operator, its cores
+    (lefts, rights, at), (cores, held) = ([], [], []), ([], [])
     for i, sides in enumerate(comparisons):
         for j, side in enumerate(sides):
-            if not pairs[i][j] and side.core.shape[1]:
-                k[j, i] = side.core[:, 0, 0]
+            if pairs[i][j]:
+                lefts.append(side[0].coefficient)
+                rights.append(side[1].coefficient)
+                at.append((j, i))
+            elif side.core.shape[1]:
+                cores.append(side.core[:, 0, 0])
+                held.append((j, i))
+    k = np.zeros((2, count, starts.size), dtype=complex)
+    if held:
+        k[tuple(np.transpose(held))] = cores
+    if at:
+        j, i = np.transpose(at)
+        n_l, n_r = np.array(norms)[j, :, i].transpose(1, 0, 2)
+        k[j, i] = (np.array(lefts) * n_l) * (np.array(rights) * n_r) / mass
     left, right = -k[1] * c_l, -k[1] * rho_l
     np.conj(c_r, out=c_r)
     mats = np.empty((count, starts.size, 2, 2), dtype=complex)
@@ -442,34 +501,45 @@ COMPARISON_CHUNK = 1 << 16
 
 def _line_sources(comparisons: list, pairs: list) -> tuple:
     """(vectors, combos, where): the distinct lines ``comparisons`` read, each
-    listed once as (x, j, is a pair's), and the distinct projections of one
-    on another they need. On side j (0 for L, 1 for R) a pair reads its
-    function x, in point order, ``_Lines`` of width 1 line j of its lines x,
-    and of width 0 a zero line (x None). ``combos[r]`` holds a projection's
-    lines (first, second), and ``where[j][i]`` the projection side j of
-    comparison i takes."""
+    listed once as (x, flag, is a base's), and the distinct projections of
+    one on another they need. A pair reads on L the base of its first side
+    and on R that of its second, in point order, each conjugated (flag
+    True) as its side is on L and as it is not on R; ``_Lines`` of width 1
+    read line j (flag j) of their lines x on side j, one line where a
+    stride of 0 makes the two one, and of width 0 a zero line (x None).
+    ``combos[r]`` holds a projection's lines (first, second), and
+    ``where[j][i]`` the projection side j (0 for L, 1 for R) of comparison
+    i takes."""
     seen, vectors, combos, where = {}, [], {}, ([], [])
-    for j in (0, 1):
-        for sides, kinds in zip(comparisons, pairs):
-            places = []
-            for side, pair in zip(sides, kinds):
-                x = side[j] if pair else side.lines if side.core.shape[1] else None
-                if (id(x), j) not in seen:
-                    seen[id(x), j] = len(vectors)
-                    vectors.append((x, j, pair))
-                places.append(seen[id(x), j])
-            where[j].append(combos.setdefault(tuple(places), len(combos)))
+    for sides, kinds in zip(comparisons, pairs):
+        places = []
+        for side, pair in zip(sides, kinds):
+            if pair:
+                a, b = side
+                lines = ((a.base.values, a.conjugated), (b.base.values, not b.conjugated))
+            elif side.core.shape[1]:
+                lines = ((side.lines, 0), (side.lines, int(side.lines.strides[0] != 0)))
+            else:
+                lines = ((None, 0),) * 2
+            for x, flag in lines:
+                if (id(x), flag) not in seen:
+                    seen[id(x), flag] = len(vectors)
+                    vectors.append((x, flag, pair))
+                places.append(seen[id(x), flag])
+        where[0].append(combos.setdefault((places[0], places[2]), len(combos)))
+        where[1].append(combos.setdefault((places[1], places[3]), len(combos)))
     return vectors, np.array(list(combos)), np.array(where)
 
 
 def _rank_one_projections(
     comparisons: list, pairs: list, order: np.ndarray, d: np.ndarray, starts, sizes
 ) -> tuple:
-    """(c, rho, norm) of the L and then the R side of each comparison on each
-    block (2 x comparisons x blocks each), from ``_projections`` of the
-    distinct projections (``_line_sources``), in groups of whole blocks and
-    chunks of projections whose working set (at most four lines per
-    projection) stays within COMPARISON_CHUNK entries, or one block's."""
+    """(c, rho, first norm, second norm) of the L and then the R side of each
+    comparison on each block (2 x comparisons x blocks each), from
+    ``_projections`` of the distinct projections (``_line_sources``), in
+    groups of whole blocks and chunks of projections whose working set (at
+    most four lines per projection) stays within COMPARISON_CHUNK entries,
+    or one block's."""
     vectors, combos, where = _line_sources(comparisons, pairs)
     count, ends = len(combos), starts + sizes
     lines = 2 * count + max(2 * count, len(vectors))
@@ -498,50 +568,52 @@ def _rank_one_projections(
 
 
 def _projections(vectors, combos, rows, order, d, starts, sizes) -> tuple:
-    """(c, rho, norm) of the projections ``combos`` of the lines ``vectors``
-    over one group of blocks, in ``rows`` of the block order. Each line is
-    written once into a stack, a pair's function as sqrt(mu) times it,
-    conjugated on the R side, with its norm n on each block
-    (``_block_norms``). By index over the stack, q is a projection's first
-    line and v its second: c = <q, v>_B / n, v -= (c / n) q and
-    rho = ||v||_B, each times the power of two v was divided by. Beside q and
-    v, one line per projection holds the products and half a line the
-    residuals' coefficients; the stack is made in that memory, or past it.
-    No complex product is formed in place, as numpy may round it apart."""
+    """(c, rho, first norm, second norm) of the projections ``combos`` of the
+    lines ``vectors`` over one group of blocks, in ``rows`` of the block
+    order. Each line is written once into a stack, a base as sqrt(mu) times
+    it, conjugated where its flag says, with its norm n on each block
+    (``_block_norms``, times the power of two a line was divided by). By
+    index over the stack, q is a projection's first line and v its second:
+    c = <q, v>_B / n_q, v -= (c / n_q) q and rho = ||v||_B, c and rho then
+    over n_v, so that both lines are unit and neither's scale is in them
+    (0 on a zero line). Beside q and v, one line per projection holds the
+    products and half a line the residuals' coefficients; the stack is made
+    in that memory, or past it. No complex product is formed in place, as
+    numpy may round it apart."""
     count, at, width, m = len(combos), starts - rows.start, rows.stop - rows.start, len(vectors)
     half = (count + 1) // 2
     buffer = np.empty((2 * count + max(count + half, m), width), dtype=complex)
     q, v, product = (buffer[k * count : (k + 1) * count] for k in range(3))
     stack, index, weights = buffer[2 * count : 2 * count + m], order[rows], d[rows]
-    for (x, j, pair), line in zip(vectors, stack):
+    for (x, flag, pair), line in zip(vectors, stack):
         if x is None:
             line[:] = 0.0
         elif pair:
             np.multiply(x[index], weights, out=line)
-            if j:
+            if flag:
                 np.conj(line, out=line)
         else:
-            line[:] = x[j, rows, 0]
+            line[:] = x[flag, rows, 0]
     norms, powers = _block_norms(stack, at, sizes, buffer[:m])
     first, second = combos.T
     if powers is None:  # every norm is positive
-        inverse = (1.0 / norms)[first]
+        inverse = 1.0 / norms
     else:
-        inverse = np.divide(1.0, norms, out=np.zeros(norms.shape), where=norms > 0)[first]
+        inverse = np.divide(1.0, norms, out=np.zeros(norms.shape), where=norms > 0)
+        norms = norms * powers
     stack.take(first, axis=0, out=q, mode="clip")
     stack.take(second, axis=0, out=v, mode="clip")
     np.multiply(np.conj(q, out=q), v, out=product)  # q conjugated in place, and back
     np.conj(q, out=q)
-    cq = np.add.reduceat(product, at, axis=1) * inverse
-    coefficients, atoms = cq * inverse, np.arange(sizes.size).repeat(sizes)
+    cq = np.add.reduceat(product, at, axis=1) * inverse[first]
+    coefficients, atoms = cq * inverse[first], np.arange(sizes.size).repeat(sizes)
     for lo in range(0, count, half):
         part, work = slice(lo, lo + half), buffer[3 * count : 3 * count + min(half, count - lo)]
         coefficients[part].take(atoms, axis=1, out=work, mode="clip")
         v[part] -= np.multiply(work, q[part], out=product[part])
     rho = _segment_norms(v, product, at)
-    if powers is None:
-        return cq, rho, norms[first]
-    return cq * powers[second], rho * powers[second], norms[first] * powers[first]
+    unit = inverse[second]
+    return cq * unit, rho * unit, norms[first], norms[second]
 
 
 def _squares_safe(sums: np.ndarray) -> bool:

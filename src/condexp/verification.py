@@ -76,11 +76,11 @@ def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list
     """Run the full closed-form vs oracle suite on one instance, the checks in
     section order. T's side (the powers of T*T, the polar decomposition,
     the Aluthge transforms) and T*'s side (the powers of TT*, the adjoint:
-    the T-side sections on ``adjoint_wce(W)`` and ``adjoint(T)``) are each
-    measured by one ``core_distances`` call, a side's operators freed once
-    its checks are made. Every question asked of T reads its per-atom
-    record, made once, so a verify builds no block and makes no LAPACK call
-    but the joint point spectrum's (``svd 16x2x2`` twice on
+    the T-side sections on ``adjoint_wce(W)`` and ``adjoint(T)``), fifteen
+    comparisons, are measured by one ``core_distances`` call, W's polar
+    isometry built once for both. Every question asked of T reads its
+    per-atom record, made once, so a verify builds no block and makes no
+    LAPACK call but the joint point spectrum's (``svd 16x2x2`` twice on
     random_instance(7, 64, 8))."""
     W = as_wce(instance, support_tol=tols.support)
     T = wce.to_matrix(W)
@@ -94,16 +94,14 @@ def verify_instance(instance: Instance, tols: Tolerances = Tolerances()) -> list
             tols.match * (1.0 + norm_t),
         )
     ]
+    isometry = wce.polar_isometry_closed_form(W)
     checks += _compared(
         W,
         _power_comparisons(W, T, "tstar_t_power", tols)
-        + _polar_comparisons(W, tols)
-        + _aluthge_comparisons(W, T, tols),
-    )
-    checks += _compared(
-        W,
-        _power_comparisons(wce.adjoint_wce(W), oa.adjoint(T), "t_tstar_power", tols)
-        + _adjoint_comparisons(W, T, tols),
+        + _polar_comparisons(W, isometry, tols)
+        + _aluthge_comparisons(W, T, tols)
+        + _power_comparisons(wce.adjoint_wce(W), oa.adjoint(T), "t_tstar_power", tols)
+        + _adjoint_comparisons(W, T, isometry, tols),
     )
     set_tol = tols.spectrum * (1.0 + norm_t)
     checks += _spectrum_checks(W, set_tol, tols)
@@ -129,17 +127,16 @@ def _power_comparisons(W: WCEOperator, T: WeightedOperator, name: str, tols: Tol
     ]
 
 
-def _polar_comparisons(W: WCEOperator, tols: Tolerances) -> list:
-    """The polar decomposition T = U |T|, with |T| = ``tstar_t_power(W, 0.5)``,
-    measured on the pairs (a, b) of the operators M_a E M_b: T's own pair
-    (w, u) and those of the two closed forms, combined by the pair rules and
-    compared on their 2 x 2 cores (``core_distances`` on pairs), so no
-    |B| x |B| block is built.
+def _polar_comparisons(W: WCEOperator, u_part: tuple, tols: Tolerances) -> list:
+    """The polar decomposition T = U |T|, with U the pair ``u_part`` and
+    |T| = ``tstar_t_power(W, 0.5)``, measured on the pairs (a, b) of the
+    operators M_a E M_b: T's own pair (w, u) and those of the two closed
+    forms, combined by the pair rules and compared on their 2 x 2 cores
+    (``core_distances`` on pairs), so no |B| x |B| block is built.
     The kernel condition N(U) = N(|T|) compares the coimage projections:
     ||P_ker U - P_ker |T||| = ||P_coim |T| - P_coim U||."""
     space, algebra = W.space, W.algebra
-    t_pair = (W.w.values, W.u.values)  # the vectors T's blocks are built from
-    u_part = wce.polar_isometry_closed_form(W)
+    t_pair = wce.operator_pair(W)
     modulus = wce.tstar_t_power(W, 0.5)
     u_modulus = oa.expectation_product(space, algebra, u_part, modulus)
     u_u_star = oa.expectation_product(space, algebra, u_part, oa.expectation_adjoint(u_part))
@@ -162,13 +159,15 @@ def _aluthge_comparisons(W: WCEOperator, T: WeightedOperator, tols: Tolerances) 
     ]
 
 
-def _adjoint_comparisons(W: WCEOperator, T: WeightedOperator, tols: Tolerances) -> list:
+def _adjoint_comparisons(
+    W: WCEOperator, T: WeightedOperator, u_part: tuple, tols: Tolerances
+) -> list:
     """Partial isometry and Aluthge transform of T*: the T-side closed forms
     of V = adjoint_wce(W), the isometry against the adjoint pair of T's
-    closed-form one and the Aluthge transform against the oracle on
-    adjoint(T)."""
+    closed-form one, ``u_part``, and the Aluthge transform against the
+    oracle on adjoint(T)."""
     V = wce.adjoint_wce(W)
-    u_star = oa.expectation_adjoint(wce.polar_isometry_closed_form(W))
+    u_star = oa.expectation_adjoint(u_part)
     isometry, alu = wce.polar_isometry_closed_form(V), wce.aluthge_closed_form(V)
     return [
         ("adjoint_isometry_is_adjoint_of_isometry", isometry, u_star, tols.match),

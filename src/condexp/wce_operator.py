@@ -31,10 +31,12 @@ from .measure_space import (
     DEFAULT_SUPPORT_TOL,
     FiniteMeasureSpace,
     MeasurableFunction,
+    Side,
     SubSigmaAlgebra,
     _conditional_means,
     _finite_values,
     ess_sup_norm,
+    function_side,
     support,
 )
 from .operator_algebra import WeightedOperator, expectation_operator
@@ -72,6 +74,25 @@ class WCEOperator:
         return bool(np.abs(self.w.values - 1.0).max() <= tol)
 
     @cached_property
+    def _per_atom(self) -> tuple:
+        """(E|u|^2, E|w|^2, E(uw), S, G) once per atom, in block order, read
+        at each atom's first point: the closed forms' coefficients are taken
+        from them in O(atoms)."""
+        firsts = self.algebra._firsts
+        moments = (self.e_abs_u2.values.real, self.e_abs_w2.values.real, self.e_uw.values)
+        return tuple(x[firsts] for x in (*moments, self.support_u2, self.support_w2))
+
+    @cached_property
+    def _sides(self) -> tuple:
+        """u and w as pair sides of coefficient 1, each on its own base, whose
+        E|f|^2 on each atom is W's moment: every closed form of W is
+        coefficients on these two bases."""
+        eu2, ew2 = self._per_atom[:2]
+        return tuple(
+            function_side(self.algebra, f.values, m) for f, m in ((self.u, eu2), (self.w, ew2))
+        )
+
+    @cached_property
     def _adjoint(self) -> "WCEOperator":
         # built once, for every adjoint-side closed form: with u' = conj(w),
         # w' = conj(u), W's moments conjugated or swapped are a rebuild's to
@@ -79,13 +100,16 @@ class WCEOperator:
         # last bit: the products round in another order)
         u, w, e_u = self.w.conj(), self.u.conj(), self.e_w.conj()
         (e_uw,) = _conditional_means(self.space, self.algebra, _finite_values(u.values * w.values))
-        return WCEOperator(
+        adjoint = WCEOperator(
             self.space, self.algebra, u, w, e_u, self.e_u.conj(),
             e_uw=MeasurableFunction._of(e_uw, self.space),
             e_abs_u2=self.e_abs_w2, e_abs_w2=self.e_abs_u2,
             support_u2=self.support_w2, support_w2=self.support_u2,
             support_eu=support(e_u, self.support_tol), support_tol=self.support_tol,
         )
+        # its sides are W's bases conjugated, so both sides' closed forms share two bases
+        adjoint.__dict__["_sides"] = tuple(side.conj() for side in self._sides[::-1])
+        return adjoint
 
 
 def build_wce(
@@ -141,16 +165,27 @@ def norm_closed_form(W: WCEOperator) -> float:
     return float(np.sqrt(np.maximum(prod, 0.0).max()))
 
 
+def _on(side: Side, coefficient: np.ndarray, conjugated: bool = False) -> Side:
+    """``coefficient`` times one of W's sides, or times its conjugate: each
+    of them is of coefficient 1 (``WCEOperator._sides``)."""
+    return Side(coefficient, side.base, side.conjugated != conjugated)
+
+
+def operator_pair(W: WCEOperator) -> tuple:
+    """The pair (w, u) of T = M_w E M_u, as its sides on W's two bases."""
+    u, w = W._sides
+    return w, u
+
+
 def tstar_t_power(W: WCEOperator, p: float) -> tuple:
     """The pair of (T*T)^p = M_{conj(u) (E|u|^2)^(p-1) chi_S (E|w|^2)^p} E M_u."""
     if p <= 0:
         raise ValueError("power must be positive")
-    eu2 = W.e_abs_u2.values.real
-    ew2 = W.e_abs_w2.values.real
-    factor = np.zeros(W.space.point_count, dtype=complex)
-    on = W.support_u2
+    eu2, ew2, _, on, _ = W._per_atom
+    factor = np.zeros(eu2.size, dtype=complex)
     factor[on] = eu2[on] ** (p - 1.0) * np.maximum(ew2[on], 0.0) ** p
-    return np.conj(W.u.values) * factor, W.u.values
+    u = W._sides[0]
+    return _on(u, factor, conjugated=True), u
 
 
 def polar_isometry_closed_form(W: WCEOperator) -> tuple:
@@ -159,17 +194,18 @@ def polar_isometry_closed_form(W: WCEOperator) -> tuple:
 
     U f = (chi_{S and G} / (E|w|^2 E|u|^2))^(1/2) w E(u f)
     """
-    s_and_g = W.support_u2 & W.support_w2
-    ew2_eu2 = W.e_abs_w2.values.real * W.e_abs_u2.values.real
-    iso_factor = np.sqrt(_guarded_ratio(1.0, ew2_eu2, s_and_g))
-    return iso_factor * W.w.values, W.u.values
+    eu2, ew2, _, s, g = W._per_atom
+    iso_factor = np.sqrt(_guarded_ratio(1.0, ew2 * eu2, s & g))
+    u, w = W._sides
+    return _on(w, iso_factor), u
 
 
 def aluthge_closed_form(W: WCEOperator) -> tuple:
     """The pair of the Aluthge transform:
     f -> (chi_S E(uw) / E|u|^2) conj(u) E(u f)."""
-    factor = _guarded_ratio(W.e_uw.values, W.e_abs_u2.values.real, W.support_u2)
-    return factor * np.conj(W.u.values), W.u.values
+    eu2, _, euw, s, _ = W._per_atom
+    u = W._sides[0]
+    return _on(u, _guarded_ratio(euw, eu2, s), conjugated=True), u
 
 
 def adjoint_wce(W: WCEOperator) -> WCEOperator:

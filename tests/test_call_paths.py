@@ -605,7 +605,7 @@ def test_verify_makes_no_solver_call_per_atom(monkeypatch):
 
 def test_verify_compares_each_section_in_one_call(monkeypatch):
     """A verify of random_instance(7, 64, 8) makes 2 solver calls, none for
-    T's factors, and calls ``core_distances`` once per side: T's (the
+    T's factors, and calls ``core_distances`` once for both sides: T's (the
     powers of T*T, the polar decomposition, the Aluthge transforms; 9
     comparisons) and T*'s (the powers of TT* and the adjoint; 6). T's
     atoms are rank one, so every comparison's core is 2 x 2, taken by the
@@ -631,4 +631,4 @@ def test_verify_compares_each_section_in_one_call(monkeypatch):
         monkeypatch.setattr(np.linalg, name, probe)
     monkeypatch.setattr(oa, "core_distances", counted)
     assert summarize(verify_instance(instance))["all_passed"]
-    assert calls == [9, 6]
+    assert calls == [15]

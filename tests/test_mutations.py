@@ -37,11 +37,12 @@ def _delta(value: float) -> float:
 
 
 def _scaled_on_atom(pair, algebra, atom: int, factor) -> tuple:
-    """The pair (a, b) with a times ``factor`` on ``atom``."""
+    """The pair (a, b) with a times ``factor`` on ``atom``: its coefficient
+    there, a being held per atom."""
     a, b = pair
-    a = np.array(a, dtype=complex)
-    a[algebra.blocks[atom]] *= factor
-    return a, b
+    bump = np.ones(algebra.block_count)
+    bump[atom] = factor
+    return a.times(bump), b
 
 
 def _closed_form(name: str, side: str, p=None, drop: bool = False):

@@ -12,6 +12,7 @@ from condexp import (
     SubSigmaAlgebra,
     WeightedOperator,
     adjoint,
+    adjoint_wce,
     aluthge_numeric,
     as_wce,
     build_wce,
@@ -20,6 +21,7 @@ from condexp import (
     is_normal,
     joint_point_spectrum,
     operator_norm,
+    polar_isometry_closed_form,
     random_instance,
     singular_values,
     to_matrix,
@@ -42,6 +44,7 @@ from condexp.operator_algebra import (
 
 from condexp.verification import (
     Tolerances,
+    _adjoint_comparisons,
     _aluthge_comparisons,
     _polar_comparisons,
     _power_comparisons,
@@ -248,7 +251,7 @@ class TestExpectationPairs:
         a[10:] *= 1e-12
         pair = expectation_coimage(PAIR_SPACE, PAIR_ALGEBRA, (a, b))
         kernel = dense.kernel_projection(standard(_pair_operator((a, b))))
-        np.testing.assert_allclose(pair[0][10:], 0.0)
+        np.testing.assert_allclose(np.asarray(pair[0])[10:], 0.0)
         complement = np.eye(15) - standard(_pair_operator(pair))
         np.testing.assert_allclose(complement, kernel, atol=1e-12)
 
@@ -382,6 +385,20 @@ class TestCoreDistance:
         assert base.min() > 0
         np.testing.assert_allclose(measured(scale), scale * base, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e160, 1e-160, 1e200, 1e-200])
+    def test_the_coimage_projection_has_norm_1_at_any_scale(self, scale):
+        """On random_instance(0, 12, 4) the coimage projection of (w, u c) has
+        norm 1 to 1e-12, by ``expectation_norms`` and against the zero pair:
+        E|b|^2 is taken from the base's norms, safe at any scale, where an
+        unscaled sum of mu |b|^2 is 0 at c = 1e160 and NaN at 1e-160."""
+        inst = random_instance(0, 12, 4)
+        zero = np.zeros(inst.space.point_count)
+        pair = (inst.w.values, inst.u.values * scale)
+        coimage = expectation_coimage(inst.space, inst.algebra, pair)
+        norm = expectation_norms(inst.space, inst.algebra, coimage).max()
+        distance = core_distances(inst.space, inst.algebra, [(coimage, (zero, zero))])[0]
+        assert abs(norm - 1.0) <= 1e-12 and abs(distance - 1.0) <= 1e-12
+
     def test_a_side_that_is_not_finite_gives_nan(self):
         """Against a pair that is not finite, a pair and an operator each
         give NaN, both ways round."""
@@ -480,15 +497,20 @@ def _kernel_nan_cases():
     return cases + [(y, x) for x, y in cases]
 
 
-def _verify_side(seed=3, n=64, atoms=8):
-    """The space, the algebra and the 9 comparisons of T's side of a verify
-    of random_instance(seed, n, atoms): the powers, polar and Aluthge."""
+def _verify_side(seed=3, n=64, atoms=8, both=True):
+    """The space, the algebra and the comparisons of a verify of
+    random_instance(seed, n, atoms): the 15 of its one ``core_distances``
+    call, or the 9 of T's side alone (the powers, polar and Aluthge)."""
     W = as_wce(random_instance(seed, n, atoms))
     T, tols = to_matrix(W), Tolerances()
+    isometry = polar_isometry_closed_form(W)
     comparisons = (
-        _power_comparisons(W, T, "p", tols) + _polar_comparisons(W, tols)
+        _power_comparisons(W, T, "p", tols) + _polar_comparisons(W, isometry, tols)
         + _aluthge_comparisons(W, T, tols)
     )
+    if both:
+        comparisons += _power_comparisons(adjoint_wce(W), adjoint(T), "p", tols)
+        comparisons += _adjoint_comparisons(W, T, isometry, tols)
     return W.space, W.algebra, [(first, second) for _, first, second, _ in comparisons]
 
 
@@ -555,16 +577,17 @@ class TestRankOneKernel:
         for batch, want in zip(batches, whole):
             np.testing.assert_array_equal(core_distances(*batch), want)
 
-    def test_working_set_is_bounded_by_the_row_bound(self, monkeypatch):
-        """One call over a verify's 9 comparisons at
+    @pytest.mark.parametrize("both", [False, True], ids=["t-side", "both-sides"])
+    def test_working_set_is_bounded_by_the_row_bound(self, monkeypatch, both):
+        """One call over T's 9 comparisons, or over a verify's 15, at
         random_instance(0, 20000, 200), with the row bound at 4096 entries,
         allocates less than: the kernel's stack (q, v and two work arrays of
         4096 complex entries each), three O(n) arrays (the points in block
         order, their weights and square roots) and sixteen complex values
         per comparison and atom. That is under one complex entry per point
-        and comparison (2.9 MB), so a stack that grows with n x comparisons
-        does not fit."""
-        space, algebra, side = _verify_side(0, 20_000, 200)
+        and comparison (2.9 MB at 9), so a stack that grows with
+        n x comparisons does not fit."""
+        space, algebra, side = _verify_side(0, 20_000, 200, both)
         chunk, n, count = 4096, space.point_count, len(side)
         monkeypatch.setattr(operator_algebra, "COMPARISON_CHUNK", chunk)
         core_distances(space, algebra, side)  # warm: first-call allocations are not the call's

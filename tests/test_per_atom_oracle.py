@@ -401,8 +401,9 @@ def test_class_margins_match_the_composed_operators(name, W):
 
 
 #: bound on the tracemalloc peak of one verify, in units of 16 sum |B|^2 bytes
-#: (the complex blocks of T): measured 4.3 (random) and 3.3 (product), so
-#: the bound leaves 40% headroom
+#: (the complex blocks of T): measured 5.95 (random) and 4.46 (product) with
+#: the closed forms held as arrays on the points, 5.20 and 3.57 with them held
+#: per atom on shared bases, so the bound leaves 19% headroom
 VERIFY_PEAK_PER_BLOCK_BYTE = 6.2
 
 
@@ -421,6 +422,29 @@ def test_verify_peak_memory_is_a_multiple_of_the_blocks(instance):
         tracemalloc.stop()
     block_bytes = 16 * sum(b.size**2 for b in instance.algebra.blocks)
     assert peak < VERIFY_PEAK_PER_BLOCK_BYTE * block_bytes
+
+
+#: bound on the tracemalloc peak of one verify of random_instance(0, 20_000,
+#: 200), in bytes per point above its input: measured 352 with the closed
+#: forms held per atom on shared bases (433 with them held as arrays on the
+#: points), so the bound leaves 14% headroom
+VERIFY_PEAK_PER_POINT = 400
+
+
+def test_verify_peak_memory_per_point():
+    """A verify of 20,000 points in 200 atoms holds W, T, the oracle's
+    records and the kernel's bounded working set, and no closed form as
+    arrays on the points."""
+    instance = random_instance(0, 20_000, 200)
+    verify_instance(instance)  # warm: first-call allocations are not verify's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verify_instance(instance)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < VERIFY_PEAK_PER_POINT * instance.space.point_count
 
 
 #: the definitional class tests and the reference's class margins, in order
