@@ -184,11 +184,13 @@ class MeasurableFunction:
 @dataclass(frozen=True, eq=False)
 class Base:
     """A function on the points that the sides of pairs (a, b) of operators
-    M_a E M_b share, on the atoms of ``algebra``, with what is taken of it
-    once (``_memo``), such as its mean square E|f|^2 on each atom."""
+    M_a E M_b share, on the atoms of ``algebra``, with its mean square
+    E|f|^2 on each atom where its maker has it, and what is taken of it
+    once (``_memo``)."""
 
     values: np.ndarray
     algebra: SubSigmaAlgebra
+    mean_squares: Optional[np.ndarray] = None
     _memo: dict = field(default_factory=dict, repr=False)
 
 
@@ -219,22 +221,8 @@ def function_side(
 ) -> Side:
     """``values`` as a side of coefficient 1 on its own base, whose E|f|^2 on
     each atom is ``mean_squares`` where the caller has it."""
-    base = Base(np.asarray(values), algebra)
-    if mean_squares is not None:
-        base._memo[_MEAN_SQUARES] = mean_squares
+    base = Base(np.asarray(values), algebra, mean_squares)
     return Side(np.ones(algebra.block_count, dtype=complex), base)
-
-
-#: memo key of a ``Base``: its mean square E|f|^2 on each atom
-_MEAN_SQUARES = "mean_squares"
-
-
-def _mean_squares(space: FiniteMeasureSpace, algebra: SubSigmaAlgebra, *bases: Base) -> list:
-    """E|f|^2 on each atom of each base, taken once per base."""
-    for b in bases:
-        if _MEAN_SQUARES not in b._memo:
-            (b._memo[_MEAN_SQUARES],) = _atom_means(space, algebra, np.abs(b.values) ** 2)
-    return [b._memo[_MEAN_SQUARES] for b in bases]
 
 
 def _check_tol(tol: float) -> None:

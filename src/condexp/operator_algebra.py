@@ -23,14 +23,19 @@ never the conditional moments, so it stays independent of the closed forms
 it checks. Operators are immutable, so what is computed of one is memoized.
 
 The closed forms all have the shape M_a E M_b and are handled as their
-pairs (a, b): the pair rules (adjoint, product, coimage projection, norm
-per atom) cost O(n) on arrays, every norm safe at any scale
-(``_block_norms``). ``core_distances`` is the one comparison, the
-operator norm of differences of pairs and operators over the same blocks:
-a rank-one kernel forms each distinct projection of one line on another
-once, over bounded groups of atoms, and takes each 2 x 2 core's largest
-singular value in closed form (``_rank_one_distances``), building no
-block.
+pairs (a, b), each function a ``Side``: a coefficient per atom on a base
+function shared with other sides, conjugated or not; an array is
+coefficient 1 on itself. The pair rules (adjoint, product, coimage
+projection, norm per atom) act on the coefficients in O(atoms), reading
+each base's per-atom norm and mean square, each taken once and the norm
+safe at any scale (``_base_norms``). ``core_distances`` is the one
+comparison, the operator norm of differences of pairs and operators over
+the same blocks: a rank-one kernel writes each distinct line once (a base,
+conjugated or not, or an operator's line), forms each distinct projection
+of one unit line on another once, over bounded groups of atoms, applies
+each side's coefficients and base norms, or its cores, per comparison and
+atom, and takes each 2 x 2 core's largest singular value in closed form
+(``_rank_one_distances``), building no block.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ from .measure_space import (
     _atom_means,
     _atom_sums,
     _finite_values,
-    _mean_squares,
     function_side,
 )
 
@@ -162,11 +166,11 @@ def expectation_product(
 ) -> tuple:
     """The pair of (M_a E M_b)(M_c E M_d) = M_{a E(bc)} E M_d: with b and c
     on one base, one conjugated, E(bc) is their coefficients times the
-    base's E|f|^2, in O(atoms), else a mean over the points, checked
-    finite."""
+    base's E|f|^2 where it holds it, in O(atoms), else a mean over the
+    points, checked finite."""
     (a, b), (c, d) = _sides(algebra, first), _sides(algebra, second)
-    if b.base is c.base and b.conjugated != c.conjugated:
-        (mean,) = _mean_squares(space, algebra, b.base)
+    if b.base is c.base and b.conjugated != c.conjugated and b.base.mean_squares is not None:
+        mean = b.base.mean_squares
     else:
         f, g = (np.conj(x.base.values) if x.conjugated else x.base.values for x in (b, c))
         (mean,) = _atom_means(space, algebra, _finite_values(np.multiply(f, g, dtype=complex)))

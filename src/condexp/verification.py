@@ -1,17 +1,18 @@
 """Per-instance cross-validation of every closed form against the oracle.
 
 Each check compares a moment-based closed form, the pair (a, b) of an
-operator M_a E M_b, with the corresponding computation of the per-atom
-numerical oracle, or, for the polar decomposition, with T's own definition,
-and records a pass/fail with its margin and tolerance. The fifteen operator
-checks (the powers, the polar decomposition, the Aluthge transforms and the
-adjoint isometry) share one metric, the operator norm of the difference on
-L2(mu), read off the cores of both sides: T's side (the powers of T*T,
-the polar decomposition, the Aluthge transforms) and T*'s side (the powers
-of TT*, the adjoint) each compare all their operators in one
-``core_distances`` call, two calls per verify, and T's rank-one atoms make
-every core 2 x 2, so its largest value is taken in closed form. This module
-backs both the ``verify`` CLI subcommand and the acceptance test suite.
+operator M_a E M_b held per atom on shared bases, with the corresponding
+computation of the per-atom numerical oracle, or, for the polar
+decomposition, with T's own definition, and records a pass/fail with its
+margin and tolerance. The fifteen operator checks (the powers, the polar
+decomposition, the Aluthge transforms and the adjoint isometry) share one
+metric, the operator norm of the difference on L2(mu), read off the cores
+of both sides: T's side (the powers of T*T, the polar decomposition, the
+Aluthge transforms) and T*'s side (the powers of TT*, the adjoint) compare
+all their operators in one ``core_distances`` call per verify, and T's
+rank-one atoms make every core 2 x 2, so its largest value is taken in
+closed form. This module backs both the ``verify`` CLI subcommand and the
+acceptance test suite.
 """
 
 from __future__ import annotations

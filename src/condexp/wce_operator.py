@@ -6,14 +6,17 @@ U of the polar decomposition, Aluthge transform) are expressed directly in
 the cached conditional moments E(u), E(w), E(uw), E(|u|^2), E(|w|^2); the
 modulus |T| of T = U |T| is ``tstar_t_power(W, 0.5)``. Each closed-form
 operator has the shape M_a E M_b, rank one on each atom, and is returned as
-its pair (a, b): ``expectation_operator(W.space, W.algebra, *pair)`` is the
-one way to build it as an operator, held as its unit lines and 1 x 1
-cores on each atom, and this module builds no operator but T
-(``to_matrix``). The family is closed under adjoints,
-T* = M_conj(u) E M_conj(w), so this module states no adjoint-side form: the
-powers of TT* and the polar isometry and Aluthge transform of T* are the
-T-side forms applied to ``adjoint_wce(W)``, whose docstring writes them out
-in W's moments. The moments are computed once at build time and never
+its pair (a, b) of sides: a coefficient per atom, read off the moments in
+O(atoms), on u or w, conjugated or not (``WCEOperator._sides``), so no
+closed form holds an array on the points. ``numpy.asarray`` expands a side,
+and ``expectation_operator(W.space, W.algebra, *pair)`` is the one way to
+build a pair as an operator, held as its unit lines and 1 x 1 cores on each
+atom; this module builds no operator but T (``to_matrix``). The family is
+closed under adjoints, T* = M_conj(u) E M_conj(w), so this module states no
+adjoint-side form: the powers of TT* and the polar isometry and Aluthge
+transform of T* are the T-side forms applied to ``adjoint_wce(W)``, whose
+docstring writes them out in W's moments, and whose sides are W's,
+conjugated. The moments are computed once at build time and never
 recomputed, so every closed form shares one tolerance story. The supports
 S, G and S' are read-only boolean masks on the points, and quotients are
 cut to them: a factor whose denominator vanishes (below the support

@@ -577,9 +577,8 @@ class TestRankOneKernel:
         for batch, want in zip(batches, whole):
             np.testing.assert_array_equal(core_distances(*batch), want)
 
-    @pytest.mark.parametrize("both", [False, True], ids=["t-side", "both-sides"])
-    def test_working_set_is_bounded_by_the_row_bound(self, monkeypatch, both):
-        """One call over T's 9 comparisons, or over a verify's 15, at
+    def test_working_set_is_bounded_by_the_row_bound(self, monkeypatch):
+        """One call over T's 9 comparisons, and one over a verify's 15, at
         random_instance(0, 20000, 200), with the row bound at 4096 entries,
         allocates less than: the kernel's stack (q, v and two work arrays of
         4096 complex entries each), three O(n) arrays (the points in block
@@ -587,19 +586,20 @@ class TestRankOneKernel:
         per comparison and atom. That is under one complex entry per point
         and comparison (2.9 MB at 9), so a stack that grows with
         n x comparisons does not fit."""
-        space, algebra, side = _verify_side(0, 20_000, 200, both)
-        chunk, n, count = 4096, space.point_count, len(side)
-        monkeypatch.setattr(operator_algebra, "COMPARISON_CHUNK", chunk)
-        core_distances(space, algebra, side)  # warm: first-call allocations are not the call's
-        gc.collect()
-        tracemalloc.start()
-        try:
-            core_distances(space, algebra, side)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        bound = 16 * (4 * chunk + 3 * n + 16 * count * algebra.block_count)
-        assert peak < bound < 16 * n * count
+        monkeypatch.setattr(operator_algebra, "COMPARISON_CHUNK", 4096)
+        for both in (False, True):
+            space, algebra, side = _verify_side(0, 20_000, 200, both)
+            n, count = space.point_count, len(side)
+            core_distances(space, algebra, side)  # warm: first-call allocations are not the call's
+            gc.collect()
+            tracemalloc.start()
+            try:
+                core_distances(space, algebra, side)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            bound = 16 * (4 * 4096 + 3 * n + 16 * count * algebra.block_count)
+            assert peak < bound < 16 * n * count, count
 
 
 #: a unit in the last place at 1, the closed form's tolerance unit
