@@ -409,9 +409,9 @@ VERIFY_PEAK_PER_BLOCK_BYTE = 6.2
 
 @FOUR_ATOMS
 def test_verify_peak_memory_is_a_multiple_of_the_blocks(instance):
-    """Each side of a verify frees its operators once its checks are made,
-    and the comparison kernel works in bounded groups of atoms, so the
-    peak stays a small multiple of T's blocks."""
+    """A verify holds its closed forms per atom and the comparison kernel
+    works in bounded groups of atoms, so the peak stays a small multiple
+    of T's blocks."""
     verify_instance(instance)  # warm: first-call allocations are not verify's
     gc.collect()
     tracemalloc.start()
